@@ -31,22 +31,19 @@ from .figures import CLOSED_COLUMNS, FIGURES, _closed_row
 from .io import ArtifactDir, read_csv_columns
 from .kernels import KernelSpec, gram, ntk_relu_eval
 from .measures import from_logits
-from .optimizer import (OptimizerConfig, optimize_test_measure,
+from .optimizer import (OptimizerConfig, fd_gradient, optimize_test_measure,
                         optimize_train_measure, richardson_check)
 from .spectral import (decomposition_cache_key, load_decomposition,
                        mercer_decompose, project_target, save_decomposition)
-from .theory import (CURVE_COLUMNS, pointwise_error_density,
-                     predict_Eg_dataset, prediction_row)
+from .theory import (CURVE_COLUMNS, DivergenceError, pointwise_error_density,
+                     predict_Eg_dataset, predict_Eg_train_grad,
+                     prediction_row)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 
 TRACE_COLUMNS = ("step", "Eg", "participation_ratio")
-
-
-class DivergenceError(RuntimeError):
-    """The requested computation sits in the diverging regime."""
 
 
 def _decomposition(K, measure, rank_threshold, cache_dir):
@@ -145,7 +142,6 @@ def _optimizer_config(sec, target):
         steps=int(sec["steps"]),
         mode=sec["mode"],
         target=target,
-        fd_step=float(sec["fd_step"]),
         convergence_tol=float(sec["convergence_tol"]),
         backtracking=bool(sec["backtracking"]),
     )
@@ -176,13 +172,7 @@ def _write_trace(art, ds, trace):
 def cmd_optimize_train(rc, art, threads, cache_dir):
     ds, spec, K, _, pt = _dataset_problem(rc)
     cfg = _optimizer_config(rc.section("optimizer"), "train_measure")
-    try:
-        trace = optimize_train_measure(ds, spec, pt, cfg, threads=threads,
-                                       K=K)
-    except ValueError as exc:
-        if "diverge" in str(exc):
-            raise DivergenceError(str(exc))
-        raise
+    trace = optimize_train_measure(ds, spec, pt, cfg, K=K)
     _write_trace(art, ds, trace)
     return EXIT_OK
 
@@ -192,12 +182,7 @@ def cmd_optimize_test(rc, art, threads, cache_dir):
     cfg = _optimizer_config(rc.section("optimizer"), "test_measure")
     dec = _decomposition(K, p, _rank_threshold(rc), cache_dir)
     abar = project_target(dec, ds.Y)
-    try:
-        trace = optimize_test_measure(dec, abar, cfg, Y=ds.Y)
-    except ValueError as exc:
-        if "diverge" in str(exc):
-            raise DivergenceError(str(exc))
-        raise
+    trace = optimize_test_measure(dec, abar, cfg, Y=ds.Y)
     _write_trace(art, ds, trace)
     return EXIT_OK
 
@@ -313,6 +298,11 @@ def cmd_compare(rc, art, threads, cache_dir):
     return EXIT_OK
 
 
+def _rel_err(analytic, fd):
+    scale = float(np.max(np.abs(analytic))) or 1.0
+    return float(np.max(np.abs(fd - analytic)) / scale)
+
+
 def cmd_gradcheck(rc, art, threads, cache_dir):
     ds, _, K, p, pt = _dataset_problem(rc)
     sec = rc.section("optimizer")
@@ -326,8 +316,12 @@ def cmd_gradcheck(rc, art, threads, cache_dir):
                                   noise).Eg
 
     z0 = np.zeros(ds.M)
-    rich = richardson_check(train_loss, z0, h=max(h, 1e-5),
-                            threads=threads)
+    h = max(h, 1e-5)
+    g1 = fd_gradient(train_loss, z0, h, threads=threads)
+    rich = richardson_check(train_loss, z0, h=h, threads=threads, g1=g1)
+    masses0 = from_logits(z0).masses
+    _, pbar = predict_Eg_train_grad(K, ds.Y, masses0, pt, P, lam, noise)
+    train_rel = _rel_err(masses0 * (pbar - np.dot(masses0, pbar)), g1)
 
     dec = _decomposition(K, p, _rank_threshold(rc), cache_dir)
     abar = project_target(dec, ds.Y)
@@ -336,23 +330,16 @@ def cmd_gradcheck(rc, art, threads, cache_dir):
     def test_loss(zt):
         return float(np.sum(from_logits(zt).masses * c))
 
-    masses0 = from_logits(z0).masses
-    mean_c = float(np.sum(masses0 * c))
-    analytic = masses0 * (c - mean_c)
-    step = 1e-6
-    fd = np.empty(ds.M)
-    for i in range(ds.M):
-        zp = z0.copy(); zp[i] += step
-        zm = z0.copy(); zm[i] -= step
-        fd[i] = (test_loss(zp) - test_loss(zm)) / (2.0 * step)
-    scale = float(np.max(np.abs(analytic))) or 1.0
-    rel = float(np.max(np.abs(fd - analytic)) / scale)
+    test_rel = _rel_err(masses0 * (c - float(np.sum(masses0 * c))),
+                        fd_gradient(test_loss, z0, 1e-6))
 
     art.write_json("gradcheck.json", {
         "train_fd_richardson": {"rel_err": rich, "tolerance": 1e-4,
                                 "ok": bool(rich < 1e-4)},
-        "test_measure_analytic": {"rel_err": rel, "tolerance": 1e-6,
-                                  "ok": bool(rel < 1e-6)},
+        "train_analytic": {"rel_err": train_rel, "tolerance": 1e-6,
+                           "ok": bool(train_rel < 1e-6)},
+        "test_measure_analytic": {"rel_err": test_rel, "tolerance": 1e-6,
+                                  "ok": bool(test_rel < 1e-6)},
     })
     return EXIT_OK
 

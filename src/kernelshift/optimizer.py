@@ -1,9 +1,15 @@
 """Gradient optimization of training and test measures against theory.
 
+Both measures are softmax-parameterized and both gradients are analytic.
 The training measure enters the error prediction through the spectral
-decomposition, so its gradient is taken by finite differences on the
-softmax logits. The test measure enters linearly through the pointwise
-error density, so its gradient is analytic.
+decomposition; theory.predict_Eg_train_grad differentiates through the
+resolvent at one decomposition and O(M^3) matmuls per step. On
+rank-deficient kernels that is the gradient of the thresholded
+prediction, which is not smooth where a mode crosses the rank threshold.
+The test measure enters linearly through the pointwise error density.
+
+fd_gradient and richardson_check are the finite-difference oracle the
+analytic gradients are checked against.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ import numpy as np
 from .measures import DiscreteMeasure, Dataset, from_logits
 from .kernels import gram
 from .spectral import mercer_decompose, overlap, project_target
-from .theory import pointwise_error_density, predict_Eg
+from .theory import (DivergenceError, pointwise_error_density, predict_Eg,
+                     predict_Eg_dataset, predict_Eg_train_grad)
 
 __all__ = [
     "OptimizerConfig",
@@ -47,7 +54,6 @@ class OptimizerConfig:
     steps: int = 2000
     mode: str = "descent"
     target: str = "train_measure"
-    fd_step: float = 1e-5
     convergence_tol: float = 1e-6
     backtracking: bool = True
 
@@ -56,9 +62,8 @@ class OptimizerConfig:
             raise ValueError("P_budget must be at least 1")
         if self.lam < 0 or self.noise < 0:
             raise ValueError("ridge and noise must be nonnegative")
-        if self.learning_rate <= 0 or self.steps < 1 or self.fd_step <= 0:
-            raise ValueError("learning_rate, steps and fd_step must be "
-                             "positive")
+        if self.learning_rate <= 0 or self.steps < 1:
+            raise ValueError("learning_rate and steps must be positive")
         if self.convergence_tol <= 0:
             raise ValueError("convergence_tol must be positive")
         if self.mode not in ("descent", "ascent"):
@@ -144,15 +149,17 @@ def fd_gradient(loss, z, h, scheme="central", threads=1):
     return (vals[:-1] - vals[-1]) / h
 
 
-def richardson_check(loss, z, h=1e-4, threads=1):
+def richardson_check(loss, z, h=1e-4, threads=1, g1=None):
     """Step-halving consistency of the central-difference gradient.
 
     Compares the h/2 gradient with its Richardson extrapolation from
     the h and h/2 stencils; a small relative deviation certifies the
     stencil operates in its convergent regime rather than being
-    dominated by roundoff or nonsmoothness.
+    dominated by roundoff or nonsmoothness. g1 is the step-h central
+    gradient when the caller has already computed it.
     """
-    g1 = fd_gradient(loss, z, h, scheme="central", threads=threads)
+    if g1 is None:
+        g1 = fd_gradient(loss, z, h, scheme="central", threads=threads)
     g2 = fd_gradient(loss, z, h / 2.0, scheme="central", threads=threads)
     extrap = (4.0 * g2 - g1) / 3.0
     scale = float(np.max(np.abs(extrap)))
@@ -166,7 +173,7 @@ def _iterate(z0, loss, grad, config):
     z = np.asarray(z0, dtype=np.float64).copy()
     current = loss(z)
     if not np.isfinite(current) and config.mode == "descent":
-        raise ValueError("starting point already diverges")
+        raise DivergenceError("starting point already diverges")
     zs, egs = [z.copy()], [current]
     converged = False
     message = "step budget exhausted"
@@ -206,12 +213,19 @@ def _iterate(z0, loss, grad, config):
 
 
 def optimize_train_measure(dataset, kernel_spec, test_measure, config,
-                           threads=1, K=None):
+                           K=None):
     """Optimize the training measure of a discrete problem.
 
     dataset may be a Dataset or a plain (X, Y) pair; a precomputed Gram
     matrix can be passed to skip the kernel evaluation. The test measure
     stays fixed; logits start at zero (uniform measure).
+
+    The gradient is analytic (theory.predict_Eg_train_grad) and costs one
+    decomposition and O(M^3) matmuls per step, chained through the
+    softmax as zbar = p o (pbar - <p, pbar>). On rank-deficient kernels it
+    is the gradient of the thresholded prediction, which is not smooth
+    where a mode crosses the rank threshold. Line search and the trace use
+    predict_Eg_dataset. A diverging start raises DivergenceError.
     """
     if config.target != "train_measure":
         raise ValueError("config.target must be 'train_measure'")
@@ -225,8 +239,6 @@ def optimize_train_measure(dataset, kernel_spec, test_measure, config,
     if not isinstance(test_measure, DiscreteMeasure):
         test_measure = DiscreteMeasure(np.asarray(test_measure, float))
 
-    from .theory import predict_Eg_dataset
-
     def loss(z):
         p = from_logits(z)
         pred = predict_Eg_dataset(K, Y, p, test_measure, config.P_budget,
@@ -234,7 +246,11 @@ def optimize_train_measure(dataset, kernel_spec, test_measure, config,
         return float(pred.Eg)
 
     def grad(z):
-        return fd_gradient(loss, z, config.fd_step, "central", threads)
+        p = from_logits(z)
+        _, pbar = predict_Eg_train_grad(K, Y, p, test_measure,
+                                        config.P_budget, config.lam,
+                                        config.noise)
+        return p.masses * (pbar - np.dot(p.masses, pbar))
 
     return _iterate(np.zeros(M), loss, grad, config)
 

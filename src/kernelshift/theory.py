@@ -40,6 +40,10 @@ KAPPA_RTOL = 1e-12
 DIVERGENCE_TOL = 1e-10
 
 
+class DivergenceError(ValueError):
+    """The requested computation sits in the diverging regime."""
+
+
 @dataclass(frozen=True)
 class KappaSolution:
     kappa: float
@@ -460,6 +464,103 @@ def predict_Eg_dataset(
     return predict_Eg(
         dec, abar, O, P, lam, noise, residual=residual, kappa_method=kappa_method
     )
+
+
+def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise):
+    """Predicted error on a discrete dataset and its gradient in the training masses.
+
+    Returns (Eg, dEg_dp) with Eg equal to predict_Eg_dataset(...).Eg and
+    dEg_dp[mu] the partial derivative in p_mu, all masses varied
+    independently.  One decomposition and O(M^3) matmuls, by reverse mode
+    through the resolvent.  With a = sqrt(p), B = (a a^T) o K (eta zeroed on
+    collapsed modes) and u_c = a o Y_c, in the eigenbasis of B
+
+        q = kappa/(P eta + kappa),  e = eta/(P eta + kappa)   (q = 1, e = 0 collapsed)
+        W = q o abar,  abar = V^T u,  O = V^T diag(ptilde/p) V
+        gamma = P sum e^2,  gamma' = P sum O_rr e^2
+        Eg = sum_c W_c^T O W_c + gamma'/(1-gamma) (C eps^2 + |W|^2)
+
+    Eg depends on B only through Q = V diag(q) V^T, so its adjoint needs
+    only the divided differences of q(eta), which are products of bounded
+    factors and have no 1/(eta_i - eta_j) terms; kappa enters by the
+    implicit function theorem, dkappa/deta = q^2/(1 - gamma).  In the
+    ridgeless regime (lam = 0, P above the rank) kappa = 0 identically and
+    every factor stays finite.  Collapsed modes are held at eta = 0, so on
+    rank-deficient kernels this is the gradient of the thresholded
+    prediction, which is not smooth where a mode crosses
+    DEFAULT_RANK_THRESHOLD.
+
+    The training measure must have full support.  A diverged prediction
+    (1 - gamma below DIVERGENCE_TOL) raises DivergenceError.
+    """
+    from .spectral import DEFAULT_RANK_THRESHOLD
+
+    if not isinstance(p, DiscreteMeasure):
+        p = DiscreteMeasure(p)
+    if not isinstance(ptilde, DiscreteMeasure):
+        ptilde = DiscreteMeasure(ptilde)
+    if p.support().size != p.M:
+        raise ValueError("the training-mass gradient needs full support")
+    if ptilde.M != p.M:
+        raise ValueError("test measure must cover the same dataset")
+    if float(noise) < 0:
+        raise ValueError("noise variance must be nonnegative")
+    dec = mercer_decompose(K, p, DEFAULT_RANK_THRESHOLD)
+    K = np.asarray(K, dtype=np.float64)
+    K = 0.5 * (K + K.T)
+    Y = np.asarray(Y, dtype=np.float64)
+    Y = Y[:, None] if Y.ndim == 1 else Y
+    P = float(P)
+    rank = dec.rank
+    a = np.sqrt(p.masses)
+    V = a[:, None] * dec.Phi  # orthonormal eigenvectors of B
+    abar = project_target(dec, Y)
+    O = overlap(dec, ptilde).O
+
+    eta = dec.eigenvalues.copy()
+    eta[rank:] = 0.0
+    sol = solve_kappa(eta, P, lam)
+    state = compute_state(eta, P, lam, O_diag=np.diag(O), kappa=sol)
+    one_minus = 1.0 - state.gamma
+    if state.diverged:
+        raise DivergenceError(
+            f"1 - gamma = {one_minus:.3e} < {DIVERGENCE_TOL}: predicted "
+            "error diverges, so it has no gradient")
+    gamma_p = state.gamma_prime
+    kappa = sol.kappa
+    d = np.zeros_like(eta)  # 1/(P eta + kappa) on in-RKHS modes
+    d[:rank] = 1.0 / (P * eta[:rank] + kappa)
+    q = np.ones_like(eta)
+    q[:rank] = kappa * d[:rank]
+    e = eta * d
+    rho = gamma_p / one_minus
+    W = q[:, None] * abar
+    OW = O @ W
+    N = Y.shape[1] * float(noise) + float(np.sum(W * W))
+    Eg = float(np.sum(W * OW)) + rho * N
+
+    # adjoint of Q (eigenbasis); gamma and gamma' depend on Q via S = I - Q
+    H = OW + rho * W
+    Qbar = H @ abar.T
+    Qbar += Qbar.T
+    Qbar -= (N / one_minus) * (e[:, None] * O + O * e[None, :])
+    Qbar[np.diag_indices_from(Qbar)] -= 2.0 * N * gamma_p / one_minus**2 * e
+    # divided differences of q(eta): -P kappa d_i d_j between in-RKHS modes,
+    # -P d_i between in-RKHS mode i and collapsed mode j, 0 among collapsed
+    r = P * d
+    F = -(np.outer(r, q) + np.outer(q, r))
+    F[:rank, :rank] *= 0.5
+    Bbar = F * Qbar
+    kappa_bar = float(np.dot(np.diag(Qbar), P * eta * d * d))  # dq/dkappa
+    inr = np.arange(rank)
+    Bbar[inr, inr] += kappa_bar / one_minus * q[:rank] ** 2
+    Bbar = V @ Bbar @ V.T
+
+    # chain B = (a a^T) o K, u = a o Y and T = diag(ptilde/p) back to p
+    Tbar = np.sum((V @ W) ** 2, axis=1) + (N * P / one_minus) * (V**2 @ (e * e))
+    Ubar = V @ (2.0 * q[:, None] * H)
+    a_bar = 2.0 * ((Bbar * K) @ a) + np.sum(Ubar * Y, axis=1)
+    return Eg, a_bar / (2.0 * a) - Tbar * ptilde.masses / p.masses**2
 
 
 CURVE_COLUMNS = (

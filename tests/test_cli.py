@@ -195,6 +195,9 @@ def test_gradcheck_report(tmp_path):
     report = json.load(open(out / "gradcheck.json"))
     assert report["train_fd_richardson"]["ok"]
     assert report["train_fd_richardson"]["rel_err"] < 1e-4
+    assert report["train_analytic"]["ok"]
+    assert report["train_analytic"]["tolerance"] == 1e-6
+    assert report["train_analytic"]["rel_err"] < 1e-6
     assert report["test_measure_analytic"]["ok"]
     assert report["test_measure_analytic"]["rel_err"] < 1e-6
 

@@ -1,17 +1,20 @@
 """Measure optimization: finite-difference machinery, the analytic
-test-measure gradient, and the shared step loop."""
+training- and test-measure gradients, and the shared step loop."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import DiscreteMeasure, from_logits, uniform_measure
-from kernelshift.optimizer import (OptimizerConfig, fd_gradient, get_loss,
-                                   optimize_test_measure,
+from kernelshift.optimizer import (OptimizerConfig, _iterate, fd_gradient,
+                                   get_loss, optimize_test_measure,
                                    optimize_train_measure,
                                    participation_ratio, richardson_check)
 from kernelshift.spectral import mercer_decompose, project_target
-from kernelshift.theory import pointwise_error_density, predict_Eg_dataset
+from kernelshift.theory import (DivergenceError, pointwise_error_density,
+                                predict_Eg_dataset, predict_Eg_train_grad)
 
 
 def _instance(M=8, D=3, seed=4, kind="rbf"):
@@ -27,7 +30,7 @@ def test_optimizer_config_validation():
     good = dict(P_budget=5, lam=0.1)
     OptimizerConfig(**good)
     for bad in (dict(P_budget=0), dict(lam=-0.1), dict(noise=-1.0),
-                dict(learning_rate=0.0), dict(steps=0), dict(fd_step=0.0),
+                dict(learning_rate=0.0), dict(steps=0),
                 dict(convergence_tol=0.0), dict(mode="sideways"),
                 dict(target="kernel")):
         with pytest.raises(ValueError):
@@ -262,3 +265,82 @@ def test_fixed_rate_steps_without_backtracking():
     trace2 = optimize_test_measure(dec2, abar2, cfg2, Y=Y2)
     assert trace2.logits.shape[0] > 1
     assert trace2.Eg[-1] < trace2.Eg[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["rbf", "linear"]), C=st.sampled_from([1, 2]),
+       tilted=st.booleans(), noise=st.sampled_from([0.0, 0.01]),
+       regime=st.sampled_from(["lam0_below_rank", "ridgeless", 1e-3, 0.1]),
+       duplicates=st.booleans(), offset=st.integers(1, 3),
+       seed=st.integers(0, 2**16))
+def test_analytic_train_gradient_matches_fd(kind, C, tilted, noise, regime,
+                                            duplicates, offset, seed):
+    # the linear kernel has rank D < M; duplicated inputs add exactly
+    # degenerate zero eigenvalues, and their labels differ so the
+    # collapsed modes carry target weight
+    rng = np.random.default_rng(seed)
+    M, D = 10, 4
+    X = rng.standard_normal((M, D))
+    if duplicates:
+        X[-2:] = X[:2]
+    Y = np.tanh(X @ rng.standard_normal((D, C))) \
+        + 0.3 * rng.standard_normal((M, C))
+    spec = KernelSpec("rbf", lengthscale=1.5) if kind == "rbf" \
+        else KernelSpec("linear")
+    K = gram(spec, X)
+    ptilde = from_logits(rng.standard_normal(M) if tilted else np.zeros(M))
+    z = 0.3 * rng.standard_normal(M)
+    rank = mercer_decompose(K, from_logits(z)).rank
+    if regime == "lam0_below_rank":
+        lam, P = 0.0, max(rank - offset, 1)
+    elif regime == "ridgeless":
+        lam, P = 0.0, rank + offset
+    else:
+        lam, P = regime, rank + offset - 2
+
+    def loss(zz):
+        return predict_Eg_dataset(K, Y, from_logits(zz), ptilde, P, lam,
+                                  noise).Eg
+
+    pred = predict_Eg_dataset(K, Y, from_logits(z), ptilde, P, lam, noise)
+    assert pred.state.ridgeless == (regime == "ridgeless")
+    p = from_logits(z).masses
+    Eg, pbar = predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise)
+    g = p * (pbar - np.dot(p, pbar))
+    assert Eg == pytest.approx(pred.Eg, rel=1e-12, abs=0)
+    assert np.all(np.isfinite(g))
+    fd = fd_gradient(loss, z, 1e-5)
+    # both are exactly zero when every mode is learned without noise
+    assert np.max(np.abs(g - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_train_optimizer_analytic_matches_fd_run():
+    rng = np.random.default_rng(10)
+    X = rng.standard_normal((9, 3))
+    Y = np.tanh(X @ rng.standard_normal(3))[:, None]
+    ptilde = from_logits(rng.standard_normal(9))
+    spec = KernelSpec("rbf", lengthscale=1.5)
+    cfg = OptimizerConfig(P_budget=5, lam=0.05, noise=0.01, steps=10,
+                          learning_rate=2.0)
+    trace = optimize_train_measure((X, Y), spec, ptilde, cfg)
+    K = gram(spec, X)
+
+    def loss(z):
+        return predict_Eg_dataset(K, Y, from_logits(z), ptilde, 5, 0.05,
+                                  0.01).Eg
+
+    ref = _iterate(np.zeros(9), loss,
+                   lambda z: fd_gradient(loss, z, 1e-5), cfg)
+    assert trace.Eg.shape == ref.Eg.shape
+    assert trace.Eg[-1] < trace.Eg[0]
+    assert trace.Eg[-1] == pytest.approx(ref.Eg[-1], rel=1e-6)
+
+
+def test_divergence_raises_typed_error():
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((8, 8))
+    Y = X[:, :1].copy()
+    K = gram(KernelSpec("linear"), X)
+    with pytest.raises(DivergenceError, match="diverge"):
+        predict_Eg_train_grad(K, Y, uniform_measure(8), uniform_measure(8),
+                              8, 0.0, 0.0)
