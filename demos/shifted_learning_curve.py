@@ -13,7 +13,7 @@ import numpy as np
 from kernelshift.empirical import run_learning_curve
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import from_logits, uniform_measure
-from kernelshift.theory import predict_Eg_dataset
+from kernelshift.theory import predict_Eg_curve
 
 # moderate input dimension keeps the mode statistics close to the
 # Gaussian universality the prediction relies on
@@ -42,11 +42,9 @@ def main():
     args = ap.parse_args()
 
     K, Y, p, pt = build_instance(args.seed)
-    theory, matched = [], []
-    for P in P_GRID:
-        pred = predict_Eg_dataset(K, Y, p, pt, P, LAM, NOISE)
-        theory.append(pred.Eg)
-        matched.append(pred.Eg_matched)
+    preds = predict_Eg_curve(K, Y, p, pt, P_GRID, LAM, NOISE)
+    theory = [pred.Eg for pred in preds]
+    matched = [pred.Eg_matched for pred in preds]
     mc = run_learning_curve(K, Y, p, pt, P_GRID, LAM, NOISE,
                             trials=TRIALS, seed=args.seed + 1)
 

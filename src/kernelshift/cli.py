@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import logging
 import os
 import sys
 
@@ -33,11 +34,12 @@ from .kernels import KernelSpec, gram, ntk_relu_eval
 from .measures import from_logits
 from .optimizer import (OptimizerConfig, fd_gradient, optimize_test_measure,
                         optimize_train_measure, richardson_check)
-from .spectral import (decomposition_cache_key, load_decomposition,
-                       mercer_decompose, project_target, save_decomposition)
+from .spectral import (DEFAULT_RANK_THRESHOLD, decomposition_cache_key,
+                       load_decomposition, mercer_decompose, project_target,
+                       save_decomposition)
 from .theory import (CURVE_COLUMNS, DivergenceError, pointwise_error_density,
-                     predict_Eg_dataset, predict_Eg_train_grad,
-                     prediction_row)
+                     predict_Eg_curve, predict_Eg_dataset,
+                     predict_Eg_train_grad, prediction_row)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -45,15 +47,25 @@ EXIT_DIVERGENCE = 3
 
 TRACE_COLUMNS = ("step", "Eg", "participation_ratio")
 
+log = logging.getLogger(__name__)
+
 
 def _decomposition(K, measure, rank_threshold, cache_dir):
-    """Decompose, going through the on-disk cache when one is given."""
+    """Decompose, going through the on-disk cache when one is given.
+
+    An unreadable entry (bad magic, truncated payload) counts as a miss:
+    it is recomputed and overwritten.
+    """
     if not cache_dir:
         return mercer_decompose(K, measure, rank_threshold)
     key = decomposition_cache_key(K, measure, rank_threshold)
     path = os.path.join(cache_dir, f"{key}.bin")
     if os.path.exists(path):
-        return load_decomposition(path)
+        try:
+            return load_decomposition(path)
+        except ValueError as exc:
+            log.warning("recomputing unreadable cache entry %s: %s",
+                        path, exc)
     dec = mercer_decompose(K, measure, rank_threshold)
     os.makedirs(cache_dir, exist_ok=True)
     save_decomposition(path, dec)
@@ -71,7 +83,8 @@ def _dataset_problem(rc):
 
 
 def _rank_threshold(rc):
-    return float(rc.doc.get("theory", {}).get("rank_threshold", 1e-12))
+    return float(rc.doc.get("theory", {}).get("rank_threshold",
+                                              DEFAULT_RANK_THRESHOLD))
 
 
 def cmd_decompose(rc, art, threads, cache_dir):
@@ -103,15 +116,12 @@ def cmd_theory_curve(rc, art, threads, cache_dir):
     if "P_grid" not in sec:
         raise ConfigError("theory-curve needs a P grid", "/theory/P_grid")
     dec = _decomposition(K, p, _rank_threshold(rc), cache_dir)
-    rows = []
-    n_diverged = 0
-    for P in sec["P_grid"]:
-        pred = predict_Eg_dataset(K, ds.Y, p, pt, P, sec["lambda"],
-                                  sec["noise"], dec=dec)
-        rows.append(prediction_row(P, pred))
-        n_diverged += int(pred.state.diverged)
-    art.write_csv("theory_curve.csv", CURVE_COLUMNS, rows)
-    if n_diverged == len(rows):
+    preds = predict_Eg_curve(K, ds.Y, p, pt, sec["P_grid"], sec["lambda"],
+                             sec["noise"], dec=dec)
+    art.write_csv("theory_curve.csv", CURVE_COLUMNS,
+                  [prediction_row(P, pred)
+                   for P, pred in zip(sec["P_grid"], preds)])
+    if all(pred.state.diverged for pred in preds):
         print("kernelshift: every grid point diverged (1 - gamma below "
               "tolerance)", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -172,7 +182,8 @@ def _write_trace(art, ds, trace):
 def cmd_optimize_train(rc, art, threads, cache_dir):
     ds, spec, K, _, pt = _dataset_problem(rc)
     cfg = _optimizer_config(rc.section("optimizer"), "train_measure")
-    trace = optimize_train_measure(ds, spec, pt, cfg, K=K)
+    trace = optimize_train_measure(ds, spec, pt, cfg, K=K,
+                                   rank_threshold=_rank_threshold(rc))
     _write_trace(art, ds, trace)
     return EXIT_OK
 
@@ -310,20 +321,22 @@ def cmd_gradcheck(rc, art, threads, cache_dir):
     lam = float(sec["lambda"])
     noise = float(sec["noise"])
     h = float(sec["fd_step"])
+    thr = _rank_threshold(rc)
 
     def train_loss(z):
         return predict_Eg_dataset(K, ds.Y, from_logits(z), pt, P, lam,
-                                  noise).Eg
+                                  noise, rank_threshold=thr).Eg
 
     z0 = np.zeros(ds.M)
     h = max(h, 1e-5)
     g1 = fd_gradient(train_loss, z0, h, threads=threads)
     rich = richardson_check(train_loss, z0, h=h, threads=threads, g1=g1)
     masses0 = from_logits(z0).masses
-    _, pbar = predict_Eg_train_grad(K, ds.Y, masses0, pt, P, lam, noise)
+    _, pbar = predict_Eg_train_grad(K, ds.Y, masses0, pt, P, lam, noise,
+                                    rank_threshold=thr)
     train_rel = _rel_err(masses0 * (pbar - np.dot(masses0, pbar)), g1)
 
-    dec = _decomposition(K, p, _rank_threshold(rc), cache_dir)
+    dec = _decomposition(K, p, thr, cache_dir)
     abar = project_target(dec, ds.Y)
     c = pointwise_error_density(dec, abar, P, lam, noise, Y=ds.Y)
 
@@ -396,7 +409,7 @@ def main(argv=None):
         code = EXIT_OK
         try:
             code = _HANDLERS[rc.command](rc, art, threads, args.cache)
-        except (DivergenceError, FloatingPointError) as exc:
+        except DivergenceError as exc:
             print(f"kernelshift: numerical divergence: {exc}",
                   file=sys.stderr)
             code = EXIT_DIVERGENCE

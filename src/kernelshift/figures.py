@@ -9,7 +9,6 @@ All randomness is derived from the run seed, so reruns are identical.
 from __future__ import annotations
 
 import hashlib
-import time
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .empirical import (EMPIRICAL_COLUMNS, _run_trials, compare_report,
 from .kernels import KernelSpec, gram, ntk_relu_eval
 from .measures import DiscreteMeasure
 from .spectral import mercer_decompose
-from .theory import CURVE_COLUMNS, predict_Eg_dataset, prediction_row
+from .theory import CURVE_COLUMNS, predict_Eg_curve, prediction_row
 
 __all__ = ["FIGURES", "reproduce_fig3a", "reproduce_fig3b",
            "reproduce_figSI3", "reproduce_figSI4", "reproduce_figSI5"]
@@ -80,7 +79,6 @@ def reproduce_fig3a(art, seed, trials=30, threads=1):
     integrated exactly. Training ranks that leave target power
     unexplored produce an error plateau.
     """
-    t0 = time.monotonic()
     D = 120
     lam = 1e-3
     M_r_list = [30, 40, 60, 120]
@@ -126,7 +124,6 @@ def reproduce_fig3a(art, seed, trials=30, threads=1):
         "max_abs_z": max_abs_z,
         "irreducible": {str(m): irreducible[m] for m in M_r_list},
         "plateau": {str(m): bool(irreducible[m] > 1e-6) for m in M_r_list},
-        "elapsed_seconds": time.monotonic() - t0,
     }
 
 
@@ -231,14 +228,13 @@ def _discretized_crosscheck(seed, label, M, M_r, M_s, beta, lam, noise,
                                 np.full(n_atoms, 1.0 / n_atoms)])
     p = DiscreteMeasure(masses_p)
     pt = DiscreteMeasure(masses_pt)
-    dec = mercer_decompose(K, p)
+    preds = predict_Eg_curve(K, Y, p, pt, P_values, lam, noise)
     rows = []
-    for P in P_values:
+    for P, pred in zip(P_values, preds):
         closed = general_linear_Eg(P, M, M_r, M_s, beta, 1.0, 1.0, lam,
                                    noise).Eg
-        pipe = predict_Eg_dataset(K, Y, p, pt, P, lam, noise, dec=dec).Eg
-        rel = abs(pipe - closed) / abs(closed) if closed else np.inf
-        rows.append((float(P), closed, pipe, rel))
+        rel = abs(pred.Eg - closed) / abs(closed) if closed else np.inf
+        rows.append((float(P), closed, pred.Eg, rel))
     return rows
 
 
@@ -417,8 +413,7 @@ def reproduce_figSI5(art, seed, trials=30, threads=1, grid_points=401):
         dec = mercer_decompose(K, p)
         eig_rows += [(name, float(i), val)
                      for i, val in enumerate(dec.eigenvalues)]
-        preds = [predict_Eg_dataset(K, Y, p, pt, P, lam, 0.0, dec=dec)
-                 for P in P_grid]
+        preds = predict_Eg_curve(K, Y, p, pt, P_grid, lam, 0.0, dec=dec)
         theory_rows += [(name,) + prediction_row(P, pr)
                         for P, pr in zip(P_grid, preds)]
         points = run_learning_curve(K, Y[:, None], p, pt, P_grid, lam, 0.0,

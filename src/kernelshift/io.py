@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -9,7 +10,7 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["fmt17", "write_text_atomic", "write_csv_atomic",
+__all__ = ["fmt17", "atomic_open", "write_text_atomic", "write_csv_atomic",
            "write_json_atomic", "ArtifactDir", "read_csv_columns"]
 
 
@@ -24,19 +25,27 @@ def fmt17(value):
     return format(float(value), ".17g")
 
 
-def write_text_atomic(path, text):
-    """Write text via a temporary file and rename, never partial files."""
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """File handle on a temporary file that is renamed to `path` when the
+    block exits cleanly and removed otherwise, so `path` is never partial."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path, text):
+    """Write text via a temporary file and rename, never partial files."""
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def write_csv_atomic(path, header, rows):

@@ -213,7 +213,7 @@ def _iterate(z0, loss, grad, config):
 
 
 def optimize_train_measure(dataset, kernel_spec, test_measure, config,
-                           K=None):
+                           K=None, rank_threshold=None):
     """Optimize the training measure of a discrete problem.
 
     dataset may be a Dataset or a plain (X, Y) pair; a precomputed Gram
@@ -225,7 +225,9 @@ def optimize_train_measure(dataset, kernel_spec, test_measure, config,
     softmax as zbar = p o (pbar - <p, pbar>). On rank-deficient kernels it
     is the gradient of the thresholded prediction, which is not smooth
     where a mode crosses the rank threshold. Line search and the trace use
-    predict_Eg_dataset. A diverging start raises DivergenceError.
+    predict_Eg_dataset. Loss and gradient decompose at rank_threshold
+    (DEFAULT_RANK_THRESHOLD when None). A diverging start raises
+    DivergenceError.
     """
     if config.target != "train_measure":
         raise ValueError("config.target must be 'train_measure'")
@@ -242,14 +244,16 @@ def optimize_train_measure(dataset, kernel_spec, test_measure, config,
     def loss(z):
         p = from_logits(z)
         pred = predict_Eg_dataset(K, Y, p, test_measure, config.P_budget,
-                                  config.lam, config.noise)
+                                  config.lam, config.noise,
+                                  rank_threshold=rank_threshold)
         return float(pred.Eg)
 
     def grad(z):
         p = from_logits(z)
         _, pbar = predict_Eg_train_grad(K, Y, p, test_measure,
                                         config.P_budget, config.lam,
-                                        config.noise)
+                                        config.noise,
+                                        rank_threshold=rank_threshold)
         return p.masses * (pbar - np.dot(p.masses, pbar))
 
     return _iterate(np.zeros(M), loss, grad, config)

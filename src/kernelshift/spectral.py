@@ -12,11 +12,13 @@ zero eigenvalue are "collapsed" and live outside the RKHS.
 """
 
 import hashlib
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
+from .io import atomic_open
 from .measures import BINARY_MAGIC, DiscreteMeasure
 
 DEFAULT_RANK_THRESHOLD = 1e-12
@@ -287,10 +289,15 @@ def cross_overlap_diagnostics(K, p, ptilde, rank_threshold=DEFAULT_RANK_THRESHOL
 # uint64 dimensions, float64 payload.
 # ---------------------------------------------------------------------------
 
+# Bump when the stored layout or the sign/rank conventions change, so old
+# entries stop matching instead of being silently reused.
+CACHE_FORMAT_VERSION = 1
+
 
 def decomposition_cache_key(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
-    """Content hash of (Gram matrix, masses, threshold) for cache lookups."""
-    h = hashlib.sha256()
+    """Content hash of (format version, Gram matrix, masses, threshold)."""
+    h = hashlib.sha256(f"kernelshift-decomposition-v{CACHE_FORMAT_VERSION}"
+                       .encode())
     h.update(np.ascontiguousarray(K, dtype="<f8").tobytes())
     h.update(np.ascontiguousarray(measure.masses, dtype="<f8").tobytes())
     h.update(np.float64(rank_threshold).tobytes())
@@ -298,7 +305,9 @@ def decomposition_cache_key(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
 
 
 def save_decomposition(path, dec):
-    with open(path, "wb") as fh:
+    """Write via a temporary file and rename, so a killed writer never
+    leaves a partial entry at `path`."""
+    with atomic_open(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
         M = dec.Phi.shape[0]
         np.asarray([M, dec.n_modes, dec.rank], dtype="<u8").tofile(fh)
@@ -317,12 +326,15 @@ def load_decomposition(path):
         if dims.size != 3:
             raise ValueError("truncated decomposition header")
         M, m, rank = (int(v) for v in dims)
+        # check the size before reading, so a corrupt header cannot ask
+        # for a huge allocation
+        expected = 8 * (4 + m + M * m + M) + len(BINARY_MAGIC)
+        if os.fstat(fh.fileno()).st_size != expected or rank > m:
+            raise ValueError("truncated or corrupt decomposition payload")
         thr = np.fromfile(fh, dtype="<f8", count=1)
         eta = np.fromfile(fh, dtype="<f8", count=m)
         Phi = np.fromfile(fh, dtype="<f8", count=M * m)
         masses = np.fromfile(fh, dtype="<f8", count=M)
-        if thr.size != 1 or eta.size != m or Phi.size != M * m or masses.size != M:
-            raise ValueError("truncated decomposition payload")
     measure = DiscreteMeasure(masses)
     return SpectralDecomposition(
         eigenvalues=eta,

@@ -27,14 +27,15 @@ a scalar shared by all outputs.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .measures import DiscreteMeasure
-from .spectral import OverlapMatrix, identity_overlap, mercer_decompose, overlap, project_target
+from .spectral import (DEFAULT_RANK_THRESHOLD, OverlapMatrix, identity_overlap,
+                       mercer_decompose, overlap, project_target)
 
 KAPPA_RTOL = 1e-12
 DIVERGENCE_TOL = 1e-10
@@ -64,6 +65,12 @@ class TheoryState:
 
 @dataclass(frozen=True)
 class TheoryPrediction:
+    """Predicted error and its split at one P.
+
+    `overlap` is the full (n_modes, n_modes) overlap the prediction used,
+    or None when only the in-RKHS block was given or the error diverged.
+    """
+
     Eg: float
     bias: float
     variance: float
@@ -71,8 +78,18 @@ class TheoryPrediction:
     delta: float
     irreducible: float
     state: TheoryState
-    O_shifted: np.ndarray = None
     diagnostic: str = ""
+    overlap: np.ndarray = field(default=None, repr=False, compare=False)
+
+    @property
+    def O_shifted(self):
+        """O - (1 - gamma')/(1 - gamma) I, built on access; None without
+        a full overlap."""
+        if self.overlap is None:
+            return None
+        s = self.state
+        shift = (1.0 - s.gamma_prime) / (1.0 - s.gamma)
+        return self.overlap - shift * np.eye(self.overlap.shape[0])
 
 
 @dataclass(frozen=True)
@@ -247,7 +264,6 @@ def _diverged_prediction(state, diagnostic):
         delta=inf,
         irreducible=inf,
         state=state,
-        O_shifted=None,
         diagnostic=diagnostic,
     )
 
@@ -338,10 +354,6 @@ def predict_Eg(dec, abar, O, P, lam, noise, residual=None, kappa_method="brent")
     )
     Eg_matched = float(np.sum(matched_c))
 
-    O_shifted = None
-    if Omat.shape == (m, m):
-        O_shifted = Omat - ((1.0 - state.gamma_prime) / one_minus) * np.eye(m)
-
     return TheoryPrediction(
         Eg=Eg,
         bias=bias,
@@ -350,7 +362,7 @@ def predict_Eg(dec, abar, O, P, lam, noise, residual=None, kappa_method="brent")
         delta=Eg - Eg_matched,
         irreducible=float(np.sum(irr_c)),
         state=state,
-        O_shifted=O_shifted,
+        overlap=Omat if Omat.shape == (m, m) else None,
     )
 
 
@@ -387,7 +399,7 @@ def pointwise_error_density(dec, abar, P, lam, noise, Y=None, kappa_method="bren
     kappa = sol.kappa
     state = compute_state(eta, P, lam, kappa=sol)
     if state.diverged:
-        raise FloatingPointError(
+        raise DivergenceError(
             "pointwise density undefined: predicted error diverges "
             f"(1 - gamma = {1.0 - state.gamma:.3e})"
         )
@@ -429,26 +441,25 @@ def pointwise_error_density(dec, abar, P, lam, noise, Y=None, kappa_method="bren
     return c
 
 
-def predict_Eg_dataset(
+def predict_Eg_curve(
     K,
     Y,
     p,
     ptilde,
-    P,
+    P_grid,
     lam,
     noise,
     rank_threshold=None,
     dec=None,
     kappa_method="brent",
 ):
-    """End-to-end prediction on a discrete dataset.
+    """End-to-end learning curve on a discrete dataset, one prediction per P.
 
-    Composes mercer_decompose -> project_target -> overlap -> predict_Eg,
-    routing through residual moments whenever the test measure leaves the
-    training support while collapsed modes exist.
+    The target projection, the overlap and (when the test measure leaves
+    the training support while collapsed modes exist) the residual moments
+    depend only on the kernel and the two measures, so they are built once;
+    each P then costs one kappa solve and O(n_modes^2) work in predict_Eg.
     """
-    from .spectral import DEFAULT_RANK_THRESHOLD
-
     if not isinstance(p, DiscreteMeasure):
         p = DiscreteMeasure(p)
     if not isinstance(ptilde, DiscreteMeasure):
@@ -461,12 +472,31 @@ def predict_Eg_dataset(
     residual = None
     if O.collapsed_undefined:
         residual = residual_moments(dec, abar, Y, ptilde)
-    return predict_Eg(
-        dec, abar, O, P, lam, noise, residual=residual, kappa_method=kappa_method
-    )
+    return [
+        predict_Eg(dec, abar, O, P, lam, noise, residual=residual,
+                   kappa_method=kappa_method)
+        for P in P_grid
+    ]
 
 
-def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise):
+def predict_Eg_dataset(
+    K,
+    Y,
+    p,
+    ptilde,
+    P,
+    lam,
+    noise,
+    rank_threshold=None,
+    dec=None,
+    kappa_method="brent",
+):
+    """End-to-end prediction at one P: predict_Eg_curve on a one-point grid."""
+    return predict_Eg_curve(K, Y, p, ptilde, [P], lam, noise, rank_threshold,
+                            dec, kappa_method)[0]
+
+
+def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
     """Predicted error on a discrete dataset and its gradient in the training masses.
 
     Returns (Eg, dEg_dp) with Eg equal to predict_Eg_dataset(...).Eg and
@@ -487,14 +517,13 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise):
     ridgeless regime (lam = 0, P above the rank) kappa = 0 identically and
     every factor stays finite.  Collapsed modes are held at eta = 0, so on
     rank-deficient kernels this is the gradient of the thresholded
-    prediction, which is not smooth where a mode crosses
-    DEFAULT_RANK_THRESHOLD.
+    prediction, which is not smooth where a mode crosses the rank
+    threshold (DEFAULT_RANK_THRESHOLD unless rank_threshold is given, as
+    in predict_Eg_dataset).
 
     The training measure must have full support.  A diverged prediction
     (1 - gamma below DIVERGENCE_TOL) raises DivergenceError.
     """
-    from .spectral import DEFAULT_RANK_THRESHOLD
-
     if not isinstance(p, DiscreteMeasure):
         p = DiscreteMeasure(p)
     if not isinstance(ptilde, DiscreteMeasure):
@@ -505,7 +534,8 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise):
         raise ValueError("test measure must cover the same dataset")
     if float(noise) < 0:
         raise ValueError("noise variance must be nonnegative")
-    dec = mercer_decompose(K, p, DEFAULT_RANK_THRESHOLD)
+    thr = DEFAULT_RANK_THRESHOLD if rank_threshold is None else rank_threshold
+    dec = mercer_decompose(K, p, thr)
     K = np.asarray(K, dtype=np.float64)
     K = 0.5 * (K + K.T)
     Y = np.asarray(Y, dtype=np.float64)
@@ -546,10 +576,15 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise):
     Qbar -= (N / one_minus) * (e[:, None] * O + O * e[None, :])
     Qbar[np.diag_indices_from(Qbar)] -= 2.0 * N * gamma_p / one_minus**2 * e
     # divided differences of q(eta): -P kappa d_i d_j between in-RKHS modes,
-    # -P d_i between in-RKHS mode i and collapsed mode j, 0 among collapsed
+    # (q_i - 1)/(eta_i - eta_j) = -P d_i eta_i/(eta_i - eta_j) between
+    # in-RKHS mode i and collapsed mode j (at its true eigenvalue, which a
+    # large rank threshold leaves above 0), 0 among collapsed
     r = P * d
     F = -(np.outer(r, q) + np.outer(q, r))
     F[:rank, :rank] *= 0.5
+    F[:rank, rank:] *= eta[:rank, None] / (
+        eta[:rank, None] - dec.eigenvalues[None, rank:])
+    F[rank:, :rank] = F[:rank, rank:].T
     Bbar = F * Qbar
     kappa_bar = float(np.dot(np.diag(Qbar), P * eta * d * d))  # dq/dkappa
     inr = np.arange(rank)

@@ -1,6 +1,7 @@
 """Command line front end: artifact contracts, exit codes, and
 bit-for-bit reproducibility of every run."""
 
+import functools
 import json
 import os
 
@@ -10,9 +11,13 @@ import pytest
 import kernelshift
 from kernelshift.cli import main
 from kernelshift.closedform import dot_product_kernel_spectrum
+from kernelshift.config import build_dataset
+from kernelshift.figures import FIGURES, reproduce_fig3a
 from kernelshift.io import read_csv_columns
-from kernelshift.kernels import KernelSpec
-from kernelshift.theory import CURVE_COLUMNS
+from kernelshift.kernels import KernelSpec, gram
+from kernelshift.measures import uniform_measure
+from kernelshift.spectral import mercer_decompose
+from kernelshift.theory import CURVE_COLUMNS, predict_Eg_dataset
 
 
 def _base_doc():
@@ -202,6 +207,30 @@ def test_gradcheck_report(tmp_path):
     assert report["test_measure_analytic"]["rel_err"] < 1e-6
 
 
+def test_optimize_train_and_gradcheck_honour_rank_threshold(tmp_path):
+    opt = {"P_budget": 3, "lambda": 0.1, "noise": 0.01, "steps": 2}
+    doc = dict(_base_doc(), command="optimize-train", optimizer=opt)
+    thr_doc = dict(doc, theory={"rank_threshold": 0.02})
+    _, out = _run(tmp_path, doc, out="default", name="d.json")
+    _, out_thr = _run(tmp_path, thr_doc, out="thr", name="t.json")
+    eg = json.load(open(out / "optimize.json"))["Eg_initial"]
+    eg_thr = json.load(open(out_thr / "optimize.json"))["Eg_initial"]
+    ds = build_dataset(doc["dataset"], 0)
+    K = gram(KernelSpec("rbf", lengthscale=1.5), ds.X)
+    assert mercer_decompose(K, uniform_measure(10), 0.02).rank == 8
+    assert eg_thr == predict_Eg_dataset(K, ds.Y, uniform_measure(10),
+                                        uniform_measure(10), 3, 0.1, 0.01,
+                                        rank_threshold=0.02).Eg
+    assert eg_thr != eg
+
+    code, out = _run(tmp_path, dict(thr_doc, command="gradcheck"),
+                     out="grad", name="g.json")
+    assert code == 0
+    report = json.load(open(out / "gradcheck.json"))
+    assert report["train_analytic"]["ok"]
+    assert report["train_fd_richardson"]["ok"]
+
+
 def test_unknown_command_exits_2(tmp_path, capsys):
     code, _ = _run(tmp_path, {"command": "solve-everything"})
     assert code == 2
@@ -293,6 +322,41 @@ def test_decomposition_cache_roundtrip(tmp_path):
     _, hot = _run(tmp_path, doc, out="hot", name="h.json",
                   extra=("--cache", str(cache)))
     assert _read_dir(plain) == _read_dir(warm) == _read_dir(hot)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupted"])
+def test_unreadable_cache_entry_is_recomputed(tmp_path, damage):
+    doc = dict(_base_doc(), command="theory-curve",
+               theory={"P_grid": [2, 4], "lambda": 0.1})
+    cache = tmp_path / "cache"
+    _, plain = _run(tmp_path, doc, out="plain", name="p.json")
+    _run(tmp_path, doc, out="warm", name="w.json",
+         extra=("--cache", str(cache)))
+    (entry,) = cache.iterdir()
+    good = entry.read_bytes()
+    if damage == "truncated":
+        entry.write_bytes(good[:len(good) // 2])
+    else:
+        entry.write_bytes(b"NOPE" + good[4:])
+    code, out = _run(tmp_path, doc, out="again", name="a.json",
+                     extra=("--cache", str(cache)))
+    assert code == 0
+    assert _read_dir(out) == _read_dir(plain)
+    assert [e.name for e in cache.iterdir()] == [entry.name]
+    assert entry.read_bytes() == good
+
+
+def test_reproduce_fig3a_reruns_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.setitem(FIGURES, "fig3a",
+                        functools.partial(reproduce_fig3a, trials=2))
+    cfg = os.path.join(os.path.dirname(kernelshift.__file__), "configs",
+                       "fig3a.json")
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+    a, b = (_read_dir(out) for out in outs)
+    assert "summary.json" in a and "empirical_fig3a.csv" in a
+    assert a == b
 
 
 def test_reproduce_bundled_config(tmp_path):

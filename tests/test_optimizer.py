@@ -344,3 +344,35 @@ def test_divergence_raises_typed_error():
     with pytest.raises(DivergenceError, match="diverge"):
         predict_Eg_train_grad(K, Y, uniform_measure(8), uniform_measure(8),
                               8, 0.0, 0.0)
+
+
+def test_rank_threshold_reaches_loss_and_gradient():
+    X, Y, K = _instance()
+    spec = KernelSpec("rbf", lengthscale=1.5)
+    ptilde = from_logits(np.random.default_rng(13).standard_normal(8))
+    thr = 0.045  # inside the gap between the 7th and 8th eigenvalue
+    assert mercer_decompose(K, uniform_measure(8), thr).rank == 7
+    assert mercer_decompose(K, uniform_measure(8)).rank == 8
+    cfg = OptimizerConfig(P_budget=5, lam=0.05, noise=0.01, steps=3)
+
+    def loss(z):
+        return predict_Eg_dataset(K, Y, from_logits(z), ptilde, 5, 0.05,
+                                  0.01, rank_threshold=thr).Eg
+
+    trace = optimize_train_measure((X, Y), spec, ptilde, cfg,
+                                   rank_threshold=thr)
+    default = optimize_train_measure((X, Y), spec, ptilde, cfg)
+    assert trace.Eg[0] == loss(np.zeros(8))
+    assert trace.Eg[0] != default.Eg[0]
+
+    z = 0.2 * np.random.default_rng(14).standard_normal(8)
+    p = from_logits(z).masses
+    Eg, pbar = predict_Eg_train_grad(K, Y, p, ptilde, 5, 0.05, 0.01,
+                                     rank_threshold=thr)
+    assert Eg == pytest.approx(loss(z), rel=1e-12, abs=0)
+    fd = fd_gradient(loss, z, 1e-5)
+    g = p * (pbar - np.dot(p, pbar))
+    assert np.max(np.abs(g - fd)) <= 1e-6 * np.max(np.abs(fd))
+    _, pbar_default = predict_Eg_train_grad(K, Y, p, ptilde, 5, 0.05, 0.01)
+    g_default = p * (pbar_default - np.dot(p, pbar_default))
+    assert np.max(np.abs(g_default - fd)) > 1e-3 * np.max(np.abs(fd))

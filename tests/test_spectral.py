@@ -254,6 +254,22 @@ def test_cache_key_and_roundtrip(tmp_path):
         load_decomposition(str(bad))
 
 
+def test_save_is_atomic_and_damaged_entries_raise(tmp_path):
+    K, _, p, _ = _instance(19)
+    dec = mercer_decompose(K, p)
+    path = tmp_path / "dec.bin"
+    path.write_bytes(b"stale")
+    save_decomposition(str(path), dec)
+    assert [f.name for f in tmp_path.iterdir()] == ["dec.bin"]
+    good = path.read_bytes()
+    for damaged in (good[:-8], good + b"\0" * 8,
+                    # header claiming 2^40 points: rejected before reading
+                    good[:4] + np.uint64(2**40).tobytes() + good[12:]):
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match="truncated or corrupt"):
+            load_decomposition(str(path))
+
+
 def test_cached_decomposition_predicts_identically(tmp_path):
     K, Y, p, pt = _instance(18)
     dec = mercer_decompose(K, p)

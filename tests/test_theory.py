@@ -14,8 +14,9 @@ from kernelshift.empirical import krr_solve, run_learning_curve
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import DiscreteMeasure, from_logits, uniform_measure
 from kernelshift.spectral import mercer_decompose, overlap, project_target
-from kernelshift.theory import (compute_state, expected_estimator,
-                                pointwise_error_density, predict_Eg,
+from kernelshift.theory import (DivergenceError, compute_state,
+                                expected_estimator, pointwise_error_density,
+                                predict_Eg, predict_Eg_curve,
                                 predict_Eg_dataset, prediction_row,
                                 residual_moments, solve_kappa)
 
@@ -181,6 +182,92 @@ def test_multi_output_sums_columns():
 
 
 # ----------------------------------------------------------------------
+# learning curve: P-independent quantities built once
+# ----------------------------------------------------------------------
+
+def _rebuilt_per_P_rows(K, Y, p, pt, P_grid, lam, noise):
+    """Rows with decomposition, projection, overlap and residual moments
+    rebuilt anew at every P."""
+    rows = []
+    for P in P_grid:
+        dec = mercer_decompose(K, p)
+        abar = project_target(dec, Y)
+        O = overlap(dec, pt)
+        res = residual_moments(dec, abar, Y, pt) if O.collapsed_undefined \
+            else None
+        rows.append(prediction_row(
+            P, predict_Eg(dec, abar, O, P, lam, noise, residual=res)))
+    return rows
+
+
+def _curve_case(name):
+    rng = np.random.default_rng(40)
+    M = 16
+    X = rng.standard_normal((M, 3))
+    Y = np.tanh(X @ rng.standard_normal(3))[:, None] \
+        + 0.1 * rng.standard_normal((M, 1))
+    pt = from_logits(0.5 * rng.standard_normal(M))
+    grid = [1, 2, 3, 5, 8, 20, 100]
+    if name == "full_overlap":
+        # collapsed modes, test mass on the training support
+        return (gram(KernelSpec("linear"), X), Y,
+                from_logits(0.3 * rng.standard_normal(M)), pt, grid, 0.05,
+                0.01)
+    if name == "residual_moments":
+        # collapsed modes and test mass off the training support
+        masses = np.zeros(M)
+        masses[:10] = rng.random(10) + 0.1
+        return (gram(KernelSpec("linear"), X), Y,
+                DiscreteMeasure(masses / masses.sum()), pt, grid, 0.05, 0.01)
+    if name == "full_rank":
+        return (gram(KernelSpec("rbf", lengthscale=1.5), X), Y,
+                from_logits(0.3 * rng.standard_normal(M)), pt, grid, 0.05,
+                0.01)
+    # ridgeless linear kernel of rank 3: the curve diverges at P = 3
+    return (gram(KernelSpec("linear"), X), Y,
+            from_logits(0.3 * rng.standard_normal(M)), pt, grid, 0.0, 0.01)
+
+
+@pytest.mark.parametrize("name", ["full_overlap", "residual_moments",
+                                  "full_rank", "diverged_point"])
+def test_curve_equals_rebuilt_per_P_loop(name):
+    K, Y, p, pt, grid, lam, noise = _curve_case(name)
+    dec = mercer_decompose(K, p)
+    O = overlap(dec, pt)
+    assert O.collapsed_undefined == (name == "residual_moments")
+    assert (dec.rank == dec.n_modes) == (name == "full_rank")
+    curve = [prediction_row(P, pred) for P, pred in
+             zip(grid, predict_Eg_curve(K, Y, p, pt, grid, lam, noise))]
+    assert curve == _rebuilt_per_P_rows(K, Y, p, pt, grid, lam, noise)
+    assert curve == [prediction_row(P, predict_Eg_dataset(
+        K, Y, p, pt, P, lam, noise, dec=dec)) for P in grid]
+    diverged = [row[-1] for row in curve]
+    if name == "diverged_point":
+        assert dec.rank == 3 and diverged == [0, 0, 1, 0, 0, 0, 0]
+    else:
+        assert not any(diverged)
+
+
+def test_O_shifted_on_access():
+    K, Y, p, pt, _, lam, noise = _curve_case("full_overlap")
+    dec = mercer_decompose(K, p)
+    abar = project_target(dec, Y)
+    O = overlap(dec, pt)
+    pred = predict_Eg(dec, abar, O, 5, lam, noise)
+    s = pred.state
+    expected = O.O - ((1.0 - s.gamma_prime) / (1.0 - s.gamma)) \
+        * np.eye(dec.n_modes)
+    assert np.array_equal(pred.O_shifted, expected)
+    # only the in-RKHS block given: no full overlap to shift
+    res = residual_moments(dec, abar, Y, pt)
+    inner = predict_Eg(dec, abar, O.O[:dec.rank, :dec.rank], 5, lam, noise,
+                       residual=res)
+    assert inner.O_shifted is None
+    diverged = predict_Eg(dec, abar, O, dec.rank, 0.0, noise)
+    assert diverged.state.diverged and diverged.O_shifted is None
+
+
+# ----------------------------------------------------------------------
 # pointwise error density
 # ----------------------------------------------------------------------
 
@@ -217,7 +304,7 @@ def test_density_diverged_raises():
     K = gram(KernelSpec("linear"), X)
     dec = mercer_decompose(K, uniform_measure(8))
     abar = project_target(dec, rng.standard_normal((8, 1)))
-    with pytest.raises(FloatingPointError, match="diverges"):
+    with pytest.raises(DivergenceError, match="diverges"):
         pointwise_error_density(dec, abar, P=2, lam=0.0, noise=0.0,
                                 Y=rng.standard_normal((8, 1)))
 
