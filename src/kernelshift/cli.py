@@ -53,8 +53,8 @@ log = logging.getLogger(__name__)
 def _decomposition(K, measure, rank_threshold, cache_dir):
     """Decompose, going through the on-disk cache when one is given.
 
-    An unreadable entry (bad magic, truncated payload) counts as a miss:
-    it is recomputed and overwritten.
+    An unreadable entry (bad magic, truncated payload, failed checksum)
+    counts as a miss: it is recomputed and overwritten.
     """
     if not cache_dir:
         return mercer_decompose(K, measure, rank_threshold)

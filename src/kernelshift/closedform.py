@@ -115,31 +115,16 @@ def diagonal_linear_Eg(P, D, M_r, beta, sigma2, sigma2_tilde, lam, noise=0.0):
 
     Training covariance is sigma2 on the first M_r of D directions and
     zero elsewhere; test covariance is sigma2_tilde on all D directions.
-    beta holds the target coefficients (trailing zeros implied).
+    beta holds the target coefficients (trailing zeros implied). This is
+    general_linear_Eg with a kernel and test measure of full rank D.
     """
     if not 1 <= M_r <= D:
         raise ValueError("need 1 <= M_r <= D")
     beta = np.asarray(beta, dtype=float)
     if beta.shape[0] > D:
         raise ValueError("beta longer than ambient dimension")
-    alpha = P / M_r
-    lam_tilde = lam / (sigma2 * M_r / D)
-    kp = kappa_prime_flat(alpha, lam_tilde)
-    kappa = kp * sigma2 * M_r / D
-    gamma = alpha / (kp + alpha) ** 2
-    gamma_prime = (sigma2_tilde / sigma2) * gamma
-    in_power = np.sum(beta[:M_r] ** 2)
-    out_power = np.sum(beta[M_r:] ** 2)
-    irreducible = sigma2_tilde * out_power
-    if (1.0 - gamma) <= DIVERGENCE_TOL:
-        return _finish(np.inf, np.inf, kappa, gamma, gamma_prime, irreducible)
-    core = (kp + alpha) ** 2 - alpha
-    Eg = sigma2_tilde * (noise / sigma2 * alpha / core
-                         + kp**2 / core * in_power + out_power)
-    # matched baseline: the training measure has no variance beyond M_r,
-    # so the out-of-support target power contributes nothing there
-    Eg0 = noise * alpha / core + sigma2 * kp**2 / core * in_power
-    return _finish(Eg, Eg0, kappa, gamma, gamma_prime, irreducible)
+    return general_linear_Eg(P, D, M_r, D, beta, sigma2, sigma2_tilde, lam,
+                             noise)
 
 
 def general_linear_Eg(P, M, M_r, M_s, beta, sigma2, sigma2_tilde, lam,

@@ -21,15 +21,13 @@ import numpy as np
 
 from .measures import DiscreteMeasure, Dataset, from_logits
 from .kernels import gram
-from .spectral import mercer_decompose, overlap, project_target
-from .theory import (DivergenceError, pointwise_error_density, predict_Eg,
+from .theory import (DivergenceError, pointwise_error_density,
                      predict_Eg_dataset, predict_Eg_train_grad)
 
 __all__ = [
     "OptimizerConfig",
     "OptimizationTrace",
     "participation_ratio",
-    "get_loss",
     "fd_gradient",
     "optimize_train_measure",
     "optimize_test_measure",
@@ -94,24 +92,6 @@ def participation_ratio(measure):
     masses = measure.masses if isinstance(measure, DiscreteMeasure) \
         else np.asarray(measure, dtype=np.float64)
     return float(1.0 / np.sum(masses**2))
-
-
-def get_loss(z, K, Y, lam, P, noise=0.0):
-    """Predicted error for training logits z against the uniform test
-    measure on the same atoms. Returns +inf on divergence."""
-    z = np.asarray(z, dtype=np.float64)
-    K = np.asarray(K, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    M = K.shape[0]
-    p = from_logits(z)
-    ptilde = DiscreteMeasure(np.full(M, 1.0 / M))
-    dec = mercer_decompose(K, p)
-    abar = project_target(dec, Y)
-    O = overlap(dec, ptilde)
-    from .theory import residual_moments
-    residual = residual_moments(dec, abar, Y, ptilde)
-    pred = predict_Eg(dec, abar, O, P, lam, noise, residual=residual)
-    return float(pred.Eg)
 
 
 def fd_gradient(loss, z, h, scheme="central", threads=1):

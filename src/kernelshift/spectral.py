@@ -180,57 +180,33 @@ class OverlapMatrix:
     """Test-measure Gram matrix of the training eigenfunctions.
 
     O[rho, gam] = sum_mu ptilde_mu phi_rho(x_mu) phi_gam(x_mu), symmetric
-    PSD.  When the test measure puts mass on points outside the training
-    support and collapsed modes exist, the collapsed rows/columns cannot be
-    evaluated; `collapsed_undefined` is set and the theory layer must use
-    the residual route for the out-of-RKHS terms.
+    PSD, over all n_modes modes.
     """
 
     O: np.ndarray
-    rank: int
-    collapsed_undefined: bool = False
-
-    @property
-    def n_modes(self):
-        return self.O.shape[0]
 
 
-def overlap(dec, ptilde, Phi_test=None):
-    """Overlap matrix of dec's eigenfunctions under a test measure.
+def overlap(dec, ptilde):
+    """Overlap matrix of dec's eigenfunctions under a test measure on the
+    same dataset, from the stored (Nystrom-extended) eigenfunction values.
 
-    Without Phi_test the test measure must live on the same dataset and the
-    stored (extended) eigenfunction values are used.  With Phi_test, ptilde
-    masses weight its rows instead (columns = modes, in eigenvalue order).
+    Collapsed modes have no values off the training support, so a test
+    measure with mass there raises ValueError when collapsed modes exist;
+    theory.predict_Eg_curve needs no overlap and covers that case.
     """
     if not isinstance(ptilde, DiscreteMeasure):
         ptilde = DiscreteMeasure(ptilde)
-    if Phi_test is None:
-        if ptilde.M != dec.Phi.shape[0]:
-            raise ValueError("test measure must cover the same dataset")
-        Phi_test = dec.Phi
-        collapsed_undefined = bool(
-            dec.n_collapsed > 0
-            and np.any(ptilde.masses[dec.offsupport] > 0)
-        )
-    else:
-        Phi_test = np.asarray(Phi_test, dtype=np.float64)
-        if Phi_test.ndim != 2 or Phi_test.shape[0] != ptilde.M:
-            raise ValueError("Phi_test must be (n_test, n_modes)")
-        if Phi_test.shape[1] not in (dec.rank, dec.n_modes):
-            raise ValueError(
-                f"Phi_test must cover the first {dec.rank} (in-RKHS) or all "
-                f"{dec.n_modes} modes"
-            )
-        collapsed_undefined = Phi_test.shape[1] < dec.n_modes and dec.n_collapsed > 0
-    weighted = ptilde.masses[:, None] * Phi_test
-    O = Phi_test.T @ weighted
+    if ptilde.M != dec.Phi.shape[0]:
+        raise ValueError("test measure must cover the same dataset")
+    if dec.n_collapsed and np.any(ptilde.masses[dec.offsupport] > 0):
+        raise ValueError(
+            f"overlap undefined: {dec.n_collapsed} collapsed modes and test "
+            "mass off the training support, where collapsed modes have no "
+            "values")
+    weighted = ptilde.masses[:, None] * dec.Phi
+    O = dec.Phi.T @ weighted
     O = 0.5 * (O + O.T)
-    return OverlapMatrix(O=O, rank=dec.rank, collapsed_undefined=collapsed_undefined)
-
-
-def identity_overlap(dec):
-    """The overlap of a test measure equal to the training measure."""
-    return OverlapMatrix(O=np.eye(dec.n_modes), rank=dec.rank, collapsed_undefined=False)
+    return OverlapMatrix(O=O)
 
 
 @dataclass(frozen=True)
@@ -291,7 +267,10 @@ def cross_overlap_diagnostics(K, p, ptilde, rank_threshold=DEFAULT_RANK_THRESHOL
 
 # Bump when the stored layout or the sign/rank conventions change, so old
 # entries stop matching instead of being silently reused.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
+
+_HEADER_BYTES = 3 * 8
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 
 def decomposition_cache_key(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
@@ -306,15 +285,21 @@ def decomposition_cache_key(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
 
 def save_decomposition(path, dec):
     """Write via a temporary file and rename, so a killed writer never
-    leaves a partial entry at `path`."""
+    leaves a partial entry at `path`.  A sha256 of everything after the
+    magic closes the file, so damage of any size is caught on load."""
+    M = dec.Phi.shape[0]
+    parts = (np.asarray([M, dec.n_modes, dec.rank], dtype="<u8"),
+             np.asarray([dec.rank_threshold], dtype="<f8"),
+             np.ascontiguousarray(dec.eigenvalues, dtype="<f8"),
+             np.ascontiguousarray(dec.Phi, dtype="<f8"),
+             np.ascontiguousarray(dec.measure.masses, dtype="<f8"))
+    digest = hashlib.sha256()
     with atomic_open(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
-        M = dec.Phi.shape[0]
-        np.asarray([M, dec.n_modes, dec.rank], dtype="<u8").tofile(fh)
-        np.asarray([dec.rank_threshold], dtype="<f8").tofile(fh)
-        dec.eigenvalues.astype("<f8").tofile(fh)
-        dec.Phi.astype("<f8").tofile(fh)
-        dec.measure.masses.astype("<f8").tofile(fh)
+        for part in parts:
+            part.tofile(fh)
+            digest.update(part)
+        fh.write(digest.digest())
 
 
 def load_decomposition(path):
@@ -322,25 +307,33 @@ def load_decomposition(path):
         magic = fh.read(4)
         if magic != BINARY_MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {BINARY_MAGIC!r}")
-        dims = np.fromfile(fh, dtype="<u8", count=3)
-        if dims.size != 3:
+        header = fh.read(_HEADER_BYTES)
+        if len(header) != _HEADER_BYTES:
             raise ValueError("truncated decomposition header")
-        M, m, rank = (int(v) for v in dims)
+        M, m, rank = (int(v) for v in np.frombuffer(header, dtype="<u8"))
         # check the size before reading, so a corrupt header cannot ask
         # for a huge allocation
-        expected = 8 * (4 + m + M * m + M) + len(BINARY_MAGIC)
+        n_values = 1 + m + M * m + M
+        expected = len(BINARY_MAGIC) + _HEADER_BYTES + 8 * n_values \
+            + _DIGEST_BYTES
         if os.fstat(fh.fileno()).st_size != expected or rank > m:
             raise ValueError("truncated or corrupt decomposition payload")
-        thr = np.fromfile(fh, dtype="<f8", count=1)
-        eta = np.fromfile(fh, dtype="<f8", count=m)
-        Phi = np.fromfile(fh, dtype="<f8", count=M * m)
-        masses = np.fromfile(fh, dtype="<f8", count=M)
-    measure = DiscreteMeasure(masses)
+        body = bytearray(8 * n_values)
+        fh.readinto(body)
+        stored = fh.read(_DIGEST_BYTES)
+    digest = hashlib.sha256(header)
+    digest.update(body)
+    if digest.digest() != stored:
+        raise ValueError("corrupt decomposition payload: checksum mismatch")
+    values = np.frombuffer(body, dtype="<f8")
+    eta = values[1:1 + m]
+    Phi = values[1 + m:1 + m + M * m].reshape(M, m)
+    measure = DiscreteMeasure(values[1 + m + M * m:])
     return SpectralDecomposition(
         eigenvalues=eta,
-        Phi=Phi.reshape(M, m),
+        Phi=Phi,
         measure=measure,
         support=measure.support(),
         rank=rank,
-        rank_threshold=float(thr[0]),
+        rank_threshold=float(values[0]),
     )

@@ -10,17 +10,23 @@ kernel ridge regression with P samples is predicted by
     gamma' = sum_rho O_rho_rho P eta_rho^2 / (P eta_rho + kappa)^2
 
     variance = gamma'/(1-gamma) (eps_eff^2 + sum_in (kappa abar/(P eta + kappa))^2)
-    bias     = kappa^2 u^T O u over in-RKHS modes
-               + 2 kappa sum_{out,in} O abar abar/(P eta + kappa)
-               + sum_{out,out} O abar abar                      (irreducible)
+    bias     = W^T O W,   W = q abar,   q = kappa/(P eta + kappa)
 
-with u = abar/(P eta + kappa) and the effective noise
-eps_eff^2 = eps^2 + sum_out abar^2 absorbing target weight on zero-eigenvalue
-(out-of-RKHS) modes.  All of this is the eta -> 0 limit of the full-rank
-expressions, so a single code path covers both cases.  When the overlap's
-out-of-RKHS block is not evaluable (test mass outside the training support),
-the same cross/irreducible terms are computed from the residual
-r = f - sum_in abar_rho phi_rho via `residual_moments`.
+with q = 1 on zero-eigenvalue (out-of-RKHS, "collapsed") modes, so the
+bias holds the in-RKHS term, twice the in/out cross term and the
+irreducible sum_{out,out} O abar abar.  The effective noise
+eps_eff^2 = eps^2 + sum_out abar^2 absorbs target weight on collapsed
+modes.  All of this is the eta -> 0 limit of the full-rank expressions, so
+a single code path covers both cases.
+
+The error is linear in the test measure: Eg = sum_mu ptilde_mu c_mu.  On a
+dataset every curve quantity is therefore a ptilde-weighted sum over points
+of rows built from the in-RKHS eigenfunction values Phi_in and the residual
+R = Y - Phi_in abar_in, which is the collapsed modes' part of the target
+and is defined even where the test measure leaves the training support
+(collapsed modes cannot be evaluated there).  `predict_Eg_curve` and
+`pointwise_error_density` use these rows; `predict_Eg` takes an explicit
+overlap matrix instead.
 
 Everything is per output column and summed over columns; the noise level is
 a scalar shared by all outputs.
@@ -28,14 +34,15 @@ a scalar shared by all outputs.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .measures import DiscreteMeasure
-from .spectral import (DEFAULT_RANK_THRESHOLD, OverlapMatrix, identity_overlap,
-                       mercer_decompose, overlap, project_target)
+from .spectral import (DEFAULT_RANK_THRESHOLD, OverlapMatrix, mercer_decompose,
+                       overlap, project_target)
 
 KAPPA_RTOL = 1e-12
 DIVERGENCE_TOL = 1e-10
@@ -67,8 +74,8 @@ class TheoryState:
 class TheoryPrediction:
     """Predicted error and its split at one P.
 
-    `overlap` is the full (n_modes, n_modes) overlap the prediction used,
-    or None when only the in-RKHS block was given or the error diverged.
+    `overlap` is the (n_modes, n_modes) overlap predict_Eg used, or None
+    for a curve prediction (which builds none) or a diverged one.
     """
 
     Eg: float
@@ -90,18 +97,6 @@ class TheoryPrediction:
         s = self.state
         shift = (1.0 - s.gamma_prime) / (1.0 - s.gamma)
         return self.overlap - shift * np.eye(self.overlap.shape[0])
-
-
-@dataclass(frozen=True)
-class ResidualMoments:
-    """Test-measure moments of the out-of-RKHS target residual.
-
-    second: (C,) with <r_c^2>_ptilde
-    cross:  (rank, C) with <r_c phi_gamma>_ptilde over in-RKHS modes
-    """
-
-    second: np.ndarray
-    cross: np.ndarray
 
 
 def _validated_spectrum(eigenvalues, weights):
@@ -232,29 +227,69 @@ def _as_columns(abar, n_modes):
     return abar
 
 
-def residual_moments(dec, abar, Y, ptilde):
-    """Moments of r = Y - sum_in abar phi under the test measure.
+class _PerP(NamedTuple):
+    """kappa and the mode weights at one P, shared by every error route."""
 
-    Y provides target values at every dataset point, so this works even when
-    ptilde has mass outside the training support (collapsed modes are never
-    evaluated there).
+    state: TheoryState
+    d: np.ndarray    # 1/(P eta + kappa) on in-RKHS modes, 0 on collapsed ones
+    q: np.ndarray    # kappa/(P eta + kappa), 1 on collapsed modes
+    W: np.ndarray    # q o abar, (n_modes, C)
+    wsq: np.ndarray  # |W_c|^2 = in-RKHS power + collapsed target power, (C,)
+
+
+def _per_P(dec, abar, P, lam, O_diag_in=None, kappa_method="brent"):
+    """Solve kappa at P and weight the modes.
+
+    O_diag_in is the test-measure overlap diagonal over the in-RKHS modes
+    (gamma' = gamma without it).  Collapsed modes are treated as exactly
+    out-of-RKHS (eta = 0), so q = 1 there even in the ridgeless limit
+    kappa -> 0.  noise + wsq is eps_eff^2 + |W_in|^2 per output.
     """
-    if not isinstance(ptilde, DiscreteMeasure):
-        ptilde = DiscreteMeasure(ptilde)
+    eta = dec.eigenvalues.copy()
+    rank = dec.rank
+    eta[rank:] = 0.0
+    sol = solve_kappa(eta, P, lam, method=kappa_method)
+    O_diag = None
+    if O_diag_in is not None:
+        # collapsed modes have eta = 0 and never contribute to gamma'
+        O_diag = np.zeros_like(eta)
+        O_diag[:rank] = O_diag_in
+    state = compute_state(eta, P, lam, O_diag=O_diag, kappa=sol)
+    d = np.zeros_like(eta)
+    d[:rank] = 1.0 / (float(P) * eta[:rank] + sol.kappa)
+    q = np.ones_like(eta)
+    q[:rank] = sol.kappa * d[:rank]
+    W = q[:, None] * abar
+    return _PerP(state, d, q, W, np.einsum("rc,rc->c", W, W))
+
+
+def _rows(dec, abar, Y):
+    """Phi_in (M, rank) and the residual R = Y - Phi_in abar_in (M, C).
+
+    R is the collapsed modes' part of the target and is 0 when they carry
+    no target power.  Without Y it is taken from the stored collapsed
+    eigenfunction values, which exist only on the training support.
+    """
+    rank = dec.rank
+    Phi_in = dec.Phi[:, :rank]
+    M, C = dec.Phi.shape[0], abar.shape[1]
+    if not np.any(np.einsum("rc,rc->c", abar[rank:], abar[rank:]) > 0):
+        return Phi_in, np.zeros((M, C))
+    if Y is None:
+        if dec.offsupport.size:
+            raise ValueError(
+                "target has weight on collapsed modes and the dataset has "
+                "off-support points; pass Y to evaluate residuals there")
+        return Phi_in, dec.Phi[:, rank:] @ abar[rank:]
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:
         Y = Y[:, None]
-    abar = _as_columns(abar, dec.n_modes)
-    rank = dec.rank
-    Phi_in = dec.Phi[:, :rank]
-    R = Y - Phi_in @ abar[:rank]
-    wts = ptilde.masses[:, None]
-    second = np.einsum("mc,mc->c", wts * R, R)
-    cross = Phi_in.T @ (wts * R)
-    return ResidualMoments(second=second, cross=cross)
+    if Y.shape != (M, C):
+        raise ValueError(f"Y must be ({M}, {C}), got {Y.shape}")
+    return Phi_in, Y - Phi_in @ abar[:rank]
 
 
-def _diverged_prediction(state, diagnostic):
+def _diverged_prediction(state):
     inf = math.inf
     return TheoryPrediction(
         Eg=inf,
@@ -264,181 +299,92 @@ def _diverged_prediction(state, diagnostic):
         delta=inf,
         irreducible=inf,
         state=state,
-        diagnostic=diagnostic,
+        diagnostic=f"1 - gamma = {1.0 - state.gamma:.3e} < {DIVERGENCE_TOL}: "
+        "predicted error diverges (interpolation threshold)",
     )
 
 
-def predict_Eg(dec, abar, O, P, lam, noise, residual=None, kappa_method="brent"):
-    """Predicted test error, bias/variance split, and matched-measure baseline.
-
-    O may be an OverlapMatrix or a raw (n_modes, n_modes) array.  If the
-    overlap's collapsed block is undefined, pass `residual` from
-    residual_moments; without it target weight on collapsed modes raises.
-    noise is the label noise variance eps^2.
-    """
-    eta = dec.eigenvalues.copy()
-    rank = dec.rank
-    m = dec.n_modes
-    eta[rank:] = 0.0  # collapsed modes are treated as exactly out-of-RKHS
-    abar = _as_columns(abar, m)
-    if isinstance(O, OverlapMatrix):
-        Omat = O.O
-        collapsed_undefined = O.collapsed_undefined
-    else:
-        Omat = np.asarray(O, dtype=np.float64)
-        collapsed_undefined = False
-    if Omat.shape not in ((m, m), (rank, rank)):
-        raise ValueError(f"overlap must be ({m},{m}) or ({rank},{rank}), got {Omat.shape}")
-    if float(noise) < 0:
-        raise ValueError("noise variance must be nonnegative")
-
-    sol = solve_kappa(eta, P, lam, method=kappa_method)
-    kappa = sol.kappa
-    # collapsed modes have eta = 0 and never contribute to gamma', so the
-    # padding value of their O diagonal is irrelevant
-    O_diag = np.ones(m)
-    if rank:
-        O_diag[:rank] = np.diag(Omat)[:rank]
-    state = compute_state(eta, P, lam, O_diag=O_diag, kappa=sol)
-
-    if state.diverged:
-        return _diverged_prediction(
-            state,
-            f"1 - gamma = {1.0 - state.gamma:.3e} < {DIVERGENCE_TOL}: "
-            "predicted error diverges (interpolation threshold)",
-        )
-
-    denom = P * eta + kappa
-    # q = kappa / (P eta + kappa); equals 1 on out-of-RKHS modes even in the
-    # ridgeless limit kappa -> 0
-    q = np.ones(m)
-    ok = denom > 0
-    q[ok] = kappa / denom[ok]
-    q[eta == 0] = 1.0
-    W = q[:, None] * abar  # kappa * abar / (P eta + kappa), exact at eta = 0
-
-    out_power = np.einsum("rc,rc->c", abar[rank:], abar[rank:])
-    eps_eff = float(noise) + out_power  # per output
-    in_sq = np.einsum("rc,rc->c", W[:rank], W[:rank])
-
-    one_minus = 1.0 - state.gamma
-    variance_c = state.gamma_prime / one_minus * (eps_eff + in_sq)
-
-    O_in = Omat[:rank, :rank]
-    bias_in_c = np.einsum("rc,rg,gc->c", W[:rank], O_in, W[:rank])
-    if rank == m or not np.any(out_power > 0):
-        cross_c = np.zeros_like(eps_eff)
-        irr_c = np.zeros_like(eps_eff)
-    elif Omat.shape == (m, m) and not collapsed_undefined:
-        O_cross = Omat[rank:, :rank]
-        O_out = Omat[rank:, rank:]
-        cross_c = 2.0 * np.einsum("oc,or,rc->c", abar[rank:], O_cross, W[:rank])
-        irr_c = np.einsum("oc,og,gc->c", abar[rank:], O_out, abar[rank:])
-    elif residual is not None:
-        cross_c = 2.0 * np.einsum("rc,rc->c", residual.cross, W[:rank])
-        irr_c = np.asarray(residual.second, dtype=np.float64)
-    else:
-        raise ValueError(
-            "target has weight on collapsed modes but the overlap's "
-            "out-of-RKHS block is undefined; pass residual=residual_moments(...)"
-        )
-
-    bias_c = bias_in_c + cross_c + irr_c
+def _prediction(core, noise, bias_c, irr_c, overlap=None):
+    """Variance and matched baseline from the per-P core, bias given."""
+    s = core.state
+    one_minus = 1.0 - s.gamma
+    n_eff = float(noise) + core.wsq
+    variance_c = s.gamma_prime / one_minus * n_eff
     Eg = float(np.sum(variance_c + bias_c))
-    bias = float(np.sum(bias_c))
-    variance = float(np.sum(variance_c))
-
     # matched-measure baseline: O = identity
-    matched_c = (
-        state.gamma / one_minus * (eps_eff + in_sq) + in_sq + out_power
-    )
-    Eg_matched = float(np.sum(matched_c))
-
+    Eg_matched = float(np.sum(s.gamma / one_minus * n_eff + core.wsq))
     return TheoryPrediction(
         Eg=Eg,
-        bias=bias,
-        variance=variance,
+        bias=float(np.sum(bias_c)),
+        variance=float(np.sum(variance_c)),
         Eg_matched=Eg_matched,
         delta=Eg - Eg_matched,
         irreducible=float(np.sum(irr_c)),
-        state=state,
-        overlap=Omat if Omat.shape == (m, m) else None,
+        state=s,
+        overlap=overlap,
     )
 
 
-def expected_estimator(dec, abar, P, lam, kappa=None):
+def _check_noise(noise):
+    if float(noise) < 0:
+        raise ValueError("noise variance must be nonnegative")
+
+
+def predict_Eg(dec, abar, O, P, lam, noise, kappa_method="brent"):
+    """Predicted test error, bias/variance split, and matched-measure baseline
+    from an explicit overlap.
+
+    O is an OverlapMatrix or a raw (n_modes, n_modes) array; the bias is
+    the quadratic form sum_c W_c^T O W_c.  noise is the label noise
+    variance eps^2.
+    """
+    m = dec.n_modes
+    rank = dec.rank
+    abar = _as_columns(abar, m)
+    Omat = O.O if isinstance(O, OverlapMatrix) else np.asarray(O, dtype=np.float64)
+    if Omat.shape != (m, m):
+        raise ValueError(f"overlap must be ({m},{m}), got {Omat.shape}")
+    _check_noise(noise)
+    core = _per_P(dec, abar, P, lam, np.diag(Omat)[:rank], kappa_method)
+    if core.state.diverged:
+        return _diverged_prediction(core.state)
+    W = core.W
+    bias_c = np.einsum("rc,rc->c", W, Omat @ W)
+    out = abar[rank:]
+    irr_c = np.einsum("oc,oc->c", out, Omat[rank:, rank:] @ out)
+    return _prediction(core, noise, bias_c, irr_c, overlap=Omat)
+
+
+def expected_estimator(dec, abar, P, lam):
     """Dataset-averaged estimator coefficients P eta abar / (P eta + kappa)."""
-    eta = dec.eigenvalues.copy()
-    eta[dec.rank:] = 0.0
     abar = _as_columns(abar, dec.n_modes)
-    if kappa is None:
-        kappa = solve_kappa(eta, P, lam).kappa
-    elif isinstance(kappa, KappaSolution):
-        kappa = kappa.kappa
-    denom = float(P) * eta + kappa
-    lr = np.zeros_like(eta)
-    ok = denom > 0
-    lr[ok] = float(P) * eta[ok] / denom[ok]
-    return lr[:, None] * abar
+    return (1.0 - _per_P(dec, abar, P, lam).q)[:, None] * abar
 
 
 def pointwise_error_density(dec, abar, P, lam, noise, Y=None, kappa_method="brent"):
     """Per-point error density c with Eg(ptilde) = sum_mu ptilde_mu c_mu.
 
     The predicted error is linear in the test measure; c_mu is the error of
-    a Dirac test measure at point mu.  Y is required when collapsed modes
-    carry target weight and the dataset has points outside the training
-    support (the residual is then Y - projection).  All entries are >= 0.
+    a Dirac test measure at point mu, and predict_Eg_curve contracts the
+    same rows with ptilde.  Y is required when collapsed modes carry target
+    weight and the dataset has points outside the training support (the
+    residual is then Y - projection).  All entries are >= 0.
     """
-    eta = dec.eigenvalues.copy()
-    rank = dec.rank
-    m = dec.n_modes
-    eta[rank:] = 0.0
-    abar = _as_columns(abar, m)
-    sol = solve_kappa(eta, P, lam, method=kappa_method)
-    kappa = sol.kappa
-    state = compute_state(eta, P, lam, kappa=sol)
-    if state.diverged:
+    abar = _as_columns(abar, dec.n_modes)
+    _check_noise(noise)
+    Phi_in, R = _rows(dec, abar, Y)
+    core = _per_P(dec, abar, P, lam, kappa_method=kappa_method)
+    s = core.state
+    if s.diverged:
         raise DivergenceError(
             "pointwise density undefined: predicted error diverges "
-            f"(1 - gamma = {1.0 - state.gamma:.3e})"
+            f"(1 - gamma = {1.0 - s.gamma:.3e})"
         )
-    denom = P * eta + kappa
-    q = np.ones(m)
-    ok = denom > 0
-    q[ok] = kappa / denom[ok]
-    q[eta == 0] = 1.0
-    W = q[:, None] * abar
-
-    out_power = np.einsum("rc,rc->c", abar[rank:], abar[rank:])
-    eps_eff = float(noise) + out_power
-    in_sq = np.einsum("rc,rc->c", W[:rank], W[:rank])
-
-    Phi_in = dec.Phi[:, :rank]
-    frac = P * eta[:rank] ** 2 / denom[:rank] ** 2 if rank else np.zeros(0)
-    gamma_mu = Phi_in**2 @ frac  # per-point gamma'
-
-    if np.any(out_power > 0):
-        if dec.offsupport.size and Y is None:
-            raise ValueError(
-                "target has weight on collapsed modes and the dataset has "
-                "off-support points; pass Y to evaluate residuals there"
-            )
-        if Y is not None:
-            Yc = np.asarray(Y, dtype=np.float64)
-            if Yc.ndim == 1:
-                Yc = Yc[:, None]
-            R = Yc - Phi_in @ abar[:rank]
-        else:
-            R = dec.Phi[:, rank:] @ abar[rank:]
-    else:
-        R = np.zeros((dec.Phi.shape[0], abar.shape[1]))
-
-    mean_part = Phi_in @ W[:rank] + R  # (M, C): estimator shortfall at each point
-    c = gamma_mu / (1.0 - state.gamma) * np.sum(eps_eff + in_sq) + np.einsum(
-        "mc,mc->m", mean_part, mean_part
-    )
-    return c
+    e = dec.eigenvalues[:dec.rank] * core.d[:dec.rank]
+    gamma_mu = Phi_in**2 @ (float(P) * e * e)  # per-point gamma'
+    mean = Phi_in @ core.W[:dec.rank] + R  # estimator shortfall at each point
+    return gamma_mu / (1.0 - s.gamma) * float(np.sum(float(noise) + core.wsq)) \
+        + np.einsum("mc,mc->m", mean, mean)
 
 
 def predict_Eg_curve(
@@ -455,10 +401,14 @@ def predict_Eg_curve(
 ):
     """End-to-end learning curve on a discrete dataset, one prediction per P.
 
-    The target projection, the overlap and (when the test measure leaves
-    the training support while collapsed modes exist) the residual moments
-    depend only on the kernel and the two measures, so they are built once;
-    each P then costs one kappa solve and O(n_modes^2) work in predict_Eg.
+    The decomposition, the target projection, the test-measure weights of
+    Phi_in^2 (gamma' per mode) and of the squared residual (the
+    irreducible error) depend only on the kernel and the two measures, so
+    they are built once.  Each P then costs one kappa solve and one
+    (M, rank) product: the bias is ptilde . |Phi_in W_in + R|^2, the
+    pointwise density's rows contracted with the test measure.  No overlap
+    matrix is built, so test mass off the training support is covered
+    whether or not collapsed modes exist.
     """
     if not isinstance(p, DiscreteMeasure):
         p = DiscreteMeasure(p)
@@ -467,16 +417,23 @@ def predict_Eg_curve(
     if dec is None:
         thr = DEFAULT_RANK_THRESHOLD if rank_threshold is None else rank_threshold
         dec = mercer_decompose(K, p, thr)
+    if ptilde.M != dec.Phi.shape[0]:
+        raise ValueError("test measure must cover the same dataset")
+    _check_noise(noise)
     abar = project_target(dec, Y)
-    O = overlap(dec, ptilde)
-    residual = None
-    if O.collapsed_undefined:
-        residual = residual_moments(dec, abar, Y, ptilde)
-    return [
-        predict_Eg(dec, abar, O, P, lam, noise, residual=residual,
-                   kappa_method=kappa_method)
-        for P in P_grid
-    ]
+    Phi_in, R = _rows(dec, abar, Y)
+    w = ptilde.masses
+    O_diag_in = w @ Phi_in**2
+    irr_c = w @ R**2
+    preds = []
+    for P in P_grid:
+        core = _per_P(dec, abar, P, lam, O_diag_in, kappa_method)
+        if core.state.diverged:
+            preds.append(_diverged_prediction(core.state))
+            continue
+        mean = Phi_in @ core.W[:dec.rank] + R
+        preds.append(_prediction(core, noise, w @ mean**2, irr_c))
+    return preds
 
 
 def predict_Eg_dataset(
@@ -532,8 +489,7 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
         raise ValueError("the training-mass gradient needs full support")
     if ptilde.M != p.M:
         raise ValueError("test measure must cover the same dataset")
-    if float(noise) < 0:
-        raise ValueError("noise variance must be nonnegative")
+    _check_noise(noise)
     thr = DEFAULT_RANK_THRESHOLD if rank_threshold is None else rank_threshold
     dec = mercer_decompose(K, p, thr)
     K = np.asarray(K, dtype=np.float64)
@@ -547,26 +503,20 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
     abar = project_target(dec, Y)
     O = overlap(dec, ptilde).O
 
-    eta = dec.eigenvalues.copy()
-    eta[rank:] = 0.0
-    sol = solve_kappa(eta, P, lam)
-    state = compute_state(eta, P, lam, O_diag=np.diag(O), kappa=sol)
+    core = _per_P(dec, abar, P, lam, np.diag(O)[:rank])
+    state = core.state
     one_minus = 1.0 - state.gamma
     if state.diverged:
         raise DivergenceError(
             f"1 - gamma = {one_minus:.3e} < {DIVERGENCE_TOL}: predicted "
             "error diverges, so it has no gradient")
     gamma_p = state.gamma_prime
-    kappa = sol.kappa
-    d = np.zeros_like(eta)  # 1/(P eta + kappa) on in-RKHS modes
-    d[:rank] = 1.0 / (P * eta[:rank] + kappa)
-    q = np.ones_like(eta)
-    q[:rank] = kappa * d[:rank]
+    eta = dec.eigenvalues  # d = 0 masks the collapsed ones wherever it enters
+    d, q, W = core.d, core.q, core.W
     e = eta * d
     rho = gamma_p / one_minus
-    W = q[:, None] * abar
     OW = O @ W
-    N = Y.shape[1] * float(noise) + float(np.sum(W * W))
+    N = float(np.sum(float(noise) + core.wsq))
     Eg = float(np.sum(W * OW)) + rho * N
 
     # adjoint of Q (eigenbasis); gamma and gamma' depend on Q via S = I - Q
@@ -583,7 +533,7 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
     F = -(np.outer(r, q) + np.outer(q, r))
     F[:rank, :rank] *= 0.5
     F[:rank, rank:] *= eta[:rank, None] / (
-        eta[:rank, None] - dec.eigenvalues[None, rank:])
+        eta[:rank, None] - eta[None, rank:])
     F[rank:, :rank] = F[:rank, rank:].T
     Bbar = F * Qbar
     kappa_bar = float(np.dot(np.diag(Qbar), P * eta * d * d))  # dq/dkappa

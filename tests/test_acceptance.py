@@ -20,7 +20,7 @@ from kernelshift.figures import (reproduce_fig3a, reproduce_fig3b,
 from kernelshift.io import ArtifactDir
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import from_logits, uniform_measure
-from kernelshift.optimizer import (OptimizerConfig, fd_gradient, get_loss,
+from kernelshift.optimizer import (OptimizerConfig, fd_gradient,
                                    optimize_test_measure,
                                    optimize_train_measure, richardson_check)
 from kernelshift.spectral import (cross_overlap_diagnostics,
@@ -209,8 +209,10 @@ def test_acceptance_07_train_measure_optimization():
     se = float(np.hypot(unif.Eg_stderr, opt.Eg_stderr))
     confirmed = opt.Eg_mean <= unif.Eg_mean + 2.0 * se
 
-    rich = richardson_check(lambda z: get_loss(z, K, Y, lam, P),
-                            np.zeros(M), h=1e-4)
+    rich = richardson_check(
+        lambda z: predict_Eg_dataset(K, Y, from_logits(z), pt, P, lam,
+                                     0.0).Eg,
+        np.zeros(M), h=1e-4)
 
     ok = gain >= 0.10 and confirmed and rich < 1e-4
     _line(7, ok,

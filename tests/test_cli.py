@@ -324,7 +324,7 @@ def test_decomposition_cache_roundtrip(tmp_path):
     assert _read_dir(plain) == _read_dir(warm) == _read_dir(hot)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "corrupted"])
+@pytest.mark.parametrize("damage", ["truncated", "corrupted", "bitflip"])
 def test_unreadable_cache_entry_is_recomputed(tmp_path, damage):
     doc = dict(_base_doc(), command="theory-curve",
                theory={"P_grid": [2, 4], "lambda": 0.1})
@@ -336,8 +336,14 @@ def test_unreadable_cache_entry_is_recomputed(tmp_path, damage):
     good = entry.read_bytes()
     if damage == "truncated":
         entry.write_bytes(good[:len(good) // 2])
-    else:
+    elif damage == "corrupted":
         entry.write_bytes(b"NOPE" + good[4:])
+    else:
+        # sign bit of Phi[0, 0]: magic, (M, m, rank), threshold, m eigenvalues
+        m = int(np.frombuffer(good[12:20], dtype="<u8")[0])
+        flipped = bytearray(good)
+        flipped[4 + 8 * (4 + m) + 7] ^= 0x80
+        entry.write_bytes(bytes(flipped))
     code, out = _run(tmp_path, doc, out="again", name="a.json",
                      extra=("--cache", str(cache)))
     assert code == 0

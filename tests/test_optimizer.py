@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import DiscreteMeasure, from_logits, uniform_measure
 from kernelshift.optimizer import (OptimizerConfig, _iterate, fd_gradient,
-                                   get_loss, optimize_test_measure,
+                                   optimize_test_measure,
                                    optimize_train_measure,
                                    participation_ratio, richardson_check)
-from kernelshift.spectral import mercer_decompose, project_target
+from kernelshift.spectral import mercer_decompose, overlap, project_target
 from kernelshift.theory import (DivergenceError, pointwise_error_density,
-                                predict_Eg_dataset, predict_Eg_train_grad)
+                                predict_Eg, predict_Eg_dataset,
+                                predict_Eg_train_grad)
 
 
 def _instance(M=8, D=3, seed=4, kind="rbf"):
@@ -43,32 +44,42 @@ def test_participation_ratio_golden():
     assert participation_ratio(np.array([0.5, 0.5])) == pytest.approx(2.0)
 
 
-def test_get_loss_matches_direct_prediction():
+def _uniform_test_loss(z, K, Y, lam, P, noise=0.0):
+    """Predicted error for training logits z under the uniform test
+    measure on the same atoms."""
+    return predict_Eg_dataset(K, Y, from_logits(z), uniform_measure(len(z)),
+                              P, lam, noise).Eg
+
+
+def test_uniform_test_loss_matches_explicit_overlap():
     X, Y, K = _instance()
     rng = np.random.default_rng(0)
     z = 0.4 * rng.standard_normal(8)
-    val = get_loss(z, K, Y, lam=0.05, P=4, noise=0.02)
-    pred = predict_Eg_dataset(K, Y, from_logits(z), uniform_measure(8),
-                              P=4, lam=0.05, noise=0.02)
+    val = _uniform_test_loss(z, K, Y, lam=0.05, P=4, noise=0.02)
+    dec = mercer_decompose(K, from_logits(z))
+    pred = predict_Eg(dec, project_target(dec, Y),
+                      overlap(dec, uniform_measure(8)), P=4, lam=0.05,
+                      noise=0.02)
     assert val == pytest.approx(pred.Eg, rel=1e-12)
 
 
-def test_get_loss_permutation_invariant():
+def test_uniform_test_loss_permutation_invariant():
     X, Y, K = _instance(M=6, seed=9)
     rng = np.random.default_rng(1)
     z = 0.3 * rng.standard_normal(6)
     perm = rng.permutation(6)
-    a = get_loss(z, K, Y, lam=0.1, P=3)
-    b = get_loss(z[perm], K[np.ix_(perm, perm)], Y[perm], lam=0.1, P=3)
+    a = _uniform_test_loss(z, K, Y, lam=0.1, P=3)
+    b = _uniform_test_loss(z[perm], K[np.ix_(perm, perm)], Y[perm], lam=0.1,
+                           P=3)
     assert a == pytest.approx(b, rel=1e-8)
 
 
-def test_get_loss_divergence_is_inf():
+def test_uniform_test_loss_divergence_is_inf():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((8, 8))
     Y = X[:, :1].copy()
     K = gram(KernelSpec("linear"), X)
-    assert np.isinf(get_loss(np.zeros(8), K, Y, lam=0.0, P=8))
+    assert np.isinf(_uniform_test_loss(np.zeros(8), K, Y, lam=0.0, P=8))
 
 
 def test_fd_gradient_exact_on_quadratic():
@@ -93,7 +104,7 @@ def test_fd_gradient_thread_invariant():
     X, Y, K = _instance(M=6, seed=3)
 
     def loss(z):
-        return get_loss(z, K, Y, lam=0.2, P=3)
+        return _uniform_test_loss(z, K, Y, lam=0.2, P=3)
 
     z = np.linspace(-0.2, 0.4, 6)
     g1 = fd_gradient(loss, z, h=1e-5, threads=1)
@@ -117,7 +128,7 @@ def test_richardson_check_on_prediction_loss():
     X, Y, K = _instance(M=6, seed=5)
 
     def loss(z):
-        return get_loss(z, K, Y, lam=0.1, P=3, noise=0.01)
+        return _uniform_test_loss(z, K, Y, lam=0.1, P=3, noise=0.01)
 
     assert richardson_check(loss, np.zeros(6), h=1e-4) < 1e-5
 

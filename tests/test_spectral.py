@@ -7,7 +7,7 @@ from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import DiscreteMeasure, from_logits, uniform_measure
 from kernelshift.spectral import (SpectralDecomposition,
                                   cross_overlap_diagnostics,
-                                  decomposition_cache_key, identity_overlap,
+                                  decomposition_cache_key,
                                   load_decomposition, mercer_decompose,
                                   nystrom_extend, overlap, project_target,
                                   save_decomposition)
@@ -161,8 +161,6 @@ def test_overlap_matched_is_identity():
     dec = mercer_decompose(K, p)
     O = overlap(dec, p)
     assert np.max(np.abs(O.O - np.eye(dec.n_modes))) < 1e-8
-    assert not O.collapsed_undefined
-    assert np.array_equal(identity_overlap(dec).O, np.eye(dec.n_modes))
 
 
 def test_overlap_psd_and_flags():
@@ -171,7 +169,7 @@ def test_overlap_psd_and_flags():
     O = overlap(dec, pt)
     w = np.linalg.eigvalsh(O.O)
     assert w.min() > -1e-10
-    # collapsed modes + test mass off the training support set the flag
+    # collapsed modes + test mass off the training support: undefined
     masses = p.masses.copy()
     masses[0] = 0.0
     p0 = DiscreteMeasure(masses / masses.sum())
@@ -180,8 +178,9 @@ def test_overlap_psd_and_flags():
     Kl = gram(KernelSpec("linear"), X)
     dl = mercer_decompose(Kl, p0)
     assert dl.n_collapsed > 0
-    assert overlap(dl, pt).collapsed_undefined
-    assert not overlap(dl, p0).collapsed_undefined
+    with pytest.raises(ValueError, match="collapsed"):
+        overlap(dl, pt)
+    assert overlap(dl, p0).O.shape == (dl.n_modes, dl.n_modes)
 
 
 def test_degenerate_block_rotation_invariance():
@@ -268,6 +267,12 @@ def test_save_is_atomic_and_damaged_entries_raise(tmp_path):
         path.write_bytes(damaged)
         with pytest.raises(ValueError, match="truncated or corrupt"):
             load_decomposition(str(path))
+    # one flipped bit of the right-sized payload fails the checksum
+    flipped = bytearray(good)
+    flipped[len(good) // 2] ^= 1
+    path.write_bytes(bytes(flipped))
+    with pytest.raises(ValueError, match="checksum"):
+        load_decomposition(str(path))
 
 
 def test_cached_decomposition_predicts_identically(tmp_path):

@@ -18,7 +18,7 @@ from kernelshift.theory import (DivergenceError, compute_state,
                                 expected_estimator, pointwise_error_density,
                                 predict_Eg, predict_Eg_curve,
                                 predict_Eg_dataset, prediction_row,
-                                residual_moments, solve_kappa)
+                                solve_kappa)
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_bias_variance_splits_sum_to_Eg():
 
 def test_residual_route_equals_matrix_route():
     # low-rank linear kernel: collapsed modes carry target weight, but the
-    # test measure stays on the support so both evaluation routes exist
+    # test measure stays on the support so the explicit overlap exists too
     rng = np.random.default_rng(4)
     X = rng.standard_normal((18, 3))
     K = gram(KernelSpec("linear"), X)
@@ -138,24 +138,25 @@ def test_residual_route_equals_matrix_route():
     dec = mercer_decompose(K, p)
     assert dec.n_collapsed > 0
     abar = project_target(dec, Y)
-    O = overlap(dec, pt)
-    via_matrix = predict_Eg(dec, abar, O, P=6, lam=0.1, noise=0.02)
-    res = residual_moments(dec, abar, Y, pt)
-    via_residual = predict_Eg(dec, abar, O.O[:dec.rank, :dec.rank], P=6,
-                              lam=0.1, noise=0.02, residual=res)
+    via_matrix = predict_Eg(dec, abar, overlap(dec, pt), P=6, lam=0.1,
+                            noise=0.02)
+    (via_residual,) = predict_Eg_curve(K, Y, p, pt, [6], lam=0.1, noise=0.02,
+                                       dec=dec)
     assert via_residual.Eg == pytest.approx(via_matrix.Eg, abs=1e-10)
     assert via_residual.irreducible == pytest.approx(
         via_matrix.irreducible, abs=1e-10)
 
 
 def test_collapsed_weight_without_residual_raises():
+    # the explicit-overlap route needs the collapsed block too: an in-RKHS
+    # block alone cannot give the cross and irreducible terms
     rng = np.random.default_rng(5)
     X = rng.standard_normal((10, 2))
     K = gram(KernelSpec("linear"), X)
     Y = rng.standard_normal((10, 1))
     dec = mercer_decompose(K, uniform_measure(10))
     abar = project_target(dec, Y)
-    with pytest.raises(ValueError, match="residual"):
+    with pytest.raises(ValueError, match="overlap must be"):
         predict_Eg(dec, abar, np.eye(dec.rank), P=4, lam=0.1, noise=0.0)
 
 
@@ -186,18 +187,9 @@ def test_multi_output_sums_columns():
 # ----------------------------------------------------------------------
 
 def _rebuilt_per_P_rows(K, Y, p, pt, P_grid, lam, noise):
-    """Rows with decomposition, projection, overlap and residual moments
-    rebuilt anew at every P."""
-    rows = []
-    for P in P_grid:
-        dec = mercer_decompose(K, p)
-        abar = project_target(dec, Y)
-        O = overlap(dec, pt)
-        res = residual_moments(dec, abar, Y, pt) if O.collapsed_undefined \
-            else None
-        rows.append(prediction_row(
-            P, predict_Eg(dec, abar, O, P, lam, noise, residual=res)))
-    return rows
+    """Rows with the decomposition rebuilt anew at every P."""
+    return [prediction_row(P, predict_Eg_dataset(K, Y, p, pt, P, lam, noise))
+            for P in P_grid]
 
 
 def _curve_case(name):
@@ -213,7 +205,7 @@ def _curve_case(name):
         return (gram(KernelSpec("linear"), X), Y,
                 from_logits(0.3 * rng.standard_normal(M)), pt, grid, 0.05,
                 0.01)
-    if name == "residual_moments":
+    if name == "off_support":
         # collapsed modes and test mass off the training support
         masses = np.zeros(M)
         masses[:10] = rng.random(10) + 0.1
@@ -228,13 +220,16 @@ def _curve_case(name):
             from_logits(0.3 * rng.standard_normal(M)), pt, grid, 0.0, 0.01)
 
 
-@pytest.mark.parametrize("name", ["full_overlap", "residual_moments",
+@pytest.mark.parametrize("name", ["full_overlap", "off_support",
                                   "full_rank", "diverged_point"])
 def test_curve_equals_rebuilt_per_P_loop(name):
     K, Y, p, pt, grid, lam, noise = _curve_case(name)
     dec = mercer_decompose(K, p)
-    O = overlap(dec, pt)
-    assert O.collapsed_undefined == (name == "residual_moments")
+    if name == "off_support":
+        with pytest.raises(ValueError, match="collapsed"):
+            overlap(dec, pt)
+    else:
+        overlap(dec, pt)
     assert (dec.rank == dec.n_modes) == (name == "full_rank")
     curve = [prediction_row(P, pred) for P, pred in
              zip(grid, predict_Eg_curve(K, Y, p, pt, grid, lam, noise))]
@@ -258,10 +253,8 @@ def test_O_shifted_on_access():
     expected = O.O - ((1.0 - s.gamma_prime) / (1.0 - s.gamma)) \
         * np.eye(dec.n_modes)
     assert np.array_equal(pred.O_shifted, expected)
-    # only the in-RKHS block given: no full overlap to shift
-    res = residual_moments(dec, abar, Y, pt)
-    inner = predict_Eg(dec, abar, O.O[:dec.rank, :dec.rank], 5, lam, noise,
-                       residual=res)
+    # the learning curve builds no overlap, so it has none to shift
+    (inner,) = predict_Eg_curve(K, Y, p, pt, [5], lam, noise, dec=dec)
     assert inner.O_shifted is None
     diverged = predict_Eg(dec, abar, O, dec.rank, 0.0, noise)
     assert diverged.state.diverged and diverged.O_shifted is None
@@ -456,3 +449,66 @@ def test_prediction_invariants(seed, M, P, lam, noise):
                                                       abs=1e-12)
     matched = predict_Eg_dataset(K, Y, p, p, P, lam, noise)
     assert abs(matched.Eg - matched.Eg_matched) < 1e-9
+
+
+EDGE_REGIMES = ("ridgeless", "all_collapsed_target", "off_support_linear",
+                "off_support_rbf", "identity_kernel", "zero_kernel")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    regime=st.sampled_from(EDGE_REGIMES),
+    seed=st.integers(0, 10**6),
+    M=st.integers(6, 10),
+    lam=st.sampled_from([0.0, 1e-3]),
+    noise=st.sampled_from([0.0, 0.05]),
+)
+def test_curve_edge_regimes_finite_or_flagged(regime, seed, M, lam, noise):
+    # ridgeless interpolation at P = rank - 1, rank, rank + 1, collapsed
+    # modes, test mass wholly off the training support, degenerate and
+    # zero spectra: every row is finite, or inf with diverged = 1, and
+    # equals the explicit-overlap prediction wherever the overlap exists
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((M, 2))
+    Y = rng.standard_normal((M, 1))
+    p = from_logits(0.3 * rng.standard_normal(M))
+    pt = from_logits(0.3 * rng.standard_normal(M))
+    K = gram(KernelSpec("rbf", lengthscale=1.5) if regime == "off_support_rbf"
+             else KernelSpec("linear"), X)
+    if regime == "ridgeless":
+        lam = 0.0
+    elif regime == "all_collapsed_target":
+        dec = mercer_decompose(K, p)
+        Y = Y - dec.Phi[:, :dec.rank] @ project_target(dec, Y)[:dec.rank]
+    elif regime.startswith("off_support"):
+        off = rng.permutation(M)[:M // 2]
+        masses, test = p.masses.copy(), np.zeros(M)
+        masses[off] = 0.0
+        test[off] = pt.masses[off]
+        p = DiscreteMeasure(masses / masses.sum())
+        pt = DiscreteMeasure(test / test.sum())
+    elif regime == "identity_kernel":
+        K, p = np.eye(M), uniform_measure(M)  # all M eigenvalues equal
+    elif regime == "zero_kernel":
+        K = np.zeros((M, M))
+    dec = mercer_decompose(K, p)
+    grid = sorted({1, max(dec.rank - 1, 1), max(dec.rank, 1), dec.rank + 1,
+                   3 * M})
+    rows = [prediction_row(P, pred) for P, pred in
+            zip(grid, predict_Eg_curve(K, Y, p, pt, grid, lam, noise))]
+    for row in rows:
+        assert not np.any(np.isnan(row))
+        if row[-1]:
+            assert np.isinf(row[4])
+        else:
+            assert np.all(np.isfinite(row))
+    try:
+        O = overlap(dec, pt)
+    except ValueError:
+        assert dec.n_collapsed > 0 and regime == "off_support_linear"
+        return
+    abar = project_target(dec, Y)
+    for P, row in zip(grid, rows):
+        ref = prediction_row(P, predict_Eg(dec, abar, O, P, lam, noise))
+        assert row[-1] == ref[-1]
+        np.testing.assert_allclose(row, ref, rtol=1e-9, atol=1e-12)
