@@ -143,7 +143,7 @@ def cmd_empirical_curve(rc, art, threads, cache_dir):
     return EXIT_OK
 
 
-def _optimizer_config(sec, target):
+def _optimizer_config(sec):
     return OptimizerConfig(
         P_budget=int(sec["P_budget"]),
         lam=float(sec["lambda"]),
@@ -151,7 +151,6 @@ def _optimizer_config(sec, target):
         learning_rate=float(sec["learning_rate"]),
         steps=int(sec["steps"]),
         mode=sec["mode"],
-        target=target,
         convergence_tol=float(sec["convergence_tol"]),
         backtracking=bool(sec["backtracking"]),
     )
@@ -181,7 +180,7 @@ def _write_trace(art, ds, trace):
 
 def cmd_optimize_train(rc, art, threads, cache_dir):
     ds, spec, K, _, pt = _dataset_problem(rc)
-    cfg = _optimizer_config(rc.section("optimizer"), "train_measure")
+    cfg = _optimizer_config(rc.section("optimizer"))
     trace = optimize_train_measure(ds, spec, pt, cfg, K=K,
                                    rank_threshold=_rank_threshold(rc))
     _write_trace(art, ds, trace)
@@ -190,7 +189,7 @@ def cmd_optimize_train(rc, art, threads, cache_dir):
 
 def cmd_optimize_test(rc, art, threads, cache_dir):
     ds, _, K, p, _ = _dataset_problem(rc)
-    cfg = _optimizer_config(rc.section("optimizer"), "test_measure")
+    cfg = _optimizer_config(rc.section("optimizer"))
     dec = _decomposition(K, p, _rank_threshold(rc), cache_dir)
     abar = project_target(dec, ds.Y)
     trace = optimize_test_measure(dec, abar, cfg, Y=ds.Y)

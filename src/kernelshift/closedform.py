@@ -249,7 +249,9 @@ def mode_spectrum_Eg(eta, degeneracy, abar_sq, P, lam, noise=0.0,
     irreducible = overlap_scale * tail_abar_sq
     if (1.0 - gamma) <= DIVERGENCE_TOL:
         return _finish(np.inf, np.inf, kappa, gamma, gamma_prime, irreducible)
-    q = np.where(eta > 0, kappa / (P * eta + kappa), 1.0)
+    q = np.ones_like(eta)
+    pos = eta > 0
+    q[pos] = kappa / (P * eta[pos] + kappa)
     Wsq = np.sum(q**2 * abar_sq)
     variance = gamma_prime / (1.0 - gamma) * (noise + Wsq + tail_abar_sq)
     Eg = variance + overlap_scale * Wsq + irreducible
@@ -270,29 +272,17 @@ def ntk_sphere_Eg(P, D, k_stage, eta_bar, abar_sq, lam, noise=0.0,
     inputs live on a sphere of radius radius_train, test inputs on
     radius_test; degree-one homogeneity of the kernel in each argument
     makes the overlap a uniform rescaling by (radius_test/radius_train)^2.
+    This is mode_spectrum_Eg on the single degree-k_stage block, with the
+    higher degrees as its tail.
     """
     eta_bar = np.asarray(eta_bar, dtype=float)
     abar_sq = np.asarray(abar_sq, dtype=float)
     if not 0 <= k_stage < eta_bar.shape[0]:
         raise ValueError("k_stage outside spectrum range")
     R2 = radius_train**2
-    Rt2 = radius_test**2
-    scale = Rt2 / R2
     N_k = hyperspherical_degeneracy(D, k_stage)
-    alpha = P / N_k
-    higher_eta = float(np.sum(eta_bar[k_stage + 1:]))
-    higher_a = float(np.sum(abar_sq[k_stage + 1:]))
-    lam_tilde = (lam + R2 * higher_eta) / (R2 * eta_bar[k_stage])
-    kp = kappa_prime_flat(alpha, lam_tilde)
-    kappa = kp * R2 * eta_bar[k_stage]
-    gamma = alpha / (kp + alpha) ** 2
-    gamma_prime = scale * gamma
-    eps_eff = noise + higher_a
-    irreducible = scale * higher_a
-    if (1.0 - gamma) <= DIVERGENCE_TOL:
-        return _finish(np.inf, np.inf, kappa, gamma, gamma_prime, irreducible)
-    a_k = abar_sq[k_stage]
-    Wsq = kp**2 / (alpha + kp) ** 2 * a_k
-    Eg = scale * (gamma / (1.0 - gamma) * (eps_eff + Wsq) + Wsq + higher_a)
-    Eg0 = gamma / (1.0 - gamma) * (eps_eff + Wsq) + Wsq + higher_a
-    return _finish(Eg, Eg0, kappa, gamma, gamma_prime, irreducible)
+    return mode_spectrum_Eg(
+        [R2 * eta_bar[k_stage] / N_k], [N_k], [abar_sq[k_stage]], P, lam,
+        noise, overlap_scale=radius_test**2 / R2,
+        tail_eta=R2 * float(np.sum(eta_bar[k_stage + 1:])),
+        tail_abar_sq=float(np.sum(abar_sq[k_stage + 1:])))

@@ -42,7 +42,6 @@ class KRRSolution:
     coef: np.ndarray               # (P, C)
     rank: int                      # effective rank used by the solver
     residual: float                # max |(K + lam I) coef - y| over entries
-    predictions: np.ndarray | None = None   # K_cross coef when requested
 
 
 @dataclass(frozen=True)
@@ -54,15 +53,13 @@ class EmpiricalPoint:
     trials: int
 
 
-def krr_solve(K_train, y_train, lam, K_cross=None):
-    """Fit kernel ridge regression, optionally predicting at new points.
+def krr_solve(K_train, y_train, lam):
+    """Fit kernel ridge regression.
 
     Solves (K_train + lam I) coef = y_train. Positive lam uses a
     Cholesky factorization; lam = 0 falls back to a pseudoinverse so
     that duplicate sample points (kernel matrices of deficient rank)
-    yield the minimum-norm interpolant, with the rank reported. When
-    K_cross (Q x P) is given the returned solution carries the Q x C
-    predictions K_cross @ coef.
+    yield the minimum-norm interpolant, with the rank reported.
     """
     K_train = np.asarray(K_train, dtype=np.float64)
     y = np.asarray(y_train, dtype=np.float64)
@@ -87,12 +84,7 @@ def krr_solve(K_train, y_train, lam, K_cross=None):
         A = K_train
         coef, _, rank, _ = np.linalg.lstsq(A, y2, rcond=RIDGELESS_RCOND)
     resid = float(np.max(np.abs(A @ coef - y2))) if P else 0.0
-    preds = None
-    if K_cross is not None:
-        K_cross = np.asarray(K_cross, dtype=np.float64)
-        preds = K_cross @ coef
-    return KRRSolution(coef=coef, rank=int(rank), residual=resid,
-                       predictions=preds)
+    return KRRSolution(coef=coef, rank=int(rank), residual=resid)
 
 
 def discrete_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
@@ -156,22 +148,17 @@ def run_learning_curve(K, Y, train_measure, test_measure, P_values, lam,
 
 
 def run_continuous_curve(kernel_spec, sample_train, target_fn, test_X,
-                         P_values, lam, noise, trials, seed, threads=1,
-                         test_weights=None):
+                         P_values, lam, noise, trials, seed, threads=1):
     """Monte Carlo learning curve with fresh inputs every trial.
 
     sample_train(rng, n) must return an (n, D) array of training inputs;
     target_fn maps an input array to noiseless labels. The error is the
-    mean squared prediction error over the fixed test_X sample (or a
-    weighted sum when test_weights is given).
+    mean squared prediction error over the fixed test_X sample.
     """
     test_X = np.asarray(test_X, dtype=np.float64)
     f_test = np.asarray(target_fn(test_X), dtype=np.float64)
     f_test = f_test[:, None] if f_test.ndim == 1 else f_test
-    if test_weights is None:
-        w = np.full(test_X.shape[0], 1.0 / test_X.shape[0])
-    else:
-        w = np.asarray(test_weights, dtype=np.float64)
+    w = np.full(test_X.shape[0], 1.0 / test_X.shape[0])
 
     def task(P, t):
         rng = rng_from(seed, "trial", P, t)

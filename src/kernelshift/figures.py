@@ -8,8 +8,6 @@ All randomness is derived from the run seed, so reruns are identical.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from ._rng import rng_from
@@ -36,8 +34,7 @@ def _closed_row(P, r):
 
 def _child_seed(seed, label):
     """Independent integer seed derived from the run seed and a label."""
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    return int.from_bytes(digest[:4], "big")
+    return int(rng_from(seed, label).integers(2**32))
 
 
 def _empirical_rows(tag, points):

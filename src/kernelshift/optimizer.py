@@ -2,11 +2,12 @@
 
 Both measures are softmax-parameterized and both gradients are analytic.
 The training measure enters the error prediction through the spectral
-decomposition; theory.predict_Eg_train_grad differentiates through the
-resolvent at one decomposition and O(M^3) matmuls per step. On
-rank-deficient kernels that is the gradient of the thresholded
-prediction, which is not smooth where a mode crosses the rank threshold.
-The test measure enters linearly through the pointwise error density.
+decomposition; theory.predict_Eg_train_grad gives the error and its
+gradient through the resolvent from one decomposition and O(M^3) matmuls
+per iterate. On rank-deficient kernels that is the gradient of the
+thresholded prediction, which is not smooth where a mode crosses the rank
+threshold. The test measure enters linearly through the pointwise error
+density.
 
 fd_gradient and richardson_check are the finite-difference oracle the
 analytic gradients are checked against.
@@ -14,15 +15,16 @@ analytic gradients are checked against.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import DiscreteMeasure, Dataset, from_logits
 from .kernels import gram
 from .theory import (DivergenceError, pointwise_error_density,
-                     predict_Eg_dataset, predict_Eg_train_grad)
+                     predict_Eg_train_grad)
 
 __all__ = [
     "OptimizerConfig",
@@ -51,7 +53,6 @@ class OptimizerConfig:
     learning_rate: float = 1.0
     steps: int = 2000
     mode: str = "descent"
-    target: str = "train_measure"
     convergence_tol: float = 1e-6
     backtracking: bool = True
 
@@ -66,9 +67,6 @@ class OptimizerConfig:
             raise ValueError("convergence_tol must be positive")
         if self.mode not in ("descent", "ascent"):
             raise ValueError("mode must be 'descent' or 'ascent'")
-        if self.target not in ("train_measure", "test_measure"):
-            raise ValueError("target must be 'train_measure' or "
-                             "'test_measure'")
 
 
 @dataclass
@@ -81,10 +79,6 @@ class OptimizationTrace:
     final_measure: DiscreteMeasure
     converged: bool
     message: str = ""
-
-    @property
-    def measures(self):
-        return [from_logits(z) for z in self.logits]
 
 
 def participation_ratio(measure):
@@ -147,23 +141,27 @@ def richardson_check(loss, z, h=1e-4, threads=1, g1=None):
     return dev / scale if scale > 0 else dev
 
 
-def _iterate(z0, loss, grad, config):
-    """Shared step loop: gradient steps with optional backtracking."""
+def _iterate(z0, objective, config):
+    """Shared step loop: gradient steps with optional backtracking.
+
+    objective(z) returns (Eg, dEg/dz); a trial that returns a non-finite
+    Eg is rejected. The gradient of each accepted trial is kept for the
+    next step, so no point is evaluated twice.
+    """
     sign = 1.0 if config.mode == "descent" else -1.0
     z = np.asarray(z0, dtype=np.float64).copy()
-    current = loss(z)
-    if not np.isfinite(current) and config.mode == "descent":
+    current, g = objective(z)
+    if not np.isfinite(current):
         raise DivergenceError("starting point already diverges")
     zs, egs = [z.copy()], [current]
     converged = False
     message = "step budget exhausted"
     for _ in range(config.steps):
-        g = grad(z)
         rate = config.learning_rate
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
             z_new = z - sign * rate * g
-            val = loss(z_new)
+            val, g_new = objective(z_new)
             better = (val < current) if config.mode == "descent" \
                 else (np.isfinite(val) and val > current)
             if better:
@@ -176,7 +174,7 @@ def _iterate(z0, loss, grad, config):
             message = "no improving step within backtracking budget"
             break
         step_size = float(np.max(np.abs(z_new - z)))
-        z, current = z_new, val
+        z, current, g = z_new, val, g_new
         zs.append(z.copy())
         egs.append(current)
         if step_size < config.convergence_tol:
@@ -201,16 +199,15 @@ def optimize_train_measure(dataset, kernel_spec, test_measure, config,
     stays fixed; logits start at zero (uniform measure).
 
     The gradient is analytic (theory.predict_Eg_train_grad) and costs one
-    decomposition and O(M^3) matmuls per step, chained through the
+    decomposition and O(M^3) matmuls per iterate, chained through the
     softmax as zbar = p o (pbar - <p, pbar>). On rank-deficient kernels it
     is the gradient of the thresholded prediction, which is not smooth
-    where a mode crosses the rank threshold. Line search and the trace use
-    predict_Eg_dataset. Loss and gradient decompose at rank_threshold
-    (DEFAULT_RANK_THRESHOLD when None). A diverging start raises
+    where a mode crosses the rank threshold. The same call gives the
+    error the line search and the trace use, so each iterate decomposes
+    once, at rank_threshold (DEFAULT_RANK_THRESHOLD when None). A trial
+    whose prediction diverges is rejected; a diverging start raises
     DivergenceError.
     """
-    if config.target != "train_measure":
-        raise ValueError("config.target must be 'train_measure'")
     if isinstance(dataset, Dataset):
         X, Y = dataset.X, dataset.Y
     else:
@@ -221,22 +218,18 @@ def optimize_train_measure(dataset, kernel_spec, test_measure, config,
     if not isinstance(test_measure, DiscreteMeasure):
         test_measure = DiscreteMeasure(np.asarray(test_measure, float))
 
-    def loss(z):
+    def objective(z):
         p = from_logits(z)
-        pred = predict_Eg_dataset(K, Y, p, test_measure, config.P_budget,
-                                  config.lam, config.noise,
-                                  rank_threshold=rank_threshold)
-        return float(pred.Eg)
+        try:
+            Eg, pbar = predict_Eg_train_grad(K, Y, p, test_measure,
+                                             config.P_budget, config.lam,
+                                             config.noise,
+                                             rank_threshold=rank_threshold)
+        except DivergenceError:
+            return math.inf, None
+        return Eg, p.masses * (pbar - np.dot(p.masses, pbar))
 
-    def grad(z):
-        p = from_logits(z)
-        _, pbar = predict_Eg_train_grad(K, Y, p, test_measure,
-                                        config.P_budget, config.lam,
-                                        config.noise,
-                                        rank_threshold=rank_threshold)
-        return p.masses * (pbar - np.dot(p.masses, pbar))
-
-    return _iterate(np.zeros(M), loss, grad, config)
+    return _iterate(np.zeros(M), objective, config)
 
 
 def optimize_test_measure(dec, abar, config, Y=None):
@@ -248,16 +241,12 @@ def optimize_test_measure(dec, abar, config, Y=None):
     onto the smallest density value, ascent onto the largest; ties give
     convex mixtures of the tied atoms.
     """
-    if config.target != "test_measure":
-        raise ValueError("config.target must be 'test_measure'")
     c = pointwise_error_density(dec, abar, config.P_budget, config.lam,
                                 config.noise, Y=Y)
 
-    def loss(z):
-        return float(np.dot(from_logits(z).masses, c))
-
-    def grad(z):
+    def objective(z):
         p = from_logits(z).masses
-        return p * (c - np.dot(p, c))
+        Eg = float(np.dot(p, c))
+        return Eg, p * (c - Eg)
 
-    return _iterate(np.zeros(c.shape[0]), loss, grad, config)
+    return _iterate(np.zeros(c.shape[0]), objective, config)

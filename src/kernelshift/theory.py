@@ -155,7 +155,11 @@ def solve_kappa(eigenvalues, P, lam, method="brent", weights=None):
         kappa = brentq(f, 0.0, total, xtol=1e-300, rtol=8.9e-16, maxiter=200)
         ridgeless = False
     else:
-        kappa = brentq(g, lam, lam + total, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+        # a spectrum too small to register against the ridge rounds
+        # lam + total to lam, so g <= 0 there: the root is that bound
+        hi = lam + total
+        kappa = hi if g(hi) <= 0 else brentq(g, lam, hi, xtol=1e-300,
+                                             rtol=8.9e-16, maxiter=200)
         ridgeless = False
 
     # Newton polish; the derivative 1 - gamma(kappa) is positive at the root
@@ -237,7 +241,7 @@ class _PerP(NamedTuple):
     wsq: np.ndarray  # |W_c|^2 = in-RKHS power + collapsed target power, (C,)
 
 
-def _per_P(dec, abar, P, lam, O_diag_in=None, kappa_method="brent"):
+def _per_P(dec, abar, P, lam, O_diag_in=None):
     """Solve kappa at P and weight the modes.
 
     O_diag_in is the test-measure overlap diagonal over the in-RKHS modes
@@ -248,7 +252,7 @@ def _per_P(dec, abar, P, lam, O_diag_in=None, kappa_method="brent"):
     eta = dec.eigenvalues.copy()
     rank = dec.rank
     eta[rank:] = 0.0
-    sol = solve_kappa(eta, P, lam, method=kappa_method)
+    sol = solve_kappa(eta, P, lam)
     O_diag = None
     if O_diag_in is not None:
         # collapsed modes have eta = 0 and never contribute to gamma'
@@ -330,7 +334,7 @@ def _check_noise(noise):
         raise ValueError("noise variance must be nonnegative")
 
 
-def predict_Eg(dec, abar, O, P, lam, noise, kappa_method="brent"):
+def predict_Eg(dec, abar, O, P, lam, noise):
     """Predicted test error, bias/variance split, and matched-measure baseline
     from an explicit overlap.
 
@@ -345,7 +349,7 @@ def predict_Eg(dec, abar, O, P, lam, noise, kappa_method="brent"):
     if Omat.shape != (m, m):
         raise ValueError(f"overlap must be ({m},{m}), got {Omat.shape}")
     _check_noise(noise)
-    core = _per_P(dec, abar, P, lam, np.diag(Omat)[:rank], kappa_method)
+    core = _per_P(dec, abar, P, lam, np.diag(Omat)[:rank])
     if core.state.diverged:
         return _diverged_prediction(core.state)
     W = core.W
@@ -361,7 +365,7 @@ def expected_estimator(dec, abar, P, lam):
     return (1.0 - _per_P(dec, abar, P, lam).q)[:, None] * abar
 
 
-def pointwise_error_density(dec, abar, P, lam, noise, Y=None, kappa_method="brent"):
+def pointwise_error_density(dec, abar, P, lam, noise, Y=None):
     """Per-point error density c with Eg(ptilde) = sum_mu ptilde_mu c_mu.
 
     The predicted error is linear in the test measure; c_mu is the error of
@@ -373,7 +377,7 @@ def pointwise_error_density(dec, abar, P, lam, noise, Y=None, kappa_method="bren
     abar = _as_columns(abar, dec.n_modes)
     _check_noise(noise)
     Phi_in, R = _rows(dec, abar, Y)
-    core = _per_P(dec, abar, P, lam, kappa_method=kappa_method)
+    core = _per_P(dec, abar, P, lam)
     s = core.state
     if s.diverged:
         raise DivergenceError(
@@ -387,18 +391,8 @@ def pointwise_error_density(dec, abar, P, lam, noise, Y=None, kappa_method="bren
         + np.einsum("mc,mc->m", mean, mean)
 
 
-def predict_Eg_curve(
-    K,
-    Y,
-    p,
-    ptilde,
-    P_grid,
-    lam,
-    noise,
-    rank_threshold=None,
-    dec=None,
-    kappa_method="brent",
-):
+def predict_Eg_curve(K, Y, p, ptilde, P_grid, lam, noise, rank_threshold=None,
+                     dec=None):
     """End-to-end learning curve on a discrete dataset, one prediction per P.
 
     The decomposition, the target projection, the test-measure weights of
@@ -427,7 +421,7 @@ def predict_Eg_curve(
     irr_c = w @ R**2
     preds = []
     for P in P_grid:
-        core = _per_P(dec, abar, P, lam, O_diag_in, kappa_method)
+        core = _per_P(dec, abar, P, lam, O_diag_in)
         if core.state.diverged:
             preds.append(_diverged_prediction(core.state))
             continue
@@ -436,21 +430,11 @@ def predict_Eg_curve(
     return preds
 
 
-def predict_Eg_dataset(
-    K,
-    Y,
-    p,
-    ptilde,
-    P,
-    lam,
-    noise,
-    rank_threshold=None,
-    dec=None,
-    kappa_method="brent",
-):
+def predict_Eg_dataset(K, Y, p, ptilde, P, lam, noise, rank_threshold=None,
+                       dec=None):
     """End-to-end prediction at one P: predict_Eg_curve on a one-point grid."""
     return predict_Eg_curve(K, Y, p, ptilde, [P], lam, noise, rank_threshold,
-                            dec, kappa_method)[0]
+                            dec)[0]
 
 
 def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):

@@ -162,8 +162,7 @@ def test_acceptance_06_test_measure_structure():
 
     # descent concentrates on the density argmin; ascent on the argmax
     cfg = dict(P_budget=c.shape[0] // 2, lam=0.05, noise=0.02,
-               target="test_measure", learning_rate=20.0, steps=5000,
-               convergence_tol=1e-9)
+               learning_rate=20.0, steps=5000, convergence_tol=1e-9)
     down = optimize_test_measure(dec, abar, OptimizerConfig(**cfg), Y=Y)
     up = optimize_test_measure(
         dec, abar, OptimizerConfig(**dict(cfg, mode="ascent")), Y=Y)

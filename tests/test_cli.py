@@ -257,6 +257,41 @@ def test_all_diverged_closed_form_exits_3(tmp_path, capsys):
     assert os.path.exists(out / "manifest.json")  # run is still recorded
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k_max", [3, 6])
+def test_ntk_sphere_zero_eigenvalue_stage_is_finite(tmp_path, k_max):
+    # degree 3 of the depth-2 ReLU NTK on the 5-sphere has eigenvalue 0;
+    # with k_max 3 no higher degree adds ridge, so kappa is 0 as well
+    eta, _ = dot_product_kernel_spectrum(KernelSpec("ntk_relu", depth=2), 5,
+                                         k_max)
+    assert eta[3] == 0.0
+    doc = {"command": "closed-form",
+           "closed_form": {"model": "ntk_sphere", "D": 5, "depth": 2,
+                           "k_max": k_max, "k_stage": 3,
+                           "abar_sq": [0.0, 1.0, 0.5, 0.2], "lambda": 0.0,
+                           "P_grid": [5, 20, 80]}}
+    code, out = _run(tmp_path, doc)
+    assert code == 0
+    cols = read_csv_columns(out / "closed_form_curve.csv")
+    assert np.all(np.isfinite(cols["Eg"]))
+    assert np.all(np.isfinite(cols["kappa"]))
+    # a degree the kernel cannot learn keeps its whole target power
+    np.testing.assert_allclose(cols["Eg"], 0.2, rtol=1e-12)
+
+
+def test_optimizer_target_key_exits_2(tmp_path, capsys):
+    doc = dict(_base_doc(), command="optimize-test",
+               optimizer={"P_budget": 3, "lambda": 0.1, "steps": 3})
+    code, out = _run(tmp_path, doc)
+    assert code == 0
+    echo = json.load(open(out / "config.echo.json"))
+    assert "target" not in echo["optimizer"]
+    doc["optimizer"]["target"] = "test_measure"
+    code, _ = _run(tmp_path, doc, out="with_target")
+    assert code == 2
+    assert "/optimizer/target" in capsys.readouterr().err
+
+
 def test_optimizer_divergent_start_exits_3(tmp_path, capsys):
     doc = {"command": "optimize-train",
            "dataset": {"synthetic": {"kind": "gaussian_diag", "n": 8,

@@ -28,18 +28,6 @@ def test_krr_solve_scalar_golden():
     assert sol.residual < 1e-14
 
 
-def test_krr_solve_cross_predictions():
-    rng = np.random.default_rng(8)
-    X = rng.standard_normal((5, 2))
-    Xq = rng.standard_normal((3, 2))
-    spec = KernelSpec("rbf", lengthscale=1.0)
-    y = rng.standard_normal((5, 1))
-    sol = krr_solve(gram(spec, X), y, 0.2, K_cross=gram(spec, Xq, X))
-    np.testing.assert_allclose(sol.predictions,
-                               gram(spec, Xq, X) @ sol.coef, atol=0)
-    assert sol.predictions.shape == (3, 1)
-
-
 def test_ridgeless_interpolates():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((6, 6))
@@ -163,24 +151,6 @@ def test_continuous_curve_deterministic():
     assert a == b
     assert all(np.isfinite(p.Eg_mean) for p in a)
     assert a[1].Eg_mean < a[0].Eg_mean
-
-
-def test_continuous_curve_uniform_weights_match_default():
-    rng = np.random.default_rng(13)
-    test_X = rng.standard_normal((32, 3))
-
-    def sample_train(rng, n):
-        return rng.standard_normal((n, 3))
-
-    def target(X):
-        return X[:, :1]
-
-    spec = KernelSpec("rbf", lengthscale=2.0)
-    kwargs = dict(P_values=[4], lam=0.1, noise=0.0, trials=8, seed=2)
-    a = run_continuous_curve(spec, sample_train, target, test_X, **kwargs)
-    b = run_continuous_curve(spec, sample_train, target, test_X,
-                             test_weights=np.full(32, 1.0 / 32), **kwargs)
-    assert a[0].Eg_mean == pytest.approx(b[0].Eg_mean, abs=1e-15)
 
 
 def test_compare_report_alignment_and_z():

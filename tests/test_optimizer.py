@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernelshift import optimizer
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import DiscreteMeasure, from_logits, uniform_measure
 from kernelshift.optimizer import (OptimizerConfig, _iterate, fd_gradient,
@@ -32,8 +33,7 @@ def test_optimizer_config_validation():
     OptimizerConfig(**good)
     for bad in (dict(P_budget=0), dict(lam=-0.1), dict(noise=-1.0),
                 dict(learning_rate=0.0), dict(steps=0),
-                dict(convergence_tol=0.0), dict(mode="sideways"),
-                dict(target="kernel")):
+                dict(convergence_tol=0.0), dict(mode="sideways")):
         with pytest.raises(ValueError):
             OptimizerConfig(**{**good, **bad})
 
@@ -165,14 +165,13 @@ def test_optimize_test_measure_concentrates_on_extremes():
     # the softmax gradient flattens as the measure concentrates, so a
     # large rate and tight step tolerance push it to a numerical Dirac
     cfg = OptimizerConfig(P_budget=4, lam=0.05, noise=0.02,
-                          target="test_measure", learning_rate=20.0,
-                          steps=5000, convergence_tol=1e-9)
+                          learning_rate=20.0, steps=5000,
+                          convergence_tol=1e-9)
     down = optimize_test_measure(dec, abar, cfg, Y=Y)
     up = optimize_test_measure(
         dec, abar, OptimizerConfig(P_budget=4, lam=0.05, noise=0.02,
-                                   target="test_measure", mode="ascent",
-                                   learning_rate=20.0, steps=5000,
-                                   convergence_tol=1e-9),
+                                   mode="ascent", learning_rate=20.0,
+                                   steps=5000, convergence_tol=1e-9),
         Y=Y)
     assert down.final_measure.masses[np.argmin(c)] >= 0.99
     assert up.final_measure.masses[np.argmax(c)] >= 0.99
@@ -183,8 +182,7 @@ def test_optimize_test_measure_concentrates_on_extremes():
 
 def test_optimize_test_measure_trace_semantics():
     dec, abar, c, Y = _density_setup(seed=8)
-    cfg = OptimizerConfig(P_budget=4, lam=0.05, noise=0.02,
-                          target="test_measure")
+    cfg = OptimizerConfig(P_budget=4, lam=0.05, noise=0.02)
     trace = optimize_test_measure(dec, abar, cfg, Y=Y)
     n = trace.logits.shape[0]
     assert trace.Eg.shape == (n,) and trace.participation.shape == (n,)
@@ -198,18 +196,6 @@ def test_optimize_test_measure_trace_semantics():
         assert trace.message == "step size below convergence tolerance"
     # the density is minimized by a Dirac, so participation must drop
     assert trace.participation[-1] < trace.participation[0]
-
-
-def test_optimize_test_measure_requires_matching_target():
-    dec, abar, c, Y = _density_setup()
-    cfg = OptimizerConfig(P_budget=4, lam=0.05, target="train_measure")
-    with pytest.raises(ValueError):
-        optimize_test_measure(dec, abar, cfg, Y=Y)
-    with pytest.raises(ValueError):
-        optimize_train_measure(
-            (np.zeros((3, 2)), np.zeros((3, 1))), KernelSpec("linear"),
-            uniform_measure(3),
-            OptimizerConfig(P_budget=2, lam=0.1, target="test_measure"))
 
 
 def test_optimize_train_measure_improves_skewed_test():
@@ -254,6 +240,45 @@ def test_optimize_train_measure_divergent_start_raises():
                                uniform_measure(8), cfg)
 
 
+def test_diverging_trial_is_rejected_not_raised(monkeypatch):
+    # every trial away from the uniform start diverges, so the line
+    # search must reject them all and end the run at the start
+    X, Y, K = _instance()
+    real = optimizer.predict_Eg_train_grad
+
+    def diverge_off_start(K, Y, p, *args, **kwargs):
+        if np.ptp(p.masses) > 0:
+            raise DivergenceError("trial diverges")
+        return real(K, Y, p, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "predict_Eg_train_grad",
+                        diverge_off_start)
+    for mode in ("descent", "ascent"):
+        cfg = OptimizerConfig(P_budget=4, lam=0.05, steps=5, mode=mode)
+        trace = optimize_train_measure(
+            (X, Y), KernelSpec("rbf", lengthscale=1.5), uniform_measure(8),
+            cfg, K=K)
+        assert trace.logits.shape[0] == 1
+        assert trace.message == "no improving step within backtracking budget"
+
+
+def test_train_trace_equals_dataset_prediction():
+    # the trace holds the gradient call's error; it must be the
+    # per-point prediction at every accepted iterate
+    rng = np.random.default_rng(15)
+    X, Y, K = _instance(M=9, seed=15)
+    ptilde = from_logits(rng.standard_normal(9))
+    cfg = OptimizerConfig(P_budget=5, lam=0.05, noise=0.01, steps=6,
+                          learning_rate=2.0)
+    trace = optimize_train_measure((X, Y), KernelSpec("rbf", lengthscale=1.5),
+                                   ptilde, cfg, K=K)
+    assert trace.logits.shape[0] > 2
+    for z, eg in zip(trace.logits, trace.Eg):
+        ref = predict_Eg_dataset(K, Y, from_logits(z), ptilde, 5, 0.05,
+                                 0.01).Eg
+        assert eg == pytest.approx(ref, rel=1e-12, abs=0)
+
+
 def test_fixed_rate_steps_without_backtracking():
     # a swap-symmetric two-atom problem has a constant error density, so
     # the gradient vanishes and no strict improvement exists: the loop
@@ -262,8 +287,8 @@ def test_fixed_rate_steps_without_backtracking():
     Y = np.array([[1.0], [-1.0]])
     dec = mercer_decompose(K, uniform_measure(2))
     abar = project_target(dec, Y)
-    cfg = OptimizerConfig(P_budget=2, lam=0.1, target="test_measure",
-                          backtracking=False, steps=50)
+    cfg = OptimizerConfig(P_budget=2, lam=0.1, backtracking=False,
+                          steps=50)
     trace = optimize_test_measure(dec, abar, cfg, Y=Y)
     assert trace.logits.shape[0] == 1
     assert not trace.converged
@@ -271,8 +296,7 @@ def test_fixed_rate_steps_without_backtracking():
     # on a generic instance a sane fixed rate still walks downhill
     dec2, abar2, c2, Y2 = _density_setup(seed=13)
     cfg2 = OptimizerConfig(P_budget=4, lam=0.05, noise=0.02,
-                           target="test_measure", learning_rate=0.5,
-                           backtracking=False, steps=50)
+                           learning_rate=0.5, backtracking=False, steps=50)
     trace2 = optimize_test_measure(dec2, abar2, cfg2, Y=Y2)
     assert trace2.logits.shape[0] > 1
     assert trace2.Eg[-1] < trace2.Eg[0]
@@ -340,8 +364,8 @@ def test_train_optimizer_analytic_matches_fd_run():
         return predict_Eg_dataset(K, Y, from_logits(z), ptilde, 5, 0.05,
                                   0.01).Eg
 
-    ref = _iterate(np.zeros(9), loss,
-                   lambda z: fd_gradient(loss, z, 1e-5), cfg)
+    ref = _iterate(np.zeros(9),
+                   lambda z: (loss(z), fd_gradient(loss, z, 1e-5)), cfg)
     assert trace.Eg.shape == ref.Eg.shape
     assert trace.Eg[-1] < trace.Eg[0]
     assert trace.Eg[-1] == pytest.approx(ref.Eg[-1], rel=1e-6)
@@ -373,7 +397,9 @@ def test_rank_threshold_reaches_loss_and_gradient():
     trace = optimize_train_measure((X, Y), spec, ptilde, cfg,
                                    rank_threshold=thr)
     default = optimize_train_measure((X, Y), spec, ptilde, cfg)
-    assert trace.Eg[0] == loss(np.zeros(8))
+    assert trace.Eg[0] == predict_Eg_train_grad(
+        K, Y, from_logits(np.zeros(8)), ptilde, 5, 0.05, 0.01,
+        rank_threshold=thr)[0]
     assert trace.Eg[0] != default.Eg[0]
 
     z = 0.2 * np.random.default_rng(14).standard_normal(8)

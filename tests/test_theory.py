@@ -14,7 +14,7 @@ from kernelshift.empirical import krr_solve, run_learning_curve
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import DiscreteMeasure, from_logits, uniform_measure
 from kernelshift.spectral import mercer_decompose, overlap, project_target
-from kernelshift.theory import (DivergenceError, compute_state,
+from kernelshift.theory import (KAPPA_RTOL, DivergenceError, compute_state,
                                 expected_estimator, pointwise_error_density,
                                 predict_Eg, predict_Eg_curve,
                                 predict_Eg_dataset, prediction_row,
@@ -53,6 +53,22 @@ def test_kappa_residual_on_random_spectra():
         lam = float(rng.uniform(0.0, 2.0))
         sol = solve_kappa(eta, P, lam)
         assert sol.residual < 1e-12
+
+
+def test_kappa_spectrum_below_ridge_resolution():
+    # lam + sum(eta) rounds to lam, so the bracket's upper end is the root
+    sol = solve_kappa(np.full(10, 1e-17), P=5, lam=1.0)
+    assert np.isfinite(sol.kappa)
+    assert sol.residual <= KAPPA_RTOL
+    # a kernel that small learns nothing: the error is the target power
+    rng = np.random.default_rng(16)
+    X = rng.standard_normal((12, 3))
+    Y = np.tanh(X[:, :1])
+    K = 1e-14 * gram(KernelSpec("rbf", lengthscale=1.5), X)
+    ptilde = from_logits(rng.standard_normal(12))
+    pred = predict_Eg_dataset(K, Y, uniform_measure(12), ptilde, 5, 1.0, 0.0)
+    assert pred.Eg == pytest.approx(float(ptilde.masses @ Y[:, 0]**2),
+                                    rel=1e-9)
 
 
 def test_kappa_brent_vs_ode():
