@@ -63,9 +63,13 @@ def kappa_prime_flat(alpha, lam_tilde):
     lam_tilde = float(lam_tilde)
     if alpha < 0 or lam_tilde < 0:
         raise ValueError("alpha and lam_tilde must be nonnegative")
-    disc = (1.0 + lam_tilde + alpha) ** 2 - 4.0 * alpha
-    # disc = (1 + lam_tilde - alpha)^2 + 4 alpha lam_tilde >= 0 always
-    return 0.5 * ((1.0 + lam_tilde - alpha) + np.sqrt(max(disc, 0.0)))
+    # kappa' is the positive root of k^2 - b k - lam_tilde alpha = 0
+    b = 1.0 + lam_tilde - alpha
+    root = np.sqrt(b * b + 4.0 * alpha * lam_tilde)
+    if b < 0:
+        # b + root cancels; the product of the roots gives it stably
+        return 2.0 * lam_tilde * alpha / (root - b)
+    return 0.5 * (b + root)
 
 
 def _finish(Eg_core, Eg_matched, kappa, gamma, gamma_prime, irreducible):

@@ -76,7 +76,8 @@ def krr_solve(K_train, y_train, lam):
             f"training Gram matrix needs {K_train.nbytes / 1e9:.1f} GB, "
             f"above the {MAX_GRAM_BYTES / 1e9:.1f} GB budget")
     if lam > 0:
-        A = K_train + lam * np.eye(P)
+        A = K_train.copy()
+        A.flat[::P + 1] += lam
         c, low = linalg.cho_factor(A, lower=True, check_finite=False)
         coef = linalg.cho_solve((c, low), y2, check_finite=False)
         rank = P
@@ -89,15 +90,34 @@ def krr_solve(K_train, y_train, lam):
 
 def discrete_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
                          rng):
-    """One KRR draw on a discrete problem; returns the test-measure error."""
+    """One KRR draw on a discrete problem; returns the test-measure error.
+
+    The P draws are fitted on their distinct atoms u, each weighted by
+    its count c. With w = sqrt(c) and s the per-atom label sums, coef
+    solves (w_i K_uu w_j + lam I) coef = s / w, and the prediction is
+    K[u].T @ (w coef). This is the P-space estimator for every lam >= 0:
+    at lam = 0 both are the minimum-norm least-squares fit, and the two
+    matrices share their nonzero eigenvalues, so the pseudoinverse cuts
+    the same modes. K must be symmetric, as `kernels.gram` makes it,
+    because the rows K[u] stand in for the columns K[:, u].
+    """
     M = K.shape[0]
     Y2 = Y[:, None] if Y.ndim == 1 else Y
     idx = rng.choice(M, size=P, replace=True, p=train_measure.masses)
     labels = Y2[idx]
     if noise > 0:
         labels = labels + np.sqrt(noise) * rng.standard_normal(labels.shape)
-    sol = krr_solve(K[np.ix_(idx, idx)], labels, lam)
-    preds = K[:, idx] @ sol.coef
+    atoms, inv, counts = np.unique(idx, return_inverse=True,
+                                   return_counts=True)
+    sums = np.zeros((atoms.size, labels.shape[1]))
+    np.add.at(sums, inv, labels)
+    w = np.sqrt(counts)
+    rows = np.take(K, atoms, axis=0)
+    A = np.take(rows, atoms, axis=1)
+    A *= w[:, None]
+    A *= w
+    coef = krr_solve(A, sums / w[:, None], lam).coef
+    preds = rows.T @ (w[:, None] * coef)
     return float(np.sum(test_measure.masses[:, None] * (preds - Y2) ** 2))
 
 
@@ -129,8 +149,10 @@ def run_learning_curve(K, Y, train_measure, test_measure, P_values, lam,
                        noise, trials, seed, threads=1):
     """Monte Carlo learning curve on a discrete problem.
 
-    Every trial draws its own generator from (seed, P, trial index), so
-    results are identical whatever the thread count or evaluation order.
+    K must be symmetric, as `kernels.gram` makes it (see
+    `discrete_trial_error`). Every trial draws its own generator from
+    (seed, P, trial index), so results are identical whatever the thread
+    count or evaluation order.
     """
     K = np.asarray(K, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)

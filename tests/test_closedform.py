@@ -11,7 +11,7 @@ from kernelshift.closedform import (diagonal_linear_Eg,
                                     kappa_prime_flat, mode_spectrum_Eg,
                                     ntk_sphere_Eg, optimal_ridge)
 from kernelshift.kernels import KernelSpec, ntk_relu_eval
-from kernelshift.theory import solve_kappa
+from kernelshift.theory import KAPPA_RTOL, solve_kappa
 
 
 def test_kappa_prime_flat_solves_fixed_point():
@@ -36,6 +36,28 @@ def test_kappa_prime_matches_general_solver_on_flat_spectrum():
             kappa = solve_kappa(eta, P, lam).kappa
             assert kappa / unit == pytest.approx(
                 kappa_prime_flat(alpha, lam_tilde), abs=1e-10)
+
+
+def test_kappa_prime_flat_within_solver_tolerance():
+    # relative agreement, so the ridgeless zero above the threshold must
+    # come out exactly 0, not as the rounding left by b + sqrt(disc)
+    for N, eta in ((40, 1.3 / 120), (7, 2.0), (300, 1e-3)):
+        unit = eta * N
+        for alpha in np.append(np.geomspace(0.05, 50.0, 41), 1.0):
+            P = alpha * N
+            for lam_tilde in (0.0, 1e-6, 1e-3, 0.1, 1.0, 10.0):
+                want = solve_kappa(np.full(N, eta), P,
+                                   lam_tilde * unit).kappa / unit
+                got = kappa_prime_flat(P / N, lam_tilde)
+                assert abs(got - want) <= KAPPA_RTOL * max(abs(got),
+                                                           abs(want))
+
+
+def test_ridgeless_above_threshold_is_exactly_zero():
+    r = general_linear_Eg(11, 10, 10, 10, np.ones(10), 1, 1, lam=0)
+    assert r.kappa == 0.0
+    assert r.Eg == 0.0
+    assert not r.diverged
 
 
 def test_gaussian_reduces_to_diagonal():

@@ -9,7 +9,7 @@ from kernelshift.empirical import (EMPIRICAL_COLUMNS, EmpiricalPoint,
                                    discrete_trial_error, krr_solve,
                                    run_continuous_curve, run_learning_curve)
 from kernelshift.kernels import KernelSpec, gram
-from kernelshift.measures import Dataset, uniform_measure
+from kernelshift.measures import Dataset, DiscreteMeasure, uniform_measure
 
 
 def _toy_problem(M=12, D=3, seed=5):
@@ -88,22 +88,75 @@ def test_discrete_trial_reproducible():
     assert e1 >= 0.0
 
 
+def _p_space_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
+                         rng):
+    """The trial on all P draws: the same rng stream, then the P x P fit."""
+    idx = rng.choice(K.shape[0], size=P, replace=True,
+                     p=train_measure.masses)
+    labels = Y[idx]
+    if noise > 0:
+        labels = labels + np.sqrt(noise) * rng.standard_normal(labels.shape)
+    coef = krr_solve(K[np.ix_(idx, idx)], labels, lam).coef
+    preds = K[:, idx] @ coef
+    return float(np.sum(test_measure.masses[:, None] * (preds - Y) ** 2))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.04])
+@pytest.mark.parametrize("C", [1, 2])
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 0.5])
+@pytest.mark.parametrize("kind", ["linear", "rbf"])
+def test_distinct_atom_trial_matches_p_space_fit(kind, lam, C, noise):
+    # linear on D=3 is rank-deficient once more than 3 atoms are drawn;
+    # M=6, P=40 draws every atom many times; the half-zero training
+    # measure leaves atoms that are tested but never drawn
+    spec = KernelSpec("linear") if kind == "linear" else \
+        KernelSpec("rbf", lengthscale=1.0)
+    for M, P, zero_mass in ((30, 20, False), (30, 60, False), (6, 40, False),
+                            (30, 25, True)):
+        rng = np.random.default_rng([M, P, C])
+        X = rng.standard_normal((M, 3))
+        Y = X @ rng.standard_normal((3, C)) + 0.3 * np.sin(X[:, :C])
+        K = gram(spec, X)
+        masses = np.ones(M)
+        if zero_mass:
+            masses[::2] = 0.0
+        p = DiscreteMeasure(masses / masses.sum())
+        pt = DiscreteMeasure(rng.dirichlet(np.ones(M)))
+        # a noiseless ridgeless rbf fit that draws every atom is exact,
+        # so both errors are rounding noise (~1e-30) and only the floor,
+        # a squared error 1e-12 of the label scale, can compare them
+        floor = 1e-24 * float(np.sum(pt.masses[:, None] * Y**2))
+        for seed in range(6):
+            got = discrete_trial_error(K, Y, p, pt, P, lam, noise,
+                                       np.random.default_rng(seed))
+            want = _p_space_trial_error(K, Y, p, pt, P, lam, noise,
+                                        np.random.default_rng(seed))
+            assert got == pytest.approx(want, rel=1e-9, abs=floor)
+
+
 def test_learning_curve_determinism_and_threads():
     ds, K = _toy_problem()
-    p = uniform_measure(12)
-    pt = uniform_measure(12)
-    kwargs = dict(P_values=[2, 4, 8], lam=0.1, noise=0.01, trials=16,
-                  seed=7)
-    a = run_learning_curve(K, ds.Y, p, pt, **kwargs)
-    b = run_learning_curve(K, ds.Y, p, pt, **kwargs)
-    c = run_learning_curve(K, ds.Y, p, pt, threads=4, **kwargs)
-    assert a == b
-    assert a == c  # thread count cannot change the sample streams
-    assert [pt_.P for pt_ in a] == [2, 4, 8]
-    for point in a:
-        assert point.trials == 16
-        assert point.Eg_stderr == pytest.approx(
-            point.Eg_std / np.sqrt(16), abs=1e-15)
+    X = np.random.default_rng(8).standard_normal((6, 2))
+    # the rbf problem draws up to 40 times from 6 atoms, so its trials
+    # solve on a handful of weighted atoms
+    problems = [(K, ds.Y, [2, 4, 8]),
+                (gram(KernelSpec("rbf", lengthscale=1.0), X),
+                 np.sin(X[:, :1]), [3, 12, 40])]
+    for K, Y, P_values in problems:
+        p = uniform_measure(K.shape[0])
+        pt = uniform_measure(K.shape[0])
+        kwargs = dict(P_values=P_values, lam=0.1, noise=0.01, trials=16,
+                      seed=7)
+        a = run_learning_curve(K, Y, p, pt, **kwargs)
+        b = run_learning_curve(K, Y, p, pt, **kwargs)
+        c = run_learning_curve(K, Y, p, pt, threads=4, **kwargs)
+        assert a == b
+        assert a == c  # thread count cannot change the sample streams
+        assert [pt_.P for pt_ in a] == P_values
+        for point in a:
+            assert point.trials == 16
+            assert point.Eg_stderr == pytest.approx(
+                point.Eg_std / np.sqrt(16), abs=1e-15)
 
 
 def test_learning_curve_accepts_raw_mass_arrays():
