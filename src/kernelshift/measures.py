@@ -113,23 +113,6 @@ def from_logits(z):
     return DiscreteMeasure(w / w.sum())
 
 
-def sample_indices(measure, P, seed, label="sample"):
-    """Draw P dataset indices i.i.d. with replacement from the measure.
-
-    Deterministic given (seed, label); independent draws never share an RNG
-    stream with other call sites.
-    """
-    if P < 0:
-        raise ValueError("P must be nonnegative")
-    rng = rng_from(seed, label)
-    return rng_with_indices(rng, measure, P)
-
-
-def rng_with_indices(rng, measure, P):
-    """Same as sample_indices but drawing from a caller-provided Generator."""
-    return rng.choice(measure.M, size=int(P), replace=True, p=measure.masses)
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Synthetic input distributions.

@@ -23,7 +23,7 @@ import numpy as np
 
 from .measures import DiscreteMeasure, Dataset, from_logits
 from .kernels import gram
-from .theory import (DivergenceError, pointwise_error_density,
+from .theory import (DivergenceError, SupportError, pointwise_error_density,
                      predict_Eg_train_grad)
 
 __all__ = [
@@ -205,8 +205,8 @@ def optimize_train_measure(dataset, kernel_spec, test_measure, config,
     where a mode crosses the rank threshold. The same call gives the
     error the line search and the trace use, so each iterate decomposes
     once, at rank_threshold (DEFAULT_RANK_THRESHOLD when None). A trial
-    whose prediction diverges is rejected; a diverging start raises
-    DivergenceError.
+    whose prediction diverges, or whose softmax underflows a mass to 0,
+    is rejected; a diverging start raises DivergenceError.
     """
     if isinstance(dataset, Dataset):
         X, Y = dataset.X, dataset.Y
@@ -225,7 +225,7 @@ def optimize_train_measure(dataset, kernel_spec, test_measure, config,
                                              config.P_budget, config.lam,
                                              config.noise,
                                              rank_threshold=rank_threshold)
-        except DivergenceError:
+        except (DivergenceError, SupportError):
             return math.inf, None
         return Eg, p.masses * (pbar - np.dot(p.masses, pbar))
 

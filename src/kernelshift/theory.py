@@ -37,19 +37,23 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .measures import DiscreteMeasure
 from .spectral import (DEFAULT_RANK_THRESHOLD, OverlapMatrix, mercer_decompose,
                        overlap, project_target)
 
 KAPPA_RTOL = 1e-12
+KAPPA_MAXITER = 200
 DIVERGENCE_TOL = 1e-10
 
 
 class DivergenceError(ValueError):
     """The requested computation sits in the diverging regime."""
+
+
+class SupportError(ValueError):
+    """A training mass is 0, or too small for a finite result, where every
+    atom needs mass, as when a softmax underflows (logits about 745 apart)."""
 
 
 @dataclass(frozen=True)
@@ -114,14 +118,23 @@ def _validated_spectrum(eigenvalues, weights):
     return eta, w
 
 
-def solve_kappa(eigenvalues, P, lam, method="brent", weights=None):
+def solve_kappa(eigenvalues, P, lam, weights=None):
     """Solve kappa = lam + sum_rho kappa eta_rho / (P eta_rho + kappa).
 
     `weights` are optional mode multiplicities (for degenerate spectra).
     The fixed point is unique for lam > 0; for lam = 0 with P at or above
     the number of positive modes the solution is kappa = 0, reported with
-    ridgeless=True.  method="ode" integrates the relaxation
-    dkappa/ds = lam + sum(...) - kappa instead (cross-check path).
+    ridgeless=True.
+
+    The root comes from one monotone Newton iteration on g(kappa) = kappa
+    - lam - sum w kappa eta/(P eta + kappa), started from the upper bound
+    lam + sum w eta.  g is convex, positive at that bound and negative
+    just above 0 (g(0) = -lam, or g'(0) = 1 - n/P < 0 when lam = 0 and P
+    is below the number n of positive modes), so Newton decreases to the
+    positive root without overshooting it.  A spectrum too small to
+    register against the ridge makes no step below the bound, which is
+    then the root.  A solve that ends above relative residual KAPPA_RTOL,
+    after at most KAPPA_MAXITER steps, raises RuntimeError.
     """
     eta, w = _validated_spectrum(eigenvalues, weights)
     P = float(P)
@@ -129,63 +142,36 @@ def solve_kappa(eigenvalues, P, lam, method="brent", weights=None):
     if P < 0 or lam < 0:
         raise ValueError("P and lam must be nonnegative")
     pos = eta > 0
-    n_pos = float(w[pos].sum())
+    eta, w = eta[pos], w[pos]
+    n_pos = float(w.sum())
     total = float(np.dot(w, eta))
     if total == 0.0:
         return KappaSolution(kappa=lam, residual=0.0)
     if P == 0.0:
         return KappaSolution(kappa=lam + total, residual=0.0)
-
-    def sum_term(kappa):
-        return float(np.dot(w[pos], kappa * eta[pos] / (P * eta[pos] + kappa)))
-
-    def g(kappa):
-        return kappa - lam - sum_term(kappa)
-
-    if method == "ode":
-        kappa = _solve_kappa_ode(eta[pos], w[pos], P, lam, total)
-        ridgeless = lam == 0.0 and P >= n_pos
-    elif lam == 0.0:
-        if P >= n_pos:
-            return KappaSolution(kappa=0.0, residual=0.0, ridgeless=True)
-
-        def f(kappa):
-            return float(np.dot(w[pos], eta[pos] / (P * eta[pos] + kappa))) - 1.0
-
-        kappa = brentq(f, 0.0, total, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-        ridgeless = False
-    else:
-        # a spectrum too small to register against the ridge rounds
-        # lam + total to lam, so g <= 0 there: the root is that bound
-        hi = lam + total
-        kappa = hi if g(hi) <= 0 else brentq(g, lam, hi, xtol=1e-300,
-                                             rtol=8.9e-16, maxiter=200)
-        ridgeless = False
-
-    # Newton polish; the derivative 1 - gamma(kappa) is positive at the root
-    for _ in range(3):
-        gp = 1.0 - float(np.dot(w[pos], P * eta[pos] ** 2 / (P * eta[pos] + kappa) ** 2))
-        if gp <= 1e-3:
+    if lam == 0.0 and P >= n_pos:
+        return KappaSolution(kappa=0.0, residual=0.0, ridgeless=True)
+    Peta = P * eta
+    kappa = lam + total
+    for _ in range(KAPPA_MAXITER):
+        # the Newton step kappa - g/g' as (kappa g' - g)/g', since
+        # kappa g' - g = lam + kappa^2 sum w eta/(P eta + kappa)^2 has no
+        # cancellation when the root is far below kappa
+        d = 1.0 / (Peta + kappa)
+        e = eta * d
+        gp = 1.0 - P * float(np.dot(w, e * e))
+        if gp <= 0.0:
             break
-        step = g(kappa) / gp
-        if kappa - step <= 0:
+        nxt = (lam + kappa * kappa * float(np.dot(w, e * d))) / gp
+        if not nxt < kappa:
             break
-        kappa -= step
-    residual = abs(g(kappa)) / max(kappa, 1e-300)
-    if residual > KAPPA_RTOL and method != "ode":
+        kappa = nxt
+
+    sum_term = float(np.dot(w, kappa * eta / (Peta + kappa)))
+    residual = abs(kappa - lam - sum_term) / max(kappa, 1e-300)
+    if residual > KAPPA_RTOL:
         raise RuntimeError(f"kappa solver stalled at relative residual {residual:.2e}")
-    return KappaSolution(kappa=float(kappa), residual=float(residual), ridgeless=ridgeless)
-
-
-def _solve_kappa_ode(eta, w, P, lam, total):
-    def rhs(_, y):
-        kappa = y[0]
-        return [lam + float(np.dot(w, kappa * eta / (P * eta + kappa))) - kappa]
-
-    sol = solve_ivp(rhs, (0.0, 400.0), [lam + total], rtol=1e-12, atol=1e-14)
-    if not sol.success:
-        raise RuntimeError(f"kappa ODE integration failed: {sol.message}")
-    return float(sol.y[0, -1])
+    return KappaSolution(kappa=float(kappa), residual=float(residual))
 
 
 def compute_state(eigenvalues, P, lam, O_diag=None, kappa=None, weights=None):
@@ -462,7 +448,8 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
     threshold (DEFAULT_RANK_THRESHOLD unless rank_threshold is given, as
     in predict_Eg_dataset).
 
-    The training measure must have full support.  A diverged prediction
+    A training measure without full support, or with masses so small that
+    the gradient overflows, raises SupportError.  A diverged prediction
     (1 - gamma below DIVERGENCE_TOL) raises DivergenceError.
     """
     if not isinstance(p, DiscreteMeasure):
@@ -470,7 +457,7 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
     if not isinstance(ptilde, DiscreteMeasure):
         ptilde = DiscreteMeasure(ptilde)
     if p.support().size != p.M:
-        raise ValueError("the training-mass gradient needs full support")
+        raise SupportError("the training-mass gradient needs full support")
     if ptilde.M != p.M:
         raise ValueError("test measure must cover the same dataset")
     _check_noise(noise)
@@ -529,7 +516,12 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
     Tbar = np.sum((V @ W) ** 2, axis=1) + (N * P / one_minus) * (V**2 @ (e * e))
     Ubar = V @ (2.0 * q[:, None] * H)
     a_bar = 2.0 * ((Bbar * K) @ a) + np.sum(Ubar * Y, axis=1)
-    return Eg, a_bar / (2.0 * a) - Tbar * ptilde.masses / p.masses**2
+    grad = a_bar / (2.0 * a) - Tbar * ptilde.masses / p.masses**2
+    if not (math.isfinite(Eg) and np.all(np.isfinite(grad))):
+        raise SupportError(
+            f"training masses down to {p.masses.min():.1e} are too small "
+            "for a finite training-mass gradient")
+    return Eg, grad
 
 
 CURVE_COLUMNS = (

@@ -4,11 +4,14 @@ bit-for-bit reproducibility of every run."""
 import functools
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import kernelshift
+from kernelshift import cli
 from kernelshift.cli import main
 from kernelshift.closedform import dot_product_kernel_spectrum
 from kernelshift.config import build_dataset
@@ -17,7 +20,21 @@ from kernelshift.io import read_csv_columns
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import uniform_measure
 from kernelshift.spectral import mercer_decompose
-from kernelshift.theory import CURVE_COLUMNS, predict_Eg_dataset
+from kernelshift.theory import (CURVE_COLUMNS, SupportError,
+                                predict_Eg_dataset)
+
+
+def test_cli_import_leaves_out_scipy_optimize_and_integrate():
+    # every command pays for what importing the CLI loads; the kappa
+    # solver needs neither module, so none of the CLI's code may load them
+    src = os.path.dirname(os.path.dirname(kernelshift.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, kernelshift.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def _base_doc():
@@ -303,6 +320,20 @@ def test_optimizer_divergent_start_exits_3(tmp_path, capsys):
     assert code == 3
     assert "diverge" in capsys.readouterr().err
     assert os.path.exists(out / "manifest.json")
+
+
+def test_support_error_exits_2(tmp_path, capsys, monkeypatch):
+    # the CLI only evaluates the gradient at uniform masses, so stand in
+    # for an underflowed training mass
+    def underflowed(*args, **kwargs):
+        raise SupportError("the training-mass gradient needs full support")
+
+    monkeypatch.setattr(cli, "predict_Eg_train_grad", underflowed)
+    doc = dict(_base_doc(), command="gradcheck",
+               optimizer={"P_budget": 3, "lambda": 0.1, "noise": 0.01})
+    code, _ = _run(tmp_path, doc)
+    assert code == 2
+    assert "full support" in capsys.readouterr().err
 
 
 def test_reruns_are_byte_identical(tmp_path):

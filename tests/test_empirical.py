@@ -88,6 +88,31 @@ def test_discrete_trial_reproducible():
     assert e1 >= 0.0
 
 
+def test_discrete_trial_error_deterministic_and_respects_support():
+    # with K = I a trial predicts 0 on every atom it did not draw, so
+    # the error of a Dirac test measure on the zero-mass atom is its
+    # squared label exactly when that atom is never drawn
+    K, Y = np.eye(3), np.array([[1.0], [2.0], [3.0]])
+    p = DiscreteMeasure(np.array([0.5, 0.0, 0.5]))
+    dirac = DiscreteMeasure(np.array([0.0, 1.0, 0.0]))
+    for seed in range(20):
+        err = discrete_trial_error(K, Y, p, dirac, 200, 0.1, 0.0,
+                                   np.random.default_rng(seed))
+        assert err == 4.0
+    with pytest.raises(ValueError):
+        discrete_trial_error(K, Y, p, dirac, -1, 0.1, 0.0,
+                             np.random.default_rng(0))
+    ds, K = _toy_problem()
+    p, pt = uniform_measure(12), uniform_measure(12)
+
+    def curve(seed):
+        return [pt_.Eg_mean for pt_ in run_learning_curve(
+            K, ds.Y, p, pt, [3, 5], 0.1, 0.04, trials=4, seed=seed)]
+
+    assert curve(4) == curve(4)
+    assert curve(4) != curve(5)
+
+
 def _p_space_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
                          rng):
     """The trial on all P draws: the same rng stream, then the P x P fit."""

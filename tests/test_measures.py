@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from kernelshift.measures import (BINARY_MAGIC, Dataset, DiscreteMeasure,
                                   SyntheticSpec, from_logits, load_dataset,
-                                  sample_indices, save_dataset, synth_sample,
-                                  uniform_measure)
+                                  save_dataset, synth_sample, uniform_measure)
 
 
 def test_discrete_measure_validation():
@@ -51,18 +50,6 @@ def test_from_logits_shift_invariance(z, shift):
 def test_support_excludes_zero_mass():
     m = DiscreteMeasure(np.array([0.5, 0.0, 0.5]))
     assert m.support().tolist() == [0, 2]
-
-
-def test_sample_indices_deterministic_and_respects_support():
-    m = DiscreteMeasure(np.array([0.5, 0.0, 0.5]))
-    a = sample_indices(m, 200, seed=4)
-    b = sample_indices(m, 200, seed=4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, sample_indices(m, 200, seed=5))
-    assert not np.array_equal(a, sample_indices(m, 200, seed=4, label="x"))
-    assert 1 not in a
-    with pytest.raises(ValueError):
-        sample_indices(m, -1, seed=0)
 
 
 def test_dataset_validation_and_ids():

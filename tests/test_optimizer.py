@@ -14,9 +14,9 @@ from kernelshift.optimizer import (OptimizerConfig, _iterate, fd_gradient,
                                    optimize_train_measure,
                                    participation_ratio, richardson_check)
 from kernelshift.spectral import mercer_decompose, overlap, project_target
-from kernelshift.theory import (DivergenceError, pointwise_error_density,
-                                predict_Eg, predict_Eg_dataset,
-                                predict_Eg_train_grad)
+from kernelshift.theory import (DivergenceError, SupportError,
+                                pointwise_error_density, predict_Eg,
+                                predict_Eg_dataset, predict_Eg_train_grad)
 
 
 def _instance(M=8, D=3, seed=4, kind="rbf"):
@@ -262,6 +262,36 @@ def test_diverging_trial_is_rejected_not_raised(monkeypatch):
         assert trace.message == "no improving step within backtracking budget"
 
 
+def test_underflowed_training_mass_raises_typed_error():
+    # logits 800 apart underflow the softmax mass to exactly 0
+    X, Y, K = _instance()
+    z = np.zeros(8)
+    z[3] = -800.0
+    p = from_logits(z)
+    assert p.masses[3] == 0.0
+    with pytest.raises(SupportError, match="full support"):
+        predict_Eg_train_grad(K, Y, p, uniform_measure(8), 4, 0.05, 0.0)
+
+
+def test_underflowing_trial_is_rejected_not_raised():
+    # the first trial step spreads the logits far past 745, so its
+    # softmax underflows; the line search must back off, not raise
+    X, Y, K = _instance()
+    ptilde = from_logits(np.random.default_rng(14).standard_normal(8))
+    p0 = uniform_measure(8).masses
+    _, pbar = predict_Eg_train_grad(K, Y, p0, ptilde, 4, 0.05, 0.0)
+    rate = 1e6
+    assert np.ptp(rate * p0 * (pbar - np.dot(p0, pbar))) > 800.0
+    for mode in ("descent", "ascent"):
+        cfg = OptimizerConfig(P_budget=4, lam=0.05, steps=3, mode=mode,
+                              learning_rate=rate)
+        trace = optimize_train_measure(
+            (X, Y), KernelSpec("rbf", lengthscale=1.5), ptilde, cfg, K=K)
+        assert trace.logits.shape[0] > 1
+        assert np.all(trace.final_measure.masses > 0.0)
+        assert np.all(np.isfinite(trace.Eg))
+
+
 def test_train_trace_equals_dataset_prediction():
     # the trace holds the gradient call's error; it must be the
     # per-point prediction at every accepted iterate
@@ -413,3 +443,56 @@ def test_rank_threshold_reaches_loss_and_gradient():
     _, pbar_default = predict_Eg_train_grad(K, Y, p, ptilde, 5, 0.05, 0.01)
     g_default = p * (pbar_default - np.dot(p, pbar_default))
     assert np.max(np.abs(g_default - fd)) > 1e-3 * np.max(np.abs(fd))
+
+
+TRAIN_GRAD_REGIMES = ("ridgeless", "collapsed", "off_support",
+                      "near_divergence")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    regime=st.sampled_from(TRAIN_GRAD_REGIMES),
+    seed=st.integers(0, 10**6),
+    M=st.integers(6, 10),
+    noise=st.sampled_from([0.0, 0.05]),
+)
+def test_train_gradient_edge_regimes_finite_or_typed(regime, seed, M, noise):
+    # ridgeless interpolation around P = rank, collapsed modes, test mass
+    # off the training support and P within 1e-6 of the threshold: the
+    # error and its gradient are finite, or the call raises a typed
+    # error, DivergenceError where the prediction diverges and
+    # SupportError where a training mass is 0
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((M, 2))
+    Y = rng.standard_normal((M, 1))
+    p = from_logits(0.3 * rng.standard_normal(M))
+    pt = from_logits(0.3 * rng.standard_normal(M))
+    K = gram(KernelSpec("rbf", lengthscale=1.5) if regime == "ridgeless"
+             else KernelSpec("linear"), X)
+    if regime == "off_support":
+        masses, test = p.masses.copy(), np.zeros(M)
+        off = rng.permutation(M)[:M // 2]
+        masses[off] = 0.0
+        test[off] = pt.masses[off]
+        p = DiscreteMeasure(masses / masses.sum())
+        pt = DiscreteMeasure(test / test.sum())
+    r = mercer_decompose(K, p).rank
+    lam, grid = 1e-3, [1, r, 3 * M]
+    if regime == "ridgeless":
+        lam, grid = 0.0, sorted({max(r - 1, 1), r, r + 1})
+    elif regime == "near_divergence":
+        lam, grid = 0.0, [r - 1e-6, r + 1e-6]
+    for P in grid:
+        if regime == "off_support":
+            with pytest.raises(SupportError):
+                predict_Eg_train_grad(K, Y, p, pt, P, lam, noise)
+            continue
+        pred = predict_Eg_dataset(K, Y, p, pt, P, lam, noise)
+        if pred.state.diverged:
+            with pytest.raises(DivergenceError):
+                predict_Eg_train_grad(K, Y, p, pt, P, lam, noise)
+            continue
+        Eg, pbar = predict_Eg_train_grad(K, Y, p, pt, P, lam, noise)
+        assert np.isfinite(Eg)
+        assert np.all(np.isfinite(pbar))
+        assert Eg == pytest.approx(pred.Eg, rel=1e-9)

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
+from kernelshift import theory
 from kernelshift._rng import rng_from
 from kernelshift.closedform import gaussian_linear_Eg
 from kernelshift.empirical import krr_solve, run_learning_curve
@@ -71,14 +74,93 @@ def test_kappa_spectrum_below_ridge_resolution():
                                     rel=1e-9)
 
 
+def _kappa_brent(eta, P, lam, weights=None):
+    """Oracle: bracketed Brent root of the fixed point (of kappa = lam +
+    sum(...) for lam > 0, of sum w eta/(P eta + kappa) = 1 for lam = 0)."""
+    w = np.ones_like(eta) if weights is None else weights
+    pos = eta > 0
+    eta, w = eta[pos], w[pos]
+    total = float(np.dot(w, eta))
+    if lam == 0.0:
+        return brentq(lambda k: float(np.dot(w, eta / (P * eta + k))) - 1.0,
+                      0.0, total, xtol=1e-300, rtol=8.9e-16, maxiter=500)
+
+    def g(k):
+        return k - lam - float(np.dot(w, k * eta / (P * eta + k)))
+
+    hi = lam + total
+    return hi if g(hi) <= 0 else brentq(g, lam, hi, xtol=1e-300,
+                                        rtol=8.9e-16, maxiter=500)
+
+
+def _kappa_ode(eta, P, lam):
+    """Oracle: relax dkappa/ds = lam + sum(...) - kappa from lam + sum(eta)
+    to its fixed point."""
+    def rhs(_, y):
+        return [lam + float(np.sum(y[0] * eta / (P * eta + y[0]))) - y[0]]
+
+    sol = solve_ivp(rhs, (0.0, 400.0), [lam + float(eta.sum())], rtol=1e-12,
+                    atol=1e-14)
+    assert sol.success, sol.message
+    return float(sol.y[0, -1])
+
+
 def test_kappa_brent_vs_ode():
+    # two independent oracles, the Brent root and the relaxation's end
+    # point, bracket the Newton solve
     rng = np.random.default_rng(1)
     for _ in range(10):
         eta = rng.exponential(1.0, 20)
         P, lam = float(rng.integers(1, 50)), float(rng.uniform(0.01, 1.0))
-        a = solve_kappa(eta, P, lam, method="brent").kappa
-        b = solve_kappa(eta, P, lam, method="ode").kappa
-        assert b == pytest.approx(a, rel=1e-8)
+        kappa = solve_kappa(eta, P, lam).kappa
+        assert kappa == pytest.approx(_kappa_brent(eta, P, lam), rel=1e-13)
+        assert _kappa_ode(eta, P, lam) == pytest.approx(kappa, rel=1e-8)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("regime", ["ridged", "ridgeless", "near_divergence"])
+def test_kappa_newton_matches_brent_oracle(regime, weighted):
+    # random spectra over 12 decades; near divergence is lam = 0 with P
+    # just below the number of positive modes, where the root is small
+    rng = np.random.default_rng([3, len(regime), weighted])
+    for _ in range(40):
+        m = int(rng.integers(1, 80))
+        eta = 10.0 ** rng.uniform(-12.0, 0.0, m)
+        eta[rng.random(m) < 0.1] = 0.0  # zero modes count for nothing
+        w = rng.integers(1, 5, m).astype(float) if weighted else None
+        n_pos = float(np.sum((np.ones(m) if w is None else w)[eta > 0]))
+        if n_pos == 0:
+            continue
+        if regime == "ridged":
+            P = float(rng.uniform(0.5, 3.0) * n_pos)
+            lam = float(10.0 ** rng.uniform(-12.0, 1.0))
+        elif regime == "ridgeless":
+            P, lam = float(rng.uniform(0.05, 0.95) * n_pos), 0.0
+        else:
+            P, lam = n_pos - float(rng.uniform(0.05, 0.5)), 0.0
+        if P <= 0:
+            continue
+        sol = solve_kappa(eta, P, lam, weights=w)
+        assert not sol.ridgeless
+        assert sol.residual <= KAPPA_RTOL
+        want = _kappa_brent(eta, P, lam, w)
+        assert sol.kappa == pytest.approx(want, rel=1e-13)
+    tiny = np.full(10, 1e-17)
+    assert solve_kappa(tiny, 5, 1.0).kappa == _kappa_brent(tiny, 5, 1.0)
+
+
+def test_kappa_stall_raises(monkeypatch):
+    # a solve cut short by the iteration cap must raise, not return the
+    # last iterate: with and without a ridge these need more than two
+    # Newton steps
+    monkeypatch.setattr(theory, "KAPPA_MAXITER", 2)
+    eta = 10.0 ** -np.arange(8.0)
+    for P, lam in ((4.0, 1e-6), (4.0, 0.0)):
+        with pytest.raises(RuntimeError, match="stalled"):
+            solve_kappa(eta, P, lam)
+    monkeypatch.undo()
+    for P, lam in ((4.0, 1e-6), (4.0, 0.0)):
+        assert solve_kappa(eta, P, lam).residual <= KAPPA_RTOL
 
 
 def test_kappa_weights_equal_repetition():
@@ -528,3 +610,51 @@ def test_curve_edge_regimes_finite_or_flagged(regime, seed, M, lam, noise):
         ref = prediction_row(P, predict_Eg(dec, abar, O, P, lam, noise))
         assert row[-1] == ref[-1]
         np.testing.assert_allclose(row, ref, rtol=1e-9, atol=1e-12)
+
+
+DENSITY_REGIMES = ("ridgeless", "collapsed", "off_support", "near_divergence")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    regime=st.sampled_from(DENSITY_REGIMES),
+    seed=st.integers(0, 10**6),
+    M=st.integers(6, 10),
+    noise=st.sampled_from([0.0, 0.05]),
+)
+def test_density_edge_regimes_finite_or_typed(regime, seed, M, noise):
+    # ridgeless interpolation around P = rank, collapsed modes carrying
+    # target weight, test mass off the training support and P within
+    # 1e-6 of the threshold: the density is finite, >= 0 and contracts
+    # to the curve's error, or it raises DivergenceError where the curve
+    # flags divergence
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((M, 2))
+    Y = rng.standard_normal((M, 1))
+    p = from_logits(0.3 * rng.standard_normal(M))
+    pt = from_logits(0.3 * rng.standard_normal(M))
+    K = gram(KernelSpec("rbf", lengthscale=1.5) if regime == "ridgeless"
+             else KernelSpec("linear"), X)
+    if regime == "off_support":
+        masses = p.masses.copy()
+        masses[rng.permutation(M)[:M // 2]] = 0.0
+        p = DiscreteMeasure(masses / masses.sum())
+    dec = mercer_decompose(K, p)
+    r = dec.rank
+    lam, grid = 1e-3, [1, r, 3 * M]
+    if regime == "ridgeless":
+        lam, grid = 0.0, sorted({max(r - 1, 1), r, r + 1})
+    elif regime == "near_divergence":
+        lam, grid = 0.0, [r - 1e-6, r + 1e-6]
+    abar = project_target(dec, Y)
+    for P in grid:
+        pred = predict_Eg_curve(K, Y, p, pt, [P], lam, noise, dec=dec)[0]
+        if pred.state.diverged:
+            with pytest.raises(DivergenceError):
+                pointwise_error_density(dec, abar, P, lam, noise, Y=Y)
+            continue
+        c = pointwise_error_density(dec, abar, P, lam, noise, Y=Y)
+        assert np.all(np.isfinite(c))
+        assert np.all(c >= 0.0)
+        assert float(pt.masses @ c) == pytest.approx(pred.Eg, rel=1e-9,
+                                                     abs=1e-12)
