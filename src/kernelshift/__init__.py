@@ -19,7 +19,6 @@ from .spectral import (
     SpectralDecomposition,
     cross_overlap_diagnostics,
     mercer_decompose,
-    nystrom_extend,
     overlap,
     project_target,
 )
@@ -28,7 +27,6 @@ from .theory import (
     TheoryPrediction,
     TheoryState,
     compute_state,
-    expected_estimator,
     pointwise_error_density,
     predict_Eg,
     predict_Eg_curve,
@@ -85,14 +83,12 @@ __all__ = [
     "SpectralDecomposition",
     "cross_overlap_diagnostics",
     "mercer_decompose",
-    "nystrom_extend",
     "overlap",
     "project_target",
     "DivergenceError",
     "TheoryPrediction",
     "TheoryState",
     "compute_state",
-    "expected_estimator",
     "pointwise_error_density",
     "predict_Eg",
     "predict_Eg_curve",

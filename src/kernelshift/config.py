@@ -10,13 +10,13 @@ artifact directory states exactly what produced it.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
-import re
+import operator
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .kernels import KernelSpec
@@ -74,27 +74,127 @@ def load_schema():
     return json.loads(text)
 
 
-def _pointer(error):
-    path = "/" + "/".join(str(p) for p in error.absolute_path)
-    if error.validator == "additionalProperties":
-        extras = re.findall(r"'([^']+)' (?:was|were) unexpected",
-                            error.message)
-        if not extras:
-            extras = re.findall(r"'([^']+)'", error.message)
+_schema = functools.cache(load_schema)   # read once per process
+
+
+# The Draft 2020-12 keywords the run-config schema uses, checked with the
+# messages jsonschema gives them.  A bool is not a number, an integral
+# float is an integer, and each keyword skips values of other types.
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int)
+                                            or v.is_integer()),
+}
+
+
+def _bound(fails, text):
+    def check(v, bound, schema, path, errors):
+        if _is_number(v) and fails(v, bound):
+            errors.append((len(path), f"{v!r} is {text} {bound!r}", path))
+    return check
+
+
+def _type(v, name, schema, path, errors):
+    if not _TYPES[name](v):
+        errors.append((len(path), f"{v!r} is not of type {name!r}", path))
+
+
+def _enum(v, options, schema, path, errors):
+    if v not in options:   # string options only: True would equal 1
+        errors.append((len(path), f"{v!r} is not one of {options!r}", path))
+
+
+def _min_items(v, n, schema, path, errors):
+    if isinstance(v, list) and len(v) < n:
+        text = "should be non-empty" if n == 1 else "is too short"
+        errors.append((len(path), f"{v!r} {text}", path))
+
+
+def _items(v, item_schema, schema, path, errors):
+    if isinstance(v, list):
+        for i, item in enumerate(v):
+            _check(item, item_schema, path + (i,), errors)
+
+
+def _properties(v, props, schema, path, errors):
+    if isinstance(v, dict):
+        for key, sub in props.items():
+            if key in v:
+                _check(v[key], sub, path + (key,), errors)
+
+
+def _required(v, keys, schema, path, errors):
+    if isinstance(v, dict):
+        for key in keys:
+            if key not in v:
+                errors.append((len(path), f"{key!r} is a required property",
+                               path))
+
+
+def _no_additional(v, allowed, schema, path, errors):
+    if allowed is False and isinstance(v, dict):
+        extras = sorted(k for k in v if k not in schema.get("properties", {}))
         if extras:
-            base = path.rstrip("/")
-            return f"{base}/{extras[0]}"
-    return path
+            verb = "was" if len(extras) == 1 else "were"
+            errors.append((len(path), "Additional properties are not allowed "
+                           f"({', '.join(map(repr, extras))} {verb} "
+                           "unexpected)", path + (extras[0],)))
+
+
+def _ref(v, ref, schema, path, errors):
+    target = _schema()
+    for part in ref.removeprefix("#/").split("/"):
+        target = target[part]
+    _check(v, target, path, errors)
+
+
+_KEYWORDS = {
+    "type": _type, "enum": _enum,
+    "minimum": _bound(operator.lt, "less than the minimum of"),
+    "maximum": _bound(operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(operator.le,
+                               "less than or equal to the minimum of"),
+    "minItems": _min_items, "items": _items, "properties": _properties,
+    "required": _required, "additionalProperties": _no_additional,
+    "$ref": _ref,
+}
+
+
+def _check(v, schema, path, errors):
+    """Append (depth, message, pointer path) for each violation at path."""
+    for keyword, arg in schema.items():
+        check = _KEYWORDS.get(keyword)
+        if check is not None:
+            check(v, arg, schema, path, errors)
+
+
+def _schema_error(doc):
+    """ConfigError for doc's schema violation, or None if there is none.
+
+    Of several violations the deepest is reported, ties going to the
+    greatest message; an unknown key is named by its own pointer.
+    """
+    errors = []
+    _check(doc, _schema(), (), errors)
+    if not errors:
+        return None
+    _, message, path = sorted(errors, key=lambda e: e[:2])[-1]
+    return ConfigError(message, "/" + "/".join(map(str, path)))
 
 
 def validate_document(doc):
     """Raise ConfigError naming the JSON pointer of the first violation."""
-    validator = jsonschema.Draft202012Validator(load_schema())
-    errors = sorted(validator.iter_errors(doc),
-                    key=lambda e: (len(list(e.absolute_path)), e.message))
-    if errors:
-        err = errors[-1]
-        raise ConfigError(err.message, _pointer(err))
+    error = _schema_error(doc)
+    if error is not None:
+        raise error
     command = doc["command"]
     for section in _REQUIRED_SECTIONS[command]:
         if section not in doc:

@@ -134,31 +134,6 @@ def mercer_decompose(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
     )
 
 
-def nystrom_extend(dec, K_cross, modes=None):
-    """Eigenfunction values at new points from kernel values to the support.
-
-    K_cross has shape (n_new, s) against dec.support (in support order).
-    Only modes with eta > 0 can be extended; asking for a collapsed mode
-    raises.
-    """
-    K_cross = np.asarray(K_cross, dtype=np.float64)
-    s = dec.support.size
-    if K_cross.ndim != 2 or K_cross.shape[1] != s:
-        raise ValueError(f"K_cross must be (n_new, {s}), got {K_cross.shape}")
-    if modes is None:
-        modes = np.arange(dec.rank)
-    else:
-        modes = np.atleast_1d(np.asarray(modes, dtype=int))
-        if np.any(modes >= dec.rank) or np.any(modes < 0):
-            raise ValueError(
-                "Nystrom extension is undefined for zero-eigenvalue modes "
-                f"(rank {dec.rank}, requested {modes})"
-            )
-    p_s = dec.measure.masses[dec.support]
-    Phi_s = dec.Phi[dec.support][:, modes]
-    return K_cross @ (p_s[:, None] * Phi_s) / dec.eigenvalues[modes]
-
-
 def project_target(dec, Y):
     """Coefficients abar = Phi^T diag(p) Y, shape (n_modes, C).
 

@@ -345,12 +345,6 @@ def predict_Eg(dec, abar, O, P, lam, noise):
     return _prediction(core, noise, bias_c, irr_c, overlap=Omat)
 
 
-def expected_estimator(dec, abar, P, lam):
-    """Dataset-averaged estimator coefficients P eta abar / (P eta + kappa)."""
-    abar = _as_columns(abar, dec.n_modes)
-    return (1.0 - _per_P(dec, abar, P, lam).q)[:, None] * abar
-
-
 def pointwise_error_density(dec, abar, P, lam, noise, Y=None):
     """Per-point error density c with Eg(ptilde) = sum_mu ptilde_mu c_mu.
 

@@ -24,14 +24,18 @@ from kernelshift.theory import (CURVE_COLUMNS, SupportError,
                                 predict_Eg_dataset)
 
 
-def test_cli_import_leaves_out_scipy_optimize_and_integrate():
-    # every command pays for what importing the CLI loads; the kappa
-    # solver needs neither module, so none of the CLI's code may load them
+def test_cli_import_leaves_out_scipy_optimize_and_integrate(tmp_path):
+    # every command pays for what importing the CLI and parsing its config
+    # load; the kappa solver needs neither scipy module and the config
+    # checker is in-repo, so none of the CLI's code may load them
     src = os.path.dirname(os.path.dirname(kernelshift.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_base_doc(), command="decompose")))
     code = ("import sys, kernelshift.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
-            "if m in sys.modules))")
+            f"kernelshift.cli.parse_config({str(cfg)!r}); "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', "
+            "'jsonschema') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"

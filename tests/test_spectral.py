@@ -9,8 +9,7 @@ from kernelshift.spectral import (SpectralDecomposition,
                                   cross_overlap_diagnostics,
                                   decomposition_cache_key,
                                   load_decomposition, mercer_decompose,
-                                  nystrom_extend, overlap, project_target,
-                                  save_decomposition)
+                                  overlap, project_target, save_decomposition)
 from kernelshift.theory import predict_Eg, predict_Eg_dataset
 
 
@@ -115,33 +114,20 @@ def test_zero_mass_points_solved_on_support():
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-def test_nystrom_reproduces_support_and_satisfies_identity():
-    K, _, p, _ = _instance(10, M=16)
-    dec = mercer_decompose(K, p)
-    sup = dec.support
-    back = nystrom_extend(dec, K[np.ix_(sup, sup)])
-    assert np.max(np.abs(back - dec.Phi[sup][:, :dec.rank])) < 1e-8
-    with pytest.raises(ValueError, match="zero-eigenvalue"):
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((8, 2))
-        Kl = gram(KernelSpec("linear"), X)
-        dl = mercer_decompose(Kl, uniform_measure(8))
-        nystrom_extend(dl, Kl[:2, :], modes=[dl.rank])
-
-
 def test_nystrom_matches_analytic_linear_eigenfunctions():
-    # for the linear kernel the extension must be the exact linear map
-    # x -> x . w_rho / (eta_rho D) with w_rho the weighted feature average
+    # for the linear kernel the off-support rows must be the exact linear
+    # map x -> x . w_rho / (eta_rho D), w_rho the weighted feature average
     rng = np.random.default_rng(11)
     X = rng.standard_normal((30, 4))
-    K = gram(KernelSpec("linear"), X)
     p = from_logits(0.3 * rng.standard_normal(30))
-    dec = mercer_decompose(K, p)
     X_new = rng.standard_normal((12, 4))
-    K_cross = gram(KernelSpec("linear"), X_new, X[dec.support])
-    ext = nystrom_extend(dec, K_cross)
+    K = gram(KernelSpec("linear"), np.vstack([X, X_new]))
+    dec = mercer_decompose(K, DiscreteMeasure(
+        np.concatenate([p.masses, np.zeros(12)])))
+    assert dec.offsupport.tolist() == list(range(30, 42))
+    ext = dec.Phi[dec.offsupport][:, :dec.rank]
     sup = dec.support
-    w = X[sup].T @ (p.masses[sup][:, None] * dec.Phi[sup][:, :dec.rank])
+    w = X.T @ (p.masses[:, None] * dec.Phi[sup][:, :dec.rank])
     analytic = X_new @ w / (4.0 * dec.eigenvalues[:dec.rank])
     assert np.max(np.abs(ext - analytic)) < 1e-6
 

@@ -18,10 +18,9 @@ from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import DiscreteMeasure, from_logits, uniform_measure
 from kernelshift.spectral import mercer_decompose, overlap, project_target
 from kernelshift.theory import (KAPPA_RTOL, DivergenceError, compute_state,
-                                expected_estimator, pointwise_error_density,
-                                predict_Eg, predict_Eg_curve,
-                                predict_Eg_dataset, prediction_row,
-                                solve_kappa)
+                                pointwise_error_density, predict_Eg,
+                                predict_Eg_curve, predict_Eg_dataset,
+                                prediction_row, solve_kappa)
 
 
 # ----------------------------------------------------------------------
@@ -398,23 +397,6 @@ def test_density_diverged_raises():
     with pytest.raises(DivergenceError, match="diverges"):
         pointwise_error_density(dec, abar, P=2, lam=0.0, noise=0.0,
                                 Y=rng.standard_normal((8, 1)))
-
-
-def test_expected_estimator_limits():
-    rng = np.random.default_rng(11)
-    X = rng.standard_normal((20, 3))
-    K = gram(KernelSpec("linear"), X)
-    Y = rng.standard_normal((20, 1))
-    p = from_logits(0.3 * rng.standard_normal(20))
-    dec = mercer_decompose(K, p)
-    assert dec.n_collapsed > 0
-    abar = project_target(dec, Y)
-    big = expected_estimator(dec, abar, P=10**9, lam=0.1)
-    assert np.max(np.abs(big[:dec.rank] - abar[:dec.rank])) < 1e-6
-    # collapsed modes are never learned at any sample size
-    assert np.max(np.abs(big[dec.rank:])) == 0.0
-    zero = expected_estimator(dec, abar, P=0, lam=0.1)
-    assert np.max(np.abs(zero)) < 1e-12
 
 
 # ----------------------------------------------------------------------
