@@ -35,7 +35,6 @@ from .theory import (
     solve_kappa,
 )
 from .closedform import (
-    ClosedFormResult,
     diagonal_linear_Eg,
     dot_product_kernel_spectrum,
     gaussian_linear_Eg,
@@ -95,7 +94,6 @@ __all__ = [
     "predict_Eg_dataset",
     "predict_Eg_train_grad",
     "solve_kappa",
-    "ClosedFormResult",
     "diagonal_linear_Eg",
     "dot_product_kernel_spectrum",
     "gaussian_linear_Eg",

@@ -265,7 +265,7 @@ def cmd_closed_form(rc, art, threads, cache_dir):
     P_grid, results = _closed_form_results(rc.section("closed_form"))
     art.write_csv("closed_form_curve.csv", CLOSED_COLUMNS,
                   [_closed_row(P, r) for P, r in zip(P_grid, results)])
-    if all(r.diverged for r in results):
+    if all(r.state.diverged for r in results):
         print("kernelshift: every grid point diverged (1 - gamma below "
               "tolerance)", file=sys.stderr)
         return EXIT_DIVERGENCE

@@ -1,23 +1,25 @@
 """Closed-form error predictions for linear and dot-product kernel models.
 
-These are analytic special cases of the general discrete prediction in
-``theory``: Gaussian input measures with a linear kernel, and uniform
-measures on hyperspheres with dot-product kernels. They serve both as
-fast predictors and as independent oracles for the general machinery.
+These are analytic special cases of the general prediction in ``theory``:
+Gaussian input measures with a linear kernel, and uniform measures on
+hyperspheres with dot-product kernels. Each model writes down its
+spectrum, target coefficients and test covariance in closed form, with no
+matrix diagonalization beyond the covariance's own, and the one spectrum
+core in ``theory`` turns them into a ``TheoryPrediction``. They are
+therefore not independent of the dataset theory; the flat two-block
+formula kept in ``tests/test_closedform.py`` is their oracle.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .kernels import KernelSpec, ntk_relu_eval
-from .theory import DIVERGENCE_TOL, compute_state, solve_kappa
+from .spectral import DEFAULT_RANK_THRESHOLD
+from .theory import _spectrum_prediction
 
 __all__ = [
-    "ClosedFormResult",
     "kappa_prime_flat",
     "gaussian_linear_Eg",
     "diagonal_linear_Eg",
@@ -28,28 +30,6 @@ __all__ = [
     "mode_spectrum_Eg",
     "ntk_sphere_Eg",
 ]
-
-
-@dataclass(frozen=True)
-class ClosedFormResult:
-    """Prediction from one of the analytic models.
-
-    Eg            predicted error under the test measure
-    Eg_matched    same-measure baseline (test measure = training measure)
-    kappa         implicit regularization at this sample size
-    gamma         trace factor controlling variance amplification
-    gamma_prime   overlap-weighted trace factor
-    irreducible   error floor from target power the estimator cannot reach
-    diverged      True when 1 - gamma fell below the divergence tolerance
-    """
-
-    Eg: float
-    Eg_matched: float
-    kappa: float
-    gamma: float
-    gamma_prime: float
-    irreducible: float
-    diverged: bool
 
 
 def kappa_prime_flat(alpha, lam_tilde):
@@ -72,21 +52,15 @@ def kappa_prime_flat(alpha, lam_tilde):
     return 0.5 * (b + root)
 
 
-def _finish(Eg_core, Eg_matched, kappa, gamma, gamma_prime, irreducible):
-    diverged = (1.0 - gamma) <= DIVERGENCE_TOL
-    if diverged:
-        return ClosedFormResult(np.inf, np.inf, kappa, gamma, gamma_prime,
-                                irreducible, True)
-    return ClosedFormResult(Eg_core, Eg_matched, kappa, gamma, gamma_prime,
-                            irreducible, False)
-
-
 def gaussian_linear_Eg(beta, C, C_tilde, P, lam, noise=0.0):
     """Error of linear-kernel regression between two Gaussian measures.
 
     Training inputs x ~ N(0, C), test inputs x ~ N(0, C_tilde), target
     f(x) = beta . x, kernel x . x' / D. Covariances may be singular and
-    need not commute.
+    need not commute. The modes are C's eigendirections u: eigenvalue
+    sigma^2/D, training power sigma^2, target coefficient u . beta and test
+    covariance U^T C_tilde U. Eigenvalues of C at or below
+    DEFAULT_RANK_THRESHOLD times the largest count as 0.
     """
     beta = np.asarray(beta, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -95,23 +69,9 @@ def gaussian_linear_Eg(beta, C, C_tilde, P, lam, noise=0.0):
     if C.shape != (D, D) or Ct.shape != (D, D):
         raise ValueError("covariance shapes must match beta dimension")
     sig2, U = np.linalg.eigh(C)
-    sig2 = np.clip(sig2, 0.0, None)
-    eta = sig2 / D
-    kappa = solve_kappa(eta, P, lam).kappa
-    denom = P * sig2 + kappa * D          # eigenvalues of P C + kappa D I
-    Ct_u = U.T @ Ct @ U
-    gamma = P * np.sum(sig2**2 / denom**2)
-    gamma_prime = P * np.sum(np.diag(Ct_u) * sig2 / denom**2)
-    b_u = U.T @ beta
-    g = b_u / denom                        # (P C + kappa D I)^{-1} beta
-    if (1.0 - gamma) <= DIVERGENCE_TOL:
-        return _finish(np.inf, np.inf, kappa, gamma, gamma_prime, 0.0)
-    Eg0 = gamma / (1.0 - gamma) * noise \
-        + (kappa * D) ** 2 / (1.0 - gamma) * np.sum(sig2 * g**2)
-    shift = Ct_u - (1.0 - gamma_prime) / (1.0 - gamma) * np.diag(sig2)
-    Eg = Eg0 + (gamma_prime - gamma) / (1.0 - gamma) * noise \
-        + (kappa * D) ** 2 * (g @ shift @ g)
-    return _finish(Eg, Eg0, kappa, gamma, gamma_prime, 0.0)
+    sig2[sig2 <= DEFAULT_RANK_THRESHOLD * max(sig2[-1], 0.0)] = 0.0
+    return _spectrum_prediction(sig2 / D, P, lam, noise, U.T @ beta,
+                                U.T @ Ct @ U, power=sig2)
 
 
 def diagonal_linear_Eg(P, D, M_r, beta, sigma2, sigma2_tilde, lam, noise=0.0):
@@ -143,33 +103,16 @@ def general_linear_Eg(P, M, M_r, M_s, beta, sigma2, sigma2_tilde, lam,
     the kernel cannot express acts as extra label noise, and target
     power on tested-but-never-learned directions is an error floor.
     """
-    beta = np.asarray(beta, dtype=float)
-    N_r = min(M, M_r)
-    N_rs = min(M, M_r, M_s)
-    alpha = P / N_r
-    lam_tilde = lam / (sigma2 * N_r / M)
-    kp = kappa_prime_flat(alpha, lam_tilde)
-    kappa = kp * sigma2 * N_r / M
-    gamma = alpha / (kp + alpha) ** 2
-    gamma_prime = (sigma2_tilde / sigma2) * (N_rs / N_r) * gamma
-    b2 = beta**2
-    learned = np.sum(b2[:N_r])
-    noise_like = np.sum(b2[N_r:M_r])
-    tested_learned = np.sum(b2[:N_rs])
-    floor = np.sum(b2[N_rs:M_s])
-    irreducible = sigma2_tilde * floor
-    if (1.0 - gamma) <= DIVERGENCE_TOL:
-        return _finish(np.inf, np.inf, kappa, gamma, gamma_prime, irreducible)
-    qsq = kp**2 / (alpha + kp) ** 2
-    bracket = (sigma2_tilde / sigma2 * noise
-               + sigma2_tilde * qsq * learned
-               + sigma2_tilde * noise_like)
-    Eg = (N_rs / N_r) * gamma / (1.0 - gamma) * bracket \
-        + sigma2_tilde * qsq * tested_learned + irreducible
-    bracket0 = noise + sigma2 * qsq * learned + sigma2 * noise_like
-    Eg0 = gamma / (1.0 - gamma) * bracket0 \
-        + sigma2 * qsq * learned + sigma2 * noise_like
-    return _finish(Eg, Eg0, kappa, gamma, gamma_prime, irreducible)
+    n = max(M_r, M_s)
+    i = np.arange(n)
+    b = np.zeros(n)
+    beta = np.asarray(beta, dtype=float)[:n]
+    b[:beta.shape[0]] = beta
+    eta = np.where(i < min(M, M_r), sigma2 / M, 0.0)
+    power = np.where(i < M_r, float(sigma2), 0.0)
+    return _spectrum_prediction(eta, P, lam, noise, b,
+                                np.where(i < M_s, float(sigma2_tilde), 0.0),
+                                power)
 
 
 def optimal_ridge(M_r, D, noise, target_power=1.0):
@@ -240,28 +183,15 @@ def mode_spectrum_Eg(eta, degeneracy, abar_sq, P, lam, noise=0.0,
     covers concentric spheres. Spectral mass beyond the last resolved
     degree enters as tail_eta (eigenvalue mass, absorbed into the ridge
     since it is unlearnable at these sample sizes) and tail_abar_sq
-    (target power there, acting as label noise plus an error floor).
+    (target power there, acting as label noise plus an error floor). The
+    tail is one eta = 0 block, and so is every degree whose eigenvalue is
+    0, so target power on such a degree counts in the floor as well.
     """
-    eta = np.asarray(eta, dtype=float)
-    degeneracy = np.asarray(degeneracy, dtype=float)
-    abar_sq = np.asarray(abar_sq, dtype=float)
-    lam_eff = lam + tail_eta
-    kappa = solve_kappa(eta, P, lam_eff, weights=degeneracy).kappa
-    st = compute_state(eta, P, lam_eff, kappa=kappa, weights=degeneracy)
-    gamma = st.gamma
-    gamma_prime = overlap_scale * gamma
-    irreducible = overlap_scale * tail_abar_sq
-    if (1.0 - gamma) <= DIVERGENCE_TOL:
-        return _finish(np.inf, np.inf, kappa, gamma, gamma_prime, irreducible)
-    q = np.ones_like(eta)
-    pos = eta > 0
-    q[pos] = kappa / (P * eta[pos] + kappa)
-    Wsq = np.sum(q**2 * abar_sq)
-    variance = gamma_prime / (1.0 - gamma) * (noise + Wsq + tail_abar_sq)
-    Eg = variance + overlap_scale * Wsq + irreducible
-    var0 = gamma / (1.0 - gamma) * (noise + Wsq + tail_abar_sq)
-    Eg0 = var0 + Wsq + tail_abar_sq
-    return _finish(Eg, Eg0, kappa, gamma, gamma_prime, irreducible)
+    eta = np.append(np.asarray(eta, dtype=float), 0.0)
+    b = np.sqrt(np.append(np.asarray(abar_sq, dtype=float), tail_abar_sq))
+    return _spectrum_prediction(
+        eta, P, lam + tail_eta, noise, b, np.full(eta.shape, overlap_scale),
+        weights=np.append(np.asarray(degeneracy, dtype=float), 1.0))
 
 
 def ntk_sphere_Eg(P, D, k_stage, eta_bar, abar_sq, lam, noise=0.0,

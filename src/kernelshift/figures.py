@@ -28,8 +28,9 @@ CLOSED_COLUMNS = ("P", "Eg", "Eg_matched", "kappa", "gamma", "gamma_prime",
 
 
 def _closed_row(P, r):
-    return (float(P), r.Eg, r.Eg_matched, r.kappa, r.gamma, r.gamma_prime,
-            r.irreducible, int(r.diverged))
+    s = r.state
+    return (float(P), r.Eg, r.Eg_matched, s.kappa, s.gamma, s.gamma_prime,
+            r.irreducible, int(s.diverged))
 
 
 def _child_seed(seed, label):
@@ -167,7 +168,8 @@ def reproduce_fig3b(art, seed, trials=30, threads=1):
         theory_rows += [(lam,) + _closed_row(P, r)
                         for P, r in zip(P_theory, results)]
         diverged_points += [{"lam": lam, "P": P}
-                            for P, r in zip(P_theory, results) if r.diverged]
+                            for P, r in zip(P_theory, results)
+                            if r.state.diverged]
         points = run_continuous_curve(
             spec, sample_train, target, test_X, P_mc, lam, noise, trials,
             _child_seed(seed, f"fig3b-mc-{lam}"), threads=threads)

@@ -26,15 +26,15 @@ R = Y - Phi_in abar_in, which is the collapsed modes' part of the target
 and is defined even where the test measure leaves the training support
 (collapsed modes cannot be evaluated there).  `predict_Eg_curve` and
 `pointwise_error_density` use these rows; `predict_Eg` takes an explicit
-overlap matrix instead.
+overlap matrix instead, through the same spectrum core as every analytic
+model in `closedform`.
 
 Everything is per output column and summed over columns; the noise level is
 a scalar shared by all outputs.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,7 +79,8 @@ class TheoryPrediction:
     """Predicted error and its split at one P.
 
     `overlap` is the (n_modes, n_modes) overlap predict_Eg used, or None
-    for a curve prediction (which builds none) or a diverged one.
+    for a diverged one and for every other route: a curve builds none, and
+    a closed form's test covariance is not an overlap of normalized modes.
     """
 
     Eg: float
@@ -174,18 +175,12 @@ def solve_kappa(eigenvalues, P, lam, weights=None):
     return KappaSolution(kappa=float(kappa), residual=float(residual))
 
 
-def compute_state(eigenvalues, P, lam, O_diag=None, kappa=None, weights=None):
+def compute_state(eigenvalues, P, lam, O_diag=None, weights=None):
     """gamma, gamma' and the divergence flag at the self-consistent kappa."""
     eta, w = _validated_spectrum(eigenvalues, weights)
-    if kappa is None:
-        sol = solve_kappa(eta, P, lam, weights=weights)
-        kappa, ridgeless = sol.kappa, sol.ridgeless
-    elif isinstance(kappa, KappaSolution):
-        kappa, ridgeless = kappa.kappa, kappa.ridgeless
-    else:
-        ridgeless = False
+    sol = solve_kappa(eta, P, lam, weights=weights)
     P = float(P)
-    denom = P * eta + kappa
+    denom = P * eta + sol.kappa
     frac = np.zeros_like(eta)
     ok = denom > 0
     frac[ok] = P * eta[ok] ** 2 / denom[ok] ** 2
@@ -200,11 +195,11 @@ def compute_state(eigenvalues, P, lam, O_diag=None, kappa=None, weights=None):
     return TheoryState(
         P=P,
         lam=float(lam),
-        kappa=float(kappa),
+        kappa=float(sol.kappa),
         gamma=gamma,
         gamma_prime=gamma_prime,
         diverged=bool(1.0 - gamma < DIVERGENCE_TOL),
-        ridgeless=ridgeless,
+        ridgeless=sol.ridgeless,
     )
 
 
@@ -217,40 +212,32 @@ def _as_columns(abar, n_modes):
     return abar
 
 
-class _PerP(NamedTuple):
-    """kappa and the mode weights at one P, shared by every error route."""
+def _per_P(eta, P, lam, weights=None, O_diag=None):
+    """Solve kappa at P and weight the modes: (state, d, q).
 
-    state: TheoryState
-    d: np.ndarray    # 1/(P eta + kappa) on in-RKHS modes, 0 on collapsed ones
-    q: np.ndarray    # kappa/(P eta + kappa), 1 on collapsed modes
-    W: np.ndarray    # q o abar, (n_modes, C)
-    wsq: np.ndarray  # |W_c|^2 = in-RKHS power + collapsed target power, (C,)
-
-
-def _per_P(dec, abar, P, lam, O_diag_in=None):
-    """Solve kappa at P and weight the modes.
-
-    O_diag_in is the test-measure overlap diagonal over the in-RKHS modes
-    (gamma' = gamma without it).  Collapsed modes are treated as exactly
-    out-of-RKHS (eta = 0), so q = 1 there even in the ridgeless limit
-    kappa -> 0.  noise + wsq is eps_eff^2 + |W_in|^2 per output.
+    eta = 0 marks a mode out of the RKHS or off the training support, so
+    q = 1 there even in the ridgeless limit kappa -> 0; elsewhere
+    d = 1/(P eta + kappa) and q = kappa d.  weights are mode multiplicities
+    and O_diag the test-overlap diagonal of gamma' (gamma' = gamma without
+    it).
     """
-    eta = dec.eigenvalues.copy()
-    rank = dec.rank
-    eta[rank:] = 0.0
-    sol = solve_kappa(eta, P, lam)
-    O_diag = None
-    if O_diag_in is not None:
-        # collapsed modes have eta = 0 and never contribute to gamma'
-        O_diag = np.zeros_like(eta)
-        O_diag[:rank] = O_diag_in
-    state = compute_state(eta, P, lam, O_diag=O_diag, kappa=sol)
+    pos = eta > 0
+    if O_diag is not None:
+        # eta = 0 modes never weigh in gamma', even where O_diag is not finite
+        O_diag = np.where(pos, O_diag, 0.0)
+    state = compute_state(eta, P, lam, O_diag, weights)
     d = np.zeros_like(eta)
-    d[:rank] = 1.0 / (float(P) * eta[:rank] + sol.kappa)
+    d[pos] = 1.0 / (state.P * eta[pos] + state.kappa)
     q = np.ones_like(eta)
-    q[:rank] = sol.kappa * d[:rank]
-    W = q[:, None] * abar
-    return _PerP(state, d, q, W, np.einsum("rc,rc->c", W, W))
+    q[pos] = state.kappa * d[pos]
+    return state, d, q
+
+
+def _masked_eta(dec):
+    """Eigenvalues with the collapsed modes set to exactly 0."""
+    eta = dec.eigenvalues.copy()
+    eta[dec.rank:] = 0.0
+    return eta
 
 
 def _rows(dec, abar, Y):
@@ -294,15 +281,18 @@ def _diverged_prediction(state):
     )
 
 
-def _prediction(core, noise, bias_c, irr_c, overlap=None):
-    """Variance and matched baseline from the per-P core, bias given."""
-    s = core.state
-    one_minus = 1.0 - s.gamma
-    n_eff = float(noise) + core.wsq
-    variance_c = s.gamma_prime / one_minus * n_eff
+def _prediction(state, noise, wsq, bias_c, irr_c):
+    """Variance and matched baseline at a finite state, bias given.
+
+    wsq is |W_c|^2 under the training measure, so noise + wsq is
+    eps_eff^2 + |W_in|^2 per output.
+    """
+    one_minus = 1.0 - state.gamma
+    n_eff = float(noise) + wsq
+    variance_c = state.gamma_prime / one_minus * n_eff
     Eg = float(np.sum(variance_c + bias_c))
     # matched-measure baseline: O = identity
-    Eg_matched = float(np.sum(s.gamma / one_minus * n_eff + core.wsq))
+    Eg_matched = float(np.sum(state.gamma / one_minus * n_eff + wsq))
     return TheoryPrediction(
         Eg=Eg,
         bias=float(np.sum(bias_c)),
@@ -310,9 +300,42 @@ def _prediction(core, noise, bias_c, irr_c, overlap=None):
         Eg_matched=Eg_matched,
         delta=Eg - Eg_matched,
         irreducible=float(np.sum(irr_c)),
-        state=s,
-        overlap=overlap,
+        state=state,
     )
+
+
+def _spectrum_prediction(eta, P, lam, noise, b, Ct, power=None, weights=None):
+    """Prediction at one P from a spectrum and the test covariance of its
+    modes, the one core under predict_Eg and every closed form.
+
+    Mode r has eigenvalue eta_r (0 out of the RKHS or off the training
+    support), training power power_r, its mean square under the training
+    measure (1 when omitted), and target coefficients b_r, one column per
+    output.  Ct is the test covariance of the modes, full or as its
+    diagonal; the test overlap of the normalized modes has diagonal
+    Ct_rr/power_r, which weights gamma'.  weights are mode multiplicities.
+    With W = q o b the bias is W^T Ct W and the irreducible error is the
+    same form on the eta = 0 block.
+    """
+    b = _as_columns(b, eta.shape[0])
+    Ct = np.asarray(Ct, dtype=np.float64)
+    if Ct.ndim == 1:
+        Ct = np.diag(Ct)
+    O_diag = np.diag(Ct)
+    if power is not None:
+        O_diag = np.divide(O_diag, power, out=np.zeros_like(O_diag),
+                           where=power > 0)
+    state, _, q = _per_P(eta, P, lam, weights, O_diag)
+    if state.diverged:
+        return _diverged_prediction(state)
+    W = q[:, None] * b
+    PW = W if power is None else power[:, None] * W
+    out = eta == 0
+    b_out = b[out]
+    return _prediction(state, noise, np.einsum("rc,rc->c", W, PW),
+                       np.einsum("rc,rc->c", W, Ct @ W),
+                       np.einsum("oc,oc->c", b_out,
+                                 Ct[np.ix_(out, out)] @ b_out))
 
 
 def _check_noise(noise):
@@ -329,20 +352,14 @@ def predict_Eg(dec, abar, O, P, lam, noise):
     variance eps^2.
     """
     m = dec.n_modes
-    rank = dec.rank
-    abar = _as_columns(abar, m)
     Omat = O.O if isinstance(O, OverlapMatrix) else np.asarray(O, dtype=np.float64)
     if Omat.shape != (m, m):
         raise ValueError(f"overlap must be ({m},{m}), got {Omat.shape}")
     _check_noise(noise)
-    core = _per_P(dec, abar, P, lam, np.diag(Omat)[:rank])
-    if core.state.diverged:
-        return _diverged_prediction(core.state)
-    W = core.W
-    bias_c = np.einsum("rc,rc->c", W, Omat @ W)
-    out = abar[rank:]
-    irr_c = np.einsum("oc,oc->c", out, Omat[rank:, rank:] @ out)
-    return _prediction(core, noise, bias_c, irr_c, overlap=Omat)
+    pred = _spectrum_prediction(_masked_eta(dec), P, lam, noise, abar, Omat)
+    if pred.state.diverged:
+        return pred
+    return replace(pred, overlap=Omat)
 
 
 def pointwise_error_density(dec, abar, P, lam, noise, Y=None):
@@ -357,17 +374,18 @@ def pointwise_error_density(dec, abar, P, lam, noise, Y=None):
     abar = _as_columns(abar, dec.n_modes)
     _check_noise(noise)
     Phi_in, R = _rows(dec, abar, Y)
-    core = _per_P(dec, abar, P, lam)
-    s = core.state
+    s, d, q = _per_P(_masked_eta(dec), P, lam)
     if s.diverged:
         raise DivergenceError(
             "pointwise density undefined: predicted error diverges "
             f"(1 - gamma = {1.0 - s.gamma:.3e})"
         )
-    e = dec.eigenvalues[:dec.rank] * core.d[:dec.rank]
+    W = q[:, None] * abar
+    e = dec.eigenvalues[:dec.rank] * d[:dec.rank]
     gamma_mu = Phi_in**2 @ (float(P) * e * e)  # per-point gamma'
-    mean = Phi_in @ core.W[:dec.rank] + R  # estimator shortfall at each point
-    return gamma_mu / (1.0 - s.gamma) * float(np.sum(float(noise) + core.wsq)) \
+    mean = Phi_in @ W[:dec.rank] + R  # estimator shortfall at each point
+    wsq = np.einsum("rc,rc->c", W, W)
+    return gamma_mu / (1.0 - s.gamma) * float(np.sum(float(noise) + wsq)) \
         + np.einsum("mc,mc->m", mean, mean)
 
 
@@ -397,16 +415,20 @@ def predict_Eg_curve(K, Y, p, ptilde, P_grid, lam, noise, rank_threshold=None,
     abar = project_target(dec, Y)
     Phi_in, R = _rows(dec, abar, Y)
     w = ptilde.masses
-    O_diag_in = w @ Phi_in**2
+    eta = _masked_eta(dec)
+    O_diag = np.zeros_like(eta)
+    O_diag[:dec.rank] = w @ Phi_in**2
     irr_c = w @ R**2
     preds = []
     for P in P_grid:
-        core = _per_P(dec, abar, P, lam, O_diag_in)
-        if core.state.diverged:
-            preds.append(_diverged_prediction(core.state))
+        state, _, q = _per_P(eta, P, lam, O_diag=O_diag)
+        if state.diverged:
+            preds.append(_diverged_prediction(state))
             continue
-        mean = Phi_in @ core.W[:dec.rank] + R
-        preds.append(_prediction(core, noise, w @ mean**2, irr_c))
+        W = q[:, None] * abar
+        mean = Phi_in @ W[:dec.rank] + R
+        preds.append(_prediction(state, noise, np.einsum("rc,rc->c", W, W),
+                                 w @ mean**2, irr_c))
     return preds
 
 
@@ -468,8 +490,7 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
     abar = project_target(dec, Y)
     O = overlap(dec, ptilde).O
 
-    core = _per_P(dec, abar, P, lam, np.diag(O)[:rank])
-    state = core.state
+    state, d, q = _per_P(_masked_eta(dec), P, lam, O_diag=np.diag(O))
     one_minus = 1.0 - state.gamma
     if state.diverged:
         raise DivergenceError(
@@ -477,11 +498,11 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
             "error diverges, so it has no gradient")
     gamma_p = state.gamma_prime
     eta = dec.eigenvalues  # d = 0 masks the collapsed ones wherever it enters
-    d, q, W = core.d, core.q, core.W
+    W = q[:, None] * abar
     e = eta * d
     rho = gamma_p / one_minus
     OW = O @ W
-    N = float(np.sum(float(noise) + core.wsq))
+    N = float(np.sum(float(noise) + np.einsum("rc,rc->c", W, W)))
     Eg = float(np.sum(W * OW)) + rho * N
 
     # adjoint of Q (eigenbasis); gamma and gamma' depend on Q via S = I - Q

@@ -1,8 +1,12 @@
 """Analytic linear and dot-product kernel models: reductions to the
 general engine, limits, and the sphere spectrum quadrature."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelshift.closedform import (diagonal_linear_Eg,
                                     dot_product_kernel_spectrum,
@@ -11,7 +15,46 @@ from kernelshift.closedform import (diagonal_linear_Eg,
                                     kappa_prime_flat, mode_spectrum_Eg,
                                     ntk_sphere_Eg, optimal_ridge)
 from kernelshift.kernels import KernelSpec, ntk_relu_eval
-from kernelshift.theory import KAPPA_RTOL, solve_kappa
+from kernelshift.theory import DIVERGENCE_TOL, KAPPA_RTOL, solve_kappa
+
+
+def _flat_oracle(P, M, M_r, M_s, beta, sigma2, sigma2_tilde, lam, noise):
+    """The rank-limited linear model in closed form, on two flat blocks.
+
+    Learning is paced by N_r = min(M, M_r) identical eigenvalues
+    sigma2/M, so kappa comes from kappa_prime_flat and every sum is a
+    block count; general_linear_Eg must agree with it through the
+    general spectrum core.
+    """
+    beta = np.asarray(beta, dtype=float)
+    N_r = min(M, M_r)
+    N_rs = min(M, M_r, M_s)
+    alpha = P / N_r
+    lam_tilde = lam / (sigma2 * N_r / M)
+    kp = kappa_prime_flat(alpha, lam_tilde)
+    kappa = kp * sigma2 * N_r / M
+    gamma = alpha / (kp + alpha) ** 2
+    gamma_prime = (sigma2_tilde / sigma2) * (N_rs / N_r) * gamma
+    b2 = beta**2
+    learned = np.sum(b2[:N_r])
+    noise_like = np.sum(b2[N_r:M_r])
+    tested_learned = np.sum(b2[:N_rs])
+    irreducible = sigma2_tilde * np.sum(b2[N_rs:M_s])
+    out = dict(kappa=kappa, gamma=gamma, gamma_prime=gamma_prime,
+               irreducible=irreducible,
+               diverged=(1.0 - gamma) <= DIVERGENCE_TOL)
+    if out["diverged"]:
+        return out
+    qsq = kp**2 / (alpha + kp) ** 2
+    bracket = (sigma2_tilde / sigma2 * noise
+               + sigma2_tilde * qsq * learned
+               + sigma2_tilde * noise_like)
+    out["Eg"] = (N_rs / N_r) * gamma / (1.0 - gamma) * bracket \
+        + sigma2_tilde * qsq * tested_learned + irreducible
+    bracket0 = noise + sigma2 * qsq * learned + sigma2 * noise_like
+    out["Eg_matched"] = gamma / (1.0 - gamma) * bracket0 \
+        + sigma2 * qsq * learned + sigma2 * noise_like
+    return out
 
 
 def test_kappa_prime_flat_solves_fixed_point():
@@ -55,9 +98,33 @@ def test_kappa_prime_flat_within_solver_tolerance():
 
 def test_ridgeless_above_threshold_is_exactly_zero():
     r = general_linear_Eg(11, 10, 10, 10, np.ones(10), 1, 1, lam=0)
-    assert r.kappa == 0.0
+    assert r.state.kappa == 0.0
     assert r.Eg == 0.0
-    assert not r.diverged
+    assert not r.state.diverged
+
+
+def test_general_linear_matches_flat_oracle():
+    # the spectrum core against the two-block closed form, across ranks,
+    # ridges from ridgeless up, and P below, at and above every rank
+    beta = np.random.default_rng(5).standard_normal(30)
+    fields = ("Eg", "Eg_matched", "kappa", "gamma", "gamma_prime",
+              "irreducible")
+    for M, M_r, M_s, lam, P, (s2, s2t) in itertools.product(
+            (5, 10, 20), (5, 10, 30), (3, 10, 30), (0.0, 1e-6, 1e-2, 0.5),
+            (1, 3, 5, 9, 10, 11, 20, 31, 100, 1e5), ((1.0, 1.0), (1.3, 0.6))):
+        r = general_linear_Eg(P, M, M_r, M_s, beta, s2, s2t, lam, 0.05)
+        want = _flat_oracle(P, M, M_r, M_s, beta, s2, s2t, lam, 0.05)
+        case = (M, M_r, M_s, lam, P, s2, s2t)
+        assert r.state.diverged == want["diverged"], case
+        if want["diverged"]:
+            continue
+        got = dict(Eg=r.Eg, Eg_matched=r.Eg_matched, kappa=r.state.kappa,
+                   gamma=r.state.gamma, gamma_prime=r.state.gamma_prime,
+                   irreducible=r.irreducible)
+        for f in fields:
+            assert abs(got[f] - want[f]) <= 1e-10 * max(abs(got[f]),
+                                                         abs(want[f])), \
+                (case, f, got[f], want[f])
 
 
 def test_gaussian_reduces_to_diagonal():
@@ -74,7 +141,36 @@ def test_gaussian_reduces_to_diagonal():
                                lam=0.05, noise=0.1)
         assert a.Eg == pytest.approx(b.Eg, abs=1e-12)
         assert a.Eg_matched == pytest.approx(b.Eg_matched, abs=1e-12)
-        assert a.kappa == pytest.approx(b.kappa, abs=1e-12)
+        assert a.state.kappa == pytest.approx(b.state.kappa, abs=1e-12)
+        assert a.irreducible == pytest.approx(b.irreducible, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaussian_ridgeless_singular_matches_diagonal():
+    # a training covariance of rank M_r with no ridge: C's null directions
+    # are out of the RKHS (q = 1 there), so P above the rank gives the
+    # lam -> 0 limit and P at the rank diverges, never a NaN
+    D = 9
+    beta = np.random.default_rng(6).standard_normal(D)
+    for M_r in (2, 5):
+        C = np.diag((np.arange(D) < M_r).astype(float))
+        for P in (M_r - 1, M_r, M_r + 1, 4 * M_r):
+            a = gaussian_linear_Eg(beta, C, np.eye(D), P, lam=0.0,
+                                   noise=0.05)
+            b = diagonal_linear_Eg(P, D, M_r, beta, 1.0, 1.0, lam=0.0,
+                                   noise=0.05)
+            assert a.state.diverged == b.state.diverged == (P == M_r)
+            for f in ("Eg", "Eg_matched", "bias", "variance",
+                      "irreducible"):
+                assert getattr(a, f) == pytest.approx(getattr(b, f),
+                                                      rel=1e-12, abs=1e-12)
+            for f in ("kappa", "gamma", "gamma_prime"):
+                assert getattr(a.state, f) == pytest.approx(
+                    getattr(b.state, f), rel=1e-12, abs=1e-12)
+    r = gaussian_linear_Eg(np.ones(3), np.diag([1.0, 0.5, 0.0]), np.eye(3),
+                           5, lam=0.0, noise=0.05)
+    assert r.Eg == pytest.approx(1.05, rel=1e-12)
+    assert r.irreducible == pytest.approx(1.0, rel=1e-12)
 
 
 def test_diagonal_reduces_to_general():
@@ -88,6 +184,26 @@ def test_diagonal_reduces_to_general():
                               sigma2_tilde=0.8, lam=0.02, noise=0.05)
         assert a.Eg == pytest.approx(b.Eg, abs=1e-12)
         assert a.irreducible == pytest.approx(b.irreducible, abs=1e-12)
+
+
+def test_gaussian_singular_rotation_invariant():
+    # a rotation of both covariances and beta leaves the error unchanged;
+    # eigh leaves the rotated C's null eigenvalues at about 1e-16, which
+    # must count as 0, not as modes with huge test-to-train ratios
+    rng = np.random.default_rng(7)
+    D, r = 6, 3
+    C = np.diag([2.0, 1.0, 0.5, 0.0, 0.0, 0.0])
+    Ct = np.diag(rng.uniform(0.5, 1.5, D))
+    beta = rng.standard_normal(D)
+    Q = np.linalg.qr(rng.standard_normal((D, D)))[0]
+    for P in (r - 1, r, r + 1, 3 * r):
+        for lam in (0.0, 1e-3):
+            a = gaussian_linear_Eg(beta, C, Ct, P, lam, noise=0.05)
+            b = gaussian_linear_Eg(Q @ beta, Q @ C @ Q.T, Q @ Ct @ Q.T, P,
+                                   lam, noise=0.05)
+            assert a.state.diverged == b.state.diverged
+            assert a.Eg == pytest.approx(b.Eg, rel=1e-9)
+            assert a.irreducible == pytest.approx(b.irreducible, rel=1e-9)
 
 
 def test_gaussian_matched_equals_baseline():
@@ -142,7 +258,7 @@ def test_divergence_at_interpolation_threshold():
     beta = np.ones(10)
     r = general_linear_Eg(10, M=10, M_r=10, M_s=10, beta=beta, sigma2=1.0,
                           sigma2_tilde=1.0, lam=0.0, noise=0.1)
-    assert r.diverged
+    assert r.state.diverged
     assert np.isinf(r.Eg)
 
 
@@ -245,7 +361,7 @@ def test_mode_spectrum_agrees_with_general_kappa():
     abar = np.array([1.0, 0.5])
     r = mode_spectrum_Eg(eta, degen, abar, P=9, lam=0.02)
     kappa = solve_kappa(np.repeat(eta, degen.astype(int)), 9, 0.02).kappa
-    assert r.kappa == pytest.approx(kappa, abs=1e-12)
+    assert r.state.kappa == pytest.approx(kappa, abs=1e-12)
 
 
 def test_ntk_sphere_radius_scaling_and_limits():
@@ -267,6 +383,74 @@ def test_ntk_sphere_radius_scaling_and_limits():
     assert big.Eg < 1e-4
     with pytest.raises(ValueError):
         ntk_sphere_Eg(10, D, k_max + 1, eta_bar, abar_sq, lam=0.01)
+
+
+def _spd(rng, D, rank):
+    A = rng.standard_normal((D, rank))
+    return A @ A.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(("gaussian_linear", "general_linear",
+                           "mode_spectrum")),
+    seed=st.integers(0, 10**6),
+    lam=st.sampled_from([0.0, 1e-3]),
+    noise=st.sampled_from([0.0, 0.05]),
+)
+def test_closed_form_edge_regimes_finite_or_flagged(model, seed, lam, noise):
+    # ridgeless fits, singular and non-commuting covariances, degrees of
+    # eigenvalue 0, and P below, at and above every rank: each field is
+    # finite, or inf with state.diverged, and never NaN
+    rng = np.random.default_rng(seed)
+    if model == "gaussian_linear":
+        D = int(rng.integers(2, 7))
+        r, rt = (int(k) for k in rng.integers(0, D + 1, size=2))
+        beta = rng.standard_normal(D)
+        C, Ct = _spd(rng, D, r), _spd(rng, D, rt)
+        ranks = (r, rt, D)
+
+        def predict(P):
+            return gaussian_linear_Eg(beta, C, Ct, P, lam, noise)
+    elif model == "general_linear":
+        M, M_r, M_s = (int(k) for k in rng.integers(1, 9, size=3))
+        beta = rng.standard_normal(int(rng.integers(1, 12)))
+        s2, s2t = rng.uniform(0.2, 2.0, size=2)
+        ranks = (M, M_r, M_s)
+
+        def predict(P):
+            return general_linear_Eg(P, M, M_r, M_s, beta, s2, s2t, lam,
+                                     noise)
+    else:
+        # on the 5-sphere the depth-two relu NTK has eigenvalue 0 at
+        # degrees 3, 5 and 7
+        eta, degen = dot_product_kernel_spectrum(
+            KernelSpec("ntk_relu", depth=2), 5, k_max=7)
+        assert eta[3] == 0.0
+        abar_sq = rng.uniform(0.0, 1.0, size=8) * (rng.random(8) < 0.6)
+        scale = float(rng.choice([0.25, 1.0, 3.0]))
+        tail_eta = float(rng.choice([0.0, 1e-3]))
+        tail_abar_sq = float(rng.choice([0.0, 0.2]))
+        pos = eta > 0
+        ranks = (int(degen[pos].sum()), int(degen[pos][:2].sum()))
+
+        def predict(P):
+            return mode_spectrum_Eg(eta, degen, abar_sq, P, lam, noise,
+                                    overlap_scale=scale, tail_eta=tail_eta,
+                                    tail_abar_sq=tail_abar_sq)
+    grid = sorted({max(P, 1) for k in ranks for P in (k - 1, k, k + 1)}
+                  | {3 * max(ranks) + 5})
+    for P in grid:
+        pred = predict(P)
+        s = pred.state
+        values = np.array([pred.Eg, pred.Eg_matched, pred.bias,
+                           pred.variance, pred.delta, pred.irreducible,
+                           s.kappa, s.gamma, s.gamma_prime])
+        assert not np.any(np.isnan(values)), (P, values)
+        if s.diverged:
+            assert np.isinf(pred.Eg)
+        else:
+            assert np.all(np.isfinite(values)), (P, values)
 
 
 def test_closed_form_validation():
