@@ -15,11 +15,9 @@ from .measures import (
 )
 from .kernels import KernelSpec, gram, ntk_relu_eval
 from .spectral import (
-    OverlapMatrix,
     SpectralDecomposition,
     cross_overlap_diagnostics,
     mercer_decompose,
-    overlap,
     project_target,
 )
 from .theory import (
@@ -28,7 +26,6 @@ from .theory import (
     TheoryState,
     compute_state,
     pointwise_error_density,
-    predict_Eg,
     predict_Eg_curve,
     predict_Eg_dataset,
     predict_Eg_train_grad,
@@ -78,18 +75,15 @@ __all__ = [
     "KernelSpec",
     "gram",
     "ntk_relu_eval",
-    "OverlapMatrix",
     "SpectralDecomposition",
     "cross_overlap_diagnostics",
     "mercer_decompose",
-    "overlap",
     "project_target",
     "DivergenceError",
     "TheoryPrediction",
     "TheoryState",
     "compute_state",
     "pointwise_error_density",
-    "predict_Eg",
     "predict_Eg_curve",
     "predict_Eg_dataset",
     "predict_Eg_train_grad",

@@ -28,7 +28,7 @@ from .config import (ConfigError, RunConfig, build_dataset, build_kernel,
                      build_measure, parse_config, validate_document)
 from .empirical import (EMPIRICAL_COLUMNS, EmpiricalPoint, compare_report,
                         run_learning_curve)
-from .figures import CLOSED_COLUMNS, FIGURES, _closed_row
+from .figures import FIGURES
 from .io import ArtifactDir, read_csv_columns
 from .kernels import KernelSpec, gram, ntk_relu_eval
 from .measures import from_logits
@@ -152,7 +152,6 @@ def _optimizer_config(sec):
         steps=int(sec["steps"]),
         mode=sec["mode"],
         convergence_tol=float(sec["convergence_tol"]),
-        backtracking=bool(sec["backtracking"]),
     )
 
 
@@ -263,8 +262,8 @@ def _closed_form_results(sec):
 
 def cmd_closed_form(rc, art, threads, cache_dir):
     P_grid, results = _closed_form_results(rc.section("closed_form"))
-    art.write_csv("closed_form_curve.csv", CLOSED_COLUMNS,
-                  [_closed_row(P, r) for P, r in zip(P_grid, results)])
+    art.write_csv("closed_form_curve.csv", CURVE_COLUMNS,
+                  [prediction_row(P, r) for P, r in zip(P_grid, results)])
     if all(r.state.diverged for r in results):
         print("kernelshift: every grid point diverged (1 - gamma below "
               "tolerance)", file=sys.stderr)

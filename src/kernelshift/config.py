@@ -36,7 +36,7 @@ _DEFAULTS = {
     "empirical": {"trials": 100},
     "optimizer": {"lambda": 0.0, "noise": 0.0, "learning_rate": 1.0,
                   "steps": 2000, "mode": "descent", "fd_step": 1e-5,
-                  "convergence_tol": 1e-6, "backtracking": True},
+                  "convergence_tol": 1e-6},
     "closed_form": {"lambda": 0.0, "noise": 0.0, "sigma2": 1.0,
                     "sigma2_tilde": 1.0, "radius_train": 1.0,
                     "radius_test": 1.0},

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._rng import rng_from
-from .closedform import (diagonal_linear_Eg, dot_product_kernel_spectrum,
-                         general_linear_Eg, mode_spectrum_Eg, optimal_ridge)
+from .closedform import (dot_product_kernel_spectrum, general_linear_Eg,
+                         mode_spectrum_Eg, optimal_ridge)
 from .empirical import (EMPIRICAL_COLUMNS, _run_trials, compare_report,
                         krr_solve, run_continuous_curve, run_learning_curve)
 from .kernels import KernelSpec, gram, ntk_relu_eval
@@ -22,16 +22,6 @@ from .theory import CURVE_COLUMNS, predict_Eg_curve, prediction_row
 
 __all__ = ["FIGURES", "reproduce_fig3a", "reproduce_fig3b",
            "reproduce_figSI3", "reproduce_figSI4", "reproduce_figSI5"]
-
-CLOSED_COLUMNS = ("P", "Eg", "Eg_matched", "kappa", "gamma", "gamma_prime",
-                  "irreducible", "diverged")
-
-
-def _closed_row(P, r):
-    s = r.state
-    return (float(P), r.Eg, r.Eg_matched, s.kappa, s.gamma, s.gamma_prime,
-            r.irreducible, int(s.diverged))
-
 
 def _child_seed(seed, label):
     """Independent integer seed derived from the run seed and a label."""
@@ -95,7 +85,7 @@ def reproduce_fig3a(art, seed, trials=30, threads=1):
     for M_r in M_r_list:
         results = [general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0, lam)
                    for P in P_grid]
-        theory_rows += [(float(M_r),) + _closed_row(P, r)
+        theory_rows += [(float(M_r),) + prediction_row(P, r)
                         for P, r in zip(P_grid, results)]
         irreducible[M_r] = results[0].irreducible
 
@@ -108,7 +98,7 @@ def reproduce_fig3a(art, seed, trials=30, threads=1):
         fractions[M_r] = rep["fraction_within"]
         max_abs_z = max(max_abs_z, rep["max_abs_z"])
 
-    art.write_csv("theory_fig3a.csv", ("M_r",) + CLOSED_COLUMNS, theory_rows)
+    art.write_csv("theory_fig3a.csv", ("M_r",) + CURVE_COLUMNS, theory_rows)
     art.write_csv("empirical_fig3a.csv", ("M_r",) + EMPIRICAL_COLUMNS,
                   empirical_rows)
     n_points = len(M_r_list) * len(P_grid)
@@ -165,7 +155,7 @@ def reproduce_fig3b(art, seed, trials=30, threads=1):
         results = [general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0, lam,
                                      noise) for P in P_theory]
         curves[lam] = [r.Eg for r in results]
-        theory_rows += [(lam,) + _closed_row(P, r)
+        theory_rows += [(lam,) + prediction_row(P, r)
                         for P, r in zip(P_theory, results)]
         diverged_points += [{"lam": lam, "P": P}
                             for P, r in zip(P_theory, results)
@@ -179,7 +169,7 @@ def reproduce_fig3b(art, seed, trials=30, threads=1):
                              band=3.0, theory_P=P_mc)
         compare_frac[lam] = rep["fraction_within"]
 
-    art.write_csv("theory_fig3b.csv", ("lambda",) + CLOSED_COLUMNS,
+    art.write_csv("theory_fig3b.csv", ("lambda",) + CURVE_COLUMNS,
                   theory_rows)
     art.write_csv("empirical_fig3b.csv", ("lambda",) + EMPIRICAL_COLUMNS,
                   empirical_rows)
@@ -267,8 +257,9 @@ def reproduce_figSI3(art, seed, trials=30, threads=1, n_atoms=3000):
         M_s = cfg["M_s"]
         results = [general_linear_Eg(P, M, M_r, M_s, beta, 1.0, 1.0, lam)
                    for P in cfg["P"]]
-        art.write_csv(f"theory_figSI3{name}.csv", CLOSED_COLUMNS,
-                      [_closed_row(P, r) for P, r in zip(cfg["P"], results)])
+        art.write_csv(f"theory_figSI3{name}.csv", CURVE_COLUMNS,
+                      [prediction_row(P, r)
+                       for P, r in zip(cfg["P"], results)])
         cross = _discretized_crosscheck(
             seed, f"figSI3-cloud-{name}", M, M_r, M_s, beta, lam, 0.0,
             P_cross, n_atoms)
@@ -336,7 +327,7 @@ def reproduce_figSI4(art, seed, trials=30, threads=1, test_points=10000):
                                     overlap_scale=radius**2,
                                     tail_eta=tail_eta) for P in P_grid]
         curves[radius] = [r.Eg for r in results]
-        theory_rows += [(radius,) + _closed_row(P, r)
+        theory_rows += [(radius,) + prediction_row(P, r)
                         for P, r in zip(P_grid, results)]
         g = rng_from(seed, "figSI4-test", round(10 * radius)) \
             .standard_normal((test_points, D))
@@ -350,7 +341,7 @@ def reproduce_figSI4(art, seed, trials=30, threads=1, test_points=10000):
         fractions[radius] = rep["fraction_within"]
         max_abs_z = max(max_abs_z, rep["max_abs_z"])
 
-    art.write_csv("theory_figSI4.csv", ("radius",) + CLOSED_COLUMNS,
+    art.write_csv("theory_figSI4.csv", ("radius",) + CURVE_COLUMNS,
                   theory_rows)
     art.write_csv("empirical_figSI4.csv", ("radius",) + EMPIRICAL_COLUMNS,
                   empirical_rows)

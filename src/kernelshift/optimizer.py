@@ -31,6 +31,7 @@ __all__ = [
     "OptimizationTrace",
     "participation_ratio",
     "fd_gradient",
+    "richardson_check",
     "optimize_train_measure",
     "optimize_test_measure",
 ]
@@ -44,7 +45,6 @@ class OptimizerConfig:
 
     P_budget is the sample size the error is predicted at; mode picks
     gradient descent (beneficial measures) or ascent (detrimental ones).
-    Setting backtracking False recovers plain fixed-rate steps.
     """
 
     P_budget: int
@@ -54,7 +54,6 @@ class OptimizerConfig:
     steps: int = 2000
     mode: str = "descent"
     convergence_tol: float = 1e-6
-    backtracking: bool = True
 
     def __post_init__(self):
         if self.P_budget < 1:
@@ -88,39 +87,26 @@ def participation_ratio(measure):
     return float(1.0 / np.sum(masses**2))
 
 
-def fd_gradient(loss, z, h, scheme="central", threads=1):
-    """Finite-difference gradient of a scalar loss over logits.
+def fd_gradient(loss, z, h, threads=1):
+    """Central-difference gradient (L(z+h e_i) - L(z-h e_i)) / 2h of a
+    scalar loss over logits.
 
-    scheme "central" uses (L(z+h e_i) - L(z-h e_i)) / 2h; "forward"
-    uses (L(z+h e_i) - L(z)) / h. Probes are independent and may be
-    evaluated by a thread pool; the assembled gradient does not depend
-    on scheduling.
+    Probes are independent and may be evaluated by a thread pool; the
+    assembled gradient does not depend on scheduling.
     """
     z = np.asarray(z, dtype=np.float64)
-    M = z.shape[0]
-    if scheme == "central":
-        probes = []
-        for i in range(M):
-            zp = z.copy(); zp[i] += h
-            zm = z.copy(); zm[i] -= h
-            probes.extend((zp, zm))
-    elif scheme == "forward":
-        probes = []
-        for i in range(M):
-            zp = z.copy(); zp[i] += h
-            probes.append(zp)
-        probes.append(z)
-    else:
-        raise ValueError("scheme must be 'central' or 'forward'")
+    probes = []
+    for i in range(z.shape[0]):
+        zp = z.copy(); zp[i] += h
+        zm = z.copy(); zm[i] -= h
+        probes.extend((zp, zm))
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             vals = list(pool.map(loss, probes))
     else:
         vals = [loss(zp) for zp in probes]
     vals = np.asarray(vals, dtype=np.float64)
-    if scheme == "central":
-        return (vals[0::2] - vals[1::2]) / (2.0 * h)
-    return (vals[:-1] - vals[-1]) / h
+    return (vals[0::2] - vals[1::2]) / (2.0 * h)
 
 
 def richardson_check(loss, z, h=1e-4, threads=1, g1=None):
@@ -133,8 +119,8 @@ def richardson_check(loss, z, h=1e-4, threads=1, g1=None):
     gradient when the caller has already computed it.
     """
     if g1 is None:
-        g1 = fd_gradient(loss, z, h, scheme="central", threads=threads)
-    g2 = fd_gradient(loss, z, h / 2.0, scheme="central", threads=threads)
+        g1 = fd_gradient(loss, z, h, threads=threads)
+    g2 = fd_gradient(loss, z, h / 2.0, threads=threads)
     extrap = (4.0 * g2 - g1) / 3.0
     scale = float(np.max(np.abs(extrap)))
     dev = float(np.max(np.abs(g2 - extrap)))
@@ -142,7 +128,7 @@ def richardson_check(loss, z, h=1e-4, threads=1, g1=None):
 
 
 def _iterate(z0, objective, config):
-    """Shared step loop: gradient steps with optional backtracking.
+    """Shared step loop: gradient steps with backtracking.
 
     objective(z) returns (Eg, dEg/dz); a trial that returns a non-finite
     Eg is rejected. The gradient of each accepted trial is kept for the
@@ -166,8 +152,6 @@ def _iterate(z0, objective, config):
                 else (np.isfinite(val) and val > current)
             if better:
                 accepted = True
-                break
-            if not config.backtracking:
                 break
             rate *= 0.5
         if not accepted:

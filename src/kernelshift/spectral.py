@@ -13,7 +13,7 @@ zero eigenvalue are "collapsed" and live outside the RKHS.
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -150,38 +150,15 @@ def project_target(dec, Y):
     return dec.Phi[sup].T @ (p_s[:, None] * Y[sup])
 
 
-@dataclass(frozen=True)
-class OverlapMatrix:
-    """Test-measure Gram matrix of the training eigenfunctions.
+def _overlap_matrix(Phi, ptilde):
+    """Test-measure Gram matrix of the eigenfunctions,
+    O[rho, gam] = sum_mu ptilde_mu phi_rho(x_mu) phi_gam(x_mu), symmetrized.
 
-    O[rho, gam] = sum_mu ptilde_mu phi_rho(x_mu) phi_gam(x_mu), symmetric
-    PSD, over all n_modes modes.
+    Phi holds the stored eigenfunction values, which collapsed modes lack
+    off the training support, so callers pass full-support decompositions.
     """
-
-    O: np.ndarray
-
-
-def overlap(dec, ptilde):
-    """Overlap matrix of dec's eigenfunctions under a test measure on the
-    same dataset, from the stored (Nystrom-extended) eigenfunction values.
-
-    Collapsed modes have no values off the training support, so a test
-    measure with mass there raises ValueError when collapsed modes exist;
-    theory.predict_Eg_curve needs no overlap and covers that case.
-    """
-    if not isinstance(ptilde, DiscreteMeasure):
-        ptilde = DiscreteMeasure(ptilde)
-    if ptilde.M != dec.Phi.shape[0]:
-        raise ValueError("test measure must cover the same dataset")
-    if dec.n_collapsed and np.any(ptilde.masses[dec.offsupport] > 0):
-        raise ValueError(
-            f"overlap undefined: {dec.n_collapsed} collapsed modes and test "
-            "mass off the training support, where collapsed modes have no "
-            "values")
-    weighted = ptilde.masses[:, None] * dec.Phi
-    O = dec.Phi.T @ weighted
-    O = 0.5 * (O + O.T)
-    return OverlapMatrix(O=O)
+    O = Phi.T @ (ptilde[:, None] * Phi)
+    return 0.5 * (O + O.T)
 
 
 @dataclass(frozen=True)
@@ -222,7 +199,7 @@ def cross_overlap_diagnostics(K, p, ptilde, rank_threshold=DEFAULT_RANK_THRESHOL
         np.abs(At @ A - eye).max(),
         np.abs(A @ At - eye).max(),
     )
-    O = overlap(dec, ptilde).O
+    O = _overlap_matrix(Phi, ptilde.masses)
     resid_overlap = np.abs(O - At.T @ At).max()
     Lt = (At * dec.eigenvalues[None, :]) @ At.T
     resid_eigenvalues = np.abs(Lt - np.diag(dect.eigenvalues)).max()

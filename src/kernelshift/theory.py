@@ -24,23 +24,23 @@ dataset every curve quantity is therefore a ptilde-weighted sum over points
 of rows built from the in-RKHS eigenfunction values Phi_in and the residual
 R = Y - Phi_in abar_in, which is the collapsed modes' part of the target
 and is defined even where the test measure leaves the training support
-(collapsed modes cannot be evaluated there).  `predict_Eg_curve` and
-`pointwise_error_density` use these rows; `predict_Eg` takes an explicit
-overlap matrix instead, through the same spectrum core as every analytic
-model in `closedform`.
+(collapsed modes cannot be evaluated there).  `predict_Eg_curve`, the one
+dataset prediction route, and `pointwise_error_density` use these rows and
+build no overlap matrix; the analytic models in `closedform` go through a
+spectrum core that takes the test covariance of their modes instead.
 
 Everything is per output column and summed over columns; the noise level is
 a scalar shared by all outputs.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import DiscreteMeasure
-from .spectral import (DEFAULT_RANK_THRESHOLD, OverlapMatrix, mercer_decompose,
-                       overlap, project_target)
+from .spectral import (DEFAULT_RANK_THRESHOLD, _overlap_matrix,
+                       mercer_decompose, project_target)
 
 KAPPA_RTOL = 1e-12
 KAPPA_MAXITER = 200
@@ -76,12 +76,8 @@ class TheoryState:
 
 @dataclass(frozen=True)
 class TheoryPrediction:
-    """Predicted error and its split at one P.
-
-    `overlap` is the (n_modes, n_modes) overlap predict_Eg used, or None
-    for a diverged one and for every other route: a curve builds none, and
-    a closed form's test covariance is not an overlap of normalized modes.
-    """
+    """Predicted error and its split at one P, from predict_Eg_curve or a
+    closed form; a diverged one holds inf in every error field."""
 
     Eg: float
     bias: float
@@ -91,17 +87,6 @@ class TheoryPrediction:
     irreducible: float
     state: TheoryState
     diagnostic: str = ""
-    overlap: np.ndarray = field(default=None, repr=False, compare=False)
-
-    @property
-    def O_shifted(self):
-        """O - (1 - gamma')/(1 - gamma) I, built on access; None without
-        a full overlap."""
-        if self.overlap is None:
-            return None
-        s = self.state
-        shift = (1.0 - s.gamma_prime) / (1.0 - s.gamma)
-        return self.overlap - shift * np.eye(self.overlap.shape[0])
 
 
 def _validated_spectrum(eigenvalues, weights):
@@ -306,7 +291,7 @@ def _prediction(state, noise, wsq, bias_c, irr_c):
 
 def _spectrum_prediction(eta, P, lam, noise, b, Ct, power=None, weights=None):
     """Prediction at one P from a spectrum and the test covariance of its
-    modes, the one core under predict_Eg and every closed form.
+    modes, the one core under every closed form.
 
     Mode r has eigenvalue eta_r (0 out of the RKHS or off the training
     support), training power power_r, its mean square under the training
@@ -341,25 +326,6 @@ def _spectrum_prediction(eta, P, lam, noise, b, Ct, power=None, weights=None):
 def _check_noise(noise):
     if float(noise) < 0:
         raise ValueError("noise variance must be nonnegative")
-
-
-def predict_Eg(dec, abar, O, P, lam, noise):
-    """Predicted test error, bias/variance split, and matched-measure baseline
-    from an explicit overlap.
-
-    O is an OverlapMatrix or a raw (n_modes, n_modes) array; the bias is
-    the quadratic form sum_c W_c^T O W_c.  noise is the label noise
-    variance eps^2.
-    """
-    m = dec.n_modes
-    Omat = O.O if isinstance(O, OverlapMatrix) else np.asarray(O, dtype=np.float64)
-    if Omat.shape != (m, m):
-        raise ValueError(f"overlap must be ({m},{m}), got {Omat.shape}")
-    _check_noise(noise)
-    pred = _spectrum_prediction(_masked_eta(dec), P, lam, noise, abar, Omat)
-    if pred.state.diverged:
-        return pred
-    return replace(pred, overlap=Omat)
 
 
 def pointwise_error_density(dec, abar, P, lam, noise, Y=None):
@@ -485,53 +451,60 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
     Y = Y[:, None] if Y.ndim == 1 else Y
     P = float(P)
     rank = dec.rank
-    a = np.sqrt(p.masses)
-    V = a[:, None] * dec.Phi  # orthonormal eigenvectors of B
-    abar = project_target(dec, Y)
-    O = overlap(dec, ptilde).O
+    # tiny masses overflow on the way; the check below turns a non-finite
+    # result into SupportError
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a = np.sqrt(p.masses)
+        V = a[:, None] * dec.Phi  # orthonormal eigenvectors of B
+        abar = project_target(dec, Y)
+        O = _overlap_matrix(dec.Phi, ptilde.masses)
 
-    state, d, q = _per_P(_masked_eta(dec), P, lam, O_diag=np.diag(O))
-    one_minus = 1.0 - state.gamma
-    if state.diverged:
-        raise DivergenceError(
-            f"1 - gamma = {one_minus:.3e} < {DIVERGENCE_TOL}: predicted "
-            "error diverges, so it has no gradient")
-    gamma_p = state.gamma_prime
-    eta = dec.eigenvalues  # d = 0 masks the collapsed ones wherever it enters
-    W = q[:, None] * abar
-    e = eta * d
-    rho = gamma_p / one_minus
-    OW = O @ W
-    N = float(np.sum(float(noise) + np.einsum("rc,rc->c", W, W)))
-    Eg = float(np.sum(W * OW)) + rho * N
+        state, d, q = _per_P(_masked_eta(dec), P, lam, O_diag=np.diag(O))
+        one_minus = 1.0 - state.gamma
+        if state.diverged:
+            raise DivergenceError(
+                f"1 - gamma = {one_minus:.3e} < {DIVERGENCE_TOL}: predicted "
+                "error diverges, so it has no gradient")
+        gamma_p = state.gamma_prime
+        eta = dec.eigenvalues  # d = 0 masks the collapsed ones
+        W = q[:, None] * abar
+        e = eta * d
+        rho = gamma_p / one_minus
+        OW = O @ W
+        N = float(np.sum(float(noise) + np.einsum("rc,rc->c", W, W)))
+        Eg = float(np.sum(W * OW)) + rho * N
 
-    # adjoint of Q (eigenbasis); gamma and gamma' depend on Q via S = I - Q
-    H = OW + rho * W
-    Qbar = H @ abar.T
-    Qbar += Qbar.T
-    Qbar -= (N / one_minus) * (e[:, None] * O + O * e[None, :])
-    Qbar[np.diag_indices_from(Qbar)] -= 2.0 * N * gamma_p / one_minus**2 * e
-    # divided differences of q(eta): -P kappa d_i d_j between in-RKHS modes,
-    # (q_i - 1)/(eta_i - eta_j) = -P d_i eta_i/(eta_i - eta_j) between
-    # in-RKHS mode i and collapsed mode j (at its true eigenvalue, which a
-    # large rank threshold leaves above 0), 0 among collapsed
-    r = P * d
-    F = -(np.outer(r, q) + np.outer(q, r))
-    F[:rank, :rank] *= 0.5
-    F[:rank, rank:] *= eta[:rank, None] / (
-        eta[:rank, None] - eta[None, rank:])
-    F[rank:, :rank] = F[:rank, rank:].T
-    Bbar = F * Qbar
-    kappa_bar = float(np.dot(np.diag(Qbar), P * eta * d * d))  # dq/dkappa
-    inr = np.arange(rank)
-    Bbar[inr, inr] += kappa_bar / one_minus * q[:rank] ** 2
-    Bbar = V @ Bbar @ V.T
+        # adjoint of Q (eigenbasis); gamma and gamma' depend on Q via
+        # S = I - Q
+        H = OW + rho * W
+        Qbar = H @ abar.T
+        Qbar += Qbar.T
+        Qbar -= (N / one_minus) * (e[:, None] * O + O * e[None, :])
+        Qbar[np.diag_indices_from(Qbar)] -= \
+            2.0 * N * gamma_p / one_minus**2 * e
+        # divided differences of q(eta): -P kappa d_i d_j between in-RKHS
+        # modes, (q_i - 1)/(eta_i - eta_j) = -P d_i eta_i/(eta_i - eta_j)
+        # between in-RKHS mode i and collapsed mode j (at its true
+        # eigenvalue, which a large rank threshold leaves above 0), 0 among
+        # collapsed
+        r = P * d
+        F = -(np.outer(r, q) + np.outer(q, r))
+        F[:rank, :rank] *= 0.5
+        F[:rank, rank:] *= eta[:rank, None] / (
+            eta[:rank, None] - eta[None, rank:])
+        F[rank:, :rank] = F[:rank, rank:].T
+        Bbar = F * Qbar
+        kappa_bar = float(np.dot(np.diag(Qbar), P * eta * d * d))  # dq/dkappa
+        inr = np.arange(rank)
+        Bbar[inr, inr] += kappa_bar / one_minus * q[:rank] ** 2
+        Bbar = V @ Bbar @ V.T
 
-    # chain B = (a a^T) o K, u = a o Y and T = diag(ptilde/p) back to p
-    Tbar = np.sum((V @ W) ** 2, axis=1) + (N * P / one_minus) * (V**2 @ (e * e))
-    Ubar = V @ (2.0 * q[:, None] * H)
-    a_bar = 2.0 * ((Bbar * K) @ a) + np.sum(Ubar * Y, axis=1)
-    grad = a_bar / (2.0 * a) - Tbar * ptilde.masses / p.masses**2
+        # chain B = (a a^T) o K, u = a o Y and T = diag(ptilde/p) back to p
+        Tbar = np.sum((V @ W) ** 2, axis=1) \
+            + (N * P / one_minus) * (V**2 @ (e * e))
+        Ubar = V @ (2.0 * q[:, None] * H)
+        a_bar = 2.0 * ((Bbar * K) @ a) + np.sum(Ubar * Y, axis=1)
+        grad = a_bar / (2.0 * a) - Tbar * ptilde.masses / p.masses**2
     if not (math.isfinite(Eg) and np.all(np.isfinite(grad))):
         raise SupportError(
             f"training masses down to {p.masses.min():.1e} are too small "

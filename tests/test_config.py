@@ -96,6 +96,15 @@ def test_missing_required_section_pointer():
     assert "theory-curve" in str(err.value)
 
 
+def test_removed_backtracking_switch_is_unknown():
+    # the line search always backtracks; the old switch is not a key
+    doc = _full_doc()
+    doc["optimizer"]["backtracking"] = True
+    with pytest.raises(ConfigError) as err:
+        validate_document(doc)
+    assert err.value.pointer == "/optimizer/backtracking"
+
+
 def test_reproduce_requires_figure():
     with pytest.raises(ConfigError) as err:
         validate_document({"command": "reproduce"})
@@ -235,8 +244,7 @@ def _full_doc():
                       "noise": 0},
         "optimizer": {"P_budget": 4, "lambda": 0, "noise": 0.0,
                       "learning_rate": 0.5, "steps": 3, "mode": "ascent",
-                      "fd_step": 1e-5, "convergence_tol": 1e-6,
-                      "backtracking": False},
+                      "fd_step": 1e-5, "convergence_tol": 1e-6},
         "closed_form": {"model": "general_linear", "P_grid": [1, 2],
                         "lambda": 0.1, "noise": 0.0, "D": 3, "M": 2,
                         "M_r": 1, "M_s": 1, "sigma2": 1.0,

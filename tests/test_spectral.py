@@ -1,4 +1,5 @@
-"""Mercer decomposition, overlaps, Nystrom extension, and the cache."""
+"""Mercer decomposition, orthonormality, Nystrom extension, and the
+cache."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from kernelshift.spectral import (SpectralDecomposition,
                                   cross_overlap_diagnostics,
                                   decomposition_cache_key,
                                   load_decomposition, mercer_decompose,
-                                  overlap, project_target, save_decomposition)
-from kernelshift.theory import predict_Eg, predict_Eg_dataset
+                                  project_target, save_decomposition)
+from kernelshift.theory import predict_Eg_curve, predict_Eg_dataset
 
 
 def _instance(seed, M=20, D=4, kind="rbf", tilt=0.4):
@@ -143,30 +144,12 @@ def test_project_target_parseval():
 
 
 def test_overlap_matched_is_identity():
+    # Phi^T diag(p) Phi = I: the eigenfunctions are orthonormal under the
+    # training measure
     K, _, p, _ = _instance(13)
     dec = mercer_decompose(K, p)
-    O = overlap(dec, p)
-    assert np.max(np.abs(O.O - np.eye(dec.n_modes))) < 1e-8
-
-
-def test_overlap_psd_and_flags():
-    K, _, p, pt = _instance(14)
-    dec = mercer_decompose(K, p)
-    O = overlap(dec, pt)
-    w = np.linalg.eigvalsh(O.O)
-    assert w.min() > -1e-10
-    # collapsed modes + test mass off the training support: undefined
-    masses = p.masses.copy()
-    masses[0] = 0.0
-    p0 = DiscreteMeasure(masses / masses.sum())
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((20, 2))
-    Kl = gram(KernelSpec("linear"), X)
-    dl = mercer_decompose(Kl, p0)
-    assert dl.n_collapsed > 0
-    with pytest.raises(ValueError, match="collapsed"):
-        overlap(dl, pt)
-    assert overlap(dl, p0).O.shape == (dl.n_modes, dl.n_modes)
+    O = dec.Phi.T @ (p.masses[:, None] * dec.Phi)
+    assert np.max(np.abs(O - np.eye(dec.n_modes))) < 1e-8
 
 
 def test_degenerate_block_rotation_invariance():
@@ -180,9 +163,8 @@ def test_degenerate_block_rotation_invariance():
     rng = np.random.default_rng(15)
     Y = rng.standard_normal((4, 1))
     pt = from_logits(0.5 * rng.standard_normal(4))
-    abar = project_target(dec, Y)
-    O = overlap(dec, pt)
-    base = predict_Eg(dec, abar, O, P=3, lam=0.1, noise=0.05)
+    (base,) = predict_Eg_curve(K, Y, p, pt, [3], lam=0.1, noise=0.05,
+                               dec=dec)
 
     theta = 0.7
     R = np.array([[np.cos(theta), -np.sin(theta)],
@@ -193,8 +175,8 @@ def test_degenerate_block_rotation_invariance():
         eigenvalues=dec.eigenvalues, Phi=Phi_rot, measure=dec.measure,
         support=dec.support, rank=dec.rank,
         rank_threshold=dec.rank_threshold)
-    pred = predict_Eg(dec_rot, project_target(dec_rot, Y),
-                      overlap(dec_rot, pt), P=3, lam=0.1, noise=0.05)
+    (pred,) = predict_Eg_curve(K, Y, p, pt, [3], lam=0.1, noise=0.05,
+                               dec=dec_rot)
     assert pred.Eg == pytest.approx(base.Eg, abs=1e-10)
     assert pred.Eg_matched == pytest.approx(base.Eg_matched, abs=1e-10)
 

@@ -16,11 +16,11 @@ from kernelshift.closedform import gaussian_linear_Eg
 from kernelshift.empirical import krr_solve, run_learning_curve
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import DiscreteMeasure, from_logits, uniform_measure
-from kernelshift.spectral import mercer_decompose, overlap, project_target
+from kernelshift.spectral import mercer_decompose, project_target
 from kernelshift.theory import (KAPPA_RTOL, DivergenceError, compute_state,
-                                pointwise_error_density, predict_Eg,
-                                predict_Eg_curve, predict_Eg_dataset,
-                                prediction_row, solve_kappa)
+                                pointwise_error_density, predict_Eg_curve,
+                                predict_Eg_dataset, prediction_row,
+                                solve_kappa)
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +223,15 @@ def test_bias_variance_splits_sum_to_Eg():
     assert pred.delta == pytest.approx(pred.Eg - pred.Eg_matched, abs=1e-14)
 
 
+def _explicit_overlap_prediction(dec, Y, pt, P, lam, noise):
+    """Oracle for the curve's per-point rows: the spectrum core fed the
+    explicit overlap O = Phi^T diag(pt) Phi, which needs every mode's
+    values wherever pt has mass."""
+    O = dec.Phi.T @ (pt.masses[:, None] * dec.Phi)
+    return theory._spectrum_prediction(theory._masked_eta(dec), P, lam,
+                                       noise, project_target(dec, Y), O)
+
+
 def test_residual_route_equals_matrix_route():
     # low-rank linear kernel: collapsed modes carry target weight, but the
     # test measure stays on the support so the explicit overlap exists too
@@ -234,27 +243,13 @@ def test_residual_route_equals_matrix_route():
     pt = from_logits(0.3 * rng.standard_normal(18))
     dec = mercer_decompose(K, p)
     assert dec.n_collapsed > 0
-    abar = project_target(dec, Y)
-    via_matrix = predict_Eg(dec, abar, overlap(dec, pt), P=6, lam=0.1,
-                            noise=0.02)
+    via_matrix = _explicit_overlap_prediction(dec, Y, pt, P=6, lam=0.1,
+                                              noise=0.02)
     (via_residual,) = predict_Eg_curve(K, Y, p, pt, [6], lam=0.1, noise=0.02,
                                        dec=dec)
     assert via_residual.Eg == pytest.approx(via_matrix.Eg, abs=1e-10)
     assert via_residual.irreducible == pytest.approx(
         via_matrix.irreducible, abs=1e-10)
-
-
-def test_collapsed_weight_without_residual_raises():
-    # the explicit-overlap route needs the collapsed block too: an in-RKHS
-    # block alone cannot give the cross and irreducible terms
-    rng = np.random.default_rng(5)
-    X = rng.standard_normal((10, 2))
-    K = gram(KernelSpec("linear"), X)
-    Y = rng.standard_normal((10, 1))
-    dec = mercer_decompose(K, uniform_measure(10))
-    abar = project_target(dec, Y)
-    with pytest.raises(ValueError, match="overlap must be"):
-        predict_Eg(dec, abar, np.eye(dec.rank), P=4, lam=0.1, noise=0.0)
 
 
 def test_divergence_flag_and_row():
@@ -322,11 +317,9 @@ def _curve_case(name):
 def test_curve_equals_rebuilt_per_P_loop(name):
     K, Y, p, pt, grid, lam, noise = _curve_case(name)
     dec = mercer_decompose(K, p)
-    if name == "off_support":
-        with pytest.raises(ValueError, match="collapsed"):
-            overlap(dec, pt)
-    else:
-        overlap(dec, pt)
+    # only off_support puts test mass where collapsed modes have no values
+    assert (dec.n_collapsed > 0 and np.any(pt.masses[dec.offsupport] > 0)) \
+        == (name == "off_support")
     assert (dec.rank == dec.n_modes) == (name == "full_rank")
     curve = [prediction_row(P, pred) for P, pred in
              zip(grid, predict_Eg_curve(K, Y, p, pt, grid, lam, noise))]
@@ -338,23 +331,6 @@ def test_curve_equals_rebuilt_per_P_loop(name):
         assert dec.rank == 3 and diverged == [0, 0, 1, 0, 0, 0, 0]
     else:
         assert not any(diverged)
-
-
-def test_O_shifted_on_access():
-    K, Y, p, pt, _, lam, noise = _curve_case("full_overlap")
-    dec = mercer_decompose(K, p)
-    abar = project_target(dec, Y)
-    O = overlap(dec, pt)
-    pred = predict_Eg(dec, abar, O, 5, lam, noise)
-    s = pred.state
-    expected = O.O - ((1.0 - s.gamma_prime) / (1.0 - s.gamma)) \
-        * np.eye(dec.n_modes)
-    assert np.array_equal(pred.O_shifted, expected)
-    # the learning curve builds no overlap, so it has none to shift
-    (inner,) = predict_Eg_curve(K, Y, p, pt, [5], lam, noise, dec=dec)
-    assert inner.O_shifted is None
-    diverged = predict_Eg(dec, abar, O, dec.rank, 0.0, noise)
-    assert diverged.state.diverged and diverged.O_shifted is None
 
 
 # ----------------------------------------------------------------------
@@ -582,14 +558,13 @@ def test_curve_edge_regimes_finite_or_flagged(regime, seed, M, lam, noise):
             assert np.isinf(row[4])
         else:
             assert np.all(np.isfinite(row))
-    try:
-        O = overlap(dec, pt)
-    except ValueError:
-        assert dec.n_collapsed > 0 and regime == "off_support_linear"
+    if dec.n_collapsed and np.any(pt.masses[dec.offsupport] > 0):
+        # collapsed modes have no values there, so no explicit overlap
+        assert regime == "off_support_linear"
         return
-    abar = project_target(dec, Y)
     for P, row in zip(grid, rows):
-        ref = prediction_row(P, predict_Eg(dec, abar, O, P, lam, noise))
+        ref = prediction_row(P, _explicit_overlap_prediction(
+            dec, Y, pt, P, lam, noise))
         assert row[-1] == ref[-1]
         np.testing.assert_allclose(row, ref, rtol=1e-9, atol=1e-12)
 
