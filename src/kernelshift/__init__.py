@@ -37,7 +37,6 @@ from .closedform import (
     gaussian_linear_Eg,
     general_linear_Eg,
     hyperspherical_degeneracy,
-    kappa_prime_flat,
     mode_spectrum_Eg,
     ntk_sphere_Eg,
     optimal_ridge,
@@ -93,7 +92,6 @@ __all__ = [
     "gaussian_linear_Eg",
     "general_linear_Eg",
     "hyperspherical_degeneracy",
-    "kappa_prime_flat",
     "mode_spectrum_Eg",
     "ntk_sphere_Eg",
     "optimal_ridge",

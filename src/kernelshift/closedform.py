@@ -12,15 +12,15 @@ formula kept in ``tests/test_closedform.py`` is their oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import special
 
 from .kernels import KernelSpec, ntk_relu_eval
 from .spectral import DEFAULT_RANK_THRESHOLD
 from .theory import _spectrum_prediction
 
 __all__ = [
-    "kappa_prime_flat",
     "gaussian_linear_Eg",
     "diagonal_linear_Eg",
     "general_linear_Eg",
@@ -30,26 +30,6 @@ __all__ = [
     "mode_spectrum_Eg",
     "ntk_sphere_Eg",
 ]
-
-
-def kappa_prime_flat(alpha, lam_tilde):
-    """Dimensionless kappa for a flat spectrum of identical eigenvalues.
-
-    alpha is samples per nonzero mode, lam_tilde the ridge in units of a
-    single eigenvalue times the number of modes. Solves
-    kappa' = lam_tilde + kappa' / (alpha + kappa') in closed form.
-    """
-    alpha = float(alpha)
-    lam_tilde = float(lam_tilde)
-    if alpha < 0 or lam_tilde < 0:
-        raise ValueError("alpha and lam_tilde must be nonnegative")
-    # kappa' is the positive root of k^2 - b k - lam_tilde alpha = 0
-    b = 1.0 + lam_tilde - alpha
-    root = np.sqrt(b * b + 4.0 * alpha * lam_tilde)
-    if b < 0:
-        # b + root cancels; the product of the roots gives it stably
-        return 2.0 * lam_tilde * alpha / (root - b)
-    return 0.5 * (b + root)
 
 
 def gaussian_linear_Eg(beta, C, C_tilde, P, lam, noise=0.0):
@@ -134,7 +114,7 @@ def hyperspherical_degeneracy(D, k):
         raise ValueError("degree must be nonnegative")
     if k == 0:
         return 1
-    return round((2 * k + D - 2) / k * special.comb(k + D - 3, k - 1))
+    return (2 * k + D - 2) * math.comb(k + D - 3, k - 1) // k
 
 
 def dot_product_kernel_spectrum(spec, D, k_max, n_quad=400):
@@ -145,6 +125,10 @@ def dot_product_kernel_spectrum(spec, D, k_max, n_quad=400):
     are per-mode eigenvalues so that sum(degeneracy * eta) equals the
     mean of k(1) over the sphere, i.e. the kernel trace.
     """
+    # imported here, not at module level, so that CLI start-up, which
+    # every command pays for, leaves out this slow import
+    from scipy import special
+
     if D < 3:
         raise ValueError("quadrature form requires D >= 3")
     if isinstance(spec, KernelSpec):

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.spatial.distance import cdist
-
 KERNEL_KINDS = ("linear", "rbf", "laplace", "fourier_bandlimited", "ntk_relu")
 
 
@@ -90,11 +88,44 @@ def ntk_relu_eval(depth, dot, n1, n2):
     return np.where(scale > 0, theta, 0.0)
 
 
+# entries of one row block of the distance accumulator: with its scratch
+# block, 2 x 256 KB, which stays in a typical L2 cache
+_DIST_BLOCK = 1 << 15
+
+
+def _sq_distances(X1, X2):
+    """Squared Euclidean distances, summed one feature at a time from k = 0.
+
+    This is the order scipy's cdist sums in, so the result is bit-identical
+    to cdist(X1, X2, "sqeuclidean"), and its square root to "euclidean".
+    Rows go in fixed blocks so the accumulator stays in cache. The expanded
+    form |x|^2 + |y|^2 - 2 x.y would be faster but loses accuracy near the
+    diagonal, worst under the laplace kernel's square root.
+    """
+    n1, D = X1.shape
+    n2 = X2.shape[0]
+    out = np.zeros((n1, n2))
+    X1T = np.ascontiguousarray(X1.T)
+    X2T = np.ascontiguousarray(X2.T)
+    rows = max(1, _DIST_BLOCK // max(1, n2))
+    scratch = np.empty((min(rows, n1), n2))
+    for i in range(0, n1, rows):
+        acc = out[i:i + rows]
+        diff = scratch[:acc.shape[0]]
+        for k in range(D):
+            np.subtract(X1T[k, i:i + rows, None], X2T[k], out=diff)
+            np.multiply(diff, diff, out=diff)
+            acc += diff
+    return out
+
+
 def gram(spec, X1, X2=None):
     """Gram matrix K[i, j] = K(X1[i], X2[j]); X2=None means X2 = X1.
 
-    The square case is symmetrized as (K + K.T)/2 so it is bit-identically
-    symmetric.
+    The square case is bit-identically symmetric. The rbf and laplace
+    distances are by construction (entries (i, j) and (j, i) sum the same
+    squares in the same order); the other kinds are symmetrized as
+    (K + K.T)/2.
     """
     X1 = np.asarray(X1, dtype=np.float64)
     square = X2 is None
@@ -104,12 +135,16 @@ def gram(spec, X1, X2=None):
 
     if spec.kind == "linear":
         K = X1 @ X2.T / X1.shape[1]
-    elif spec.kind == "rbf":
-        d2 = cdist(X1, X2, metric="sqeuclidean")
-        K = np.exp(-d2 / (2.0 * spec.lengthscale**2))
-    elif spec.kind == "laplace":
-        d = cdist(X1, X2, metric="euclidean")
-        K = np.exp(-d / spec.lengthscale)
+    elif spec.kind in ("rbf", "laplace"):
+        # in place: the same roundings as exp(-d2 / (2 ls^2)) and
+        # exp(-d / ls), without three more matrix-sized allocations
+        K = _sq_distances(X1, X2)
+        if spec.kind == "rbf":
+            K /= -2.0 * spec.lengthscale**2
+        else:
+            np.sqrt(K, out=K)
+            K /= -spec.lengthscale
+        np.exp(K, out=K)
     elif spec.kind == "fourier_bandlimited":
         if X1.shape[1] != 1:
             raise ValueError("fourier_bandlimited is defined for 1-D inputs only")
@@ -125,6 +160,6 @@ def gram(spec, X1, X2=None):
     else:  # pragma: no cover - guarded by KernelSpec
         raise ValueError(f"unknown kernel kind {spec.kind!r}")
 
-    if square:
+    if square and spec.kind not in ("rbf", "laplace"):
         K = 0.5 * (K + K.T)
     return K

@@ -8,6 +8,7 @@ is all the downstream theory needs: expectations become mass-weighted sums.
 
 import csv
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,10 @@ from ._rng import rng_from
 MASS_TOL = 1e-12
 
 BINARY_MAGIC = b"KSL1"
+_NPZ_MAGIC = b"PK\x03\x04"  # an .npz file is a zip archive
+_DATASET_FORMATS = ("an .npz archive with arrays X (M, D) and Y (M, C) or "
+                    "(M,); a CSV file with header f0..f{D-1},y0..y{C-1}; or "
+                    "the KSL1 binary format save_dataset writes")
 
 
 @dataclass(frozen=True)
@@ -203,20 +208,31 @@ def _standardized(X):
 
 
 def load_dataset(path, standardize=False):
-    """Load a dataset from .csv or binary format (sniffed by magic bytes).
+    """Load a dataset from .npz, CSV or binary format, sniffed by magic bytes.
 
     standardize=True applies per-feature (X - mean) / std using the file's
-    own statistics; the default leaves data exactly as stored.
+    own statistics; the default leaves data exactly as stored. A file that
+    cannot be read as any of the three formats raises ValueError naming the
+    path and the formats.
     """
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == BINARY_MAGIC:
-        ds = _load_binary(path)
-    else:
-        ds = _load_csv(path)
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(4)
+        loader = {BINARY_MAGIC: _load_binary, _NPZ_MAGIC: _load_npz}.get(
+            head, _load_csv)
+        ds = loader(path)
+    except (OSError, ValueError, KeyError, EOFError,
+            zipfile.BadZipFile) as exc:
+        raise ValueError(f"cannot read dataset {os.fspath(path)!r}: {exc}. "
+                         f"Accepted formats: {_DATASET_FORMATS}") from exc
     if standardize:
         ds = Dataset(_standardized(ds.X), ds.Y, ds.ids)
     return ds
+
+
+def _load_npz(path):
+    with np.load(path, allow_pickle=False) as archive:
+        return Dataset(archive["X"], archive["Y"])
 
 
 def _load_binary(path):

@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from kernelshift.cli import main
-from kernelshift.closedform import kappa_prime_flat
 from kernelshift.empirical import run_learning_curve
 from kernelshift.figures import (reproduce_fig3a, reproduce_fig3b,
                                  reproduce_figSI3, reproduce_figSI4,
@@ -27,6 +26,7 @@ from kernelshift.spectral import (cross_overlap_diagnostics,
                                   mercer_decompose, project_target)
 from kernelshift.theory import (pointwise_error_density, predict_Eg_dataset,
                                 solve_kappa)
+from test_closedform import kappa_prime_flat
 
 
 def _line(n, ok, detail):

@@ -24,21 +24,45 @@ from kernelshift.theory import (CURVE_COLUMNS, SupportError,
                                 predict_Eg_dataset)
 
 
-def test_cli_import_leaves_out_scipy_optimize_and_integrate(tmp_path):
-    # every command pays for what importing the CLI and parsing its config
-    # load; the kappa solver needs neither scipy module and the config
-    # checker is in-repo, so none of the CLI's code may load them
+def _scipy_loaded(tmp_path, run, setup="pass"):
+    # the scipy and jsonschema modules that a fresh interpreter loads while
+    # it runs the code in run, after the code in setup
     src = os.path.dirname(os.path.dirname(kernelshift.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    code = (f"import json, sys\n{setup}\nbefore = set(sys.modules)\n{run}\n"
+            "print(json.dumps(sorted(m for m in set(sys.modules) - before "
+            "if m.split('.')[0] in ('scipy', 'jsonschema'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120,
+                         cwd=tmp_path)
+    return set(json.loads(out.stdout.strip().splitlines()[-1]))
+
+
+def test_cli_import_leaves_out_scipy_optimize_and_integrate(tmp_path):
+    # every command pays for what importing the CLI and parsing its config
+    # load. The kappa solver, the config checker, the Gram distances and
+    # the sphere degeneracies are in-repo, so of scipy only scipy.linalg
+    # (eigh, the Cholesky solves) and what it pulls in may load
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(_base_doc(), command="decompose")))
-    code = ("import sys, kernelshift.cli; "
-            f"kernelshift.cli.parse_config({str(cfg)!r}); "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', "
-            "'jsonschema') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    startup = ("import kernelshift.cli\n"
+               f"kernelshift.cli.parse_config({str(cfg)!r})")
+    loaded = _scipy_loaded(tmp_path, startup)
+    forbidden = ("scipy.optimize", "scipy.integrate", "scipy.spatial",
+                 "scipy.special", "scipy.sparse", "jsonschema")
+    assert sorted(m for m in forbidden if m in loaded) == []
+    assert loaded - _scipy_loaded(tmp_path, "import scipy.linalg") == set()
+
+
+def test_theory_curve_run_loads_no_scipy_module(tmp_path):
+    # a lazy import would move start-up cost from setup_s into run_s
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(
+        _base_doc(), command="theory-curve",
+        theory={"P_grid": [2, 4, 8], "lambda": 0.1, "noise": 0.01})))
+    startup = f"import kernelshift.cli as cli\ncli.parse_config({str(cfg)!r})"
+    run = f"assert cli.main(['--config', {str(cfg)!r}, '--out', 'out']) == 0"
+    assert _scipy_loaded(tmp_path, run, setup=startup) == set()
 
 
 def _base_doc():
@@ -263,6 +287,23 @@ def test_missing_section_exits_2(tmp_path, capsys):
     code, _ = _run(tmp_path, doc)
     assert code == 2
     assert "/theory" in capsys.readouterr().err
+
+
+def test_unreadable_dataset_exits_2(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    X, Y = rng.standard_normal((10, 3)), rng.standard_normal(10)
+    np.savez(tmp_path / "data.npz", X=X, Y=Y)
+    doc = {"dataset": {"path": str(tmp_path / "data.npz")},
+           "kernel": {"kind": "rbf"}, "command": "decompose"}
+    code, out = _run(tmp_path, doc)
+    assert code == 0
+    assert json.load(open(out / "decomposition.json"))["points"] == 10
+    (tmp_path / "junk.npz").write_bytes(b"PK\x03\x04" + bytes(60))
+    doc["dataset"]["path"] = str(tmp_path / "junk.npz")
+    code, _ = _run(tmp_path, doc, out="junk")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "junk.npz" in err and "Accepted formats" in err
 
 
 def test_all_diverged_closed_form_exits_3(tmp_path, capsys):

@@ -12,10 +12,31 @@ from kernelshift.closedform import (diagonal_linear_Eg,
                                     dot_product_kernel_spectrum,
                                     gaussian_linear_Eg, general_linear_Eg,
                                     hyperspherical_degeneracy,
-                                    kappa_prime_flat, mode_spectrum_Eg,
-                                    ntk_sphere_Eg, optimal_ridge)
+                                    mode_spectrum_Eg, ntk_sphere_Eg,
+                                    optimal_ridge)
 from kernelshift.kernels import KernelSpec, ntk_relu_eval
 from kernelshift.theory import DIVERGENCE_TOL, KAPPA_RTOL, solve_kappa
+
+
+def kappa_prime_flat(alpha, lam_tilde):
+    """Dimensionless kappa for a flat spectrum of identical eigenvalues.
+
+    alpha is samples per nonzero mode, lam_tilde the ridge in units of a
+    single eigenvalue times the number of modes. Solves
+    kappa' = lam_tilde + kappa' / (alpha + kappa') in closed form. It is
+    the solver-free oracle for solve_kappa here and in acceptance 04.
+    """
+    alpha = float(alpha)
+    lam_tilde = float(lam_tilde)
+    if alpha < 0 or lam_tilde < 0:
+        raise ValueError("alpha and lam_tilde must be nonnegative")
+    # kappa' is the positive root of k^2 - b k - lam_tilde alpha = 0
+    b = 1.0 + lam_tilde - alpha
+    root = np.sqrt(b * b + 4.0 * alpha * lam_tilde)
+    if b < 0:
+        # b + root cancels; the product of the roots gives it stably
+        return 2.0 * lam_tilde * alpha / (root - b)
+    return 0.5 * (b + root)
 
 
 def _flat_oracle(P, M, M_r, M_s, beta, sigma2, sigma2_tilde, lam, noise):
@@ -300,6 +321,12 @@ def test_hyperspherical_degeneracies():
         hyperspherical_degeneracy(1, 2)
     with pytest.raises(ValueError):
         hyperspherical_degeneracy(5, -1)
+
+
+def test_hyperspherical_degeneracy_degree_two():
+    # N(D, 2) = (D + 2)(D - 1) / 2: traceless symmetric D x D matrices
+    for D in (2, 3, 4, 5, 10, 17, 100, 784):
+        assert hyperspherical_degeneracy(D, 2) == (D + 2) * (D - 1) // 2
 
 
 def test_spectrum_of_plain_dot_product():

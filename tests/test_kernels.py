@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernelshift.kernels import (KernelSpec, arccos_kappa0, arccos_kappa1,
-                                 gram, ntk_relu_eval)
+from kernelshift.kernels import (_DIST_BLOCK, KernelSpec, arccos_kappa0,
+                                 arccos_kappa1, gram, ntk_relu_eval)
 
 
 def test_kernel_spec_validation():
@@ -77,6 +77,45 @@ def test_gram_bitwise_symmetric_and_psd(kind, kw):
     assert np.array_equal(K, K.T)
     w = np.linalg.eigvalsh(K)
     assert w.min() > -1e-9 * max(abs(w).max(), 1.0)
+
+
+def _cdist_gram(spec, X1, X2=None):
+    # the rbf and laplace kernels through scipy's cdist
+    from scipy.spatial.distance import cdist
+    square = X2 is None
+    X2 = X1 if square else X2
+    if spec.kind == "rbf":
+        d2 = cdist(X1, X2, "sqeuclidean")
+        K = np.exp(-d2 / (2.0 * spec.lengthscale**2))
+    else:
+        K = np.exp(-cdist(X1, X2, "euclidean") / spec.lengthscale)
+    return 0.5 * (K + K.T) if square else K
+
+
+@pytest.mark.parametrize("D", [1, 5, 8, 20])
+def test_distance_kernels_match_cdist_bitwise(D):
+    rng = np.random.default_rng(D)
+    n2 = 37
+    rows = _DIST_BLOCK // n2  # X1 rows per block against n2 columns
+    X1 = 1.7 * rng.standard_normal((2 * rows + 3, D))
+    X1[5] = X1[2]
+    X1[rows] = X1[rows - 1]  # a duplicate pair split by a block boundary
+    X2 = rng.standard_normal((n2, D))
+    X2[4] = X1[2]
+    # square Grams of more than sqrt(_DIST_BLOCK) rows span several blocks
+    n_sq = int(np.sqrt(_DIST_BLOCK)) + 20
+    for spec in (KernelSpec("rbf", lengthscale=1.3),
+                 KernelSpec("laplace", lengthscale=0.8)):
+        for n1 in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+            K = gram(spec, X1[:n1], X2)
+            assert np.array_equal(K, _cdist_gram(spec, X1[:n1], X2))
+        assert K[2, 4] == K[5, 4] == 1.0
+        assert np.array_equal(K[rows - 1], K[rows])
+        for n in (1, 7, n_sq):
+            K = gram(spec, X1[:n])
+            assert np.array_equal(K, _cdist_gram(spec, X1[:n]))
+            assert np.all(np.diag(K) == 1.0)
+        assert K[2, 5] == K[5, 2] == 1.0
 
 
 def test_cross_gram_matches_square_case():

@@ -163,6 +163,43 @@ def test_csv_header_contract(tmp_path):
         load_dataset(str(empty))
 
 
+def test_npz_dataset_loads_X_and_Y(tmp_path):
+    ds = _random_dataset(4)
+    path = tmp_path / "data.npz"
+    np.savez(path, X=ds.X, Y=ds.Y)
+    back = load_dataset(str(path))
+    assert np.array_equal(back.X, ds.X)
+    assert np.array_equal(back.Y, ds.Y)
+    # a 1-D Y becomes one target column
+    flat = tmp_path / "flat.npz"
+    np.savez_compressed(flat, X=ds.X, Y=ds.Y[:, 0])
+    back = load_dataset(str(flat))
+    assert back.Y.shape == (ds.M, 1)
+    assert np.array_equal(back.Y[:, 0], ds.Y[:, 0])
+
+
+@pytest.mark.parametrize("kind", ["binary_junk", "npz_without_Y",
+                                  "npz_with_objects", "truncated_npz",
+                                  "missing"])
+def test_unreadable_dataset_names_path_and_formats(tmp_path, kind):
+    ds = _random_dataset(5)
+    path = tmp_path / f"{kind}.npz"
+    if kind == "binary_junk":
+        path.write_bytes(bytes(range(128, 256)) * 4)
+    elif kind == "npz_without_Y":
+        np.savez(path, X=ds.X)
+    elif kind == "npz_with_objects":
+        np.savez(path, X=ds.X, Y=np.array([{"a": 1}], dtype=object))
+    elif kind == "truncated_npz":
+        np.savez(path, X=ds.X, Y=ds.Y)
+        path.write_bytes(path.read_bytes()[:200])
+    with pytest.raises(ValueError) as err:
+        load_dataset(str(path))
+    msg = str(err.value)
+    assert str(path) in msg
+    assert ".npz" in msg and "CSV" in msg and "binary" in msg
+
+
 def test_standardize_flag(tmp_path):
     ds = _random_dataset(3, M=50)
     X = ds.X.copy()
