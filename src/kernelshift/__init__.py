@@ -24,7 +24,6 @@ from .theory import (
     DivergenceError,
     TheoryPrediction,
     TheoryState,
-    compute_state,
     pointwise_error_density,
     predict_Eg_curve,
     predict_Eg_dataset,
@@ -81,7 +80,6 @@ __all__ = [
     "DivergenceError",
     "TheoryPrediction",
     "TheoryState",
-    "compute_state",
     "pointwise_error_density",
     "predict_Eg_curve",
     "predict_Eg_dataset",

@@ -35,11 +35,12 @@ from .measures import from_logits
 from .optimizer import (OptimizerConfig, fd_gradient, optimize_test_measure,
                         optimize_train_measure, richardson_check)
 from .spectral import (DEFAULT_RANK_THRESHOLD, decomposition_cache_key,
-                       load_decomposition, mercer_decompose, project_target,
+                       load_decomposition, mercer_decompose,
                        save_decomposition)
-from .theory import (CURVE_COLUMNS, DivergenceError, pointwise_error_density,
-                     predict_Eg_curve, predict_Eg_dataset,
-                     predict_Eg_train_grad, prediction_row)
+from .theory import (CURVE_COLUMNS, DivergenceError, _rows,
+                     pointwise_error_density, predict_Eg_curve,
+                     predict_Eg_dataset, predict_Eg_train_grad,
+                     prediction_row)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -90,12 +91,15 @@ def _rank_threshold(rc):
 def cmd_decompose(rc, art, threads, cache_dir):
     ds, spec, K, p, _ = _dataset_problem(rc)
     dec = _decomposition(K, p, _rank_threshold(rc), cache_dir)
-    abar = project_target(dec, ds.Y)
+    # per-mode power inside the collapsed (numerically null) eigenspace
+    # depends on the basis the eigensolver picks; only its sum is defined
+    abar, R = _rows(dec, ds.Y)
     power = np.sum(abar**2, axis=1)
-    total = float(power.sum())
+    collapsed = float(np.sum(dec.measure.masses @ R**2))
+    total = float(power.sum()) + collapsed
     cum = np.cumsum(power) / total if total > 0 else np.zeros_like(power)
     rows = [(float(i), dec.eigenvalues[i], power[i], cum[i])
-            for i in range(dec.n_modes)]
+            for i in range(dec.rank)]
     art.write_csv("eigenvalues.csv",
                   ("index", "eta", "target_power", "cumulative_fraction"),
                   rows)
@@ -104,6 +108,7 @@ def cmd_decompose(rc, art, threads, cache_dir):
         "support_size": int(dec.support.shape[0]),
         "rank": int(dec.rank),
         "collapsed": int(dec.n_collapsed),
+        "collapsed_target_power": collapsed,
         "rank_threshold": dec.rank_threshold,
         "kernel": spec.kind,
     })
@@ -190,8 +195,7 @@ def cmd_optimize_test(rc, art, threads, cache_dir):
     ds, _, K, p, _ = _dataset_problem(rc)
     cfg = _optimizer_config(rc.section("optimizer"))
     dec = _decomposition(K, p, _rank_threshold(rc), cache_dir)
-    abar = project_target(dec, ds.Y)
-    trace = optimize_test_measure(dec, abar, cfg, Y=ds.Y)
+    trace = optimize_test_measure(dec, ds.Y, cfg)
     _write_trace(art, ds, trace)
     return EXIT_OK
 
@@ -335,8 +339,7 @@ def cmd_gradcheck(rc, art, threads, cache_dir):
     train_rel = _rel_err(masses0 * (pbar - np.dot(masses0, pbar)), g1)
 
     dec = _decomposition(K, p, thr, cache_dir)
-    abar = project_target(dec, ds.Y)
-    c = pointwise_error_density(dec, abar, P, lam, noise, Y=ds.Y)
+    c = pointwise_error_density(dec, ds.Y, P, lam, noise)
 
     def test_loss(zt):
         return float(np.sum(from_logits(zt).masses * c))

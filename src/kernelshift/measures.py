@@ -231,7 +231,8 @@ def load_dataset(path, standardize=False):
 
 
 def _load_npz(path):
-    with np.load(path, allow_pickle=False) as archive:
+    # np.load leaves a file it opened itself open when it rejects it
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
         return Dataset(archive["X"], archive["Y"])
 
 
@@ -274,10 +275,15 @@ def _load_csv(path):
 
 
 def save_dataset(path, dataset, fmt=None):
-    """Write a dataset as CSV or binary; fmt defaults from the extension."""
+    """Write a dataset as CSV, .npz or binary; fmt defaults from the
+    extension (.csv, .npz, otherwise binary)."""
     if fmt is None:
-        fmt = "csv" if os.path.splitext(path)[1].lower() == ".csv" else "bin"
-    if fmt == "csv":
+        fmt = {".csv": "csv", ".npz": "npz"}.get(
+            os.path.splitext(path)[1].lower(), "bin")
+    if fmt == "npz":
+        with open(path, "wb") as fh:
+            np.savez(fh, X=dataset.X, Y=dataset.Y)
+    elif fmt == "csv":
         header = [f"f{j}" for j in range(dataset.D)] + [f"y{j}" for j in range(dataset.C)]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -216,7 +216,7 @@ def optimize_train_measure(dataset, kernel_spec, test_measure, config,
     return _iterate(np.zeros(M), objective, config)
 
 
-def optimize_test_measure(dec, abar, config, Y=None):
+def optimize_test_measure(dec, Y, config):
     """Optimize the test measure with the training side held fixed.
 
     The error is linear in the test masses with coefficients given by
@@ -225,8 +225,8 @@ def optimize_test_measure(dec, abar, config, Y=None):
     onto the smallest density value, ascent onto the largest; ties give
     convex mixtures of the tied atoms.
     """
-    c = pointwise_error_density(dec, abar, config.P_budget, config.lam,
-                                config.noise, Y=Y)
+    c = pointwise_error_density(dec, Y, config.P_budget, config.lam,
+                                config.noise)
 
     def objective(z):
         p = from_logits(z).masses

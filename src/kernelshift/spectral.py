@@ -8,7 +8,8 @@ is solved through the symmetric matrix B = diag(sqrt p) K diag(sqrt p),
 whose eigenvectors v give eigenfunction values phi = v / sqrt(p) on the
 support of p.  Off-support points get eigenfunction values by Nystrom
 extension, which only exists for modes with eta > 0; modes at (numerically)
-zero eigenvalue are "collapsed" and live outside the RKHS.
+zero eigenvalue are "collapsed" and live outside the RKHS, so only their
+eigenvalues are kept.
 """
 
 import hashlib
@@ -30,13 +31,15 @@ PSD_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (descending) and eigenfunction values at all dataset points.
+    """Eigenvalues (descending) and in-RKHS eigenfunction values at all
+    dataset points.
 
     The eigenproblem runs on the support of the measure (size s), so there
-    are m = s modes.  Phi has shape (M, m): support rows come from the
-    eigensolve, off-support rows are Nystrom-extended for the first `rank`
-    modes and stored as 0 for collapsed modes (those values are undefined
-    and must not be used; the theory layer routes around them).
+    are s eigenvalues, of which the first `rank` are resolved.  Phi has
+    shape (M, rank): support rows come from the eigensolve, off-support
+    rows from Nystrom extension.  The s - rank collapsed modes have no
+    values off the support; the theory takes their part of a target from
+    the target itself, as Y - Phi abar.
     """
 
     eigenvalues: np.ndarray
@@ -53,12 +56,6 @@ class SpectralDecomposition:
     @property
     def n_collapsed(self):
         return self.n_modes - self.rank
-
-    @property
-    def offsupport(self):
-        mask = np.ones(self.Phi.shape[0], dtype=bool)
-        mask[self.support] = False
-        return np.flatnonzero(mask)
 
 
 def _check_square_symmetric(K, M):
@@ -82,6 +79,12 @@ def mercer_decompose(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
     positive, first index winning ties, which makes results reproducible up
     to genuinely degenerate eigenspaces.
     """
+    return _decompose(K, measure, rank_threshold)[0]
+
+
+def _decompose(K, measure, rank_threshold):
+    """mercer_decompose, also returning the orthonormal eigenvectors V
+    (s, s) of B, columns in the decomposition's order and signs."""
     if not isinstance(measure, DiscreteMeasure):
         measure = DiscreteMeasure(measure)
     M = measure.M
@@ -99,7 +102,7 @@ def mercer_decompose(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
     w = w[order]
     V = V[:, order]
 
-    scale = max(abs(w[0]) if s else 0.0, abs(w[-1]) if s else 0.0, 1e-300)
+    scale = max(abs(w[0]), abs(w[-1]), 1e-300)
     if w[-1] < -PSD_RTOL * scale:
         raise ValueError(
             f"kernel is not positive semidefinite under this measure "
@@ -107,22 +110,19 @@ def mercer_decompose(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
         )
     eta = np.clip(w, 0.0, None)
 
-    Phi_s = V / sqrt_p[:, None]
     # sign convention: largest-|value| entry on the support is positive
-    anchor = np.argmax(np.abs(Phi_s), axis=0)
-    signs = np.sign(Phi_s[anchor, np.arange(s)])
+    anchor = np.argmax(np.abs(V) / sqrt_p[:, None], axis=0)
+    signs = np.sign(V[anchor, np.arange(s)])
     signs[signs == 0] = 1.0
-    Phi_s = Phi_s * signs[None, :]
+    V = V * signs[None, :]
 
     rank = int(np.count_nonzero(eta > rank_threshold * eta[0])) if eta[0] > 0 else 0
-
-    Phi = np.zeros((M, s))
+    Phi_s = V[:, :rank] / sqrt_p[:, None]
+    Phi = np.zeros((M, rank))
     Phi[sup] = Phi_s
     off = np.setdiff1d(np.arange(M), sup, assume_unique=False)
     if off.size and rank:
-        Phi[np.ix_(off, np.arange(rank))] = (
-            K[np.ix_(off, sup)] @ (p_s[:, None] * Phi_s[:, :rank]) / eta[:rank]
-        )
+        Phi[off] = K[np.ix_(off, sup)] @ (p_s[:, None] * Phi_s) / eta[:rank]
 
     return SpectralDecomposition(
         eigenvalues=eta,
@@ -131,13 +131,13 @@ def mercer_decompose(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
         support=sup,
         rank=rank,
         rank_threshold=float(rank_threshold),
-    )
+    ), V
 
 
 def project_target(dec, Y):
-    """Coefficients abar = Phi^T diag(p) Y, shape (n_modes, C).
+    """In-RKHS coefficients abar = Phi^T diag(p) Y, shape (rank, C).
 
-    With a complete basis (all M modes at full support) this satisfies the
+    With a complete basis (rank = M at full support) this satisfies the
     Parseval identity sum_rho abar_rho^2 = <Y^2>_p per output.
     """
     Y = np.asarray(Y, dtype=np.float64)
@@ -153,9 +153,6 @@ def project_target(dec, Y):
 def _overlap_matrix(Phi, ptilde):
     """Test-measure Gram matrix of the eigenfunctions,
     O[rho, gam] = sum_mu ptilde_mu phi_rho(x_mu) phi_gam(x_mu), symmetrized.
-
-    Phi holds the stored eigenfunction values, which collapsed modes lack
-    off the training support, so callers pass full-support decompositions.
     """
     O = Phi.T @ (ptilde[:, None] * Phi)
     return 0.5 * (O + O.T)
@@ -219,7 +216,7 @@ def cross_overlap_diagnostics(K, p, ptilde, rank_threshold=DEFAULT_RANK_THRESHOL
 
 # Bump when the stored layout or the sign/rank conventions change, so old
 # entries stop matching instead of being silently reused.
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 _HEADER_BYTES = 3 * 8
 _DIGEST_BYTES = hashlib.sha256().digest_size
@@ -265,7 +262,7 @@ def load_decomposition(path):
         M, m, rank = (int(v) for v in np.frombuffer(header, dtype="<u8"))
         # check the size before reading, so a corrupt header cannot ask
         # for a huge allocation
-        n_values = 1 + m + M * m + M
+        n_values = 1 + m + M * rank + M
         expected = len(BINARY_MAGIC) + _HEADER_BYTES + 8 * n_values \
             + _DIGEST_BYTES
         if os.fstat(fh.fileno()).st_size != expected or rank > m:
@@ -279,8 +276,8 @@ def load_decomposition(path):
         raise ValueError("corrupt decomposition payload: checksum mismatch")
     values = np.frombuffer(body, dtype="<f8")
     eta = values[1:1 + m]
-    Phi = values[1 + m:1 + m + M * m].reshape(M, m)
-    measure = DiscreteMeasure(values[1 + m + M * m:])
+    Phi = values[1 + m:1 + m + M * rank].reshape(M, rank)
+    measure = DiscreteMeasure(values[1 + m + M * rank:])
     return SpectralDecomposition(
         eigenvalues=eta,
         Phi=Phi,

@@ -21,13 +21,15 @@ a single code path covers both cases.
 
 The error is linear in the test measure: Eg = sum_mu ptilde_mu c_mu.  On a
 dataset every curve quantity is therefore a ptilde-weighted sum over points
-of rows built from the in-RKHS eigenfunction values Phi_in and the residual
-R = Y - Phi_in abar_in, which is the collapsed modes' part of the target
-and is defined even where the test measure leaves the training support
-(collapsed modes cannot be evaluated there).  `predict_Eg_curve`, the one
-dataset prediction route, and `pointwise_error_density` use these rows and
-build no overlap matrix; the analytic models in `closedform` go through a
-spectrum core that takes the test covariance of their modes instead.
+of rows built from the in-RKHS eigenfunction values Phi and the residual
+R = Y - Phi abar, the target's part outside the RKHS, on every point: on
+the training support it is the collapsed modes' part of the target, and
+off it the label minus the extension of its projection.  The collapsed
+modes' power is sum_out abar^2 = p . R^2.  `predict_Eg_curve`, the one
+dataset prediction route, `pointwise_error_density` and the error of
+`predict_Eg_train_grad` use these rows and build no overlap matrix; the
+analytic models in `closedform` go through a spectrum core that takes the
+test covariance of their modes instead.
 
 Everything is per output column and summed over columns; the noise level is
 a scalar shared by all outputs.
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DiscreteMeasure
-from .spectral import (DEFAULT_RANK_THRESHOLD, _overlap_matrix,
+from .spectral import (DEFAULT_RANK_THRESHOLD, _decompose, _overlap_matrix,
                        mercer_decompose, project_target)
 
 KAPPA_RTOL = 1e-12
@@ -211,11 +213,18 @@ def _per_P(eta, P, lam, weights=None, O_diag=None):
         # eta = 0 modes never weigh in gamma', even where O_diag is not finite
         O_diag = np.where(pos, O_diag, 0.0)
     state = compute_state(eta, P, lam, O_diag, weights)
+    return (state, *_mode_weights(eta, state))
+
+
+def _mode_weights(eta, state):
+    """d = 1/(P eta + kappa) and q = kappa d at the state, with d = 0 and
+    q = 1 on eta = 0 modes."""
+    pos = eta > 0
     d = np.zeros_like(eta)
     d[pos] = 1.0 / (state.P * eta[pos] + state.kappa)
     q = np.ones_like(eta)
     q[pos] = state.kappa * d[pos]
-    return state, d, q
+    return d, q
 
 
 def _masked_eta(dec):
@@ -225,30 +234,19 @@ def _masked_eta(dec):
     return eta
 
 
-def _rows(dec, abar, Y):
-    """Phi_in (M, rank) and the residual R = Y - Phi_in abar_in (M, C).
+def _rows(dec, Y):
+    """The in-RKHS coefficients abar (rank, C) and the residual
+    R = Y - Phi abar (M, C) on every point.
 
-    R is the collapsed modes' part of the target and is 0 when they carry
-    no target power.  Without Y it is taken from the stored collapsed
-    eigenfunction values, which exist only on the training support.
+    Where the rank equals the support size the basis is complete on the
+    support, so R is exactly 0 there.
     """
-    rank = dec.rank
-    Phi_in = dec.Phi[:, :rank]
-    M, C = dec.Phi.shape[0], abar.shape[1]
-    if not np.any(np.einsum("rc,rc->c", abar[rank:], abar[rank:]) > 0):
-        return Phi_in, np.zeros((M, C))
-    if Y is None:
-        if dec.offsupport.size:
-            raise ValueError(
-                "target has weight on collapsed modes and the dataset has "
-                "off-support points; pass Y to evaluate residuals there")
-        return Phi_in, dec.Phi[:, rank:] @ abar[rank:]
     Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if Y.shape != (M, C):
-        raise ValueError(f"Y must be ({M}, {C}), got {Y.shape}")
-    return Phi_in, Y - Phi_in @ abar[:rank]
+    abar = project_target(dec, Y)
+    R = (Y[:, None] if Y.ndim == 1 else Y) - dec.Phi @ abar
+    if dec.rank == dec.support.size:
+        R[dec.support] = 0.0
+    return abar, R
 
 
 def _diverged_prediction(state):
@@ -328,29 +326,26 @@ def _check_noise(noise):
         raise ValueError("noise variance must be nonnegative")
 
 
-def pointwise_error_density(dec, abar, P, lam, noise, Y=None):
+def pointwise_error_density(dec, Y, P, lam, noise):
     """Per-point error density c with Eg(ptilde) = sum_mu ptilde_mu c_mu.
 
     The predicted error is linear in the test measure; c_mu is the error of
     a Dirac test measure at point mu, and predict_Eg_curve contracts the
-    same rows with ptilde.  Y is required when collapsed modes carry target
-    weight and the dataset has points outside the training support (the
-    residual is then Y - projection).  All entries are >= 0.
+    same rows with ptilde.  All entries are >= 0.
     """
-    abar = _as_columns(abar, dec.n_modes)
     _check_noise(noise)
-    Phi_in, R = _rows(dec, abar, Y)
+    abar, R = _rows(dec, Y)
     s, d, q = _per_P(_masked_eta(dec), P, lam)
     if s.diverged:
         raise DivergenceError(
             "pointwise density undefined: predicted error diverges "
             f"(1 - gamma = {1.0 - s.gamma:.3e})"
         )
-    W = q[:, None] * abar
+    W = q[:dec.rank, None] * abar
     e = dec.eigenvalues[:dec.rank] * d[:dec.rank]
-    gamma_mu = Phi_in**2 @ (float(P) * e * e)  # per-point gamma'
-    mean = Phi_in @ W[:dec.rank] + R  # estimator shortfall at each point
-    wsq = np.einsum("rc,rc->c", W, W)
+    gamma_mu = dec.Phi**2 @ (float(P) * e * e)  # per-point gamma'
+    mean = dec.Phi @ W + R  # estimator shortfall at each point
+    wsq = np.einsum("rc,rc->c", W, W) + dec.measure.masses @ R**2
     return gamma_mu / (1.0 - s.gamma) * float(np.sum(float(noise) + wsq)) \
         + np.einsum("mc,mc->m", mean, mean)
 
@@ -359,11 +354,11 @@ def predict_Eg_curve(K, Y, p, ptilde, P_grid, lam, noise, rank_threshold=None,
                      dec=None):
     """End-to-end learning curve on a discrete dataset, one prediction per P.
 
-    The decomposition, the target projection, the test-measure weights of
-    Phi_in^2 (gamma' per mode) and of the squared residual (the
-    irreducible error) depend only on the kernel and the two measures, so
-    they are built once.  Each P then costs one kappa solve and one
-    (M, rank) product: the bias is ptilde . |Phi_in W_in + R|^2, the
+    The decomposition, the rows abar and R, the test-measure weights of
+    Phi^2 (gamma' per mode) and of R^2 (the irreducible error) and the
+    collapsed power p . R^2 depend only on the kernel and the two
+    measures, so they are built once.  Each P then costs one kappa solve
+    and one (M, rank) product: the bias is ptilde . |Phi W + R|^2, the
     pointwise density's rows contracted with the test measure.  No overlap
     matrix is built, so test mass off the training support is covered
     whether or not collapsed modes exist.
@@ -378,22 +373,23 @@ def predict_Eg_curve(K, Y, p, ptilde, P_grid, lam, noise, rank_threshold=None,
     if ptilde.M != dec.Phi.shape[0]:
         raise ValueError("test measure must cover the same dataset")
     _check_noise(noise)
-    abar = project_target(dec, Y)
-    Phi_in, R = _rows(dec, abar, Y)
+    abar, R = _rows(dec, Y)
     w = ptilde.masses
     eta = _masked_eta(dec)
     O_diag = np.zeros_like(eta)
-    O_diag[:dec.rank] = w @ Phi_in**2
+    O_diag[:dec.rank] = w @ dec.Phi**2
     irr_c = w @ R**2
+    out_c = dec.measure.masses @ R**2
     preds = []
     for P in P_grid:
         state, _, q = _per_P(eta, P, lam, O_diag=O_diag)
         if state.diverged:
             preds.append(_diverged_prediction(state))
             continue
-        W = q[:, None] * abar
-        mean = Phi_in @ W[:dec.rank] + R
-        preds.append(_prediction(state, noise, np.einsum("rc,rc->c", W, W),
+        W = q[:dec.rank, None] * abar
+        mean = dec.Phi @ W + R
+        preds.append(_prediction(state, noise,
+                                 np.einsum("rc,rc->c", W, W) + out_c,
                                  w @ mean**2, irr_c))
     return preds
 
@@ -408,11 +404,12 @@ def predict_Eg_dataset(K, Y, p, ptilde, P, lam, noise, rank_threshold=None,
 def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
     """Predicted error on a discrete dataset and its gradient in the training masses.
 
-    Returns (Eg, dEg_dp) with Eg equal to predict_Eg_dataset(...).Eg and
-    dEg_dp[mu] the partial derivative in p_mu, all masses varied
-    independently.  One decomposition and O(M^3) matmuls, by reverse mode
-    through the resolvent.  With a = sqrt(p), B = (a a^T) o K (eta zeroed on
-    collapsed modes) and u_c = a o Y_c, in the eigenbasis of B
+    Returns (Eg, dEg_dp): Eg is predict_Eg_curve's error on the same
+    decomposition, and dEg_dp[mu] the partial derivative in p_mu, all
+    masses varied independently.  One decomposition and O(M^3) matmuls, by
+    reverse mode through the resolvent.  With a = sqrt(p), B = (a a^T) o K
+    (eta zeroed on collapsed modes) and u_c = a o Y_c, in the eigenbasis V
+    of B
 
         q = kappa/(P eta + kappa),  e = eta/(P eta + kappa)   (q = 1, e = 0 collapsed)
         W = q o abar,  abar = V^T u,  O = V^T diag(ptilde/p) V
@@ -442,9 +439,8 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
         raise SupportError("the training-mass gradient needs full support")
     if ptilde.M != p.M:
         raise ValueError("test measure must cover the same dataset")
-    _check_noise(noise)
     thr = DEFAULT_RANK_THRESHOLD if rank_threshold is None else rank_threshold
-    dec = mercer_decompose(K, p, thr)
+    dec, V = _decompose(K, p, thr)
     K = np.asarray(K, dtype=np.float64)
     K = 0.5 * (K + K.T)
     Y = np.asarray(Y, dtype=np.float64)
@@ -454,17 +450,17 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
     # tiny masses overflow on the way; the check below turns a non-finite
     # result into SupportError
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a = np.sqrt(p.masses)
-        V = a[:, None] * dec.Phi  # orthonormal eigenvectors of B
-        abar = project_target(dec, Y)
-        O = _overlap_matrix(dec.Phi, ptilde.masses)
-
-        state, d, q = _per_P(_masked_eta(dec), P, lam, O_diag=np.diag(O))
+        pred = predict_Eg_curve(K, Y, p, ptilde, [P], lam, noise, dec=dec)[0]
+        state = pred.state
         one_minus = 1.0 - state.gamma
         if state.diverged:
             raise DivergenceError(
                 f"1 - gamma = {one_minus:.3e} < {DIVERGENCE_TOL}: predicted "
                 "error diverges, so it has no gradient")
+        d, q = _mode_weights(_masked_eta(dec), state)
+        a = np.sqrt(p.masses)
+        abar = V.T @ (a[:, None] * Y)
+        O = _overlap_matrix(V, ptilde.masses / p.masses)
         gamma_p = state.gamma_prime
         eta = dec.eigenvalues  # d = 0 masks the collapsed ones
         W = q[:, None] * abar
@@ -472,7 +468,6 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
         rho = gamma_p / one_minus
         OW = O @ W
         N = float(np.sum(float(noise) + np.einsum("rc,rc->c", W, W)))
-        Eg = float(np.sum(W * OW)) + rho * N
 
         # adjoint of Q (eigenbasis); gamma and gamma' depend on Q via
         # S = I - Q
@@ -505,11 +500,11 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
         Ubar = V @ (2.0 * q[:, None] * H)
         a_bar = 2.0 * ((Bbar * K) @ a) + np.sum(Ubar * Y, axis=1)
         grad = a_bar / (2.0 * a) - Tbar * ptilde.masses / p.masses**2
-    if not (math.isfinite(Eg) and np.all(np.isfinite(grad))):
+    if not (math.isfinite(pred.Eg) and np.all(np.isfinite(grad))):
         raise SupportError(
             f"training masses down to {p.masses.min():.1e} are too small "
             "for a finite training-mass gradient")
-    return Eg, grad
+    return pred.Eg, grad
 
 
 CURVE_COLUMNS = (

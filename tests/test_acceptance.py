@@ -22,8 +22,7 @@ from kernelshift.measures import from_logits, uniform_measure
 from kernelshift.optimizer import (OptimizerConfig, fd_gradient,
                                    optimize_test_measure,
                                    optimize_train_measure, richardson_check)
-from kernelshift.spectral import (cross_overlap_diagnostics,
-                                  mercer_decompose, project_target)
+from kernelshift.spectral import cross_overlap_diagnostics, mercer_decompose
 from kernelshift.theory import (pointwise_error_density, predict_Eg_dataset,
                                 solve_kappa)
 from test_closedform import kappa_prime_flat
@@ -143,9 +142,8 @@ def test_acceptance_06_test_measure_structure():
         K = gram(KernelSpec("rbf", lengthscale=1.3), X)
         p = from_logits(0.3 * rng.standard_normal(M))
         dec = mercer_decompose(K, p)
-        abar = project_target(dec, Y)
-        c = pointwise_error_density(dec, abar, P=M // 2, lam=0.05,
-                                    noise=0.02, Y=Y)
+        c = pointwise_error_density(dec, Y, P=M // 2, lam=0.05,
+                                    noise=0.02)
         for _ in range(3):
             pt = from_logits(rng.standard_normal(M))
             direct = predict_Eg_dataset(K, Y, p, pt, M // 2, 0.05, 0.02,
@@ -163,9 +161,9 @@ def test_acceptance_06_test_measure_structure():
     # descent concentrates on the density argmin; ascent on the argmax
     cfg = dict(P_budget=c.shape[0] // 2, lam=0.05, noise=0.02,
                learning_rate=20.0, steps=5000, convergence_tol=1e-9)
-    down = optimize_test_measure(dec, abar, OptimizerConfig(**cfg), Y=Y)
+    down = optimize_test_measure(dec, Y, OptimizerConfig(**cfg))
     up = optimize_test_measure(
-        dec, abar, OptimizerConfig(**dict(cfg, mode="ascent")), Y=Y)
+        dec, Y, OptimizerConfig(**dict(cfg, mode="ascent")))
     mass_on_argmin = float(down.final_measure.masses[np.argmin(c)])
     matched = predict_Eg_dataset(K, Y, p, p, c.shape[0] // 2, 0.05, 0.02,
                                  dec=dec).Eg

@@ -103,10 +103,26 @@ def test_decompose_artifacts(tmp_path):
     assert info["points"] == 10
     assert info["kernel"] == "rbf"
     assert set(info) >= {"points", "support_size", "rank", "collapsed",
-                         "rank_threshold"}
+                         "rank_threshold", "collapsed_target_power"}
+    assert info["collapsed_target_power"] == 0.0  # full rank
     manifest = json.load(open(out / "manifest.json"))
     assert manifest["artifacts"] == sorted(manifest["artifacts"])
     assert "config.echo.json" in manifest["artifacts"]
+
+    # a rank threshold that collapses two modes: one row per in-RKHS
+    # mode, and the modes plus the collapsed power make up the target power
+    code, out = _run(tmp_path, dict(doc, theory={"rank_threshold": 0.02}),
+                     out="collapsed", name="collapsed.json")
+    cols = read_csv_columns(out / "eigenvalues.csv")
+    info = json.load(open(out / "decomposition.json"))
+    assert code == 0 and info["rank"] == len(cols["eta"]) == 8
+    Y = build_dataset(doc["dataset"], 0).Y
+    total = float(np.mean(Y**2))  # uniform training measure
+    assert info["collapsed_target_power"] > 1e-3 * total
+    assert sum(cols["target_power"]) + info["collapsed_target_power"] \
+        == pytest.approx(total, rel=1e-12)
+    assert cols["cumulative_fraction"][-1] == pytest.approx(
+        1.0 - info["collapsed_target_power"] / total, rel=1e-12)
 
 
 def test_theory_curve_columns_and_17g_cells(tmp_path):

@@ -1,5 +1,9 @@
 """Datasets, discrete measures, synthetic samplers, file round-trips."""
 
+import gc
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,6 +202,35 @@ def test_unreadable_dataset_names_path_and_formats(tmp_path, kind):
     msg = str(err.value)
     assert str(path) in msg
     assert ".npz" in msg and "CSV" in msg and "binary" in msg
+
+
+def test_truncated_npz_leaves_no_open_file(tmp_path, monkeypatch):
+    # a handle left open is closed by a later garbage collection, whose
+    # ResourceWarning then surfaces in whatever runs at that moment
+    ds = _random_dataset(6)
+    path = tmp_path / "truncated.npz"
+    np.savez(path, X=ds.X, Y=ds.Y)
+    path.write_bytes(path.read_bytes()[:200])
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="cannot read dataset"):
+            load_dataset(str(path))
+        gc.collect()
+    assert [str(u.exc_value) for u in unraisable] == []
+
+
+def test_npz_save_writes_an_npz_archive(tmp_path):
+    ds = _random_dataset(7)
+    path = tmp_path / "data.npz"
+    save_dataset(str(path), ds)
+    with np.load(path, allow_pickle=False) as archive:
+        assert sorted(archive.files) == ["X", "Y"]
+        assert np.array_equal(archive["X"], ds.X)
+    back = load_dataset(str(path))
+    assert np.array_equal(back.X, ds.X)
+    assert np.array_equal(back.Y, ds.Y)
 
 
 def test_standardize_flag(tmp_path):

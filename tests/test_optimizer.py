@@ -135,13 +135,12 @@ def _density_setup(seed=6, M=7, P=4, lam=0.05, noise=0.02):
     Y = np.sign(X[:, :1]) + 0.1 * rng.standard_normal((M, 1))
     K = gram(KernelSpec("rbf", lengthscale=1.2), X)
     dec = mercer_decompose(K, uniform_measure(M))
-    abar = project_target(dec, Y)
-    c = pointwise_error_density(dec, abar, P, lam, noise, Y=Y)
-    return dec, abar, c, Y
+    c = pointwise_error_density(dec, Y, P, lam, noise)
+    return dec, c, Y
 
 
 def test_analytic_test_gradient_matches_fd():
-    dec, abar, c, Y = _density_setup()
+    dec, c, Y = _density_setup()
 
     def loss(z):
         return float(np.dot(from_logits(z).masses, c))
@@ -156,19 +155,18 @@ def test_analytic_test_gradient_matches_fd():
 
 
 def test_optimize_test_measure_concentrates_on_extremes():
-    dec, abar, c, Y = _density_setup()
+    dec, c, Y = _density_setup()
     assert np.unique(np.round(c, 12)).size == c.size  # distinct density
     # the softmax gradient flattens as the measure concentrates, so a
     # large rate and tight step tolerance push it to a numerical Dirac
     cfg = OptimizerConfig(P_budget=4, lam=0.05, noise=0.02,
                           learning_rate=20.0, steps=5000,
                           convergence_tol=1e-9)
-    down = optimize_test_measure(dec, abar, cfg, Y=Y)
+    down = optimize_test_measure(dec, Y, cfg)
     up = optimize_test_measure(
-        dec, abar, OptimizerConfig(P_budget=4, lam=0.05, noise=0.02,
-                                   mode="ascent", learning_rate=20.0,
-                                   steps=5000, convergence_tol=1e-9),
-        Y=Y)
+        dec, Y, OptimizerConfig(P_budget=4, lam=0.05, noise=0.02,
+                                mode="ascent", learning_rate=20.0,
+                                steps=5000, convergence_tol=1e-9))
     assert down.final_measure.masses[np.argmin(c)] >= 0.99
     assert up.final_measure.masses[np.argmax(c)] >= 0.99
     uniform_Eg = float(np.mean(c))
@@ -177,9 +175,9 @@ def test_optimize_test_measure_concentrates_on_extremes():
 
 
 def test_optimize_test_measure_trace_semantics():
-    dec, abar, c, Y = _density_setup(seed=8)
+    dec, c, Y = _density_setup(seed=8)
     cfg = OptimizerConfig(P_budget=4, lam=0.05, noise=0.02)
-    trace = optimize_test_measure(dec, abar, cfg, Y=Y)
+    trace = optimize_test_measure(dec, Y, cfg)
     n = trace.logits.shape[0]
     assert trace.Eg.shape == (n,) and trace.participation.shape == (n,)
     assert trace.logits.shape[1] == c.shape[0]
@@ -313,9 +311,8 @@ def test_zero_gradient_stops_at_start():
     K = np.array([[1.0, 0.3], [0.3, 1.0]])
     Y = np.array([[1.0], [-1.0]])
     dec = mercer_decompose(K, uniform_measure(2))
-    abar = project_target(dec, Y)
     cfg = OptimizerConfig(P_budget=2, lam=0.1, steps=50)
-    trace = optimize_test_measure(dec, abar, cfg, Y=Y)
+    trace = optimize_test_measure(dec, Y, cfg)
     assert trace.logits.shape[0] == 1
     assert not trace.converged
     assert trace.message == "no improving step within backtracking budget"

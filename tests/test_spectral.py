@@ -40,7 +40,7 @@ def test_orthonormality_and_trace():
         K, _, p, _ = _instance(seed)
         dec = mercer_decompose(K, p)
         G = dec.Phi.T @ (p.masses[:, None] * dec.Phi)
-        assert np.max(np.abs(G - np.eye(dec.n_modes))) < 1e-8
+        assert np.max(np.abs(G - np.eye(dec.rank))) < 1e-8
         assert np.sum(dec.eigenvalues) == pytest.approx(
             float(np.dot(p.masses, np.diag(K))), abs=1e-10)
 
@@ -48,7 +48,7 @@ def test_orthonormality_and_trace():
 def test_mercer_reconstruction():
     K, _, p, _ = _instance(3)
     dec = mercer_decompose(K, p)
-    K_hat = (dec.Phi * dec.eigenvalues[None, :]) @ dec.Phi.T
+    K_hat = (dec.Phi * dec.eigenvalues[None, :dec.rank]) @ dec.Phi.T
     assert np.max(np.abs(K_hat - K)) < 1e-8 * np.abs(K).max()
 
 
@@ -108,10 +108,10 @@ def test_zero_mass_points_solved_on_support():
     assert dec.support.tolist() == [i for i in range(12) if i not in (3, 8)]
     # off-support rows satisfy the eigenfunction identity for resolved modes
     sup = dec.support
-    off = dec.offsupport
+    off = [3, 8]
     p_s = p.masses[sup]
-    lhs = K[np.ix_(off, sup)] @ (p_s[:, None] * dec.Phi[sup][:, :dec.rank])
-    rhs = dec.Phi[off][:, :dec.rank] * dec.eigenvalues[:dec.rank]
+    lhs = K[np.ix_(off, sup)] @ (p_s[:, None] * dec.Phi[sup])
+    rhs = dec.Phi[off] * dec.eigenvalues[:dec.rank]
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -125,10 +125,10 @@ def test_nystrom_matches_analytic_linear_eigenfunctions():
     K = gram(KernelSpec("linear"), np.vstack([X, X_new]))
     dec = mercer_decompose(K, DiscreteMeasure(
         np.concatenate([p.masses, np.zeros(12)])))
-    assert dec.offsupport.tolist() == list(range(30, 42))
-    ext = dec.Phi[dec.offsupport][:, :dec.rank]
-    sup = dec.support
-    w = X.T @ (p.masses[:, None] * dec.Phi[sup][:, :dec.rank])
+    assert dec.support.tolist() == list(range(30))
+    assert dec.Phi.shape == (42, dec.rank) and dec.rank == 4
+    ext = dec.Phi[30:]
+    w = X.T @ (p.masses[:, None] * dec.Phi[:30])
     analytic = X_new @ w / (4.0 * dec.eigenvalues[:dec.rank])
     assert np.max(np.abs(ext - analytic)) < 1e-6
 
@@ -137,7 +137,7 @@ def test_project_target_parseval():
     K, Y, p, _ = _instance(12)
     dec = mercer_decompose(K, p)
     abar = project_target(dec, Y)
-    assert abar.shape == (dec.n_modes, 1)
+    assert dec.rank == dec.n_modes and abar.shape == (dec.rank, 1)
     # full-rank RBF basis is complete on the support
     assert np.sum(abar**2) == pytest.approx(
         float(np.dot(p.masses, Y[:, 0] ** 2)), rel=1e-8)
@@ -149,7 +149,7 @@ def test_overlap_matched_is_identity():
     K, _, p, _ = _instance(13)
     dec = mercer_decompose(K, p)
     O = dec.Phi.T @ (p.masses[:, None] * dec.Phi)
-    assert np.max(np.abs(O - np.eye(dec.n_modes))) < 1e-8
+    assert np.max(np.abs(O - np.eye(dec.rank))) < 1e-8
 
 
 def test_degenerate_block_rotation_invariance():
@@ -197,6 +197,15 @@ def test_cross_overlap_requires_full_support():
         cross_overlap_diagnostics(K, DiscreteMeasure(masses), pt)
 
 
+def _linear_off_support(M=12, D=3, n_off=4):
+    # rank D < support size: collapsed modes, and atoms off the support
+    rng = np.random.default_rng(20)
+    K = gram(KernelSpec("linear"), rng.standard_normal((M, D)))
+    masses = rng.random(M) + 0.1
+    masses[rng.permutation(M)[:n_off]] = 0.0
+    return K, DiscreteMeasure(masses / masses.sum())
+
+
 def test_cache_key_and_roundtrip(tmp_path):
     K, _, p, pt = _instance(17)
     k1 = decomposition_cache_key(K, p)
@@ -205,16 +214,20 @@ def test_cache_key_and_roundtrip(tmp_path):
     assert k1 != decomposition_cache_key(K + 1e-9, p)
     assert k1 != decomposition_cache_key(K, p, rank_threshold=1e-10)
 
-    dec = mercer_decompose(K, p)
-    path = tmp_path / "dec.bin"
-    save_decomposition(str(path), dec)
-    back = load_decomposition(str(path))
-    assert np.array_equal(back.eigenvalues, dec.eigenvalues)
-    assert np.array_equal(back.Phi, dec.Phi)
-    assert np.array_equal(back.measure.masses, dec.measure.masses)
-    assert np.array_equal(back.support, dec.support)
-    assert back.rank == dec.rank
-    assert back.rank_threshold == dec.rank_threshold
+    K_off, p_off = _linear_off_support()
+    for idx, dec in enumerate((mercer_decompose(K, p),
+                               mercer_decompose(K_off, p_off))):
+        path = tmp_path / f"dec{idx}.bin"
+        save_decomposition(str(path), dec)
+        back = load_decomposition(str(path))
+        assert back.Phi.shape == (dec.measure.M, dec.rank)
+        assert np.array_equal(back.eigenvalues, dec.eigenvalues)
+        assert np.array_equal(back.Phi, dec.Phi)
+        assert np.array_equal(back.measure.masses, dec.measure.masses)
+        assert np.array_equal(back.support, dec.support)
+        assert back.rank == dec.rank
+        assert back.rank_threshold == dec.rank_threshold
+    assert dec.rank == 3 and dec.n_modes == 8 and dec.Phi.shape == (12, 3)
     with pytest.raises(ValueError, match="magic"):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"NOPE" + path.read_bytes()[4:])

@@ -21,6 +21,7 @@ from kernelshift.theory import (KAPPA_RTOL, DivergenceError, compute_state,
                                 pointwise_error_density, predict_Eg_curve,
                                 predict_Eg_dataset, prediction_row,
                                 solve_kappa)
+from test_optimizer import _instance as _optimizer_instance
 
 
 # ----------------------------------------------------------------------
@@ -223,13 +224,22 @@ def test_bias_variance_splits_sum_to_Eg():
     assert pred.delta == pytest.approx(pred.Eg - pred.Eg_matched, abs=1e-14)
 
 
-def _explicit_overlap_prediction(dec, Y, pt, P, lam, noise):
+def _explicit_overlap_prediction(K, Y, p, pt, rank, P, lam, noise):
     """Oracle for the curve's per-point rows: the spectrum core fed the
-    explicit overlap O = Phi^T diag(pt) Phi, which needs every mode's
-    values wherever pt has mass."""
-    O = dec.Phi.T @ (pt.masses[:, None] * dec.Phi)
-    return theory._spectrum_prediction(theory._masked_eta(dec), P, lam,
-                                       noise, project_target(dec, Y), O)
+    explicit overlap O = Phi^T diag(pt) Phi of a complete basis on the
+    training support, solved here with numpy, modes past `rank` at
+    eta = 0.  Collapsed modes have no values off the support, so pt must
+    lie on it."""
+    sup = np.flatnonzero(p.masses > 0)
+    assert not np.any(pt.masses[p.masses == 0] > 0)
+    a = np.sqrt(p.masses[sup])
+    eta, V = np.linalg.eigh(a[:, None] * K[np.ix_(sup, sup)] * a[None, :])
+    eta, V = np.clip(eta[::-1], 0.0, None), V[:, ::-1]
+    eta[rank:] = 0.0
+    Phi = V / a[:, None]
+    O = Phi.T @ (pt.masses[sup, None] * Phi)
+    return theory._spectrum_prediction(eta, P, lam, noise,
+                                       V.T @ (a[:, None] * Y[sup]), O)
 
 
 def test_residual_route_equals_matrix_route():
@@ -243,8 +253,8 @@ def test_residual_route_equals_matrix_route():
     pt = from_logits(0.3 * rng.standard_normal(18))
     dec = mercer_decompose(K, p)
     assert dec.n_collapsed > 0
-    via_matrix = _explicit_overlap_prediction(dec, Y, pt, P=6, lam=0.1,
-                                              noise=0.02)
+    via_matrix = _explicit_overlap_prediction(K, Y, p, pt, dec.rank, P=6,
+                                              lam=0.1, noise=0.02)
     (via_residual,) = predict_Eg_curve(K, Y, p, pt, [6], lam=0.1, noise=0.02,
                                        dec=dec)
     assert via_residual.Eg == pytest.approx(via_matrix.Eg, abs=1e-10)
@@ -318,7 +328,7 @@ def test_curve_equals_rebuilt_per_P_loop(name):
     K, Y, p, pt, grid, lam, noise = _curve_case(name)
     dec = mercer_decompose(K, p)
     # only off_support puts test mass where collapsed modes have no values
-    assert (dec.n_collapsed > 0 and np.any(pt.masses[dec.offsupport] > 0)) \
+    assert (dec.n_collapsed > 0 and np.any(pt.masses[p.masses == 0] > 0)) \
         == (name == "off_support")
     assert (dec.rank == dec.n_modes) == (name == "full_rank")
     curve = [prediction_row(P, pred) for P, pred in
@@ -340,8 +350,7 @@ def test_curve_equals_rebuilt_per_P_loop(name):
 def test_density_linearity_and_nonnegativity():
     K, Y, p, pt = _random_problem(8)
     dec = mercer_decompose(K, p)
-    abar = project_target(dec, Y)
-    c = pointwise_error_density(dec, abar, P=6, lam=0.15, noise=0.05, Y=Y)
+    c = pointwise_error_density(dec, Y, P=6, lam=0.15, noise=0.05)
     assert np.all(c >= 0.0)
     for seed in range(4):
         rng = np.random.default_rng(seed)
@@ -354,8 +363,7 @@ def test_density_linearity_and_nonnegativity():
 def test_density_matches_dirac_predictions():
     K, Y, p, _ = _random_problem(9, M=12)
     dec = mercer_decompose(K, p)
-    abar = project_target(dec, Y)
-    c = pointwise_error_density(dec, abar, P=5, lam=0.1, noise=0.02, Y=Y)
+    c = pointwise_error_density(dec, Y, P=5, lam=0.1, noise=0.02)
     for mu in (0, 4, 11):
         e = np.zeros(12)
         e[mu] = 1.0
@@ -369,10 +377,9 @@ def test_density_diverged_raises():
     X = rng.standard_normal((8, 2))
     K = gram(KernelSpec("linear"), X)
     dec = mercer_decompose(K, uniform_measure(8))
-    abar = project_target(dec, rng.standard_normal((8, 1)))
     with pytest.raises(DivergenceError, match="diverges"):
-        pointwise_error_density(dec, abar, P=2, lam=0.0, noise=0.0,
-                                Y=rng.standard_normal((8, 1)))
+        pointwise_error_density(dec, rng.standard_normal((8, 1)), P=2,
+                                lam=0.0, noise=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -415,6 +422,50 @@ def test_exact_enumeration_certifies_harness_and_bounds_theory():
         # the prediction is asymptotic; at P of order one it must still
         # land within a few percent of the enumerated truth
         assert pred.Eg == pytest.approx(exact, rel=0.05)
+
+
+def test_off_support_error_matches_monte_carlo():
+    # a full-rank kernel has no collapsed mode, yet the error at an atom
+    # off the training support is measured against its label, not against
+    # the extension of the projected target
+    _, Y, K = _optimizer_instance()
+    masses, dirac = np.full(8, 1.0 / 7.0), np.zeros(8)
+    masses[3], dirac[3] = 0.0, 1.0
+    p, pt = DiscreteMeasure(masses), DiscreteMeasure(dirac)
+    assert mercer_decompose(K, p).n_collapsed == 0
+    for P in (80, 160):
+        point = run_learning_curve(K, Y, p, pt, [P], 0.1, 0.0, trials=1000,
+                                   seed=12)[0]
+        pred = predict_Eg_dataset(K, Y, p, pt, P, 0.1, 0.0)
+        assert abs(point.Eg_mean - pred.Eg) <= 3.0 * point.Eg_stderr
+        assert pred.Eg == pytest.approx(point.Eg_mean, rel=0.01)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["rbf", "linear"]), seed=st.integers(0, 10**6),
+       M=st.integers(6, 10), P=st.sampled_from([3, 10, 40]),
+       lam=st.sampled_from([1e-3, 0.1]))
+def test_prediction_continuous_as_a_training_mass_vanishes(kind, seed, M, P,
+                                                           lam):
+    # an atom at zero training mass predicts what it does at a mass of
+    # order e^-30, where it is still on the support
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((M, 3))
+    Y = np.tanh(X @ rng.standard_normal(3))[:, None] \
+        + 0.1 * rng.standard_normal((M, 1))
+    K = gram(KernelSpec("rbf", lengthscale=1.5) if kind == "rbf"
+             else KernelSpec("linear"), X)
+    z = 0.3 * rng.standard_normal(M)
+    pt = from_logits(rng.standard_normal(M))
+    j = int(rng.integers(M))
+    zero = from_logits(z).masses.copy()
+    zero[j] = 0.0
+    low = z.copy()
+    low[j] -= 30.0
+    at_zero = predict_Eg_dataset(K, Y, DiscreteMeasure(zero / zero.sum()),
+                                 pt, P, lam, 0.01)
+    at_low = predict_Eg_dataset(K, Y, from_logits(low), pt, P, lam, 0.01)
+    assert at_zero.Eg == pytest.approx(at_low.Eg, rel=1e-6)
 
 
 def test_prediction_within_two_stderr_on_frozen_atomic_instance():
@@ -523,7 +574,9 @@ def test_curve_edge_regimes_finite_or_flagged(regime, seed, M, lam, noise):
     # ridgeless interpolation at P = rank - 1, rank, rank + 1, collapsed
     # modes, test mass wholly off the training support, degenerate and
     # zero spectra: every row is finite, or inf with diverged = 1, and
-    # equals the explicit-overlap prediction wherever the overlap exists
+    # equals the explicit-overlap prediction wherever the test mass lies on
+    # the training support (off it, the curve's residual rows cover the
+    # target's part outside the RKHS, which that oracle leaves out)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((M, 2))
     Y = rng.standard_normal((M, 1))
@@ -535,7 +588,7 @@ def test_curve_edge_regimes_finite_or_flagged(regime, seed, M, lam, noise):
         lam = 0.0
     elif regime == "all_collapsed_target":
         dec = mercer_decompose(K, p)
-        Y = Y - dec.Phi[:, :dec.rank] @ project_target(dec, Y)[:dec.rank]
+        Y = Y - dec.Phi @ project_target(dec, Y)
     elif regime.startswith("off_support"):
         off = rng.permutation(M)[:M // 2]
         masses, test = p.masses.copy(), np.zeros(M)
@@ -558,13 +611,12 @@ def test_curve_edge_regimes_finite_or_flagged(regime, seed, M, lam, noise):
             assert np.isinf(row[4])
         else:
             assert np.all(np.isfinite(row))
-    if dec.n_collapsed and np.any(pt.masses[dec.offsupport] > 0):
-        # collapsed modes have no values there, so no explicit overlap
-        assert regime == "off_support_linear"
+    if np.any(pt.masses[p.masses == 0] > 0):
+        assert regime.startswith("off_support")
         return
     for P, row in zip(grid, rows):
         ref = prediction_row(P, _explicit_overlap_prediction(
-            dec, Y, pt, P, lam, noise))
+            K, Y, p, pt, dec.rank, P, lam, noise))
         assert row[-1] == ref[-1]
         np.testing.assert_allclose(row, ref, rtol=1e-9, atol=1e-12)
 
@@ -603,14 +655,13 @@ def test_density_edge_regimes_finite_or_typed(regime, seed, M, noise):
         lam, grid = 0.0, sorted({max(r - 1, 1), r, r + 1})
     elif regime == "near_divergence":
         lam, grid = 0.0, [r - 1e-6, r + 1e-6]
-    abar = project_target(dec, Y)
     for P in grid:
         pred = predict_Eg_curve(K, Y, p, pt, [P], lam, noise, dec=dec)[0]
         if pred.state.diverged:
             with pytest.raises(DivergenceError):
-                pointwise_error_density(dec, abar, P, lam, noise, Y=Y)
+                pointwise_error_density(dec, Y, P, lam, noise)
             continue
-        c = pointwise_error_density(dec, abar, P, lam, noise, Y=Y)
+        c = pointwise_error_density(dec, Y, P, lam, noise)
         assert np.all(np.isfinite(c))
         assert np.all(c >= 0.0)
         assert float(pt.masses @ c) == pytest.approx(pred.Eg, rel=1e-9,
