@@ -75,17 +75,26 @@ def krr_solve(K_train, y_train, lam):
         raise ValueError(
             f"training Gram matrix needs {K_train.nbytes / 1e9:.1f} GB, "
             f"above the {MAX_GRAM_BYTES / 1e9:.1f} GB budget")
-    if lam > 0:
-        A = K_train.copy()
-        A.flat[::P + 1] += lam
-        c, low = linalg.cho_factor(A, lower=True, check_finite=False)
-        coef = linalg.cho_solve((c, low), y2, check_finite=False)
-        rank = P
-    else:
-        A = K_train
-        coef, _, rank, _ = np.linalg.lstsq(A, y2, rcond=RIDGELESS_RCOND)
-    resid = float(np.max(np.abs(A @ coef - y2))) if P else 0.0
+    coef, rank = _solve_in_place(np.array(K_train, order="F"), y2, lam)
+    resid = float(np.max(np.abs(K_train @ coef + lam * coef - y2))) \
+        if P else 0.0
     return KRRSolution(coef=coef, rank=int(rank), residual=resid)
+
+
+def _solve_in_place(A, y, lam):
+    """krr_solve's (coef, rank) for the matrix A, which it overwrites.
+
+    A Fortran-ordered A is factored in its own buffer; any other layout
+    costs scipy a copy.
+    """
+    P = A.shape[0]
+    if lam > 0:
+        A.flat[::P + 1] += lam
+        c, low = linalg.cho_factor(A, lower=True, overwrite_a=True,
+                                   check_finite=False)
+        return linalg.cho_solve((c, low), y, check_finite=False), P
+    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=RIDGELESS_RCOND)
+    return coef, rank
 
 
 def discrete_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
@@ -113,10 +122,12 @@ def discrete_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
     np.add.at(sums, inv, labels)
     w = np.sqrt(counts)
     rows = np.take(K, atoms, axis=0)
-    A = np.take(rows, atoms, axis=1)
+    # K_uu in Fortran order: the transpose of the gathered block is the
+    # same matrix, as K is symmetric
+    A = np.take(rows, atoms, axis=1).T
     A *= w[:, None]
     A *= w
-    coef = krr_solve(A, sums / w[:, None], lam).coef
+    coef, _ = _solve_in_place(A, sums / w[:, None], lam)
     preds = rows.T @ (w[:, None] * coef)
     return float(np.sum(test_measure.masses[:, None] * (preds - Y2) ** 2))
 

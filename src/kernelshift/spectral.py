@@ -64,6 +64,9 @@ def _check_square_symmetric(K, M):
         raise ValueError(f"kernel matrix must be ({M}, {M}), got {K.shape}")
     if not np.all(np.isfinite(K)):
         raise ValueError("kernel matrix contains non-finite entries")
+    # K itself when exactly symmetric, where (K + K^T)/2 has the same bits
+    if np.array_equal(K, K.T):
+        return K
     scale = np.abs(K).max() or 1.0
     if np.abs(K - K.T).max() > SYMMETRY_RTOL * scale:
         raise ValueError("kernel matrix is not symmetric")
@@ -84,7 +87,8 @@ def mercer_decompose(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
 
 def _decompose(K, measure, rank_threshold):
     """mercer_decompose, also returning the orthonormal eigenvectors V
-    (s, s) of B, columns in the decomposition's order and signs."""
+    (s, s) of B, columns in the decomposition's order and signs, and the
+    checked, symmetric K."""
     if not isinstance(measure, DiscreteMeasure):
         measure = DiscreteMeasure(measure)
     M = measure.M
@@ -95,12 +99,19 @@ def _decompose(K, measure, rank_threshold):
         raise ValueError("measure has empty support")
     p_s = measure.masses[sup]
     sqrt_p = np.sqrt(p_s)
-    B = K[np.ix_(sup, sup)] * sqrt_p[:, None] * sqrt_p[None, :]
-    B = 0.5 * (B + B.T)
-    w, V = scipy.linalg.eigh(B)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    V = V[:, order]
+    # B is built, symmetrized and diagonalized in its own buffer (numpy
+    # buffers B.T where it overlaps the output of B += B.T): B.T is the
+    # same symmetric matrix in Fortran order, which eigh overwrites
+    # instead of copying
+    B = K[np.ix_(sup, sup)]
+    B *= sqrt_p[:, None]
+    B *= sqrt_p
+    B += B.T
+    B *= 0.5
+    w, V = scipy.linalg.eigh(B.T, overwrite_a=True, check_finite=False)
+    del B
+    w = w[::-1]
+    V = V[:, ::-1]
 
     scale = max(abs(w[0]), abs(w[-1]), 1e-300)
     if w[-1] < -PSD_RTOL * scale:
@@ -111,16 +122,19 @@ def _decompose(K, measure, rank_threshold):
     eta = np.clip(w, 0.0, None)
 
     # sign convention: largest-|value| entry on the support is positive
-    anchor = np.argmax(np.abs(V) / sqrt_p[:, None], axis=0)
+    mag = np.abs(V)
+    mag /= sqrt_p[:, None]
+    anchor = np.argmax(mag, axis=0)
+    del mag
     signs = np.sign(V[anchor, np.arange(s)])
     signs[signs == 0] = 1.0
-    V = V * signs[None, :]
+    V = V * signs
 
     rank = int(np.count_nonzero(eta > rank_threshold * eta[0])) if eta[0] > 0 else 0
     Phi_s = V[:, :rank] / sqrt_p[:, None]
     Phi = np.zeros((M, rank))
     Phi[sup] = Phi_s
-    off = np.setdiff1d(np.arange(M), sup, assume_unique=False)
+    off = np.flatnonzero(measure.masses == 0)
     if off.size and rank:
         Phi[off] = K[np.ix_(off, sup)] @ (p_s[:, None] * Phi_s) / eta[:rank]
 
@@ -131,7 +145,7 @@ def _decompose(K, measure, rank_threshold):
         support=sup,
         rank=rank,
         rank_threshold=float(rank_threshold),
-    ), V
+    ), V, K
 
 
 def project_target(dec, Y):

@@ -440,9 +440,7 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
     if ptilde.M != p.M:
         raise ValueError("test measure must cover the same dataset")
     thr = DEFAULT_RANK_THRESHOLD if rank_threshold is None else rank_threshold
-    dec, V = _decompose(K, p, thr)
-    K = np.asarray(K, dtype=np.float64)
-    K = 0.5 * (K + K.T)
+    dec, V, K = _decompose(K, p, thr)
     Y = np.asarray(Y, dtype=np.float64)
     Y = Y[:, None] if Y.ndim == 1 else Y
     P = float(P)

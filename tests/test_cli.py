@@ -24,6 +24,11 @@ from kernelshift.theory import (CURVE_COLUMNS, SupportError,
                                 predict_Eg_dataset)
 
 
+def _load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _scipy_loaded(tmp_path, run, setup="pass"):
     # the scipy and jsonschema modules that a fresh interpreter loads while
     # it runs the code in run, after the code in setup
@@ -99,13 +104,13 @@ def test_decompose_artifacts(tmp_path):
                           "cumulative_fraction"]
     assert np.all(np.diff(cols["eta"]) <= 0)
     assert cols["cumulative_fraction"][-1] == pytest.approx(1.0, abs=1e-12)
-    info = json.load(open(out / "decomposition.json"))
+    info = _load_json(out / "decomposition.json")
     assert info["points"] == 10
     assert info["kernel"] == "rbf"
     assert set(info) >= {"points", "support_size", "rank", "collapsed",
                          "rank_threshold", "collapsed_target_power"}
     assert info["collapsed_target_power"] == 0.0  # full rank
-    manifest = json.load(open(out / "manifest.json"))
+    manifest = _load_json(out / "manifest.json")
     assert manifest["artifacts"] == sorted(manifest["artifacts"])
     assert "config.echo.json" in manifest["artifacts"]
 
@@ -114,7 +119,7 @@ def test_decompose_artifacts(tmp_path):
     code, out = _run(tmp_path, dict(doc, theory={"rank_threshold": 0.02}),
                      out="collapsed", name="collapsed.json")
     cols = read_csv_columns(out / "eigenvalues.csv")
-    info = json.load(open(out / "decomposition.json"))
+    info = _load_json(out / "decomposition.json")
     assert code == 0 and info["rank"] == len(cols["eta"]) == 8
     Y = build_dataset(doc["dataset"], 0).Y
     total = float(np.mean(Y**2))  # uniform training measure
@@ -161,12 +166,12 @@ def test_optimize_train_artifacts(tmp_path):
     trace = read_csv_columns(out / "trace.csv")
     assert list(trace) == ["step", "Eg", "participation_ratio"]
     assert np.all(np.diff(trace["Eg"]) < 0)
-    final = json.load(open(out / "final_measure.json"))
+    final = _load_json(out / "final_measure.json")
     assert len(final) == 10
     assert sum(final.values()) == pytest.approx(1.0, abs=1e-12)
     ranked = read_csv_columns(out / "sorted_measure.csv")
     assert np.all(np.diff(ranked["mass"]) <= 0)
-    report = json.load(open(out / "optimize.json"))
+    report = _load_json(out / "optimize.json")
     assert report["Eg_final"] <= report["Eg_initial"]
     assert report["steps_accepted"] == len(trace["Eg"]) - 1
     assert set(report) == {"converged", "message", "steps_accepted",
@@ -178,7 +183,7 @@ def test_optimize_test_artifacts(tmp_path):
                optimizer={"P_budget": 3, "lambda": 0.1, "steps": 40})
     code, out = _run(tmp_path, doc)
     assert code == 0
-    report = json.load(open(out / "optimize.json"))
+    report = _load_json(out / "optimize.json")
     assert report["Eg_final"] < report["Eg_initial"]
     # descent onto the cheapest atoms shrinks the effective support
     assert report["participation_final"] < 10.0
@@ -228,7 +233,7 @@ def test_compare_pipeline(tmp_path):
                                                 "empirical_curve.csv")}}
     code, out = _run(tmp_path, cmp_doc, out="c", name="c.json")
     assert code == 0
-    report = json.load(open(out / "compare.json"))
+    report = _load_json(out / "compare.json")
     assert report["band"] == 3.0
     assert len(report["rows"]) == 2
     assert {"P", "Eg_theory", "Eg_mean", "z", "within"} <= \
@@ -258,7 +263,7 @@ def test_gradcheck_report(tmp_path):
                optimizer={"P_budget": 3, "lambda": 0.1, "noise": 0.01})
     code, out = _run(tmp_path, doc)
     assert code == 0
-    report = json.load(open(out / "gradcheck.json"))
+    report = _load_json(out / "gradcheck.json")
     assert report["train_fd_richardson"]["ok"]
     assert report["train_fd_richardson"]["rel_err"] < 1e-4
     assert report["train_analytic"]["ok"]
@@ -274,8 +279,8 @@ def test_optimize_train_and_gradcheck_honour_rank_threshold(tmp_path):
     thr_doc = dict(doc, theory={"rank_threshold": 0.02})
     _, out = _run(tmp_path, doc, out="default", name="d.json")
     _, out_thr = _run(tmp_path, thr_doc, out="thr", name="t.json")
-    eg = json.load(open(out / "optimize.json"))["Eg_initial"]
-    eg_thr = json.load(open(out_thr / "optimize.json"))["Eg_initial"]
+    eg = _load_json(out / "optimize.json")["Eg_initial"]
+    eg_thr = _load_json(out_thr / "optimize.json")["Eg_initial"]
     ds = build_dataset(doc["dataset"], 0)
     K = gram(KernelSpec("rbf", lengthscale=1.5), ds.X)
     assert mercer_decompose(K, uniform_measure(10), 0.02).rank == 8
@@ -287,7 +292,7 @@ def test_optimize_train_and_gradcheck_honour_rank_threshold(tmp_path):
     code, out = _run(tmp_path, dict(thr_doc, command="gradcheck"),
                      out="grad", name="g.json")
     assert code == 0
-    report = json.load(open(out / "gradcheck.json"))
+    report = _load_json(out / "gradcheck.json")
     assert report["train_analytic"]["ok"]
     assert report["train_fd_richardson"]["ok"]
 
@@ -313,7 +318,7 @@ def test_unreadable_dataset_exits_2(tmp_path, capsys):
            "kernel": {"kind": "rbf"}, "command": "decompose"}
     code, out = _run(tmp_path, doc)
     assert code == 0
-    assert json.load(open(out / "decomposition.json"))["points"] == 10
+    assert _load_json(out / "decomposition.json")["points"] == 10
     (tmp_path / "junk.npz").write_bytes(b"PK\x03\x04" + bytes(60))
     doc["dataset"]["path"] = str(tmp_path / "junk.npz")
     code, _ = _run(tmp_path, doc, out="junk")
@@ -362,7 +367,7 @@ def test_optimizer_target_key_exits_2(tmp_path, capsys):
                optimizer={"P_budget": 3, "lambda": 0.1, "steps": 3})
     code, out = _run(tmp_path, doc)
     assert code == 0
-    echo = json.load(open(out / "config.echo.json"))
+    echo = _load_json(out / "config.echo.json")
     assert "target" not in echo["optimizer"]
     doc["optimizer"]["target"] = "test_measure"
     code, _ = _run(tmp_path, doc, out="with_target")
@@ -430,10 +435,10 @@ def test_seed_override_is_echoed_and_rehashed(tmp_path):
     _, out0 = _run(tmp_path, doc, out="s0", name="s0.json")
     _, out9 = _run(tmp_path, doc, out="s9", name="s9.json",
                    extra=("--seed", "9"))
-    echo = json.load(open(out9 / "config.echo.json"))
+    echo = _load_json(out9 / "config.echo.json")
     assert echo["seed"] == 9
-    m0 = json.load(open(out0 / "manifest.json"))
-    m9 = json.load(open(out9 / "manifest.json"))
+    m0 = _load_json(out0 / "manifest.json")
+    m9 = _load_json(out9 / "manifest.json")
     assert m9["seed"] == 9
     assert m0["config_sha256"] != m9["config_sha256"]
 
@@ -498,8 +503,8 @@ def test_reproduce_bundled_config(tmp_path):
     out = tmp_path / "si5"
     code = main(["--config", cfg, "--out", str(out)])
     assert code == 0
-    summary = json.load(open(out / "summary.json"))
+    summary = _load_json(out / "summary.json")
     assert summary["rect"]["collapsed_within_kernel"]
     assert not summary["gauss"]["collapsed_within_kernel"]
-    manifest = json.load(open(out / "manifest.json"))
+    manifest = _load_json(out / "manifest.json")
     assert manifest["figure"] == "figSI5"

@@ -159,6 +159,50 @@ def test_distinct_atom_trial_matches_p_space_fit(kind, lam, C, noise):
             assert got == pytest.approx(want, rel=1e-9, abs=floor)
 
 
+def _atom_trial_error_via_krr_solve(K, Y, train_measure, test_measure, P,
+                                    lam, noise, rng):
+    """The distinct-atom trial, with its fit made by public krr_solve on
+    the C-ordered weighted block."""
+    idx = rng.choice(K.shape[0], size=P, replace=True,
+                     p=train_measure.masses)
+    labels = Y[idx]
+    if noise > 0:
+        labels = labels + np.sqrt(noise) * rng.standard_normal(labels.shape)
+    atoms, inv, counts = np.unique(idx, return_inverse=True,
+                                   return_counts=True)
+    sums = np.zeros((atoms.size, labels.shape[1]))
+    np.add.at(sums, inv, labels)
+    w = np.sqrt(counts)
+    A = K[np.ix_(atoms, atoms)] * w[:, None] * w[None, :]
+    A_before = A.copy()
+    coef = krr_solve(A, sums / w[:, None], lam).coef
+    assert np.array_equal(A, A_before)
+    preds = K[atoms].T @ (w[:, None] * coef)
+    return float(np.sum(test_measure.masses[:, None] * (preds - Y) ** 2))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("kind", ["linear", "rbf"])
+def test_in_place_trial_fit_equals_krr_solve_bit_for_bit(kind, lam):
+    # the trial factors its block in place and in Fortran order; neither
+    # may change a bit of the error, and krr_solve keeps its input intact
+    spec = KernelSpec("linear") if kind == "linear" else \
+        KernelSpec("rbf", lengthscale=1.0)
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((40, 3))
+    Y = X @ rng.standard_normal((3, 2)) + 0.3 * np.sin(X[:, :2])
+    K = gram(spec, X)
+    p = DiscreteMeasure(rng.dirichlet(np.ones(40)))
+    pt = DiscreteMeasure(rng.dirichlet(np.ones(40)))
+    for seed in range(5):
+        for P in (7, 30, 90):
+            got = discrete_trial_error(K, Y, p, pt, P, lam, 0.04,
+                                       np.random.default_rng(seed))
+            want = _atom_trial_error_via_krr_solve(
+                K, Y, p, pt, P, lam, 0.04, np.random.default_rng(seed))
+            assert got == want
+
+
 def test_learning_curve_determinism_and_threads():
     ds, K = _toy_problem()
     X = np.random.default_rng(8).standard_normal((6, 2))

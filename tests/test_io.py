@@ -14,6 +14,16 @@ from kernelshift.io import (ArtifactDir, fmt17, read_csv_columns,
                             write_text_atomic)
 
 
+def _load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_fmt17_floats_round_trip(x):
     assert float(fmt17(x)) == x
@@ -61,15 +71,15 @@ def test_csv_bytes_are_deterministic(tmp_path):
     rows = [(i, np.sin(i)) for i in range(20)]
     write_csv_atomic(a, ("i", "s"), rows)
     write_csv_atomic(b, ("i", "s"), rows)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert _read_bytes(a) == _read_bytes(b)
 
 
 def test_json_sorted_keys_deterministic(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     write_json_atomic(a, {"zeta": 1, "alpha": [1, 2], "mid": {"y": 0, "x": 1}})
     write_json_atomic(b, {"alpha": [1, 2], "mid": {"x": 1, "y": 0}, "zeta": 1})
-    raw = open(a, "rb").read()
-    assert raw == open(b, "rb").read()
+    raw = _read_bytes(a)
+    assert raw == _read_bytes(b)
     assert raw.index(b"alpha") < raw.index(b"zeta")
 
 
@@ -99,7 +109,7 @@ def test_manifest_contents(tmp_path):
     art.write_csv("a.csv", ("x",), [(1,)])
     art.echo_config(rc)
     art.write_manifest(rc)
-    manifest = json.load(open(art.path("manifest.json")))
+    manifest = _load_json(art.path("manifest.json"))
     assert manifest["command"] == "closed-form"
     assert manifest["seed"] == 3
     assert manifest["config_sha256"] == rc.hash()
@@ -116,7 +126,7 @@ def test_manifest_carries_figure_when_set(tmp_path):
     rc = _run_config(tmp_path, {"command": "reproduce", "figure": "fig3a"})
     art = ArtifactDir(str(tmp_path / "out"))
     art.write_manifest(rc)
-    manifest = json.load(open(art.path("manifest.json")))
+    manifest = _load_json(art.path("manifest.json"))
     assert manifest["figure"] == "fig3a"
 
 
@@ -128,7 +138,7 @@ def test_config_echo_is_materialized_doc(tmp_path):
     })
     art = ArtifactDir(str(tmp_path / "out"))
     art.echo_config(rc)
-    echoed = json.load(open(art.path("config.echo.json")))
+    echoed = _load_json(art.path("config.echo.json"))
     assert echoed == rc.doc
     assert echoed["seed"] == 0  # defaults are spelled out in the echo
 

@@ -1,12 +1,15 @@
 """Mercer decomposition, orthonormality, Nystrom extension, and the
 cache."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import DiscreteMeasure, from_logits, uniform_measure
-from kernelshift.spectral import (SpectralDecomposition,
+from kernelshift.spectral import (SYMMETRY_RTOL, SpectralDecomposition,
+                                  _check_square_symmetric,
                                   cross_overlap_diagnostics,
                                   decomposition_cache_key,
                                   load_decomposition, mercer_decompose,
@@ -85,6 +88,35 @@ def test_low_rank_linear_kernel():
     dec = mercer_decompose(K, uniform_measure(15))
     assert dec.rank == 3
     assert dec.n_collapsed == 12
+
+
+def test_symmetry_check_returns_symmetric_input_itself():
+    K, _, _, _ = _instance(0)
+    assert _check_square_symmetric(K, 20) is K
+    A = K.copy()
+    A[3, 5] += 0.5 * SYMMETRY_RTOL
+    got = _check_square_symmetric(A, 20)
+    assert got is not A and A[3, 5] != A[5, 3]
+    assert np.array_equal(got, 0.5 * (A + A.T))
+    assert np.array_equal(got, got.T)
+
+
+def test_decomposition_peak_memory_is_about_two_grams():
+    # B and its eigenvectors V are each one Gram in size; nothing else of
+    # that size may be alive at once
+    rng = np.random.default_rng(0)
+    K = gram(KernelSpec("rbf", lengthscale=1.5),
+             rng.standard_normal((1000, 3)))
+    p = uniform_measure(1000)
+    mercer_decompose(K[:10, :10], uniform_measure(10))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        mercer_decompose(K, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 2.1 * K.nbytes
 
 
 def test_validation_errors():
