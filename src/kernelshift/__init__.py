@@ -9,14 +9,12 @@ from .measures import (
     SyntheticSpec,
     from_logits,
     load_dataset,
-    save_dataset,
     synth_sample,
     uniform_measure,
 )
 from .kernels import KernelSpec, gram, ntk_relu_eval
 from .spectral import (
     SpectralDecomposition,
-    cross_overlap_diagnostics,
     mercer_decompose,
     project_target,
 )
@@ -67,14 +65,12 @@ __all__ = [
     "SyntheticSpec",
     "from_logits",
     "load_dataset",
-    "save_dataset",
     "synth_sample",
     "uniform_measure",
     "KernelSpec",
     "gram",
     "ntk_relu_eval",
     "SpectralDecomposition",
-    "cross_overlap_diagnostics",
     "mercer_decompose",
     "project_target",
     "DivergenceError",

@@ -33,6 +33,8 @@ EMPIRICAL_COLUMNS = ("P", "Eg_mean", "Eg_std", "Eg_stderr", "trials")
 
 RIDGELESS_RCOND = 1e-10
 MAX_GRAM_BYTES = 2**31
+# entries of the buffer a discrete trial reads rows of K through
+_ROW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,18 +69,24 @@ def krr_solve(K_train, y_train, lam):
     P = K_train.shape[0]
     if K_train.shape != (P, P):
         raise ValueError("training kernel matrix must be square")
-    if y2.shape[0] != P:
-        raise ValueError("label count must match kernel size")
-    if lam < 0:
-        raise ValueError("ridge must be nonnegative")
-    if K_train.nbytes > MAX_GRAM_BYTES:
-        raise ValueError(
-            f"training Gram matrix needs {K_train.nbytes / 1e9:.1f} GB, "
-            f"above the {MAX_GRAM_BYTES / 1e9:.1f} GB budget")
+    _check_fit(P, y2, lam)
     coef, rank = _solve_in_place(np.array(K_train, order="F"), y2, lam)
     resid = float(np.max(np.abs(K_train @ coef + lam * coef - y2))) \
         if P else 0.0
     return KRRSolution(coef=coef, rank=int(rank), residual=resid)
+
+
+def _check_fit(P, y2, lam):
+    """krr_solve's checks of the labels, the ridge and the Gram size."""
+    if y2.shape[0] != P:
+        raise ValueError("label count must match kernel size")
+    if lam < 0:
+        raise ValueError("ridge must be nonnegative")
+    nbytes = 8 * P * P
+    if nbytes > MAX_GRAM_BYTES:
+        raise ValueError(
+            f"training Gram matrix needs {nbytes / 1e9:.1f} GB, "
+            f"above the {MAX_GRAM_BYTES / 1e9:.1f} GB budget")
 
 
 def _solve_in_place(A, y, lam):
@@ -97,18 +105,63 @@ def _solve_in_place(A, y, lam):
     return coef, rank
 
 
+def _fit_fresh_gram(G, y, lam):
+    """krr_solve's coef on a Gram built for this fit alone, which it
+    overwrites. G must be exactly symmetric, as `kernels.gram` makes it,
+    so G.T is the same matrix in Fortran order."""
+    _check_fit(G.shape[0], y, lam)
+    return _solve_in_place(G.T, y, lam)[0]
+
+
+def _row_blocks(K, atoms, buf):
+    """(lo, hi, K[atoms[lo:hi]]) for consecutive blocks of len(buf)
+    rows, each read into buf."""
+    b = buf.shape[0]
+    for lo in range(0, atoms.size, b):
+        hi = min(lo + b, atoms.size)
+        yield lo, hi, np.take(K, atoms[lo:hi], axis=0, out=buf[:hi - lo],
+                              mode="clip")
+
+
+def _atom_block(K, atoms, buf):
+    """K[np.ix_(atoms, atoms)] in Fortran order, read through buf.
+
+    The transpose of the row-gathered block is the same matrix, as K is
+    symmetric."""
+    block = np.empty((atoms.size, atoms.size))
+    for lo, hi, rows in _row_blocks(K, atoms, buf):
+        np.take(rows, atoms, axis=1, out=block[lo:hi], mode="clip")
+    return block.T
+
+
+def _fit_atoms(A, counts, sums, lam):
+    """Coefficients beta on the distinct atoms, prediction K[:, u] beta.
+
+    A is the Fortran-ordered K_uu block, which the fit overwrites. With
+    w = sqrt(c), coef solves (w_i K_uu w_j + lam I) coef = s / w and
+    beta = w coef.
+    """
+    w = np.sqrt(counts)
+    A *= w[:, None]
+    A *= w
+    coef, _ = _solve_in_place(A, sums / w[:, None], lam)
+    return w[:, None] * coef
+
+
 def discrete_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
                          rng):
     """One KRR draw on a discrete problem; returns the test-measure error.
 
     The P draws are fitted on their distinct atoms u, each weighted by
-    its count c. With w = sqrt(c) and s the per-atom label sums, coef
-    solves (w_i K_uu w_j + lam I) coef = s / w, and the prediction is
-    K[u].T @ (w coef). This is the P-space estimator for every lam >= 0:
-    at lam = 0 both are the minimum-norm least-squares fit, and the two
-    matrices share their nonzero eigenvalues, so the pseudoinverse cuts
-    the same modes. K must be symmetric, as `kernels.gram` makes it,
-    because the rows K[u] stand in for the columns K[:, u].
+    its count c, with s the per-atom label sums (see `_fit_atoms`).
+    This is the P-space estimator for every lam >= 0: at lam = 0 both
+    are the minimum-norm least-squares fit, and the two matrices share
+    their nonzero eigenvalues, so the pseudoinverse cuts the same modes.
+    Rows of K are read a few at a time into one buffer, for the K_uu
+    block and again for the prediction, so a trial holds its n x n block
+    and never the n x M rows of its draws. K must be a symmetric float64
+    array, as `kernels.gram` makes it, because rows K[u] stand in for
+    columns K[:, u].
     """
     M = K.shape[0]
     Y2 = Y[:, None] if Y.ndim == 1 else Y
@@ -118,17 +171,15 @@ def discrete_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
         labels = labels + np.sqrt(noise) * rng.standard_normal(labels.shape)
     atoms, inv, counts = np.unique(idx, return_inverse=True,
                                    return_counts=True)
-    sums = np.zeros((atoms.size, labels.shape[1]))
+    n = atoms.size
+    sums = np.zeros((n, labels.shape[1]))
     np.add.at(sums, inv, labels)
-    w = np.sqrt(counts)
-    rows = np.take(K, atoms, axis=0)
-    # K_uu in Fortran order: the transpose of the gathered block is the
-    # same matrix, as K is symmetric
-    A = np.take(rows, atoms, axis=1).T
-    A *= w[:, None]
-    A *= w
-    coef, _ = _solve_in_place(A, sums / w[:, None], lam)
-    preds = rows.T @ (w[:, None] * coef)
+    _check_fit(n, sums, lam)
+    buf = np.empty((max(1, min(n, _ROW_BLOCK // M)), M))
+    beta = _fit_atoms(_atom_block(K, atoms, buf), counts, sums, lam)
+    preds = np.zeros((M, beta.shape[1]))
+    for lo, hi, rows in _row_blocks(K, atoms, buf):
+        preds += rows.T @ beta[lo:hi]
     return float(np.sum(test_measure.masses[:, None] * (preds - Y2) ** 2))
 
 
@@ -200,8 +251,8 @@ def run_continuous_curve(kernel_spec, sample_train, target_fn, test_X,
         y = y[:, None] if y.ndim == 1 else y
         if noise > 0:
             y = y + np.sqrt(noise) * rng.standard_normal(y.shape)
-        sol = krr_solve(gram(kernel_spec, X), y, lam)
-        preds = gram(kernel_spec, test_X, X) @ sol.coef
+        coef = _fit_fresh_gram(gram(kernel_spec, X), y, lam)
+        preds = gram(kernel_spec, test_X, X) @ coef
         return float(np.sum(w[:, None] * (preds - f_test) ** 2))
 
     return _run_trials(task, P_values, trials, threads)

@@ -13,8 +13,9 @@ import numpy as np
 from ._rng import rng_from
 from .closedform import (dot_product_kernel_spectrum, general_linear_Eg,
                          mode_spectrum_Eg, optimal_ridge)
-from .empirical import (EMPIRICAL_COLUMNS, _run_trials, compare_report,
-                        krr_solve, run_continuous_curve, run_learning_curve)
+from .empirical import (EMPIRICAL_COLUMNS, _fit_fresh_gram, _run_trials,
+                        compare_report, run_continuous_curve,
+                        run_learning_curve)
 from .kernels import KernelSpec, gram, ntk_relu_eval
 from .measures import DiscreteMeasure
 from .spectral import mercer_decompose
@@ -51,8 +52,8 @@ def _isotropic_linear_curve(beta, M_r, D, P_values, lam, noise, trials,
         y = (X @ beta)[:, None]
         if noise > 0:
             y = y + np.sqrt(noise) * rng.standard_normal(y.shape)
-        sol = krr_solve(gram(spec, X), y, lam)
-        w = X.T @ sol.coef[:, 0] / D
+        coef = _fit_fresh_gram(gram(spec, X), y, lam)
+        w = X.T @ coef[:, 0] / D
         return float(np.sum((w - beta) ** 2))
 
     return _run_trials(task, P_values, trials, threads)

@@ -128,15 +128,21 @@ def _decompose(K, measure, rank_threshold):
     del mag
     signs = np.sign(V[anchor, np.arange(s)])
     signs[signs == 0] = 1.0
+    # a new array, not V *= signs: the gradient's products with V must see
+    # it in Fortran order, not as the reversed view, to keep their bits
     V = V * signs
 
     rank = int(np.count_nonzero(eta > rank_threshold * eta[0])) if eta[0] > 0 else 0
-    Phi_s = V[:, :rank] / sqrt_p[:, None]
-    Phi = np.zeros((M, rank))
-    Phi[sup] = Phi_s
-    off = np.flatnonzero(measure.masses == 0)
-    if off.size and rank:
-        Phi[off] = K[np.ix_(off, sup)] @ (p_s[:, None] * Phi_s) / eta[:rank]
+    if s == M:
+        Phi = np.divide(V[:, :rank], sqrt_p[:, None], order="C")
+    else:
+        Phi_s = V[:, :rank] / sqrt_p[:, None]
+        Phi = np.zeros((M, rank))
+        Phi[sup] = Phi_s
+        if rank:
+            Phi_s *= p_s[:, None]
+            off = np.flatnonzero(measure.masses == 0)
+            Phi[off] = K[np.ix_(off, sup)] @ Phi_s / eta[:rank]
 
     return SpectralDecomposition(
         eigenvalues=eta,

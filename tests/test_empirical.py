@@ -1,11 +1,16 @@
 """Monte Carlo kernel ridge regression harness: solver correctness,
 trial determinism, and the comparison report."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from kernelshift import empirical
 from kernelshift.empirical import (EMPIRICAL_COLUMNS, EmpiricalPoint,
-                                   _curve_from_errors, compare_report,
+                                   _atom_block, _curve_from_errors,
+                                   _fit_atoms,
+                                   _fit_fresh_gram, compare_report,
                                    discrete_trial_error, krr_solve,
                                    run_continuous_curve, run_learning_curve)
 from kernelshift.kernels import KernelSpec, gram
@@ -161,8 +166,11 @@ def test_distinct_atom_trial_matches_p_space_fit(kind, lam, C, noise):
 
 def _atom_trial_error_via_krr_solve(K, Y, train_measure, test_measure, P,
                                     lam, noise, rng):
-    """The distinct-atom trial, with its fit made by public krr_solve on
-    the C-ordered weighted block."""
+    """The distinct-atom trial with its fit made by public krr_solve on
+    the C-ordered weighted block, and one gemv for the prediction.
+
+    Returns the error, the atoms, counts and label sums, and krr_solve's
+    coefficients."""
     idx = rng.choice(K.shape[0], size=P, replace=True,
                      p=train_measure.masses)
     labels = Y[idx]
@@ -178,14 +186,18 @@ def _atom_trial_error_via_krr_solve(K, Y, train_measure, test_measure, P,
     coef = krr_solve(A, sums / w[:, None], lam).coef
     assert np.array_equal(A, A_before)
     preds = K[atoms].T @ (w[:, None] * coef)
-    return float(np.sum(test_measure.masses[:, None] * (preds - Y) ** 2))
+    err = float(np.sum(test_measure.masses[:, None] * (preds - Y) ** 2))
+    return err, atoms, counts, sums, coef
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])
 @pytest.mark.parametrize("kind", ["linear", "rbf"])
-def test_in_place_trial_fit_equals_krr_solve_bit_for_bit(kind, lam):
-    # the trial factors its block in place and in Fortran order; neither
-    # may change a bit of the error, and krr_solve keeps its input intact
+def test_in_place_trial_fit_equals_krr_solve_bit_for_bit(kind, lam,
+                                                         monkeypatch):
+    # the trial gathers K_uu through a buffer of a few rows of K, which
+    # must give the block's exact bits, and its fit on that block is
+    # krr_solve's, bit for bit. The prediction sums row blocks, so the
+    # error agrees to rounding only, for buffers of 1, 3 and all n rows
     spec = KernelSpec("linear") if kind == "linear" else \
         KernelSpec("rbf", lengthscale=1.0)
     rng = np.random.default_rng(3)
@@ -196,11 +208,65 @@ def test_in_place_trial_fit_equals_krr_solve_bit_for_bit(kind, lam):
     pt = DiscreteMeasure(rng.dirichlet(np.ones(40)))
     for seed in range(5):
         for P in (7, 30, 90):
-            got = discrete_trial_error(K, Y, p, pt, P, lam, 0.04,
-                                       np.random.default_rng(seed))
-            want = _atom_trial_error_via_krr_solve(
-                K, Y, p, pt, P, lam, 0.04, np.random.default_rng(seed))
-            assert got == want
+            want, atoms, counts, sums, coef = \
+                _atom_trial_error_via_krr_solve(
+                    K, Y, p, pt, P, lam, 0.04, np.random.default_rng(seed))
+            for rows in (1, 3, atoms.size):
+                monkeypatch.setattr(empirical, "_ROW_BLOCK", 40 * rows)
+                got = discrete_trial_error(K, Y, p, pt, P, lam, 0.04,
+                                           np.random.default_rng(seed))
+                assert got == pytest.approx(want, rel=1e-12)
+                block = _atom_block(K, atoms, np.empty((rows, 40)))
+                assert block.flags.f_contiguous
+                assert np.array_equal(block, K[np.ix_(atoms, atoms)])
+            beta = _fit_atoms(block, counts, sums, lam)
+            assert np.array_equal(beta, np.sqrt(counts)[:, None] * coef)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_fresh_gram_fit_equals_krr_solve_bit_for_bit(lam):
+    # the continuous trials factor the Gram's transpose in place, which
+    # is krr_solve's Fortran copy exactly when gram is exactly symmetric
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((25, 3))
+    y = rng.standard_normal((25, 1))
+    for spec in (KernelSpec("linear"), KernelSpec("rbf", lengthscale=1.0),
+                 KernelSpec("laplace", lengthscale=1.0),
+                 KernelSpec("ntk_relu", depth=2)):
+        want = krr_solve(gram(spec, X), y, lam).coef
+        assert np.array_equal(_fit_fresh_gram(gram(spec, X), y, lam), want)
+
+
+def test_trial_block_above_the_gram_budget_raises(monkeypatch):
+    # 30 draws from 30 atoms hit at least 2, a 32-byte block
+    ds, K = _toy_problem(M=30)
+    p = uniform_measure(30)
+    monkeypatch.setattr(empirical, "MAX_GRAM_BYTES", 24)
+    with pytest.raises(ValueError, match="Gram"):
+        discrete_trial_error(K, ds.Y, p, p, 30, 0.1, 0.0,
+                             np.random.default_rng(0))
+
+
+def test_trial_peak_memory_is_about_one_block():
+    # the trial holds its n x n block, a row buffer and vectors of length
+    # M; the n x M rows of the draws are never alive at once
+    X = np.random.default_rng(2).standard_normal((3000, 5))
+    K = gram(KernelSpec("rbf", lengthscale=1.5), X)
+    Y = np.sin(X[:, :1])
+    p = uniform_measure(3000)
+    discrete_trial_error(K, Y, p, p, 20, 1e-3, 0.01,
+                         np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        discrete_trial_error(K, Y, p, p, 600, 1e-3, 0.01, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = np.unique(np.random.default_rng(1).choice(
+        3000, size=600, replace=True, p=p.masses)).size
+    assert peak - entry <= 1.5 * 8 * n * n
 
 
 def test_learning_curve_determinism_and_threads():
@@ -273,6 +339,9 @@ def test_continuous_curve_deterministic():
     assert a == b
     assert all(np.isfinite(p.Eg_mean) for p in a)
     assert a[1].Eg_mean < a[0].Eg_mean
+    with pytest.raises(ValueError, match="ridge must be nonnegative"):
+        run_continuous_curve(spec, sample_train, target, test_X,
+                             **(kwargs | dict(lam=-0.1)))
 
 
 def test_compare_report_alignment_and_z():
