@@ -41,8 +41,7 @@ def main():
     args = ap.parse_args()
 
     X, Y = build_instance(args.seed)
-    spec = KernelSpec("rbf", lengthscale=2.0)
-    K = gram(spec, X)
+    K = gram(KernelSpec("rbf", lengthscale=2.0), X)
     M = len(X)
     uniform = uniform_measure(M)
 
@@ -51,7 +50,7 @@ def main():
 
     cfg = OptimizerConfig(P_budget=P_BUDGET, lam=LAM, steps=STEPS,
                           learning_rate=3.0)
-    trace = optimize_train_measure((X, Y), spec, uniform, cfg, K=K)
+    trace = optimize_train_measure(K, Y, uniform, cfg)
     print(f"\n{'step':>5} {'predicted Eg':>13} {'participation':>14}")
     for i, (eg, pr) in enumerate(zip(trace.Eg, trace.participation)):
         print(f"{i:>5} {eg:>13.4f} {pr:>14.1f}")

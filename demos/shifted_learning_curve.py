@@ -13,6 +13,7 @@ import numpy as np
 from kernelshift.empirical import run_learning_curve
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import from_logits, uniform_measure
+from kernelshift.spectral import mercer_decompose
 from kernelshift.theory import predict_Eg_curve
 
 # moderate input dimension keeps the mode statistics close to the
@@ -42,7 +43,8 @@ def main():
     args = ap.parse_args()
 
     K, Y, p, pt = build_instance(args.seed)
-    preds = predict_Eg_curve(K, Y, p, pt, P_GRID, LAM, NOISE)
+    preds = predict_Eg_curve(mercer_decompose(K, p), Y, pt, P_GRID, LAM,
+                             NOISE)
     theory = [pred.Eg for pred in preds]
     matched = [pred.Eg_matched for pred in preds]
     mc = run_learning_curve(K, Y, p, pt, P_GRID, LAM, NOISE,

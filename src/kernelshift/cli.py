@@ -121,8 +121,8 @@ def cmd_theory_curve(rc, art, threads, cache_dir):
     if "P_grid" not in sec:
         raise ConfigError("theory-curve needs a P grid", "/theory/P_grid")
     dec = _decomposition(K, p, _rank_threshold(rc), cache_dir)
-    preds = predict_Eg_curve(K, ds.Y, p, pt, sec["P_grid"], sec["lambda"],
-                             sec["noise"], dec=dec)
+    preds = predict_Eg_curve(dec, ds.Y, pt, sec["P_grid"], sec["lambda"],
+                             sec["noise"])
     art.write_csv("theory_curve.csv", CURVE_COLUMNS,
                   [prediction_row(P, pred)
                    for P, pred in zip(sec["P_grid"], preds)])
@@ -160,17 +160,16 @@ def _optimizer_config(sec):
     )
 
 
-def _write_trace(art, ds, trace):
+def _write_trace(art, trace):
     rows = [(float(i), trace.Eg[i], trace.participation[i])
             for i in range(len(trace.Eg))]
     art.write_csv("trace.csv", TRACE_COLUMNS, rows)
     masses = trace.final_measure.masses
     art.write_json("final_measure.json",
-                   {str(int(ds.ids[i])): float(masses[i])
-                    for i in range(ds.M)})
+                   {str(i): float(m) for i, m in enumerate(masses)})
     order = np.argsort(-masses, kind="stable")
     art.write_csv("sorted_measure.csv", ("rank", "id", "mass"),
-                  [(float(r), float(ds.ids[i]), masses[i])
+                  [(float(r), float(i), masses[i])
                    for r, i in enumerate(order)])
     art.write_json("optimize.json", {
         "converged": bool(trace.converged),
@@ -183,11 +182,11 @@ def _write_trace(art, ds, trace):
 
 
 def cmd_optimize_train(rc, art, threads, cache_dir):
-    ds, spec, K, _, pt = _dataset_problem(rc)
+    ds, _, K, _, pt = _dataset_problem(rc)
     cfg = _optimizer_config(rc.section("optimizer"))
-    trace = optimize_train_measure(ds, spec, pt, cfg, K=K,
+    trace = optimize_train_measure(K, ds.Y, pt, cfg,
                                    rank_threshold=_rank_threshold(rc))
-    _write_trace(art, ds, trace)
+    _write_trace(art, trace)
     return EXIT_OK
 
 
@@ -196,7 +195,7 @@ def cmd_optimize_test(rc, art, threads, cache_dir):
     cfg = _optimizer_config(rc.section("optimizer"))
     dec = _decomposition(K, p, _rank_threshold(rc), cache_dir)
     trace = optimize_test_measure(dec, ds.Y, cfg)
-    _write_trace(art, ds, trace)
+    _write_trace(art, trace)
     return EXIT_OK
 
 
@@ -330,9 +329,8 @@ def cmd_gradcheck(rc, art, threads, cache_dir):
                                   noise, rank_threshold=thr).Eg
 
     z0 = np.zeros(ds.M)
-    h = max(h, 1e-5)
-    g1 = fd_gradient(train_loss, z0, h, threads=threads)
-    rich = richardson_check(train_loss, z0, h=h, threads=threads, g1=g1)
+    g1 = fd_gradient(train_loss, z0, h)
+    rich = richardson_check(train_loss, z0, h=h, g1=g1)
     masses0 = from_logits(z0).masses
     _, pbar = predict_Eg_train_grad(K, ds.Y, masses0, pt, P, lam, noise,
                                     rank_threshold=thr)
@@ -387,12 +385,13 @@ def main(argv=None):
                     "shift.")
     parser.add_argument("--config", required=True,
                         help="path to a JSON run configuration")
-    parser.add_argument("--out", default="out",
-                        help="artifact output directory (default: ./out)")
+    parser.add_argument("--out", default=None,
+                        help="artifact output directory (default: the "
+                             "config's out, else ./out)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for trials and probes "
+                        help="worker threads for Monte Carlo trials "
                              "(does not change results)")
     parser.add_argument("--cache", default=None,
                         help="directory for reusable decompositions")
@@ -406,7 +405,7 @@ def main(argv=None):
             validate_document(doc)
             rc = RunConfig(doc)
         threads = args.threads if args.threads is not None else rc.threads
-        art = ArtifactDir(args.out)
+        art = ArtifactDir(args.out or rc.doc.get("out", "out"))
         code = EXIT_OK
         try:
             code = _HANDLERS[rc.command](rc, art, threads, args.cache)

@@ -120,9 +120,10 @@ def reproduce_fig3b(art, seed, trials=30, threads=1):
     """Ridge sweep around the error-optimal regularization.
 
     Same geometry as the rank-limited study at M_r = 40, D = 120, label
-    noise 0.1, unit in-support target power. The ridge M_r * noise / D
-    minimizes the predicted error at every sample size; the ridgeless
-    curve diverges where samples match the training rank.
+    noise 0.1, unit in-support target power, test error integrated
+    exactly. The ridge M_r * noise / D minimizes the predicted error at
+    every sample size; the ridgeless curve diverges where samples match
+    the training rank.
     """
     D, M_r = 120, 40
     noise = 0.1
@@ -135,17 +136,6 @@ def reproduce_fig3b(art, seed, trials=30, threads=1):
     lam_grid = [0.0, 1e-3, lam_star, 0.3]
     P_theory = list(range(4, 201, 4))
     P_mc = [8, 16, 24, 32, 40, 48, 64, 96, 128, 196]
-
-    spec = KernelSpec("linear")
-    test_X = rng_from(seed, "fig3b-test").standard_normal((4000, D))
-
-    def target(X):
-        return X @ beta
-
-    def sample_train(rng, n):
-        X = np.zeros((n, D))
-        X[:, :M_r] = rng.standard_normal((n, M_r))
-        return X
 
     theory_rows = []
     empirical_rows = []
@@ -161,8 +151,8 @@ def reproduce_fig3b(art, seed, trials=30, threads=1):
         diverged_points += [{"lam": lam, "P": P}
                             for P, r in zip(P_theory, results)
                             if r.state.diverged]
-        points = run_continuous_curve(
-            spec, sample_train, target, test_X, P_mc, lam, noise, trials,
+        points = _isotropic_linear_curve(
+            beta, M_r, D, P_mc, lam, noise, trials,
             _child_seed(seed, f"fig3b-mc-{lam}"), threads=threads)
         empirical_rows += _empirical_rows(lam, points)
         idx = [P_theory.index(P) for P in P_mc]
@@ -218,7 +208,8 @@ def _discretized_crosscheck(seed, label, M, M_r, M_s, beta, lam, noise,
                                 np.full(n_atoms, 1.0 / n_atoms)])
     p = DiscreteMeasure(masses_p)
     pt = DiscreteMeasure(masses_pt)
-    preds = predict_Eg_curve(K, Y, p, pt, P_values, lam, noise)
+    preds = predict_Eg_curve(mercer_decompose(K, p), Y, pt, P_values, lam,
+                             noise)
     rows = []
     for P, pred in zip(P_values, preds):
         closed = general_linear_Eg(P, M, M_r, M_s, beta, 1.0, 1.0, lam,
@@ -404,7 +395,7 @@ def reproduce_figSI5(art, seed, trials=30, threads=1, grid_points=401):
         dec = mercer_decompose(K, p)
         eig_rows += [(name, float(i), val)
                      for i, val in enumerate(dec.eigenvalues)]
-        preds = predict_Eg_curve(K, Y, p, pt, P_grid, lam, 0.0, dec=dec)
+        preds = predict_Eg_curve(dec, Y, pt, P_grid, lam, 0.0)
         theory_rows += [(name,) + prediction_row(P, pr)
                         for P, pr in zip(P_grid, preds)]
         points = run_learning_curve(K, Y[:, None], p, pt, P_grid, lam, 0.0,

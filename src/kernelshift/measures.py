@@ -9,7 +9,7 @@ is all the downstream theory needs: expectations become mass-weighted sums.
 import csv
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,10 @@ _DATASET_FORMATS = ("an .npz archive with arrays X (M, D) and Y (M, C) or "
 
 @dataclass(frozen=True)
 class Dataset:
-    """Points X (M, D), targets Y (M, C) and stable integer row ids."""
+    """Points X (M, D) and targets Y (M, C); a point is its row index."""
 
     X: np.ndarray
     Y: np.ndarray
-    ids: np.ndarray = None
 
     def __post_init__(self):
         X = np.ascontiguousarray(np.asarray(self.X, dtype=np.float64))
@@ -46,16 +45,8 @@ class Dataset:
             raise ValueError("X contains non-finite entries")
         if not np.all(np.isfinite(Y)):
             raise ValueError("Y contains non-finite entries")
-        ids = self.ids
-        if ids is None:
-            ids = np.arange(X.shape[0], dtype=np.int64)
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.shape != (X.shape[0],):
-                raise ValueError("ids must be one per row")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "ids", ids)
 
     @property
     def M(self):
@@ -226,7 +217,7 @@ def load_dataset(path, standardize=False):
         raise ValueError(f"cannot read dataset {os.fspath(path)!r}: {exc}. "
                          f"Accepted formats: {_DATASET_FORMATS}") from exc
     if standardize:
-        ds = Dataset(_standardized(ds.X), ds.Y, ds.ids)
+        ds = Dataset(_standardized(ds.X), ds.Y)
     return ds
 
 

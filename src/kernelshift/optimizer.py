@@ -16,13 +16,11 @@ analytic gradients are checked against.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure, Dataset, from_logits
-from .kernels import gram
+from .measures import DiscreteMeasure, from_logits
 from .theory import (DivergenceError, SupportError, pointwise_error_density,
                      predict_Eg_train_grad)
 
@@ -87,29 +85,19 @@ def participation_ratio(measure):
     return float(1.0 / np.sum(masses**2))
 
 
-def fd_gradient(loss, z, h, threads=1):
+def fd_gradient(loss, z, h):
     """Central-difference gradient (L(z+h e_i) - L(z-h e_i)) / 2h of a
-    scalar loss over logits.
-
-    Probes are independent and may be evaluated by a thread pool; the
-    assembled gradient does not depend on scheduling.
-    """
+    scalar loss over logits."""
     z = np.asarray(z, dtype=np.float64)
-    probes = []
+    grad = np.empty_like(z)
     for i in range(z.shape[0]):
         zp = z.copy(); zp[i] += h
         zm = z.copy(); zm[i] -= h
-        probes.extend((zp, zm))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(loss, probes))
-    else:
-        vals = [loss(zp) for zp in probes]
-    vals = np.asarray(vals, dtype=np.float64)
-    return (vals[0::2] - vals[1::2]) / (2.0 * h)
+        grad[i] = (float(loss(zp)) - float(loss(zm))) / (2.0 * h)
+    return grad
 
 
-def richardson_check(loss, z, h=1e-4, threads=1, g1=None):
+def richardson_check(loss, z, h=1e-4, g1=None):
     """Step-halving consistency of the central-difference gradient.
 
     Compares the h/2 gradient with its Richardson extrapolation from
@@ -119,8 +107,8 @@ def richardson_check(loss, z, h=1e-4, threads=1, g1=None):
     gradient when the caller has already computed it.
     """
     if g1 is None:
-        g1 = fd_gradient(loss, z, h, threads=threads)
-    g2 = fd_gradient(loss, z, h / 2.0, threads=threads)
+        g1 = fd_gradient(loss, z, h)
+    g2 = fd_gradient(loss, z, h / 2.0)
     extrap = (4.0 * g2 - g1) / 3.0
     scale = float(np.max(np.abs(extrap)))
     dev = float(np.max(np.abs(g2 - extrap)))
@@ -174,13 +162,10 @@ def _iterate(z0, objective, config):
         message=message)
 
 
-def optimize_train_measure(dataset, kernel_spec, test_measure, config,
-                           K=None, rank_threshold=None):
-    """Optimize the training measure of a discrete problem.
-
-    dataset may be a Dataset or a plain (X, Y) pair; a precomputed Gram
-    matrix can be passed to skip the kernel evaluation. The test measure
-    stays fixed; logits start at zero (uniform measure).
+def optimize_train_measure(K, Y, test_measure, config, rank_threshold=None):
+    """Optimize the training measure of a discrete problem with Gram K and
+    targets Y. The test measure stays fixed; logits start at zero (uniform
+    measure).
 
     The gradient is analytic (theory.predict_Eg_train_grad) and costs one
     decomposition and O(M^3) matmuls per iterate, chained through the
@@ -192,13 +177,7 @@ def optimize_train_measure(dataset, kernel_spec, test_measure, config,
     whose prediction diverges, or whose softmax underflows a mass to 0,
     is rejected; a diverging start raises DivergenceError.
     """
-    if isinstance(dataset, Dataset):
-        X, Y = dataset.X, dataset.Y
-    else:
-        X, Y = dataset
-    K = gram(kernel_spec, X) if K is None else np.asarray(K, float)
-    Y = np.asarray(Y, dtype=np.float64)
-    M = K.shape[0]
+    M = np.shape(K)[0]
     if not isinstance(test_measure, DiscreteMeasure):
         test_measure = DiscreteMeasure(np.asarray(test_measure, float))
 

@@ -162,34 +162,6 @@ def solve_kappa(eigenvalues, P, lam, weights=None):
     return KappaSolution(kappa=float(kappa), residual=float(residual))
 
 
-def compute_state(eigenvalues, P, lam, O_diag=None, weights=None):
-    """gamma, gamma' and the divergence flag at the self-consistent kappa."""
-    eta, w = _validated_spectrum(eigenvalues, weights)
-    sol = solve_kappa(eta, P, lam, weights=weights)
-    P = float(P)
-    denom = P * eta + sol.kappa
-    frac = np.zeros_like(eta)
-    ok = denom > 0
-    frac[ok] = P * eta[ok] ** 2 / denom[ok] ** 2
-    gamma = float(np.dot(w, frac))
-    if O_diag is None:
-        gamma_prime = gamma
-    else:
-        O_diag = np.asarray(O_diag, dtype=np.float64)
-        if O_diag.shape != eta.shape:
-            raise ValueError("O_diag must match eigenvalues")
-        gamma_prime = float(np.dot(w, O_diag * frac))
-    return TheoryState(
-        P=P,
-        lam=float(lam),
-        kappa=float(sol.kappa),
-        gamma=gamma,
-        gamma_prime=gamma_prime,
-        diverged=bool(1.0 - gamma < DIVERGENCE_TOL),
-        ridgeless=sol.ridgeless,
-    )
-
-
 def _as_columns(abar, n_modes):
     abar = np.asarray(abar, dtype=np.float64)
     if abar.ndim == 1:
@@ -203,28 +175,37 @@ def _per_P(eta, P, lam, weights=None, O_diag=None):
     """Solve kappa at P and weight the modes: (state, d, q).
 
     eta = 0 marks a mode out of the RKHS or off the training support, so
-    q = 1 there even in the ridgeless limit kappa -> 0; elsewhere
-    d = 1/(P eta + kappa) and q = kappa d.  weights are mode multiplicities
-    and O_diag the test-overlap diagonal of gamma' (gamma' = gamma without
-    it).
+    q = 1 and d = 0 there even in the ridgeless limit kappa -> 0;
+    elsewhere d = 1/(P eta + kappa) and q = kappa d.  The state holds
+    gamma = sum w P eta^2/(P eta + kappa)^2 and gamma', the same sum
+    weighted by O_diag, the test-overlap diagonal (gamma' = gamma without
+    it), and the divergence flag.  weights are mode multiplicities.
     """
+    eta, w = _validated_spectrum(eta, weights)
+    sol = solve_kappa(eta, P, lam, weights=w)
+    P = float(P)
     pos = eta > 0
-    if O_diag is not None:
-        # eta = 0 modes never weigh in gamma', even where O_diag is not finite
-        O_diag = np.where(pos, O_diag, 0.0)
-    state = compute_state(eta, P, lam, O_diag, weights)
-    return (state, *_mode_weights(eta, state))
-
-
-def _mode_weights(eta, state):
-    """d = 1/(P eta + kappa) and q = kappa d at the state, with d = 0 and
-    q = 1 on eta = 0 modes."""
-    pos = eta > 0
+    denom = P * eta[pos] + sol.kappa
     d = np.zeros_like(eta)
-    d[pos] = 1.0 / (state.P * eta[pos] + state.kappa)
+    d[pos] = 1.0 / denom
     q = np.ones_like(eta)
-    q[pos] = state.kappa * d[pos]
-    return d, q
+    q[pos] = sol.kappa * d[pos]
+    frac = np.zeros_like(eta)
+    frac[pos] = P * eta[pos] ** 2 / denom ** 2
+    gamma = float(np.dot(w, frac))
+    # eta = 0 modes never weigh in gamma', even where O_diag is not finite
+    gamma_prime = gamma if O_diag is None else \
+        float(np.dot(w, np.where(pos, O_diag, 0.0) * frac))
+    state = TheoryState(
+        P=P,
+        lam=float(lam),
+        kappa=float(sol.kappa),
+        gamma=gamma,
+        gamma_prime=gamma_prime,
+        diverged=bool(1.0 - gamma < DIVERGENCE_TOL),
+        ridgeless=sol.ridgeless,
+    )
+    return state, d, q
 
 
 def _masked_eta(dec):
@@ -350,26 +331,21 @@ def pointwise_error_density(dec, Y, P, lam, noise):
         + np.einsum("mc,mc->m", mean, mean)
 
 
-def predict_Eg_curve(K, Y, p, ptilde, P_grid, lam, noise, rank_threshold=None,
-                     dec=None):
+def predict_Eg_curve(dec, Y, ptilde, P_grid, lam, noise):
     """End-to-end learning curve on a discrete dataset, one prediction per P.
 
-    The decomposition, the rows abar and R, the test-measure weights of
-    Phi^2 (gamma' per mode) and of R^2 (the irreducible error) and the
-    collapsed power p . R^2 depend only on the kernel and the two
-    measures, so they are built once.  Each P then costs one kappa solve
-    and one (M, rank) product: the bias is ptilde . |Phi W + R|^2, the
-    pointwise density's rows contracted with the test measure.  No overlap
-    matrix is built, so test mass off the training support is covered
-    whether or not collapsed modes exist.
+    dec is the Mercer decomposition under the training measure.  The rows
+    abar and R, the test-measure weights of Phi^2 (gamma' per mode) and of
+    R^2 (the irreducible error) and the collapsed power p . R^2 depend
+    only on the decomposition and the test measure, so they are built
+    once.  Each P then costs one kappa solve and one (M, rank) product:
+    the bias is ptilde . |Phi W + R|^2, the pointwise density's rows
+    contracted with the test measure.  No overlap matrix is built, so test
+    mass off the training support is covered whether or not collapsed
+    modes exist.
     """
-    if not isinstance(p, DiscreteMeasure):
-        p = DiscreteMeasure(p)
     if not isinstance(ptilde, DiscreteMeasure):
         ptilde = DiscreteMeasure(ptilde)
-    if dec is None:
-        thr = DEFAULT_RANK_THRESHOLD if rank_threshold is None else rank_threshold
-        dec = mercer_decompose(K, p, thr)
     if ptilde.M != dec.Phi.shape[0]:
         raise ValueError("test measure must cover the same dataset")
     _check_noise(noise)
@@ -394,11 +370,13 @@ def predict_Eg_curve(K, Y, p, ptilde, P_grid, lam, noise, rank_threshold=None,
     return preds
 
 
-def predict_Eg_dataset(K, Y, p, ptilde, P, lam, noise, rank_threshold=None,
-                       dec=None):
-    """End-to-end prediction at one P: predict_Eg_curve on a one-point grid."""
-    return predict_Eg_curve(K, Y, p, ptilde, [P], lam, noise, rank_threshold,
-                            dec)[0]
+def predict_Eg_dataset(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
+    """Prediction at one P from the Gram and the training measure:
+    predict_Eg_curve on their decomposition (at rank_threshold,
+    DEFAULT_RANK_THRESHOLD when None) and a one-point grid."""
+    thr = DEFAULT_RANK_THRESHOLD if rank_threshold is None else rank_threshold
+    return predict_Eg_curve(mercer_decompose(K, p, thr), Y, ptilde, [P], lam,
+                            noise)[0]
 
 
 def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
@@ -448,14 +426,14 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
     # tiny masses overflow on the way; the check below turns a non-finite
     # result into SupportError
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        pred = predict_Eg_curve(K, Y, p, ptilde, [P], lam, noise, dec=dec)[0]
+        pred = predict_Eg_curve(dec, Y, ptilde, [P], lam, noise)[0]
         state = pred.state
         one_minus = 1.0 - state.gamma
         if state.diverged:
             raise DivergenceError(
                 f"1 - gamma = {one_minus:.3e} < {DIVERGENCE_TOL}: predicted "
                 "error diverges, so it has no gradient")
-        d, q = _mode_weights(_masked_eta(dec), state)
+        _, d, q = _per_P(_masked_eta(dec), P, lam)
         a = np.sqrt(p.masses)
         abar = V.T @ (a[:, None] * Y)
         O = _overlap_matrix(V, ptilde.masses / p.masses)

@@ -23,8 +23,8 @@ from kernelshift.optimizer import (OptimizerConfig, fd_gradient,
                                    optimize_test_measure,
                                    optimize_train_measure, richardson_check)
 from kernelshift.spectral import cross_overlap_diagnostics, mercer_decompose
-from kernelshift.theory import (pointwise_error_density, predict_Eg_dataset,
-                                solve_kappa)
+from kernelshift.theory import (pointwise_error_density, predict_Eg_curve,
+                                predict_Eg_dataset, solve_kappa)
 from test_closedform import kappa_prime_flat
 
 
@@ -146,8 +146,8 @@ def test_acceptance_06_test_measure_structure():
                                     noise=0.02)
         for _ in range(3):
             pt = from_logits(rng.standard_normal(M))
-            direct = predict_Eg_dataset(K, Y, p, pt, M // 2, 0.05, 0.02,
-                                        dec=dec).Eg
+            direct = predict_Eg_curve(dec, Y, pt, [M // 2], 0.05,
+                                      0.02)[0].Eg
             worst_lin = max(worst_lin, abs(direct - pt.masses @ c))
 
     # analytic softmax gradient against central differences
@@ -165,8 +165,8 @@ def test_acceptance_06_test_measure_structure():
     up = optimize_test_measure(
         dec, Y, OptimizerConfig(**dict(cfg, mode="ascent")))
     mass_on_argmin = float(down.final_measure.masses[np.argmin(c)])
-    matched = predict_Eg_dataset(K, Y, p, p, c.shape[0] // 2, 0.05, 0.02,
-                                 dec=dec).Eg
+    matched = predict_Eg_curve(dec, Y, p, [c.shape[0] // 2], 0.05,
+                               0.02)[0].Eg
     ordered = down.Eg[-1] <= matched <= up.Eg[-1]
 
     ok = (worst_lin < 1e-10 and rel_grad < 1e-6
@@ -189,14 +189,13 @@ def test_acceptance_07_train_measure_optimization():
     XB[:, 0] -= 2.0
     X = np.vstack([XA, XB])
     Y = np.concatenate([np.ones(nA), -np.ones(nB)])[:, None]
-    spec = KernelSpec("rbf", lengthscale=2.0)
-    K = gram(spec, X)
+    K = gram(KernelSpec("rbf", lengthscale=2.0), X)
     M, P, lam = 200, 30, 1e-3
     pt = uniform_measure(M)
 
     base = predict_Eg_dataset(K, Y, pt, pt, P, lam, 0.0).Eg
     cfg = OptimizerConfig(P_budget=P, lam=lam, steps=15, learning_rate=3.0)
-    trace = optimize_train_measure((X, Y), spec, pt, cfg, K=K)
+    trace = optimize_train_measure(K, Y, pt, cfg)
     gain = 1.0 - trace.Eg[-1] / base
 
     unif = run_learning_curve(K, Y, pt, pt, [P], lam, 0.0, trials=30,

@@ -375,6 +375,30 @@ def test_optimizer_target_key_exits_2(tmp_path, capsys):
     assert "/optimizer/target" in capsys.readouterr().err
 
 
+def test_fd_step_below_floor_exits_2(tmp_path, capsys):
+    # a step below 1e-5 is rejected, not run at 1e-5 under an echo that
+    # shows the smaller value
+    doc = dict(_base_doc(), command="gradcheck",
+               optimizer={"P_budget": 3, "lambda": 0.1, "fd_step": 1e-6})
+    code, out = _run(tmp_path, doc)
+    assert code == 2
+    assert "/optimizer/fd_step" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_out_is_the_default_artifact_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_base_doc(), command="decompose",
+                                   out="from_config")))
+    assert main(["--config", str(cfg)]) == 0
+    assert (tmp_path / "from_config" / "decomposition.json").exists()
+    assert not (tmp_path / "out").exists()
+    # --out still wins over the config
+    assert main(["--config", str(cfg), "--out", "flag"]) == 0
+    assert (tmp_path / "flag" / "decomposition.json").exists()
+
+
 def test_optimizer_divergent_start_exits_3(tmp_path, capsys):
     doc = {"command": "optimize-train",
            "dataset": {"synthetic": {"kind": "gaussian_diag", "n": 8,

@@ -503,7 +503,7 @@ def test_sampled_cloud_pipeline_matches_diagonal_closed_form():
     from kernelshift.kernels import gram
     from kernelshift.measures import DiscreteMeasure, uniform_measure
     from kernelshift.spectral import mercer_decompose
-    from kernelshift.theory import predict_Eg_dataset
+    from kernelshift.theory import predict_Eg_curve
 
     Q = 3000
     P_grid = (2, 10, 30, 100, 300)
@@ -522,11 +522,11 @@ def test_sampled_cloud_pipeline_matches_diagonal_closed_form():
     p = DiscreteMeasure(np.concatenate([np.full(Q, 1.0 / Q), np.zeros(Q)]))
     pt = DiscreteMeasure(np.concatenate([np.zeros(Q), np.full(Q, 1.0 / Q)]))
     dec = mercer_decompose(K, p)
-    for P in P_grid:
+    for P, pipe in zip(P_grid, predict_Eg_curve(dec, Y, pt, P_grid, lam,
+                                                noise)):
         closed = diagonal_linear_Eg(P, D, M_r, beta, 1.0, s2t, lam,
                                     noise).Eg
-        pipe = predict_Eg_dataset(K, Y, p, pt, P, lam, noise, dec=dec).Eg
-        assert abs(pipe - closed) / closed < 0.03
+        assert abs(pipe.Eg - closed) / closed < 0.03
 
     # matched: full-rank cloud reused as its own test measure
     rng = np.random.default_rng(1)
@@ -538,7 +538,7 @@ def test_sampled_cloud_pipeline_matches_diagonal_closed_form():
     Y = (Ztr @ beta)[:, None]
     p = uniform_measure(Q)
     dec = mercer_decompose(K, p)
-    for P in P_grid:
+    for P, pipe in zip(P_grid, predict_Eg_curve(dec, Y, p, P_grid, lam,
+                                                noise)):
         closed = diagonal_linear_Eg(P, D, D, beta, 1.0, 1.0, lam, noise).Eg
-        pipe = predict_Eg_dataset(K, Y, p, p, P, lam, noise, dec=dec).Eg
-        assert abs(pipe - closed) / closed < 0.03
+        assert abs(pipe.Eg - closed) / closed < 0.03

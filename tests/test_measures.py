@@ -56,21 +56,17 @@ def test_support_excludes_zero_mass():
     assert m.support().tolist() == [0, 2]
 
 
-def test_dataset_validation_and_ids():
+def test_dataset_validation():
     X = np.arange(6.0).reshape(3, 2)
     ds = Dataset(X, np.array([1.0, 2.0, 3.0]))
     assert ds.Y.shape == (3, 1)
     assert (ds.M, ds.D, ds.C) == (3, 2, 1)
-    assert ds.ids.tolist() == [0, 1, 2]
-    assert ds.ids.dtype == np.int64
     with pytest.raises(ValueError):
         Dataset(X, np.zeros(2))
     with pytest.raises(ValueError):
         Dataset(np.array([1.0, 2.0]), np.zeros(2))
     with pytest.raises(ValueError):
         Dataset(X * np.nan, np.zeros(3))
-    with pytest.raises(ValueError):
-        Dataset(X, np.zeros(3), ids=np.arange(2))
 
 
 def test_synthetic_spec_validation():

@@ -96,18 +96,6 @@ def test_fd_gradient_exact_on_quadratic():
     np.testing.assert_allclose(central, exact, atol=1e-9)
 
 
-def test_fd_gradient_thread_invariant():
-    X, Y, K = _instance(M=6, seed=3)
-
-    def loss(z):
-        return _uniform_test_loss(z, K, Y, lam=0.2, P=3)
-
-    z = np.linspace(-0.2, 0.4, 6)
-    g1 = fd_gradient(loss, z, h=1e-5, threads=1)
-    g4 = fd_gradient(loss, z, h=1e-5, threads=4)
-    assert np.array_equal(g1, g4)
-
-
 def test_richardson_check_separates_smooth_from_kinked():
     def smooth(z):
         return float(np.sin(z[0]) + 0.5 * z[1] ** 2)
@@ -203,8 +191,8 @@ def test_optimize_train_measure_improves_skewed_test():
     ptilde = DiscreteMeasure(masses / masses.sum())
     cfg = OptimizerConfig(P_budget=5, lam=0.05, noise=0.01, steps=40,
                           learning_rate=2.0)
-    trace = optimize_train_measure((X, Y), KernelSpec("rbf", lengthscale=1.5),
-                                   ptilde, cfg)
+    K = gram(KernelSpec("rbf", lengthscale=1.5), X)
+    trace = optimize_train_measure(K, Y, ptilde, cfg)
     assert trace.Eg[-1] < trace.Eg[0]
     assert np.all(np.diff(trace.Eg) < 0)
     start = from_logits(np.zeros(9)).masses
@@ -218,8 +206,8 @@ def test_optimize_train_measure_ascent_finds_detrimental():
     Y = (X @ rng.standard_normal(3))[:, None]
     cfg = OptimizerConfig(P_budget=4, lam=0.1, steps=25, mode="ascent",
                           learning_rate=2.0)
-    trace = optimize_train_measure((X, Y), KernelSpec("rbf", lengthscale=1.0),
-                                   uniform_measure(7), cfg)
+    K = gram(KernelSpec("rbf", lengthscale=1.0), X)
+    trace = optimize_train_measure(K, Y, uniform_measure(7), cfg)
     assert trace.Eg[-1] > trace.Eg[0]
     assert np.all(np.diff(trace.Eg) > 0)
 
@@ -230,7 +218,7 @@ def test_optimize_train_measure_divergent_start_raises():
     Y = X[:, :1].copy()
     cfg = OptimizerConfig(P_budget=8, lam=0.0, steps=5)
     with pytest.raises(ValueError, match="diverge"):
-        optimize_train_measure((X, Y), KernelSpec("linear"),
+        optimize_train_measure(gram(KernelSpec("linear"), X), Y,
                                uniform_measure(8), cfg)
 
 
@@ -249,9 +237,7 @@ def test_diverging_trial_is_rejected_not_raised(monkeypatch):
                         diverge_off_start)
     for mode in ("descent", "ascent"):
         cfg = OptimizerConfig(P_budget=4, lam=0.05, steps=5, mode=mode)
-        trace = optimize_train_measure(
-            (X, Y), KernelSpec("rbf", lengthscale=1.5), uniform_measure(8),
-            cfg, K=K)
+        trace = optimize_train_measure(K, Y, uniform_measure(8), cfg)
         assert trace.logits.shape[0] == 1
         assert trace.message == "no improving step within backtracking budget"
 
@@ -280,8 +266,7 @@ def test_underflowing_trial_is_rejected_not_raised():
     for mode in ("descent", "ascent"):
         cfg = OptimizerConfig(P_budget=4, lam=0.05, steps=3, mode=mode,
                               learning_rate=rate)
-        trace = optimize_train_measure(
-            (X, Y), KernelSpec("rbf", lengthscale=1.5), ptilde, cfg, K=K)
+        trace = optimize_train_measure(K, Y, ptilde, cfg)
         assert trace.logits.shape[0] > 1
         assert np.all(trace.final_measure.masses > 0.0)
         assert np.all(np.isfinite(trace.Eg))
@@ -295,8 +280,7 @@ def test_train_trace_equals_dataset_prediction():
     ptilde = from_logits(rng.standard_normal(9))
     cfg = OptimizerConfig(P_budget=5, lam=0.05, noise=0.01, steps=6,
                           learning_rate=2.0)
-    trace = optimize_train_measure((X, Y), KernelSpec("rbf", lengthscale=1.5),
-                                   ptilde, cfg, K=K)
+    trace = optimize_train_measure(K, Y, ptilde, cfg)
     assert trace.logits.shape[0] > 2
     for z, eg in zip(trace.logits, trace.Eg):
         ref = predict_Eg_dataset(K, Y, from_logits(z), ptilde, 5, 0.05,
@@ -370,11 +354,10 @@ def test_train_optimizer_analytic_matches_fd_run():
     X = rng.standard_normal((9, 3))
     Y = np.tanh(X @ rng.standard_normal(3))[:, None]
     ptilde = from_logits(rng.standard_normal(9))
-    spec = KernelSpec("rbf", lengthscale=1.5)
+    K = gram(KernelSpec("rbf", lengthscale=1.5), X)
     cfg = OptimizerConfig(P_budget=5, lam=0.05, noise=0.01, steps=10,
                           learning_rate=2.0)
-    trace = optimize_train_measure((X, Y), spec, ptilde, cfg)
-    K = gram(spec, X)
+    trace = optimize_train_measure(K, Y, ptilde, cfg)
 
     def loss(z):
         return predict_Eg_dataset(K, Y, from_logits(z), ptilde, 5, 0.05,
@@ -399,7 +382,6 @@ def test_divergence_raises_typed_error():
 
 def test_rank_threshold_reaches_loss_and_gradient():
     X, Y, K = _instance()
-    spec = KernelSpec("rbf", lengthscale=1.5)
     ptilde = from_logits(np.random.default_rng(13).standard_normal(8))
     thr = 0.045  # inside the gap between the 7th and 8th eigenvalue
     assert mercer_decompose(K, uniform_measure(8), thr).rank == 7
@@ -410,9 +392,8 @@ def test_rank_threshold_reaches_loss_and_gradient():
         return predict_Eg_dataset(K, Y, from_logits(z), ptilde, 5, 0.05,
                                   0.01, rank_threshold=thr).Eg
 
-    trace = optimize_train_measure((X, Y), spec, ptilde, cfg,
-                                   rank_threshold=thr)
-    default = optimize_train_measure((X, Y), spec, ptilde, cfg)
+    trace = optimize_train_measure(K, Y, ptilde, cfg, rank_threshold=thr)
+    default = optimize_train_measure(K, Y, ptilde, cfg)
     assert trace.Eg[0] == predict_Eg_train_grad(
         K, Y, from_logits(np.zeros(8)), ptilde, 5, 0.05, 0.01,
         rank_threshold=thr)[0]

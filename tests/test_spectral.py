@@ -14,7 +14,7 @@ from kernelshift.spectral import (SYMMETRY_RTOL, SpectralDecomposition,
                                   decomposition_cache_key,
                                   load_decomposition, mercer_decompose,
                                   project_target, save_decomposition)
-from kernelshift.theory import predict_Eg_curve, predict_Eg_dataset
+from kernelshift.theory import predict_Eg_curve
 
 
 def _instance(seed, M=20, D=4, kind="rbf", tilt=0.4):
@@ -197,8 +197,7 @@ def test_degenerate_block_rotation_invariance():
     rng = np.random.default_rng(15)
     Y = rng.standard_normal((4, 1))
     pt = from_logits(0.5 * rng.standard_normal(4))
-    (base,) = predict_Eg_curve(K, Y, p, pt, [3], lam=0.1, noise=0.05,
-                               dec=dec)
+    (base,) = predict_Eg_curve(dec, Y, pt, [3], lam=0.1, noise=0.05)
 
     theta = 0.7
     R = np.array([[np.cos(theta), -np.sin(theta)],
@@ -209,8 +208,7 @@ def test_degenerate_block_rotation_invariance():
         eigenvalues=dec.eigenvalues, Phi=Phi_rot, measure=dec.measure,
         support=dec.support, rank=dec.rank,
         rank_threshold=dec.rank_threshold)
-    (pred,) = predict_Eg_curve(K, Y, p, pt, [3], lam=0.1, noise=0.05,
-                               dec=dec_rot)
+    (pred,) = predict_Eg_curve(dec_rot, Y, pt, [3], lam=0.1, noise=0.05)
     assert pred.Eg == pytest.approx(base.Eg, abs=1e-10)
     assert pred.Eg_matched == pytest.approx(base.Eg_matched, abs=1e-10)
 
@@ -296,7 +294,7 @@ def test_cached_decomposition_predicts_identically(tmp_path):
     path = tmp_path / "dec.bin"
     save_decomposition(str(path), dec)
     back = load_decomposition(str(path))
-    a = predict_Eg_dataset(K, Y, p, pt, P=6, lam=0.1, noise=0.02, dec=dec)
-    b = predict_Eg_dataset(K, Y, p, pt, P=6, lam=0.1, noise=0.02, dec=back)
+    (a,) = predict_Eg_curve(dec, Y, pt, [6], lam=0.1, noise=0.02)
+    (b,) = predict_Eg_curve(back, Y, pt, [6], lam=0.1, noise=0.02)
     assert a.Eg == b.Eg
     assert a.state.kappa == b.state.kappa

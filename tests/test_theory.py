@@ -17,7 +17,7 @@ from kernelshift.empirical import krr_solve, run_learning_curve
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import DiscreteMeasure, from_logits, uniform_measure
 from kernelshift.spectral import mercer_decompose, project_target
-from kernelshift.theory import (KAPPA_RTOL, DivergenceError, compute_state,
+from kernelshift.theory import (KAPPA_RTOL, DivergenceError, _per_P,
                                 pointwise_error_density, predict_Eg_curve,
                                 predict_Eg_dataset, prediction_row,
                                 solve_kappa)
@@ -184,12 +184,12 @@ def test_kappa_validation():
 
 def test_state_gamma_formula_and_divergence():
     eta = np.array([0.6, 0.4])
-    st_ = compute_state(eta, P=3.0, lam=0.2)
+    st_, _, _ = _per_P(eta, P=3.0, lam=0.2)
     k = st_.kappa
     want = np.sum(3.0 * eta**2 / (3.0 * eta + k) ** 2)
     assert st_.gamma == pytest.approx(want, abs=1e-14)
     assert not st_.diverged
-    st0 = compute_state(eta, P=2.0, lam=0.0)
+    st0, _, _ = _per_P(eta, P=2.0, lam=0.0)
     assert st0.diverged
     assert st0.gamma == pytest.approx(1.0)
 
@@ -255,8 +255,7 @@ def test_residual_route_equals_matrix_route():
     assert dec.n_collapsed > 0
     via_matrix = _explicit_overlap_prediction(K, Y, p, pt, dec.rank, P=6,
                                               lam=0.1, noise=0.02)
-    (via_residual,) = predict_Eg_curve(K, Y, p, pt, [6], lam=0.1, noise=0.02,
-                                       dec=dec)
+    (via_residual,) = predict_Eg_curve(dec, Y, pt, [6], lam=0.1, noise=0.02)
     assert via_residual.Eg == pytest.approx(via_matrix.Eg, abs=1e-10)
     assert via_residual.irreducible == pytest.approx(
         via_matrix.irreducible, abs=1e-10)
@@ -332,10 +331,10 @@ def test_curve_equals_rebuilt_per_P_loop(name):
         == (name == "off_support")
     assert (dec.rank == dec.n_modes) == (name == "full_rank")
     curve = [prediction_row(P, pred) for P, pred in
-             zip(grid, predict_Eg_curve(K, Y, p, pt, grid, lam, noise))]
+             zip(grid, predict_Eg_curve(dec, Y, pt, grid, lam, noise))]
     assert curve == _rebuilt_per_P_rows(K, Y, p, pt, grid, lam, noise)
-    assert curve == [prediction_row(P, predict_Eg_dataset(
-        K, Y, p, pt, P, lam, noise, dec=dec)) for P in grid]
+    assert curve == [prediction_row(P, predict_Eg_curve(
+        dec, Y, pt, [P], lam, noise)[0]) for P in grid]
     diverged = [row[-1] for row in curve]
     if name == "diverged_point":
         assert dec.rank == 3 and diverged == [0, 0, 1, 0, 0, 0, 0]
@@ -604,7 +603,7 @@ def test_curve_edge_regimes_finite_or_flagged(regime, seed, M, lam, noise):
     grid = sorted({1, max(dec.rank - 1, 1), max(dec.rank, 1), dec.rank + 1,
                    3 * M})
     rows = [prediction_row(P, pred) for P, pred in
-            zip(grid, predict_Eg_curve(K, Y, p, pt, grid, lam, noise))]
+            zip(grid, predict_Eg_curve(dec, Y, pt, grid, lam, noise))]
     for row in rows:
         assert not np.any(np.isnan(row))
         if row[-1]:
@@ -656,7 +655,7 @@ def test_density_edge_regimes_finite_or_typed(regime, seed, M, noise):
     elif regime == "near_divergence":
         lam, grid = 0.0, [r - 1e-6, r + 1e-6]
     for P in grid:
-        pred = predict_Eg_curve(K, Y, p, pt, [P], lam, noise, dec=dec)[0]
+        pred = predict_Eg_curve(dec, Y, pt, [P], lam, noise)[0]
         if pred.state.diverged:
             with pytest.raises(DivergenceError):
                 pointwise_error_density(dec, Y, P, lam, noise)
