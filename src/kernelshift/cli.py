@@ -123,9 +123,13 @@ def cmd_theory_curve(rc, art, threads, cache_dir):
     dec = _decomposition(K, p, _rank_threshold(rc), cache_dir)
     preds = predict_Eg_curve(dec, ds.Y, pt, sec["P_grid"], sec["lambda"],
                              sec["noise"])
-    art.write_csv("theory_curve.csv", CURVE_COLUMNS,
-                  [prediction_row(P, pred)
-                   for P, pred in zip(sec["P_grid"], preds)])
+    return _write_curve(art, "theory_curve.csv", sec["P_grid"], preds)
+
+
+def _write_curve(art, name, P_grid, preds):
+    """Write a prediction curve; EXIT_DIVERGENCE if every point diverged."""
+    art.write_csv(name, CURVE_COLUMNS,
+                  [prediction_row(P, pred) for P, pred in zip(P_grid, preds)])
     if all(pred.state.diverged for pred in preds):
         print("kernelshift: every grid point diverged (1 - gamma below "
               "tolerance)", file=sys.stderr)
@@ -252,8 +256,7 @@ def _closed_form_results(sec):
                 ntk_sphere_Eg(P, D, int(sec["k_stage"]), eta * degen,
                               abar_sq, lam, noise, radius_train=R,
                               radius_test=Rt) for P in P_grid]
-        trace = float(ntk_relu_eval(int(sec["depth"]), np.array(1.0),
-                                    np.array(1.0), np.array(1.0)))
+        trace = float(ntk_relu_eval(int(sec["depth"]), 1.0, 1.0, 1.0))
         tail = max(trace - float(np.sum(eta * degen)), 0.0) * R**2
         return P_grid, [
             mode_spectrum_Eg(R**2 * eta, degen, abar_sq, P, lam, noise,
@@ -264,14 +267,8 @@ def _closed_form_results(sec):
 
 
 def cmd_closed_form(rc, art, threads, cache_dir):
-    P_grid, results = _closed_form_results(rc.section("closed_form"))
-    art.write_csv("closed_form_curve.csv", CURVE_COLUMNS,
-                  [prediction_row(P, r) for P, r in zip(P_grid, results)])
-    if all(r.state.diverged for r in results):
-        print("kernelshift: every grid point diverged (1 - gamma below "
-              "tolerance)", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    return EXIT_OK
+    return _write_curve(art, "closed_form_curve.csv",
+                        *_closed_form_results(rc.section("closed_form")))
 
 
 def cmd_spectrum(rc, art, threads, cache_dir):

@@ -157,6 +157,19 @@ def dot_product_kernel_spectrum(spec, D, k_max, n_quad=400):
     return eta, degeneracy
 
 
+def _gegenbauer_sum(c, D, t):
+    """sum_k c_k G_k(t)/G_k(1) elementwise in the float array t, for the
+    Gegenbauer polynomials G_k of the sphere in R^D and at least two
+    coefficients c, by the three-term recurrence of P_k = G_k/G_k(1)."""
+    prev, cur = 1.0, t
+    out = c[0] + c[1] * t
+    for k in range(2, len(c)):
+        prev, cur = cur, ((2 * k + D - 4) * t * cur
+                          - (k - 1) * prev) / (k + D - 3)
+        out += c[k] * cur
+    return out
+
+
 def mode_spectrum_Eg(eta, degeneracy, abar_sq, P, lam, noise=0.0,
                      overlap_scale=1.0, tail_eta=0.0, tail_abar_sq=0.0):
     """General prediction for a degeneracy-weighted mode spectrum.

@@ -2,8 +2,8 @@
 
 Two experiment styles are supported: discrete problems where train and
 test measures live on the atoms of one dataset, and continuous problems
-where fresh inputs are drawn each trial and the error is evaluated on a
-fixed seeded test sample.
+where fresh inputs are drawn each trial and the test error of each fit
+is integrated exactly over the test measure.
 """
 
 from __future__ import annotations
@@ -231,19 +231,16 @@ def run_learning_curve(K, Y, train_measure, test_measure, P_values, lam,
     return _run_trials(task, P_values, trials, threads)
 
 
-def run_continuous_curve(kernel_spec, sample_train, target_fn, test_X,
+def run_continuous_curve(kernel_spec, sample_train, target_fn, test_error,
                          P_values, lam, noise, trials, seed, threads=1):
     """Monte Carlo learning curve with fresh inputs every trial.
 
     sample_train(rng, n) must return an (n, D) array of training inputs;
-    target_fn maps an input array to noiseless labels. The error is the
-    mean squared prediction error over the fixed test_X sample.
+    target_fn maps an input array to noiseless labels. test_error(X, coef)
+    must return the test-measure error of the fit with dual coefficients
+    coef (P, C) on X, integrated exactly, so that training draws are the
+    only noise in the trial statistics.
     """
-    test_X = np.asarray(test_X, dtype=np.float64)
-    f_test = np.asarray(target_fn(test_X), dtype=np.float64)
-    f_test = f_test[:, None] if f_test.ndim == 1 else f_test
-    w = np.full(test_X.shape[0], 1.0 / test_X.shape[0])
-
     def task(P, t):
         rng = rng_from(seed, "trial", P, t)
         X = sample_train(rng, int(P))
@@ -251,9 +248,7 @@ def run_continuous_curve(kernel_spec, sample_train, target_fn, test_X,
         y = y[:, None] if y.ndim == 1 else y
         if noise > 0:
             y = y + np.sqrt(noise) * rng.standard_normal(y.shape)
-        coef = _fit_fresh_gram(gram(kernel_spec, X), y, lam)
-        preds = gram(kernel_spec, test_X, X) @ coef
-        return float(np.sum(w[:, None] * (preds - f_test) ** 2))
+        return test_error(X, _fit_fresh_gram(gram(kernel_spec, X), y, lam))
 
     return _run_trials(task, P_values, trials, threads)
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from ._rng import rng_from
-from .closedform import (dot_product_kernel_spectrum, general_linear_Eg,
-                         mode_spectrum_Eg, optimal_ridge)
-from .empirical import (EMPIRICAL_COLUMNS, _fit_fresh_gram, _run_trials,
-                        compare_report, run_continuous_curve,
-                        run_learning_curve)
+from .closedform import (_gegenbauer_sum, dot_product_kernel_spectrum,
+                         general_linear_Eg, mode_spectrum_Eg, optimal_ridge)
+from .empirical import (EMPIRICAL_COLUMNS, compare_report,
+                        run_continuous_curve, run_learning_curve)
 from .kernels import KernelSpec, gram, ntk_relu_eval
 from .measures import DiscreteMeasure
 from .spectral import mercer_decompose
@@ -34,29 +33,21 @@ def _empirical_rows(tag, points):
             for pt in points]
 
 
-def _isotropic_linear_curve(beta, M_r, D, P_values, lam, noise, trials,
-                            seed, threads=1):
-    """Learning curve with the test-measure integral done in closed form.
+def _rank_limited_problem(beta, M_r, D):
+    """(sample_train, target, test_error) of the linear kernel, training
+    inputs standard normal on the first M_r of D coordinates. The fit is
+    x . w, w = X^T coef / D, with exact error ||w - beta||^2 under an
+    isotropic unit-variance test measure."""
+    def sample_train(rng, n):
+        X = np.zeros((n, D))
+        X[:, :M_r] = rng.standard_normal((n, M_r))
+        return X
 
-    For the linear kernel the fitted function is x . w, so its error
-    under an isotropic unit-variance test measure is exactly
-    ||w - beta||^2. Averaging that over training draws leaves training
-    randomness as the only noise source in the trial statistics.
-    """
-    spec = KernelSpec("linear")
-
-    def task(P, t):
-        rng = rng_from(seed, "trial", P, t)
-        X = np.zeros((int(P), D))
-        X[:, :M_r] = rng.standard_normal((int(P), M_r))
-        y = (X @ beta)[:, None]
-        if noise > 0:
-            y = y + np.sqrt(noise) * rng.standard_normal(y.shape)
-        coef = _fit_fresh_gram(gram(spec, X), y, lam)
+    def test_error(X, coef):
         w = X.T @ coef[:, 0] / D
         return float(np.sum((w - beta) ** 2))
 
-    return _run_trials(task, P_values, trials, threads)
+    return sample_train, lambda X: X @ beta, test_error
 
 
 def reproduce_fig3a(art, seed, trials=30, threads=1):
@@ -90,9 +81,10 @@ def reproduce_fig3a(art, seed, trials=30, threads=1):
                         for P, r in zip(P_grid, results)]
         irreducible[M_r] = results[0].irreducible
 
-        points = _isotropic_linear_curve(
-            beta, M_r, D, P_grid, lam, 0.0, trials,
-            _child_seed(seed, f"fig3a-mc-{M_r}"), threads=threads)
+        points = run_continuous_curve(
+            KernelSpec("linear"), *_rank_limited_problem(beta, M_r, D),
+            P_grid, lam, 0.0, trials, _child_seed(seed, f"fig3a-mc-{M_r}"),
+            threads=threads)
         empirical_rows += _empirical_rows(float(M_r), points)
         rep = compare_report([r.Eg for r in results], points, band=3.0,
                              theory_P=P_grid)
@@ -151,9 +143,10 @@ def reproduce_fig3b(art, seed, trials=30, threads=1):
         diverged_points += [{"lam": lam, "P": P}
                             for P, r in zip(P_theory, results)
                             if r.state.diverged]
-        points = _isotropic_linear_curve(
-            beta, M_r, D, P_mc, lam, noise, trials,
-            _child_seed(seed, f"fig3b-mc-{lam}"), threads=threads)
+        points = run_continuous_curve(
+            KernelSpec("linear"), *_rank_limited_problem(beta, M_r, D),
+            P_mc, lam, noise, trials, _child_seed(seed, f"fig3b-mc-{lam}"),
+            threads=threads)
         empirical_rows += _empirical_rows(lam, points)
         idx = [P_theory.index(P) for P in P_mc]
         rep = compare_report([curves[lam][i] for i in idx], points,
@@ -165,15 +158,10 @@ def reproduce_fig3b(art, seed, trials=30, threads=1):
     art.write_csv("empirical_fig3b.csv", ("lambda",) + EMPIRICAL_COLUMNS,
                   empirical_rows)
 
+    # diverged points are inf, so they never beat the optimal ridge
     star = np.array(curves[lam_star])
-    pointwise = True
-    for lam in lam_grid:
-        if lam == lam_star:
-            continue
-        other = np.array(curves[lam])
-        other = np.where(np.isfinite(other), other, np.inf)
-        if not np.all(star <= other + 1e-12):
-            pointwise = False
+    pointwise = all(np.all(star <= np.array(curves[lam]) + 1e-12)
+                    for lam in lam_grid)
     return {
         "lambda_star": lam_star,
         "lambda_grid": lam_grid,
@@ -270,14 +258,17 @@ def reproduce_figSI3(art, seed, trials=30, threads=1, n_atoms=3000):
     return summary
 
 
-def reproduce_figSI4(art, seed, trials=30, threads=1, test_points=10000):
+def reproduce_figSI4(art, seed, trials=30, threads=1):
     """Neural-tangent kernel on concentric spheres.
 
     Depth-2 ReLU tangent kernel, training inputs on the unit sphere in
     10 dimensions, linear target. Testing on a sphere of half the
     radius rescales every mode overlap by the squared radius ratio, so
     that curve sits strictly below the matched-radius one. Both theory
-    curves are checked against 30-trial Monte Carlo averages.
+    curves are checked against 30-trial Monte Carlo averages. The kernel
+    is homogeneous of degree 1 in each argument, so by Funk-Hecke a fit
+    has the exact error r^2 [c^T A c - 2 eta_1 c^T X beta + |beta|^2/D]
+    on the radius-r sphere, A_ij = sum_k eta_k^2 N_k G_k(x_i.x_j)/G_k(1).
     """
     D = 10
     depth = 2
@@ -289,8 +280,7 @@ def reproduce_figSI4(art, seed, trials=30, threads=1, test_points=10000):
 
     spec = KernelSpec("ntk_relu", depth=depth)
     eta, degen = dot_product_kernel_spectrum(spec, D, k_max)
-    trace = float(ntk_relu_eval(depth, np.array(1.0), np.array(1.0),
-                                np.array(1.0)))
+    trace = float(ntk_relu_eval(depth, 1.0, 1.0, 1.0))
     tail_eta = max(trace - float(np.sum(eta * degen)), 0.0)
     abar_sq = np.zeros(k_max + 1)
     abar_sq[1] = 1.0
@@ -302,12 +292,15 @@ def reproduce_figSI4(art, seed, trials=30, threads=1, test_points=10000):
     b = rng.standard_normal(D)
     beta = b / np.linalg.norm(b) * np.sqrt(D)
 
-    def target(X):
-        return X @ beta
-
     def sample_train(rng, n):
         g = rng.standard_normal((n, D))
         return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+    def sphere_error(X, coef, r2):
+        c = coef[:, 0]
+        A = _gegenbauer_sum(eta**2 * degen, D, X @ X.T)
+        return float(r2 * (c @ A @ c - 2.0 * eta[1] * (c @ (X @ beta))
+                           + beta @ beta / D))
 
     theory_rows = []
     empirical_rows = []
@@ -321,12 +314,11 @@ def reproduce_figSI4(art, seed, trials=30, threads=1, test_points=10000):
         curves[radius] = [r.Eg for r in results]
         theory_rows += [(radius,) + prediction_row(P, r)
                         for P, r in zip(P_grid, results)]
-        g = rng_from(seed, "figSI4-test", round(10 * radius)) \
-            .standard_normal((test_points, D))
-        test_X = radius * g / np.linalg.norm(g, axis=1, keepdims=True)
         points = run_continuous_curve(
-            spec, sample_train, target, test_X, P_grid, lam, noise, trials,
-            _child_seed(seed, f"figSI4-mc-{radius}"), threads=threads)
+            spec, sample_train, lambda X: X @ beta,
+            lambda X, coef: sphere_error(X, coef, radius**2), P_grid, lam,
+            noise, trials, _child_seed(seed, f"figSI4-mc-{radius}"),
+            threads=threads)
         empirical_rows += _empirical_rows(radius, points)
         rep = compare_report(curves[radius], points, band=3.0,
                              theory_P=P_grid)

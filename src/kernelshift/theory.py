@@ -344,6 +344,12 @@ def predict_Eg_curve(dec, Y, ptilde, P_grid, lam, noise):
     mass off the training support is covered whether or not collapsed
     modes exist.
     """
+    return [pred for pred, _, _ in _curve(dec, Y, ptilde, P_grid, lam,
+                                          noise)]
+
+
+def _curve(dec, Y, ptilde, P_grid, lam, noise):
+    """predict_Eg_curve's (prediction, d, q) per P, from one _per_P call."""
     if not isinstance(ptilde, DiscreteMeasure):
         ptilde = DiscreteMeasure(ptilde)
     if ptilde.M != dec.Phi.shape[0]:
@@ -356,18 +362,15 @@ def predict_Eg_curve(dec, Y, ptilde, P_grid, lam, noise):
     O_diag[:dec.rank] = w @ dec.Phi**2
     irr_c = w @ R**2
     out_c = dec.measure.masses @ R**2
-    preds = []
     for P in P_grid:
-        state, _, q = _per_P(eta, P, lam, O_diag=O_diag)
+        state, d, q = _per_P(eta, P, lam, O_diag=O_diag)
         if state.diverged:
-            preds.append(_diverged_prediction(state))
+            yield _diverged_prediction(state), d, q
             continue
         W = q[:dec.rank, None] * abar
         mean = dec.Phi @ W + R
-        preds.append(_prediction(state, noise,
-                                 np.einsum("rc,rc->c", W, W) + out_c,
-                                 w @ mean**2, irr_c))
-    return preds
+        yield _prediction(state, noise, np.einsum("rc,rc->c", W, W) + out_c,
+                          w @ mean**2, irr_c), d, q
 
 
 def predict_Eg_dataset(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
@@ -426,14 +429,13 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
     # tiny masses overflow on the way; the check below turns a non-finite
     # result into SupportError
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        pred = predict_Eg_curve(dec, Y, ptilde, [P], lam, noise)[0]
+        pred, d, q = next(_curve(dec, Y, ptilde, [P], lam, noise))
         state = pred.state
         one_minus = 1.0 - state.gamma
         if state.diverged:
             raise DivergenceError(
                 f"1 - gamma = {one_minus:.3e} < {DIVERGENCE_TOL}: predicted "
                 "error diverges, so it has no gradient")
-        _, d, q = _per_P(_masked_eta(dec), P, lam)
         a = np.sqrt(p.masses)
         abar = V.T @ (a[:, None] * Y)
         O = _overlap_matrix(V, ptilde.masses / p.masses)

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelshift.closedform import (diagonal_linear_Eg,
+from kernelshift.closedform import (_gegenbauer_sum, diagonal_linear_Eg,
                                     dot_product_kernel_spectrum,
                                     gaussian_linear_Eg, general_linear_Eg,
                                     hyperspherical_degeneracy,
                                     mode_spectrum_Eg, ntk_sphere_Eg,
                                     optimal_ridge)
-from kernelshift.kernels import KernelSpec, ntk_relu_eval
+from kernelshift.empirical import krr_solve
+from kernelshift.kernels import KernelSpec, gram, ntk_relu_eval
 from kernelshift.theory import DIVERGENCE_TOL, KAPPA_RTOL, solve_kappa
 
 
@@ -364,6 +365,50 @@ def test_ntk_spectrum_trace_identity():
                                                D, k_max=8)
     assert float(np.sum(eta8 * degen8)) <= partial + 1e-9
 
+
+def _unit_rows(rng, n, D):
+    g = rng.standard_normal((n, D))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def test_gegenbauer_sum_gives_sphere_moments_of_polynomial_kernels():
+    # over the unit sphere E_u[k(u.a) k(u.b)] is (a.b)/D for k(t) = t and
+    # the fourth moment (1 + 2 (a.b)^2)/(D (D + 2)) for k(t) = t^2
+    D = 6
+    T = np.clip(_unit_rows(np.random.default_rng(4), 9, D) @
+                _unit_rows(np.random.default_rng(5), 9, D).T, -1.0, 1.0)
+    eta, degen = dot_product_kernel_spectrum(lambda t: t, D, k_max=8)
+    got = _gegenbauer_sum(eta**2 * degen, D, T)
+    for r in (1.0, 0.5):
+        # x.a is homogeneous of degree 1, so the radius-r sphere scales
+        # the moment by r^2
+        assert np.max(np.abs(r**2 * got - r**2 * T / D)) < 1e-12
+    eta, degen = dot_product_kernel_spectrum(lambda t: t * t, D, k_max=8)
+    fourth = (1 + 2 * T**2) / (D * (D + 2))
+    assert np.max(np.abs(_gegenbauer_sum(eta**2 * degen, D, T)
+                         - fourth)) < 1e-12
+
+
+def test_ntk_exact_sphere_error_matches_sampled_test_error():
+    # the exact test error of one fit on the radius-r sphere, as
+    # reproduce_figSI4 integrates it, against a 200k-point sample
+    D, depth, lam, r = 10, 2, 0.01, 0.5
+    spec = KernelSpec("ntk_relu", depth=depth)
+    rng = np.random.default_rng(21)
+    beta = rng.standard_normal(D)
+    beta *= np.sqrt(D) / np.linalg.norm(beta)
+    X = _unit_rows(rng, 40, D)
+    y = X @ beta + np.sqrt(0.05) * rng.standard_normal(40)
+    c = krr_solve(gram(spec, X), y, lam).coef[:, 0]
+    eta, degen = dot_product_kernel_spectrum(spec, D, k_max=30)
+    A = _gegenbauer_sum(eta**2 * degen, D, X @ X.T)
+    exact = r**2 * (c @ A @ c - 2.0 * eta[1] * (c @ (X @ beta))
+                    + beta @ beta / D)
+    errs = np.concatenate([
+        (gram(spec, Z, X) @ c - Z @ beta) ** 2
+        for Z in np.split(r * _unit_rows(rng, 200_000, D), 8)])
+    se = errs.std(ddof=1) / np.sqrt(errs.size)
+    assert abs(errs.mean() - exact) < 4 * se
 
 def test_mode_spectrum_matched_baseline_and_scaling():
     eta = np.array([0.5, 0.1, 0.01])

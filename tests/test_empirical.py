@@ -323,24 +323,30 @@ def test_curve_point_statistics():
 
 
 def test_continuous_curve_deterministic():
-    rng = np.random.default_rng(12)
-    test_X = rng.standard_normal((64, 4))
+    beta = np.array([0.7, 0.0, 0.0, 0.0])
 
     def sample_train(rng, n):
         return rng.standard_normal((n, 4))
 
     def target(X):
-        return 0.7 * X[:, :1]
+        return X @ beta
+
+    def test_error(X, coef):
+        # the linear-kernel fit is x . w, w = X^T coef / D, so its error
+        # under the isotropic unit-variance test measure is |w - beta|^2
+        return float(np.sum((X.T @ coef[:, 0] / 4 - beta) ** 2))
 
     spec = KernelSpec("linear")
     kwargs = dict(P_values=[3, 6], lam=0.2, noise=0.0, trials=10, seed=5)
-    a = run_continuous_curve(spec, sample_train, target, test_X, **kwargs)
-    b = run_continuous_curve(spec, sample_train, target, test_X, **kwargs)
+    a = run_continuous_curve(spec, sample_train, target, test_error,
+                             **kwargs)
+    b = run_continuous_curve(spec, sample_train, target, test_error,
+                             **kwargs | dict(threads=2))
     assert a == b
     assert all(np.isfinite(p.Eg_mean) for p in a)
     assert a[1].Eg_mean < a[0].Eg_mean
     with pytest.raises(ValueError, match="ridge must be nonnegative"):
-        run_continuous_curve(spec, sample_train, target, test_X,
+        run_continuous_curve(spec, sample_train, target, test_error,
                              **(kwargs | dict(lam=-0.1)))
 
 
