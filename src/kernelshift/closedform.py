@@ -160,13 +160,21 @@ def dot_product_kernel_spectrum(spec, D, k_max, n_quad=400):
 def _gegenbauer_sum(c, D, t):
     """sum_k c_k G_k(t)/G_k(1) elementwise in the float array t, for the
     Gegenbauer polynomials G_k of the sphere in R^D and at least two
-    coefficients c, by the three-term recurrence of P_k = G_k/G_k(1)."""
-    prev, cur = 1.0, t
+    coefficients c, by the three-term recurrence of P_k = G_k/G_k(1).
+
+    Each step computes ((2k + D - 4) t P_{k-1} - (k - 1) P_{k-2}) / (k + D - 3)
+    in place, in that order, in the buffer of the dead P_{k-2}."""
+    prev, cur, free = np.ones_like(t), t.copy(), np.empty_like(t)
     out = c[0] + c[1] * t
     for k in range(2, len(c)):
-        prev, cur = cur, ((2 * k + D - 4) * t * cur
-                          - (k - 1) * prev) / (k + D - 3)
-        out += c[k] * cur
+        np.multiply(t, 2 * k + D - 4, out=free)
+        free *= cur
+        prev *= k - 1
+        free -= prev
+        free /= k + D - 3
+        prev, cur, free = cur, free, prev
+        np.multiply(cur, c[k], out=free)
+        out += free
     return out
 
 

@@ -8,11 +8,12 @@ is integrated exactly over the test measure.
 
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import cython_lapack
 
 from ._rng import rng_from
 from .kernels import gram
@@ -35,6 +36,44 @@ RIDGELESS_RCOND = 1e-10
 MAX_GRAM_BYTES = 2**31
 # entries of the buffer a discrete trial reads rows of K through
 _ROW_BLOCK = 1 << 16
+
+_INT, _ARRAY = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+_D = "__pyx_t_5scipy_6linalg_13cython_lapack_d *"
+# each LAPACK routine the ridge fits call: its signature as its
+# scipy.linalg.cython_lapack capsule names it (d is cython_lapack's typedef
+# of double), and the ctypes argument types that match it
+_LAPACK = {
+    "dpotrf": (f"void (char *, int *, {_D}, int *, int *)",
+               (ctypes.c_char_p, _INT, _ARRAY, _INT, _INT)),
+    "dpotrs": (f"void (char *, int *, int *, {_D}, int *, {_D}, int *, "
+               "int *)",
+               (ctypes.c_char_p, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT,
+                _INT)),
+}
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _lapack(name, capsule):
+    """The LAPACK routine in a cython_lapack capsule as a ctypes function,
+    which releases the GIL while it runs.
+
+    Raises ImportError unless the capsule's signature is the expected
+    one, so a scipy built with other integer widths is never called.
+    """
+    signature, argtypes = _LAPACK[name]
+    found = _capsule_name(capsule)
+    if found != signature.encode():
+        raise ImportError(f"scipy.linalg.cython_lapack.{name} has signature "
+                          f"{found!r}, expected {signature!r}")
+    return ctypes.CFUNCTYPE(None, *argtypes)(_capsule_pointer(capsule, found))
+
+
+_dpotrf, _dpotrs = (_lapack(name, cython_lapack.__pyx_capi__[name])
+                    for name in ("dpotrf", "dpotrs"))
 
 
 @dataclass(frozen=True)
@@ -90,17 +129,39 @@ def _check_fit(P, y2, lam):
 
 
 def _solve_in_place(A, y, lam):
-    """krr_solve's (coef, rank) for the matrix A, which it overwrites.
+    """krr_solve's (coef, rank) for the labels y (P, C) and the matrix A,
+    which it overwrites.
 
-    A Fortran-ordered A is factored in its own buffer; any other layout
-    costs scipy a copy.
+    A must be a writeable, Fortran-ordered float64 square array. Positive
+    lam adds the ridge to A's diagonal, factors A in place with LAPACK
+    dpotrf (lower triangle) and solves on a Fortran copy of y with dpotrs:
+    the routines, arguments and library of scipy.linalg's own Cholesky
+    factor and solve, so the coefficients keep their bits. Both are
+    called through ctypes, which releases the GIL, so trial threads
+    factor at the same time. lam = 0 takes numpy's lstsq (the
+    pseudoinverse), which holds the GIL.
     """
+    if not (A.dtype == np.float64 and A.ndim == 2
+            and A.shape[0] == A.shape[1] and A.flags.f_contiguous
+            and A.flags.writeable):
+        raise ValueError("the ridge system must be a writeable square "
+                         "Fortran-ordered float64 array")
     P = A.shape[0]
     if lam > 0:
+        coef = np.array(y, dtype=np.float64, order="F")
+        if coef.ndim != 2 or coef.shape[0] != P:
+            raise ValueError("labels must be one row per training point")
         A.flat[::P + 1] += lam
-        c, low = linalg.cho_factor(A, lower=True, overwrite_a=True,
-                                   check_finite=False)
-        return linalg.cho_solve((c, low), y, check_finite=False), P
+        if P:
+            n, info = ctypes.c_int(P), ctypes.c_int()
+            _dpotrf(b"L", n, A.ctypes.data, n, info)
+            if info.value > 0:
+                raise np.linalg.LinAlgError(
+                    f"{info.value}-th leading minor of the ridge system "
+                    "is not positive definite")
+            _dpotrs(b"L", n, ctypes.c_int(coef.shape[1]), A.ctypes.data, n,
+                    coef.ctypes.data, n, info)
+        return coef, P
     coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=RIDGELESS_RCOND)
     return coef, rank
 

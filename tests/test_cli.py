@@ -60,14 +60,22 @@ def test_cli_import_leaves_out_scipy_optimize_and_integrate(tmp_path):
 
 
 def test_theory_curve_run_loads_no_scipy_module(tmp_path):
-    # a lazy import would move start-up cost from setup_s into run_s
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(dict(
-        _base_doc(), command="theory-curve",
-        theory={"P_grid": [2, 4, 8], "lambda": 0.1, "noise": 0.01})))
-    startup = f"import kernelshift.cli as cli\ncli.parse_config({str(cfg)!r})"
-    run = f"assert cli.main(['--config', {str(cfg)!r}, '--out', 'out']) == 0"
-    assert _scipy_loaded(tmp_path, run, setup=startup) == set()
+    # a lazy import would move start-up cost from setup_s into run_s; the
+    # empirical-curve run covers what the Monte Carlo ridge fits import
+    for command, section in (
+            ("theory-curve", {"theory": {"P_grid": [2, 4, 8],
+                                         "lambda": 0.1, "noise": 0.01}}),
+            ("empirical-curve", {"empirical": {"P_grid": [2, 4],
+                                               "trials": 4,
+                                               "lambda": 0.1}})):
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(dict(_base_doc(), command=command,
+                                       **section)))
+        startup = ("import kernelshift.cli as cli\n"
+                   f"cli.parse_config({str(cfg)!r})")
+        run = (f"assert cli.main(['--config', {str(cfg)!r}, '--out', "
+               "'out', '--threads', '2']) == 0")
+        assert _scipy_loaded(tmp_path, run, setup=startup) == set()
 
 
 def _base_doc():

@@ -1,16 +1,19 @@
 """Monte Carlo kernel ridge regression harness: solver correctness,
 trial determinism, and the comparison report."""
 
+import ctypes
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import linalg
+from scipy.linalg import cython_lapack
 
 from kernelshift import empirical
 from kernelshift.empirical import (EMPIRICAL_COLUMNS, EmpiricalPoint,
                                    _atom_block, _curve_from_errors,
-                                   _fit_atoms,
-                                   _fit_fresh_gram, compare_report,
+                                   _fit_atoms, _fit_fresh_gram,
+                                   _solve_in_place, compare_report,
                                    discrete_trial_error, krr_solve,
                                    run_continuous_curve, run_learning_curve)
 from kernelshift.kernels import KernelSpec, gram
@@ -237,6 +240,57 @@ def test_fresh_gram_fit_equals_krr_solve_bit_for_bit(lam):
         assert np.array_equal(_fit_fresh_gram(gram(spec, X), y, lam), want)
 
 
+@pytest.mark.parametrize("C", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 100, 655])
+def test_ridge_solve_equals_scipy_cholesky_bit_for_bit(n, C):
+    # the ctypes dpotrf and dpotrs calls are the LAPACK routines scipy's
+    # cho_factor(lower=True) and cho_solve call, on the same arguments
+    rng = np.random.default_rng([n, C])
+    K = gram(KernelSpec("rbf", lengthscale=1.5), rng.standard_normal((n, 4)))
+    y = rng.standard_normal((n, C))
+    A = np.array(K, order="F")
+    A.flat[::n + 1] += 1e-3
+    want = linalg.cho_solve(linalg.cho_factor(A, lower=True,
+                                              check_finite=False),
+                            y, check_finite=False)
+    got, rank = _solve_in_place(np.array(K, order="F"), y, 1e-3)
+    assert rank == n
+    assert np.array_equal(got, want)
+
+
+def test_ridge_solve_edge_cases():
+    with pytest.raises(np.linalg.LinAlgError):
+        krr_solve(np.diag([1.0, -1.0]), np.ones((2, 1)), 0.1)
+    assert krr_solve(np.zeros((0, 0)), np.zeros((0, 3)), 0.1).coef.shape \
+        == (0, 3)
+    # a layout LAPACK would misread is refused before the ridge is added
+    K = gram(KernelSpec("rbf", lengthscale=1.0),
+             np.random.default_rng(6).standard_normal((5, 2)))
+    for A in (np.ascontiguousarray(K), np.asfortranarray(K, np.float32)):
+        before = A.copy()
+        with pytest.raises(ValueError, match="Fortran-ordered float64"):
+            _solve_in_place(A, np.ones((5, 1)), 0.1)
+        assert np.array_equal(A, before)
+
+
+def test_lapack_bindings_release_the_gil_and_check_the_abi():
+    for fn in (empirical._dpotrf, empirical._dpotrs):
+        assert isinstance(fn, ctypes._CFuncPtr)
+        assert not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    # a scipy built with 64-bit LAPACK integers names them in its
+    # signatures; such a routine must not bind to the 32-bit prototype
+    real = cython_lapack.__pyx_capi__["dpotrf"]
+    ilp64 = empirical._LAPACK["dpotrf"][0].replace("int", "int64_t").encode()
+    capsule_new = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p,
+                                    ctypes.c_char_p, ctypes.c_void_p)(
+        ("PyCapsule_New", ctypes.pythonapi))
+    pointer = empirical._capsule_pointer(real, empirical._capsule_name(real))
+    with pytest.raises(ImportError, match="int64_t"):
+        empirical._lapack("dpotrf", capsule_new(pointer, ilp64, None))
+    with pytest.raises(ImportError, match="dpotrs"):
+        empirical._lapack("dpotrs", real)
+
+
 def test_trial_block_above_the_gram_budget_raises(monkeypatch):
     # 30 draws from 30 atoms hit at least 2, a 32-byte block
     ds, K = _toy_problem(M=30)
@@ -292,6 +346,18 @@ def test_learning_curve_determinism_and_threads():
             assert point.trials == 16
             assert point.Eg_stderr == pytest.approx(
                 point.Eg_std / np.sqrt(16), abs=1e-15)
+
+
+def test_threads_give_equal_points_on_blocks_of_hundreds_of_atoms():
+    # 400 draws from 600 atoms hit about 290 distinct ones, so two threads
+    # factor blocks of that size at the same time
+    X = np.random.default_rng(9).standard_normal((600, 3))
+    K = gram(KernelSpec("rbf", lengthscale=1.5), X)
+    Y = np.sin(X[:, :1])
+    p = uniform_measure(600)
+    kwargs = dict(P_values=[400], lam=1e-3, noise=0.01, trials=8, seed=2)
+    one = run_learning_curve(K, Y, p, p, **kwargs)
+    assert run_learning_curve(K, Y, p, p, threads=2, **kwargs) == one
 
 
 def test_learning_curve_accepts_raw_mass_arrays():
