@@ -60,10 +60,14 @@ def write_json_atomic(path, obj):
 
 
 def read_csv_columns(path):
-    """Read a numeric CSV written by this package into {column: array}."""
+    """Read a numeric CSV written by this package into {column: array};
+    a row whose cell count differs from the header's raises ValueError."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         data = [line.strip().split(",") for line in fh if line.strip()]
+    for row in data:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {row} does not fit {header}")
     cols = {}
     for j, name in enumerate(header):
         cols[name] = np.array([float(row[j]) for row in data])

@@ -1,16 +1,16 @@
-"""Gradient optimization of training and test measures against theory.
+"""Optimization of training and test measures against theory.
 
-Both measures are softmax-parameterized and both gradients are analytic.
-The training measure enters the error prediction through the spectral
+The training measure is softmax-parameterized and descended with its
+analytic gradient. It enters the error prediction through the spectral
 decomposition; theory.predict_Eg_train_grad gives the error and its
 gradient through the resolvent from one decomposition and O(M^3) matmuls
 per iterate. On rank-deficient kernels that is the gradient of the
 thresholded prediction, which is not smooth where a mode crosses the rank
 threshold. The test measure enters linearly through the pointwise error
-density.
+density, so its optimum is solved exactly, with no iteration.
 
 fd_gradient and richardson_check are the finite-difference oracle the
-analytic gradients are checked against.
+analytic training gradient is checked against.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 MAX_BACKTRACKS = 20
+TIE_RTOL = 1e-12  # density ties of the test optimum, relative to max c
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,8 @@ class OptimizerConfig:
     """Settings for measure optimization.
 
     P_budget is the sample size the error is predicted at; mode picks
-    gradient descent (beneficial measures) or ascent (detrimental ones).
+    descent (beneficial measures) or ascent (detrimental ones). The step
+    settings apply to optimize_train_measure only.
     """
 
     P_budget: int
@@ -68,7 +70,8 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizationTrace:
-    """Accepted iterates of one optimization run."""
+    """Accepted iterates of one run; for optimize_test_measure, the start
+    and the exact optimum."""
 
     logits: np.ndarray              # (n_accepted + 1, M) including start
     Eg: np.ndarray                  # (n_accepted + 1,)
@@ -116,7 +119,7 @@ def richardson_check(loss, z, h=1e-4, g1=None):
 
 
 def _iterate(z0, objective, config):
-    """Shared step loop: gradient steps with backtracking.
+    """Step loop of optimize_train_measure, with backtracking.
 
     objective(z) returns (Eg, dEg/dz); a trial that returns a non-finite
     Eg is rejected. The gradient of each accepted trial is kept for the
@@ -153,6 +156,10 @@ def _iterate(z0, objective, config):
             converged = True
             message = "step size below convergence tolerance"
             break
+    return _trace(zs, egs, converged, message)
+
+
+def _trace(zs, egs, converged, message):
     logits = np.asarray(zs)
     egs = np.asarray(egs)
     parts = np.array([participation_ratio(from_logits(zz)) for zz in logits])
@@ -196,20 +203,20 @@ def optimize_train_measure(K, Y, test_measure, config, rank_threshold=None):
 
 
 def optimize_test_measure(dec, Y, config):
-    """Optimize the test measure with the training side held fixed.
-
-    The error is linear in the test masses with coefficients given by
-    the pointwise error density, so the softmax gradient is analytic:
-    d Eg / d z_nu = p_nu (c_nu - sum_mu p_mu c_mu). Descent piles mass
-    onto the smallest density value, ascent onto the largest; ties give
-    convex mixtures of the tied atoms.
-    """
+    """Best (descent) or worst (ascent) test measure, solved exactly: the
+    error ptilde . c is linear in the test masses (c is the pointwise error
+    density), so the optimum is uniform on the atoms whose c is within
+    TIE_RTOL * max c of min c (max c for ascent). The trace holds the
+    uniform start and the optimum, whose logits are its log masses."""
     c = pointwise_error_density(dec, Y, config.P_budget, config.lam,
                                 config.noise)
-
-    def objective(z):
-        p = from_logits(z).masses
-        Eg = float(np.dot(p, c))
-        return Eg, p * (c - Eg)
-
-    return _iterate(np.zeros(c.shape[0]), objective, config)
+    extreme = np.min(c) if config.mode == "descent" else np.max(c)
+    tied = np.abs(c - extreme) <= TIE_RTOL * np.max(c)
+    masses = tied / np.count_nonzero(tied)
+    z = np.zeros((2, c.shape[0]))
+    with np.errstate(divide="ignore"):
+        z[1] = np.log(masses)
+    return _trace(z, [float(np.dot(from_logits(z[0]).masses, c)),
+                      float(np.dot(masses, c))], True,
+                  f"exact optimum: uniform on {np.count_nonzero(tied)} "
+                  f"of {c.shape[0]} atoms")

@@ -1,6 +1,7 @@
 """The public surface stays consistent: every exported name resolves, each
-package export is listed by its defining module, and the demos import, so
-deleting a name still in use fails here."""
+package export is listed by its defining module, the demos import, and
+every listing of the CLI commands agrees, so deleting or renaming a name
+still in use fails here."""
 
 import importlib
 import importlib.util
@@ -10,11 +11,12 @@ import pkgutil
 import pytest
 
 import kernelshift
+from kernelshift import cli, config
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(kernelshift.__path__)
                  if m.name != "__main__")
-DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos")
-               .glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", ["__init__"] + MODULES)
@@ -43,3 +45,19 @@ def test_demo_imports(path):
     # every demo guards main(), so importing it runs no experiment
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def test_command_listings_agree():
+    # the README command table, the schema enum, the required sections
+    # and the CLI handlers each name every command once
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| command | what it does |") + 2
+    table = []
+    for line in lines[start:]:
+        if not line.startswith("| `"):
+            break
+        table.append(line.split("`")[1])
+    schema = config.load_schema()["properties"]["command"]["enum"]
+    listings = (table, schema, config._REQUIRED_SECTIONS, cli._HANDLERS)
+    assert len(set(table)) == len(table)
+    assert [sorted(names) for names in listings] == [sorted(table)] * 4

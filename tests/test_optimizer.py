@@ -1,5 +1,8 @@
 """Measure optimization: finite-difference machinery, the analytic
-training- and test-measure gradients, and the shared step loop."""
+training-measure gradient and its step loop, and the exact test-measure
+optimum."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -127,57 +130,64 @@ def _density_setup(seed=6, M=7, P=4, lam=0.05, noise=0.02):
     return dec, c, Y
 
 
-def test_analytic_test_gradient_matches_fd():
-    dec, c, Y = _density_setup()
+def _simplex_grid(M, n):
+    """Every measure on M atoms with masses in multiples of 1/n."""
+    for bars in itertools.combinations(range(n + M - 1), M - 1):
+        cuts = np.diff([-1, *bars, n + M - 1]) - 1
+        yield cuts / n
 
-    def loss(z):
-        return float(np.dot(from_logits(z).masses, c))
 
-    rng = np.random.default_rng(7)
-    z = 0.5 * rng.standard_normal(c.shape[0])
-    p = from_logits(z).masses
-    analytic = p * (c - np.dot(p, c))
-    fd = fd_gradient(loss, z, h=1e-6)
-    rel = np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic))
-    assert rel < 1e-6
+@pytest.mark.parametrize("seed,M", [(6, 3), (8, 5), (9, 6)])
+def test_exact_optimum_beats_every_grid_measure(seed, M):
+    dec, c, Y = _density_setup(seed=seed, M=M, P=3)
+    grid = np.array(list(_simplex_grid(M, 8)))
+    values = grid @ c
+    for mode, worse in (("descent", np.greater_equal),
+                        ("ascent", np.less_equal)):
+        trace = optimize_test_measure(
+            dec, Y, OptimizerConfig(P_budget=3, lam=0.05, noise=0.02,
+                                    mode=mode))
+        assert np.all(worse(values, trace.Eg[-1]))
+        assert trace.Eg[-1] == pytest.approx(
+            trace.final_measure.masses @ c, rel=1e-15)
 
 
 def test_optimize_test_measure_concentrates_on_extremes():
     dec, c, Y = _density_setup()
     assert np.unique(np.round(c, 12)).size == c.size  # distinct density
-    # the softmax gradient flattens as the measure concentrates, so a
-    # large rate and tight step tolerance push it to a numerical Dirac
-    cfg = OptimizerConfig(P_budget=4, lam=0.05, noise=0.02,
-                          learning_rate=20.0, steps=5000,
-                          convergence_tol=1e-9)
-    down = optimize_test_measure(dec, Y, cfg)
-    up = optimize_test_measure(
-        dec, Y, OptimizerConfig(P_budget=4, lam=0.05, noise=0.02,
-                                mode="ascent", learning_rate=20.0,
-                                steps=5000, convergence_tol=1e-9))
-    assert down.final_measure.masses[np.argmin(c)] >= 0.99
-    assert up.final_measure.masses[np.argmax(c)] >= 0.99
-    uniform_Eg = float(np.mean(c))
-    assert down.Eg[-1] < uniform_Eg < up.Eg[-1]
-    assert down.Eg[-1] == pytest.approx(np.min(c), rel=1e-2)
+    cfg = dict(P_budget=4, lam=0.05, noise=0.02)
+    down = optimize_test_measure(dec, Y, OptimizerConfig(**cfg))
+    up = optimize_test_measure(dec, Y,
+                               OptimizerConfig(**cfg, mode="ascent"))
+    for trace, best in ((down, np.argmin(c)), (up, np.argmax(c))):
+        assert trace.final_measure.masses[best] == 1.0
+        assert trace.Eg[-1] == c[best]
+        assert trace.participation[-1] == 1.0
+    assert down.Eg[-1] < float(np.mean(c)) < up.Eg[-1]
 
 
 def test_optimize_test_measure_trace_semantics():
     dec, c, Y = _density_setup(seed=8)
     cfg = OptimizerConfig(P_budget=4, lam=0.05, noise=0.02)
     trace = optimize_test_measure(dec, Y, cfg)
-    n = trace.logits.shape[0]
-    assert trace.Eg.shape == (n,) and trace.participation.shape == (n,)
-    assert trace.logits.shape[1] == c.shape[0]
-    assert np.all(np.diff(trace.Eg) < 0)  # every accepted step improves
+    assert trace.logits.shape == (2, c.shape[0])
+    assert trace.Eg.shape == trace.participation.shape == (2,)
+    np.testing.assert_array_equal(trace.logits[0], 0.0)
     assert trace.Eg[0] == pytest.approx(float(np.mean(c)), rel=1e-12)
-    np.testing.assert_allclose(trace.final_measure.masses,
-                               from_logits(trace.logits[-1]).masses,
-                               atol=0)
-    if trace.converged:
-        assert trace.message == "step size below convergence tolerance"
-    # the density is minimized by a Dirac, so participation must drop
-    assert trace.participation[-1] < trace.participation[0]
+    assert trace.Eg[1] < trace.Eg[0]
+    # the optimum's logits are its log masses, -inf off the argmin
+    assert trace.logits[1, np.argmin(c)] == 0.0
+    assert np.sum(np.isneginf(trace.logits[1])) == c.shape[0] - 1
+    np.testing.assert_array_equal(trace.final_measure.masses,
+                                  from_logits(trace.logits[-1]).masses)
+    assert trace.converged
+    assert trace.message.startswith("exact optimum")
+    # the step settings of the training route are not read
+    other = optimize_test_measure(dec, Y, OptimizerConfig(
+        P_budget=4, lam=0.05, noise=0.02, steps=1, learning_rate=1e-3,
+        convergence_tol=1.0))
+    np.testing.assert_array_equal(other.logits, trace.logits)
+    np.testing.assert_array_equal(other.Eg, trace.Eg)
 
 
 def test_optimize_train_measure_improves_skewed_test():
@@ -290,16 +300,16 @@ def test_train_trace_equals_dataset_prediction():
 
 def test_zero_gradient_stops_at_start():
     # a swap-symmetric two-atom problem has a constant error density, so
-    # the gradient vanishes and no strict improvement exists: the loop
-    # must stop at the starting point instead of wandering
+    # both atoms tie and the optimum is the uniform start in either mode
     K = np.array([[1.0, 0.3], [0.3, 1.0]])
     Y = np.array([[1.0], [-1.0]])
     dec = mercer_decompose(K, uniform_measure(2))
-    cfg = OptimizerConfig(P_budget=2, lam=0.1, steps=50)
-    trace = optimize_test_measure(dec, Y, cfg)
-    assert trace.logits.shape[0] == 1
-    assert not trace.converged
-    assert trace.message == "no improving step within backtracking budget"
+    for mode in ("descent", "ascent"):
+        cfg = OptimizerConfig(P_budget=2, lam=0.1, mode=mode)
+        trace = optimize_test_measure(dec, Y, cfg)
+        np.testing.assert_array_equal(trace.final_measure.masses, 0.5)
+        assert trace.Eg[-1] == trace.Eg[0]
+        assert trace.participation[-1] == 2.0
 
 
 @settings(max_examples=40, deadline=None)
