@@ -1,18 +1,19 @@
 """Closed-form error curves for three analytically solvable models.
 
-Covers linear regression on anisotropic Gaussians (sample-wise double
-descent and its removal by the optimal ridge), a rank-limited student
-kernel that either resolves the teacher or hits an irreducible floor,
-and a depth-two relu network kernel on spheres of different radii.
+Covers a linear model trained on a rank-limited isotropic measure
+(sample-wise double descent and its removal by the optimal ridge), a
+rank-limited student kernel that either resolves the teacher or hits an
+irreducible floor, both from ``general_linear_Eg``, and a depth-two relu
+network kernel tested on spheres of different radii, from
+``ntk_sphere_Eg`` on a spectrum computed once.
 """
 
 import numpy as np
 
-from kernelshift.closedform import (diagonal_linear_Eg,
-                                    dot_product_kernel_spectrum,
-                                    general_linear_Eg, mode_spectrum_Eg,
+from kernelshift.closedform import (dot_product_kernel_spectrum,
+                                    general_linear_Eg, ntk_sphere_Eg,
                                     optimal_ridge)
-from kernelshift.kernels import KernelSpec, ntk_relu_eval
+from kernelshift.kernels import KernelSpec
 
 
 def ridge_section():
@@ -24,10 +25,10 @@ def ridge_section():
     print(f"optimal ridge lambda* = {lam_star:.6f}")
     print(f"{'P':>5} {'Eg, lambda=1e-4':>16} {'Eg, lambda*':>12}")
     for P in [5, 10, 20, 30, 40, 50, 80, 160, 320]:
-        small = diagonal_linear_Eg(P, D, M_r, beta, 1.0, 1.0, 1e-4,
-                                   noise=noise)
-        best = diagonal_linear_Eg(P, D, M_r, beta, 1.0, 1.0, lam_star,
+        small = general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0, 1e-4,
                                   noise=noise)
+        best = general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0, lam_star,
+                                 noise=noise)
         tag = "  <- spike at P = M_r" if P == M_r else ""
         print(f"{P:>5} {small.Eg:>16.4f} {best.Eg:>12.4f}{tag}")
 
@@ -45,19 +46,14 @@ def expressivity_section():
 
 def ntk_section():
     D, depth, k_max = 10, 2, 30
-    spec = KernelSpec("ntk_relu", depth=depth)
-    eta, degen = dot_product_kernel_spectrum(spec, D, k_max)
-    abar_sq = np.zeros(k_max + 1)
-    abar_sq[1] = 1.0
-    trace = float(ntk_relu_eval(depth, np.array(1.0), np.array(1.0),
-                                np.array(1.0)))
-    tail = max(trace - float(np.sum(eta * degen)), 0.0)
+    eta, degen = dot_product_kernel_spectrum(
+        KernelSpec("ntk_relu", depth=depth), D, k_max)
     print(f"\nrelu network kernel on the sphere, D={D}, depth={depth}, "
           f"linear target")
     print(f"{'P':>5} {'Eg, test R=1.0':>15} {'Eg, test R=0.5':>15}")
     for P in [5, 10, 20, 40, 80, 160, 320]:
-        rows = [mode_spectrum_Eg(eta, degen, abar_sq, P, 0.01, noise=0.05,
-                                 overlap_scale=rt**2, tail_eta=tail).Eg
+        rows = [ntk_sphere_Eg(P, depth, eta, degen, [0.0, 1.0], 0.01,
+                              noise=0.05, radius_test=rt).Eg
                 for rt in (1.0, 0.5)]
         print(f"{P:>5} {rows[0]:>15.4f} {rows[1]:>15.4f}")
 

@@ -29,7 +29,6 @@ from .theory import (
     solve_kappa,
 )
 from .closedform import (
-    diagonal_linear_Eg,
     dot_product_kernel_spectrum,
     gaussian_linear_Eg,
     general_linear_Eg,
@@ -81,7 +80,6 @@ __all__ = [
     "predict_Eg_dataset",
     "predict_Eg_train_grad",
     "solve_kappa",
-    "diagonal_linear_Eg",
     "dot_product_kernel_spectrum",
     "gaussian_linear_Eg",
     "general_linear_Eg",

@@ -21,22 +21,20 @@ import sys
 
 import numpy as np
 
-from .closedform import (diagonal_linear_Eg, dot_product_kernel_spectrum,
-                         gaussian_linear_Eg, general_linear_Eg,
-                         mode_spectrum_Eg, ntk_sphere_Eg)
+from .closedform import (dot_product_kernel_spectrum, gaussian_linear_Eg,
+                         general_linear_Eg, ntk_sphere_Eg)
 from .config import (ConfigError, RunConfig, build_dataset, build_kernel,
                      build_measure, parse_config, validate_document)
 from .empirical import (EMPIRICAL_COLUMNS, EmpiricalPoint, compare_report,
                         run_learning_curve)
 from .figures import FIGURES
 from .io import ArtifactDir, read_csv_columns
-from .kernels import KernelSpec, gram, ntk_relu_eval
+from .kernels import KernelSpec, gram
 from .measures import from_logits
 from .optimizer import (OptimizerConfig, fd_gradient, optimize_test_measure,
                         optimize_train_measure, richardson_check)
-from .spectral import (DEFAULT_RANK_THRESHOLD, decomposition_cache_key,
-                       load_decomposition, mercer_decompose,
-                       save_decomposition)
+from .spectral import (decomposition_cache_key, load_decomposition,
+                       mercer_decompose, save_decomposition)
 from .theory import (CURVE_COLUMNS, DivergenceError, _rows,
                      predict_Eg_curve, predict_Eg_dataset,
                      predict_Eg_train_grad, prediction_row)
@@ -83,8 +81,7 @@ def _dataset_problem(rc):
 
 
 def _rank_threshold(rc):
-    return float(rc.doc.get("theory", {}).get("rank_threshold",
-                                              DEFAULT_RANK_THRESHOLD))
+    return float(rc.doc["theory"]["rank_threshold"])
 
 
 def cmd_decompose(rc, art, threads, cache_dir):
@@ -223,13 +220,6 @@ def _closed_form_results(sec):
         Ct = np.asarray(sec["covariance_tilde"], dtype=float)
         return P_grid, [gaussian_linear_Eg(beta, C, Ct, P, lam, noise)
                         for P in P_grid]
-    if model == "diagonal_linear":
-        need("beta", "D", "M_r")
-        beta = np.asarray(sec["beta"], dtype=float)
-        return P_grid, [
-            diagonal_linear_Eg(P, int(sec["D"]), int(sec["M_r"]), beta,
-                               sec["sigma2"], sec["sigma2_tilde"], lam,
-                               noise) for P in P_grid]
     if model == "general_linear":
         need("beta", "M", "M_r", "M_s")
         beta = np.asarray(sec["beta"], dtype=float)
@@ -240,25 +230,22 @@ def _closed_form_results(sec):
             for P in P_grid]
     if model == "ntk_sphere":
         need("D", "depth", "k_max", "abar_sq")
-        D = int(sec["D"])
         k_max = int(sec["k_max"])
+        if len(sec["abar_sq"]) > k_max + 1:
+            raise ConfigError(f"{len(sec['abar_sq'])} degrees given for "
+                              f"k_max {k_max}", "/closed_form/abar_sq")
+        k_stage = sec.get("k_stage")
+        if k_stage is not None and k_stage > k_max:
+            raise ConfigError(f"k_stage {k_stage} above k_max {k_max}",
+                              "/closed_form/k_stage")
+        depth = int(sec["depth"])
         eta, degen = dot_product_kernel_spectrum(
-            KernelSpec("ntk_relu", depth=int(sec["depth"])), D, k_max)
-        abar_sq = np.zeros(k_max + 1)
-        given = np.asarray(sec["abar_sq"], dtype=float)
-        abar_sq[:given.shape[0]] = given
-        R = float(sec["radius_train"])
-        Rt = float(sec["radius_test"])
-        if "k_stage" in sec:
-            return P_grid, [
-                ntk_sphere_Eg(P, D, int(sec["k_stage"]), eta * degen,
-                              abar_sq, lam, noise, radius_train=R,
-                              radius_test=Rt) for P in P_grid]
-        trace = float(ntk_relu_eval(int(sec["depth"]), 1.0, 1.0, 1.0))
-        tail = max(trace - float(np.sum(eta * degen)), 0.0) * R**2
+            KernelSpec("ntk_relu", depth=depth), int(sec["D"]), k_max)
         return P_grid, [
-            mode_spectrum_Eg(R**2 * eta, degen, abar_sq, P, lam, noise,
-                             overlap_scale=(Rt / R)**2, tail_eta=tail)
+            ntk_sphere_Eg(P, depth, eta, degen, sec["abar_sq"], lam, noise,
+                          radius_train=float(sec["radius_train"]),
+                          radius_test=float(sec["radius_test"]),
+                          k_stage=None if k_stage is None else int(k_stage))
             for P in P_grid]
     raise ConfigError(f"unknown closed-form model '{model}'",
                       "/closed_form/model")

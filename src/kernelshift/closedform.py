@@ -1,13 +1,15 @@
 """Closed-form error predictions for linear and dot-product kernel models.
 
-These are analytic special cases of the general prediction in ``theory``:
-Gaussian input measures with a linear kernel, and uniform measures on
-hyperspheres with dot-product kernels. Each model writes down its
-spectrum, target coefficients and test covariance in closed form, with no
-matrix diagonalization beyond the covariance's own, and the one spectrum
-core in ``theory`` turns them into a ``TheoryPrediction``. They are
-therefore not independent of the dataset theory; the flat two-block
-formula kept in ``tests/test_closedform.py`` is their oracle.
+These are analytic special cases of the general prediction in ``theory``,
+and all their arithmetic lives here: ``gaussian_linear_Eg`` for Gaussian
+measures and a linear kernel, ``general_linear_Eg`` for a rank-limited
+kernel and measures, ``ntk_sphere_Eg`` for the relu NTK on concentric
+spheres, kernel trace and tail included. Each writes down its spectrum,
+target coefficients and test covariance in closed form, with no matrix
+diagonalization beyond the covariance's own, and the one spectrum core in
+``theory`` turns them into a ``TheoryPrediction``. They are therefore not
+independent of the dataset theory; the flat two-block formula kept in
+``tests/test_closedform.py`` is their oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .theory import _spectrum_prediction
 
 __all__ = [
     "gaussian_linear_Eg",
-    "diagonal_linear_Eg",
     "general_linear_Eg",
     "optimal_ridge",
     "hyperspherical_degeneracy",
@@ -52,23 +53,6 @@ def gaussian_linear_Eg(beta, C, C_tilde, P, lam, noise=0.0):
     sig2[sig2 <= DEFAULT_RANK_THRESHOLD * max(sig2[-1], 0.0)] = 0.0
     return _spectrum_prediction(sig2 / D, P, lam, noise, U.T @ beta,
                                 U.T @ Ct @ U, power=sig2)
-
-
-def diagonal_linear_Eg(P, D, M_r, beta, sigma2, sigma2_tilde, lam, noise=0.0):
-    """Isotropic test measure against a rank-limited isotropic train measure.
-
-    Training covariance is sigma2 on the first M_r of D directions and
-    zero elsewhere; test covariance is sigma2_tilde on all D directions.
-    beta holds the target coefficients (trailing zeros implied). This is
-    general_linear_Eg with a kernel and test measure of full rank D.
-    """
-    if not 1 <= M_r <= D:
-        raise ValueError("need 1 <= M_r <= D")
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape[0] > D:
-        raise ValueError("beta longer than ambient dimension")
-    return general_linear_Eg(P, D, M_r, D, beta, sigma2, sigma2_tilde, lam,
-                             noise)
 
 
 def general_linear_Eg(P, M, M_r, M_s, beta, sigma2, sigma2_tilde, lam,
@@ -199,29 +183,45 @@ def mode_spectrum_Eg(eta, degeneracy, abar_sq, P, lam, noise=0.0,
         weights=np.append(np.asarray(degeneracy, dtype=float), 1.0))
 
 
-def ntk_sphere_Eg(P, D, k_stage, eta_bar, abar_sq, lam, noise=0.0,
-                  radius_train=1.0, radius_test=1.0):
-    """Stage description of dot-product kernel learning on spheres.
+def _ntk_tail(depth, eta, degeneracy):
+    """(trace, tail) of the depth-`depth` relu NTK on the unit sphere: the
+    trace k(1) is the eigenvalue mass of all degrees, the tail the part of
+    it that the given degrees do not carry."""
+    trace = float(ntk_relu_eval(depth, 1.0, 1.0, 1.0))
+    return trace, max(trace - float(np.sum(eta * degeneracy)), 0.0)
 
-    At sample sizes P comparable to the degeneracy of degree k_stage,
-    all lower degrees are already learned, higher degrees are frozen,
-    and the error obeys a flat-spectrum law in alpha = P / N(D, k).
-    eta_bar[k] is the degeneracy-weighted eigenvalue mass of degree k
-    on the unit sphere and abar_sq[k] the target power there. Training
-    inputs live on a sphere of radius radius_train, test inputs on
-    radius_test; degree-one homogeneity of the kernel in each argument
-    makes the overlap a uniform rescaling by (radius_test/radius_train)^2.
-    This is mode_spectrum_Eg on the single degree-k_stage block, with the
-    higher degrees as its tail.
+
+def ntk_sphere_Eg(P, depth, eta, degeneracy, abar_sq, lam, noise=0.0,
+                  radius_train=1.0, radius_test=1.0, k_stage=None):
+    """Relu neural tangent kernel of depth `depth` on concentric spheres.
+
+    eta and degeneracy are the per-mode eigenvalues and multiplicities of
+    degrees 0..k_max on the unit sphere, from dot_product_kernel_spectrum
+    once per curve; abar_sq[k] is the target power in degree k (none past
+    its end). Training inputs lie on radius radius_train, test inputs on
+    radius_test: by degree-one homogeneity in each argument the
+    eigenvalues scale by radius_train^2 and the overlap by
+    (radius_test/radius_train)^2. Without k_stage every degree is a mode
+    block. With k_stage only that degree is (the stage law of Bordelon,
+    Canatar and Pehlevan, ICML 2020: lower degrees are learned, higher
+    ones frozen). Either way the kernel trace not carried by the modelled
+    and lower degrees enters the ridge, so the result does not depend on
+    k_max beyond them, and target power above them is noise and floor.
     """
-    eta_bar = np.asarray(eta_bar, dtype=float)
-    abar_sq = np.asarray(abar_sq, dtype=float)
-    if not 0 <= k_stage < eta_bar.shape[0]:
+    eta = np.asarray(eta, dtype=float)
+    degeneracy = np.asarray(degeneracy, dtype=float)
+    b2 = np.zeros(eta.shape[0])
+    given = np.asarray(abar_sq, dtype=float)
+    if given.shape[0] > b2.shape[0]:
+        raise ValueError("abar_sq has more degrees than the spectrum")
+    b2[:given.shape[0]] = given
+    top = eta.shape[0] - 1 if k_stage is None else k_stage
+    if not 0 <= top < eta.shape[0]:
         raise ValueError("k_stage outside spectrum range")
+    block = slice(0 if k_stage is None else top, top + 1)
+    _, tail = _ntk_tail(depth, eta[:top + 1], degeneracy[:top + 1])
     R2 = radius_train**2
-    N_k = hyperspherical_degeneracy(D, k_stage)
     return mode_spectrum_Eg(
-        [R2 * eta_bar[k_stage] / N_k], [N_k], [abar_sq[k_stage]], P, lam,
-        noise, overlap_scale=radius_test**2 / R2,
-        tail_eta=R2 * float(np.sum(eta_bar[k_stage + 1:])),
-        tail_abar_sq=float(np.sum(abar_sq[k_stage + 1:])))
+        R2 * eta[block], degeneracy[block], b2[block], P, lam, noise,
+        overlap_scale=(radius_test / radius_train)**2, tail_eta=tail * R2,
+        tail_abar_sq=float(np.sum(b2[top + 1:])))

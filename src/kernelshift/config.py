@@ -22,6 +22,7 @@ import numpy as np
 from .kernels import KernelSpec
 from .measures import (Dataset, DiscreteMeasure, SyntheticSpec, from_logits,
                        load_dataset, synth_sample, uniform_measure)
+from .spectral import DEFAULT_RANK_THRESHOLD
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "materialize",
            "validate_document", "config_hash", "load_schema",
@@ -32,7 +33,8 @@ _DEFAULTS = {
     "threads": 1,
     "dataset": {"standardize": False},
     "kernel": {"lengthscale": 1.0, "depth": 1, "n_modes": 8},
-    "theory": {"lambda": 0.0, "noise": 0.0, "rank_threshold": 1e-12},
+    "theory": {"lambda": 0.0, "noise": 0.0,
+               "rank_threshold": DEFAULT_RANK_THRESHOLD},
     "empirical": {"trials": 100},
     "optimizer": {"lambda": 0.0, "noise": 0.0, "learning_rate": 1.0,
                   "steps": 2000, "mode": "descent", "fd_step": 1e-5,
@@ -43,6 +45,22 @@ _DEFAULTS = {
     "spectrum": {"n_quad": 400},
     "compare": {"band": 3.0},
     "measures": {"train": {"kind": "uniform"}, "test": {"kind": "uniform"}},
+}
+
+# The keys of the theory and optimizer sections that each command reads;
+# of these two sections only they get defaults, so the echo records what
+# a run used. Every command that decomposes records its rank threshold.
+_READS = {
+    "decompose": {"theory": ("rank_threshold",)},
+    "theory-curve": {"theory": ("lambda", "noise", "rank_threshold")},
+    "optimize-train": {"theory": ("rank_threshold",),
+                       "optimizer": ("lambda", "noise", "mode",
+                                     "learning_rate", "steps",
+                                     "convergence_tol")},
+    "optimize-test": {"theory": ("rank_threshold",),
+                      "optimizer": ("lambda", "noise", "mode")},
+    "gradcheck": {"theory": ("rank_threshold",),
+                  "optimizer": ("lambda", "noise", "fd_step")},
 }
 
 _REQUIRED_SECTIONS = {
@@ -218,12 +236,16 @@ def materialize(doc):
     out = copy.deepcopy(doc)
     for key in ("seed", "threads"):
         out.setdefault(key, _DEFAULTS[key])
+    reads = _READS.get(out.get("command"), {})
+    for section in reads:
+        out.setdefault(section, {})
     for section, defaults in _DEFAULTS.items():
-        if not isinstance(defaults, dict):
-            continue
-        if section in out:
-            for k, v in defaults.items():
-                out[section].setdefault(k, v)
+        if isinstance(defaults, dict) and section in out:
+            keys = defaults
+            if section in ("theory", "optimizer"):
+                keys = reads.get(section, ())
+            for k in keys:
+                out[section].setdefault(k, defaults[k])
     # the empirical section borrows ridge and noise from theory when absent
     if "empirical" in out:
         theory = out.get("theory", {})

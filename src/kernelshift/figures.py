@@ -11,11 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from ._rng import rng_from
-from .closedform import (_gegenbauer_sum, dot_product_kernel_spectrum,
-                         general_linear_Eg, mode_spectrum_Eg, optimal_ridge)
+from .closedform import (_gegenbauer_sum, _ntk_tail,
+                         dot_product_kernel_spectrum, general_linear_Eg,
+                         ntk_sphere_Eg, optimal_ridge)
 from .empirical import (EMPIRICAL_COLUMNS, compare_report,
                         run_continuous_curve, run_learning_curve)
-from .kernels import KernelSpec, gram, ntk_relu_eval
+from .kernels import KernelSpec, gram
 from .measures import DiscreteMeasure
 from .spectral import mercer_decompose
 from .theory import CURVE_COLUMNS, predict_Eg_curve, prediction_row
@@ -280,10 +281,8 @@ def reproduce_figSI4(art, seed, trials=30, threads=1):
 
     spec = KernelSpec("ntk_relu", depth=depth)
     eta, degen = dot_product_kernel_spectrum(spec, D, k_max)
-    trace = float(ntk_relu_eval(depth, 1.0, 1.0, 1.0))
-    tail_eta = max(trace - float(np.sum(eta * degen)), 0.0)
-    abar_sq = np.zeros(k_max + 1)
-    abar_sq[1] = 1.0
+    trace, tail_eta = _ntk_tail(depth, eta, degen)
+    abar_sq = [0.0, 1.0]   # all target power in degree one
 
     art.write_csv("spectrum_figSI4.csv", ("k", "eta", "degeneracy"),
                   [(float(k), eta[k], degen[k]) for k in range(k_max + 1)])
@@ -308,9 +307,8 @@ def reproduce_figSI4(art, seed, trials=30, threads=1):
     fractions = {}
     max_abs_z = 0.0
     for radius in radii:
-        results = [mode_spectrum_Eg(eta, degen, abar_sq, P, lam, noise,
-                                    overlap_scale=radius**2,
-                                    tail_eta=tail_eta) for P in P_grid]
+        results = [ntk_sphere_Eg(P, depth, eta, degen, abar_sq, lam, noise,
+                                 radius_test=radius) for P in P_grid]
         curves[radius] = [r.Eg for r in results]
         theory_rows += [(radius,) + prediction_row(P, r)
                         for P, r in zip(P_grid, results)]

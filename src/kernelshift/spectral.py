@@ -178,57 +178,6 @@ def _overlap_matrix(Phi, ptilde):
     return 0.5 * (O + O.T)
 
 
-@dataclass(frozen=True)
-class CrossOverlapDiagnostics:
-    """Change-of-basis checks between decompositions under p and ptilde.
-
-    A[rho, gam]  = <phi_rho, phitilde_gam>_p
-    At[rho, gam] = <phitilde_rho, phi_gam>_ptilde
-
-    In exact arithmetic At A = A At = I, the overlap matrix factors as
-    O = At^T At, and At Lambda At^T reproduces the test-measure eigenvalues
-    as a diagonal matrix.
-    """
-
-    A: np.ndarray
-    At: np.ndarray
-    resid_inverse: float
-    resid_overlap: float
-    resid_eigenvalues: float
-
-
-def cross_overlap_diagnostics(K, p, ptilde, rank_threshold=DEFAULT_RANK_THRESHOLD):
-    if not isinstance(p, DiscreteMeasure):
-        p = DiscreteMeasure(p)
-    if not isinstance(ptilde, DiscreteMeasure):
-        ptilde = DiscreteMeasure(ptilde)
-    if p.support().size != p.M or ptilde.support().size != ptilde.M:
-        raise ValueError("cross-overlap diagnostics need full-support measures")
-    dec = mercer_decompose(K, p, rank_threshold)
-    dect = mercer_decompose(K, ptilde, rank_threshold)
-    if dec.rank < dec.n_modes or dect.rank < dect.n_modes:
-        raise ValueError("cross-overlap diagnostics need strictly positive spectra")
-    Phi, Phit = dec.Phi, dect.Phi
-    A = Phi.T @ (p.masses[:, None] * Phit)
-    At = Phit.T @ (ptilde.masses[:, None] * Phi)
-    eye = np.eye(dec.n_modes)
-    resid_inverse = max(
-        np.abs(At @ A - eye).max(),
-        np.abs(A @ At - eye).max(),
-    )
-    O = _overlap_matrix(Phi, ptilde.masses)
-    resid_overlap = np.abs(O - At.T @ At).max()
-    Lt = (At * dec.eigenvalues[None, :]) @ At.T
-    resid_eigenvalues = np.abs(Lt - np.diag(dect.eigenvalues)).max()
-    return CrossOverlapDiagnostics(
-        A=A,
-        At=At,
-        resid_inverse=float(resid_inverse),
-        resid_overlap=float(resid_overlap),
-        resid_eigenvalues=float(resid_eigenvalues),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Binary cache.  Same header convention as datasets: magic, little-endian
 # uint64 dimensions, float64 payload.

@@ -21,10 +21,11 @@ from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import from_logits, uniform_measure
 from kernelshift.optimizer import (OptimizerConfig, optimize_test_measure,
                                    optimize_train_measure, richardson_check)
-from kernelshift.spectral import cross_overlap_diagnostics, mercer_decompose
+from kernelshift.spectral import mercer_decompose
 from kernelshift.theory import (pointwise_error_density, predict_Eg_curve,
                                 predict_Eg_dataset, solve_kappa)
 from test_closedform import kappa_prime_flat
+from test_spectral import cross_overlap_diagnostics
 
 
 def _line(n, ok, detail):
@@ -269,8 +270,8 @@ def _acceptance_cli_docs(workdir):
                               optimizer={"P_budget": 3, "lambda": 0.1,
                                          "steps": 10}),
         "closed-form": {"command": "closed-form",
-                        "closed_form": {"model": "diagonal_linear",
-                                        "D": 10, "M_r": 4,
+                        "closed_form": {"model": "general_linear",
+                                        "M": 10, "M_r": 4, "M_s": 10,
                                         "beta": [1.0] * 10,
                                         "lambda": 0.05, "noise": 0.1,
                                         "P_grid": [2, 5, 20]}},

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 import kernelshift
-from kernelshift import cli
+from kernelshift import cli, config
 from kernelshift.cli import main
 from kernelshift.closedform import dot_product_kernel_spectrum
-from kernelshift.config import build_dataset
-from kernelshift.figures import FIGURES, reproduce_fig3a
-from kernelshift.io import read_csv_columns
+from kernelshift.config import build_dataset, load_schema
+from kernelshift.figures import FIGURES, reproduce_fig3a, reproduce_figSI4
+from kernelshift.io import ArtifactDir, read_csv_columns
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import uniform_measure
 from kernelshift.spectral import mercer_decompose
@@ -227,8 +227,8 @@ def test_optimize_test_ignores_step_settings(tmp_path):
 
 def test_closed_form_curve(tmp_path):
     doc = {"command": "closed-form",
-           "closed_form": {"model": "diagonal_linear", "D": 10, "M_r": 4,
-                           "beta": [1.0] * 10, "lambda": 0.05,
+           "closed_form": {"model": "general_linear", "M": 10, "M_r": 4,
+                           "M_s": 10, "beta": [1.0] * 10, "lambda": 0.05,
                            "noise": 0.1, "P_grid": [2, 5, 20]}}
     code, out = _run(tmp_path, doc)
     assert code == 0
@@ -405,8 +405,8 @@ def test_all_diverged_closed_form_exits_3(tmp_path, capsys):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("k_max", [3, 6])
 def test_ntk_sphere_zero_eigenvalue_stage_is_finite(tmp_path, k_max):
-    # degree 3 of the depth-2 ReLU NTK on the 5-sphere has eigenvalue 0;
-    # with k_max 3 no higher degree adds ridge, so kappa is 0 as well
+    # degree 3 of the depth-2 ReLU NTK on the 5-sphere has eigenvalue 0,
+    # and the kernel trace above degree 3 is its ridge whatever k_max is
     eta, _ = dot_product_kernel_spectrum(KernelSpec("ntk_relu", depth=2), 5,
                                          k_max)
     assert eta[3] == 0.0
@@ -422,6 +422,86 @@ def test_ntk_sphere_zero_eigenvalue_stage_is_finite(tmp_path, k_max):
     assert np.all(np.isfinite(cols["kappa"]))
     # a degree the kernel cannot learn keeps its whole target power
     np.testing.assert_allclose(cols["Eg"], 0.2, rtol=1e-12)
+
+
+# a minimal config of each closed-form model
+_CLOSED_FORM_MODELS = {
+    "gaussian_linear": {"beta": [1.0, 0.5], "covariance": [[1.0, 0.0],
+                                                           [0.0, 0.5]],
+                        "covariance_tilde": [[1.0, 0.0], [0.0, 1.0]]},
+    "general_linear": {"M": 3, "M_r": 2, "M_s": 3, "beta": [1.0, 0.5, 0.2]},
+    "ntk_sphere": {"D": 5, "depth": 2, "k_max": 3, "abar_sq": [0.0, 1.0]},
+}
+
+
+@pytest.mark.parametrize(
+    "model", load_schema()["properties"]["closed_form"]["properties"]
+    ["model"]["enum"])
+def test_every_closed_form_model_runs(tmp_path, model):
+    doc = {"command": "closed-form",
+           "closed_form": dict(_CLOSED_FORM_MODELS[model], model=model,
+                               P_grid=[1, 4], **{"lambda": 0.01})}
+    code, out = _run(tmp_path, doc)
+    assert code == 0
+    assert np.all(np.isfinite(
+        read_csv_columns(out / "closed_form_curve.csv")["Eg"]))
+
+
+@pytest.mark.parametrize("key, value", [("abar_sq", [0.0, 1.0, 0.5, 0.2]),
+                                        ("k_stage", 3)])
+def test_ntk_sphere_key_beyond_k_max_exits_2(tmp_path, capsys, key, value):
+    sec = dict(_CLOSED_FORM_MODELS["ntk_sphere"], model="ntk_sphere",
+               k_max=2, P_grid=[4])
+    code, _ = _run(tmp_path, {"command": "closed-form",
+                              "closed_form": dict(sec, **{key: value})})
+    assert code == 2
+    assert f"/closed_form/{key}" in capsys.readouterr().err
+
+
+def test_ntk_sphere_closed_form_matches_figSI4_theory(tmp_path):
+    # the same parameters give the same bits through the CLI as through
+    # the figure; the theory curve does not depend on the trial count
+    reproduce_figSI4(ArtifactDir(str(tmp_path / "fig")), 0, trials=2)
+    with open(tmp_path / "fig" / "theory_figSI4.csv") as fh:
+        fig_rows = fh.read().splitlines()[1:]
+    for radius in (1.0, 0.5):
+        doc = {"command": "closed-form",
+               "closed_form": {"model": "ntk_sphere", "D": 10, "depth": 2,
+                               "k_max": 30, "abar_sq": [0.0, 1.0],
+                               "lambda": 0.01, "noise": 0.05,
+                               "radius_test": radius,
+                               "P_grid": [5, 10, 20, 40, 80, 160, 320]}}
+        code, out = _run(tmp_path, doc, out=f"r{radius}")
+        assert code == 0
+        with open(out / "closed_form_curve.csv") as fh:
+            rows = fh.read().splitlines()[1:]
+        assert [r.split(",", 1)[1] for r in fig_rows
+                if float(r.split(",", 1)[0]) == radius] == rows
+
+
+def test_echo_records_only_the_settings_a_command_reads(tmp_path,
+                                                        monkeypatch):
+    reads = {"optimize-train": {"learning_rate", "steps", "mode",
+                                "convergence_tol"},
+             "optimize-test": {"mode"},
+             "gradcheck": {"fd_step"}}
+    for command, keys in reads.items():
+        doc = dict(_base_doc(), command=command,
+                   optimizer={"P_budget": 3, "lambda": 0.1, "steps": 2})
+        code, out = _run(tmp_path, doc, out=command, name=f"{command}.json")
+        assert code == 0
+        echo = _load_json(out / "config.echo.json")
+        assert set(echo["optimizer"]) == keys | {"P_budget", "lambda",
+                                                 "noise", "steps"}
+        assert echo["theory"] == {"rank_threshold": 1e-12}
+    # the decomposition runs at the threshold the echo records
+    monkeypatch.setitem(config._DEFAULTS["theory"], "rank_threshold", 0.02)
+    code, out = _run(tmp_path, dict(_base_doc(), command="decompose"),
+                     out="thr", name="thr.json")
+    assert code == 0
+    assert _load_json(out / "config.echo.json")["theory"] == {
+        "rank_threshold": 0.02}
+    assert _load_json(out / "decomposition.json")["rank"] == 8
 
 
 def test_optimizer_target_key_exits_2(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelshift.closedform import (_gegenbauer_sum, diagonal_linear_Eg,
+from kernelshift.closedform import (_gegenbauer_sum,
                                     dot_product_kernel_spectrum,
                                     gaussian_linear_Eg, general_linear_Eg,
                                     hyperspherical_degeneracy,
@@ -159,8 +159,8 @@ def test_gaussian_reduces_to_diagonal():
     Ct = sigma2_tilde * np.eye(D)
     for P in (3, 7, 15, 40):
         a = gaussian_linear_Eg(beta, C, Ct, P, lam=0.05, noise=0.1)
-        b = diagonal_linear_Eg(P, D, M_r, beta, sigma2, sigma2_tilde,
-                               lam=0.05, noise=0.1)
+        b = general_linear_Eg(P, D, M_r, D, beta, sigma2, sigma2_tilde,
+                              lam=0.05, noise=0.1)
         assert a.Eg == pytest.approx(b.Eg, abs=1e-12)
         assert a.Eg_matched == pytest.approx(b.Eg_matched, abs=1e-12)
         assert a.state.kappa == pytest.approx(b.state.kappa, abs=1e-12)
@@ -179,8 +179,8 @@ def test_gaussian_ridgeless_singular_matches_diagonal():
         for P in (M_r - 1, M_r, M_r + 1, 4 * M_r):
             a = gaussian_linear_Eg(beta, C, np.eye(D), P, lam=0.0,
                                    noise=0.05)
-            b = diagonal_linear_Eg(P, D, M_r, beta, 1.0, 1.0, lam=0.0,
-                                   noise=0.05)
+            b = general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0, lam=0.0,
+                                  noise=0.05)
             assert a.state.diverged == b.state.diverged == (P == M_r)
             for f in ("Eg", "Eg_matched", "bias", "variance",
                       "irreducible"):
@@ -193,19 +193,6 @@ def test_gaussian_ridgeless_singular_matches_diagonal():
                            5, lam=0.0, noise=0.05)
     assert r.Eg == pytest.approx(1.05, rel=1e-12)
     assert r.irreducible == pytest.approx(1.0, rel=1e-12)
-
-
-def test_diagonal_reduces_to_general():
-    rng = np.random.default_rng(1)
-    D, M_r = 15, 9
-    beta = rng.standard_normal(D)
-    for P in (2, 9, 30):
-        a = diagonal_linear_Eg(P, D, M_r, beta, 1.2, 0.8, lam=0.02,
-                               noise=0.05)
-        b = general_linear_Eg(P, M=D, M_r=M_r, M_s=D, beta=beta, sigma2=1.2,
-                              sigma2_tilde=0.8, lam=0.02, noise=0.05)
-        assert a.Eg == pytest.approx(b.Eg, abs=1e-12)
-        assert a.irreducible == pytest.approx(b.irreducible, abs=1e-12)
 
 
 def test_gaussian_singular_rotation_invariant():
@@ -293,10 +280,11 @@ def test_optimal_ridge_value_and_stationarity():
     beta /= np.linalg.norm(beta)  # unit in-support target power
     star = optimal_ridge(M_r, D, noise, target_power=1.0)
     for P in (10, 40, 90):
-        at = diagonal_linear_Eg(P, D, M_r, beta, 1.0, 1.0, star, noise).Eg
+        at = general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0, star,
+                               noise).Eg
         for delta in (-0.3 * star, 0.3 * star):
-            other = diagonal_linear_Eg(P, D, M_r, beta, 1.0, 1.0,
-                                       star + delta, noise).Eg
+            other = general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0,
+                                      star + delta, noise).Eg
             assert at <= other + 1e-12
 
 
@@ -305,7 +293,8 @@ def test_optimal_ridge_curve_is_monotone():
     beta = np.zeros(D)
     beta[:M_r] = 1.0 / np.sqrt(M_r)
     star = optimal_ridge(M_r, D, noise)
-    curve = [diagonal_linear_Eg(P, D, M_r, beta, 1.0, 1.0, star, noise).Eg
+    curve = [general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0, star,
+                               noise).Eg
              for P in range(2, 200, 4)]
     assert np.all(np.diff(curve) < 0)
 
@@ -441,20 +430,55 @@ def test_ntk_sphere_radius_scaling_and_limits():
     eta, degen = dot_product_kernel_spectrum(KernelSpec("ntk_relu",
                                                         depth=depth),
                                              D, k_max=k_max)
-    eta_bar = eta * degen
-    abar_sq = np.zeros(k_max + 1)
-    abar_sq[1] = 1.0
-    base = ntk_sphere_Eg(40, D, 1, eta_bar, abar_sq, lam=0.01, noise=0.05)
-    half = ntk_sphere_Eg(40, D, 1, eta_bar, abar_sq, lam=0.01, noise=0.05,
-                         radius_test=0.5)
-    assert half.Eg == pytest.approx(0.25 * base.Eg, rel=1e-12)
-    assert half.Eg < base.Eg
-    # far past the stage the degree is fully learned and only the higher
-    # spectral mass (not carried by this target) limits the error
-    big = ntk_sphere_Eg(10**7, D, 1, eta_bar, abar_sq, lam=1e-6, noise=0.0)
-    assert big.Eg < 1e-4
+    abar_sq = [0.0, 1.0]
+    for k_stage in (1, None):
+        base = ntk_sphere_Eg(40, depth, eta, degen, abar_sq, lam=0.01,
+                             noise=0.05, k_stage=k_stage)
+        half = ntk_sphere_Eg(40, depth, eta, degen, abar_sq, lam=0.01,
+                             noise=0.05, radius_test=0.5, k_stage=k_stage)
+        assert half.Eg == pytest.approx(0.25 * base.Eg, rel=1e-12)
+        assert half.Eg < base.Eg
+        # far past the stage the degree is fully learned and only the
+        # higher spectral mass (not carried by this target) limits the
+        # error
+        big = ntk_sphere_Eg(10**7, depth, eta, degen, abar_sq, lam=1e-6,
+                            noise=0.0, k_stage=k_stage)
+        assert big.Eg < 1e-4
     with pytest.raises(ValueError):
-        ntk_sphere_Eg(10, D, k_max + 1, eta_bar, abar_sq, lam=0.01)
+        ntk_sphere_Eg(10, depth, eta, degen, abar_sq, lam=0.01,
+                      k_stage=k_max + 1)
+    with pytest.raises(ValueError):
+        ntk_sphere_Eg(10, depth, eta, degen, np.ones(k_max + 2), lam=0.01)
+
+
+def test_ntk_stage_does_not_depend_on_k_max():
+    # every eigenvalue mass above the stage degree is in the ridge, from
+    # the kernel trace, whatever degree the spectrum was resolved to
+    spec = KernelSpec("ntk_relu", depth=2)
+    curves = []
+    for k_max in (1, 3, 30):
+        eta, degen = dot_product_kernel_spectrum(spec, 10, k_max)
+        curves.append([ntk_sphere_Eg(P, 2, eta, degen, [0.0, 1.0], 0.01,
+                                     0.05, radius_test=0.5, k_stage=1)
+                       for P in (5, 40, 320)])
+    for curve in curves[1:]:
+        for a, b in zip(curves[0], curve):
+            assert (a.Eg, a.state.kappa) == (b.Eg, b.state.kappa)
+    assert curves[0][1].Eg == 0.25 * 0.04476272802717626
+
+
+@pytest.mark.filterwarnings("error")
+def test_mode_spectrum_zero_eigenvalue_block_ridgeless():
+    # a lone degree of eigenvalue 0 with no ridge and no tail: kappa is 0,
+    # nothing is learned, and the error is the degree's target power
+    eta, degen = dot_product_kernel_spectrum(KernelSpec("ntk_relu", depth=2),
+                                             5, 3)
+    assert eta[3] == 0.0
+    for P in (5, 20, 80):
+        r = mode_spectrum_Eg(eta[3:], degen[3:], [0.2], P, lam=0.0)
+        assert r.state.kappa == 0.0
+        assert not r.state.diverged
+        assert r.Eg == pytest.approx(0.2, rel=1e-12)
 
 
 def _spd(rng, D, rank):
@@ -527,10 +551,6 @@ def test_closed_form_edge_regimes_finite_or_flagged(model, seed, lam, noise):
 
 def test_closed_form_validation():
     with pytest.raises(ValueError):
-        diagonal_linear_Eg(5, 10, 0, np.ones(3), 1.0, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        diagonal_linear_Eg(5, 10, 11, np.ones(3), 1.0, 1.0, 0.1)
-    with pytest.raises(ValueError):
         gaussian_linear_Eg(np.ones(3), np.eye(2), np.eye(3), 5, 0.1)
     with pytest.raises(ValueError):
         dot_product_kernel_spectrum(KernelSpec("ntk_relu", depth=2), 2, 5)
@@ -541,7 +561,7 @@ def test_closed_form_validation():
 def test_sampled_cloud_pipeline_matches_diagonal_closed_form():
     # a 3000-atom i.i.d. discretization of the training Gaussian, pushed
     # through the generic spectral + prediction path, reproduces the
-    # diagonal closed form within 3% for P up to a tenth of the cloud
+    # rank-limited closed form within 3% for P up to a tenth of the cloud
     # size. The bound is statistical in the cloud draw (shot noise of
     # the sampled spectrum and of the test average is 1-2% at this
     # size), so generic frozen instances are pinned here.
@@ -569,8 +589,8 @@ def test_sampled_cloud_pipeline_matches_diagonal_closed_form():
     dec = mercer_decompose(K, p)
     for P, pipe in zip(P_grid, predict_Eg_curve(dec, Y, pt, P_grid, lam,
                                                 noise)):
-        closed = diagonal_linear_Eg(P, D, M_r, beta, 1.0, s2t, lam,
-                                    noise).Eg
+        closed = general_linear_Eg(P, D, M_r, D, beta, 1.0, s2t, lam,
+                                   noise).Eg
         assert abs(pipe.Eg - closed) / closed < 0.03
 
     # matched: full-rank cloud reused as its own test measure
@@ -585,5 +605,6 @@ def test_sampled_cloud_pipeline_matches_diagonal_closed_form():
     dec = mercer_decompose(K, p)
     for P, pipe in zip(P_grid, predict_Eg_curve(dec, Y, p, P_grid, lam,
                                                 noise)):
-        closed = diagonal_linear_Eg(P, D, D, beta, 1.0, 1.0, lam, noise).Eg
+        closed = general_linear_Eg(P, D, D, D, beta, 1.0, 1.0, lam,
+                                   noise).Eg
         assert abs(pipe.Eg - closed) / closed < 0.03

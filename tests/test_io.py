@@ -101,8 +101,9 @@ def _run_config(tmp_path, doc):
 def test_manifest_contents(tmp_path):
     rc = _run_config(tmp_path, {
         "command": "closed-form", "seed": 3,
-        "closed_form": {"model": "diagonal_linear", "D": 10, "M_r": 4,
-                        "P_grid": [2], "beta": [1.0, 0.5, 0.2]},
+        "closed_form": {"model": "general_linear", "M": 10, "M_r": 4,
+                        "M_s": 10, "P_grid": [2],
+                        "beta": [1.0, 0.5, 0.2]},
     })
     art = ArtifactDir(str(tmp_path / "out"))
     art.write_csv("b.csv", ("x",), [(1,)])
@@ -133,8 +134,9 @@ def test_manifest_carries_figure_when_set(tmp_path):
 def test_config_echo_is_materialized_doc(tmp_path):
     rc = _run_config(tmp_path, {
         "command": "closed-form",
-        "closed_form": {"model": "diagonal_linear", "D": 10, "M_r": 4,
-                        "P_grid": [2], "beta": [1.0, 0.5, 0.2]},
+        "closed_form": {"model": "general_linear", "M": 10, "M_r": 4,
+                        "M_s": 10, "P_grid": [2],
+                        "beta": [1.0, 0.5, 0.2]},
     })
     art = ArtifactDir(str(tmp_path / "out"))
     art.echo_config(rc)

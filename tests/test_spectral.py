@@ -2,15 +2,16 @@
 cache."""
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import DiscreteMeasure, from_logits, uniform_measure
-from kernelshift.spectral import (SYMMETRY_RTOL, SpectralDecomposition,
-                                  _check_square_symmetric,
-                                  cross_overlap_diagnostics,
+from kernelshift.spectral import (DEFAULT_RANK_THRESHOLD, SYMMETRY_RTOL,
+                                  SpectralDecomposition,
+                                  _check_square_symmetric, _overlap_matrix,
                                   decomposition_cache_key,
                                   load_decomposition, mercer_decompose,
                                   project_target, save_decomposition)
@@ -211,6 +212,60 @@ def test_degenerate_block_rotation_invariance():
     (pred,) = predict_Eg_curve(dec_rot, Y, pt, [3], lam=0.1, noise=0.05)
     assert pred.Eg == pytest.approx(base.Eg, abs=1e-10)
     assert pred.Eg_matched == pytest.approx(base.Eg_matched, abs=1e-10)
+
+
+@dataclass(frozen=True)
+class CrossOverlapDiagnostics:
+    """Change-of-basis checks between decompositions under p and ptilde.
+
+    A[rho, gam]  = <phi_rho, phitilde_gam>_p
+    At[rho, gam] = <phitilde_rho, phi_gam>_ptilde
+
+    In exact arithmetic At A = A At = I, the overlap matrix factors as
+    O = At^T At, and At Lambda At^T reproduces the test-measure eigenvalues
+    as a diagonal matrix.
+    """
+
+    A: np.ndarray
+    At: np.ndarray
+    resid_inverse: float
+    resid_overlap: float
+    resid_eigenvalues: float
+
+
+def cross_overlap_diagnostics(K, p, ptilde,
+                              rank_threshold=DEFAULT_RANK_THRESHOLD):
+    if not isinstance(p, DiscreteMeasure):
+        p = DiscreteMeasure(p)
+    if not isinstance(ptilde, DiscreteMeasure):
+        ptilde = DiscreteMeasure(ptilde)
+    if p.support().size != p.M or ptilde.support().size != ptilde.M:
+        raise ValueError("cross-overlap diagnostics need full-support "
+                         "measures")
+    dec = mercer_decompose(K, p, rank_threshold)
+    dect = mercer_decompose(K, ptilde, rank_threshold)
+    if dec.rank < dec.n_modes or dect.rank < dect.n_modes:
+        raise ValueError("cross-overlap diagnostics need strictly positive "
+                         "spectra")
+    Phi, Phit = dec.Phi, dect.Phi
+    A = Phi.T @ (p.masses[:, None] * Phit)
+    At = Phit.T @ (ptilde.masses[:, None] * Phi)
+    eye = np.eye(dec.n_modes)
+    resid_inverse = max(
+        np.abs(At @ A - eye).max(),
+        np.abs(A @ At - eye).max(),
+    )
+    O = _overlap_matrix(Phi, ptilde.masses)
+    resid_overlap = np.abs(O - At.T @ At).max()
+    Lt = (At * dec.eigenvalues[None, :]) @ At.T
+    resid_eigenvalues = np.abs(Lt - np.diag(dect.eigenvalues)).max()
+    return CrossOverlapDiagnostics(
+        A=A,
+        At=At,
+        resid_inverse=float(resid_inverse),
+        resid_overlap=float(resid_overlap),
+        resid_eigenvalues=float(resid_eigenvalues),
+    )
 
 
 def test_cross_overlap_identities():
