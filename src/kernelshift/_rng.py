@@ -9,6 +9,9 @@ of execution order, so parallel and serial runs agree bit for bit.
 import zlib
 
 import numpy as np
+# numpy loads numpy.random on first use; loading it here keeps that cost
+# in start-up, not in the first run that draws
+import numpy.random  # noqa: F401
 
 _MASK64 = (1 << 64) - 1
 

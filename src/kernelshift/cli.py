@@ -230,6 +230,9 @@ def _closed_form_results(sec):
             for P in P_grid]
     if model == "ntk_sphere":
         need("D", "depth", "k_max", "abar_sq")
+        if sec["D"] < 3:
+            raise ConfigError(f"model 'ntk_sphere' needs D >= 3, got "
+                              f"{sec['D']}", "/closed_form/D")
         k_max = int(sec["k_max"])
         if len(sec["abar_sq"]) > k_max + 1:
             raise ConfigError(f"{len(sec['abar_sq'])} degrees given for "

@@ -32,19 +32,30 @@ _DEFAULTS = {
     "seed": 0,
     "threads": 1,
     "dataset": {"standardize": False},
-    "kernel": {"lengthscale": 1.0, "depth": 1, "n_modes": 8},
     "theory": {"lambda": 0.0, "noise": 0.0,
                "rank_threshold": DEFAULT_RANK_THRESHOLD},
     "empirical": {"trials": 100},
     "optimizer": {"lambda": 0.0, "noise": 0.0, "learning_rate": 1.0,
                   "steps": 2000, "mode": "descent", "fd_step": 1e-5,
                   "convergence_tol": 1e-6},
-    "closed_form": {"lambda": 0.0, "noise": 0.0, "sigma2": 1.0,
-                    "sigma2_tilde": 1.0, "radius_train": 1.0,
-                    "radius_test": 1.0},
+    "closed_form": {"lambda": 0.0, "noise": 0.0},
     "spectrum": {"n_quad": 400},
     "compare": {"band": 3.0},
     "measures": {"train": {"kind": "uniform"}, "test": {"kind": "uniform"}},
+}
+
+# Defaults of the keys that only some kernel kinds or closed-form models
+# read, keyed by the section's kind or model, so an echo carries only the
+# settings its run used
+_KIND_DEFAULTS = {
+    "kernel": ("kind", {"rbf": {"lengthscale": 1.0},
+                        "laplace": {"lengthscale": 1.0},
+                        "ntk_relu": {"depth": 1},
+                        "fourier_bandlimited": {"n_modes": 8}}),
+    "closed_form": ("model", {"general_linear": {"sigma2": 1.0,
+                                                 "sigma2_tilde": 1.0},
+                              "ntk_sphere": {"radius_train": 1.0,
+                                             "radius_test": 1.0}}),
 }
 
 # The keys of the theory and optimizer sections that each command reads;
@@ -246,6 +257,10 @@ def materialize(doc):
                 keys = reads.get(section, ())
             for k in keys:
                 out[section].setdefault(k, defaults[k])
+    for section, (key, by_kind) in _KIND_DEFAULTS.items():
+        if section in out:
+            for k, v in by_kind.get(out[section].get(key), {}).items():
+                out[section].setdefault(k, v)
     # the empirical section borrows ridge and noise from theory when absent
     if "empirical" in out:
         theory = out.get("theory", {})
@@ -323,14 +338,9 @@ def parse_config(path):
 def build_kernel(kernel_section):
     """KernelSpec from the kernel config section."""
     kind = kernel_section["kind"]
-    kwargs = {}
-    if kind in ("rbf", "laplace"):
-        kwargs["lengthscale"] = float(kernel_section.get("lengthscale", 1.0))
-    if kind == "fourier_bandlimited":
-        kwargs["n_modes"] = int(kernel_section.get("n_modes", 8))
-    if kind == "ntk_relu":
-        kwargs["depth"] = int(kernel_section.get("depth", 1))
-    return KernelSpec(kind, **kwargs)
+    defaults = _KIND_DEFAULTS["kernel"][1].get(kind, {})
+    return KernelSpec(kind, **{k: type(v)(kernel_section.get(k, v))
+                               for k, v in defaults.items()})
 
 
 def build_dataset(dataset_section, seed):

@@ -13,8 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_lapack
 
+from ._lapack import _dpotrf, _dpotrs
 from ._rng import rng_from
 from .kernels import gram
 from .measures import DiscreteMeasure
@@ -36,44 +36,6 @@ RIDGELESS_RCOND = 1e-10
 MAX_GRAM_BYTES = 2**31
 # entries of the buffer a discrete trial reads rows of K through
 _ROW_BLOCK = 1 << 16
-
-_INT, _ARRAY = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
-_D = "__pyx_t_5scipy_6linalg_13cython_lapack_d *"
-# each LAPACK routine the ridge fits call: its signature as its
-# scipy.linalg.cython_lapack capsule names it (d is cython_lapack's typedef
-# of double), and the ctypes argument types that match it
-_LAPACK = {
-    "dpotrf": (f"void (char *, int *, {_D}, int *, int *)",
-               (ctypes.c_char_p, _INT, _ARRAY, _INT, _INT)),
-    "dpotrs": (f"void (char *, int *, int *, {_D}, int *, {_D}, int *, "
-               "int *)",
-               (ctypes.c_char_p, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT,
-                _INT)),
-}
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi))
-_capsule_pointer = ctypes.PYFUNCTYPE(
-    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-def _lapack(name, capsule):
-    """The LAPACK routine in a cython_lapack capsule as a ctypes function,
-    which releases the GIL while it runs.
-
-    Raises ImportError unless the capsule's signature is the expected
-    one, so a scipy built with other integer widths is never called.
-    """
-    signature, argtypes = _LAPACK[name]
-    found = _capsule_name(capsule)
-    if found != signature.encode():
-        raise ImportError(f"scipy.linalg.cython_lapack.{name} has signature "
-                          f"{found!r}, expected {signature!r}")
-    return ctypes.CFUNCTYPE(None, *argtypes)(_capsule_pointer(capsule, found))
-
-
-_dpotrf, _dpotrs = (_lapack(name, cython_lapack.__pyx_capi__[name])
-                    for name in ("dpotrf", "dpotrs"))
 
 
 @dataclass(frozen=True)

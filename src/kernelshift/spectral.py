@@ -17,8 +17,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import _lapack
 from .io import atomic_open
 from .measures import BINARY_MAGIC, DiscreteMeasure
 
@@ -108,7 +108,7 @@ def _decompose(K, measure, rank_threshold):
     B *= sqrt_p
     B += B.T
     B *= 0.5
-    w, V = scipy.linalg.eigh(B.T, overwrite_a=True, check_finite=False)
+    w, V = _lapack.eigh(B.T)
     del B
     w = w[::-1]
     V = V[:, ::-1]

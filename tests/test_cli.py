@@ -29,14 +29,16 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _scipy_loaded(tmp_path, run, setup="pass"):
-    # the scipy and jsonschema modules that a fresh interpreter loads while
-    # it runs the code in run, after the code in setup
+def _loaded(tmp_path, run, setup="pass", packages=("scipy", "jsonschema")):
+    # the modules of the given packages (of any package when packages is
+    # None) that a fresh interpreter loads while it runs the code in run,
+    # after the code in setup
     src = os.path.dirname(os.path.dirname(kernelshift.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (f"import json, sys\n{setup}\nbefore = set(sys.modules)\n{run}\n"
+            f"packages = {packages!r}\n"
             "print(json.dumps(sorted(m for m in set(sys.modules) - before "
-            "if m.split('.')[0] in ('scipy', 'jsonschema'))))")
+            "if packages is None or m.split('.')[0] in packages)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120,
                          cwd=tmp_path)
@@ -46,36 +48,44 @@ def _scipy_loaded(tmp_path, run, setup="pass"):
 def test_cli_import_leaves_out_scipy_optimize_and_integrate(tmp_path):
     # every command pays for what importing the CLI and parsing its config
     # load. The kappa solver, the config checker, the Gram distances and
-    # the sphere degeneracies are in-repo, so of scipy only scipy.linalg
-    # (eigh, the Cholesky solves) and what it pulls in may load
+    # the sphere degeneracies are in-repo, and the eigensolve and the
+    # Cholesky solves call LAPACK through scipy.linalg.cython_lapack,
+    # which is loaded without the scipy.linalg package; so of scipy only
+    # the top-level package and what that extension pulls in may load
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(_base_doc(), command="decompose")))
     startup = ("import kernelshift.cli\n"
                f"kernelshift.cli.parse_config({str(cfg)!r})")
-    loaded = _scipy_loaded(tmp_path, startup)
+    loaded = _loaded(tmp_path, startup)
     forbidden = ("scipy.optimize", "scipy.integrate", "scipy.spatial",
                  "scipy.special", "scipy.sparse", "jsonschema")
     assert sorted(m for m in forbidden if m in loaded) == []
-    assert loaded - _scipy_loaded(tmp_path, "import scipy.linalg") == set()
+    assert sorted(m for m in loaded if m.startswith("scipy.linalg")) == []
+    assert loaded - _loaded(tmp_path, "import scipy.linalg") == set()
 
 
 def test_theory_curve_run_loads_no_scipy_module(tmp_path):
     # a lazy import would move start-up cost from setup_s into run_s; the
-    # empirical-curve run covers what the Monte Carlo ridge fits import
+    # three commands cover the eigensolve, the Monte Carlo ridge fits and
+    # the measure optimizer
     for command, section in (
             ("theory-curve", {"theory": {"P_grid": [2, 4, 8],
                                          "lambda": 0.1, "noise": 0.01}}),
             ("empirical-curve", {"empirical": {"P_grid": [2, 4],
                                                "trials": 4,
-                                               "lambda": 0.1}})):
+                                               "lambda": 0.1}}),
+            ("optimize-train", {"optimizer": {"P_budget": 3,
+                                              "lambda": 0.1,
+                                              "steps": 3}})):
         cfg = tmp_path / f"{command}.json"
         cfg.write_text(json.dumps(dict(_base_doc(), command=command,
                                        **section)))
         startup = ("import kernelshift.cli as cli\n"
                    f"cli.parse_config({str(cfg)!r})")
         run = (f"assert cli.main(['--config', {str(cfg)!r}, '--out', "
-               "'out', '--threads', '2']) == 0")
-        assert _scipy_loaded(tmp_path, run, setup=startup) == set()
+               f"'{command}', '--threads', '2']) == 0")
+        assert _loaded(tmp_path, run, setup=startup, packages=None) \
+            == set(), command
 
 
 def _base_doc():
@@ -456,6 +466,15 @@ def test_ntk_sphere_key_beyond_k_max_exits_2(tmp_path, capsys, key, value):
                               "closed_form": dict(sec, **{key: value})})
     assert code == 2
     assert f"/closed_form/{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("D", [1, 2])
+def test_ntk_sphere_below_three_dimensions_exits_2(tmp_path, capsys, D):
+    sec = dict(_CLOSED_FORM_MODELS["ntk_sphere"], model="ntk_sphere", D=D,
+               P_grid=[4])
+    code, _ = _run(tmp_path, {"command": "closed-form", "closed_form": sec})
+    assert code == 2
+    assert "/closed_form/D" in capsys.readouterr().err
 
 
 def test_ntk_sphere_closed_form_matches_figSI4_theory(tmp_path):

@@ -47,6 +47,24 @@ def test_defaults_are_materialized(tmp_path):
     assert rc.figure is None
 
 
+def test_kind_defaults_fill_only_the_keys_the_kind_reads():
+    doc = dict(_minimal_curve_doc(), kernel={"kind": "rbf"})
+    assert materialize(doc)["kernel"] == {"kind": "rbf", "lengthscale": 1.0}
+    for kind, key, value in (("laplace", "lengthscale", 1.0),
+                             ("ntk_relu", "depth", 1),
+                             ("fourier_bandlimited", "n_modes", 8),
+                             ("linear", None, None)):
+        doc = dict(_minimal_curve_doc(), kernel={"kind": kind})
+        want = {"kind": kind} if key is None else {"kind": kind, key: value}
+        assert materialize(doc)["kernel"] == want
+    for model, keys in (("gaussian_linear", set()),
+                        ("general_linear", {"sigma2", "sigma2_tilde"}),
+                        ("ntk_sphere", {"radius_train", "radius_test"})):
+        sec = materialize({"command": "closed-form",
+                           "closed_form": {"model": model}})["closed_form"]
+        assert set(sec) == {"model", "lambda", "noise"} | keys
+
+
 def test_materialize_is_idempotent():
     doc = _minimal_curve_doc()
     once = materialize(doc)
@@ -162,6 +180,12 @@ def test_build_kernel_kind_specific_kwargs():
     assert spec.n_modes == 5
     spec = build_kernel({"kind": "ntk_relu", "depth": 3})
     assert spec.depth == 3
+    # the defaults materialize fills in, with their types
+    assert build_kernel({"kind": "laplace"}).lengthscale == 1.0
+    assert type(build_kernel({"kind": "rbf", "lengthscale": 2}).lengthscale) \
+        is float
+    assert build_kernel({"kind": "fourier_bandlimited"}).n_modes == 8
+    assert build_kernel({"kind": "ntk_relu"}).depth == 1
 
 
 def test_build_dataset_synthetic_det_and_beta_check():

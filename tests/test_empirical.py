@@ -1,13 +1,11 @@
 """Monte Carlo kernel ridge regression harness: solver correctness,
 trial determinism, and the comparison report."""
 
-import ctypes
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import linalg
-from scipy.linalg import cython_lapack
 
 from kernelshift import empirical
 from kernelshift.empirical import (EMPIRICAL_COLUMNS, EmpiricalPoint,
@@ -271,24 +269,6 @@ def test_ridge_solve_edge_cases():
         with pytest.raises(ValueError, match="Fortran-ordered float64"):
             _solve_in_place(A, np.ones((5, 1)), 0.1)
         assert np.array_equal(A, before)
-
-
-def test_lapack_bindings_release_the_gil_and_check_the_abi():
-    for fn in (empirical._dpotrf, empirical._dpotrs):
-        assert isinstance(fn, ctypes._CFuncPtr)
-        assert not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
-    # a scipy built with 64-bit LAPACK integers names them in its
-    # signatures; such a routine must not bind to the 32-bit prototype
-    real = cython_lapack.__pyx_capi__["dpotrf"]
-    ilp64 = empirical._LAPACK["dpotrf"][0].replace("int", "int64_t").encode()
-    capsule_new = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p,
-                                    ctypes.c_char_p, ctypes.c_void_p)(
-        ("PyCapsule_New", ctypes.pythonapi))
-    pointer = empirical._capsule_pointer(real, empirical._capsule_name(real))
-    with pytest.raises(ImportError, match="int64_t"):
-        empirical._lapack("dpotrf", capsule_new(pointer, ilp64, None))
-    with pytest.raises(ImportError, match="dpotrs"):
-        empirical._lapack("dpotrs", real)
 
 
 def test_trial_block_above_the_gram_budget_raises(monkeypatch):
