@@ -101,7 +101,10 @@ def _solve_in_place(A, y, lam):
     factor and solve, so the coefficients keep their bits. Both are
     called through ctypes, which releases the GIL, so trial threads
     factor at the same time. lam = 0 takes numpy's lstsq (the
-    pseudoinverse), which holds the GIL.
+    pseudoinverse), which holds the GIL. scipy's dgelsd, called the same
+    way, would release it, but it runs in scipy's OpenBLAS, not numpy's:
+    with one BLAS thread it gives lstsq's bits, with two it did not at
+    n = 300 and 600.
     """
     if not (A.dtype == np.float64 and A.ndim == 2
             and A.shape[0] == A.shape[1] and A.flags.f_contiguous

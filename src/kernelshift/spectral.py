@@ -27,6 +27,9 @@ DEFAULT_RANK_THRESHOLD = 1e-12
 # |K - K.T| tolerance and negative-eigenvalue tolerance, relative to scale
 SYMMETRY_RTOL = 1e-8
 PSD_RTOL = 1e-8
+# entries of the blocks that V is reordered in and that Phi and the
+# gradient's adjoint are built in
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,15 @@ def mercer_decompose(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
 
 def _decompose(K, measure, rank_threshold):
     """mercer_decompose, also returning the orthonormal eigenvectors V
-    (s, s) of B, columns in the decomposition's order and signs, and the
-    checked, symmetric K."""
+    (s, s) of B, Fortran-ordered, columns in the decomposition's order and
+    signs, on full support (None otherwise), and the checked, symmetric K.
+
+    Above its input it holds at most two (s, s)-sized arrays at once,
+    B beside its eigenvectors during the eigensolve and then V beside
+    Phi, and otherwise only temporaries of up to _BLOCK entries: V is
+    reordered and signed in place, and Phi is built a block of rows at a
+    time.
+    """
     if not isinstance(measure, DiscreteMeasure):
         measure = DiscreteMeasure(measure)
     M = measure.M
@@ -111,7 +121,6 @@ def _decompose(K, measure, rank_threshold):
     w, V = _lapack.eigh(B.T)
     del B
     w = w[::-1]
-    V = V[:, ::-1]
 
     scale = max(abs(w[0]), abs(w[-1]), 1e-300)
     if w[-1] < -PSD_RTOL * scale:
@@ -121,28 +130,30 @@ def _decompose(K, measure, rank_threshold):
         )
     eta = np.clip(w, 0.0, None)
 
-    # sign convention: largest-|value| entry on the support is positive
-    mag = np.abs(V)
-    mag /= sqrt_p[:, None]
-    anchor = np.argmax(mag, axis=0)
-    del mag
-    signs = np.sign(V[anchor, np.arange(s)])
-    signs[signs == 0] = 1.0
-    # a new array, not V *= signs: the gradient's products with V must see
-    # it in Fortran order, not as the reversed view, to keep their bits
-    V = V * signs
+    _order_and_sign(V, sqrt_p)
 
     rank = int(np.count_nonzero(eta > rank_threshold * eta[0])) if eta[0] > 0 else 0
+    Phi = np.empty((M, rank))
+    Vr = V[:, :rank]
+    b = max(1, _BLOCK // M)
     if s == M:
-        Phi = np.divide(V[:, :rank], sqrt_p[:, None], order="C")
+        for lo in range(0, M, b):
+            np.divide(Vr[lo:lo + b], sqrt_p[lo:lo + b, None],
+                      out=Phi[lo:lo + b])
     else:
-        Phi_s = V[:, :rank] / sqrt_p[:, None]
-        Phi = np.zeros((M, rank))
-        Phi[sup] = Phi_s
-        if rank:
-            Phi_s *= p_s[:, None]
-            off = np.flatnonzero(measure.masses == 0)
-            Phi[off] = K[np.ix_(off, sup)] @ Phi_s / eta[:rank]
+        # nothing reads V off full support, so its first rank columns
+        # become Phi_s = V / sqrt(p), then diag(p) Phi_s, the right factor
+        # of the Nystrom extension K[off, sup] diag(p) Phi_s / eta.
+        # Extending the stored Phi_s keeps the off-support residual
+        # consistent with the projection abar, which also reads it
+        Vr /= sqrt_p[:, None]
+        Phi[sup] = Vr
+        Vr *= p_s[:, None]
+        off = np.flatnonzero(measure.masses == 0)
+        for lo in range(0, off.size, b):
+            rows = off[lo:lo + b]
+            Phi[rows] = K[rows][:, sup] @ Vr / eta[:rank]
+        V = None
 
     return SpectralDecomposition(
         eigenvalues=eta,
@@ -152,6 +163,29 @@ def _decompose(K, measure, rank_threshold):
         rank=rank,
         rank_threshold=float(rank_threshold),
     ), V, K
+
+
+def _order_and_sign(V, sqrt_p):
+    """Put the eigenvectors V (ascending, as LAPACK returns them) in
+    descending order and give each its sign, in place and a block of
+    columns at a time, so V stays Fortran-ordered: the gradient's
+    products need it so to keep their bits.  The sign convention: each
+    column's largest |V|/sqrt(p) entry is positive, first index winning
+    ties."""
+    s = V.shape[1]
+    b = max(1, _BLOCK // s)
+    for lo in range(0, s // 2, b):
+        hi = min(lo + b, s // 2)
+        left = V[:, lo:hi].copy()
+        V[:, lo:hi] = V[:, s - hi:s - lo][:, ::-1]
+        V[:, s - hi:s - lo] = left[:, ::-1]
+    for lo in range(0, s, b):
+        cols = V[:, lo:lo + b]
+        mag = np.abs(cols)
+        mag /= sqrt_p[:, None]
+        signs = np.sign(cols[np.argmax(mag, axis=0), np.arange(cols.shape[1])])
+        signs[signs == 0] = 1.0
+        cols *= signs
 
 
 def project_target(dec, Y):
@@ -175,7 +209,9 @@ def _overlap_matrix(Phi, ptilde):
     O[rho, gam] = sum_mu ptilde_mu phi_rho(x_mu) phi_gam(x_mu), symmetrized.
     """
     O = Phi.T @ (ptilde[:, None] * Phi)
-    return 0.5 * (O + O.T)
+    O += O.T
+    O *= 0.5
+    return O
 
 
 # ---------------------------------------------------------------------------

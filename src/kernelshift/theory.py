@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DiscreteMeasure
-from .spectral import (DEFAULT_RANK_THRESHOLD, _decompose, _overlap_matrix,
-                       mercer_decompose, project_target)
+from .spectral import (_BLOCK, DEFAULT_RANK_THRESHOLD, _decompose,
+                       _overlap_matrix, mercer_decompose, project_target)
 
 KAPPA_RTOL = 1e-12
 KAPPA_MAXITER = 200
@@ -359,7 +359,7 @@ def _curve(dec, Y, ptilde, P_grid, lam, noise):
     w = ptilde.masses
     eta = _masked_eta(dec)
     O_diag = np.zeros_like(eta)
-    O_diag[:dec.rank] = w @ dec.Phi**2
+    O_diag[:dec.rank] = np.einsum("m,mr,mr->r", w, dec.Phi, dec.Phi)
     irr_c = w @ R**2
     out_c = dec.measure.masses @ R**2
     for P in P_grid:
@@ -380,6 +380,45 @@ def predict_Eg_dataset(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
     thr = DEFAULT_RANK_THRESHOLD if rank_threshold is None else rank_threshold
     return predict_Eg_curve(mercer_decompose(K, p, thr), Y, ptilde, [P], lam,
                             noise)[0]
+
+
+def _adjoint_rows(X, H, abar, e, r, q, eta, rank, n_sym, n_diag):
+    """Turn the test overlap O, held in X, into F o Qbar in place, a
+    block of rows at a time, and return the diagonal of Qbar.
+
+    Qbar, the adjoint of Q in the eigenbasis, is H abar^T + abar H^T
+    - n_sym (e_i + e_j) O_ij, less n_diag e_i on the diagonal.  F holds
+    the divided differences of q(eta): -P kappa d_i d_j between in-RKHS
+    modes, (q_i - 1)/(eta_i - eta_j) = -P d_i eta_i/(eta_i - eta_j)
+    between in-RKHS mode i and collapsed mode j (at its true eigenvalue,
+    which a large rank threshold leaves above 0), 0 among collapsed; with
+    r = P d it is -(r_i q_j + q_i r_j), halved between in-RKHS modes.
+    Row block I of both needs only row block I of O.
+    """
+    s = X.shape[0]
+    Qbar_diag = np.empty(s)
+    b = max(1, _BLOCK // s)
+    for lo in range(0, s, b):
+        hi = min(lo + b, s)
+        O = X[lo:hi]
+        Q = H[lo:hi] @ abar.T
+        Q += abar[lo:hi] @ H.T
+        Q -= n_sym * (e[lo:hi, None] * O + O * e)
+        diag = (np.arange(hi - lo), np.arange(lo, hi))
+        Q[diag] -= n_diag * e[lo:hi]
+        Qbar_diag[lo:hi] = Q[diag]
+        F = -(np.outer(r[lo:hi], q) + np.outer(q[lo:hi], r))
+        inr = min(hi, rank) - lo
+        if inr > 0:
+            F[:inr, :rank] *= 0.5
+            F[:inr, rank:] *= eta[lo:lo + inr, None] / (
+                eta[lo:lo + inr, None] - eta[rank:])
+        if inr < hi - lo:
+            out = max(inr, 0)
+            F[out:, :rank] *= eta[:rank] / (
+                eta[:rank] - eta[lo + out:hi, None])
+        np.multiply(F, Q, out=O)
+    return Qbar_diag
 
 
 def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
@@ -407,6 +446,11 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
     prediction, which is not smooth where a mode crosses the rank
     threshold (DEFAULT_RANK_THRESHOLD unless rank_threshold is given, as
     in predict_Eg_dataset).
+
+    Of (s, s) arrays it holds V, one buffer that is in turn the test
+    overlap O, F o Qbar and Bbar (F o Qbar a block of rows at a time),
+    and at most one product temporary: about three Grams at its peak,
+    Phi being freed after the forward pass.
 
     A training measure without full support, or with masses so small that
     the gradient overflows, raises SupportError.  A diverged prediction
@@ -436,47 +480,37 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
             raise DivergenceError(
                 f"1 - gamma = {one_minus:.3e} < {DIVERGENCE_TOL}: predicted "
                 "error diverges, so it has no gradient")
+        eta = dec.eigenvalues  # d = 0 masks the collapsed ones
+        del dec  # Phi; the adjoint works in the eigenbasis
         a = np.sqrt(p.masses)
         abar = V.T @ (a[:, None] * Y)
-        O = _overlap_matrix(V, ptilde.masses / p.masses)
+        # X is the one (s, s) buffer: O, then F o Qbar, then Bbar
+        X = _overlap_matrix(V, ptilde.masses / p.masses)
         gamma_p = state.gamma_prime
-        eta = dec.eigenvalues  # d = 0 masks the collapsed ones
         W = q[:, None] * abar
         e = eta * d
         rho = gamma_p / one_minus
-        OW = O @ W
         N = float(np.sum(float(noise) + np.einsum("rc,rc->c", W, W)))
-
         # adjoint of Q (eigenbasis); gamma and gamma' depend on Q via
         # S = I - Q
-        H = OW + rho * W
-        Qbar = H @ abar.T
-        Qbar += Qbar.T
-        Qbar -= (N / one_minus) * (e[:, None] * O + O * e[None, :])
-        Qbar[np.diag_indices_from(Qbar)] -= \
-            2.0 * N * gamma_p / one_minus**2 * e
-        # divided differences of q(eta): -P kappa d_i d_j between in-RKHS
-        # modes, (q_i - 1)/(eta_i - eta_j) = -P d_i eta_i/(eta_i - eta_j)
-        # between in-RKHS mode i and collapsed mode j (at its true
-        # eigenvalue, which a large rank threshold leaves above 0), 0 among
-        # collapsed
+        H = X @ W + rho * W
         r = P * d
-        F = -(np.outer(r, q) + np.outer(q, r))
-        F[:rank, :rank] *= 0.5
-        F[:rank, rank:] *= eta[:rank, None] / (
-            eta[:rank, None] - eta[None, rank:])
-        F[rank:, :rank] = F[:rank, rank:].T
-        Bbar = F * Qbar
-        kappa_bar = float(np.dot(np.diag(Qbar), P * eta * d * d))  # dq/dkappa
+        Qbar_diag = _adjoint_rows(X, H, abar, e, r, q, eta, rank,
+                                  N / one_minus,
+                                  2.0 * N * gamma_p / one_minus**2)
+        kappa_bar = float(np.dot(Qbar_diag, P * eta * d * d))  # dq/dkappa
         inr = np.arange(rank)
-        Bbar[inr, inr] += kappa_bar / one_minus * q[:rank] ** 2
-        Bbar = V @ Bbar @ V.T
+        X[inr, inr] += kappa_bar / one_minus * q[:rank] ** 2
+        VX = V @ X
+        np.matmul(VX, V.T, out=X)
+        del VX
 
         # chain B = (a a^T) o K, u = a o Y and T = diag(ptilde/p) back to p
         Tbar = np.sum((V @ W) ** 2, axis=1) \
-            + (N * P / one_minus) * (V**2 @ (e * e))
+            + (N * P / one_minus) * np.einsum("ij,ij,j->i", V, V, e * e)
         Ubar = V @ (2.0 * q[:, None] * H)
-        a_bar = 2.0 * ((Bbar * K) @ a) + np.sum(Ubar * Y, axis=1)
+        X *= K
+        a_bar = 2.0 * (X @ a) + np.sum(Ubar * Y, axis=1)
         grad = a_bar / (2.0 * a) - Tbar * ptilde.masses / p.masses**2
     if not (math.isfinite(pred.Eg) and np.all(np.isfinite(grad))):
         raise SupportError(

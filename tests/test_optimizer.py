@@ -3,6 +3,7 @@ training-measure gradient and its step loop, and the exact test-measure
 optimum."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -420,6 +421,46 @@ def test_rank_threshold_reaches_loss_and_gradient():
     _, pbar_default = predict_Eg_train_grad(K, Y, p, ptilde, 5, 0.05, 0.01)
     g_default = p * (pbar_default - np.dot(p, pbar_default))
     assert np.max(np.abs(g_default - fd)) > 1e-3 * np.max(np.abs(fd))
+
+
+def test_train_gradient_peak_memory_is_a_few_grams():
+    # V, the one (s, s) adjoint buffer and one product temporary; the
+    # eigensolve's B and V before them, and Phi freed after the forward pass
+    M = 1000
+    X, Y, K = _instance(M=M, D=5, seed=2)
+    p = from_logits(0.3 * np.random.default_rng(3).standard_normal(M))
+    pt = from_logits(0.3 * np.random.default_rng(4).standard_normal(M))
+    predict_Eg_train_grad(K[:10, :10], Y[:10], uniform_measure(10),
+                          uniform_measure(10), 5, 1e-3, 0.01)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        predict_Eg_train_grad(K, Y, p, pt, 200, 1e-3, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 4.5 * K.nbytes
+
+
+@pytest.mark.parametrize("C", [1, 3])
+def test_train_gradient_row_blocks_agree(monkeypatch, C):
+    # collapsed modes (a rank-3 linear kernel) fall inside and across the
+    # row blocks of the adjoint
+    M = 13
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((M, 3))
+    Y = X @ rng.standard_normal((3, C)) + 0.2 * rng.standard_normal((M, C))
+    K = gram(KernelSpec("linear"), X)
+    p = from_logits(0.3 * rng.standard_normal(M))
+    pt = from_logits(0.3 * rng.standard_normal(M))
+    assert mercer_decompose(K, p).rank == 3
+    want = predict_Eg_train_grad(K, Y, p, pt, 5, 0.05, 0.01)
+    for rows in (1, 2, 5):
+        monkeypatch.setattr(theory, "_BLOCK", rows * M)
+        Eg, pbar = predict_Eg_train_grad(K, Y, p, pt, 5, 0.05, 0.01)
+        assert Eg == want[0]
+        assert np.max(np.abs(pbar - want[1])) \
+            <= 1e-14 * np.max(np.abs(want[1]))
 
 
 TRAIN_GRAD_REGIMES = ("ridgeless", "collapsed", "off_support",

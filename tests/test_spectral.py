@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from kernelshift import spectral
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import DiscreteMeasure, from_logits, uniform_measure
 from kernelshift.spectral import (DEFAULT_RANK_THRESHOLD, SYMMETRY_RTOL,
@@ -120,6 +121,55 @@ def test_decomposition_peak_memory_is_about_two_grams():
         finally:
             tracemalloc.stop()
         assert peak - entry <= 2.1 * K.nbytes, kind
+
+
+def test_partial_support_peak_memory_is_eigensolve_or_V_and_Phi():
+    # off full support the peak is the larger of B beside its
+    # eigenvectors (2 s^2) and V beside Phi (s^2 + M rank): Phi is built
+    # in row blocks, with no (s, s) or off x s temporary
+    M = 1500
+    rng = np.random.default_rng(1)
+    K = gram(KernelSpec("rbf", lengthscale=1.5),
+             rng.standard_normal((M, 5)))
+    masses = np.zeros(M)
+    masses[rng.permutation(M)[:int(0.7 * M)]] = 1.0
+    p = DiscreteMeasure(masses / masses.sum())
+    s = p.support().size
+    mercer_decompose(np.eye(10), uniform_measure(10))
+    for threshold in (1e-8, 1e-12):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            dec = mercer_decompose(K, p, threshold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (dec.rank < s) == (threshold == 1e-8)
+        assert peak - entry <= 1.1 * 8 * max(2 * s * s, s * s + M * dec.rank)
+
+
+def test_blocked_nystrom_rows_equal_one_shot_product(monkeypatch):
+    # collapsed modes (a rank-6 linear kernel) and test points off the
+    # training support, with blocks of a few rows and columns
+    M = 90
+    rng = np.random.default_rng(6)
+    K = gram(KernelSpec("linear"), rng.standard_normal((M, 6)))
+    masses = np.zeros(M)
+    masses[:55] = rng.random(55) + 0.1
+    p = DiscreteMeasure(masses / masses.sum())
+    want = mercer_decompose(K, p)
+    assert want.rank == 6 and want.n_collapsed == 49
+    sup, off = want.support, np.flatnonzero(masses == 0)
+    Phi_s = want.Phi[sup]
+    one_shot = K[np.ix_(off, sup)] @ (Phi_s * p.masses[sup, None]) \
+        / want.eigenvalues[:6]
+    for block in (1, 7 * M, 1 << 16):
+        monkeypatch.setattr(spectral, "_BLOCK", block)
+        dec = mercer_decompose(K, p)
+        assert np.array_equal(dec.eigenvalues, want.eigenvalues)
+        assert np.array_equal(dec.Phi[sup], Phi_s)
+        assert np.max(np.abs(dec.Phi[off] - one_shot)) \
+            <= 1e-13 * np.max(np.abs(one_shot))
 
 
 def test_validation_errors():
