@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import logging
 import os
 import sys
@@ -143,8 +144,7 @@ def cmd_empirical_curve(rc, art, threads, cache_dir):
                                 sec["lambda"], sec["noise"], sec["trials"],
                                 rc.seed, threads=threads)
     art.write_csv("empirical_curve.csv", EMPIRICAL_COLUMNS,
-                  [(pt_.P, pt_.Eg_mean, pt_.Eg_std, pt_.Eg_stderr,
-                    pt_.trials) for pt_ in points])
+                  map(dataclasses.astuple, points))
     return EXIT_OK
 
 
@@ -288,10 +288,8 @@ def cmd_compare(rc, art, threads, cache_dir):
     sec = rc.section("compare")
     theory = _compare_columns(sec, "theory_csv", ("P", "Eg"))
     empirical = _compare_columns(sec, "empirical_csv", EMPIRICAL_COLUMNS)
-    points = [EmpiricalPoint(P=int(P), Eg_mean=m, Eg_std=s, Eg_stderr=se,
-                             trials=int(t))
-              for P, m, s, se, t in zip(*(empirical[name]
-                                          for name in EMPIRICAL_COLUMNS))]
+    points = [EmpiricalPoint(*row)
+              for row in zip(*(empirical[name] for name in EMPIRICAL_COLUMNS))]
     report = compare_report(list(theory["Eg"]), points,
                             band=float(sec["band"]),
                             theory_P=list(theory["P"]))
@@ -371,6 +369,9 @@ def main(argv=None):
     parser.add_argument("--cache", default=None,
                         help="directory for reusable decompositions")
     args = parser.parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        parser.error(f"argument --threads: must be at least 1, got "
+                     f"{args.threads}")
 
     try:
         rc = parse_config(args.config)

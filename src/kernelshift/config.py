@@ -230,9 +230,6 @@ def validate_document(doc):
             raise ConfigError(
                 f"command '{command}' requires the '{section}' section",
                 f"/{section}")
-    if command == "reproduce" and "figure" not in doc:
-        raise ConfigError("command 'reproduce' requires a figure id",
-                          "/figure")
     if "dataset" in doc:
         has_path = "path" in doc["dataset"]
         has_synth = "synthetic" in doc["dataset"]

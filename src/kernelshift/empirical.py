@@ -3,14 +3,17 @@
 Two experiment styles are supported: discrete problems where train and
 test measures live on the atoms of one dataset, and continuous problems
 where fresh inputs are drawn each trial and the test error of each fit
-is integrated exactly over the test measure.
+is integrated exactly over the test measure. Either way every (P, trial)
+task of a curve, P first, goes through one thread-pool map, and each
+curve point becomes one CSV row of EMPIRICAL_COLUMNS.
 """
 
 from __future__ import annotations
 
 import ctypes
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,8 +32,6 @@ __all__ = [
     "compare_report",
     "EMPIRICAL_COLUMNS",
 ]
-
-EMPIRICAL_COLUMNS = ("P", "Eg_mean", "Eg_std", "Eg_stderr", "trials")
 
 RIDGELESS_RCOND = 1e-10
 MAX_GRAM_BYTES = 2**31
@@ -54,6 +55,10 @@ class EmpiricalPoint:
     Eg_std: float
     Eg_stderr: float
     trials: int
+
+
+# the empirical CSV header; a row is dataclasses.astuple(point)
+EMPIRICAL_COLUMNS = tuple(f.name for f in fields(EmpiricalPoint))
 
 
 def krr_solve(K_train, y_train, lam):
@@ -129,14 +134,6 @@ def _solve_in_place(A, y, lam):
         return coef, P
     coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=RIDGELESS_RCOND)
     return coef, rank
-
-
-def _fit_fresh_gram(G, y, lam):
-    """krr_solve's coef on a Gram built for this fit alone, which it
-    overwrites. G must be exactly symmetric, as `kernels.gram` makes it,
-    so G.T is the same matrix in Fortran order."""
-    _check_fit(G.shape[0], y, lam)
-    return _solve_in_place(G.T, y, lam)[0]
 
 
 def _row_blocks(K, atoms, buf):
@@ -219,18 +216,22 @@ def _curve_from_errors(P, errs):
 
 
 def _run_trials(task, P_values, trials, threads):
-    """task(P, t) -> float, keyed so results are independent of scheduling."""
-    out = []
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for P in P_values:
-                errs = list(pool.map(lambda t: task(P, t), range(trials)))
-                out.append(_curve_from_errors(P, errs))
-    else:
-        for P in P_values:
-            errs = [task(P, t) for t in range(trials)]
-            out.append(_curve_from_errors(P, errs))
-    return out
+    """One EmpiricalPoint per P from the errors task(P, t) of its trials.
+
+    Every (P, t) task of the curve, P first and then t, goes through one
+    map on a pool of `threads` workers, so a worker free at the end of
+    one P starts the next P's trials. Each task draws from its own key,
+    so the points do not depend on the thread count or the scheduling.
+    """
+    if not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError(f"threads must be a positive integer, got "
+                         f"{threads!r}")
+    P_values = list(P_values)
+    keys = [(P, t) for P in P_values for t in range(trials)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        errs = list(pool.map(lambda key: task(*key), keys))
+    return [_curve_from_errors(P, errs[i * trials:(i + 1) * trials])
+            for i, P in enumerate(P_values)]
 
 
 def run_learning_curve(K, Y, train_measure, test_measure, P_values, lam,
@@ -265,7 +266,10 @@ def run_continuous_curve(kernel_spec, sample_train, target_fn, test_error,
     target_fn maps an input array to noiseless labels. test_error(X, coef)
     must return the test-measure error of the fit with dual coefficients
     coef (P, C) on X, integrated exactly, so that training draws are the
-    only noise in the trial statistics.
+    only noise in the trial statistics. The fit checks its labels, ridge
+    and Gram budget before it builds the Gram, then factors the Gram in
+    place: `kernels.gram` makes it exactly symmetric, so its transpose
+    is the same matrix in Fortran order.
     """
     def task(P, t):
         rng = rng_from(seed, "trial", P, t)
@@ -274,7 +278,9 @@ def run_continuous_curve(kernel_spec, sample_train, target_fn, test_error,
         y = y[:, None] if y.ndim == 1 else y
         if noise > 0:
             y = y + np.sqrt(noise) * rng.standard_normal(y.shape)
-        return test_error(X, _fit_fresh_gram(gram(kernel_spec, X), y, lam))
+        _check_fit(X.shape[0], y, lam)
+        G = gram(kernel_spec, X)
+        return test_error(X, _solve_in_place(G.T, y, lam)[0])
 
     return _run_trials(task, P_values, trials, threads)
 
@@ -294,7 +300,7 @@ def compare_report(theory_Eg, empirical_points, band=3.0, theory_P=None):
         raise ValueError("theory and empirical grids have different sizes")
     if theory_P is not None:
         tp = [int(p) for p in theory_P]
-        ep = [pt.P for pt in empirical_points]
+        ep = [int(pt.P) for pt in empirical_points]
         if tp != ep:
             raise ValueError(f"P grids differ: theory {tp} vs empirical {ep}")
     rows = []
@@ -308,7 +314,7 @@ def compare_report(theory_Eg, empirical_points, band=3.0, theory_P=None):
             z = 0.0 if pt.Eg_mean == th else np.inf
         within = bool(np.isfinite(th) and np.isfinite(z) and abs(z) <= band)
         rows.append({
-            "P": pt.P,
+            "P": int(pt.P),
             "Eg_theory": float(th),
             "Eg_mean": pt.Eg_mean,
             "Eg_stderr": pt.Eg_stderr,

@@ -8,6 +8,8 @@ All randomness is derived from the run seed, so reruns are identical.
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 
 from ._rng import rng_from
@@ -29,9 +31,32 @@ def _child_seed(seed, label):
     return int(rng_from(seed, label).integers(2**32))
 
 
-def _empirical_rows(tag, points):
-    return [(tag, pt.P, pt.Eg_mean, pt.Eg_std, pt.Eg_stderr, pt.trials)
-            for pt in points]
+# atoms per measure in figSI3's sampled cloud, and grid points of figSI5
+_SI3_ATOMS = 3000
+_SI5_GRID = 401
+
+
+def _write_panels(art, fig, tag_name, panels):
+    """Write theory_<fig>.csv and empirical_<fig>.csv; return each tag's
+    compare_report.
+
+    panels maps a tag, the first column of both files, to its theory grid,
+    the predictions on it and the Monte Carlo points. Each tag's report
+    compares the theory at the Monte Carlo P values with those points.
+    """
+    theory_rows, empirical_rows, reports = [], [], {}
+    for tag, (P_grid, results, points) in panels.items():
+        theory_rows += [(tag,) + prediction_row(P, r)
+                        for P, r in zip(P_grid, results)]
+        empirical_rows += [(tag,) + astuple(pt) for pt in points]
+        Eg = {P: r.Eg for P, r in zip(P_grid, results)}
+        reports[tag] = compare_report([Eg[pt.P] for pt in points], points,
+                                      band=3.0)
+    art.write_csv(f"theory_{fig}.csv", (tag_name,) + CURVE_COLUMNS,
+                  theory_rows)
+    art.write_csv(f"empirical_{fig}.csv", (tag_name,) + EMPIRICAL_COLUMNS,
+                  empirical_rows)
+    return reports
 
 
 def _rank_limited_problem(beta, M_r, D):
@@ -70,31 +95,18 @@ def reproduce_fig3a(art, seed, trials=30, threads=1):
     beta[:40] = rng.standard_normal(40)
     beta[40:59] = 0.1 * rng.standard_normal(19)
 
-    theory_rows = []
-    empirical_rows = []
-    fractions = {}
-    irreducible = {}
-    max_abs_z = 0.0
+    panels = {}
     for M_r in M_r_list:
         results = [general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0, lam)
                    for P in P_grid]
-        theory_rows += [(float(M_r),) + prediction_row(P, r)
-                        for P, r in zip(P_grid, results)]
-        irreducible[M_r] = results[0].irreducible
-
         points = run_continuous_curve(
             KernelSpec("linear"), *_rank_limited_problem(beta, M_r, D),
             P_grid, lam, 0.0, trials, _child_seed(seed, f"fig3a-mc-{M_r}"),
             threads=threads)
-        empirical_rows += _empirical_rows(float(M_r), points)
-        rep = compare_report([r.Eg for r in results], points, band=3.0,
-                             theory_P=P_grid)
-        fractions[M_r] = rep["fraction_within"]
-        max_abs_z = max(max_abs_z, rep["max_abs_z"])
-
-    art.write_csv("theory_fig3a.csv", ("M_r",) + CURVE_COLUMNS, theory_rows)
-    art.write_csv("empirical_fig3a.csv", ("M_r",) + EMPIRICAL_COLUMNS,
-                  empirical_rows)
+        panels[M_r] = (P_grid, results, points)
+    reports = _write_panels(art, "fig3a", "M_r", panels)
+    fractions = {m: reports[m]["fraction_within"] for m in M_r_list}
+    irreducible = {m: panels[m][1][0].irreducible for m in M_r_list}
     n_points = len(M_r_list) * len(P_grid)
     overall = sum(fractions[m] * len(P_grid) for m in M_r_list) / n_points
     return {
@@ -103,7 +115,7 @@ def reproduce_fig3a(art, seed, trials=30, threads=1):
         "trials": trials,
         "fraction_within": {str(m): fractions[m] for m in M_r_list},
         "fraction_overall": overall,
-        "max_abs_z": max_abs_z,
+        "max_abs_z": max(rep["max_abs_z"] for rep in reports.values()),
         "irreducible": {str(m): irreducible[m] for m in M_r_list},
         "plateau": {str(m): bool(irreducible[m] > 1e-6) for m in M_r_list},
     }
@@ -130,17 +142,13 @@ def reproduce_fig3b(art, seed, trials=30, threads=1):
     P_theory = list(range(4, 201, 4))
     P_mc = [8, 16, 24, 32, 40, 48, 64, 96, 128, 196]
 
-    theory_rows = []
-    empirical_rows = []
+    panels = {}
     curves = {}
     diverged_points = []
-    compare_frac = {}
     for lam in lam_grid:
         results = [general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0, lam,
                                      noise) for P in P_theory]
         curves[lam] = [r.Eg for r in results]
-        theory_rows += [(lam,) + prediction_row(P, r)
-                        for P, r in zip(P_theory, results)]
         diverged_points += [{"lam": lam, "P": P}
                             for P, r in zip(P_theory, results)
                             if r.state.diverged]
@@ -148,16 +156,8 @@ def reproduce_fig3b(art, seed, trials=30, threads=1):
             KernelSpec("linear"), *_rank_limited_problem(beta, M_r, D),
             P_mc, lam, noise, trials, _child_seed(seed, f"fig3b-mc-{lam}"),
             threads=threads)
-        empirical_rows += _empirical_rows(lam, points)
-        idx = [P_theory.index(P) for P in P_mc]
-        rep = compare_report([curves[lam][i] for i in idx], points,
-                             band=3.0, theory_P=P_mc)
-        compare_frac[lam] = rep["fraction_within"]
-
-    art.write_csv("theory_fig3b.csv", ("lambda",) + CURVE_COLUMNS,
-                  theory_rows)
-    art.write_csv("empirical_fig3b.csv", ("lambda",) + EMPIRICAL_COLUMNS,
-                  empirical_rows)
+        panels[lam] = (P_theory, results, points)
+    reports = _write_panels(art, "fig3b", "lambda", panels)
 
     # diverged points are inf, so they never beat the optimal ridge
     star = np.array(curves[lam_star])
@@ -169,32 +169,32 @@ def reproduce_fig3b(art, seed, trials=30, threads=1):
         "P_grid": P_theory,
         "pointwise_optimal": bool(pointwise),
         "diverged_points": diverged_points,
-        "fraction_within": {f"{lam:.17g}": compare_frac[lam]
+        "fraction_within": {f"{lam:.17g}": reports[lam]["fraction_within"]
                             for lam in lam_grid},
     }
 
 
 def _discretized_crosscheck(seed, label, M, M_r, M_s, beta, lam, noise,
-                            P_values, n_atoms):
+                            P_values):
     """Closed form vs the generic pipeline on a sampled atom cloud.
 
-    Draws n_atoms training and n_atoms test inputs from the two
+    Draws _SI3_ATOMS training and _SI3_ATOMS test inputs from the two
     Gaussian densities, runs the spectral pipeline on the union with
     the appropriate masses, and reports both predictions per P.
     """
     rng = rng_from(seed, label)
     dim = max(M, M_r, M_s)
-    Z_train = np.zeros((n_atoms, dim))
-    Z_train[:, :M_r] = rng.standard_normal((n_atoms, M_r))
-    Z_test = np.zeros((n_atoms, dim))
-    Z_test[:, :M_s] = rng.standard_normal((n_atoms, M_s))
+    Z_train = np.zeros((_SI3_ATOMS, dim))
+    Z_train[:, :M_r] = rng.standard_normal((_SI3_ATOMS, M_r))
+    Z_test = np.zeros((_SI3_ATOMS, dim))
+    Z_test[:, :M_s] = rng.standard_normal((_SI3_ATOMS, M_s))
     Z = np.vstack([Z_train, Z_test])
     K = gram(KernelSpec("linear"), Z[:, :M])
     Y = Z @ np.asarray(beta)[:dim]
-    masses_p = np.concatenate([np.full(n_atoms, 1.0 / n_atoms),
-                               np.zeros(n_atoms)])
-    masses_pt = np.concatenate([np.zeros(n_atoms),
-                                np.full(n_atoms, 1.0 / n_atoms)])
+    masses_p = np.concatenate([np.full(_SI3_ATOMS, 1.0 / _SI3_ATOMS),
+                               np.zeros(_SI3_ATOMS)])
+    masses_pt = np.concatenate([np.zeros(_SI3_ATOMS),
+                                np.full(_SI3_ATOMS, 1.0 / _SI3_ATOMS)])
     p = DiscreteMeasure(masses_p)
     pt = DiscreteMeasure(masses_pt)
     preds = predict_Eg_curve(mercer_decompose(K, p), Y, pt, P_values, lam,
@@ -208,7 +208,7 @@ def _discretized_crosscheck(seed, label, M, M_r, M_s, beta, lam, noise,
     return rows
 
 
-def reproduce_figSI3(art, seed, trials=30, threads=1, n_atoms=3000):
+def reproduce_figSI3(art, seed, threads=1):
     """Kernel rank below the data rank: peak without noise, decay to zero.
 
     Panel a: a 20-direction kernel learning 30-direction data shows a
@@ -217,7 +217,8 @@ def reproduce_figSI3(art, seed, trials=30, threads=1, n_atoms=3000):
     test measure stays within 15 expressed-and-trained directions the
     error decays to zero despite the same unexpressed power. Both closed
     forms are cross-checked against the dataset pipeline on a sampled
-    discretization of the two measures.
+    discretization of the two measures. It runs no Monte Carlo, so
+    threads is unused.
     """
     M, M_r = 20, 30
     lam = 1e-2
@@ -230,7 +231,7 @@ def reproduce_figSI3(art, seed, trials=30, threads=1, n_atoms=3000):
     # a Q-atom cloud resolves the continuum only for P well below Q, so
     # the pipeline comparison stops at Q/50
     P_cross = [p for p in (2, 6, 10, 14, 20, 28, 40, 60, 100)
-               if p <= n_atoms // 50]
+               if p <= _SI3_ATOMS // 50]
 
     panels = {"a": {"M_s": 30, "P": P_a}, "b": {"M_s": 15, "P": P_b}}
     summary = {}
@@ -243,7 +244,7 @@ def reproduce_figSI3(art, seed, trials=30, threads=1, n_atoms=3000):
                        for P, r in zip(cfg["P"], results)])
         cross = _discretized_crosscheck(
             seed, f"figSI3-cloud-{name}", M, M_r, M_s, beta, lam, 0.0,
-            P_cross, n_atoms)
+            P_cross)
         art.write_csv(f"pipeline_figSI3{name}.csv",
                       ("P", "Eg_closed", "Eg_pipeline", "rel_err"), cross)
         Eg = {P: r.Eg for P, r in zip(cfg["P"], results)}
@@ -301,45 +302,32 @@ def reproduce_figSI4(art, seed, trials=30, threads=1):
         return float(r2 * (c @ A @ c - 2.0 * eta[1] * (c @ (X @ beta))
                            + beta @ beta / D))
 
-    theory_rows = []
-    empirical_rows = []
-    curves = {}
-    fractions = {}
-    max_abs_z = 0.0
+    panels = {}
     for radius in radii:
         results = [ntk_sphere_Eg(P, depth, eta, degen, abar_sq, lam, noise,
                                  radius_test=radius) for P in P_grid]
-        curves[radius] = [r.Eg for r in results]
-        theory_rows += [(radius,) + prediction_row(P, r)
-                        for P, r in zip(P_grid, results)]
         points = run_continuous_curve(
             spec, sample_train, lambda X: X @ beta,
             lambda X, coef: sphere_error(X, coef, radius**2), P_grid, lam,
             noise, trials, _child_seed(seed, f"figSI4-mc-{radius}"),
             threads=threads)
-        empirical_rows += _empirical_rows(radius, points)
-        rep = compare_report(curves[radius], points, band=3.0,
-                             theory_P=P_grid)
-        fractions[radius] = rep["fraction_within"]
-        max_abs_z = max(max_abs_z, rep["max_abs_z"])
-
-    art.write_csv("theory_figSI4.csv", ("radius",) + CURVE_COLUMNS,
-                  theory_rows)
-    art.write_csv("empirical_figSI4.csv", ("radius",) + EMPIRICAL_COLUMNS,
-                  empirical_rows)
-    below = bool(np.all(np.array(curves[0.5]) < np.array(curves[1.0])))
+        panels[radius] = (P_grid, results, points)
+    reports = _write_panels(art, "figSI4", "radius", panels)
+    curves = {r: np.array([res.Eg for res in panels[r][1]]) for r in radii}
+    below = bool(np.all(curves[0.5] < curves[1.0]))
     return {
         "P_grid": P_grid,
         "radii": radii,
         "below_everywhere": below,
-        "fraction_within": {f"{r:g}": fractions[r] for r in radii},
-        "max_abs_z": max_abs_z,
+        "fraction_within": {f"{r:g}": reports[r]["fraction_within"]
+                            for r in radii},
+        "max_abs_z": max(rep["max_abs_z"] for rep in reports.values()),
         "kernel_trace": trace,
         "tail_eta": tail_eta,
     }
 
 
-def reproduce_figSI5(art, seed, trials=30, threads=1, grid_points=401):
+def reproduce_figSI5(art, seed, trials=30, threads=1):
     """Band-limited kernel under interval versus Gaussian training densities.
 
     A kernel spanning sixteen Fourier modes on [-1, 1] is trained once on
@@ -356,7 +344,7 @@ def reproduce_figSI5(art, seed, trials=30, threads=1, grid_points=401):
     lam = 1e-4
     P_grid = [2, 4, 8, 16, 32, 64, 128]
 
-    x = np.linspace(-1.0, 1.0, grid_points)
+    x = np.linspace(-1.0, 1.0, _SI5_GRID)
     X = x[:, None]
     spec = KernelSpec("fourier_bandlimited", n_modes=n_modes)
     K = gram(spec, X)
@@ -364,7 +352,7 @@ def reproduce_figSI5(art, seed, trials=30, threads=1, grid_points=401):
     rng = rng_from(seed, "figSI5-target")
     c = rng.standard_normal(n_modes)
     s = rng.standard_normal(n_modes)
-    Y = np.zeros(grid_points)
+    Y = np.zeros(_SI5_GRID)
     for k in range(1, n_modes + 1):
         Y += c[k - 1] * np.cos(k * np.pi * x) + s[k - 1] * np.sin(k * np.pi * x)
     Y /= np.sqrt(np.mean(Y**2))
@@ -375,10 +363,9 @@ def reproduce_figSI5(art, seed, trials=30, threads=1, grid_points=401):
         "rect": DiscreteMeasure(rect / rect.sum()),
         "gauss": DiscreteMeasure(gauss / gauss.sum()),
     }
-    pt = DiscreteMeasure(np.full(grid_points, 1.0 / grid_points))
+    pt = DiscreteMeasure(np.full(_SI5_GRID, 1.0 / _SI5_GRID))
 
-    theory_rows = []
-    empirical_rows = []
+    panels = {}
     eig_rows = []
     summary = {}
     for name, p in train_measures.items():
@@ -386,13 +373,11 @@ def reproduce_figSI5(art, seed, trials=30, threads=1, grid_points=401):
         eig_rows += [(name, float(i), val)
                      for i, val in enumerate(dec.eigenvalues)]
         preds = predict_Eg_curve(dec, Y, pt, P_grid, lam, 0.0)
-        theory_rows += [(name,) + prediction_row(P, pr)
-                        for P, pr in zip(P_grid, preds)]
         points = run_learning_curve(K, Y[:, None], p, pt, P_grid, lam, 0.0,
                                     trials,
                                     _child_seed(seed, f"figSI5-mc-{name}"),
                                     threads=threads)
-        empirical_rows += _empirical_rows(name, points)
+        panels[name] = (P_grid, preds, points)
         summary[name] = {
             "kernel_rank": rank,
             "resolved_modes": int(dec.rank),
@@ -401,10 +386,7 @@ def reproduce_figSI5(art, seed, trials=30, threads=1, grid_points=401):
             "Eg_floor_mc": points[-1].Eg_mean,
         }
 
-    art.write_csv("theory_figSI5.csv", ("measure",) + CURVE_COLUMNS,
-                  theory_rows)
-    art.write_csv("empirical_figSI5.csv", ("measure",) + EMPIRICAL_COLUMNS,
-                  empirical_rows)
+    _write_panels(art, "figSI5", "measure", panels)
     art.write_csv("eigenvalues_figSI5.csv", ("measure", "index", "eta"),
                   eig_rows)
     summary["rect"]["collapsed_within_kernel"] = bool(

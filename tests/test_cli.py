@@ -615,6 +615,21 @@ def test_threads_flag_does_not_change_bytes(tmp_path):
     assert _read_dir(out1) == _read_dir(out4)
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threads_below_one_exits_2(tmp_path, capsys, value):
+    # the flag is checked before the config is read, so a command that
+    # runs no trials rejects it too
+    for command, section in (("empirical-curve",
+                              {"empirical": {"P_grid": [2], "trials": 2}}),
+                             ("decompose", {})):
+        doc = dict(_base_doc(), command=command, **section)
+        with pytest.raises(SystemExit) as exc:
+            _run(tmp_path, doc, extra=("--threads", value))
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_seed_override_is_echoed_and_rehashed(tmp_path):
     doc = dict(_base_doc(), command="decompose")
     _, out0 = _run(tmp_path, doc, out="s0", name="s0.json")

@@ -10,8 +10,8 @@ from scipy import linalg
 from kernelshift import empirical
 from kernelshift.empirical import (EMPIRICAL_COLUMNS, EmpiricalPoint,
                                    _atom_block, _curve_from_errors,
-                                   _fit_atoms, _fit_fresh_gram,
-                                   _solve_in_place, compare_report,
+                                   _fit_atoms, _solve_in_place,
+                                   compare_report,
                                    discrete_trial_error, krr_solve,
                                    run_continuous_curve, run_learning_curve)
 from kernelshift.kernels import KernelSpec, gram
@@ -225,7 +225,7 @@ def test_in_place_trial_fit_equals_krr_solve_bit_for_bit(kind, lam,
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])
-def test_fresh_gram_fit_equals_krr_solve_bit_for_bit(lam):
+def test_continuous_trial_fit_equals_krr_solve_bit_for_bit(lam):
     # the continuous trials factor the Gram's transpose in place, which
     # is krr_solve's Fortran copy exactly when gram is exactly symmetric
     rng = np.random.default_rng(4)
@@ -235,7 +235,12 @@ def test_fresh_gram_fit_equals_krr_solve_bit_for_bit(lam):
                  KernelSpec("laplace", lengthscale=1.0),
                  KernelSpec("ntk_relu", depth=2)):
         want = krr_solve(gram(spec, X), y, lam).coef
-        assert np.array_equal(_fit_fresh_gram(gram(spec, X), y, lam), want)
+        fits = []
+        run_continuous_curve(spec, lambda rng, n: X, lambda X: y,
+                             lambda X, coef: fits.append(coef) or 0.0,
+                             P_values=[25], lam=lam, noise=0.0, trials=1,
+                             seed=0)
+        assert np.array_equal(fits[0], want)
 
 
 @pytest.mark.parametrize("C", [1, 3])
@@ -383,17 +388,48 @@ def test_continuous_curve_deterministic():
         return float(np.sum((X.T @ coef[:, 0] / 4 - beta) ** 2))
 
     spec = KernelSpec("linear")
-    kwargs = dict(P_values=[3, 6], lam=0.2, noise=0.0, trials=10, seed=5)
+    # 7 trials do not split evenly over 2 or 3 threads
+    kwargs = dict(P_values=[3, 6], lam=0.2, noise=0.0, trials=7, seed=5)
     a = run_continuous_curve(spec, sample_train, target, test_error,
                              **kwargs)
-    b = run_continuous_curve(spec, sample_train, target, test_error,
-                             **kwargs | dict(threads=2))
-    assert a == b
+    for threads in (2, 3):
+        assert run_continuous_curve(spec, sample_train, target, test_error,
+                                    **kwargs | dict(threads=threads)) == a
     assert all(np.isfinite(p.Eg_mean) for p in a)
     assert a[1].Eg_mean < a[0].Eg_mean
     with pytest.raises(ValueError, match="ridge must be nonnegative"):
         run_continuous_curve(spec, sample_train, target, test_error,
                              **(kwargs | dict(lam=-0.1)))
+
+
+def test_continuous_trial_checks_the_gram_budget_before_building_it(
+        monkeypatch):
+    def no_gram(*args):
+        raise AssertionError("the Gram was built before the budget check")
+
+    monkeypatch.setattr(empirical, "MAX_GRAM_BYTES", 8 * 5 * 5)
+    monkeypatch.setattr(empirical, "gram", no_gram)
+    with pytest.raises(ValueError, match="budget"):
+        run_continuous_curve(KernelSpec("linear"),
+                             lambda rng, n: rng.standard_normal((n, 2)),
+                             lambda X: X[:, 0], lambda X, coef: 0.0,
+                             P_values=[6], lam=0.1, noise=0.0, trials=2,
+                             seed=0)
+
+
+@pytest.mark.parametrize("threads", [0, -1, 1.5, None])
+def test_thread_count_must_be_a_positive_integer(threads):
+    ds, K = _toy_problem()
+    p = uniform_measure(12)
+    with pytest.raises(ValueError, match="threads must be a positive"):
+        run_learning_curve(K, ds.Y, p, p, P_values=[3], lam=0.1, noise=0.0,
+                           trials=2, seed=0, threads=threads)
+    with pytest.raises(ValueError, match="threads must be a positive"):
+        run_continuous_curve(KernelSpec("linear"),
+                             lambda rng, n: rng.standard_normal((n, 2)),
+                             lambda X: X[:, 0], lambda X, coef: 0.0,
+                             P_values=[3], lam=0.1, noise=0.0, trials=2,
+                             seed=0, threads=threads)
 
 
 def test_compare_report_alignment_and_z():
