@@ -1,7 +1,8 @@
 """Configuration-driven command line front end.
 
-One command per process. Each run validates its JSON config against the
-published schema, executes, and leaves a self-describing artifact
+One command per process. Each run checks its JSON config (config.py
+decides every check and default that needs only the document, before any
+data is built), executes, and leaves a self-describing artifact
 directory: output CSV/JSON files, the materialized config echo, and a
 manifest with the config hash, seed and library versions. Identical
 config and seed produce byte-identical artifacts whatever the thread
@@ -14,7 +15,6 @@ divergence that prevents the requested computation.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import logging
 import os
@@ -24,16 +24,17 @@ import numpy as np
 
 from .closedform import (dot_product_kernel_spectrum, gaussian_linear_Eg,
                          general_linear_Eg, ntk_sphere_Eg)
-from .config import (ConfigError, RunConfig, build_dataset, build_kernel,
-                     build_measure, parse_config, validate_document)
+from .config import (_COMMANDS, ConfigError, build_dataset, build_kernel,
+                     build_measure, parse_config)
 from .empirical import (EMPIRICAL_COLUMNS, EmpiricalPoint, compare_report,
                         run_learning_curve)
 from .figures import FIGURES
 from .io import ArtifactDir, read_csv_columns
 from .kernels import KernelSpec, gram
 from .measures import from_logits
-from .optimizer import (OptimizerConfig, fd_gradient, optimize_test_measure,
-                        optimize_train_measure, richardson_check)
+from .optimizer import (OptimizerConfig, _softmax_chain, fd_gradient,
+                        optimize_test_measure, optimize_train_measure,
+                        richardson_check)
 from .spectral import (decomposition_cache_key, load_decomposition,
                        mercer_decompose, save_decomposition)
 from .theory import (CURVE_COLUMNS, DivergenceError, _rows,
@@ -72,13 +73,14 @@ def _decomposition(K, measure, rank_threshold, cache_dir):
 
 
 def _dataset_problem(rc):
-    ds = build_dataset(rc.section("dataset"), rc.seed)
-    spec = build_kernel(rc.section("kernel"))
+    """Dataset, kernel spec, Gram and, by side, the measures the command
+    reads."""
+    ds = build_dataset(rc.doc["dataset"], rc.seed)
+    spec = build_kernel(rc.doc["kernel"])
     K = gram(spec, ds.X)
-    measures = rc.doc["measures"]
-    p = build_measure(measures["train"], ds.M)
-    pt = build_measure(measures["test"], ds.M)
-    return ds, spec, K, p, pt
+    measures = {side: build_measure(rc.doc["measures"][side], ds.M)
+                for side in _COMMANDS[rc.command]["measures"]}
+    return ds, spec, K, measures
 
 
 def _rank_threshold(rc):
@@ -86,8 +88,8 @@ def _rank_threshold(rc):
 
 
 def cmd_decompose(rc, art, threads, cache_dir):
-    ds, spec, K, p, _ = _dataset_problem(rc)
-    dec = _decomposition(K, p, _rank_threshold(rc), cache_dir)
+    ds, spec, K, measures = _dataset_problem(rc)
+    dec = _decomposition(K, measures["train"], _rank_threshold(rc), cache_dir)
     # per-mode power inside the collapsed (numerically null) eigenspace
     # depends on the basis the eigensolver picks; only its sum is defined
     abar, R = _rows(dec, ds.Y)
@@ -113,13 +115,11 @@ def cmd_decompose(rc, art, threads, cache_dir):
 
 
 def cmd_theory_curve(rc, art, threads, cache_dir):
-    ds, _, K, p, pt = _dataset_problem(rc)
-    sec = rc.section("theory")
-    if "P_grid" not in sec:
-        raise ConfigError("theory-curve needs a P grid", "/theory/P_grid")
-    dec = _decomposition(K, p, _rank_threshold(rc), cache_dir)
-    preds = predict_Eg_curve(dec, ds.Y, pt, sec["P_grid"], sec["lambda"],
-                             sec["noise"])
+    ds, _, K, measures = _dataset_problem(rc)
+    sec = rc.doc["theory"]
+    dec = _decomposition(K, measures["train"], _rank_threshold(rc), cache_dir)
+    preds = predict_Eg_curve(dec, ds.Y, measures["test"], sec["P_grid"],
+                             sec["lambda"], sec["noise"])
     return _write_curve(art, "theory_curve.csv", sec["P_grid"], preds)
 
 
@@ -135,14 +135,11 @@ def _write_curve(art, name, P_grid, preds):
 
 
 def cmd_empirical_curve(rc, art, threads, cache_dir):
-    ds, _, K, p, pt = _dataset_problem(rc)
-    sec = rc.section("empirical")
-    if "P_grid" not in sec:
-        raise ConfigError("empirical-curve needs a P grid",
-                          "/empirical/P_grid")
-    points = run_learning_curve(K, ds.Y, p, pt, sec["P_grid"],
-                                sec["lambda"], sec["noise"], sec["trials"],
-                                rc.seed, threads=threads)
+    ds, _, K, measures = _dataset_problem(rc)
+    sec = rc.doc["empirical"]
+    points = run_learning_curve(K, ds.Y, measures["train"], measures["test"],
+                                sec["P_grid"], sec["lambda"], sec["noise"],
+                                sec["trials"], rc.seed, threads=threads)
     art.write_csv("empirical_curve.csv", EMPIRICAL_COLUMNS,
                   map(dataclasses.astuple, points))
     return EXIT_OK
@@ -178,90 +175,61 @@ def _write_trace(art, trace):
 
 
 def cmd_optimize_train(rc, art, threads, cache_dir):
-    ds, _, K, _, pt = _dataset_problem(rc)
-    sec = rc.section("optimizer")
+    ds, _, K, measures = _dataset_problem(rc)
+    sec = rc.doc["optimizer"]
     cfg = _optimizer_config(sec, learning_rate=float(sec["learning_rate"]),
                             steps=int(sec["steps"]),
                             convergence_tol=float(sec["convergence_tol"]))
-    trace = optimize_train_measure(K, ds.Y, pt, cfg,
+    trace = optimize_train_measure(K, ds.Y, measures["test"], cfg,
                                    rank_threshold=_rank_threshold(rc))
     _write_trace(art, trace)
     return EXIT_OK
 
 
 def cmd_optimize_test(rc, art, threads, cache_dir):
-    ds, _, K, p, _ = _dataset_problem(rc)
-    cfg = _optimizer_config(rc.section("optimizer"))
-    dec = _decomposition(K, p, _rank_threshold(rc), cache_dir)
+    ds, _, K, measures = _dataset_problem(rc)
+    cfg = _optimizer_config(rc.doc["optimizer"])
+    dec = _decomposition(K, measures["train"], _rank_threshold(rc), cache_dir)
     trace = optimize_test_measure(dec, ds.Y, cfg)
     _write_trace(art, trace)
     return EXIT_OK
 
 
-def _closed_form_results(sec):
-    model = sec["model"]
-    if "P_grid" not in sec:
-        raise ConfigError("closed-form needs a P grid",
-                          "/closed_form/P_grid")
+def cmd_closed_form(rc, art, threads, cache_dir):
+    sec = rc.doc["closed_form"]
     P_grid = sec["P_grid"]
     lam = float(sec["lambda"])
     noise = float(sec["noise"])
-
-    def need(*keys):
-        for key in keys:
-            if key not in sec:
-                raise ConfigError(f"model '{model}' needs '{key}'",
-                                  f"/closed_form/{key}")
-
-    if model == "gaussian_linear":
-        need("beta", "covariance", "covariance_tilde")
+    if sec["model"] == "gaussian_linear":
         beta = np.asarray(sec["beta"], dtype=float)
         C = np.asarray(sec["covariance"], dtype=float)
         Ct = np.asarray(sec["covariance_tilde"], dtype=float)
-        return P_grid, [gaussian_linear_Eg(beta, C, Ct, P, lam, noise)
-                        for P in P_grid]
-    if model == "general_linear":
-        need("beta", "M", "M_r", "M_s")
+        preds = [gaussian_linear_Eg(beta, C, Ct, P, lam, noise)
+                 for P in P_grid]
+    elif sec["model"] == "general_linear":
         beta = np.asarray(sec["beta"], dtype=float)
-        return P_grid, [
-            general_linear_Eg(P, int(sec["M"]), int(sec["M_r"]),
-                              int(sec["M_s"]), beta, sec["sigma2"],
-                              sec["sigma2_tilde"], lam, noise)
-            for P in P_grid]
-    if model == "ntk_sphere":
-        need("D", "depth", "k_max", "abar_sq")
-        if sec["D"] < 3:
-            raise ConfigError(f"model 'ntk_sphere' needs D >= 3, got "
-                              f"{sec['D']}", "/closed_form/D")
-        k_max = int(sec["k_max"])
-        if len(sec["abar_sq"]) > k_max + 1:
-            raise ConfigError(f"{len(sec['abar_sq'])} degrees given for "
-                              f"k_max {k_max}", "/closed_form/abar_sq")
-        k_stage = sec.get("k_stage")
-        if k_stage is not None and k_stage > k_max:
-            raise ConfigError(f"k_stage {k_stage} above k_max {k_max}",
-                              "/closed_form/k_stage")
+        preds = [general_linear_Eg(P, int(sec["M"]), int(sec["M_r"]),
+                                   int(sec["M_s"]), beta, sec["sigma2"],
+                                   sec["sigma2_tilde"], lam, noise)
+                 for P in P_grid]
+    else:   # ntk_sphere
         depth = int(sec["depth"])
+        k_stage = sec.get("k_stage")
         eta, degen = dot_product_kernel_spectrum(
-            KernelSpec("ntk_relu", depth=depth), int(sec["D"]), k_max)
-        return P_grid, [
-            ntk_sphere_Eg(P, depth, eta, degen, sec["abar_sq"], lam, noise,
-                          radius_train=float(sec["radius_train"]),
-                          radius_test=float(sec["radius_test"]),
-                          k_stage=None if k_stage is None else int(k_stage))
-            for P in P_grid]
-    raise ConfigError(f"unknown closed-form model '{model}'",
-                      "/closed_form/model")
-
-
-def cmd_closed_form(rc, art, threads, cache_dir):
-    return _write_curve(art, "closed_form_curve.csv",
-                        *_closed_form_results(rc.section("closed_form")))
+            KernelSpec("ntk_relu", depth=depth), int(sec["D"]),
+            int(sec["k_max"]))
+        preds = [ntk_sphere_Eg(P, depth, eta, degen, sec["abar_sq"], lam,
+                               noise, radius_train=float(sec["radius_train"]),
+                               radius_test=float(sec["radius_test"]),
+                               k_stage=None if k_stage is None
+                               else int(k_stage))
+                 for P in P_grid]
+    return _write_curve(art, "closed_form_curve.csv", P_grid, preds)
 
 
 def cmd_spectrum(rc, art, threads, cache_dir):
-    spec = build_kernel(rc.section("kernel"))
-    sec = rc.section("spectrum")
+    spec = build_kernel(rc.doc["kernel"])
+    sec = rc.doc["spectrum"]
     eta, degen = dot_product_kernel_spectrum(spec, int(sec["D"]),
                                              int(sec["k_max"]),
                                              n_quad=int(sec["n_quad"]))
@@ -285,7 +253,7 @@ def _compare_columns(sec, key, required):
 
 
 def cmd_compare(rc, art, threads, cache_dir):
-    sec = rc.section("compare")
+    sec = rc.doc["compare"]
     theory = _compare_columns(sec, "theory_csv", ("P", "Eg"))
     empirical = _compare_columns(sec, "empirical_csv", EMPIRICAL_COLUMNS)
     points = [EmpiricalPoint(*row)
@@ -298,13 +266,14 @@ def cmd_compare(rc, art, threads, cache_dir):
 
 
 def cmd_gradcheck(rc, art, threads, cache_dir):
-    ds, _, K, _, pt = _dataset_problem(rc)
-    sec = rc.section("optimizer")
+    ds, _, K, measures = _dataset_problem(rc)
+    sec = rc.doc["optimizer"]
     P = int(sec["P_budget"])
     lam = float(sec["lambda"])
     noise = float(sec["noise"])
     h = float(sec["fd_step"])
     thr = _rank_threshold(rc)
+    pt = measures["test"]
 
     def train_loss(z):
         return predict_Eg_dataset(K, ds.Y, from_logits(z), pt, P, lam,
@@ -316,7 +285,7 @@ def cmd_gradcheck(rc, art, threads, cache_dir):
     masses0 = from_logits(z0).masses
     _, pbar = predict_Eg_train_grad(K, ds.Y, masses0, pt, P, lam, noise,
                                     rank_threshold=thr)
-    analytic = masses0 * (pbar - np.dot(masses0, pbar))
+    analytic = _softmax_chain(masses0, pbar)
     train_rel = float(np.max(np.abs(g1 - analytic))
                       / (float(np.max(np.abs(analytic))) or 1.0))
 
@@ -330,24 +299,14 @@ def cmd_gradcheck(rc, art, threads, cache_dir):
 
 
 def cmd_reproduce(rc, art, threads, cache_dir):
-    figure = rc.figure
-    summary = FIGURES[figure](art, rc.seed, threads=threads)
+    summary = FIGURES[rc.doc["figure"]](art, rc.seed, threads=threads)
     art.write_json("summary.json", summary)
     return EXIT_OK
 
 
-_HANDLERS = {
-    "decompose": cmd_decompose,
-    "theory-curve": cmd_theory_curve,
-    "empirical-curve": cmd_empirical_curve,
-    "optimize-train": cmd_optimize_train,
-    "optimize-test": cmd_optimize_test,
-    "closed-form": cmd_closed_form,
-    "spectrum": cmd_spectrum,
-    "compare": cmd_compare,
-    "gradcheck": cmd_gradcheck,
-    "reproduce": cmd_reproduce,
-}
+# command "x-y" runs cmd_x_y
+_HANDLERS = {command: globals()["cmd_" + command.replace("-", "_")]
+             for command in _COMMANDS}
 
 
 def main(argv=None):
@@ -363,28 +322,21 @@ def main(argv=None):
                              "config's out, else ./out)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for Monte Carlo trials "
                              "(does not change results)")
     parser.add_argument("--cache", default=None,
                         help="directory for reusable decompositions")
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
+    if args.threads < 1:
         parser.error(f"argument --threads: must be at least 1, got "
                      f"{args.threads}")
 
     try:
-        rc = parse_config(args.config)
-        if args.seed is not None:
-            doc = copy.deepcopy(rc.doc)
-            doc["seed"] = int(args.seed)
-            validate_document(doc)
-            rc = RunConfig(doc)
-        threads = args.threads if args.threads is not None else rc.threads
+        rc = parse_config(args.config, seed=args.seed)
         art = ArtifactDir(args.out or rc.doc.get("out", "out"))
-        code = EXIT_OK
         try:
-            code = _HANDLERS[rc.command](rc, art, threads, args.cache)
+            code = _HANDLERS[rc.command](rc, art, args.threads, args.cache)
         except DivergenceError as exc:
             print(f"kernelshift: numerical divergence: {exc}",
                   file=sys.stderr)

@@ -1,10 +1,10 @@
 """Run configuration loading, validation and default materialization.
 
-Configs are JSON documents validated against the published schema in
-schemas/runconfig.schema.json. Validation failures name the offending
-location as a JSON pointer. Defaults are filled in before execution and
-the materialized document is echoed next to the outputs so every
-artifact directory states exactly what produced it.
+Configs are JSON documents checked against the published schema in
+schemas/runconfig.schema.json and against _COMMANDS, the table of what
+each command reads, before any data is built; failures name the offending
+location as a JSON pointer. Only the keys a command reads get defaults,
+and the materialized document is echoed next to the outputs.
 """
 
 from __future__ import annotations
@@ -28,64 +28,93 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "materialize",
            "validate_document", "config_hash", "load_schema",
            "build_measure", "build_kernel", "build_dataset"]
 
-_DEFAULTS = {
-    "seed": 0,
-    "threads": 1,
-    "dataset": {"standardize": False},
-    "theory": {"lambda": 0.0, "noise": 0.0,
-               "rank_threshold": DEFAULT_RANK_THRESHOLD},
-    "empirical": {"trials": 100},
-    "optimizer": {"lambda": 0.0, "noise": 0.0, "learning_rate": 1.0,
-                  "steps": 2000, "mode": "descent", "fd_step": 1e-5,
-                  "convergence_tol": 1e-6},
-    "closed_form": {"lambda": 0.0, "noise": 0.0},
-    "spectrum": {"n_quad": 400},
-    "compare": {"band": 3.0},
-    "measures": {"train": {"kind": "uniform"}, "test": {"kind": "uniform"}},
-}
+# A read key's entry in the tables below is its default, a function of the
+# document that gives the default, or one of these two markers of a key
+# without a default: REQUIRED must be present, OPTIONAL may be absent.
+_REQUIRED = "<required>"
+_OPTIONAL = "<optional>"
 
-# Defaults of the keys that only some kernel kinds or closed-form models
-# read, keyed by the section's kind or model, so an echo carries only the
-# settings its run used
-_KIND_DEFAULTS = {
-    "kernel": ("kind", {"rbf": {"lengthscale": 1.0},
+
+def _from_theory(key):
+    # the empirical section borrows ridge and noise from theory when absent
+    return lambda doc: doc.get("theory", {}).get(key, 0.0)
+
+
+_UNIFORM = {"kind": "uniform"}
+_RIDGE = {"lambda": 0.0, "noise": 0.0}
+_RANK = {"rank_threshold": DEFAULT_RANK_THRESHOLD}
+_DATA = {"dataset": {"path": _OPTIONAL, "synthetic": _OPTIONAL,
+                     "standardize": False},
+         "kernel": {"kind": _REQUIRED}}
+_OPTIMIZER = {"P_budget": _REQUIRED, **_RIDGE}
+
+# The top-level keys and sections each command reads, and the keys it reads
+# in each section. A section may be left out only when every key it reads
+# has a default; materialize then adds it.
+_COMMANDS = {command: {"seed": 0, **reads} for command, reads in {
+    "decompose": {**_DATA, "measures": {"train": _UNIFORM}, "theory": _RANK},
+    "theory-curve": {**_DATA,
+                     "measures": {"train": _UNIFORM, "test": _UNIFORM},
+                     "theory": {"P_grid": _REQUIRED, **_RIDGE, **_RANK}},
+    "empirical-curve": {**_DATA,
+                        "measures": {"train": _UNIFORM, "test": _UNIFORM},
+                        "empirical": {"P_grid": _REQUIRED, "trials": 100,
+                                      "lambda": _from_theory("lambda"),
+                                      "noise": _from_theory("noise")}},
+    "optimize-train": {**_DATA, "measures": {"test": _UNIFORM},
+                       "theory": _RANK,
+                       "optimizer": {**_OPTIMIZER, "mode": "descent",
+                                     "learning_rate": 1.0, "steps": 2000,
+                                     "convergence_tol": 1e-6}},
+    "optimize-test": {**_DATA, "measures": {"train": _UNIFORM},
+                      "theory": _RANK,
+                      "optimizer": {**_OPTIMIZER, "mode": "descent"}},
+    "closed-form": {"closed_form": {"model": _REQUIRED, "P_grid": _REQUIRED,
+                                    **_RIDGE}},
+    "spectrum": {"kernel": {"kind": _REQUIRED},
+                 "spectrum": {"D": _REQUIRED, "k_max": _REQUIRED,
+                              "n_quad": 400}},
+    "compare": {"compare": {"theory_csv": _REQUIRED,
+                            "empirical_csv": _REQUIRED, "band": 3.0}},
+    "gradcheck": {**_DATA, "measures": {"test": _UNIFORM}, "theory": _RANK,
+                  "optimizer": {**_OPTIMIZER, "fd_step": 1e-5}},
+    "reproduce": {"figure": _REQUIRED},
+}.items()}
+
+# The keys that only some kernel kinds or closed-form models read, keyed
+# by the section's kind or model, in the entries of the table above
+_KIND_KEYS = {
+    "kernel": ("kind", {"linear": {},
+                        "rbf": {"lengthscale": 1.0},
                         "laplace": {"lengthscale": 1.0},
                         "ntk_relu": {"depth": 1},
                         "fourier_bandlimited": {"n_modes": 8}}),
-    "closed_form": ("model", {"general_linear": {"sigma2": 1.0,
-                                                 "sigma2_tilde": 1.0},
-                              "ntk_sphere": {"radius_train": 1.0,
-                                             "radius_test": 1.0}}),
+    "closed_form": ("model", {
+        "gaussian_linear": {"beta": _REQUIRED, "covariance": _REQUIRED,
+                            "covariance_tilde": _REQUIRED},
+        "general_linear": {"beta": _REQUIRED, "M": _REQUIRED,
+                           "M_r": _REQUIRED, "M_s": _REQUIRED,
+                           "sigma2": 1.0, "sigma2_tilde": 1.0},
+        "ntk_sphere": {"D": _REQUIRED, "depth": _REQUIRED,
+                       "k_max": _REQUIRED, "abar_sq": _REQUIRED,
+                       "radius_train": 1.0, "radius_test": 1.0,
+                       "k_stage": _OPTIONAL}}),
 }
 
-# The keys of the theory and optimizer sections that each command reads;
-# of these two sections only they get defaults, so the echo records what
-# a run used. Every command that decomposes records its rank threshold.
-_READS = {
-    "decompose": {"theory": ("rank_threshold",)},
-    "theory-curve": {"theory": ("lambda", "noise", "rank_threshold")},
-    "optimize-train": {"theory": ("rank_threshold",),
-                       "optimizer": ("lambda", "noise", "mode",
-                                     "learning_rate", "steps",
-                                     "convergence_tol")},
-    "optimize-test": {"theory": ("rank_threshold",),
-                      "optimizer": ("lambda", "noise", "mode")},
-    "gradcheck": {"theory": ("rank_threshold",),
-                  "optimizer": ("lambda", "noise", "fd_step")},
-}
 
-_REQUIRED_SECTIONS = {
-    "decompose": ("dataset", "kernel"),
-    "theory-curve": ("dataset", "kernel", "theory"),
-    "empirical-curve": ("dataset", "kernel", "empirical"),
-    "optimize-train": ("dataset", "kernel", "optimizer"),
-    "optimize-test": ("dataset", "kernel", "optimizer"),
-    "closed-form": ("closed_form",),
-    "spectrum": ("kernel", "spectrum"),
-    "compare": ("compare",),
-    "gradcheck": ("dataset", "kernel", "optimizer"),
-    "reproduce": ("figure",),
-}
+def _reads(doc):
+    """The _COMMANDS entry of doc's command, with the keys of each
+    section's kind or model added to that section."""
+    reads = dict(_COMMANDS[doc["command"]])
+    for section, (key, by_kind) in _KIND_KEYS.items():
+        if section in reads and section in doc:
+            reads[section] = {**reads[section],
+                              **by_kind[doc[section][key]]}
+    return reads
+
+
+def _omissible(keys):
+    return _REQUIRED not in keys.values() and _OPTIONAL not in keys.values()
 
 
 class ConfigError(ValueError):
@@ -220,60 +249,75 @@ def _schema_error(doc):
 
 
 def validate_document(doc):
-    """Raise ConfigError naming the JSON pointer of the first violation."""
+    """Raise ConfigError naming the JSON pointer of the first violation:
+    of the schema, or of what the command reads (a key without a default
+    left out, or a document check across keys)."""
     error = _schema_error(doc)
     if error is not None:
         raise error
     command = doc["command"]
-    for section in _REQUIRED_SECTIONS[command]:
-        if section not in doc:
-            raise ConfigError(
-                f"command '{command}' requires the '{section}' section",
-                f"/{section}")
-    if "dataset" in doc:
-        has_path = "path" in doc["dataset"]
-        has_synth = "synthetic" in doc["dataset"]
-        if has_path == has_synth:
-            raise ConfigError(
-                "dataset needs exactly one of 'path' or 'synthetic'",
-                "/dataset")
+    reads = _reads(doc)
+    for key, pointer in _missing(doc, reads):
+        raise ConfigError(f"command '{command}' requires '{key}'", pointer)
+    if "dataset" in reads:
+        dataset = doc["dataset"]
+        if ("path" in dataset) == ("synthetic" in dataset):
+            raise ConfigError("dataset needs exactly one of 'path' or "
+                              "'synthetic'", "/dataset")
+        if "synthetic" in dataset:
+            _synthetic_spec(dataset["synthetic"])
+    for side in reads.get("measures", ()):
+        measure = doc.get("measures", {}).get(side, _UNIFORM)
+        if measure["kind"] != "uniform":
+            _measure_values(measure)
+    if "closed_form" in reads and doc["closed_form"]["model"] == "ntk_sphere":
+        _check_ntk_sphere(doc["closed_form"])
+
+
+def _missing(doc, reads):
+    """(key, pointer) of each key without a default that doc's command
+    reads and doc leaves out; a section counts as such a key."""
+    for name, keys in reads.items():
+        if name not in doc:
+            if keys == _REQUIRED or (isinstance(keys, dict)
+                                     and not _omissible(keys)):
+                yield name, f"/{name}"
+        elif isinstance(keys, dict):
+            for key, want in keys.items():
+                if want == _REQUIRED and key not in doc[name]:
+                    yield key, f"/{name}/{key}"
+
+
+def _check_ntk_sphere(sec):
+    if sec["D"] < 3:
+        raise ConfigError(f"model 'ntk_sphere' needs D >= 3, got "
+                          f"{sec['D']}", "/closed_form/D")
+    k_max = int(sec["k_max"])
+    if len(sec["abar_sq"]) > k_max + 1:
+        raise ConfigError(f"{len(sec['abar_sq'])} degrees given for "
+                          f"k_max {k_max}", "/closed_form/abar_sq")
+    k_stage = sec.get("k_stage")
+    if k_stage is not None and k_stage > k_max:
+        raise ConfigError(f"k_stage {k_stage} above k_max {k_max}",
+                          "/closed_form/k_stage")
 
 
 def materialize(doc):
-    """Return a copy of doc with documented defaults filled in."""
+    """Return a copy of doc with the default of every key its command
+    reads filled in; keys it does not read stay as written."""
     out = copy.deepcopy(doc)
-    for key in ("seed", "threads"):
-        out.setdefault(key, _DEFAULTS[key])
-    reads = _READS.get(out.get("command"), {})
-    for section in reads:
-        out.setdefault(section, {})
-    for section, defaults in _DEFAULTS.items():
-        if isinstance(defaults, dict) and section in out:
-            keys = defaults
-            if section in ("theory", "optimizer"):
-                keys = reads.get(section, ())
-            for k in keys:
-                out[section].setdefault(k, defaults[k])
-    for section, (key, by_kind) in _KIND_DEFAULTS.items():
-        if section in out:
-            for k, v in by_kind.get(out[section].get(key), {}).items():
-                out[section].setdefault(k, v)
-    # the empirical section borrows ridge and noise from theory when absent
-    if "empirical" in out:
-        theory = out.get("theory", {})
-        out["empirical"].setdefault("lambda",
-                                    theory.get("lambda",
-                                               _DEFAULTS["theory"]["lambda"]))
-        out["empirical"].setdefault("noise",
-                                    theory.get("noise",
-                                               _DEFAULTS["theory"]["noise"]))
-    # commands that read a dataset always have both measures defined
-    needs = _REQUIRED_SECTIONS.get(out.get("command"), ())
-    if "dataset" in needs:
-        out.setdefault("measures", {})
-        for side in ("train", "test"):
-            out["measures"].setdefault(
-                side, copy.deepcopy(_DEFAULTS["measures"][side]))
+    for name, keys in _reads(out).items():
+        section = out
+        if not isinstance(keys, dict):
+            keys = {name: keys}
+        elif name in out or _omissible(keys):
+            section = out.setdefault(name, {})
+        else:
+            continue
+        for key, want in keys.items():
+            want = want(out) if callable(want) else want
+            if want not in (_REQUIRED, _OPTIONAL):
+                section.setdefault(key, copy.deepcopy(want))
     return out
 
 
@@ -297,26 +341,13 @@ class RunConfig:
     def seed(self):
         return int(self.doc["seed"])
 
-    @property
-    def threads(self):
-        return int(self.doc["threads"])
-
-    @property
-    def figure(self):
-        return self.doc.get("figure")
-
-    def section(self, name):
-        try:
-            return self.doc[name]
-        except KeyError:
-            raise ConfigError(f"missing '{name}' section", f"/{name}")
-
     def hash(self):
         return config_hash(self.doc)
 
 
-def parse_config(path):
-    """Load, validate and materialize a JSON run configuration."""
+def parse_config(path, seed=None):
+    """Load, validate and materialize a JSON run configuration; a seed
+    that is not None replaces the config's before it is validated."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -326,18 +357,33 @@ def parse_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}", None)
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object", "/")
+    if seed is not None:
+        doc["seed"] = seed
     validate_document(doc)
-    doc = materialize(doc)
-    validate_document(doc)   # materialized form must itself be valid
-    return RunConfig(doc)
+    return RunConfig(materialize(doc))
 
 
 def build_kernel(kernel_section):
     """KernelSpec from the kernel config section."""
     kind = kernel_section["kind"]
-    defaults = _KIND_DEFAULTS["kernel"][1].get(kind, {})
+    defaults = _KIND_KEYS["kernel"][1].get(kind, {})
     return KernelSpec(kind, **{k: type(v)(kernel_section.get(k, v))
                                for k, v in defaults.items()})
+
+
+def _synthetic_spec(syn):
+    """SyntheticSpec of a dataset.synthetic entry."""
+    kwargs = {}
+    for key in ("variances", "sigmas"):
+        if key in syn:
+            kwargs[key] = tuple(syn[key])
+    for key in ("radius", "dim"):
+        if key in syn:
+            kwargs[key] = syn[key]
+    try:
+        return SyntheticSpec(syn["kind"], **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc), "/dataset/synthetic")
 
 
 def build_dataset(dataset_section, seed):
@@ -347,18 +393,8 @@ def build_dataset(dataset_section, seed):
                             standardize=dataset_section.get("standardize",
                                                             False))
     syn = dataset_section["synthetic"]
-    kwargs = {}
-    for key in ("variances", "sigmas"):
-        if key in syn:
-            kwargs[key] = tuple(syn[key])
-    for key in ("radius", "dim"):
-        if key in syn:
-            kwargs[key] = syn[key]
-    try:
-        spec = SyntheticSpec(syn["kind"], **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc), "/dataset/synthetic")
-    X = synth_sample(spec, int(syn["n"]), seed, label="dataset")
+    X = synth_sample(_synthetic_spec(syn), int(syn["n"]), seed,
+                     label="dataset")
     beta = np.asarray(syn["beta"], dtype=float)
     if beta.shape[0] != X.shape[1]:
         raise ConfigError(
@@ -368,23 +404,28 @@ def build_dataset(dataset_section, seed):
     return Dataset(X, Y)
 
 
-def build_measure(measure_section, M):
-    """DiscreteMeasure over M atoms from a measure config entry."""
-    kind = measure_section["kind"]
-    if kind == "uniform":
-        return uniform_measure(M)
+def _measure_values(measure_section):
+    """The values of a masses or logits measure entry, after the checks
+    that need only the entry."""
     values = measure_section.get("values")
     if values is None:
-        raise ConfigError(f"measure kind '{kind}' needs 'values'",
-                          "/measures")
+        raise ConfigError(f"measure kind '{measure_section['kind']}' needs "
+                          "'values'", "/measures")
     values = np.asarray(values, dtype=float)
+    if measure_section["kind"] == "masses" and values.sum() <= 0:
+        raise ConfigError("masses must have positive total", "/measures")
+    return values
+
+
+def build_measure(measure_section, M):
+    """DiscreteMeasure over M atoms from a measure config entry."""
+    if measure_section["kind"] == "uniform":
+        return uniform_measure(M)
+    values = _measure_values(measure_section)
     if values.shape[0] != M:
         raise ConfigError(
             f"measure has {values.shape[0]} entries for {M} atoms",
             "/measures")
-    if kind == "masses":
-        total = values.sum()
-        if total <= 0:
-            raise ConfigError("masses must have positive total", "/measures")
-        return DiscreteMeasure(values / total)
+    if measure_section["kind"] == "masses":
+        return DiscreteMeasure(values / values.sum())
     return from_logits(values)

@@ -108,8 +108,8 @@ class ArtifactDir:
             },
             "artifacts": sorted(self.artifacts),
         }
-        if run_config.figure is not None:
-            manifest["figure"] = run_config.figure
+        if run_config.command == "reproduce":
+            manifest["figure"] = run_config.doc["figure"]
         write_json_atomic(self.path("manifest.json"), manifest)
 
     def echo_config(self, run_config):

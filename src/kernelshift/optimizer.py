@@ -118,6 +118,11 @@ def richardson_check(loss, z, h=1e-4, g1=None):
     return dev / scale if scale > 0 else dev
 
 
+def _softmax_chain(masses, pbar):
+    """dEg/dz from the mass gradient pbar = dEg/dp at p = softmax(z)."""
+    return masses * (pbar - np.dot(masses, pbar))
+
+
 def _iterate(z0, objective, config):
     """Step loop of optimize_train_measure, with backtracking.
 
@@ -197,7 +202,7 @@ def optimize_train_measure(K, Y, test_measure, config, rank_threshold=None):
                                              rank_threshold=rank_threshold)
         except (DivergenceError, SupportError):
             return math.inf, None
-        return Eg, p.masses * (pbar - np.dot(p.masses, pbar))
+        return Eg, _softmax_chain(p.masses, pbar)
 
     return _iterate(np.zeros(M), objective, config)
 

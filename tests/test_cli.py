@@ -382,6 +382,40 @@ def test_missing_section_exits_2(tmp_path, capsys):
     assert "/theory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section, pointer", [
+    ("theory-curve", {"theory": {"lambda": 0.1}}, "/theory/P_grid"),
+    ("empirical-curve", {"empirical": {"trials": 2}}, "/empirical/P_grid"),
+    ("theory-curve", {"theory": {"P_grid": [2]},
+                      "measures": {"test": {"kind": "logits"}}}, "/measures"),
+    ("empirical-curve", {"empirical": {"P_grid": [2]},
+                         "measures": {"train": {"kind": "masses",
+                                                "values": [0.0, 0.0]}}},
+     "/measures"),
+    ("decompose", {"dataset": {"synthetic": {"kind": "sphere", "n": 5,
+                                             "beta": [1.0], "dim": 2}}},
+     "/dataset/synthetic"),
+])
+def test_document_errors_exit_2_before_any_data_is_built(
+        tmp_path, capsys, monkeypatch, command, section, pointer):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built data for an invalid config")
+
+    monkeypatch.setattr(cli, "build_dataset", unreachable)
+    monkeypatch.setattr(cli, "gram", unreachable)
+    code, out = _run(tmp_path, dict(_base_doc(), command=command, **section))
+    assert code == 2
+    assert f"{pointer}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_threads_key_exits_2(tmp_path, capsys):
+    # --threads is the only thread setting
+    doc = dict(_base_doc(), command="decompose", threads=2)
+    code, _ = _run(tmp_path, doc)
+    assert code == 2
+    assert "/threads" in capsys.readouterr().err
+
+
 def test_unreadable_dataset_exits_2(tmp_path, capsys):
     rng = np.random.default_rng(3)
     X, Y = rng.standard_normal((10, 3)), rng.standard_normal(10)
@@ -513,8 +547,21 @@ def test_echo_records_only_the_settings_a_command_reads(tmp_path,
         assert set(echo["optimizer"]) == keys | {"P_budget", "lambda",
                                                  "noise", "steps"}
         assert echo["theory"] == {"rank_threshold": 1e-12}
+        # optimize-test starts from the uniform test measure; the other two
+        # optimize the training measure
+        assert set(echo["measures"]) == (
+            {"train"} if command == "optimize-test" else {"test"})
+        assert "threads" not in echo
+    # a section the command does not read is echoed exactly as written
+    empirical = {"P_grid": [2], "trials": 3}
+    doc = dict(_base_doc(), command="theory-curve", empirical=empirical,
+               theory={"P_grid": [2, 4]})
+    code, out = _run(tmp_path, doc, out="unread", name="unread.json")
+    assert code == 0
+    assert _load_json(out / "config.echo.json")["empirical"] == empirical
     # the decomposition runs at the threshold the echo records
-    monkeypatch.setitem(config._DEFAULTS["theory"], "rank_threshold", 0.02)
+    monkeypatch.setitem(config._COMMANDS["decompose"]["theory"],
+                        "rank_threshold", 0.02)
     code, out = _run(tmp_path, dict(_base_doc(), command="decompose"),
                      out="thr", name="thr.json")
     assert code == 0

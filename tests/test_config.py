@@ -36,15 +36,15 @@ def _minimal_curve_doc():
 def test_defaults_are_materialized(tmp_path):
     rc = parse_config(_write(tmp_path, _minimal_curve_doc()))
     assert rc.seed == 0
-    assert rc.threads == 1
+    assert "threads" not in rc.doc   # --threads is the only thread setting
     assert rc.doc["theory"]["lambda"] == 0.0
     assert rc.doc["theory"]["noise"] == 0.0
     assert rc.doc["theory"]["rank_threshold"] == 1e-12
     assert rc.doc["dataset"]["standardize"] is False
-    # dataset commands always end up with both measures spelled out
+    # theory-curve reads both measures, so both are spelled out
     assert rc.doc["measures"]["train"] == {"kind": "uniform"}
     assert rc.doc["measures"]["test"] == {"kind": "uniform"}
-    assert rc.figure is None
+    assert "figure" not in rc.doc
 
 
 def test_kind_defaults_fill_only_the_keys_the_kind_reads():
@@ -63,6 +63,35 @@ def test_kind_defaults_fill_only_the_keys_the_kind_reads():
         sec = materialize({"command": "closed-form",
                            "closed_form": {"model": model}})["closed_form"]
         assert set(sec) == {"model", "lambda", "noise"} | keys
+
+
+def test_every_table_default_is_valid_where_it_is_filled():
+    # parse_config does not check materialize's output again, so each
+    # default in the command and kind tables must pass its key's schema
+    # entry; a table key the schema lacks raises KeyError
+    props = load_schema()["properties"]
+    entries = []   # (schema entry of a key, the key's table entry)
+    for reads in config._COMMANDS.values():
+        for name, want in reads.items():
+            if isinstance(want, dict):
+                entries += [(props[name]["properties"][key], default)
+                            for key, default in want.items()]
+            else:
+                entries.append((props[name], want))
+    for section, (_, by_kind) in config._KIND_KEYS.items():
+        for keys in by_kind.values():
+            entries += [(props[section]["properties"][key], default)
+                        for key, default in keys.items()]
+    checked = 0
+    for schema, default in entries:
+        if callable(default) or default in (config._REQUIRED,
+                                            config._OPTIONAL):
+            continue
+        errors = []
+        config._check(default, schema, (), errors)
+        assert errors == [], default
+        checked += 1
+    assert checked > 30
 
 
 def test_materialize_is_idempotent():
@@ -164,14 +193,6 @@ def test_parse_config_error_paths(tmp_path):
         parse_config(str(arr))
 
 
-def test_run_config_section_accessor(tmp_path):
-    rc = parse_config(_write(tmp_path, _minimal_curve_doc()))
-    assert rc.section("theory")["P_grid"] == [2, 4]
-    with pytest.raises(ConfigError) as err:
-        rc.section("optimizer")
-    assert err.value.pointer == "/optimizer"
-
-
 def test_build_kernel_kind_specific_kwargs():
     assert build_kernel({"kind": "linear"}).kind == "linear"
     spec = build_kernel({"kind": "rbf", "lengthscale": 2.5})
@@ -251,8 +272,7 @@ def test_build_measure_errors():
 def _full_doc():
     """Sets every key the schema defines (schema-valid, not runnable)."""
     return {
-        "command": "theory-curve", "figure": "fig3a", "seed": 3,
-        "threads": 2, "out": "o",
+        "command": "theory-curve", "figure": "fig3a", "seed": 3, "out": "o",
         "dataset": {"path": "d.csv", "standardize": True,
                     "synthetic": {"kind": "sphere", "n": 5,
                                   "beta": [1.0, -0.5],

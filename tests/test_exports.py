@@ -47,17 +47,30 @@ def test_demo_imports(path):
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
-def test_command_listings_agree():
-    # the README command table, the schema enum, the required sections
-    # and the CLI handlers each name every command once
-    lines = (ROOT / "README.md").read_text().splitlines()
-    start = lines.index("| command | what it does |") + 2
-    table = []
+def _readme_table(lines, header):
+    """The first column's backticked names and the second column of a
+    README table, from the rows below its header."""
+    start = lines.index(header) + 2
+    rows = []
     for line in lines[start:]:
         if not line.startswith("| `"):
             break
-        table.append(line.split("`")[1])
+        rows.append(line.split("|")[1:3])
+    return [(cells[0].split("`")[1], cells[1]) for cells in rows]
+
+
+def test_command_listings_agree():
+    # the README command table, the schema enum, the command table and the
+    # CLI handlers each name every command once
+    lines = (ROOT / "README.md").read_text().splitlines()
+    table = [name for name, _ in
+             _readme_table(lines, "| command | what it does |")]
     schema = config.load_schema()["properties"]["command"]["enum"]
-    listings = (table, schema, config._REQUIRED_SECTIONS, cli._HANDLERS)
+    listings = (table, schema, config._COMMANDS, cli._HANDLERS)
     assert len(set(table)) == len(table)
     assert [sorted(names) for names in listings] == [sorted(table)] * 4
+    # the README model table lists the keys each closed-form model reads
+    models = {name: set(keys.split("`")[1::2]) for name, keys in
+              _readme_table(lines, "| model | keys | prediction |")}
+    assert models == {name: set(keys) for name, keys in
+                      config._KIND_KEYS["closed_form"][1].items()}

@@ -131,6 +131,21 @@ def test_manifest_carries_figure_when_set(tmp_path):
     assert manifest["figure"] == "fig3a"
 
 
+def test_manifest_carries_figure_only_for_reproduce(tmp_path):
+    # other commands do not read the key, so a stray one stays in the
+    # echo as written and out of the manifest
+    rc = _run_config(tmp_path, {
+        "command": "closed-form", "figure": "fig3a",
+        "closed_form": {"model": "general_linear", "M": 10, "M_r": 4,
+                        "M_s": 10, "P_grid": [2], "beta": [1.0]},
+    })
+    art = ArtifactDir(str(tmp_path / "out"))
+    art.echo_config(rc)
+    art.write_manifest(rc)
+    assert _load_json(art.path("config.echo.json"))["figure"] == "fig3a"
+    assert "figure" not in _load_json(art.path("manifest.json"))
+
+
 def test_config_echo_is_materialized_doc(tmp_path):
     rc = _run_config(tmp_path, {
         "command": "closed-form",
