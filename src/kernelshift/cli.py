@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import logging
-import os
 import sys
 
 import numpy as np
@@ -35,8 +33,7 @@ from .measures import from_logits
 from .optimizer import (OptimizerConfig, _softmax_chain, fd_gradient,
                         optimize_test_measure, optimize_train_measure,
                         richardson_check)
-from .spectral import (decomposition_cache_key, load_decomposition,
-                       mercer_decompose, save_decomposition)
+from .spectral import cached_decompose
 from .theory import (CURVE_COLUMNS, DivergenceError, _rows,
                      predict_Eg_curve, predict_Eg_dataset,
                      predict_Eg_train_grad, prediction_row)
@@ -47,39 +44,16 @@ EXIT_DIVERGENCE = 3
 
 TRACE_COLUMNS = ("step", "Eg", "participation_ratio")
 
-log = logging.getLogger(__name__)
-
-
-def _decomposition(K, measure, rank_threshold, cache_dir):
-    """Decompose, going through the on-disk cache when one is given.
-
-    An unreadable entry (bad magic, truncated payload, failed checksum)
-    counts as a miss: it is recomputed and overwritten.
-    """
-    if not cache_dir:
-        return mercer_decompose(K, measure, rank_threshold)
-    key = decomposition_cache_key(K, measure, rank_threshold)
-    path = os.path.join(cache_dir, f"{key}.bin")
-    if os.path.exists(path):
-        try:
-            return load_decomposition(path)
-        except ValueError as exc:
-            log.warning("recomputing unreadable cache entry %s: %s",
-                        path, exc)
-    dec = mercer_decompose(K, measure, rank_threshold)
-    os.makedirs(cache_dir, exist_ok=True)
-    save_decomposition(path, dec)
-    return dec
-
 
 def _dataset_problem(rc):
     """Dataset, kernel spec, Gram and, by side, the measures the command
     reads."""
     ds = build_dataset(rc.doc["dataset"], rc.seed)
-    spec = build_kernel(rc.doc["kernel"])
-    K = gram(spec, ds.X)
+    # a measure's length against the dataset is checked before the Gram
     measures = {side: build_measure(rc.doc["measures"][side], ds.M)
                 for side in _COMMANDS[rc.command]["measures"]}
+    spec = build_kernel(rc.doc["kernel"])
+    K = gram(spec, ds.X)
     return ds, spec, K, measures
 
 
@@ -89,7 +63,7 @@ def _rank_threshold(rc):
 
 def cmd_decompose(rc, art, threads, cache_dir):
     ds, spec, K, measures = _dataset_problem(rc)
-    dec = _decomposition(K, measures["train"], _rank_threshold(rc), cache_dir)
+    dec = cached_decompose(K, measures["train"], _rank_threshold(rc), cache_dir)
     # per-mode power inside the collapsed (numerically null) eigenspace
     # depends on the basis the eigensolver picks; only its sum is defined
     abar, R = _rows(dec, ds.Y)
@@ -117,7 +91,7 @@ def cmd_decompose(rc, art, threads, cache_dir):
 def cmd_theory_curve(rc, art, threads, cache_dir):
     ds, _, K, measures = _dataset_problem(rc)
     sec = rc.doc["theory"]
-    dec = _decomposition(K, measures["train"], _rank_threshold(rc), cache_dir)
+    dec = cached_decompose(K, measures["train"], _rank_threshold(rc), cache_dir)
     preds = predict_Eg_curve(dec, ds.Y, measures["test"], sec["P_grid"],
                              sec["lambda"], sec["noise"])
     return _write_curve(art, "theory_curve.csv", sec["P_grid"], preds)
@@ -189,7 +163,7 @@ def cmd_optimize_train(rc, art, threads, cache_dir):
 def cmd_optimize_test(rc, art, threads, cache_dir):
     ds, _, K, measures = _dataset_problem(rc)
     cfg = _optimizer_config(rc.doc["optimizer"])
-    dec = _decomposition(K, measures["train"], _rank_threshold(rc), cache_dir)
+    dec = cached_decompose(K, measures["train"], _rank_threshold(rc), cache_dir)
     trace = optimize_test_measure(dec, ds.Y, cfg)
     _write_trace(art, trace)
     return EXIT_OK

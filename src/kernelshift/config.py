@@ -22,6 +22,7 @@ import numpy as np
 from .kernels import KernelSpec
 from .measures import (Dataset, DiscreteMeasure, SyntheticSpec, from_logits,
                        load_dataset, synth_sample, uniform_measure)
+from .optimizer import OptimizerConfig
 from .spectral import DEFAULT_RANK_THRESHOLD
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "materialize",
@@ -47,6 +48,9 @@ _DATA = {"dataset": {"path": _OPTIONAL, "synthetic": _OPTIONAL,
                      "standardize": False},
          "kernel": {"kind": _REQUIRED}}
 _OPTIMIZER = {"P_budget": _REQUIRED, **_RIDGE}
+_MODE = {"mode": OptimizerConfig.mode}
+_STEPS = {key: getattr(OptimizerConfig, key)
+          for key in ("learning_rate", "steps", "convergence_tol")}
 
 # The top-level keys and sections each command reads, and the keys it reads
 # in each section. A section may be left out only when every key it reads
@@ -63,12 +67,10 @@ _COMMANDS = {command: {"seed": 0, **reads} for command, reads in {
                                       "noise": _from_theory("noise")}},
     "optimize-train": {**_DATA, "measures": {"test": _UNIFORM},
                        "theory": _RANK,
-                       "optimizer": {**_OPTIMIZER, "mode": "descent",
-                                     "learning_rate": 1.0, "steps": 2000,
-                                     "convergence_tol": 1e-6}},
+                       "optimizer": {**_OPTIMIZER, **_MODE, **_STEPS}},
     "optimize-test": {**_DATA, "measures": {"train": _UNIFORM},
                       "theory": _RANK,
-                      "optimizer": {**_OPTIMIZER, "mode": "descent"}},
+                      "optimizer": {**_OPTIMIZER, **_MODE}},
     "closed-form": {"closed_form": {"model": _REQUIRED, "P_grid": _REQUIRED,
                                     **_RIDGE}},
     "spectrum": {"kernel": {"kind": _REQUIRED},
@@ -85,8 +87,8 @@ _COMMANDS = {command: {"seed": 0, **reads} for command, reads in {
 # by the section's kind or model, in the entries of the table above
 _KIND_KEYS = {
     "kernel": ("kind", {"linear": {},
-                        "rbf": {"lengthscale": 1.0},
-                        "laplace": {"lengthscale": 1.0},
+                        "rbf": {"lengthscale": KernelSpec.lengthscale},
+                        "laplace": {"lengthscale": KernelSpec.lengthscale},
                         "ntk_relu": {"depth": 1},
                         "fourier_bandlimited": {"n_modes": 8}}),
     "closed_form": ("model", {
@@ -272,6 +274,9 @@ def validate_document(doc):
             _measure_values(measure)
     if "closed_form" in reads and doc["closed_form"]["model"] == "ntk_sphere":
         _check_ntk_sphere(doc["closed_form"])
+    if command == "spectrum" and doc["kernel"]["kind"] != "ntk_relu":
+        raise ConfigError(f"command 'spectrum' needs kernel kind 'ntk_relu', "
+                          f"got '{doc['kernel']['kind']}'", "/kernel/kind")
 
 
 def _missing(doc, reads):
@@ -372,7 +377,8 @@ def build_kernel(kernel_section):
 
 
 def _synthetic_spec(syn):
-    """SyntheticSpec of a dataset.synthetic entry."""
+    """SyntheticSpec of a dataset.synthetic entry, whose beta has one
+    entry per feature."""
     kwargs = {}
     for key in ("variances", "sigmas"):
         if key in syn:
@@ -381,9 +387,13 @@ def _synthetic_spec(syn):
         if key in syn:
             kwargs[key] = syn[key]
     try:
-        return SyntheticSpec(syn["kind"], **kwargs)
+        spec = SyntheticSpec(syn["kind"], **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc), "/dataset/synthetic")
+    if len(syn["beta"]) != spec.D:
+        raise ConfigError(f"beta has {len(syn['beta'])} entries for "
+                          f"{spec.D} features", "/dataset/synthetic/beta")
+    return spec
 
 
 def build_dataset(dataset_section, seed):
@@ -395,12 +405,7 @@ def build_dataset(dataset_section, seed):
     syn = dataset_section["synthetic"]
     X = synth_sample(_synthetic_spec(syn), int(syn["n"]), seed,
                      label="dataset")
-    beta = np.asarray(syn["beta"], dtype=float)
-    if beta.shape[0] != X.shape[1]:
-        raise ConfigError(
-            f"beta has {beta.shape[0]} entries for {X.shape[1]} features",
-            "/dataset/synthetic/beta")
-    Y = (X @ beta)[:, None]
+    Y = (X @ np.asarray(syn["beta"], dtype=float))[:, None]
     return Dataset(X, Y)
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DiscreteMeasure, from_logits
+from .spectral import DEFAULT_RANK_THRESHOLD
 from .theory import (DivergenceError, SupportError, pointwise_error_density,
                      predict_Eg_train_grad)
 
@@ -174,7 +175,8 @@ def _trace(zs, egs, converged, message):
         message=message)
 
 
-def optimize_train_measure(K, Y, test_measure, config, rank_threshold=None):
+def optimize_train_measure(K, Y, test_measure, config,
+                           rank_threshold=DEFAULT_RANK_THRESHOLD):
     """Optimize the training measure of a discrete problem with Gram K and
     targets Y. The test measure stays fixed; logits start at zero (uniform
     measure).
@@ -185,9 +187,9 @@ def optimize_train_measure(K, Y, test_measure, config, rank_threshold=None):
     is the gradient of the thresholded prediction, which is not smooth
     where a mode crosses the rank threshold. The same call gives the
     error the line search and the trace use, so each iterate decomposes
-    once, at rank_threshold (DEFAULT_RANK_THRESHOLD when None). A trial
-    whose prediction diverges, or whose softmax underflows a mass to 0,
-    is rejected; a diverging start raises DivergenceError.
+    once, at rank_threshold. A trial whose prediction diverges, or whose
+    softmax underflows a mass to 0, is rejected; a diverging start raises
+    DivergenceError.
     """
     M = np.shape(K)[0]
     if not isinstance(test_measure, DiscreteMeasure):

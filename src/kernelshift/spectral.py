@@ -13,16 +13,20 @@ eigenvalues are kept.
 """
 
 import hashlib
+import logging
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _lapack
 from .io import atomic_open
-from .measures import BINARY_MAGIC, DiscreteMeasure
+from .measures import DiscreteMeasure
 
 DEFAULT_RANK_THRESHOLD = 1e-12
+
+log = logging.getLogger(__name__)
 
 # |K - K.T| tolerance and negative-eigenvalue tolerance, relative to scale
 SYMMETRY_RTOL = 1e-8
@@ -215,16 +219,12 @@ def _overlap_matrix(Phi, ptilde):
 
 
 # ---------------------------------------------------------------------------
-# Binary cache.  Same header convention as datasets: magic, little-endian
-# uint64 dimensions, float64 payload.
+# Decomposition cache: one .npz archive per entry, named by a content hash.
 # ---------------------------------------------------------------------------
 
 # Bump when the stored layout or the sign/rank conventions change, so old
 # entries stop matching instead of being silently reused.
-CACHE_FORMAT_VERSION = 3
-
-_HEADER_BYTES = 3 * 8
-_DIGEST_BYTES = hashlib.sha256().digest_size
+CACHE_FORMAT_VERSION = 4
 
 
 def decomposition_cache_key(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
@@ -237,57 +237,66 @@ def decomposition_cache_key(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
     return h.hexdigest()
 
 
+def cached_decompose(K, measure, rank_threshold, cache_dir):
+    """mercer_decompose, going through the entry <key>.npz in cache_dir
+    when one is given.
+
+    An unreadable entry counts as a miss: it is recomputed and overwritten.
+    """
+    if not cache_dir:
+        return mercer_decompose(K, measure, rank_threshold)
+    key = decomposition_cache_key(K, measure, rank_threshold)
+    path = os.path.join(cache_dir, f"{key}.npz")
+    if os.path.exists(path):
+        try:
+            return load_decomposition(path)
+        except ValueError as exc:
+            log.warning("recomputing unreadable cache entry %s: %s",
+                        path, exc)
+    dec = mercer_decompose(K, measure, rank_threshold)
+    save_decomposition(path, dec)
+    return dec
+
+
 def save_decomposition(path, dec):
-    """Write via a temporary file and rename, so a killed writer never
-    leaves a partial entry at `path`.  A sha256 of everything after the
-    magic closes the file, so damage of any size is caught on load."""
-    M = dec.Phi.shape[0]
-    parts = (np.asarray([M, dec.n_modes, dec.rank], dtype="<u8"),
-             np.asarray([dec.rank_threshold], dtype="<f8"),
-             np.ascontiguousarray(dec.eigenvalues, dtype="<f8"),
-             np.ascontiguousarray(dec.Phi, dtype="<f8"),
-             np.ascontiguousarray(dec.measure.masses, dtype="<f8"))
-    digest = hashlib.sha256()
+    """Write an .npz archive via a temporary file and rename, so a killed
+    writer never leaves a partial entry at `path`."""
     with atomic_open(path, "wb") as fh:
-        fh.write(BINARY_MAGIC)
-        for part in parts:
-            part.tofile(fh)
-            digest.update(part)
-        fh.write(digest.digest())
+        np.savez(fh, eigenvalues=dec.eigenvalues, Phi=dec.Phi,
+                 masses=dec.measure.masses,
+                 rank_threshold=dec.rank_threshold)
 
 
 def load_decomposition(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != BINARY_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {BINARY_MAGIC!r}")
-        header = fh.read(_HEADER_BYTES)
-        if len(header) != _HEADER_BYTES:
-            raise ValueError("truncated decomposition header")
-        M, m, rank = (int(v) for v in np.frombuffer(header, dtype="<u8"))
-        # check the size before reading, so a corrupt header cannot ask
-        # for a huge allocation
-        n_values = 1 + m + M * rank + M
-        expected = len(BINARY_MAGIC) + _HEADER_BYTES + 8 * n_values \
-            + _DIGEST_BYTES
-        if os.fstat(fh.fileno()).st_size != expected or rank > m:
-            raise ValueError("truncated or corrupt decomposition payload")
-        body = bytearray(8 * n_values)
-        fh.readinto(body)
-        stored = fh.read(_DIGEST_BYTES)
-    digest = hashlib.sha256(header)
-    digest.update(body)
-    if digest.digest() != stored:
-        raise ValueError("corrupt decomposition payload: checksum mismatch")
-    values = np.frombuffer(body, dtype="<f8")
-    eta = values[1:1 + m]
-    Phi = values[1 + m:1 + m + M * rank].reshape(M, rank)
-    measure = DiscreteMeasure(values[1 + m + M * rank:])
+    """Read an entry save_decomposition wrote; damage raises ValueError.
+
+    The CRC-32 of every archive member, .npy headers included, is checked
+    before any array is allocated, so a damaged header cannot ask for a
+    huge allocation.
+    """
+    try:
+        with open(path, "rb") as fh:
+            with zipfile.ZipFile(fh) as archive:
+                damaged = archive.testzip()
+            if damaged is not None:
+                raise ValueError(f"corrupt decomposition member {damaged!r}")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:
+                eta = archive["eigenvalues"]
+                Phi = archive["Phi"]
+                measure = DiscreteMeasure(archive["masses"])
+                rank_threshold = float(archive["rank_threshold"])
+    except (zipfile.BadZipFile, KeyError, EOFError) as exc:
+        raise ValueError(f"unreadable decomposition archive: {exc}") from exc
+    support = measure.support()
+    if (eta.ndim != 1 or Phi.ndim != 2 or Phi.shape[0] != measure.M
+            or eta.shape[0] != support.size or Phi.shape[1] > eta.shape[0]):
+        raise ValueError("decomposition arrays do not fit together")
     return SpectralDecomposition(
         eigenvalues=eta,
         Phi=Phi,
         measure=measure,
-        support=measure.support(),
-        rank=rank,
-        rank_threshold=float(values[0]),
+        support=support,
+        rank=Phi.shape[1],
+        rank_threshold=rank_threshold,
     )

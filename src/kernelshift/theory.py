@@ -373,13 +373,13 @@ def _curve(dec, Y, ptilde, P_grid, lam, noise):
                           w @ mean**2, irr_c), d, q
 
 
-def predict_Eg_dataset(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
+def predict_Eg_dataset(K, Y, p, ptilde, P, lam, noise,
+                       rank_threshold=DEFAULT_RANK_THRESHOLD):
     """Prediction at one P from the Gram and the training measure:
-    predict_Eg_curve on their decomposition (at rank_threshold,
-    DEFAULT_RANK_THRESHOLD when None) and a one-point grid."""
-    thr = DEFAULT_RANK_THRESHOLD if rank_threshold is None else rank_threshold
-    return predict_Eg_curve(mercer_decompose(K, p, thr), Y, ptilde, [P], lam,
-                            noise)[0]
+    predict_Eg_curve on their decomposition (at rank_threshold) and a
+    one-point grid."""
+    return predict_Eg_curve(mercer_decompose(K, p, rank_threshold), Y,
+                            ptilde, [P], lam, noise)[0]
 
 
 def _adjoint_rows(X, H, abar, e, r, q, eta, rank, n_sym, n_diag):
@@ -421,7 +421,8 @@ def _adjoint_rows(X, H, abar, e, r, q, eta, rank, n_sym, n_diag):
     return Qbar_diag
 
 
-def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
+def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise,
+                          rank_threshold=DEFAULT_RANK_THRESHOLD):
     """Predicted error on a discrete dataset and its gradient in the training masses.
 
     Returns (Eg, dEg_dp): Eg is predict_Eg_curve's error on the same
@@ -444,8 +445,7 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
     every factor stays finite.  Collapsed modes are held at eta = 0, so on
     rank-deficient kernels this is the gradient of the thresholded
     prediction, which is not smooth where a mode crosses the rank
-    threshold (DEFAULT_RANK_THRESHOLD unless rank_threshold is given, as
-    in predict_Eg_dataset).
+    threshold.
 
     Of (s, s) arrays it holds V, one buffer that is in turn the test
     overlap O, F o Qbar and Bbar (F o Qbar a block of rows at a time),
@@ -464,8 +464,7 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise, rank_threshold=None):
         raise SupportError("the training-mass gradient needs full support")
     if ptilde.M != p.M:
         raise ValueError("test measure must cover the same dataset")
-    thr = DEFAULT_RANK_THRESHOLD if rank_threshold is None else rank_threshold
-    dec, V, K = _decompose(K, p, thr)
+    dec, V, K = _decompose(K, p, rank_threshold)
     Y = np.asarray(Y, dtype=np.float64)
     Y = Y[:, None] if Y.ndim == 1 else Y
     P = float(P)

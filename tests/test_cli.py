@@ -394,6 +394,11 @@ def test_missing_section_exits_2(tmp_path, capsys):
     ("decompose", {"dataset": {"synthetic": {"kind": "sphere", "n": 5,
                                              "beta": [1.0], "dim": 2}}},
      "/dataset/synthetic"),
+    ("decompose", {"dataset": {"synthetic": {"kind": "gaussian_diag", "n": 5,
+                                             "variances": [1.0, 0.5],
+                                             "beta": [1.0]}}},
+     "/dataset/synthetic/beta"),
+    ("spectrum", {"spectrum": {"D": 5, "k_max": 3}}, "/kernel/kind"),
 ])
 def test_document_errors_exit_2_before_any_data_is_built(
         tmp_path, capsys, monkeypatch, command, section, pointer):
@@ -406,6 +411,19 @@ def test_document_errors_exit_2_before_any_data_is_built(
     assert code == 2
     assert f"{pointer}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_measure_length_is_checked_before_the_gram(tmp_path, capsys,
+                                                  monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built the Gram for a measure that does not fit")
+
+    monkeypatch.setattr(cli, "gram", unreachable)
+    doc = dict(_base_doc(), command="theory-curve", theory={"P_grid": [2]},
+               measures={"train": {"kind": "masses", "values": [1.0] * 9}})
+    code, _ = _run(tmp_path, doc)
+    assert code == 2
+    assert "/measures:" in capsys.readouterr().err
 
 
 def test_threads_key_exits_2(tmp_path, capsys):
@@ -718,10 +736,11 @@ def test_unreadable_cache_entry_is_recomputed(tmp_path, damage):
     elif damage == "corrupted":
         entry.write_bytes(b"NOPE" + good[4:])
     else:
-        # sign bit of Phi[0, 0]: magic, (M, m, rank), threshold, m eigenvalues
-        m = int(np.frombuffer(good[12:20], dtype="<u8")[0])
+        # sign bit of Phi[0, 0], after Phi.npy's (version 1) .npy header
+        start = good.index(b"\x93NUMPY", good.index(b"Phi.npy"))
         flipped = bytearray(good)
-        flipped[4 + 8 * (4 + m) + 7] ^= 0x80
+        flipped[start + 10 + int.from_bytes(good[start + 8:start + 10],
+                                            "little") + 7] ^= 0x80
         entry.write_bytes(bytes(flipped))
     code, out = _run(tmp_path, doc, out="again", name="a.json",
                      extra=("--cache", str(cache)))

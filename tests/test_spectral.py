@@ -13,7 +13,7 @@ from kernelshift.measures import DiscreteMeasure, from_logits, uniform_measure
 from kernelshift.spectral import (DEFAULT_RANK_THRESHOLD, SYMMETRY_RTOL,
                                   SpectralDecomposition,
                                   _check_square_symmetric, _overlap_matrix,
-                                  decomposition_cache_key,
+                                  cached_decompose, decomposition_cache_key,
                                   load_decomposition, mercer_decompose,
                                   project_target, save_decomposition)
 from kernelshift.theory import predict_Eg_curve
@@ -343,6 +343,13 @@ def _linear_off_support(M=12, D=3, n_off=4):
     return K, DiscreteMeasure(masses / masses.sum())
 
 
+def _npy_header(archive, member):
+    """Offset and length of the header text of one member's .npy file
+    (format version 1) in the bytes of an uncompressed .npz archive."""
+    start = archive.index(b"\x93NUMPY", archive.index(member.encode()))
+    return start + 10, int.from_bytes(archive[start + 8:start + 10], "little")
+
+
 def test_cache_key_and_roundtrip(tmp_path):
     K, _, p, pt = _instance(17)
     k1 = decomposition_cache_key(K, p)
@@ -354,7 +361,7 @@ def test_cache_key_and_roundtrip(tmp_path):
     K_off, p_off = _linear_off_support()
     for idx, dec in enumerate((mercer_decompose(K, p),
                                mercer_decompose(K_off, p_off))):
-        path = tmp_path / f"dec{idx}.bin"
+        path = tmp_path / f"dec{idx}.npz"
         save_decomposition(str(path), dec)
         back = load_decomposition(str(path))
         assert back.Phi.shape == (dec.measure.M, dec.rank)
@@ -365,38 +372,73 @@ def test_cache_key_and_roundtrip(tmp_path):
         assert back.rank == dec.rank
         assert back.rank_threshold == dec.rank_threshold
     assert dec.rank == 3 and dec.n_modes == 8 and dec.Phi.shape == (12, 3)
-    with pytest.raises(ValueError, match="magic"):
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"NOPE" + path.read_bytes()[4:])
-        load_decomposition(str(bad))
 
 
 def test_save_is_atomic_and_damaged_entries_raise(tmp_path):
     K, _, p, _ = _instance(19)
     dec = mercer_decompose(K, p)
-    path = tmp_path / "dec.bin"
+    path = tmp_path / "dec.npz"
     path.write_bytes(b"stale")
     save_decomposition(str(path), dec)
-    assert [f.name for f in tmp_path.iterdir()] == ["dec.bin"]
+    assert [f.name for f in tmp_path.iterdir()] == ["dec.npz"]
     good = path.read_bytes()
-    for damaged in (good[:-8], good + b"\0" * 8,
-                    # header claiming 2^40 points: rejected before reading
-                    good[:4] + np.uint64(2**40).tobytes() + good[12:]):
-        path.write_bytes(damaged)
-        with pytest.raises(ValueError, match="truncated or corrupt"):
-            load_decomposition(str(path))
-    # one flipped bit of the right-sized payload fails the checksum
+    # a zip archive tolerates bytes after its end
+    path.write_bytes(good + b"\0" * 8)
+    assert np.array_equal(load_decomposition(str(path)).Phi, dec.Phi)
+
+    start, length = _npy_header(good, "Phi.npy")
     flipped = bytearray(good)
-    flipped[len(good) // 2] ^= 1
-    path.write_bytes(bytes(flipped))
-    with pytest.raises(ValueError, match="checksum"):
-        load_decomposition(str(path))
+    flipped[start + length + 7] ^= 0x80         # sign bit of Phi[0, 0]
+    # a header claiming 2^40 rows, its padding shortened to keep its length
+    text = good[start:start + length].replace(
+        b"'shape': (20, ", b"'shape': (%d, " % 2**40)
+    huge = good[:start] + text.rstrip(b" \n").ljust(length - 1) + b"\n" \
+        + good[start + length:]
+    assert len(huge) == len(good)
+    for damaged in (good[:-8], b"X" + good[1:], bytes(flipped)):
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match="decomposition"):
+            load_decomposition(str(path))
+    # the header fails its CRC before the 2^40-row array is allocated
+    path.write_bytes(huge)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="corrupt decomposition member"):
+            load_decomposition(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024
+
+
+def test_cached_decompose_misses_once_then_loads(tmp_path, monkeypatch):
+    K, _, p, _ = _instance(20)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mercer_decompose(*args)
+
+    # looked up by its module-global name, so a wrapper there sees every
+    # decomposition
+    monkeypatch.setattr(spectral, "mercer_decompose", counted)
+    cache = tmp_path / "cache"
+    cold = cached_decompose(K, p, 1e-10, str(cache))
+    hot = cached_decompose(K, p, 1e-10, str(cache))
+    assert len(calls) == 1
+    assert [f.name for f in cache.iterdir()] == \
+        [decomposition_cache_key(K, p, 1e-10) + ".npz"]
+    assert np.array_equal(hot.Phi, cold.Phi)
+    assert np.array_equal(hot.eigenvalues, cold.eigenvalues)
+    assert hot.rank_threshold == cold.rank_threshold == 1e-10
+    cached_decompose(K, p, 1e-10, None)
+    assert len(calls) == 2
 
 
 def test_cached_decomposition_predicts_identically(tmp_path):
     K, Y, p, pt = _instance(18)
     dec = mercer_decompose(K, p)
-    path = tmp_path / "dec.bin"
+    path = tmp_path / "dec.npz"
     save_decomposition(str(path), dec)
     back = load_decomposition(str(path))
     (a,) = predict_Eg_curve(dec, Y, pt, [6], lam=0.1, noise=0.02)
