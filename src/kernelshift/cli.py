@@ -321,7 +321,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"kernelshift: config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"kernelshift: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

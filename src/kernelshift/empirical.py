@@ -223,9 +223,10 @@ def _run_trials(task, P_values, trials, threads):
     one P starts the next P's trials. Each task draws from its own key,
     so the points do not depend on the thread count or the scheduling.
     """
-    if not isinstance(threads, numbers.Integral) or threads < 1:
-        raise ValueError(f"threads must be a positive integer, got "
-                         f"{threads!r}")
+    for name, value in (("threads", threads), ("trials", trials)):
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got "
+                             f"{value!r}")
     P_values = list(P_values)
     keys = [(P, t) for P in P_values for t in range(trials)]
     with ThreadPoolExecutor(max_workers=threads) as pool:

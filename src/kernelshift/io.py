@@ -1,4 +1,5 @@
-"""Artifact writing: atomic files, round-trip floats, run manifests."""
+"""Artifact writing: atomic files, round-trip floats, run manifests, and
+the one reader and writer of numpy .npz archives."""
 
 from __future__ import annotations
 
@@ -7,11 +8,13 @@ import json
 import os
 import sys
 import tempfile
+import zipfile
 
 import numpy as np
 
 __all__ = ["fmt17", "atomic_open", "write_text_atomic", "write_csv_atomic",
-           "write_json_atomic", "ArtifactDir", "read_csv_columns"]
+           "write_json_atomic", "write_npz_atomic", "read_npz",
+           "ArtifactDir", "read_csv_columns"]
 
 
 def fmt17(value):
@@ -57,6 +60,36 @@ def write_csv_atomic(path, header, rows):
 
 def write_json_atomic(path, obj):
     write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def write_npz_atomic(path, **arrays):
+    """Write the arrays as an uncompressed .npz archive via a temporary
+    file and rename, so `path` is never a partial archive."""
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def read_npz(path, names):
+    """The arrays `names` of the .npz archive at `path`, in that order.
+
+    The CRC-32 of every archive member, .npy headers included, is checked
+    before any array is allocated, so a damaged header cannot ask for a
+    huge allocation, and pickled objects are refused. A file that is not
+    an archive, a damaged member or a missing name raises ValueError
+    naming the path.
+    """
+    try:
+        with open(path, "rb") as fh:
+            with zipfile.ZipFile(fh) as archive:
+                damaged = archive.testzip()
+            if damaged is not None:
+                raise ValueError(f"corrupt member {damaged!r}")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:
+                return tuple(archive[name] for name in names)
+    except (ValueError, zipfile.BadZipFile, KeyError, EOFError) as exc:
+        raise ValueError(f"unreadable .npz archive {os.fspath(path)!r}: "
+                         f"{exc}") from exc
 
 
 def read_csv_columns(path):

@@ -8,20 +8,18 @@ is all the downstream theory needs: expectations become mass-weighted sums.
 
 import csv
 import os
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import rng_from
+from .io import read_npz, write_csv_atomic, write_npz_atomic
 
 MASS_TOL = 1e-12
 
-BINARY_MAGIC = b"KSL1"
 _NPZ_MAGIC = b"PK\x03\x04"  # an .npz file is a zip archive
 _DATASET_FORMATS = ("an .npz archive with arrays X (M, D) and Y (M, C) or "
-                    "(M,); a CSV file with header f0..f{D-1},y0..y{C-1}; or "
-                    "the KSL1 binary format save_dataset writes")
+                    "(M,), or a CSV file with header f0..f{D-1},y0..y{C-1}")
 
 
 @dataclass(frozen=True)
@@ -182,15 +180,6 @@ def synth_sample(spec, n, seed, label="synth"):
     raise ValueError(f"unknown synthetic kind {spec.kind!r}")
 
 
-# ---------------------------------------------------------------------------
-# File formats.
-#
-# CSV: header "f0,...,f{D-1},y0,...,y{C-1}", one row per point, plain floats.
-# Binary: magic "KSL1", then M, D, C as little-endian uint64, then X and Y as
-# float64 row-major.  Row index on load becomes the id.
-# ---------------------------------------------------------------------------
-
-
 def _standardized(X):
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
@@ -199,48 +188,27 @@ def _standardized(X):
 
 
 def load_dataset(path, standardize=False):
-    """Load a dataset from .npz, CSV or binary format, sniffed by magic bytes.
+    """Load a dataset from an .npz archive (see io.read_npz), or from CSV
+    when the file does not start with the zip magic; row index becomes
+    the id.
 
     standardize=True applies per-feature (X - mean) / std using the file's
     own statistics; the default leaves data exactly as stored. A file that
-    cannot be read as any of the three formats raises ValueError naming the
-    path and the formats.
+    cannot be read raises ValueError naming the path and the formats.
     """
     try:
         with open(path, "rb") as fh:
             head = fh.read(4)
-        loader = {BINARY_MAGIC: _load_binary, _NPZ_MAGIC: _load_npz}.get(
-            head, _load_csv)
-        ds = loader(path)
-    except (OSError, ValueError, KeyError, EOFError,
-            zipfile.BadZipFile) as exc:
+        if head == _NPZ_MAGIC:
+            ds = Dataset(*read_npz(path, ("X", "Y")))
+        else:
+            ds = _load_csv(path)
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read dataset {os.fspath(path)!r}: {exc}. "
                          f"Accepted formats: {_DATASET_FORMATS}") from exc
     if standardize:
         ds = Dataset(_standardized(ds.X), ds.Y)
     return ds
-
-
-def _load_npz(path):
-    # np.load leaves a file it opened itself open when it rejects it
-    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
-        return Dataset(archive["X"], archive["Y"])
-
-
-def _load_binary(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != BINARY_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {BINARY_MAGIC!r}")
-        header = np.fromfile(fh, dtype="<u8", count=3)
-        if header.size != 3:
-            raise ValueError("truncated binary header")
-        M, D, C = (int(v) for v in header)
-        X = np.fromfile(fh, dtype="<f8", count=M * D)
-        Y = np.fromfile(fh, dtype="<f8", count=M * C)
-        if X.size != M * D or Y.size != M * C:
-            raise ValueError("truncated binary payload")
-    return Dataset(X.reshape(M, D), Y.reshape(M, C))
 
 
 def _load_csv(path):
@@ -265,27 +233,12 @@ def _load_csv(path):
     return Dataset(data[:, :D], data[:, D:])
 
 
-def save_dataset(path, dataset, fmt=None):
-    """Write a dataset as CSV, .npz or binary; fmt defaults from the
-    extension (.csv, .npz, otherwise binary)."""
-    if fmt is None:
-        fmt = {".csv": "csv", ".npz": "npz"}.get(
-            os.path.splitext(path)[1].lower(), "bin")
-    if fmt == "npz":
-        with open(path, "wb") as fh:
-            np.savez(fh, X=dataset.X, Y=dataset.Y)
-    elif fmt == "csv":
-        header = [f"f{j}" for j in range(dataset.D)] + [f"y{j}" for j in range(dataset.C)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for x, y in zip(dataset.X, dataset.Y):
-                writer.writerow([format(v, ".17g") for v in x] + [format(v, ".17g") for v in y])
-    elif fmt == "bin":
-        with open(path, "wb") as fh:
-            fh.write(BINARY_MAGIC)
-            np.asarray([dataset.M, dataset.D, dataset.C], dtype="<u8").tofile(fh)
-            dataset.X.astype("<f8").tofile(fh)
-            dataset.Y.astype("<f8").tofile(fh)
+def save_dataset(path, dataset):
+    """Write a dataset as CSV for a .csv path and as an .npz archive
+    otherwise, via a temporary file and rename."""
+    if os.path.splitext(path)[1].lower() == ".csv":
+        header = ([f"f{j}" for j in range(dataset.D)]
+                  + [f"y{j}" for j in range(dataset.C)])
+        write_csv_atomic(path, header, np.hstack([dataset.X, dataset.Y]))
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        write_npz_atomic(path, X=dataset.X, Y=dataset.Y)

@@ -15,13 +15,12 @@ eigenvalues are kept.
 import hashlib
 import logging
 import os
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _lapack
-from .io import atomic_open
+from .io import read_npz, write_npz_atomic
 from .measures import DiscreteMeasure
 
 DEFAULT_RANK_THRESHOLD = 1e-12
@@ -261,33 +260,18 @@ def cached_decompose(K, measure, rank_threshold, cache_dir):
 def save_decomposition(path, dec):
     """Write an .npz archive via a temporary file and rename, so a killed
     writer never leaves a partial entry at `path`."""
-    with atomic_open(path, "wb") as fh:
-        np.savez(fh, eigenvalues=dec.eigenvalues, Phi=dec.Phi,
-                 masses=dec.measure.masses,
-                 rank_threshold=dec.rank_threshold)
+    write_npz_atomic(path, eigenvalues=dec.eigenvalues, Phi=dec.Phi,
+                     masses=dec.measure.masses,
+                     rank_threshold=dec.rank_threshold)
 
 
 def load_decomposition(path):
-    """Read an entry save_decomposition wrote; damage raises ValueError.
-
-    The CRC-32 of every archive member, .npy headers included, is checked
-    before any array is allocated, so a damaged header cannot ask for a
-    huge allocation.
-    """
-    try:
-        with open(path, "rb") as fh:
-            with zipfile.ZipFile(fh) as archive:
-                damaged = archive.testzip()
-            if damaged is not None:
-                raise ValueError(f"corrupt decomposition member {damaged!r}")
-            fh.seek(0)
-            with np.load(fh, allow_pickle=False) as archive:
-                eta = archive["eigenvalues"]
-                Phi = archive["Phi"]
-                measure = DiscreteMeasure(archive["masses"])
-                rank_threshold = float(archive["rank_threshold"])
-    except (zipfile.BadZipFile, KeyError, EOFError) as exc:
-        raise ValueError(f"unreadable decomposition archive: {exc}") from exc
+    """Read an entry save_decomposition wrote; damage raises ValueError,
+    before any array is allocated when a member fails its CRC (see
+    io.read_npz)."""
+    eta, Phi, masses, rank_threshold = read_npz(
+        path, ("eigenvalues", "Phi", "masses", "rank_threshold"))
+    measure = DiscreteMeasure(masses)
     support = measure.support()
     if (eta.ndim != 1 or Phi.ndim != 2 or Phi.shape[0] != measure.M
             or eta.shape[0] != support.size or Phi.shape[1] > eta.shape[0]):
@@ -298,5 +282,5 @@ def load_decomposition(path):
         measure=measure,
         support=support,
         rank=Phi.shape[1],
-        rank_threshold=rank_threshold,
+        rank_threshold=float(rank_threshold),
     )

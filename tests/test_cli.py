@@ -23,6 +23,8 @@ from kernelshift.spectral import mercer_decompose
 from kernelshift.theory import (CURVE_COLUMNS, SupportError,
                                 pointwise_error_density, predict_Eg_dataset)
 
+from archive_forgery import claim_rows, flip_first_sign
+
 
 def _load_json(path):
     with open(path) as fh:
@@ -449,6 +451,29 @@ def test_unreadable_dataset_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "junk.npz" in err and "Accepted formats" in err
+    # a header claiming 2^40 rows fails its CRC before numpy allocates
+    forged = tmp_path / "forged.npz"
+    forged.write_bytes(claim_rows((tmp_path / "data.npz").read_bytes(),
+                                  "X.npy", 2**40))
+    doc["dataset"]["path"] = str(forged)
+    code, _ = _run(tmp_path, doc, out="forged")
+    assert code == 2
+    assert "corrupt member 'X.npy'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--cache"])
+def test_flag_naming_a_file_exits_2(tmp_path, capsys, flag):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    doc = dict(_base_doc(), command="decompose")
+    if flag == "--out":
+        code, _ = _run(tmp_path, doc, out="taken")
+    else:
+        code, _ = _run(tmp_path, doc, extra=("--cache", str(taken)))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kernelshift: error:") and "taken" in err
+    assert err.count("\n") == 1
 
 
 def test_all_diverged_closed_form_exits_3(tmp_path, capsys):
@@ -721,7 +746,8 @@ def test_decomposition_cache_roundtrip(tmp_path):
     assert _read_dir(plain) == _read_dir(warm) == _read_dir(hot)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "corrupted", "bitflip"])
+@pytest.mark.parametrize("damage", ["truncated", "corrupted", "bitflip",
+                                    "huge"])
 def test_unreadable_cache_entry_is_recomputed(tmp_path, damage):
     doc = dict(_base_doc(), command="theory-curve",
                theory={"P_grid": [2, 4], "lambda": 0.1})
@@ -735,13 +761,10 @@ def test_unreadable_cache_entry_is_recomputed(tmp_path, damage):
         entry.write_bytes(good[:len(good) // 2])
     elif damage == "corrupted":
         entry.write_bytes(b"NOPE" + good[4:])
+    elif damage == "bitflip":
+        entry.write_bytes(flip_first_sign(good, "Phi.npy"))
     else:
-        # sign bit of Phi[0, 0], after Phi.npy's (version 1) .npy header
-        start = good.index(b"\x93NUMPY", good.index(b"Phi.npy"))
-        flipped = bytearray(good)
-        flipped[start + 10 + int.from_bytes(good[start + 8:start + 10],
-                                            "little") + 7] ^= 0x80
-        entry.write_bytes(bytes(flipped))
+        entry.write_bytes(claim_rows(good, "Phi.npy", 2**40))
     code, out = _run(tmp_path, doc, out="again", name="a.json",
                      extra=("--cache", str(cache)))
     assert code == 0

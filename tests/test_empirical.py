@@ -432,6 +432,16 @@ def test_thread_count_must_be_a_positive_integer(threads):
                              seed=0, threads=threads)
 
 
+@pytest.mark.parametrize("trials", [0, -1, 2.0, None])
+def test_trial_count_must_be_a_positive_integer(trials):
+    # zero trials would average nothing into a silent NaN
+    ds, K = _toy_problem()
+    p = uniform_measure(12)
+    with pytest.raises(ValueError, match="trials must be a positive"):
+        run_learning_curve(K, ds.Y, p, p, P_values=[3], lam=0.1, noise=0.0,
+                           trials=trials, seed=0)
+
+
 def test_compare_report_alignment_and_z():
     emp = [EmpiricalPoint(2, 1.1, 0.2, 0.05, 16),
            EmpiricalPoint(4, 0.5, 0.1, 0.0, 16)]

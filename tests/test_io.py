@@ -2,12 +2,14 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kernelshift
 from kernelshift.config import parse_config
 from kernelshift.io import (ArtifactDir, fmt17, read_csv_columns,
                             write_csv_atomic, write_json_atomic,
@@ -166,3 +168,16 @@ def test_read_csv_columns_skips_blank_lines(tmp_path):
     cols = read_csv_columns(str(path))
     np.testing.assert_array_equal(cols["a"], [1.0, 3.0])
     np.testing.assert_array_equal(cols["b"], [2.0, 4.0])
+
+
+def test_io_is_the_only_module_that_reads_or_writes_npz_archives():
+    src = os.path.dirname(kernelshift.__file__)
+    pattern = re.compile(r"^\s*(import|from) zipfile\b|np\.(load|savez\w*)\b",
+                         re.MULTILINE)
+    users = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                if pattern.search(fh.read()):
+                    users.append(name)
+    assert users == ["io.py"]

@@ -2,6 +2,7 @@
 
 import gc
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelshift.measures import (BINARY_MAGIC, Dataset, DiscreteMeasure,
-                                  SyntheticSpec, from_logits, load_dataset,
-                                  save_dataset, synth_sample, uniform_measure)
+from kernelshift.measures import (Dataset, DiscreteMeasure, SyntheticSpec,
+                                  from_logits, load_dataset, save_dataset,
+                                  synth_sample, uniform_measure)
+
+from archive_forgery import claim_rows
 
 
 def test_discrete_measure_validation():
@@ -127,29 +130,54 @@ def test_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(back.Y, ds.Y)
 
 
-def test_binary_roundtrip_exact(tmp_path):
+def test_csv_save_is_atomic_with_newline_endings(tmp_path):
     ds = _random_dataset(1)
-    path = tmp_path / "data.bin"
+    path = tmp_path / "data.csv"
+    path.write_text("stale")
     save_dataset(str(path), ds)
-    assert path.read_bytes()[:4] == BINARY_MAGIC
+    assert [f.name for f in tmp_path.iterdir()] == ["data.csv"]
+    raw = path.read_bytes()
+    assert b"\r" not in raw and raw.count(b"\n") == ds.M + 1
+
+
+@pytest.mark.parametrize("name", ["data.bin", "data"])
+def test_any_path_but_csv_gets_an_npz_archive(tmp_path, name):
+    ds = _random_dataset(2)
+    path = tmp_path / name
+    save_dataset(str(path), ds)
+    assert path.read_bytes()[:4] == b"PK\x03\x04"
     back = load_dataset(str(path))
     assert np.array_equal(back.X, ds.X)
     assert np.array_equal(back.Y, ds.Y)
 
 
-def test_binary_corruption_detected(tmp_path):
-    ds = _random_dataset(2)
-    path = tmp_path / "data.bin"
+def test_failed_npz_save_leaves_nothing_behind(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("disk gone")
+
+    monkeypatch.setattr(np, "savez", broken)
+    with pytest.raises(RuntimeError, match="disk gone"):
+        save_dataset(str(tmp_path / "data.npz"), _random_dataset(3))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("rows", [2**24, 2**40])
+def test_forged_npz_header_fails_its_crc_before_allocating(tmp_path, rows):
+    # a 20000-row archive whose X.npy header claims more rows than it holds
+    ds = _random_dataset(4, M=20000, C=1)
+    path = tmp_path / "data.npz"
     save_dataset(str(path), ds)
-    raw = path.read_bytes()
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(ValueError):
-        load_dataset(str(bad))
-    trunc = tmp_path / "trunc.bin"
-    trunc.write_bytes(raw[:-16])
-    with pytest.raises(ValueError, match="truncated"):
-        load_dataset(str(trunc))
+    path.write_bytes(claim_rows(path.read_bytes(), "X.npy", rows))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            load_dataset(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(err.value)
+    assert "corrupt member 'X.npy'" in str(err.value)
+    assert peak < 2 * 1024 * 1024
 
 
 def test_csv_header_contract(tmp_path):
@@ -197,7 +225,7 @@ def test_unreadable_dataset_names_path_and_formats(tmp_path, kind):
         load_dataset(str(path))
     msg = str(err.value)
     assert str(path) in msg
-    assert ".npz" in msg and "CSV" in msg and "binary" in msg
+    assert ".npz" in msg and "CSV" in msg
 
 
 def test_truncated_npz_leaves_no_open_file(tmp_path, monkeypatch):

@@ -18,6 +18,8 @@ from kernelshift.spectral import (DEFAULT_RANK_THRESHOLD, SYMMETRY_RTOL,
                                   project_target, save_decomposition)
 from kernelshift.theory import predict_Eg_curve
 
+from archive_forgery import claim_rows, flip_first_sign
+
 
 def _instance(seed, M=20, D=4, kind="rbf", tilt=0.4):
     rng = np.random.default_rng(seed)
@@ -343,13 +345,6 @@ def _linear_off_support(M=12, D=3, n_off=4):
     return K, DiscreteMeasure(masses / masses.sum())
 
 
-def _npy_header(archive, member):
-    """Offset and length of the header text of one member's .npy file
-    (format version 1) in the bytes of an uncompressed .npz archive."""
-    start = archive.index(b"\x93NUMPY", archive.index(member.encode()))
-    return start + 10, int.from_bytes(archive[start + 8:start + 10], "little")
-
-
 def test_cache_key_and_roundtrip(tmp_path):
     K, _, p, pt = _instance(17)
     k1 = decomposition_cache_key(K, p)
@@ -386,24 +381,17 @@ def test_save_is_atomic_and_damaged_entries_raise(tmp_path):
     path.write_bytes(good + b"\0" * 8)
     assert np.array_equal(load_decomposition(str(path)).Phi, dec.Phi)
 
-    start, length = _npy_header(good, "Phi.npy")
-    flipped = bytearray(good)
-    flipped[start + length + 7] ^= 0x80         # sign bit of Phi[0, 0]
-    # a header claiming 2^40 rows, its padding shortened to keep its length
-    text = good[start:start + length].replace(
-        b"'shape': (20, ", b"'shape': (%d, " % 2**40)
-    huge = good[:start] + text.rstrip(b" \n").ljust(length - 1) + b"\n" \
-        + good[start + length:]
-    assert len(huge) == len(good)
-    for damaged in (good[:-8], b"X" + good[1:], bytes(flipped)):
+    huge = claim_rows(good, "Phi.npy", 2**40)
+    for damaged in (good[:-8], b"X" + good[1:],
+                    flip_first_sign(good, "Phi.npy")):
         path.write_bytes(damaged)
-        with pytest.raises(ValueError, match="decomposition"):
+        with pytest.raises(ValueError, match="unreadable .npz archive"):
             load_decomposition(str(path))
     # the header fails its CRC before the 2^40-row array is allocated
     path.write_bytes(huge)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="corrupt decomposition member"):
+        with pytest.raises(ValueError, match="corrupt member 'Phi.npy'"):
             load_decomposition(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
