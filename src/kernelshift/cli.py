@@ -46,15 +46,20 @@ TRACE_COLUMNS = ("step", "Eg", "participation_ratio")
 
 
 def _dataset_problem(rc):
-    """Dataset, kernel spec, Gram and, by side, the measures the command
-    reads."""
+    """Dataset, kernel spec and, by side, the measures the command reads.
+
+    No Gram is built here. decompose, theory-curve and optimize-test
+    decompose through spectral.cached_decompose, which builds only the
+    kernel on the training support and the off-support rows against it,
+    and nothing on a cache hit; the commands that need the full M x M
+    Gram (empirical-curve, optimize-train, gradcheck) build it with
+    kernels.gram.
+    """
     ds = build_dataset(rc.doc["dataset"], rc.seed)
-    # a measure's length against the dataset is checked before the Gram
     measures = {side: build_measure(rc.doc["measures"][side], ds.M)
                 for side in _COMMANDS[rc.command]["measures"]}
     spec = build_kernel(rc.doc["kernel"])
-    K = gram(spec, ds.X)
-    return ds, spec, K, measures
+    return ds, spec, measures
 
 
 def _rank_threshold(rc):
@@ -62,8 +67,9 @@ def _rank_threshold(rc):
 
 
 def cmd_decompose(rc, art, threads, cache_dir):
-    ds, spec, K, measures = _dataset_problem(rc)
-    dec = cached_decompose(K, measures["train"], _rank_threshold(rc), cache_dir)
+    ds, spec, measures = _dataset_problem(rc)
+    dec = cached_decompose(spec, ds.X, measures["train"],
+                           _rank_threshold(rc), cache_dir)
     # per-mode power inside the collapsed (numerically null) eigenspace
     # depends on the basis the eigensolver picks; only its sum is defined
     abar, R = _rows(dec, ds.Y)
@@ -89,9 +95,10 @@ def cmd_decompose(rc, art, threads, cache_dir):
 
 
 def cmd_theory_curve(rc, art, threads, cache_dir):
-    ds, _, K, measures = _dataset_problem(rc)
+    ds, spec, measures = _dataset_problem(rc)
     sec = rc.doc["theory"]
-    dec = cached_decompose(K, measures["train"], _rank_threshold(rc), cache_dir)
+    dec = cached_decompose(spec, ds.X, measures["train"],
+                           _rank_threshold(rc), cache_dir)
     preds = predict_Eg_curve(dec, ds.Y, measures["test"], sec["P_grid"],
                              sec["lambda"], sec["noise"])
     return _write_curve(art, "theory_curve.csv", sec["P_grid"], preds)
@@ -109,7 +116,8 @@ def _write_curve(art, name, P_grid, preds):
 
 
 def cmd_empirical_curve(rc, art, threads, cache_dir):
-    ds, _, K, measures = _dataset_problem(rc)
+    ds, spec, measures = _dataset_problem(rc)
+    K = gram(spec, ds.X)
     sec = rc.doc["empirical"]
     points = run_learning_curve(K, ds.Y, measures["train"], measures["test"],
                                 sec["P_grid"], sec["lambda"], sec["noise"],
@@ -149,7 +157,8 @@ def _write_trace(art, trace):
 
 
 def cmd_optimize_train(rc, art, threads, cache_dir):
-    ds, _, K, measures = _dataset_problem(rc)
+    ds, spec, measures = _dataset_problem(rc)
+    K = gram(spec, ds.X)
     sec = rc.doc["optimizer"]
     cfg = _optimizer_config(sec, learning_rate=float(sec["learning_rate"]),
                             steps=int(sec["steps"]),
@@ -161,9 +170,10 @@ def cmd_optimize_train(rc, art, threads, cache_dir):
 
 
 def cmd_optimize_test(rc, art, threads, cache_dir):
-    ds, _, K, measures = _dataset_problem(rc)
+    ds, spec, measures = _dataset_problem(rc)
     cfg = _optimizer_config(rc.doc["optimizer"])
-    dec = cached_decompose(K, measures["train"], _rank_threshold(rc), cache_dir)
+    dec = cached_decompose(spec, ds.X, measures["train"],
+                           _rank_threshold(rc), cache_dir)
     trace = optimize_test_measure(dec, ds.Y, cfg)
     _write_trace(art, trace)
     return EXIT_OK
@@ -240,7 +250,8 @@ def cmd_compare(rc, art, threads, cache_dir):
 
 
 def cmd_gradcheck(rc, art, threads, cache_dir):
-    ds, _, K, measures = _dataset_problem(rc)
+    ds, spec, measures = _dataset_problem(rc)
+    K = gram(spec, ds.X)
     sec = rc.doc["optimizer"]
     P = int(sec["P_budget"])
     lam = float(sec["lambda"])

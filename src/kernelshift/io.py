@@ -28,15 +28,31 @@ def fmt17(value):
     return format(float(value), ".17g")
 
 
+def _process_umask():
+    # the only portable way to read the umask is to set it; done once, at
+    # import, before any worker thread creates files
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
+# mode of every file atomic_open writes: what a plain open() would give,
+# where mkstemp's temporary file has 0o600
+_FILE_MODE = 0o666 & ~_process_umask()
+
+
 @contextlib.contextmanager
 def atomic_open(path, mode="w"):
     """File handle on a temporary file that is renamed to `path` when the
-    block exits cleanly and removed otherwise, so `path` is never partial."""
+    block exits cleanly and removed otherwise, so `path` is never partial.
+    The file gets the permissions open() would give it under the umask
+    the process had when this module was imported."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, mode) as fh:
+            os.fchmod(fh.fileno(), _FILE_MODE)
             yield fh
         os.replace(tmp, path)
     except BaseException:

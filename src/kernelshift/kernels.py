@@ -122,10 +122,14 @@ def _sq_distances(X1, X2):
 def gram(spec, X1, X2=None):
     """Gram matrix K[i, j] = K(X1[i], X2[j]); X2=None means X2 = X1.
 
-    The square case is bit-identically symmetric. The rbf and laplace
-    distances are by construction (entries (i, j) and (j, i) sum the same
-    squares in the same order); the other kinds are symmetrized as
-    (K + K.T)/2.
+    The square case is bit-identically symmetric. The rbf, laplace and
+    fourier_bandlimited kinds are computed entry by entry (K[i, j] depends
+    on X1[i] and X2[j] alone, and is the same with the two swapped), so
+    for them any block of a Gram also has the bits of the Gram of the
+    block's points, gram(spec, X)[np.ix_(r, c)] == gram(spec, X[r], X[c]).
+    The linear and ntk_relu dot products come from BLAS, whose roundings
+    depend on the shapes around an entry; their square case is
+    symmetrized as (K + K.T)/2.
     """
     X1 = np.asarray(X1, dtype=np.float64)
     square = X2 is None
@@ -148,7 +152,8 @@ def gram(spec, X1, X2=None):
     elif spec.kind == "fourier_bandlimited":
         if X1.shape[1] != 1:
             raise ValueError("fourier_bandlimited is defined for 1-D inputs only")
-        delta = np.pi * (X1 - X2.T)  # (n1, n2)
+        # |x - x'|, so swapping the two inputs keeps every bit
+        delta = np.abs(np.pi * (X1 - X2.T))  # (n1, n2)
         K = np.zeros_like(delta)
         for k in range(1, spec.n_modes + 1):
             K += np.cos(k * delta)
@@ -160,6 +165,6 @@ def gram(spec, X1, X2=None):
     else:  # pragma: no cover - guarded by KernelSpec
         raise ValueError(f"unknown kernel kind {spec.kind!r}")
 
-    if square and spec.kind not in ("rbf", "laplace"):
+    if square and spec.kind in ("linear", "ntk_relu"):
         K = 0.5 * (K + K.T)
     return K

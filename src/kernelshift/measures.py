@@ -37,6 +37,9 @@ class Dataset:
         Y = np.ascontiguousarray(Y)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D (M, D), got shape {X.shape}")
+        if Y.ndim != 2:
+            raise ValueError(f"Y must be 2-D (M, C) or 1-D (M,), got shape "
+                             f"{Y.shape}")
         if Y.shape[0] != X.shape[0]:
             raise ValueError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
         if not np.all(np.isfinite(X)):

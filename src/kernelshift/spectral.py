@@ -21,6 +21,7 @@ import numpy as np
 
 from . import _lapack
 from .io import read_npz, write_npz_atomic
+from .kernels import gram
 from .measures import DiscreteMeasure
 
 DEFAULT_RANK_THRESHOLD = 1e-12
@@ -88,24 +89,57 @@ def mercer_decompose(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
     positive, first index winning ties, which makes results reproducible up
     to genuinely degenerate eigenspaces.
     """
-    return _decompose(K, measure, rank_threshold)[0]
+    return _decompose_gram(K, measure, rank_threshold)[0]
 
 
-def _decompose(K, measure, rank_threshold):
-    """mercer_decompose, also returning the orthonormal eigenvectors V
+def _decompose_gram(K, measure, rank_threshold):
+    """_decompose reading its blocks from the Gram matrix K; also returns
+    the checked, symmetric K."""
+    measure = _as_measure(measure)
+    K = _check_square_symmetric(K, measure.M)
+    sup = measure.support()
+    dec, V = _decompose(lambda rows: K[np.ix_(rows, sup)], measure,
+                        rank_threshold)
+    return dec, V, K
+
+
+def _decompose_spec(spec, X, measure, rank_threshold):
+    """_decompose building its blocks from the kernel spec and the points
+    X (M, D), each checked finite; the M x M Gram is never built.  Where
+    kernels.gram computes every entry on its own (rbf, laplace,
+    fourier_bandlimited) the decomposition has the bits of
+    mercer_decompose(gram(spec, X), ...); the BLAS kinds agree with it to
+    rounding."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != measure.M:
+        raise ValueError(f"X must be ({measure.M}, D), got {X.shape}")
+    X_sup = X[measure.support()]
+    return _decompose(lambda rows: _finite(gram(spec, X[rows], X_sup)),
+                      measure, rank_threshold)[0]
+
+
+def _as_measure(measure):
+    if isinstance(measure, DiscreteMeasure):
+        return measure
+    return DiscreteMeasure(measure)
+
+
+def _decompose(kernel_rows, measure, rank_threshold):
+    """The decomposition, also returning the orthonormal eigenvectors V
     (s, s) of B, Fortran-ordered, columns in the decomposition's order and
-    signs, on full support (None otherwise), and the checked, symmetric K.
+    signs, on full support (None otherwise).
 
-    Above its input it holds at most two (s, s)-sized arrays at once,
-    B beside its eigenvectors during the eigensolve and then V beside
-    Phi, and otherwise only temporaries of up to _BLOCK entries: V is
+    The kernel is read only through kernel_rows(rows), a new array
+    K[rows, sup] of the given rows against the support: once for the
+    support block, which becomes B, and then, after the eigensolve has
+    freed B, for the off-support rows, a block of at most _BLOCK entries
+    at a time.  So it holds at most two (s, s)-sized arrays at once, B
+    beside its eigenvectors during the eigensolve and then V beside Phi,
+    and otherwise only temporaries of up to _BLOCK entries: V is
     reordered and signed in place, and Phi is built a block of rows at a
     time.
     """
-    if not isinstance(measure, DiscreteMeasure):
-        measure = DiscreteMeasure(measure)
     M = measure.M
-    K = _check_square_symmetric(K, M)
     sup = measure.support()
     s = sup.size
     if s == 0:
@@ -116,7 +150,7 @@ def _decompose(K, measure, rank_threshold):
     # buffers B.T where it overlaps the output of B += B.T): B.T is the
     # same symmetric matrix in Fortran order, which eigh overwrites
     # instead of copying
-    B = K[np.ix_(sup, sup)]
+    B = kernel_rows(sup)
     B *= sqrt_p[:, None]
     B *= sqrt_p
     B += B.T
@@ -155,7 +189,7 @@ def _decompose(K, measure, rank_threshold):
         off = np.flatnonzero(measure.masses == 0)
         for lo in range(0, off.size, b):
             rows = off[lo:lo + b]
-            Phi[rows] = K[rows][:, sup] @ Vr / eta[:rank]
+            Phi[rows] = kernel_rows(rows) @ Vr / eta[:rank]
         V = None
 
     return SpectralDecomposition(
@@ -165,7 +199,13 @@ def _decompose(K, measure, rank_threshold):
         support=sup,
         rank=rank,
         rank_threshold=float(rank_threshold),
-    ), V, K
+    ), V
+
+
+def _finite(block):
+    if not np.all(np.isfinite(block)):
+        raise ValueError("kernel matrix contains non-finite entries")
+    return block
 
 
 def _order_and_sign(V, sqrt_p):
@@ -221,30 +261,43 @@ def _overlap_matrix(Phi, ptilde):
 # Decomposition cache: one .npz archive per entry, named by a content hash.
 # ---------------------------------------------------------------------------
 
-# Bump when the stored layout or the sign/rank conventions change, so old
-# entries stop matching instead of being silently reused.
-CACHE_FORMAT_VERSION = 4
+# Bump when the stored layout, the key's inputs, the sign/rank
+# conventions or the bits kernels.gram computes change, so old entries
+# stop matching instead of being silently reused: the key hashes the
+# spec and the points, not the kernel values.
+CACHE_FORMAT_VERSION = 5
 
 
-def decomposition_cache_key(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
-    """Content hash of (format version, Gram matrix, masses, threshold)."""
+def decomposition_cache_key(spec, X, measure,
+                            rank_threshold=DEFAULT_RANK_THRESHOLD):
+    """Content hash of (format version, kernel spec, points X with their
+    shape, masses, threshold): everything the decomposition is computed
+    from, so a hit needs no Gram."""
+    X = np.ascontiguousarray(X, dtype="<f8")
     h = hashlib.sha256(f"kernelshift-decomposition-v{CACHE_FORMAT_VERSION}"
                        .encode())
-    h.update(np.ascontiguousarray(K, dtype="<f8").tobytes())
+    h.update(repr((spec.kind, float(spec.lengthscale), spec.n_modes,
+                   spec.depth, X.shape)).encode())
+    h.update(X.tobytes())
     h.update(np.ascontiguousarray(measure.masses, dtype="<f8").tobytes())
     h.update(np.float64(rank_threshold).tobytes())
     return h.hexdigest()
 
 
-def cached_decompose(K, measure, rank_threshold, cache_dir):
-    """mercer_decompose, going through the entry <key>.npz in cache_dir
-    when one is given.
+def cached_decompose(spec, X, measure, rank_threshold, cache_dir):
+    """The decomposition of kernel `spec` on the points X (M, D) under the
+    measure, with the bits of mercer_decompose(gram(spec, X), measure,
+    rank_threshold) but without the M x M Gram: only the support block
+    and the off-support rows against the support are built.  It goes
+    through the entry <key>.npz in cache_dir when one is given, and a
+    hit builds no kernel block at all.
 
     An unreadable entry counts as a miss: it is recomputed and overwritten.
     """
+    measure = _as_measure(measure)
     if not cache_dir:
-        return mercer_decompose(K, measure, rank_threshold)
-    key = decomposition_cache_key(K, measure, rank_threshold)
+        return _decompose_spec(spec, X, measure, rank_threshold)
+    key = decomposition_cache_key(spec, X, measure, rank_threshold)
     path = os.path.join(cache_dir, f"{key}.npz")
     if os.path.exists(path):
         try:
@@ -252,7 +305,7 @@ def cached_decompose(K, measure, rank_threshold, cache_dir):
         except ValueError as exc:
             log.warning("recomputing unreadable cache entry %s: %s",
                         path, exc)
-    dec = mercer_decompose(K, measure, rank_threshold)
+    dec = _decompose_spec(spec, X, measure, rank_threshold)
     save_decomposition(path, dec)
     return dec
 

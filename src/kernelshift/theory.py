@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DiscreteMeasure
-from .spectral import (_BLOCK, DEFAULT_RANK_THRESHOLD, _decompose,
+from .spectral import (_BLOCK, DEFAULT_RANK_THRESHOLD, _decompose_gram,
                        _overlap_matrix, mercer_decompose, project_target)
 
 KAPPA_RTOL = 1e-12
@@ -464,7 +464,7 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise,
         raise SupportError("the training-mass gradient needs full support")
     if ptilde.M != p.M:
         raise ValueError("test measure must cover the same dataset")
-    dec, V, K = _decompose(K, p, rank_threshold)
+    dec, V, K = _decompose_gram(K, p, rank_threshold)
     Y = np.asarray(Y, dtype=np.float64)
     Y = Y[:, None] if Y.ndim == 1 else Y
     P = float(P)

@@ -415,12 +415,21 @@ def test_document_errors_exit_2_before_any_data_is_built(
     assert not out.exists()
 
 
+def _forbid_gram(monkeypatch, why):
+    # every kernelshift module's binding of kernels.gram, so no kernel
+    # block is built by any route
+    def unreachable(*args, **kwargs):
+        raise AssertionError(why)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "kernelshift" \
+                and getattr(module, "gram", None) is gram:
+            monkeypatch.setattr(module, "gram", unreachable)
+
+
 def test_measure_length_is_checked_before_the_gram(tmp_path, capsys,
                                                   monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("built the Gram for a measure that does not fit")
-
-    monkeypatch.setattr(cli, "gram", unreachable)
+    _forbid_gram(monkeypatch, "built the Gram for a measure that does not fit")
     doc = dict(_base_doc(), command="theory-curve", theory={"P_grid": [2]},
                measures={"train": {"kind": "masses", "values": [1.0] * 9}})
     code, _ = _run(tmp_path, doc)
@@ -459,6 +468,18 @@ def test_unreadable_dataset_exits_2(tmp_path, capsys):
     code, _ = _run(tmp_path, doc, out="forged")
     assert code == 2
     assert "corrupt member 'X.npy'" in capsys.readouterr().err
+
+
+def test_three_dimensional_targets_exit_2(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    np.savez(tmp_path / "data.npz", X=rng.standard_normal((3, 2)),
+             Y=rng.standard_normal((3, 2, 2)))
+    doc = {"dataset": {"path": str(tmp_path / "data.npz")},
+           "kernel": {"kind": "rbf"}, "command": "decompose"}
+    code, _ = _run(tmp_path, doc)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Y must be 2-D (M, C) or 1-D (M,), got shape (3, 2, 2)" in err
 
 
 @pytest.mark.parametrize("flag", ["--out", "--cache"])
@@ -744,6 +765,22 @@ def test_decomposition_cache_roundtrip(tmp_path):
     _, hot = _run(tmp_path, doc, out="hot", name="h.json",
                   extra=("--cache", str(cache)))
     assert _read_dir(plain) == _read_dir(warm) == _read_dir(hot)
+
+
+def test_warm_cache_builds_no_kernel_block(tmp_path, monkeypatch):
+    doc = dict(_base_doc(), command="theory-curve",
+               theory={"P_grid": [2, 4], "lambda": 0.1},
+               measures={"train": {"kind": "masses",
+                                   "values": [0.25] * 4 + [0.0] * 6}})
+    cache = tmp_path / "cache"
+    code, cold = _run(tmp_path, doc, out="cold", name="c.json",
+                      extra=("--cache", str(cache)))
+    assert code == 0
+    _forbid_gram(monkeypatch, "built a kernel block on a cache hit")
+    code, hot = _run(tmp_path, doc, out="hot", name="h.json",
+                     extra=("--cache", str(cache)))
+    assert code == 0
+    assert _read_dir(cold) == _read_dir(hot)
 
 
 @pytest.mark.parametrize("damage", ["truncated", "corrupted", "bitflip",

@@ -3,6 +3,9 @@
 import json
 import os
 import re
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +51,35 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     residue = [f for f in os.listdir(tmp_path / "a")
                if f.startswith(".tmp-")]
     assert residue == []
+
+
+# written by a fresh interpreter that sets its umask before it imports
+# kernelshift: an artifact, a decomposition cache entry and a dataset
+_WRITE_ALL_UNDER_UMASK = """
+import os, sys
+os.umask(int(sys.argv[1], 8))
+import numpy as np
+from kernelshift.io import ArtifactDir
+from kernelshift.kernels import KernelSpec
+from kernelshift.measures import Dataset, save_dataset, uniform_measure
+from kernelshift.spectral import cached_decompose
+ArtifactDir("out").write_csv("a.csv", ("x",), [(1.0,)])
+X = np.arange(8.0).reshape(4, 2)
+cached_decompose(KernelSpec("rbf"), X, uniform_measure(4), 1e-12, "cache")
+save_dataset("data.npz", Dataset(X, X[:, 0]))
+"""
+
+
+@pytest.mark.parametrize("umask, mode", [("022", "-rw-r--r--"),
+                                         ("077", "-rw-------")])
+def test_written_files_get_the_mode_open_would_give(tmp_path, umask, mode):
+    src = os.path.dirname(os.path.dirname(kernelshift.__file__))
+    subprocess.run([sys.executable, "-c", _WRITE_ALL_UNDER_UMASK, umask],
+                   env=dict(os.environ, PYTHONPATH=src), check=True,
+                   cwd=tmp_path, timeout=120)
+    (entry,) = (tmp_path / "cache").iterdir()
+    for path in (tmp_path / "out" / "a.csv", entry, tmp_path / "data.npz"):
+        assert stat.filemode(os.stat(path).st_mode) == mode, path
 
 
 def test_atomic_write_replaces_existing(tmp_path):

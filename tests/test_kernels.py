@@ -119,11 +119,33 @@ def test_distance_kernels_match_cdist_bitwise(D):
 
 
 def test_cross_gram_matches_square_case():
+    # for the entry-wise kinds every block of a Gram has the bits of the
+    # Gram of its points, at odd and even D and across the distance
+    # accumulator's row blocks, so a decomposition can read its blocks
+    # without the whole Gram. The BLAS kinds agree to rounding, which the
+    # relu tangent kernel's arccos amplifies to ~sqrt(eps) near the
+    # diagonal
     rng = np.random.default_rng(6)
-    X = rng.standard_normal((7, 3))
-    for kind, kw in [("linear", {}), ("rbf", {}), ("ntk_relu", {"depth": 2})]:
+    for kind, kw, tol in [("linear", {}, 1e-13), ("rbf", {}, None),
+                          ("laplace", {}, None),
+                          ("ntk_relu", {"depth": 2}, 1e-7),
+                          ("fourier_bandlimited", {"n_modes": 4}, None)]:
         spec = KernelSpec(kind, **kw)
-        assert np.allclose(gram(spec, X), gram(spec, X, X), atol=1e-12)
+        if tol is None:
+            same = np.array_equal
+        else:
+            def same(a, b, tol=tol):
+                return np.allclose(a, b, rtol=tol, atol=tol)
+        for M, D in [(7, 3), (40, 8), (333, 5), (90, 41)]:
+            X = rng.standard_normal((M, 1 if kind == "fourier_bandlimited"
+                                     else D))
+            K = gram(spec, X)
+            assert same(K, gram(spec, X, X))
+            for _ in range(3):
+                r = np.sort(rng.permutation(M)[:rng.integers(1, M + 1)])
+                c = np.sort(rng.permutation(M)[:rng.integers(1, M + 1)])
+                assert same(gram(spec, X[r], X[c]),
+                            K[np.ix_(r, c)]), (kind, M, D)
 
 
 def test_ntk_golden_values():

@@ -70,6 +70,9 @@ def test_dataset_validation():
         Dataset(np.array([1.0, 2.0]), np.zeros(2))
     with pytest.raises(ValueError):
         Dataset(X * np.nan, np.zeros(3))
+    for Y in (np.zeros((3, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"Y must be .* got shape"):
+            Dataset(X, Y)
 
 
 def test_synthetic_spec_validation():

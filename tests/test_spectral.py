@@ -346,13 +346,33 @@ def _linear_off_support(M=12, D=3, n_off=4):
 
 
 def test_cache_key_and_roundtrip(tmp_path):
-    K, _, p, pt = _instance(17)
-    k1 = decomposition_cache_key(K, p)
-    assert k1 == decomposition_cache_key(K, p)
-    assert k1 != decomposition_cache_key(K, pt)
-    assert k1 != decomposition_cache_key(K + 1e-9, p)
-    assert k1 != decomposition_cache_key(K, p, rank_threshold=1e-10)
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((20, 4))
+    spec = KernelSpec("rbf", lengthscale=1.5)
+    p = from_logits(0.4 * rng.standard_normal(20))
+    pt = from_logits(0.4 * rng.standard_normal(20))
+    k1 = decomposition_cache_key(spec, X, p)
+    assert k1 == decomposition_cache_key(KernelSpec("rbf", 1.5), X.copy(), p)
+    X_moved = X.copy()
+    X_moved[3, 1] += 1e-9
+    others = [
+        decomposition_cache_key(spec, X, pt),
+        decomposition_cache_key(spec, X_moved, p),
+        # the same bytes in another shape
+        decomposition_cache_key(spec, X.reshape(40, 2),
+                                from_logits(np.zeros(40))),
+        decomposition_cache_key(spec, X.reshape(40, 2), p),
+        decomposition_cache_key(spec, X, p, rank_threshold=1e-10),
+    ]
+    # every field of the spec
+    others += [decomposition_cache_key(other, X, p) for other in (
+        KernelSpec("laplace", lengthscale=1.5),
+        KernelSpec("rbf", lengthscale=1.25),
+        KernelSpec("rbf", lengthscale=1.5, n_modes=3),
+        KernelSpec("rbf", lengthscale=1.5, depth=2))]
+    assert len({k1, *others}) == len(others) + 1
 
+    K = gram(spec, X)
     K_off, p_off = _linear_off_support()
     for idx, dec in enumerate((mercer_decompose(K, p),
                                mercer_decompose(K_off, p_off))):
@@ -400,27 +420,95 @@ def test_save_is_atomic_and_damaged_entries_raise(tmp_path):
 
 
 def test_cached_decompose_misses_once_then_loads(tmp_path, monkeypatch):
-    K, _, p, _ = _instance(20)
+    rng = np.random.default_rng(20)
+    X = rng.standard_normal((20, 4))
+    spec = KernelSpec("rbf", lengthscale=1.5)
+    p = from_logits(0.4 * rng.standard_normal(20))
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return mercer_decompose(*args)
+        return decompose(*args)
 
     # looked up by its module-global name, so a wrapper there sees every
     # decomposition
-    monkeypatch.setattr(spectral, "mercer_decompose", counted)
+    decompose = spectral._decompose
+    monkeypatch.setattr(spectral, "_decompose", counted)
     cache = tmp_path / "cache"
-    cold = cached_decompose(K, p, 1e-10, str(cache))
-    hot = cached_decompose(K, p, 1e-10, str(cache))
+    cold = cached_decompose(spec, X, p, 1e-10, str(cache))
+    hot = cached_decompose(spec, X, p, 1e-10, str(cache))
     assert len(calls) == 1
     assert [f.name for f in cache.iterdir()] == \
-        [decomposition_cache_key(K, p, 1e-10) + ".npz"]
+        [decomposition_cache_key(spec, X, p, 1e-10) + ".npz"]
     assert np.array_equal(hot.Phi, cold.Phi)
     assert np.array_equal(hot.eigenvalues, cold.eigenvalues)
     assert hot.rank_threshold == cold.rank_threshold == 1e-10
-    cached_decompose(K, p, 1e-10, None)
+    cached_decompose(spec, X, p, 1e-10, None)
     assert len(calls) == 2
+
+
+_ALL_KINDS = (KernelSpec("linear"), KernelSpec("rbf", lengthscale=1.5),
+              KernelSpec("laplace", lengthscale=2.0),
+              KernelSpec("fourier_bandlimited", n_modes=3),
+              KernelSpec("ntk_relu", depth=3))
+
+
+@pytest.mark.parametrize("spec", _ALL_KINDS, ids=lambda k: k.kind)
+@pytest.mark.parametrize("support", ["full", "partial"])
+def test_cached_decompose_has_the_bits_of_the_gram_route(spec, support):
+    # with atoms off the support the threshold also collapses modes, so
+    # the Nystrom rows read only the in-RKHS columns. The BLAS kinds'
+    # blocks differ from the Gram's slices by rounding, so for them the
+    # two routes agree to rounding only
+    M = 70
+    rng = np.random.default_rng(21)
+    D = 1 if spec.kind == "fourier_bandlimited" else 6
+    X = rng.standard_normal((M, D))
+    masses = rng.random(M) + 0.1
+    threshold = DEFAULT_RANK_THRESHOLD
+    if support == "partial":
+        masses[rng.permutation(M)[:23]] = 0.0
+        threshold = 1e-2
+    p = DiscreteMeasure(masses / masses.sum())
+    want = mercer_decompose(gram(spec, X), p, threshold)
+    got = cached_decompose(spec, X, p, threshold, None)
+    if support == "partial":
+        assert 0 < want.rank < want.n_modes < M
+    assert got.rank == want.rank
+    assert np.array_equal(got.support, want.support)
+    if spec.kind in ("linear", "ntk_relu"):
+        scale = want.eigenvalues[0]
+        assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=0,
+                           atol=1e-12 * scale)
+        assert np.allclose(got.Phi, want.Phi, rtol=0, atol=1e-8)
+    else:
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.Phi, want.Phi)
+
+
+def test_cached_decompose_never_builds_the_full_gram():
+    # the peak is that of the eigensolve on the support (2 s^2) or of V
+    # beside Phi (s^2 + M rank), kernel blocks included: no M x M array
+    M = 1500
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((M, 5))
+    spec = KernelSpec("rbf", lengthscale=1.5)
+    masses = np.zeros(M)
+    masses[rng.permutation(M)[:int(0.7 * M)]] = 1.0
+    p = DiscreteMeasure(masses / masses.sum())
+    s = p.support().size
+    cached_decompose(spec, X[:10], uniform_measure(10), 1e-8, None)
+    for threshold in (1e-8, 1e-4):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            dec = cached_decompose(spec, X, p, threshold, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dec.rank < s
+        # an M x M array beside B alone would be M^2 + s^2 > 1.4 M^2
+        assert peak - entry < 1.1 * 8 * max(2 * s * s, s * s + M * dec.rank)
 
 
 def test_cached_decomposition_predicts_identically(tmp_path):
