@@ -21,7 +21,6 @@ from .spectral import (
 from .theory import (
     DivergenceError,
     TheoryPrediction,
-    TheoryState,
     pointwise_error_density,
     predict_Eg_curve,
     predict_Eg_dataset,
@@ -74,7 +73,6 @@ __all__ = [
     "project_target",
     "DivergenceError",
     "TheoryPrediction",
-    "TheoryState",
     "pointwise_error_density",
     "predict_Eg_curve",
     "predict_Eg_dataset",

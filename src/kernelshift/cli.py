@@ -36,7 +36,7 @@ from .optimizer import (OptimizerConfig, _softmax_chain, fd_gradient,
 from .spectral import cached_decompose
 from .theory import (CURVE_COLUMNS, DivergenceError, _rows,
                      predict_Eg_curve, predict_Eg_dataset,
-                     predict_Eg_train_grad, prediction_row)
+                     predict_Eg_train_grad)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -101,14 +101,13 @@ def cmd_theory_curve(rc, art, threads, cache_dir):
                            _rank_threshold(rc), cache_dir)
     preds = predict_Eg_curve(dec, ds.Y, measures["test"], sec["P_grid"],
                              sec["lambda"], sec["noise"])
-    return _write_curve(art, "theory_curve.csv", sec["P_grid"], preds)
+    return _write_curve(art, "theory_curve.csv", preds)
 
 
-def _write_curve(art, name, P_grid, preds):
+def _write_curve(art, name, preds):
     """Write a prediction curve; EXIT_DIVERGENCE if every point diverged."""
-    art.write_csv(name, CURVE_COLUMNS,
-                  [prediction_row(P, pred) for P, pred in zip(P_grid, preds)])
-    if all(pred.state.diverged for pred in preds):
+    art.write_csv(name, CURVE_COLUMNS, map(dataclasses.astuple, preds))
+    if all(pred.diverged for pred in preds):
         print("kernelshift: every grid point diverged (1 - gamma below "
               "tolerance)", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -208,7 +207,7 @@ def cmd_closed_form(rc, art, threads, cache_dir):
                                k_stage=None if k_stage is None
                                else int(k_stage))
                  for P in P_grid]
-    return _write_curve(art, "closed_form_curve.csv", P_grid, preds)
+    return _write_curve(art, "closed_form_curve.csv", preds)
 
 
 def cmd_spectrum(rc, art, threads, cache_dir):

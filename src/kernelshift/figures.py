@@ -20,8 +20,8 @@ from .empirical import (EMPIRICAL_COLUMNS, compare_report,
                         run_continuous_curve, run_learning_curve)
 from .kernels import KernelSpec, gram
 from .measures import DiscreteMeasure
-from .spectral import mercer_decompose
-from .theory import CURVE_COLUMNS, predict_Eg_curve, prediction_row
+from .spectral import DEFAULT_RANK_THRESHOLD, cached_decompose
+from .theory import CURVE_COLUMNS, predict_Eg_curve
 
 __all__ = ["FIGURES", "reproduce_fig3a", "reproduce_fig3b",
            "reproduce_figSI3", "reproduce_figSI4", "reproduce_figSI5"]
@@ -40,16 +40,15 @@ def _write_panels(art, fig, tag_name, panels):
     """Write theory_<fig>.csv and empirical_<fig>.csv; return each tag's
     compare_report.
 
-    panels maps a tag, the first column of both files, to its theory grid,
-    the predictions on it and the Monte Carlo points. Each tag's report
-    compares the theory at the Monte Carlo P values with those points.
+    panels maps a tag, the first column of both files, to its theory
+    predictions and the Monte Carlo points. Each tag's report compares
+    the theory at the Monte Carlo P values with those points.
     """
     theory_rows, empirical_rows, reports = [], [], {}
-    for tag, (P_grid, results, points) in panels.items():
-        theory_rows += [(tag,) + prediction_row(P, r)
-                        for P, r in zip(P_grid, results)]
+    for tag, (results, points) in panels.items():
+        theory_rows += [(tag,) + astuple(r) for r in results]
         empirical_rows += [(tag,) + astuple(pt) for pt in points]
-        Eg = {P: r.Eg for P, r in zip(P_grid, results)}
+        Eg = {r.P: r.Eg for r in results}
         reports[tag] = compare_report([Eg[pt.P] for pt in points], points,
                                       band=3.0)
     art.write_csv(f"theory_{fig}.csv", (tag_name,) + CURVE_COLUMNS,
@@ -103,10 +102,10 @@ def reproduce_fig3a(art, seed, trials=30, threads=1):
             KernelSpec("linear"), *_rank_limited_problem(beta, M_r, D),
             P_grid, lam, 0.0, trials, _child_seed(seed, f"fig3a-mc-{M_r}"),
             threads=threads)
-        panels[M_r] = (P_grid, results, points)
+        panels[M_r] = (results, points)
     reports = _write_panels(art, "fig3a", "M_r", panels)
     fractions = {m: reports[m]["fraction_within"] for m in M_r_list}
-    irreducible = {m: panels[m][1][0].irreducible for m in M_r_list}
+    irreducible = {m: panels[m][0][0].irreducible for m in M_r_list}
     n_points = len(M_r_list) * len(P_grid)
     overall = sum(fractions[m] * len(P_grid) for m in M_r_list) / n_points
     return {
@@ -151,12 +150,12 @@ def reproduce_fig3b(art, seed, trials=30, threads=1):
         curves[lam] = [r.Eg for r in results]
         diverged_points += [{"lam": lam, "P": P}
                             for P, r in zip(P_theory, results)
-                            if r.state.diverged]
+                            if r.diverged]
         points = run_continuous_curve(
             KernelSpec("linear"), *_rank_limited_problem(beta, M_r, D),
             P_mc, lam, noise, trials, _child_seed(seed, f"fig3b-mc-{lam}"),
             threads=threads)
-        panels[lam] = (P_theory, results, points)
+        panels[lam] = (results, points)
     reports = _write_panels(art, "fig3b", "lambda", panels)
 
     # diverged points are inf, so they never beat the optimal ridge
@@ -180,7 +179,9 @@ def _discretized_crosscheck(seed, label, M, M_r, M_s, beta, lam, noise,
 
     Draws _SI3_ATOMS training and _SI3_ATOMS test inputs from the two
     Gaussian densities, runs the spectral pipeline on the union with
-    the appropriate masses, and reports both predictions per P.
+    the appropriate masses, and reports both predictions per P.  The
+    decomposition builds the kernel on the training atoms and the test
+    atoms' rows against them, never the Gram of the union.
     """
     rng = rng_from(seed, label)
     dim = max(M, M_r, M_s)
@@ -189,7 +190,6 @@ def _discretized_crosscheck(seed, label, M, M_r, M_s, beta, lam, noise,
     Z_test = np.zeros((_SI3_ATOMS, dim))
     Z_test[:, :M_s] = rng.standard_normal((_SI3_ATOMS, M_s))
     Z = np.vstack([Z_train, Z_test])
-    K = gram(KernelSpec("linear"), Z[:, :M])
     Y = Z @ np.asarray(beta)[:dim]
     masses_p = np.concatenate([np.full(_SI3_ATOMS, 1.0 / _SI3_ATOMS),
                                np.zeros(_SI3_ATOMS)])
@@ -197,8 +197,9 @@ def _discretized_crosscheck(seed, label, M, M_r, M_s, beta, lam, noise,
                                 np.full(_SI3_ATOMS, 1.0 / _SI3_ATOMS)])
     p = DiscreteMeasure(masses_p)
     pt = DiscreteMeasure(masses_pt)
-    preds = predict_Eg_curve(mercer_decompose(K, p), Y, pt, P_values, lam,
-                             noise)
+    dec = cached_decompose(KernelSpec("linear"), Z[:, :M], p,
+                           DEFAULT_RANK_THRESHOLD, None)
+    preds = predict_Eg_curve(dec, Y, pt, P_values, lam, noise)
     rows = []
     for P, pred in zip(P_values, preds):
         closed = general_linear_Eg(P, M, M_r, M_s, beta, 1.0, 1.0, lam,
@@ -240,8 +241,7 @@ def reproduce_figSI3(art, seed, threads=1):
         results = [general_linear_Eg(P, M, M_r, M_s, beta, 1.0, 1.0, lam)
                    for P in cfg["P"]]
         art.write_csv(f"theory_figSI3{name}.csv", CURVE_COLUMNS,
-                      [prediction_row(P, r)
-                       for P, r in zip(cfg["P"], results)])
+                      map(astuple, results))
         cross = _discretized_crosscheck(
             seed, f"figSI3-cloud-{name}", M, M_r, M_s, beta, lam, 0.0,
             P_cross)
@@ -311,9 +311,9 @@ def reproduce_figSI4(art, seed, trials=30, threads=1):
             lambda X, coef: sphere_error(X, coef, radius**2), P_grid, lam,
             noise, trials, _child_seed(seed, f"figSI4-mc-{radius}"),
             threads=threads)
-        panels[radius] = (P_grid, results, points)
+        panels[radius] = (results, points)
     reports = _write_panels(art, "figSI4", "radius", panels)
-    curves = {r: np.array([res.Eg for res in panels[r][1]]) for r in radii}
+    curves = {r: np.array([res.Eg for res in panels[r][0]]) for r in radii}
     below = bool(np.all(curves[0.5] < curves[1.0]))
     return {
         "P_grid": P_grid,
@@ -369,7 +369,7 @@ def reproduce_figSI5(art, seed, trials=30, threads=1):
     eig_rows = []
     summary = {}
     for name, p in train_measures.items():
-        dec = mercer_decompose(K, p)
+        dec = cached_decompose(spec, X, p, DEFAULT_RANK_THRESHOLD, None)
         eig_rows += [(name, float(i), val)
                      for i, val in enumerate(dec.eigenvalues)]
         preds = predict_Eg_curve(dec, Y, pt, P_grid, lam, 0.0)
@@ -377,7 +377,7 @@ def reproduce_figSI5(art, seed, trials=30, threads=1):
                                     trials,
                                     _child_seed(seed, f"figSI5-mc-{name}"),
                                     threads=threads)
-        panels[name] = (P_grid, preds, points)
+        panels[name] = (preds, points)
         summary[name] = {
             "kernel_rank": rank,
             "resolved_modes": int(dec.rank),

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -74,8 +75,23 @@ def write_csv_atomic(path, header, rows):
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
+def _finite_or_null(obj):
+    """obj with each non-finite float made None, since NaN and Infinity
+    are not JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def write_json_atomic(path, obj):
-    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write obj as strict JSON: each non-finite float becomes null."""
+    write_text_atomic(path, json.dumps(_finite_or_null(obj), indent=2,
+                                       sort_keys=True, allow_nan=False)
+                      + "\n")
 
 
 def write_npz_atomic(path, **arrays):

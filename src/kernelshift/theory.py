@@ -32,11 +32,14 @@ analytic models in `closedform` go through a spectrum core that takes the
 test covariance of their modes instead.
 
 Everything is per output column and summed over columns; the noise level is
-a scalar shared by all outputs.
+a scalar shared by all outputs.  The result at each P is one flat
+`TheoryPrediction`, whose fields are the learning-curve CSV columns
+(CURVE_COLUMNS), so `dataclasses.astuple(pred)` is the row; past the
+interpolation threshold its error fields are inf.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -62,33 +65,30 @@ class SupportError(ValueError):
 class KappaSolution:
     kappa: float
     residual: float
-    ridgeless: bool = False
-
-
-@dataclass(frozen=True)
-class TheoryState:
-    P: float
-    lam: float
-    kappa: float
-    gamma: float
-    gamma_prime: float
-    diverged: bool
-    ridgeless: bool = False
 
 
 @dataclass(frozen=True)
 class TheoryPrediction:
-    """Predicted error and its split at one P, from predict_Eg_curve or a
-    closed form; a diverged one holds inf in every error field."""
+    """One learning-curve row: the order parameters at sample size P and
+    the predicted error with its split, from predict_Eg_curve or a closed
+    form.  The fields are CURVE_COLUMNS in order, so a CSV row is
+    dataclasses.astuple(pred); a diverged prediction keeps inf in every
+    error field."""
 
-    Eg: float
-    bias: float
-    variance: float
-    Eg_matched: float
-    delta: float
-    irreducible: float
-    state: TheoryState
-    diagnostic: str = ""
+    P: float
+    kappa: float
+    gamma: float
+    gamma_prime: float
+    Eg: float = math.inf
+    bias: float = math.inf
+    variance: float = math.inf
+    Eg_matched: float = math.inf
+    delta: float = math.inf
+    irreducible: float = math.inf
+    diverged: bool = False
+
+
+CURVE_COLUMNS = tuple(f.name for f in fields(TheoryPrediction))
 
 
 def _validated_spectrum(eigenvalues, weights):
@@ -111,8 +111,7 @@ def solve_kappa(eigenvalues, P, lam, weights=None):
 
     `weights` are optional mode multiplicities (for degenerate spectra).
     The fixed point is unique for lam > 0; for lam = 0 with P at or above
-    the number of positive modes the solution is kappa = 0, reported with
-    ridgeless=True.
+    the number of positive modes the solution is exactly kappa = 0.
 
     The root comes from one monotone Newton iteration on g(kappa) = kappa
     - lam - sum w kappa eta/(P eta + kappa), started from the upper bound
@@ -138,7 +137,7 @@ def solve_kappa(eigenvalues, P, lam, weights=None):
     if P == 0.0:
         return KappaSolution(kappa=lam + total, residual=0.0)
     if lam == 0.0 and P >= n_pos:
-        return KappaSolution(kappa=0.0, residual=0.0, ridgeless=True)
+        return KappaSolution(kappa=0.0, residual=0.0)
     Peta = P * eta
     kappa = lam + total
     for _ in range(KAPPA_MAXITER):
@@ -172,14 +171,15 @@ def _as_columns(abar, n_modes):
 
 
 def _per_P(eta, P, lam, weights=None, O_diag=None):
-    """Solve kappa at P and weight the modes: (state, d, q).
+    """Solve kappa at P and weight the modes: (pred, d, q).
 
     eta = 0 marks a mode out of the RKHS or off the training support, so
     q = 1 and d = 0 there even in the ridgeless limit kappa -> 0;
-    elsewhere d = 1/(P eta + kappa) and q = kappa d.  The state holds
-    gamma = sum w P eta^2/(P eta + kappa)^2 and gamma', the same sum
+    elsewhere d = 1/(P eta + kappa) and q = kappa d.  pred holds kappa,
+    gamma = sum w P eta^2/(P eta + kappa)^2, gamma', the same sum
     weighted by O_diag, the test-overlap diagonal (gamma' = gamma without
-    it), and the divergence flag.  weights are mode multiplicities.
+    it), the divergence flag and inf errors, so it is already the
+    diverged prediction.  weights are mode multiplicities.
     """
     eta, w = _validated_spectrum(eta, weights)
     sol = solve_kappa(eta, P, lam, weights=w)
@@ -196,16 +196,10 @@ def _per_P(eta, P, lam, weights=None, O_diag=None):
     # eta = 0 modes never weigh in gamma', even where O_diag is not finite
     gamma_prime = gamma if O_diag is None else \
         float(np.dot(w, np.where(pos, O_diag, 0.0) * frac))
-    state = TheoryState(
-        P=P,
-        lam=float(lam),
-        kappa=float(sol.kappa),
-        gamma=gamma,
-        gamma_prime=gamma_prime,
-        diverged=bool(1.0 - gamma < DIVERGENCE_TOL),
-        ridgeless=sol.ridgeless,
-    )
-    return state, d, q
+    pred = TheoryPrediction(P=P, kappa=float(sol.kappa), gamma=gamma,
+                            gamma_prime=gamma_prime,
+                            diverged=bool(1.0 - gamma < DIVERGENCE_TOL))
+    return pred, d, q
 
 
 def _masked_eta(dec):
@@ -230,42 +224,21 @@ def _rows(dec, Y):
     return abar, R
 
 
-def _diverged_prediction(state):
-    inf = math.inf
-    return TheoryPrediction(
-        Eg=inf,
-        bias=inf,
-        variance=inf,
-        Eg_matched=inf,
-        delta=inf,
-        irreducible=inf,
-        state=state,
-        diagnostic=f"1 - gamma = {1.0 - state.gamma:.3e} < {DIVERGENCE_TOL}: "
-        "predicted error diverges (interpolation threshold)",
-    )
-
-
-def _prediction(state, noise, wsq, bias_c, irr_c):
-    """Variance and matched baseline at a finite state, bias given.
+def _prediction(pred, noise, wsq, bias_c, irr_c):
+    """_per_P's prediction with the errors filled in, bias given.
 
     wsq is |W_c|^2 under the training measure, so noise + wsq is
     eps_eff^2 + |W_in|^2 per output.
     """
-    one_minus = 1.0 - state.gamma
+    one_minus = 1.0 - pred.gamma
     n_eff = float(noise) + wsq
-    variance_c = state.gamma_prime / one_minus * n_eff
+    variance_c = pred.gamma_prime / one_minus * n_eff
     Eg = float(np.sum(variance_c + bias_c))
     # matched-measure baseline: O = identity
-    Eg_matched = float(np.sum(state.gamma / one_minus * n_eff + wsq))
-    return TheoryPrediction(
-        Eg=Eg,
-        bias=float(np.sum(bias_c)),
-        variance=float(np.sum(variance_c)),
-        Eg_matched=Eg_matched,
-        delta=Eg - Eg_matched,
-        irreducible=float(np.sum(irr_c)),
-        state=state,
-    )
+    Eg_matched = float(np.sum(pred.gamma / one_minus * n_eff + wsq))
+    return replace(pred, Eg=Eg, bias=float(np.sum(bias_c)),
+                   variance=float(np.sum(variance_c)), Eg_matched=Eg_matched,
+                   delta=Eg - Eg_matched, irreducible=float(np.sum(irr_c)))
 
 
 def _spectrum_prediction(eta, P, lam, noise, b, Ct, power=None, weights=None):
@@ -289,14 +262,14 @@ def _spectrum_prediction(eta, P, lam, noise, b, Ct, power=None, weights=None):
     if power is not None:
         O_diag = np.divide(O_diag, power, out=np.zeros_like(O_diag),
                            where=power > 0)
-    state, _, q = _per_P(eta, P, lam, weights, O_diag)
-    if state.diverged:
-        return _diverged_prediction(state)
+    pred, _, q = _per_P(eta, P, lam, weights, O_diag)
+    if pred.diverged:
+        return pred
     W = q[:, None] * b
     PW = W if power is None else power[:, None] * W
     out = eta == 0
     b_out = b[out]
-    return _prediction(state, noise, np.einsum("rc,rc->c", W, PW),
+    return _prediction(pred, noise, np.einsum("rc,rc->c", W, PW),
                        np.einsum("rc,rc->c", W, Ct @ W),
                        np.einsum("oc,oc->c", b_out,
                                  Ct[np.ix_(out, out)] @ b_out))
@@ -316,18 +289,18 @@ def pointwise_error_density(dec, Y, P, lam, noise):
     """
     _check_noise(noise)
     abar, R = _rows(dec, Y)
-    s, d, q = _per_P(_masked_eta(dec), P, lam)
-    if s.diverged:
+    pred, d, q = _per_P(_masked_eta(dec), P, lam)
+    if pred.diverged:
         raise DivergenceError(
             "pointwise density undefined: predicted error diverges "
-            f"(1 - gamma = {1.0 - s.gamma:.3e})"
+            f"(1 - gamma = {1.0 - pred.gamma:.3e})"
         )
     W = q[:dec.rank, None] * abar
     e = dec.eigenvalues[:dec.rank] * d[:dec.rank]
     gamma_mu = dec.Phi**2 @ (float(P) * e * e)  # per-point gamma'
     mean = dec.Phi @ W + R  # estimator shortfall at each point
     wsq = np.einsum("rc,rc->c", W, W) + dec.measure.masses @ R**2
-    return gamma_mu / (1.0 - s.gamma) * float(np.sum(float(noise) + wsq)) \
+    return gamma_mu / (1.0 - pred.gamma) * float(np.sum(float(noise) + wsq)) \
         + np.einsum("mc,mc->m", mean, mean)
 
 
@@ -363,13 +336,13 @@ def _curve(dec, Y, ptilde, P_grid, lam, noise):
     irr_c = w @ R**2
     out_c = dec.measure.masses @ R**2
     for P in P_grid:
-        state, d, q = _per_P(eta, P, lam, O_diag=O_diag)
-        if state.diverged:
-            yield _diverged_prediction(state), d, q
+        pred, d, q = _per_P(eta, P, lam, O_diag=O_diag)
+        if pred.diverged:
+            yield pred, d, q
             continue
         W = q[:dec.rank, None] * abar
         mean = dec.Phi @ W + R
-        yield _prediction(state, noise, np.einsum("rc,rc->c", W, W) + out_c,
+        yield _prediction(pred, noise, np.einsum("rc,rc->c", W, W) + out_c,
                           w @ mean**2, irr_c), d, q
 
 
@@ -473,9 +446,8 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise,
     # result into SupportError
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pred, d, q = next(_curve(dec, Y, ptilde, [P], lam, noise))
-        state = pred.state
-        one_minus = 1.0 - state.gamma
-        if state.diverged:
+        one_minus = 1.0 - pred.gamma
+        if pred.diverged:
             raise DivergenceError(
                 f"1 - gamma = {one_minus:.3e} < {DIVERGENCE_TOL}: predicted "
                 "error diverges, so it has no gradient")
@@ -485,7 +457,7 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise,
         abar = V.T @ (a[:, None] * Y)
         # X is the one (s, s) buffer: O, then F o Qbar, then Bbar
         X = _overlap_matrix(V, ptilde.masses / p.masses)
-        gamma_p = state.gamma_prime
+        gamma_p = pred.gamma_prime
         W = q[:, None] * abar
         e = eta * d
         rho = gamma_p / one_minus
@@ -517,35 +489,3 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise,
             "for a finite training-mass gradient")
     return pred.Eg, grad
 
-
-CURVE_COLUMNS = (
-    "P",
-    "kappa",
-    "gamma",
-    "gamma_prime",
-    "Eg",
-    "bias",
-    "variance",
-    "Eg_matched",
-    "delta",
-    "irreducible",
-    "diverged",
-)
-
-
-def prediction_row(P, pred):
-    """One learning-curve CSV row (see CURVE_COLUMNS) from a prediction."""
-    s = pred.state
-    return (
-        float(P),
-        s.kappa,
-        s.gamma,
-        s.gamma_prime,
-        pred.Eg,
-        pred.bias,
-        pred.variance,
-        pred.Eg_matched,
-        pred.delta,
-        pred.irreducible,
-        int(s.diverged),
-    )

@@ -3,6 +3,8 @@ bit-for-bit reproducibility of every run."""
 
 import functools
 import json
+import math
+from dataclasses import astuple, fields
 import os
 import subprocess
 import sys
@@ -16,12 +18,13 @@ from kernelshift.cli import main
 from kernelshift.closedform import dot_product_kernel_spectrum
 from kernelshift.config import build_dataset, load_schema
 from kernelshift.figures import FIGURES, reproduce_fig3a, reproduce_figSI4
-from kernelshift.io import ArtifactDir, read_csv_columns
+from kernelshift.io import ArtifactDir, fmt17, read_csv_columns
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import uniform_measure
 from kernelshift.spectral import mercer_decompose
-from kernelshift.theory import (CURVE_COLUMNS, SupportError,
-                                pointwise_error_density, predict_Eg_dataset)
+from kernelshift.theory import (CURVE_COLUMNS, SupportError, TheoryPrediction,
+                                pointwise_error_density, predict_Eg_curve,
+                                predict_Eg_dataset)
 
 from archive_forgery import claim_rows, flip_first_sign
 
@@ -167,6 +170,34 @@ def test_theory_curve_columns_and_17g_cells(tmp_path):
         assert format(float(cell), ".17g") == cell
 
 
+def test_curve_columns_are_the_prediction_fields():
+    assert CURVE_COLUMNS == tuple(f.name for f in fields(TheoryPrediction))
+    assert CURVE_COLUMNS == ("P", "kappa", "gamma", "gamma_prime", "Eg",
+                             "bias", "variance", "Eg_matched", "delta",
+                             "irreducible", "diverged")
+
+
+def test_theory_curve_rows_are_the_predictions(tmp_path):
+    # each row is the 17g cells of astuple(pred), the diverged one too:
+    # the ridgeless linear kernel has rank 3 here, so P = 3 diverges
+    grid, lam, noise = [1, 3, 8], 0.0, 0.01
+    doc = dict(_base_doc(), command="theory-curve", kernel={"kind": "linear"},
+               theory={"P_grid": grid, "lambda": lam, "noise": noise})
+    code, out = _run(tmp_path, doc)
+    assert code == 0
+    ds = build_dataset(doc["dataset"], 0)
+    u = uniform_measure(ds.M)
+    preds = predict_Eg_curve(
+        mercer_decompose(gram(KernelSpec("linear"), ds.X), u), ds.Y, u,
+        grid, lam, noise)
+    assert [pred.diverged for pred in preds] == [False, True, False]
+    lines = (out / "theory_curve.csv").read_text().split("\n")
+    assert lines[0] == ",".join(CURVE_COLUMNS)
+    assert lines[1:] == [",".join(map(fmt17, astuple(pred)))
+                         for pred in preds] + [""]
+    assert lines[2].split(",")[4:] == ["inf"] * 6 + ["1"]
+
+
 def test_empirical_curve_columns(tmp_path):
     doc = dict(_base_doc(), command="empirical-curve",
                theory={"lambda": 0.1, "noise": 0.01},
@@ -286,6 +317,43 @@ def test_compare_pipeline(tmp_path):
     assert len(report["rows"]) == 2
     assert {"P", "Eg_theory", "Eg_mean", "z", "within"} <= \
         set(report["rows"][0])
+
+
+def _strict_json(path):
+    # json.loads takes NaN and Infinity by default; JSON does not
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_compare_of_diverged_theory_is_strict_json(tmp_path):
+    # the ridgeless linear kernel diverges at P = 2 = its rank, so the
+    # theory is inf, every z is infinite and no fraction is defined
+    data = {"dataset": {"synthetic": {"kind": "gaussian_diag", "n": 20,
+                                      "variances": [1.0, 0.5],
+                                      "beta": [1.0, -0.5]}},
+            "kernel": {"kind": "linear"}}
+    code, theory_out = _run(tmp_path, dict(
+        data, command="theory-curve",
+        theory={"P_grid": [2, 2], "lambda": 0.0, "noise": 0.1}),
+        out="t", name="t.json")
+    assert code == 3
+    code, emp_out = _run(tmp_path, dict(
+        data, command="empirical-curve",
+        empirical={"P_grid": [2, 2], "trials": 4, "lambda": 0.0,
+                   "noise": 0.1}), out="e", name="e.json")
+    assert code == 0
+    code, out = _run(tmp_path, {"command": "compare", "compare": {
+        "theory_csv": str(theory_out / "theory_curve.csv"),
+        "empirical_csv": str(emp_out / "empirical_curve.csv")}},
+        out="c", name="c.json")
+    assert code == 0
+    report = _strict_json(out / "compare.json")
+    assert report["fraction_within"] is None
+    assert not report["all_within"]
+    for row in report["rows"]:
+        assert row["Eg_theory"] is None and row["z"] is None
+        assert math.isfinite(row["Eg_mean"]) and not row["within"]
 
 
 def test_compare_grid_mismatch_exits_2(tmp_path, capsys):

@@ -120,9 +120,9 @@ def test_kappa_prime_flat_within_solver_tolerance():
 
 def test_ridgeless_above_threshold_is_exactly_zero():
     r = general_linear_Eg(11, 10, 10, 10, np.ones(10), 1, 1, lam=0)
-    assert r.state.kappa == 0.0
+    assert r.kappa == 0.0
     assert r.Eg == 0.0
-    assert not r.state.diverged
+    assert not r.diverged
 
 
 def test_general_linear_matches_flat_oracle():
@@ -137,11 +137,11 @@ def test_general_linear_matches_flat_oracle():
         r = general_linear_Eg(P, M, M_r, M_s, beta, s2, s2t, lam, 0.05)
         want = _flat_oracle(P, M, M_r, M_s, beta, s2, s2t, lam, 0.05)
         case = (M, M_r, M_s, lam, P, s2, s2t)
-        assert r.state.diverged == want["diverged"], case
+        assert r.diverged == want["diverged"], case
         if want["diverged"]:
             continue
-        got = dict(Eg=r.Eg, Eg_matched=r.Eg_matched, kappa=r.state.kappa,
-                   gamma=r.state.gamma, gamma_prime=r.state.gamma_prime,
+        got = dict(Eg=r.Eg, Eg_matched=r.Eg_matched, kappa=r.kappa,
+                   gamma=r.gamma, gamma_prime=r.gamma_prime,
                    irreducible=r.irreducible)
         for f in fields:
             assert abs(got[f] - want[f]) <= 1e-10 * max(abs(got[f]),
@@ -163,7 +163,7 @@ def test_gaussian_reduces_to_diagonal():
                               lam=0.05, noise=0.1)
         assert a.Eg == pytest.approx(b.Eg, abs=1e-12)
         assert a.Eg_matched == pytest.approx(b.Eg_matched, abs=1e-12)
-        assert a.state.kappa == pytest.approx(b.state.kappa, abs=1e-12)
+        assert a.kappa == pytest.approx(b.kappa, abs=1e-12)
         assert a.irreducible == pytest.approx(b.irreducible, abs=1e-12)
 
 
@@ -181,14 +181,11 @@ def test_gaussian_ridgeless_singular_matches_diagonal():
                                    noise=0.05)
             b = general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0, lam=0.0,
                                   noise=0.05)
-            assert a.state.diverged == b.state.diverged == (P == M_r)
+            assert a.diverged == b.diverged == (P == M_r)
             for f in ("Eg", "Eg_matched", "bias", "variance",
-                      "irreducible"):
+                      "irreducible", "kappa", "gamma", "gamma_prime"):
                 assert getattr(a, f) == pytest.approx(getattr(b, f),
                                                       rel=1e-12, abs=1e-12)
-            for f in ("kappa", "gamma", "gamma_prime"):
-                assert getattr(a.state, f) == pytest.approx(
-                    getattr(b.state, f), rel=1e-12, abs=1e-12)
     r = gaussian_linear_Eg(np.ones(3), np.diag([1.0, 0.5, 0.0]), np.eye(3),
                            5, lam=0.0, noise=0.05)
     assert r.Eg == pytest.approx(1.05, rel=1e-12)
@@ -210,7 +207,7 @@ def test_gaussian_singular_rotation_invariant():
             a = gaussian_linear_Eg(beta, C, Ct, P, lam, noise=0.05)
             b = gaussian_linear_Eg(Q @ beta, Q @ C @ Q.T, Q @ Ct @ Q.T, P,
                                    lam, noise=0.05)
-            assert a.state.diverged == b.state.diverged
+            assert a.diverged == b.diverged
             assert a.Eg == pytest.approx(b.Eg, rel=1e-9)
             assert a.irreducible == pytest.approx(b.irreducible, rel=1e-9)
 
@@ -267,7 +264,7 @@ def test_divergence_at_interpolation_threshold():
     beta = np.ones(10)
     r = general_linear_Eg(10, M=10, M_r=10, M_s=10, beta=beta, sigma2=1.0,
                           sigma2_tilde=1.0, lam=0.0, noise=0.1)
-    assert r.state.diverged
+    assert r.diverged
     assert np.isinf(r.Eg)
 
 
@@ -422,7 +419,7 @@ def test_mode_spectrum_agrees_with_general_kappa():
     abar = np.array([1.0, 0.5])
     r = mode_spectrum_Eg(eta, degen, abar, P=9, lam=0.02)
     kappa = solve_kappa(np.repeat(eta, degen.astype(int)), 9, 0.02).kappa
-    assert r.state.kappa == pytest.approx(kappa, abs=1e-12)
+    assert r.kappa == pytest.approx(kappa, abs=1e-12)
 
 
 def test_ntk_sphere_radius_scaling_and_limits():
@@ -463,7 +460,7 @@ def test_ntk_stage_does_not_depend_on_k_max():
                        for P in (5, 40, 320)])
     for curve in curves[1:]:
         for a, b in zip(curves[0], curve):
-            assert (a.Eg, a.state.kappa) == (b.Eg, b.state.kappa)
+            assert (a.Eg, a.kappa) == (b.Eg, b.kappa)
     assert curves[0][1].Eg == 0.25 * 0.04476272802717626
 
 
@@ -476,8 +473,8 @@ def test_mode_spectrum_zero_eigenvalue_block_ridgeless():
     assert eta[3] == 0.0
     for P in (5, 20, 80):
         r = mode_spectrum_Eg(eta[3:], degen[3:], [0.2], P, lam=0.0)
-        assert r.state.kappa == 0.0
-        assert not r.state.diverged
+        assert r.kappa == 0.0
+        assert not r.diverged
         assert r.Eg == pytest.approx(0.2, rel=1e-12)
 
 
@@ -538,12 +535,11 @@ def test_closed_form_edge_regimes_finite_or_flagged(model, seed, lam, noise):
                   | {3 * max(ranks) + 5})
     for P in grid:
         pred = predict(P)
-        s = pred.state
         values = np.array([pred.Eg, pred.Eg_matched, pred.bias,
                            pred.variance, pred.delta, pred.irreducible,
-                           s.kappa, s.gamma, s.gamma_prime])
+                           pred.kappa, pred.gamma, pred.gamma_prime])
         assert not np.any(np.isnan(values)), (P, values)
-        if s.diverged:
+        if pred.diverged:
             assert np.isinf(pred.Eg)
         else:
             assert np.all(np.isfinite(values)), (P, values)
@@ -564,10 +560,12 @@ def test_sampled_cloud_pipeline_matches_diagonal_closed_form():
     # rank-limited closed form within 3% for P up to a tenth of the cloud
     # size. The bound is statistical in the cloud draw (shot noise of
     # the sampled spectrum and of the test average is 1-2% at this
-    # size), so generic frozen instances are pinned here.
-    from kernelshift.kernels import gram
+    # size), so generic frozen instances are pinned here. The
+    # decomposition builds the kernel on the training atoms and the test
+    # atoms' rows against them, as the figSI3 cross-check does, never the
+    # Gram of the union.
     from kernelshift.measures import DiscreteMeasure, uniform_measure
-    from kernelshift.spectral import mercer_decompose
+    from kernelshift.spectral import DEFAULT_RANK_THRESHOLD, cached_decompose
     from kernelshift.theory import predict_Eg_curve
 
     Q = 3000
@@ -582,11 +580,11 @@ def test_sampled_cloud_pipeline_matches_diagonal_closed_form():
     Ztr[:, :M_r] = rng.standard_normal((Q, M_r))
     Zte = np.sqrt(s2t) * rng.standard_normal((Q, D))
     Z = np.vstack([Ztr, Zte])
-    K = gram(KernelSpec("linear"), Z)
     Y = (Z @ beta)[:, None]
     p = DiscreteMeasure(np.concatenate([np.full(Q, 1.0 / Q), np.zeros(Q)]))
     pt = DiscreteMeasure(np.concatenate([np.zeros(Q), np.full(Q, 1.0 / Q)]))
-    dec = mercer_decompose(K, p)
+    dec = cached_decompose(KernelSpec("linear"), Z, p, DEFAULT_RANK_THRESHOLD,
+                           None)
     for P, pipe in zip(P_grid, predict_Eg_curve(dec, Y, pt, P_grid, lam,
                                                 noise)):
         closed = general_linear_Eg(P, D, M_r, D, beta, 1.0, s2t, lam,
@@ -599,10 +597,10 @@ def test_sampled_cloud_pipeline_matches_diagonal_closed_form():
     beta = rng.standard_normal(D)
     beta /= np.linalg.norm(beta)
     Ztr = rng.standard_normal((Q, D))
-    K = gram(KernelSpec("linear"), Ztr)
     Y = (Ztr @ beta)[:, None]
     p = uniform_measure(Q)
-    dec = mercer_decompose(K, p)
+    dec = cached_decompose(KernelSpec("linear"), Ztr, p,
+                           DEFAULT_RANK_THRESHOLD, None)
     for P, pipe in zip(P_grid, predict_Eg_curve(dec, Y, p, P_grid, lam,
                                                 noise)):
         closed = general_linear_Eg(P, D, D, D, beta, 1.0, 1.0, lam,

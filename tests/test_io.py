@@ -117,6 +117,20 @@ def test_json_sorted_keys_deterministic(tmp_path):
     assert raw.index(b"alpha") < raw.index(b"zeta")
 
 
+def test_json_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "a.json"
+    finite = {"x": 0.1, "rows": [{"z": -2.5, "n": 3, "ok": True}]}
+    write_json_atomic(path, finite)
+    assert path.read_text() == json.dumps(finite, indent=2,
+                                          sort_keys=True) + "\n"
+    write_json_atomic(path, {"x": float("nan"), "rows": [
+        {"z": np.inf, "pair": (-np.inf, 1.0)}]})
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    assert json.loads(path.read_text(), parse_constant=refuse) == {
+        "x": None, "rows": [{"z": None, "pair": [None, 1.0]}]}
+
+
 def test_artifact_dir_records_and_writes(tmp_path):
     art = ArtifactDir(str(tmp_path / "out"))
     art.write_csv("curve.csv", ("P", "Eg"), [(1, 0.5)])

@@ -349,7 +349,7 @@ def test_analytic_train_gradient_matches_fd(kind, C, tilted, noise, regime,
                                   noise).Eg
 
     pred = predict_Eg_dataset(K, Y, from_logits(z), ptilde, P, lam, noise)
-    assert pred.state.ridgeless == (regime == "ridgeless")
+    assert (pred.kappa == 0.0) == (regime == "ridgeless")
     p = from_logits(z).masses
     Eg, pbar = predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise)
     g = p * (pbar - np.dot(p, pbar))
@@ -506,7 +506,7 @@ def test_train_gradient_edge_regimes_finite_or_typed(regime, seed, M, noise):
                 predict_Eg_train_grad(K, Y, p, pt, P, lam, noise)
             continue
         pred = predict_Eg_dataset(K, Y, p, pt, P, lam, noise)
-        if pred.state.diverged:
+        if pred.diverged:
             with pytest.raises(DivergenceError):
                 predict_Eg_train_grad(K, Y, p, pt, P, lam, noise)
             continue

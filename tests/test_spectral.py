@@ -520,4 +520,4 @@ def test_cached_decomposition_predicts_identically(tmp_path):
     (a,) = predict_Eg_curve(dec, Y, pt, [6], lam=0.1, noise=0.02)
     (b,) = predict_Eg_curve(back, Y, pt, [6], lam=0.1, noise=0.02)
     assert a.Eg == b.Eg
-    assert a.state.kappa == b.state.kappa
+    assert a.kappa == b.kappa

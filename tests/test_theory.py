@@ -2,6 +2,7 @@
 certification at small and asymptotic scales."""
 
 import itertools
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -19,8 +20,7 @@ from kernelshift.measures import DiscreteMeasure, from_logits, uniform_measure
 from kernelshift.spectral import mercer_decompose, project_target
 from kernelshift.theory import (KAPPA_RTOL, DivergenceError, _per_P,
                                 pointwise_error_density, predict_Eg_curve,
-                                predict_Eg_dataset, prediction_row,
-                                solve_kappa)
+                                predict_Eg_dataset, solve_kappa)
 from test_optimizer import _instance as _optimizer_instance
 
 
@@ -40,11 +40,9 @@ def test_kappa_limits():
     assert solve_kappa(eta, P=0.0, lam=0.25).kappa == pytest.approx(1.25)
     sol = solve_kappa(eta, P=3.0, lam=0.0)
     assert sol.kappa == 0.0
-    assert sol.ridgeless
     # below the mode count the ridgeless kappa stays positive
     sol = solve_kappa(eta, P=2.0, lam=0.0)
     assert sol.kappa > 0.0
-    assert not sol.ridgeless
 
 
 def test_kappa_residual_on_random_spectra():
@@ -141,7 +139,7 @@ def test_kappa_newton_matches_brent_oracle(regime, weighted):
         if P <= 0:
             continue
         sol = solve_kappa(eta, P, lam, weights=w)
-        assert not sol.ridgeless
+        assert sol.kappa > 0.0
         assert sol.residual <= KAPPA_RTOL
         want = _kappa_brent(eta, P, lam, w)
         assert sol.kappa == pytest.approx(want, rel=1e-13)
@@ -184,14 +182,16 @@ def test_kappa_validation():
 
 def test_state_gamma_formula_and_divergence():
     eta = np.array([0.6, 0.4])
-    st_, _, _ = _per_P(eta, P=3.0, lam=0.2)
-    k = st_.kappa
+    pred, _, _ = _per_P(eta, P=3.0, lam=0.2)
+    k = pred.kappa
     want = np.sum(3.0 * eta**2 / (3.0 * eta + k) ** 2)
-    assert st_.gamma == pytest.approx(want, abs=1e-14)
-    assert not st_.diverged
-    st0, _, _ = _per_P(eta, P=2.0, lam=0.0)
-    assert st0.diverged
-    assert st0.gamma == pytest.approx(1.0)
+    assert pred.gamma == pytest.approx(want, abs=1e-14)
+    assert not pred.diverged
+    pred0, _, _ = _per_P(eta, P=2.0, lam=0.0)
+    assert pred0.diverged
+    assert pred0.gamma == pytest.approx(1.0)
+    # before its errors are filled in, _per_P's record is the diverged one
+    assert pred.Eg == pred.bias == pred0.Eg == pred0.irreducible == np.inf
 
 
 # ----------------------------------------------------------------------
@@ -268,9 +268,9 @@ def test_divergence_flag_and_row():
     Y = rng.standard_normal((12, 1))
     p = uniform_measure(12)
     pred = predict_Eg_dataset(K, Y, p, p, P=3, lam=0.0, noise=0.1)
-    assert pred.state.diverged
+    assert pred.diverged
     assert np.isinf(pred.Eg)
-    row = prediction_row(3, pred)
+    row = astuple(pred)
     assert row[-1] == 1
     assert np.isinf(row[4])
 
@@ -289,7 +289,7 @@ def test_multi_output_sums_columns():
 
 def _rebuilt_per_P_rows(K, Y, p, pt, P_grid, lam, noise):
     """Rows with the decomposition rebuilt anew at every P."""
-    return [prediction_row(P, predict_Eg_dataset(K, Y, p, pt, P, lam, noise))
+    return [astuple(predict_Eg_dataset(K, Y, p, pt, P, lam, noise))
             for P in P_grid]
 
 
@@ -330,11 +330,11 @@ def test_curve_equals_rebuilt_per_P_loop(name):
     assert (dec.n_collapsed > 0 and np.any(pt.masses[p.masses == 0] > 0)) \
         == (name == "off_support")
     assert (dec.rank == dec.n_modes) == (name == "full_rank")
-    curve = [prediction_row(P, pred) for P, pred in
-             zip(grid, predict_Eg_curve(dec, Y, pt, grid, lam, noise))]
+    curve = [astuple(pred)
+             for pred in predict_Eg_curve(dec, Y, pt, grid, lam, noise)]
     assert curve == _rebuilt_per_P_rows(K, Y, p, pt, grid, lam, noise)
-    assert curve == [prediction_row(P, predict_Eg_curve(
-        dec, Y, pt, [P], lam, noise)[0]) for P in grid]
+    assert curve == [astuple(predict_Eg_curve(dec, Y, pt, [P], lam,
+                                              noise)[0]) for P in grid]
     diverged = [row[-1] for row in curve]
     if name == "diverged_point":
         assert dec.rank == 3 and diverged == [0, 0, 1, 0, 0, 0, 0]
@@ -541,12 +541,11 @@ def test_prediction_invariants(seed, M, P, lam, noise):
     p = from_logits(np.clip(rng.standard_normal(M), -2, 2))
     pt = from_logits(np.clip(rng.standard_normal(M), -2, 2))
     pred = predict_Eg_dataset(K, Y, p, pt, P, lam, noise)
-    st_ = pred.state
-    assert st_.kappa >= lam - 1e-12
-    if st_.diverged:
+    assert pred.kappa >= lam - 1e-12
+    if pred.diverged:
         assert np.isinf(pred.Eg)
         return
-    assert 0.0 <= st_.gamma < 1.0
+    assert 0.0 <= pred.gamma < 1.0
     assert np.isfinite(pred.Eg)
     assert pred.Eg >= -1e-10
     assert pred.variance >= -1e-12
@@ -602,8 +601,8 @@ def test_curve_edge_regimes_finite_or_flagged(regime, seed, M, lam, noise):
     dec = mercer_decompose(K, p)
     grid = sorted({1, max(dec.rank - 1, 1), max(dec.rank, 1), dec.rank + 1,
                    3 * M})
-    rows = [prediction_row(P, pred) for P, pred in
-            zip(grid, predict_Eg_curve(dec, Y, pt, grid, lam, noise))]
+    rows = [astuple(pred)
+            for pred in predict_Eg_curve(dec, Y, pt, grid, lam, noise)]
     for row in rows:
         assert not np.any(np.isnan(row))
         if row[-1]:
@@ -614,7 +613,7 @@ def test_curve_edge_regimes_finite_or_flagged(regime, seed, M, lam, noise):
         assert regime.startswith("off_support")
         return
     for P, row in zip(grid, rows):
-        ref = prediction_row(P, _explicit_overlap_prediction(
+        ref = astuple(_explicit_overlap_prediction(
             K, Y, p, pt, dec.rank, P, lam, noise))
         assert row[-1] == ref[-1]
         np.testing.assert_allclose(row, ref, rtol=1e-9, atol=1e-12)
@@ -656,7 +655,7 @@ def test_density_edge_regimes_finite_or_typed(regime, seed, M, noise):
         lam, grid = 0.0, [r - 1e-6, r + 1e-6]
     for P in grid:
         pred = predict_Eg_curve(dec, Y, pt, [P], lam, noise)[0]
-        if pred.state.diverged:
+        if pred.diverged:
             with pytest.raises(DivergenceError):
                 pointwise_error_density(dec, Y, P, lam, noise)
             continue
