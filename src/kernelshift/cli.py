@@ -184,15 +184,12 @@ def cmd_closed_form(rc, art, threads, cache_dir):
     lam = float(sec["lambda"])
     noise = float(sec["noise"])
     if sec["model"] == "gaussian_linear":
-        beta = np.asarray(sec["beta"], dtype=float)
-        C = np.asarray(sec["covariance"], dtype=float)
-        Ct = np.asarray(sec["covariance_tilde"], dtype=float)
-        preds = [gaussian_linear_Eg(beta, C, Ct, P, lam, noise)
+        preds = [gaussian_linear_Eg(sec["beta"], sec["covariance"],
+                                    sec["covariance_tilde"], P, lam, noise)
                  for P in P_grid]
     elif sec["model"] == "general_linear":
-        beta = np.asarray(sec["beta"], dtype=float)
         preds = [general_linear_Eg(P, int(sec["M"]), int(sec["M_r"]),
-                                   int(sec["M_s"]), beta, sec["sigma2"],
+                                   int(sec["M_s"]), sec["beta"], sec["sigma2"],
                                    sec["sigma2_tilde"], lam, noise)
                  for P in P_grid]
     else:   # ntk_sphere

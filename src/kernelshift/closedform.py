@@ -162,6 +162,13 @@ def _gegenbauer_sum(c, D, t):
     return out
 
 
+def _target_power(abar_sq):
+    abar_sq = np.asarray(abar_sq, dtype=float)
+    if not np.all(np.isfinite(abar_sq) & (abar_sq >= 0)):
+        raise ValueError("abar_sq must be finite and nonnegative")
+    return abar_sq
+
+
 def mode_spectrum_Eg(eta, degeneracy, abar_sq, P, lam, noise=0.0,
                      overlap_scale=1.0, tail_eta=0.0, tail_abar_sq=0.0):
     """General prediction for a degeneracy-weighted mode spectrum.
@@ -177,7 +184,7 @@ def mode_spectrum_Eg(eta, degeneracy, abar_sq, P, lam, noise=0.0,
     0, so target power on such a degree counts in the floor as well.
     """
     eta = np.append(np.asarray(eta, dtype=float), 0.0)
-    b = np.sqrt(np.append(np.asarray(abar_sq, dtype=float), tail_abar_sq))
+    b = np.sqrt(_target_power(np.append(abar_sq, tail_abar_sq)))
     return _spectrum_prediction(
         eta, P, lam + tail_eta, noise, b, np.full(eta.shape, overlap_scale),
         weights=np.append(np.asarray(degeneracy, dtype=float), 1.0))
@@ -211,7 +218,7 @@ def ntk_sphere_Eg(P, depth, eta, degeneracy, abar_sq, lam, noise=0.0,
     eta = np.asarray(eta, dtype=float)
     degeneracy = np.asarray(degeneracy, dtype=float)
     b2 = np.zeros(eta.shape[0])
-    given = np.asarray(abar_sq, dtype=float)
+    given = _target_power(abar_sq)
     if given.shape[0] > b2.shape[0]:
         raise ValueError("abar_sq has more degrees than the spectrum")
     b2[:given.shape[0]] = given

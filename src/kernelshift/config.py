@@ -405,8 +405,7 @@ def build_dataset(dataset_section, seed):
     syn = dataset_section["synthetic"]
     X = synth_sample(_synthetic_spec(syn), int(syn["n"]), seed,
                      label="dataset")
-    Y = (X @ np.asarray(syn["beta"], dtype=float))[:, None]
-    return Dataset(X, Y)
+    return Dataset(X, X @ np.asarray(syn["beta"], dtype=float))
 
 
 def _measure_values(measure_section):

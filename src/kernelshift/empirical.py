@@ -20,7 +20,7 @@ import numpy as np
 from ._lapack import _dpotrf, _dpotrs
 from ._rng import rng_from
 from .kernels import gram
-from .measures import DiscreteMeasure
+from .measures import as_measure, target_columns
 
 __all__ = [
     "KRRSolution",
@@ -70,22 +70,19 @@ def krr_solve(K_train, y_train, lam):
     yield the minimum-norm interpolant, with the rank reported.
     """
     K_train = np.asarray(K_train, dtype=np.float64)
-    y = np.asarray(y_train, dtype=np.float64)
-    y2 = y[:, None] if y.ndim == 1 else y
     P = K_train.shape[0]
     if K_train.shape != (P, P):
         raise ValueError("training kernel matrix must be square")
-    _check_fit(P, y2, lam)
+    y2 = target_columns(y_train, P)
+    _check_fit(P, lam)
     coef, rank = _solve_in_place(np.array(K_train, order="F"), y2, lam)
     resid = float(np.max(np.abs(K_train @ coef + lam * coef - y2))) \
         if P else 0.0
     return KRRSolution(coef=coef, rank=int(rank), residual=resid)
 
 
-def _check_fit(P, y2, lam):
-    """krr_solve's checks of the labels, the ridge and the Gram size."""
-    if y2.shape[0] != P:
-        raise ValueError("label count must match kernel size")
+def _check_fit(P, lam):
+    """krr_solve's checks of the ridge and the Gram size."""
     if lam < 0:
         raise ValueError("ridge must be nonnegative")
     nbytes = 8 * P * P
@@ -187,7 +184,7 @@ def discrete_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
     columns K[:, u].
     """
     M = K.shape[0]
-    Y2 = Y[:, None] if Y.ndim == 1 else Y
+    Y2 = target_columns(Y, M)
     idx = rng.choice(M, size=P, replace=True, p=train_measure.masses)
     labels = Y2[idx]
     if noise > 0:
@@ -197,7 +194,7 @@ def discrete_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
     n = atoms.size
     sums = np.zeros((n, labels.shape[1]))
     np.add.at(sums, inv, labels)
-    _check_fit(n, sums, lam)
+    _check_fit(n, lam)
     buf = np.empty((max(1, min(n, _ROW_BLOCK // M)), M))
     beta = _fit_atoms(_atom_block(K, atoms, buf), counts, sums, lam)
     preds = np.zeros((M, beta.shape[1]))
@@ -215,8 +212,9 @@ def _curve_from_errors(P, errs):
                           trials=n)
 
 
-def _run_trials(task, P_values, trials, threads):
-    """One EmpiricalPoint per P from the errors task(P, t) of its trials.
+def _run_trials(task, P_values, trials, threads, noise):
+    """One EmpiricalPoint per P from the errors task(P, t) of its trials,
+    after the curve's trial count, thread count and noise are checked.
 
     Every (P, t) task of the curve, P first and then t, goes through one
     map on a pool of `threads` workers, so a worker free at the end of
@@ -227,6 +225,8 @@ def _run_trials(task, P_values, trials, threads):
         if not isinstance(value, numbers.Integral) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got "
                              f"{value!r}")
+    if not noise >= 0:  # NaN too
+        raise ValueError("noise variance must be nonnegative")
     P_values = list(P_values)
     keys = [(P, t) for P in P_values for t in range(trials)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -245,18 +245,16 @@ def run_learning_curve(K, Y, train_measure, test_measure, P_values, lam,
     count or evaluation order.
     """
     K = np.asarray(K, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if not isinstance(train_measure, DiscreteMeasure):
-        train_measure = DiscreteMeasure(np.asarray(train_measure, float))
-    if not isinstance(test_measure, DiscreteMeasure):
-        test_measure = DiscreteMeasure(np.asarray(test_measure, float))
+    Y = target_columns(Y, K.shape[0])
+    train_measure = as_measure(train_measure)
+    test_measure = as_measure(test_measure)
 
     def task(P, t):
         rng = rng_from(seed, "trial", P, t)
         return discrete_trial_error(K, Y, train_measure, test_measure,
                                     int(P), lam, noise, rng)
 
-    return _run_trials(task, P_values, trials, threads)
+    return _run_trials(task, P_values, trials, threads, noise)
 
 
 def run_continuous_curve(kernel_spec, sample_train, target_fn, test_error,
@@ -275,15 +273,14 @@ def run_continuous_curve(kernel_spec, sample_train, target_fn, test_error,
     def task(P, t):
         rng = rng_from(seed, "trial", P, t)
         X = sample_train(rng, int(P))
-        y = np.asarray(target_fn(X), dtype=np.float64)
-        y = y[:, None] if y.ndim == 1 else y
+        y = target_columns(target_fn(X), X.shape[0])
         if noise > 0:
             y = y + np.sqrt(noise) * rng.standard_normal(y.shape)
-        _check_fit(X.shape[0], y, lam)
+        _check_fit(X.shape[0], lam)
         G = gram(kernel_spec, X)
         return test_error(X, _solve_in_place(G.T, y, lam)[0])
 
-    return _run_trials(task, P_values, trials, threads)
+    return _run_trials(task, P_values, trials, threads, noise)
 
 
 def compare_report(theory_Eg, empirical_points, band=3.0, theory_P=None):
@@ -292,8 +289,9 @@ def compare_report(theory_Eg, empirical_points, band=3.0, theory_P=None):
     z = (theory - mean) / stderr per grid point. Returns a dict with the
     rows, max |z|, the fraction of finite-theory points within the band,
     and an overall verdict. Divergent predictions (non-finite theory)
-    are excluded from the fraction but kept in the rows. A stderr of
-    zero with a mismatch is flagged as an infinite z.
+    are excluded from max |z| and the fraction, which are NaN when no
+    theory point is finite, but kept in the rows. A stderr of zero with a
+    mismatch is flagged as an infinite z.
     """
     theory_Eg = list(theory_Eg)
     empirical_points = list(empirical_points)
@@ -333,7 +331,7 @@ def compare_report(theory_Eg, empirical_points, band=3.0, theory_P=None):
     return {
         "band": float(band),
         "rows": rows,
-        "max_abs_z": float(max_abs),
+        "max_abs_z": float(max_abs) if n_finite else float("nan"),
         "fraction_within": float(frac),
         "all_within": bool(n_finite > 0 and n_ok == n_finite),
     }

@@ -195,11 +195,9 @@ def _discretized_crosscheck(seed, label, M, M_r, M_s, beta, lam, noise,
                                np.zeros(_SI3_ATOMS)])
     masses_pt = np.concatenate([np.zeros(_SI3_ATOMS),
                                 np.full(_SI3_ATOMS, 1.0 / _SI3_ATOMS)])
-    p = DiscreteMeasure(masses_p)
-    pt = DiscreteMeasure(masses_pt)
-    dec = cached_decompose(KernelSpec("linear"), Z[:, :M], p,
+    dec = cached_decompose(KernelSpec("linear"), Z[:, :M], masses_p,
                            DEFAULT_RANK_THRESHOLD, None)
-    preds = predict_Eg_curve(dec, Y, pt, P_values, lam, noise)
+    preds = predict_Eg_curve(dec, Y, masses_pt, P_values, lam, noise)
     rows = []
     for P, pred in zip(P_values, preds):
         closed = general_linear_Eg(P, M, M_r, M_s, beta, 1.0, 1.0, lam,
@@ -373,8 +371,7 @@ def reproduce_figSI5(art, seed, trials=30, threads=1):
         eig_rows += [(name, float(i), val)
                      for i, val in enumerate(dec.eigenvalues)]
         preds = predict_Eg_curve(dec, Y, pt, P_grid, lam, 0.0)
-        points = run_learning_curve(K, Y[:, None], p, pt, P_grid, lam, 0.0,
-                                    trials,
+        points = run_learning_curve(K, Y, p, pt, P_grid, lam, 0.0, trials,
                                     _child_seed(seed, f"figSI5-mc-{name}"),
                                     threads=threads)
         panels[name] = (preds, points)

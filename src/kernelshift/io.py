@@ -4,6 +4,7 @@ the one reader and writer of numpy .npz archives."""
 from __future__ import annotations
 
 import contextlib
+import csv
 import json
 import math
 import os
@@ -125,18 +126,25 @@ def read_npz(path, names):
 
 
 def read_csv_columns(path):
-    """Read a numeric CSV written by this package into {column: array};
-    a row whose cell count differs from the header's raises ValueError."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = [line.strip().split(",") for line in fh if line.strip()]
-    for row in data:
+    """Read a numeric CSV into {column: float64 array}, in header order.
+
+    The package's one CSV parser: header names are stripped and blank
+    lines skipped. An empty file, a repeated column name or a row whose
+    cell count differs from the header's raises ValueError; the caller
+    names the path.
+    """
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+    if not rows:
+        raise ValueError("empty CSV file")
+    header = [name.strip() for name in rows[0]]
+    if len(set(header)) != len(header):
+        raise ValueError(f"repeated column name in {header}")
+    for row in rows[1:]:
         if len(row) != len(header):
-            raise ValueError(f"{path}: row {row} does not fit {header}")
-    cols = {}
-    for j, name in enumerate(header):
-        cols[name] = np.array([float(row[j]) for row in data])
-    return cols
+            raise ValueError(f"row {row} does not fit {header}")
+    return {name: np.array([float(row[j]) for row in rows[1:]])
+            for j, name in enumerate(header)}
 
 
 class ArtifactDir:

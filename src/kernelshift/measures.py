@@ -6,20 +6,35 @@ represented as discrete measures (nonnegative masses summing to one), which
 is all the downstream theory needs: expectations become mass-weighted sums.
 """
 
-import csv
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import rng_from
-from .io import read_npz, write_csv_atomic, write_npz_atomic
+from .io import read_csv_columns, read_npz, write_csv_atomic, write_npz_atomic
 
 MASS_TOL = 1e-12
 
 _NPZ_MAGIC = b"PK\x03\x04"  # an .npz file is a zip archive
 _DATASET_FORMATS = ("an .npz archive with arrays X (M, D) and Y (M, C) or "
                     "(M,), or a CSV file with header f0..f{D-1},y0..y{C-1}")
+
+
+def target_columns(Y, M):
+    """Targets as a float64 (M, C) array, a 1-D Y being one output; any
+    other shape, row count or a non-finite entry raises ValueError."""
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    if Y.ndim != 2:
+        raise ValueError(f"Y must be 2-D (M, C) or 1-D (M,), got shape "
+                         f"{Y.shape}")
+    if Y.shape[0] != M:
+        raise ValueError(f"Y has {Y.shape[0]} rows, not one per point ({M})")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("Y contains non-finite entries")
+    return Y
 
 
 @dataclass(frozen=True)
@@ -31,21 +46,11 @@ class Dataset:
 
     def __post_init__(self):
         X = np.ascontiguousarray(np.asarray(self.X, dtype=np.float64))
-        Y = np.asarray(self.Y, dtype=np.float64)
-        if Y.ndim == 1:
-            Y = Y[:, None]
-        Y = np.ascontiguousarray(Y)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D (M, D), got shape {X.shape}")
-        if Y.ndim != 2:
-            raise ValueError(f"Y must be 2-D (M, C) or 1-D (M,), got shape "
-                             f"{Y.shape}")
-        if Y.shape[0] != X.shape[0]:
-            raise ValueError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
         if not np.all(np.isfinite(X)):
             raise ValueError("X contains non-finite entries")
-        if not np.all(np.isfinite(Y)):
-            raise ValueError("Y contains non-finite entries")
+        Y = np.ascontiguousarray(target_columns(self.Y, X.shape[0]))
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
@@ -93,6 +98,14 @@ class DiscreteMeasure:
     def support(self):
         """Indices with strictly positive mass."""
         return np.flatnonzero(self.masses > 0.0)
+
+
+def as_measure(measure):
+    """measure itself when it is a DiscreteMeasure, else the
+    DiscreteMeasure of these masses."""
+    if isinstance(measure, DiscreteMeasure):
+        return measure
+    return DiscreteMeasure(measure)
 
 
 def uniform_measure(M):
@@ -215,24 +228,17 @@ def load_dataset(path, standardize=False):
 
 
 def _load_csv(path):
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty CSV file") from None
-        names = [h.strip() for h in header]
-        D = sum(1 for h in names if h.startswith("f"))
-        C = sum(1 for h in names if h.startswith("y"))
-        expected = [f"f{j}" for j in range(D)] + [f"y{j}" for j in range(C)]
-        if names != expected or C == 0 or D == 0:
-            raise ValueError(
-                f"CSV header must be f0..f{{D-1}},y0..y{{C-1}}, got {names!r}"
-            )
-        rows = [[float(v) for v in row] for row in reader if row]
-    data = np.asarray(rows, dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] != D + C:
-        raise ValueError("CSV rows do not match header width")
+    cols = read_csv_columns(path)
+    names = list(cols)
+    D = sum(name.startswith("f") for name in names)
+    expected = ([f"f{j}" for j in range(D)]
+                + [f"y{j}" for j in range(len(names) - D)])
+    if names != expected or D in (0, len(names)):
+        raise ValueError(
+            f"CSV header must be f0..f{{D-1}},y0..y{{C-1}}, got {names!r}")
+    data = np.column_stack(list(cols.values()))
+    if data.shape[0] == 0:
+        raise ValueError("CSV file has no data rows")
     return Dataset(data[:, :D], data[:, D:])
 
 

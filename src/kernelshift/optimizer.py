@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure, from_logits
+from .measures import DiscreteMeasure, as_measure, from_logits
 from .spectral import DEFAULT_RANK_THRESHOLD
 from .theory import (DivergenceError, SupportError, pointwise_error_density,
                      predict_Eg_train_grad)
@@ -84,9 +84,7 @@ class OptimizationTrace:
 
 def participation_ratio(measure):
     """Effective number of atoms carrying mass, 1 / sum p^2, in [1, M]."""
-    masses = measure.masses if isinstance(measure, DiscreteMeasure) \
-        else np.asarray(measure, dtype=np.float64)
-    return float(1.0 / np.sum(masses**2))
+    return float(1.0 / np.sum(as_measure(measure).masses**2))
 
 
 def fd_gradient(loss, z, h):
@@ -192,8 +190,7 @@ def optimize_train_measure(K, Y, test_measure, config,
     DivergenceError.
     """
     M = np.shape(K)[0]
-    if not isinstance(test_measure, DiscreteMeasure):
-        test_measure = DiscreteMeasure(np.asarray(test_measure, float))
+    test_measure = as_measure(test_measure)
 
     def objective(z):
         p = from_logits(z)

@@ -22,7 +22,7 @@ import numpy as np
 from . import _lapack
 from .io import read_npz, write_npz_atomic
 from .kernels import gram
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, as_measure, target_columns
 
 DEFAULT_RANK_THRESHOLD = 1e-12
 
@@ -95,7 +95,7 @@ def mercer_decompose(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
 def _decompose_gram(K, measure, rank_threshold):
     """_decompose reading its blocks from the Gram matrix K; also returns
     the checked, symmetric K."""
-    measure = _as_measure(measure)
+    measure = as_measure(measure)
     K = _check_square_symmetric(K, measure.M)
     sup = measure.support()
     dec, V = _decompose(lambda rows: K[np.ix_(rows, sup)], measure,
@@ -116,12 +116,6 @@ def _decompose_spec(spec, X, measure, rank_threshold):
     X_sup = X[measure.support()]
     return _decompose(lambda rows: _finite(gram(spec, X[rows], X_sup)),
                       measure, rank_threshold)[0]
-
-
-def _as_measure(measure):
-    if isinstance(measure, DiscreteMeasure):
-        return measure
-    return DiscreteMeasure(measure)
 
 
 def _decompose(kernel_rows, measure, rank_threshold):
@@ -237,11 +231,7 @@ def project_target(dec, Y):
     With a complete basis (rank = M at full support) this satisfies the
     Parseval identity sum_rho abar_rho^2 = <Y^2>_p per output.
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if Y.shape[0] != dec.Phi.shape[0]:
-        raise ValueError("Y must have one row per dataset point")
+    Y = target_columns(Y, dec.Phi.shape[0])
     sup = dec.support
     p_s = dec.measure.masses[sup]
     return dec.Phi[sup].T @ (p_s[:, None] * Y[sup])
@@ -294,7 +284,7 @@ def cached_decompose(spec, X, measure, rank_threshold, cache_dir):
 
     An unreadable entry counts as a miss: it is recomputed and overwritten.
     """
-    measure = _as_measure(measure)
+    measure = as_measure(measure)
     if not cache_dir:
         return _decompose_spec(spec, X, measure, rank_threshold)
     key = decomposition_cache_key(spec, X, measure, rank_threshold)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .measures import DiscreteMeasure
+from .measures import as_measure, target_columns
 from .spectral import (_BLOCK, DEFAULT_RANK_THRESHOLD, _decompose_gram,
                        _overlap_matrix, mercer_decompose, project_target)
 
@@ -161,15 +161,6 @@ def solve_kappa(eigenvalues, P, lam, weights=None):
     return KappaSolution(kappa=float(kappa), residual=float(residual))
 
 
-def _as_columns(abar, n_modes):
-    abar = np.asarray(abar, dtype=np.float64)
-    if abar.ndim == 1:
-        abar = abar[:, None]
-    if abar.shape[0] != n_modes:
-        raise ValueError(f"abar must have {n_modes} rows, got {abar.shape}")
-    return abar
-
-
 def _per_P(eta, P, lam, weights=None, O_diag=None):
     """Solve kappa at P and weight the modes: (pred, d, q).
 
@@ -216,9 +207,9 @@ def _rows(dec, Y):
     Where the rank equals the support size the basis is complete on the
     support, so R is exactly 0 there.
     """
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = target_columns(Y, dec.Phi.shape[0])
     abar = project_target(dec, Y)
-    R = (Y[:, None] if Y.ndim == 1 else Y) - dec.Phi @ abar
+    R = Y - dec.Phi @ abar
     if dec.rank == dec.support.size:
         R[dec.support] = 0.0
     return abar, R
@@ -254,7 +245,8 @@ def _spectrum_prediction(eta, P, lam, noise, b, Ct, power=None, weights=None):
     With W = q o b the bias is W^T Ct W and the irreducible error is the
     same form on the eta = 0 block.
     """
-    b = _as_columns(b, eta.shape[0])
+    _check_noise(noise)
+    b = target_columns(b, eta.shape[0])
     Ct = np.asarray(Ct, dtype=np.float64)
     if Ct.ndim == 1:
         Ct = np.diag(Ct)
@@ -276,7 +268,7 @@ def _spectrum_prediction(eta, P, lam, noise, b, Ct, power=None, weights=None):
 
 
 def _check_noise(noise):
-    if float(noise) < 0:
+    if not float(noise) >= 0:  # NaN too
         raise ValueError("noise variance must be nonnegative")
 
 
@@ -323,8 +315,7 @@ def predict_Eg_curve(dec, Y, ptilde, P_grid, lam, noise):
 
 def _curve(dec, Y, ptilde, P_grid, lam, noise):
     """predict_Eg_curve's (prediction, d, q) per P, from one _per_P call."""
-    if not isinstance(ptilde, DiscreteMeasure):
-        ptilde = DiscreteMeasure(ptilde)
+    ptilde = as_measure(ptilde)
     if ptilde.M != dec.Phi.shape[0]:
         raise ValueError("test measure must cover the same dataset")
     _check_noise(noise)
@@ -429,17 +420,12 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise,
     the gradient overflows, raises SupportError.  A diverged prediction
     (1 - gamma below DIVERGENCE_TOL) raises DivergenceError.
     """
-    if not isinstance(p, DiscreteMeasure):
-        p = DiscreteMeasure(p)
-    if not isinstance(ptilde, DiscreteMeasure):
-        ptilde = DiscreteMeasure(ptilde)
+    p = as_measure(p)
+    ptilde = as_measure(ptilde)
     if p.support().size != p.M:
         raise SupportError("the training-mass gradient needs full support")
-    if ptilde.M != p.M:
-        raise ValueError("test measure must cover the same dataset")
+    Y = target_columns(Y, p.M)
     dec, V, K = _decompose_gram(K, p, rank_threshold)
-    Y = np.asarray(Y, dtype=np.float64)
-    Y = Y[:, None] if Y.ndim == 1 else Y
     P = float(P)
     rank = dec.rank
     # tiny masses overflow on the way; the check below turns a non-finite

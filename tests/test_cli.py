@@ -350,6 +350,7 @@ def test_compare_of_diverged_theory_is_strict_json(tmp_path):
     assert code == 0
     report = _strict_json(out / "compare.json")
     assert report["fraction_within"] is None
+    assert report["max_abs_z"] is None
     assert not report["all_within"]
     for row in report["rows"]:
         assert row["Eg_theory"] is None and row["z"] is None
@@ -400,6 +401,19 @@ def test_unreadable_compare_input_exits_2(tmp_path, capsys, damage):
     assert "/compare/empirical_csv" in err and str(empirical) in err
     assert {"no_Eg_std": "['Eg_std']", "missing": "No such file",
             "ragged": "does not fit"}[damage] in err
+
+
+def test_compare_input_with_a_repeated_column_exits_2(tmp_path, capsys):
+    theory = tmp_path / "theory.csv"
+    theory.write_text("P,Eg,Eg\n2,0.5,9.0\n4,0.25,9.0\n")
+    empirical = tmp_path / "empirical.csv"
+    empirical.write_text("P,Eg_mean,Eg_std,Eg_stderr,trials\n"
+                         "2,0.5,0.1,0.01,100\n4,0.25,0.1,0.01,100\n")
+    code, _ = _run(tmp_path, {"command": "compare", "compare": {
+        "theory_csv": str(theory), "empirical_csv": str(empirical)}})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "/compare/theory_csv" in err and "repeated column name" in err
 
 
 def test_gradcheck_report(tmp_path):

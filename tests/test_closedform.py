@@ -548,6 +548,23 @@ def test_closed_form_edge_regimes_finite_or_flagged(model, seed, lam, noise):
 def test_closed_form_validation():
     with pytest.raises(ValueError):
         gaussian_linear_Eg(np.ones(3), np.eye(2), np.eye(3), 5, 0.1)
+    for noise in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="noise"):
+            general_linear_Eg(10, 6, 6, 6, np.ones(6), 1.0, 1.0, 0.1,
+                              noise=noise)
+    with pytest.raises(ValueError, match="noise"):
+        gaussian_linear_Eg(np.ones(3), np.eye(3), np.eye(3), 5, 0.1,
+                           noise=-1)
+    eta, degen = np.array([1.0, 0.1]), np.array([1.0, 3.0])
+    with pytest.raises(ValueError, match="noise"):
+        mode_spectrum_Eg(eta, degen, [1.0, 0.5], 10, 0.1, noise=-1)
+    for abar_sq in ([1.0, -0.5], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="abar_sq"):
+            mode_spectrum_Eg(eta, degen, abar_sq, 10, 0.1)
+        with pytest.raises(ValueError, match="abar_sq"):
+            ntk_sphere_Eg(10, 2, eta, degen, abar_sq, 0.1)
+    with pytest.raises(ValueError, match="abar_sq"):
+        mode_spectrum_Eg(eta, degen, [1.0, 0.5], 10, 0.1, tail_abar_sq=-1)
     with pytest.raises(ValueError):
         dot_product_kernel_spectrum(KernelSpec("ntk_relu", depth=2), 2, 5)
     with pytest.raises(ValueError):

@@ -473,6 +473,30 @@ def test_compare_report_skips_divergent_theory():
     assert rep["all_within"]
 
 
+def test_compare_report_without_finite_theory_has_no_summary():
+    emp = [EmpiricalPoint(2, 9.9, 1.0, 0.3, 16),
+           EmpiricalPoint(4, 0.5, 0.1, 0.05, 16)]
+    rep = compare_report([np.inf, np.inf], emp, band=3.0)
+    assert all(np.isinf(row["z"]) for row in rep["rows"])
+    assert np.isnan(rep["max_abs_z"]) and np.isnan(rep["fraction_within"])
+    assert not rep["all_within"]
+
+
+def test_monte_carlo_curves_reject_negative_noise():
+    ds, K = _toy_problem()
+    p = uniform_measure(ds.M)
+    for noise in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="noise"):
+            run_learning_curve(K, ds.Y, p, p, P_values=[3], lam=0.1,
+                               noise=noise, trials=2, seed=0)
+        with pytest.raises(ValueError, match="noise"):
+            run_continuous_curve(KernelSpec("linear"),
+                                 lambda rng, n: rng.standard_normal((n, 2)),
+                                 lambda X: X[:, 0], lambda X, coef: 0.0,
+                                 P_values=[3], lam=0.1, noise=noise,
+                                 trials=2, seed=0)
+
+
 def test_compare_report_validation():
     emp = [EmpiricalPoint(2, 1.0, 0.1, 0.05, 16)]
     with pytest.raises(ValueError):

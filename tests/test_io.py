@@ -216,10 +216,34 @@ def test_read_csv_columns_skips_blank_lines(tmp_path):
     np.testing.assert_array_equal(cols["b"], [2.0, 4.0])
 
 
+def test_read_csv_columns_strips_names_and_rejects_repeats(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text(" a , b\n1,2\n \n3,4\n")
+    assert list(read_csv_columns(str(path))) == ["a", "b"]
+    path.write_text("a,b,a\n1,2,3\n")
+    with pytest.raises(ValueError, match="repeated column name"):
+        read_csv_columns(str(path))
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty CSV"):
+        read_csv_columns(str(path))
+
+
 def test_io_is_the_only_module_that_reads_or_writes_npz_archives():
     src = os.path.dirname(kernelshift.__file__)
     pattern = re.compile(r"^\s*(import|from) zipfile\b|np\.(load|savez\w*)\b",
                          re.MULTILINE)
+    users = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                if pattern.search(fh.read()):
+                    users.append(name)
+    assert users == ["io.py"]
+
+
+def test_io_is_the_only_module_that_parses_csv():
+    src = os.path.dirname(kernelshift.__file__)
+    pattern = re.compile(r"^\s*(import|from) csv\b", re.MULTILINE)
     users = []
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):

@@ -194,6 +194,18 @@ def test_csv_header_contract(tmp_path):
         load_dataset(str(empty))
 
 
+def test_csv_with_spaced_header_and_blank_lines_loads(tmp_path):
+    path = tmp_path / "spaced.csv"
+    path.write_text(" f0 , f1 ,y0\n1,2,3\n\n   \n4,5,6\n")
+    ds = load_dataset(str(path))
+    assert np.array_equal(ds.X, [[1.0, 2.0], [4.0, 5.0]])
+    assert np.array_equal(ds.Y, [[3.0], [6.0]])
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("f0,y0\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        load_dataset(str(header_only))
+
+
 def test_npz_dataset_loads_X_and_Y(tmp_path):
     ds = _random_dataset(4)
     path = tmp_path / "data.npz"
