@@ -119,8 +119,9 @@ def cmd_empirical_curve(rc, art, threads, cache_dir):
     K = gram(spec, ds.X)
     sec = rc.doc["empirical"]
     points = run_learning_curve(K, ds.Y, measures["train"], measures["test"],
-                                sec["P_grid"], sec["lambda"], sec["noise"],
-                                sec["trials"], rc.seed, threads=threads)
+                                [int(P) for P in sec["P_grid"]], sec["lambda"],
+                                sec["noise"], int(sec["trials"]), rc.seed,
+                                threads=threads)
     art.write_csv("empirical_curve.csv", EMPIRICAL_COLUMNS,
                   map(dataclasses.astuple, points))
     return EXIT_OK

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .kernels import KernelSpec, ntk_relu_eval
+from .measures import nonnegative
 from .spectral import DEFAULT_RANK_THRESHOLD
 from .theory import _spectrum_prediction
 
@@ -162,13 +163,6 @@ def _gegenbauer_sum(c, D, t):
     return out
 
 
-def _target_power(abar_sq):
-    abar_sq = np.asarray(abar_sq, dtype=float)
-    if not np.all(np.isfinite(abar_sq) & (abar_sq >= 0)):
-        raise ValueError("abar_sq must be finite and nonnegative")
-    return abar_sq
-
-
 def mode_spectrum_Eg(eta, degeneracy, abar_sq, P, lam, noise=0.0,
                      overlap_scale=1.0, tail_eta=0.0, tail_abar_sq=0.0):
     """General prediction for a degeneracy-weighted mode spectrum.
@@ -184,9 +178,11 @@ def mode_spectrum_Eg(eta, degeneracy, abar_sq, P, lam, noise=0.0,
     0, so target power on such a degree counts in the floor as well.
     """
     eta = np.append(np.asarray(eta, dtype=float), 0.0)
-    b = np.sqrt(_target_power(np.append(abar_sq, tail_abar_sq)))
+    b = np.sqrt(nonnegative(np.append(abar_sq, tail_abar_sq), "abar_sq"))
+    Ct = np.full(eta.shape, nonnegative(overlap_scale, "overlap_scale"))
     return _spectrum_prediction(
-        eta, P, lam + tail_eta, noise, b, np.full(eta.shape, overlap_scale),
+        eta, P, nonnegative(lam, "ridge") + nonnegative(tail_eta, "tail_eta"),
+        noise, b, Ct,
         weights=np.append(np.asarray(degeneracy, dtype=float), 1.0))
 
 
@@ -218,7 +214,7 @@ def ntk_sphere_Eg(P, depth, eta, degeneracy, abar_sq, lam, noise=0.0,
     eta = np.asarray(eta, dtype=float)
     degeneracy = np.asarray(degeneracy, dtype=float)
     b2 = np.zeros(eta.shape[0])
-    given = _target_power(abar_sq)
+    given = nonnegative(abar_sq, "abar_sq")
     if given.shape[0] > b2.shape[0]:
         raise ValueError("abar_sq has more degrees than the spectrum")
     b2[:given.shape[0]] = given
@@ -227,6 +223,9 @@ def ntk_sphere_Eg(P, depth, eta, degeneracy, abar_sq, lam, noise=0.0,
         raise ValueError("k_stage outside spectrum range")
     block = slice(0 if k_stage is None else top, top + 1)
     _, tail = _ntk_tail(depth, eta[:top + 1], degeneracy[:top + 1])
+    if not min(nonnegative(radius_train, "radius_train"),
+               nonnegative(radius_test, "radius_test")) > 0:
+        raise ValueError("radius_train and radius_test must be nonzero")
     R2 = radius_train**2
     return mode_spectrum_Eg(
         R2 * eta[block], degeneracy[block], b2[block], P, lam, noise,

@@ -350,15 +350,19 @@ class RunConfig:
         return config_hash(self.doc)
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def parse_config(path, seed=None):
-    """Load, validate and materialize a JSON run configuration; a seed
-    that is not None replaces the config's before it is validated."""
+    """Load, validate and materialize a strict JSON run configuration; a
+    seed that is not None replaces the config's before it is validated."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_no_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", None)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # json.JSONDecodeError is one
         raise ConfigError(f"config is not valid JSON: {exc}", None)
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object", "/")
@@ -379,13 +383,8 @@ def build_kernel(kernel_section):
 def _synthetic_spec(syn):
     """SyntheticSpec of a dataset.synthetic entry, whose beta has one
     entry per feature."""
-    kwargs = {}
-    for key in ("variances", "sigmas"):
-        if key in syn:
-            kwargs[key] = tuple(syn[key])
-    for key in ("radius", "dim"):
-        if key in syn:
-            kwargs[key] = syn[key]
+    kwargs = {key: syn[key] for key in ("variances", "sigmas", "radius", "dim")
+              if key in syn}
     try:
         spec = SyntheticSpec(syn["kind"], **kwargs)
     except ValueError as exc:

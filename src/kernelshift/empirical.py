@@ -11,7 +11,6 @@ curve point becomes one CSV row of EMPIRICAL_COLUMNS.
 from __future__ import annotations
 
 import ctypes
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -20,7 +19,7 @@ import numpy as np
 from ._lapack import _dpotrf, _dpotrs
 from ._rng import rng_from
 from .kernels import gram
-from .measures import as_measure, target_columns
+from .measures import as_measure, nonnegative, positive_int, target_columns
 
 __all__ = [
     "KRRSolution",
@@ -83,8 +82,7 @@ def krr_solve(K_train, y_train, lam):
 
 def _check_fit(P, lam):
     """krr_solve's checks of the ridge and the Gram size."""
-    if lam < 0:
-        raise ValueError("ridge must be nonnegative")
+    nonnegative(lam, "ridge")
     nbytes = 8 * P * P
     if nbytes > MAX_GRAM_BYTES:
         raise ValueError(
@@ -185,6 +183,7 @@ def discrete_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
     """
     M = K.shape[0]
     Y2 = target_columns(Y, M)
+    noise = nonnegative(noise, "noise")
     idx = rng.choice(M, size=P, replace=True, p=train_measure.masses)
     labels = Y2[idx]
     if noise > 0:
@@ -214,20 +213,18 @@ def _curve_from_errors(P, errs):
 
 def _run_trials(task, P_values, trials, threads, noise):
     """One EmpiricalPoint per P from the errors task(P, t) of its trials,
-    after the curve's trial count, thread count and noise are checked.
+    after the curve's sample sizes, trial count, thread count and noise
+    are checked.
 
     Every (P, t) task of the curve, P first and then t, goes through one
     map on a pool of `threads` workers, so a worker free at the end of
     one P starts the next P's trials. Each task draws from its own key,
     so the points do not depend on the thread count or the scheduling.
     """
-    for name, value in (("threads", threads), ("trials", trials)):
-        if not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got "
-                             f"{value!r}")
-    if not noise >= 0:  # NaN too
-        raise ValueError("noise variance must be nonnegative")
-    P_values = list(P_values)
+    threads = positive_int(threads, "threads")
+    trials = positive_int(trials, "trials")
+    nonnegative(noise, "noise")
+    P_values = [positive_int(P, "P") for P in P_values]
     keys = [(P, t) for P in P_values for t in range(trials)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         errs = list(pool.map(lambda key: task(*key), keys))
@@ -251,8 +248,8 @@ def run_learning_curve(K, Y, train_measure, test_measure, P_values, lam,
 
     def task(P, t):
         rng = rng_from(seed, "trial", P, t)
-        return discrete_trial_error(K, Y, train_measure, test_measure,
-                                    int(P), lam, noise, rng)
+        return discrete_trial_error(K, Y, train_measure, test_measure, P,
+                                    lam, noise, rng)
 
     return _run_trials(task, P_values, trials, threads, noise)
 
@@ -272,7 +269,7 @@ def run_continuous_curve(kernel_spec, sample_train, target_fn, test_error,
     """
     def task(P, t):
         rng = rng_from(seed, "trial", P, t)
-        X = sample_train(rng, int(P))
+        X = sample_train(rng, P)
         y = target_columns(target_fn(X), X.shape[0])
         if noise > 0:
             y = y + np.sqrt(noise) * rng.standard_normal(y.shape)

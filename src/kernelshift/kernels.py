@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import positive_int
+
 KERNEL_KINDS = ("linear", "rbf", "laplace", "fourier_bandlimited", "ntk_relu")
 
 
@@ -43,13 +45,11 @@ class KernelSpec:
         if self.kind in ("rbf", "laplace") and not self.lengthscale > 0:
             raise ValueError("lengthscale must be positive")
         if self.kind == "fourier_bandlimited":
-            if self.n_modes is None or int(self.n_modes) < 1:
-                raise ValueError("fourier_bandlimited needs n_modes >= 1")
-            object.__setattr__(self, "n_modes", int(self.n_modes))
+            object.__setattr__(self, "n_modes",
+                               positive_int(self.n_modes, "n_modes"))
         if self.kind == "ntk_relu":
-            if self.depth is None or int(self.depth) < 1:
-                raise ValueError("ntk_relu needs depth >= 1")
-            object.__setattr__(self, "depth", int(self.depth))
+            object.__setattr__(self, "depth",
+                               positive_int(self.depth, "depth"))
 
 
 def arccos_kappa0(t):

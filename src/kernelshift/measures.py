@@ -6,7 +6,9 @@ represented as discrete measures (nonnegative masses summing to one), which
 is all the downstream theory needs: expectations become mass-weighted sums.
 """
 
+import numbers
 import os
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,27 @@ def target_columns(Y, M):
     if not np.all(np.isfinite(Y)):
         raise ValueError("Y contains non-finite entries")
     return Y
+
+
+def nonnegative(value, name):
+    """value as a float, or a float64 array if it has a shape, when every
+    entry is finite and >= 0 (a ridge, a noise, a theory P, a spectrum)."""
+    try:
+        x = np.asarray(value, dtype=np.float64)
+        ok = x.size == 0 or (x.min() >= 0 and x.max() < np.inf)  # NaN fails
+    except (TypeError, ValueError, OverflowError):  # None, 10**400, "a"
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be nonnegative and finite, got "
+                         f"{reprlib.repr(value)}")
+    return float(x) if x.ndim == 0 else x
+
+
+def positive_int(value, name):
+    """value as an int if it is an integer >= 1 (a count); 2.0 is not."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -79,17 +102,13 @@ class DiscreteMeasure:
     masses: np.ndarray
 
     def __post_init__(self):
-        p = np.ascontiguousarray(np.asarray(self.masses, dtype=np.float64))
-        if p.ndim != 1:
+        p = nonnegative(self.masses, "masses")
+        if np.ndim(p) != 1:
             raise ValueError("masses must be a 1-D vector")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("masses contain non-finite entries")
-        if np.any(p < 0):
-            raise ValueError("masses must be nonnegative")
         total = p.sum()
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"masses sum to {total!r}, not 1 within {MASS_TOL}")
-        object.__setattr__(self, "masses", p)
+        object.__setattr__(self, "masses", np.ascontiguousarray(p))
 
     @property
     def M(self):
@@ -109,8 +128,7 @@ def as_measure(measure):
 
 
 def uniform_measure(M):
-    if M <= 0:
-        raise ValueError("M must be positive")
+    M = positive_int(M, "M")
     return DiscreteMeasure(np.full(M, 1.0 / M))
 
 
@@ -146,10 +164,8 @@ class SyntheticSpec:
         if self.kind == "gaussian_diag":
             if self.variances is None:
                 raise ValueError("gaussian_diag needs per-feature variances")
-            v = tuple(float(x) for x in self.variances)
-            if any(x < 0 for x in v):
-                raise ValueError("variances must be nonnegative")
-            object.__setattr__(self, "variances", v)
+            object.__setattr__(self, "variances", tuple(
+                nonnegative(self.variances, "variances").tolist()))
         elif self.kind == "sphere":
             if self.radius is None or self.dim is None:
                 raise ValueError("sphere needs radius and dim")
@@ -158,10 +174,8 @@ class SyntheticSpec:
         elif self.kind == "rectangular":
             if self.sigmas is None:
                 raise ValueError("rectangular needs per-feature sigmas")
-            s = tuple(float(x) for x in self.sigmas)
-            if any(x < 0 for x in s):
-                raise ValueError("sigmas must be nonnegative")
-            object.__setattr__(self, "sigmas", s)
+            object.__setattr__(self, "sigmas", tuple(
+                nonnegative(self.sigmas, "sigmas").tolist()))
         else:
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure, as_measure, from_logits
+from .measures import (DiscreteMeasure, as_measure, from_logits, nonnegative,
+                       positive_int)
 from .spectral import DEFAULT_RANK_THRESHOLD
 from .theory import (DivergenceError, SupportError, pointwise_error_density,
                      predict_Eg_train_grad)
@@ -57,14 +58,13 @@ class OptimizerConfig:
     convergence_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.P_budget < 1:
-            raise ValueError("P_budget must be at least 1")
-        if self.lam < 0 or self.noise < 0:
-            raise ValueError("ridge and noise must be nonnegative")
-        if self.learning_rate <= 0 or self.steps < 1:
-            raise ValueError("learning_rate and steps must be positive")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
+        positive_int(self.P_budget, "P_budget")
+        positive_int(self.steps, "steps")
+        nonnegative(self.lam, "ridge")
+        nonnegative(self.noise, "noise")
+        for name in ("learning_rate", "convergence_tol"):
+            if not nonnegative(getattr(self, name), name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.mode not in ("descent", "ascent"):
             raise ValueError("mode must be 'descent' or 'ascent'")
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .measures import as_measure, target_columns
+from .measures import as_measure, nonnegative, target_columns
 from .spectral import (_BLOCK, DEFAULT_RANK_THRESHOLD, _decompose_gram,
                        _overlap_matrix, mercer_decompose, project_target)
 
@@ -92,17 +92,13 @@ CURVE_COLUMNS = tuple(f.name for f in fields(TheoryPrediction))
 
 
 def _validated_spectrum(eigenvalues, weights):
-    eta = np.asarray(eigenvalues, dtype=np.float64)
-    if eta.ndim != 1 or eta.size == 0:
+    eta = nonnegative(eigenvalues, "eigenvalues")
+    if np.ndim(eta) != 1 or eta.size == 0:
         raise ValueError("eigenvalues must be a nonempty 1-D array")
-    if np.any(eta < 0) or not np.all(np.isfinite(eta)):
-        raise ValueError("eigenvalues must be finite and nonnegative")
-    if weights is None:
-        w = np.ones_like(eta)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != eta.shape or np.any(w < 0):
-            raise ValueError("weights must match eigenvalues and be nonnegative")
+    w = np.ones_like(eta) if weights is None else \
+        nonnegative(weights, "weights")
+    if np.shape(w) != eta.shape:
+        raise ValueError("weights must match eigenvalues")
     return eta, w
 
 
@@ -124,10 +120,8 @@ def solve_kappa(eigenvalues, P, lam, weights=None):
     after at most KAPPA_MAXITER steps, raises RuntimeError.
     """
     eta, w = _validated_spectrum(eigenvalues, weights)
-    P = float(P)
-    lam = float(lam)
-    if P < 0 or lam < 0:
-        raise ValueError("P and lam must be nonnegative")
+    P = nonnegative(P, "P")
+    lam = nonnegative(lam, "ridge")
     pos = eta > 0
     eta, w = eta[pos], w[pos]
     n_pos = float(w.sum())
@@ -222,7 +216,7 @@ def _prediction(pred, noise, wsq, bias_c, irr_c):
     eps_eff^2 + |W_in|^2 per output.
     """
     one_minus = 1.0 - pred.gamma
-    n_eff = float(noise) + wsq
+    n_eff = noise + wsq
     variance_c = pred.gamma_prime / one_minus * n_eff
     Eg = float(np.sum(variance_c + bias_c))
     # matched-measure baseline: O = identity
@@ -245,7 +239,7 @@ def _spectrum_prediction(eta, P, lam, noise, b, Ct, power=None, weights=None):
     With W = q o b the bias is W^T Ct W and the irreducible error is the
     same form on the eta = 0 block.
     """
-    _check_noise(noise)
+    noise = nonnegative(noise, "noise")
     b = target_columns(b, eta.shape[0])
     Ct = np.asarray(Ct, dtype=np.float64)
     if Ct.ndim == 1:
@@ -267,11 +261,6 @@ def _spectrum_prediction(eta, P, lam, noise, b, Ct, power=None, weights=None):
                                  Ct[np.ix_(out, out)] @ b_out))
 
 
-def _check_noise(noise):
-    if not float(noise) >= 0:  # NaN too
-        raise ValueError("noise variance must be nonnegative")
-
-
 def pointwise_error_density(dec, Y, P, lam, noise):
     """Per-point error density c with Eg(ptilde) = sum_mu ptilde_mu c_mu.
 
@@ -279,7 +268,7 @@ def pointwise_error_density(dec, Y, P, lam, noise):
     a Dirac test measure at point mu, and predict_Eg_curve contracts the
     same rows with ptilde.  All entries are >= 0.
     """
-    _check_noise(noise)
+    noise = nonnegative(noise, "noise")
     abar, R = _rows(dec, Y)
     pred, d, q = _per_P(_masked_eta(dec), P, lam)
     if pred.diverged:
@@ -292,7 +281,7 @@ def pointwise_error_density(dec, Y, P, lam, noise):
     gamma_mu = dec.Phi**2 @ (float(P) * e * e)  # per-point gamma'
     mean = dec.Phi @ W + R  # estimator shortfall at each point
     wsq = np.einsum("rc,rc->c", W, W) + dec.measure.masses @ R**2
-    return gamma_mu / (1.0 - pred.gamma) * float(np.sum(float(noise) + wsq)) \
+    return gamma_mu / (1.0 - pred.gamma) * float(np.sum(noise + wsq)) \
         + np.einsum("mc,mc->m", mean, mean)
 
 
@@ -318,7 +307,7 @@ def _curve(dec, Y, ptilde, P_grid, lam, noise):
     ptilde = as_measure(ptilde)
     if ptilde.M != dec.Phi.shape[0]:
         raise ValueError("test measure must cover the same dataset")
-    _check_noise(noise)
+    noise = nonnegative(noise, "noise")
     abar, R = _rows(dec, Y)
     w = ptilde.masses
     eta = _masked_eta(dec)
@@ -425,8 +414,8 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise,
     if p.support().size != p.M:
         raise SupportError("the training-mass gradient needs full support")
     Y = target_columns(Y, p.M)
+    P = nonnegative(P, "P")
     dec, V, K = _decompose_gram(K, p, rank_threshold)
-    P = float(P)
     rank = dec.rank
     # tiny masses overflow on the way; the check below turns a non-finite
     # result into SupportError

@@ -527,6 +527,53 @@ def test_threads_key_exits_2(tmp_path, capsys):
     assert "/threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("constant", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("command, section, key", [
+    ("theory-curve", "theory", "lambda"),
+    ("theory-curve", "theory", "noise"),
+    ("empirical-curve", "empirical", "lambda"),
+    ("theory-curve", "dataset", "variances"),
+])
+def test_non_json_number_exits_2_before_any_data_is_built(
+        tmp_path, capsys, monkeypatch, command, section, key, constant):
+    # json.dumps writes NaN, Infinity and -Infinity; strict JSON has none
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built data for a config that is not JSON")
+
+    monkeypatch.setattr(cli, "build_dataset", unreachable)
+    doc = dict(_base_doc(), command=command,
+               theory={"P_grid": [2, 4], "lambda": 0.1, "noise": 0.01},
+               empirical={"P_grid": [2, 4], "trials": 4})
+    if section == "dataset":
+        doc["dataset"]["synthetic"]["variances"][0] = constant
+    else:
+        doc[section][key] = constant
+    code, out = _run(tmp_path, doc)
+    assert code == 2
+    assert "is not a JSON number" in capsys.readouterr().err
+    assert not (out / f"{command.split('-')[0]}_curve.csv").exists()
+
+
+def test_theory_p_beyond_float_range_exits_2(tmp_path, capsys):
+    # 10**400 is a schema-valid JSON integer that no float holds
+    doc = dict(_base_doc(), command="theory-curve",
+               theory={"P_grid": [2, 10**400], "lambda": 0.1})
+    code, out = _run(tmp_path, doc)
+    assert code == 2
+    assert "P must be nonnegative" in capsys.readouterr().err
+    assert not (out / "theory_curve.csv").exists()
+
+
+def test_integral_float_monte_carlo_p_runs(tmp_path):
+    # the schema takes 2.0 as an integer, so the run reads it as 2
+    doc = dict(_base_doc(), command="empirical-curve",
+               empirical={"P_grid": [2.0, 4], "trials": 4, "lambda": 0.1})
+    code, out = _run(tmp_path, doc)
+    assert code == 0
+    assert list(read_csv_columns(out / "empirical_curve.csv")["P"]) \
+        == [2.0, 4.0]
+
+
 def test_unreadable_dataset_exits_2(tmp_path, capsys):
     rng = np.random.default_rng(3)
     X, Y = rng.standard_normal((10, 3)), rng.standard_normal(10)

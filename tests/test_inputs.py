@@ -1,19 +1,25 @@
 """The input rules every public entry point shares: a target goes through
-measures.target_columns, so a bad one raises the same ValueError
-wherever it enters."""
+measures.target_columns, a ridge, a noise and a spectrum through
+measures.nonnegative, and a count through measures.positive_int, so a bad
+one raises the same ValueError wherever it enters."""
 
 import numpy as np
 import pytest
 
+from kernelshift.closedform import (gaussian_linear_Eg, general_linear_Eg,
+                                    mode_spectrum_Eg, ntk_sphere_Eg)
 from kernelshift.empirical import (discrete_trial_error, krr_solve,
                                    run_continuous_curve, run_learning_curve)
 from kernelshift.kernels import KernelSpec, gram
-from kernelshift.measures import Dataset, target_columns, uniform_measure
+from kernelshift.measures import (Dataset, SyntheticSpec, nonnegative,
+                                  positive_int, target_columns,
+                                  uniform_measure)
 from kernelshift.optimizer import (OptimizerConfig, optimize_test_measure,
                                    optimize_train_measure)
 from kernelshift.spectral import mercer_decompose, project_target
 from kernelshift.theory import (pointwise_error_density, predict_Eg_curve,
-                                predict_Eg_dataset, predict_Eg_train_grad)
+                                predict_Eg_dataset, predict_Eg_train_grad,
+                                solve_kappa)
 
 M = 8
 SPEC = KernelSpec("rbf", lengthscale=1.5)
@@ -80,3 +86,119 @@ def test_target_columns_makes_a_1d_target_one_column():
     assert Y.dtype == np.float64 and Y.shape == (3, 1)
     Y2 = np.ones((3, 2))
     assert target_columns(Y2, 3) is Y2
+
+
+Y_GOOD = X[:, 0]
+ETA, DEGEN = np.array([1.0, 0.1]), np.array([1.0, 3.0])
+
+
+def _continuous(lam, noise):
+    return run_continuous_curve(
+        SPEC, lambda rng, n: rng.standard_normal((n, 2)),
+        lambda X_train: X_train[:, 0], lambda X_train, coef: 0.0, [4], lam,
+        noise, 2, 0)
+
+
+def _optimizer(lam, noise):
+    return OptimizerConfig(P_budget=4, lam=lam, noise=noise, steps=2)
+
+
+# the ENTRY_POINTS that take a ridge, plus solve_kappa, the closed forms
+# and the continuous Monte Carlo curve, as f(lam, noise)
+RIDGE_ENTRY_POINTS = {
+    "predict_Eg_curve": lambda lam, noise: predict_Eg_curve(
+        DEC, Y_GOOD, P_MEASURE, [4], lam, noise),
+    "pointwise_error_density": lambda lam, noise: pointwise_error_density(
+        DEC, Y_GOOD, 4, lam, noise),
+    "predict_Eg_dataset": lambda lam, noise: predict_Eg_dataset(
+        K, Y_GOOD, P_MEASURE, P_MEASURE, 4, lam, noise),
+    "predict_Eg_train_grad": lambda lam, noise: predict_Eg_train_grad(
+        K, Y_GOOD, P_MEASURE, P_MEASURE, 4, lam, noise),
+    "optimize_train_measure": lambda lam, noise: optimize_train_measure(
+        K, Y_GOOD, P_MEASURE, _optimizer(lam, noise)),
+    "optimize_test_measure": lambda lam, noise: optimize_test_measure(
+        DEC, Y_GOOD, _optimizer(lam, noise)),
+    "krr_solve": lambda lam, noise: krr_solve(K, Y_GOOD, lam),
+    "discrete_trial_error": lambda lam, noise: discrete_trial_error(
+        K, Y_GOOD, P_MEASURE, P_MEASURE, 4, lam, noise,
+        np.random.default_rng(0)),
+    "run_learning_curve": lambda lam, noise: run_learning_curve(
+        K, Y_GOOD, P_MEASURE, P_MEASURE, [4], lam, noise, 2, 0),
+    "run_continuous_curve": _continuous,
+    "solve_kappa": lambda lam, noise: solve_kappa(ETA, 4, lam, DEGEN),
+    "gaussian_linear_Eg": lambda lam, noise: gaussian_linear_Eg(
+        np.ones(3), np.eye(3), np.eye(3), 4, lam, noise),
+    "general_linear_Eg": lambda lam, noise: general_linear_Eg(
+        4, 6, 6, 6, np.ones(6), 1.0, 1.0, lam, noise),
+    "ntk_sphere_Eg": lambda lam, noise: ntk_sphere_Eg(
+        4, 2, ETA, DEGEN, [0.5, 0.5], lam, noise),
+}
+NOISELESS = ("krr_solve", "solve_kappa")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("entry, name", [
+    *((entry, "ridge") for entry in sorted(RIDGE_ENTRY_POINTS)),
+    *((entry, "noise") for entry in sorted(RIDGE_ENTRY_POINTS)
+      if entry not in NOISELESS)])
+def test_bad_ridge_or_noise_raises_a_value_error_naming_it(entry, name,
+                                                           value):
+    lam, noise = (value, 0.01) if name == "ridge" else (0.1, value)
+    RIDGE_ENTRY_POINTS[entry](0.1, 0.01)   # the good inputs run
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        RIDGE_ENTRY_POINTS[entry](lam, noise)
+
+
+@pytest.mark.parametrize("value", [2.5, np.nan, 2.0])
+@pytest.mark.parametrize("name, make", [
+    ("P_budget", lambda v: OptimizerConfig(P_budget=v, lam=0.1)),
+    ("steps", lambda v: OptimizerConfig(P_budget=4, lam=0.1, steps=v)),
+    ("depth", lambda v: KernelSpec("ntk_relu", depth=v)),
+    ("n_modes", lambda v: KernelSpec("fourier_bandlimited", n_modes=v)),
+    ("M", uniform_measure),
+    ("P", lambda v: run_learning_curve(K, Y_GOOD, P_MEASURE, P_MEASURE,
+                                       [4, v], 0.1, 0.0, 2, 0)),
+])
+def test_count_that_is_not_an_integer_raises(name, make, value):
+    # a count is an int: 2.5 is not truncated to 2, nor 2.0 read as 2
+    with pytest.raises(ValueError,
+                       match=rf"^{name} must be a positive integer"):
+        make(value)
+
+
+def test_synthetic_spread_must_be_finite_and_nonnegative():
+    for kind, key in (("gaussian_diag", "variances"),
+                      ("rectangular", "sigmas")):
+        for bad in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match=rf"^{key} must be nonneg"):
+                SyntheticSpec(kind, **{key: (1.0, bad)})
+        assert getattr(SyntheticSpec(kind, **{key: [1, 0.5]}), key) \
+            == (1.0, 0.5)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("overlap_scale", np.nan), ("overlap_scale", -1.0),
+    ("tail_eta", np.nan), ("tail_eta", -1.0), ("tail_eta", np.inf)])
+def test_mode_spectrum_parameters_are_checked(key, value):
+    with pytest.raises(ValueError, match=rf"^{key} must be nonnegative"):
+        mode_spectrum_Eg(ETA, DEGEN, [1.0, 0.5], 10, 0.1, **{key: value})
+
+
+@pytest.mark.parametrize("key", ["radius_train", "radius_test"])
+@pytest.mark.parametrize("value", [np.nan, -1.0, 0.0])
+def test_ntk_sphere_radii_are_positive_and_finite(key, value):
+    with pytest.raises(ValueError, match=key):
+        ntk_sphere_Eg(10, 2, ETA, DEGEN, [1.0, 0.5], 0.1, **{key: value})
+
+
+def test_nonnegative_returns_floats_and_refuses_what_float_cannot_take():
+    assert nonnegative(2, "x") == 2.0 and type(nonnegative(2, "x")) is float
+    arr = nonnegative([0, 1.5], "x")
+    assert arr.dtype == np.float64 and arr.tolist() == [0.0, 1.5]
+    for bad in (10**400, None, "a", [1.0, np.nan], -0.5):
+        with pytest.raises(ValueError, match="^x must be nonnegative"):
+            nonnegative(bad, "x")
+    assert positive_int(np.int64(3), "n") == 3
+    for bad in (0, 2.0, None, "3"):
+        with pytest.raises(ValueError, match="^n must be a positive integer"):
+            positive_int(bad, "n")

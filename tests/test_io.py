@@ -251,3 +251,16 @@ def test_io_is_the_only_module_that_parses_csv():
                 if pattern.search(fh.read()):
                     users.append(name)
     assert users == ["io.py"]
+
+
+def test_measures_is_the_only_module_that_checks_numbers_by_type():
+    # measures.positive_int is the one integer rule
+    src = os.path.dirname(kernelshift.__file__)
+    pattern = re.compile(r"^\s*(import|from) numbers\b", re.MULTILINE)
+    users = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                if pattern.search(fh.read()):
+                    users.append(name)
+    assert users == ["measures.py"]
