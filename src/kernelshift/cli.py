@@ -116,7 +116,7 @@ def _write_curve(art, name, preds):
 
 def cmd_empirical_curve(rc, art, threads, cache_dir):
     ds, spec, measures = _dataset_problem(rc)
-    K = gram(spec, ds.X)
+    K = gram(spec, ds.X, threads=threads)
     sec = rc.doc["empirical"]
     points = run_learning_curve(K, ds.Y, measures["train"], measures["test"],
                                 [int(P) for P in sec["P_grid"]], sec["lambda"],
@@ -306,7 +306,7 @@ def main(argv=None):
                         help="override the config seed")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for Monte Carlo trials "
-                             "(does not change results)")
+                             "and their Gram (does not change results)")
     parser.add_argument("--cache", default=None,
                         help="directory for reusable decompositions")
     args = parser.parse_args(argv)

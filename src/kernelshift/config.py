@@ -383,8 +383,10 @@ def build_kernel(kernel_section):
 def _synthetic_spec(syn):
     """SyntheticSpec of a dataset.synthetic entry, whose beta has one
     entry per feature."""
-    kwargs = {key: syn[key] for key in ("variances", "sigmas", "radius", "dim")
+    kwargs = {key: syn[key] for key in ("variances", "sigmas", "radius")
               if key in syn}
+    if "dim" in syn:
+        kwargs["dim"] = int(syn["dim"])  # the schema's integer, 3.0 included
     try:
         spec = SyntheticSpec(syn["kind"], **kwargs)
     except ValueError as exc:

@@ -4,13 +4,14 @@ Two experiment styles are supported: discrete problems where train and
 test measures live on the atoms of one dataset, and continuous problems
 where fresh inputs are drawn each trial and the test error of each fit
 is integrated exactly over the test measure. Either way every (P, trial)
-task of a curve, P first, goes through one thread-pool map, and each
+task of a curve, trial-major, goes through one thread-pool map, and each
 curve point becomes one CSV row of EMPIRICAL_COLUMNS.
 """
 
 from __future__ import annotations
 
 import ctypes
+import reprlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -83,6 +84,10 @@ def krr_solve(K_train, y_train, lam):
 def _check_fit(P, lam):
     """krr_solve's checks of the ridge and the Gram size."""
     nonnegative(lam, "ridge")
+    _check_gram_size(P)
+
+
+def _check_gram_size(P):
     nbytes = 8 * P * P
     if nbytes > MAX_GRAM_BYTES:
         raise ValueError(
@@ -141,37 +146,45 @@ def _row_blocks(K, atoms, buf):
                               mode="clip")
 
 
-def _atom_block(K, atoms, buf):
-    """K[np.ix_(atoms, atoms)] in Fortran order, read through buf.
+def _atom_block(K, atoms, w, buf):
+    """The Fortran-ordered block w_i K[u_i, u_j] w_j of the atoms u,
+    read through buf.
 
-    The transpose of the row-gathered block is the same matrix, as K is
-    symmetric."""
+    It is the transpose of the row-gathered block, as K is symmetric.
+    Each gathered row block is weighted while it is in cache, and the
+    entry (i, j) of the result is rounded as (K[u_i, u_j] w_i) w_j.
+    """
     block = np.empty((atoms.size, atoms.size))
     for lo, hi, rows in _row_blocks(K, atoms, buf):
-        np.take(rows, atoms, axis=1, out=block[lo:hi], mode="clip")
+        out = block[lo:hi]
+        np.take(rows, atoms, axis=1, out=out, mode="clip")
+        out *= w
+        out *= w[lo:hi, None]
     return block.T
 
 
-def _fit_atoms(A, counts, sums, lam):
+def _fit_atoms(A, w, sums, lam):
     """Coefficients beta on the distinct atoms, prediction K[:, u] beta.
 
-    A is the Fortran-ordered K_uu block, which the fit overwrites. With
-    w = sqrt(c), coef solves (w_i K_uu w_j + lam I) coef = s / w and
-    beta = w coef.
+    A is the weighted block of `_atom_block`, which the fit overwrites:
+    coef solves (w_i K_uu w_j + lam I) coef = s / w and beta = w coef.
     """
-    w = np.sqrt(counts)
-    A *= w[:, None]
-    A *= w
     coef, _ = _solve_in_place(A, sums / w[:, None], lam)
     return w[:, None] * coef
 
 
-def discrete_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
-                         rng):
-    """One KRR draw on a discrete problem; returns the test-measure error.
+def _discrete_trials(K, Y, train_measure, test_measure, lam, noise):
+    """error(P, rng): one KRR draw of P points on a discrete problem, and
+    its test-measure error, after the checks and set-up that every trial
+    of a curve shares.
 
-    The P draws are fitted on their distinct atoms u, each weighted by
-    its count c, with s the per-atom label sums (see `_fit_atoms`).
+    A draw is cdf.searchsorted(rng.random(P), side="right") on the
+    normalized cumulative training masses: the algorithm of
+    Generator.choice(M, size=P, p=masses), so it gives choice's indices
+    and leaves rng in the same state. The P draws are fitted on their
+    distinct atoms u, each weighted by w = sqrt(c) of its count c, with
+    s the per-atom label sums (see `_fit_atoms`). Counts and sums come
+    from np.bincount, which adds the draws in the order np.add.at does.
     This is the P-space estimator for every lam >= 0: at lam = 0 both
     are the minimum-norm least-squares fit, and the two matrices share
     their nonzero eigenvalues, so the pseudoinverse cuts the same modes.
@@ -182,24 +195,51 @@ def discrete_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
     columns K[:, u].
     """
     M = K.shape[0]
-    Y2 = target_columns(Y, M)
+    Y = target_columns(Y, M)
     noise = nonnegative(noise, "noise")
-    idx = rng.choice(M, size=P, replace=True, p=train_measure.masses)
-    labels = Y2[idx]
-    if noise > 0:
-        labels = labels + np.sqrt(noise) * rng.standard_normal(labels.shape)
-    atoms, inv, counts = np.unique(idx, return_inverse=True,
-                                   return_counts=True)
-    n = atoms.size
-    sums = np.zeros((n, labels.shape[1]))
-    np.add.at(sums, inv, labels)
-    _check_fit(n, lam)
-    buf = np.empty((max(1, min(n, _ROW_BLOCK // M)), M))
-    beta = _fit_atoms(_atom_block(K, atoms, buf), counts, sums, lam)
-    preds = np.zeros((M, beta.shape[1]))
-    for lo, hi, rows in _row_blocks(K, atoms, buf):
-        preds += rows.T @ beta[lo:hi]
-    return float(np.sum(test_measure.masses[:, None] * (preds - Y2) ** 2))
+    nonnegative(lam, "ridge")
+    if train_measure.M != M or test_measure.M != M:
+        raise ValueError(f"train and test measures need one mass per "
+                         f"point of K ({M}), got {train_measure.M} and "
+                         f"{test_measure.M}")
+    cdf = train_measure.masses.cumsum()
+    cdf /= cdf[-1]
+    test_masses = test_measure.masses[:, None]
+    rows = max(1, _ROW_BLOCK // M)
+
+    def error(P, rng):
+        idx = cdf.searchsorted(rng.random(P), side="right")
+        labels = Y[idx]
+        if noise > 0:
+            labels = labels + np.sqrt(noise) * rng.standard_normal(
+                labels.shape)
+        counts = np.bincount(idx, minlength=M)
+        atoms = np.flatnonzero(counts)
+        _check_gram_size(atoms.size)
+        w = np.sqrt(counts[atoms])
+        sums = np.empty((atoms.size, labels.shape[1]))
+        for c in range(labels.shape[1]):
+            sums[:, c] = np.bincount(idx, weights=labels[:, c],
+                                     minlength=M)[atoms]
+        buf = np.empty((max(1, min(atoms.size, rows)), M))
+        beta = _fit_atoms(_atom_block(K, atoms, w, buf), w, sums, lam)
+        preds = np.zeros((M, beta.shape[1]))
+        for lo, hi, rows_u in _row_blocks(K, atoms, buf):
+            preds += rows_u.T @ beta[lo:hi]
+        return float(np.sum(test_masses * (preds - Y) ** 2))
+
+    return error
+
+
+def discrete_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
+                         rng):
+    """One KRR draw on a discrete problem; returns the test-measure error.
+
+    The trial of `run_learning_curve`, on its own; see
+    `_discrete_trials` for the draw and the fit.
+    """
+    return _discrete_trials(K, Y, train_measure, test_measure, lam,
+                            noise)(P, rng)
 
 
 def _curve_from_errors(P, errs):
@@ -216,19 +256,28 @@ def _run_trials(task, P_values, trials, threads, noise):
     after the curve's sample sizes, trial count, thread count and noise
     are checked.
 
-    Every (P, t) task of the curve, P first and then t, goes through one
-    map on a pool of `threads` workers, so a worker free at the end of
-    one P starts the next P's trials. Each task draws from its own key,
-    so the points do not depend on the thread count or the scheduling.
+    A P whose draws need more than MAX_GRAM_BYTES, at 8 bytes a draw, is
+    refused before any trial draws. Every (P, t) task of the curve goes
+    through one map on a pool of `threads` workers, trial-major (every P
+    of trial 0, then of trial 1, ...), so the small fits, which hold the
+    GIL, overlap the large ones' factorizations, which release it. Each
+    task draws from its own key, so the points do not depend on the
+    thread count or the scheduling.
     """
     threads = positive_int(threads, "threads")
     trials = positive_int(trials, "trials")
     nonnegative(noise, "noise")
     P_values = [positive_int(P, "P") for P in P_values]
-    keys = [(P, t) for P in P_values for t in range(trials)]
+    for P in P_values:
+        if 8 * P > MAX_GRAM_BYTES:
+            raise ValueError(
+                f"P = {reprlib.repr(P)} needs more than the "
+                f"{MAX_GRAM_BYTES / 1e9:.1f} GB budget for its draws, at "
+                f"8 bytes a draw")
+    keys = [(P, t) for t in range(trials) for P in P_values]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         errs = list(pool.map(lambda key: task(*key), keys))
-    return [_curve_from_errors(P, errs[i * trials:(i + 1) * trials])
+    return [_curve_from_errors(P, errs[i::len(P_values)])
             for i, P in enumerate(P_values)]
 
 
@@ -237,19 +286,16 @@ def run_learning_curve(K, Y, train_measure, test_measure, P_values, lam,
     """Monte Carlo learning curve on a discrete problem.
 
     K must be symmetric, as `kernels.gram` makes it (see
-    `discrete_trial_error`). Every trial draws its own generator from
+    `_discrete_trials`). Every trial draws its own generator from
     (seed, P, trial index), so results are identical whatever the thread
     count or evaluation order.
     """
     K = np.asarray(K, dtype=np.float64)
-    Y = target_columns(Y, K.shape[0])
-    train_measure = as_measure(train_measure)
-    test_measure = as_measure(test_measure)
+    error = _discrete_trials(K, Y, as_measure(train_measure),
+                             as_measure(test_measure), lam, noise)
 
     def task(P, t):
-        rng = rng_from(seed, "trial", P, t)
-        return discrete_trial_error(K, Y, train_measure, test_measure, P,
-                                    lam, noise, rng)
+        return error(P, rng_from(seed, "trial", P, t))
 
     return _run_trials(task, P_values, trials, threads, noise)
 

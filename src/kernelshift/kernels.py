@@ -23,6 +23,7 @@ with t_l = S_l / (|x||x'|) clamped to [-1, 1].  Golden values at unit norms:
 depth 2, cos(theta)=0 gives 1/pi; depth 2, cos(theta)=1 gives 2.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,38 +89,66 @@ def ntk_relu_eval(depth, dot, n1, n2):
     return np.where(scale > 0, theta, 0.0)
 
 
-# entries of one row block of the distance accumulator: with its scratch
+# entries of one strip of the distance accumulator: with its scratch
 # block, 2 x 256 KB, which stays in a typical L2 cache
 _DIST_BLOCK = 1 << 15
 
 
-def _sq_distances(X1, X2):
-    """Squared Euclidean distances, summed one feature at a time from k = 0.
+def _radial_gram(spec, X1, X2, threads):
+    """The rbf or laplace Gram of X1 and X2, or of X1 with itself when X2
+    is None.
 
-    This is the order scipy's cdist sums in, so the result is bit-identical
-    to cdist(X1, X2, "sqeuclidean"), and its square root to "euclidean".
-    Rows go in fixed blocks so the accumulator stays in cache. The expanded
-    form |x|^2 + |y|^2 - 2 x.y would be faster but loses accuracy near the
-    diagonal, worst under the laplace kernel's square root.
+    Squared distances are summed one feature at a time from k = 0. This
+    is the order scipy's cdist sums in, so they are bit-identical to
+    cdist(X1, X2, "sqeuclidean"), and their square root to "euclidean".
+    The expanded form |x|^2 + |y|^2 - 2 x.y would be faster but loses
+    accuracy near the diagonal, worst under the laplace kernel's square
+    root. Rows go in strips so the accumulator stays in cache, and each
+    strip is turned into kernel values in place: the same roundings as
+    exp(-d2 / (2 ls^2)) and exp(-d / ls). The square case computes each
+    strip from its diagonal on, the upper triangle, and mirrors it into
+    the lower one; (x - y)^2 == (y - x)^2, so that is the full Gram's
+    bits. Strips go to a pool of `threads` workers, or run inline at 1.
     """
+    square = X2 is None
     n1, D = X1.shape
-    n2 = X2.shape[0]
-    out = np.zeros((n1, n2))
     X1T = np.ascontiguousarray(X1.T)
-    X2T = np.ascontiguousarray(X2.T)
+    X2T = X1T if square else np.ascontiguousarray(X2.T)
+    n2 = X2T.shape[1]
+    K = np.empty((n1, n2))
     rows = max(1, _DIST_BLOCK // max(1, n2))
-    scratch = np.empty((min(rows, n1), n2))
-    for i in range(0, n1, rows):
-        acc = out[i:i + rows]
-        diff = scratch[:acc.shape[0]]
+    scale = -2.0 * spec.lengthscale**2 if spec.kind == "rbf" \
+        else -spec.lengthscale
+
+    def strip(lo):
+        hi = min(lo + rows, n1)
+        first = lo if square else 0
+        # contiguous buffers: numpy is about twice as fast on them as on
+        # the strided rows of K
+        acc = np.zeros((hi - lo, n2 - first))
+        diff = np.empty_like(acc)
         for k in range(D):
-            np.subtract(X1T[k, i:i + rows, None], X2T[k], out=diff)
+            np.subtract(X1T[k, lo:hi, None], X2T[k, first:], out=diff)
             np.multiply(diff, diff, out=diff)
             acc += diff
-    return out
+        if spec.kind == "laplace":
+            np.sqrt(acc, out=acc)
+        acc /= scale
+        np.exp(acc, out=K[lo:hi, first:])
+        if square:
+            K[hi:, lo:hi] = K[lo:hi, hi:].T
+
+    starts = range(0, n1, rows)
+    if threads == 1 or len(starts) == 1:
+        for lo in starts:
+            strip(lo)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(strip, starts))
+    return K
 
 
-def gram(spec, X1, X2=None):
+def gram(spec, X1, X2=None, threads=1):
     """Gram matrix K[i, j] = K(X1[i], X2[j]); X2=None means X2 = X1.
 
     The square case is bit-identically symmetric. The rbf, laplace and
@@ -129,8 +158,10 @@ def gram(spec, X1, X2=None):
     block's points, gram(spec, X)[np.ix_(r, c)] == gram(spec, X[r], X[c]).
     The linear and ntk_relu dot products come from BLAS, whose roundings
     depend on the shapes around an entry; their square case is
-    symmetrized as (K + K.T)/2.
+    symmetrized as (K + K.T)/2. `threads` workers share the rbf and
+    laplace distance strips; the result does not depend on it.
     """
+    threads = positive_int(threads, "threads")
     X1 = np.asarray(X1, dtype=np.float64)
     square = X2 is None
     X2 = X1 if square else np.asarray(X2, dtype=np.float64)
@@ -140,15 +171,7 @@ def gram(spec, X1, X2=None):
     if spec.kind == "linear":
         K = X1 @ X2.T / X1.shape[1]
     elif spec.kind in ("rbf", "laplace"):
-        # in place: the same roundings as exp(-d2 / (2 ls^2)) and
-        # exp(-d / ls), without three more matrix-sized allocations
-        K = _sq_distances(X1, X2)
-        if spec.kind == "rbf":
-            K /= -2.0 * spec.lengthscale**2
-        else:
-            np.sqrt(K, out=K)
-            K /= -spec.lengthscale
-        np.exp(K, out=K)
+        K = _radial_gram(spec, X1, None if square else X2, threads)
     elif spec.kind == "fourier_bandlimited":
         if X1.shape[1] != 1:
             raise ValueError("fourier_bandlimited is defined for 1-D inputs only")

@@ -169,8 +169,9 @@ class SyntheticSpec:
         elif self.kind == "sphere":
             if self.radius is None or self.dim is None:
                 raise ValueError("sphere needs radius and dim")
-            if self.radius <= 0 or self.dim < 1:
-                raise ValueError("sphere needs radius > 0 and dim >= 1")
+            if self.radius <= 0:
+                raise ValueError("sphere needs radius > 0")
+            object.__setattr__(self, "dim", positive_int(self.dim, "dim"))
         elif self.kind == "rectangular":
             if self.sigmas is None:
                 raise ValueError("rectangular needs per-feature sigmas")
@@ -184,7 +185,7 @@ class SyntheticSpec:
         if self.kind == "gaussian_diag":
             return len(self.variances)
         if self.kind == "sphere":
-            return int(self.dim)
+            return self.dim
         return len(self.sigmas)
 
 

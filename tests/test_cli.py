@@ -574,6 +574,37 @@ def test_integral_float_monte_carlo_p_runs(tmp_path):
         == [2.0, 4.0]
 
 
+@pytest.mark.parametrize("P", [10**400, 2**40])
+def test_monte_carlo_p_beyond_the_draw_budget_exits_2(tmp_path, capsys, P):
+    # 10**400 overflowed the draw and 2**40 would need 8 TB of draws
+    doc = dict(_base_doc(), command="empirical-curve",
+               empirical={"P_grid": [2, P], "trials": 2, "lambda": 0.1})
+    code, out = _run(tmp_path, doc)
+    assert code == 2
+    assert "P = " in capsys.readouterr().err
+    assert not (out / "empirical_curve.csv").exists()
+
+
+def test_integral_float_sphere_dim_runs_as_the_integer(tmp_path):
+    # the schema takes 3.0 as an integer; only the config's own bytes,
+    # echoed and hashed, may differ
+    runs = []
+    for dim in (3, 3.0):
+        doc = dict(_base_doc(), command="theory-curve",
+                   theory={"P_grid": [2, 4], "lambda": 0.1})
+        doc["dataset"] = {"synthetic": {"kind": "sphere", "n": 8,
+                                        "radius": 1.0, "dim": dim,
+                                        "beta": [1.0, 0.5, -0.2]}}
+        code, out = _run(tmp_path, doc, out=f"dim{dim}")
+        assert code == 0
+        files = _read_dir(out)
+        del files["config.echo.json"]
+        manifest = json.loads(files.pop("manifest.json"))
+        del manifest["config_sha256"]
+        runs.append((files, manifest))
+    assert runs[0] == runs[1]
+
+
 def test_unreadable_dataset_exits_2(tmp_path, capsys):
     rng = np.random.default_rng(3)
     X, Y = rng.standard_normal((10, 3)), rng.standard_normal(10)

@@ -9,8 +9,9 @@ from scipy import linalg
 
 from kernelshift import empirical
 from kernelshift.empirical import (EMPIRICAL_COLUMNS, EmpiricalPoint,
-                                   _atom_block, _curve_from_errors,
-                                   _fit_atoms, _solve_in_place,
+                                   _ROW_BLOCK, _atom_block,
+                                   _curve_from_errors, _fit_atoms,
+                                   _solve_in_place,
                                    compare_report,
                                    discrete_trial_error, krr_solve,
                                    run_continuous_curve, run_learning_curve)
@@ -108,6 +109,10 @@ def test_discrete_trial_error_deterministic_and_respects_support():
     with pytest.raises(ValueError):
         discrete_trial_error(K, Y, p, dirac, -1, 0.1, 0.0,
                              np.random.default_rng(0))
+    for train, test in ((uniform_measure(4), dirac), (p, uniform_measure(2))):
+        with pytest.raises(ValueError, match="one mass per point of K"):
+            discrete_trial_error(K, Y, train, test, 5, 0.1, 0.0,
+                                 np.random.default_rng(0))
     ds, K = _toy_problem()
     p, pt = uniform_measure(12), uniform_measure(12)
 
@@ -195,10 +200,11 @@ def _atom_trial_error_via_krr_solve(K, Y, train_measure, test_measure, P,
 @pytest.mark.parametrize("kind", ["linear", "rbf"])
 def test_in_place_trial_fit_equals_krr_solve_bit_for_bit(kind, lam,
                                                          monkeypatch):
-    # the trial gathers K_uu through a buffer of a few rows of K, which
-    # must give the block's exact bits, and its fit on that block is
-    # krr_solve's, bit for bit. The prediction sums row blocks, so the
-    # error agrees to rounding only, for buffers of 1, 3 and all n rows
+    # the trial gathers and weights K_uu through a buffer of a few rows of
+    # K, which must give the weighted block's exact bits, and its fit on
+    # that block is krr_solve's, bit for bit. The prediction sums row
+    # blocks, so the error agrees to rounding only, for buffers of 1, 3
+    # and all n rows
     spec = KernelSpec("linear") if kind == "linear" else \
         KernelSpec("rbf", lengthscale=1.0)
     rng = np.random.default_rng(3)
@@ -217,11 +223,142 @@ def test_in_place_trial_fit_equals_krr_solve_bit_for_bit(kind, lam,
                 got = discrete_trial_error(K, Y, p, pt, P, lam, 0.04,
                                            np.random.default_rng(seed))
                 assert got == pytest.approx(want, rel=1e-12)
-                block = _atom_block(K, atoms, np.empty((rows, 40)))
+                w = np.sqrt(counts)
+                block = _atom_block(K, atoms, w, np.empty((rows, 40)))
                 assert block.flags.f_contiguous
-                assert np.array_equal(block, K[np.ix_(atoms, atoms)])
-            beta = _fit_atoms(block, counts, sums, lam)
+                assert np.array_equal(block, K[np.ix_(atoms, atoms)]
+                                      * w[:, None] * w[None, :])
+            beta = _fit_atoms(block, w, sums, lam)
             assert np.array_equal(beta, np.sqrt(counts)[:, None] * coef)
+
+
+# training masses with zero-mass atoms first, inside and last, and a
+# one-atom support
+_DRAW_MASSES = [np.array([0.0, 0.2, 0.0, 0.0, 0.5, 0.3, 0.0]),
+                np.array([0.0, 0.0, 1.0, 0.0])]
+
+
+@pytest.mark.parametrize("masses", _DRAW_MASSES)
+def test_cdf_draw_is_generator_choice(masses):
+    # the trial draws by the algorithm of Generator.choice(p=...), which
+    # gives its indices and leaves the generator where choice leaves it
+    cdf = masses.cumsum()
+    cdf /= cdf[-1]
+    for seed in range(5):
+        for P in (1, 9, 400):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = a.choice(masses.size, size=P, replace=True, p=masses)
+            got = cdf.searchsorted(b.random(P), side="right")
+            assert np.array_equal(got, want)
+            assert np.all(masses[got] > 0)
+            assert np.array_equal(b.standard_normal(3),
+                                  a.standard_normal(3))
+
+
+def test_bincount_sums_have_add_at_bits():
+    # per-atom label sums from np.bincount add each column's draws in
+    # the order np.add.at does over the draws of np.unique's inverse
+    rng = np.random.default_rng(11)
+    M, P = 30, 200
+    Y = rng.standard_normal((M, 2)) * 1e3
+    idx = rng.integers(0, M - 4, size=P)
+    labels = Y[idx] + np.sqrt(0.04) * rng.standard_normal((P, 2))
+    atoms, inv, counts = np.unique(idx, return_inverse=True,
+                                   return_counts=True)
+    want = np.zeros((atoms.size, 2))
+    np.add.at(want, inv, labels)
+    got_counts = np.bincount(idx, minlength=M)
+    assert np.array_equal(np.flatnonzero(got_counts), atoms)
+    assert np.array_equal(got_counts[atoms], counts)
+    for c in range(2):
+        got = np.bincount(idx, weights=labels[:, c], minlength=M)[atoms]
+        assert np.array_equal(got, want[:, c])
+
+
+def _choice_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
+                        rng):
+    """The trial with Generator.choice, np.unique and np.add.at, its
+    K_uu block gathered whole and then weighted, and its prediction
+    summed over the trial's row blocks."""
+    M = K.shape[0]
+    idx = rng.choice(M, size=P, replace=True, p=train_measure.masses)
+    labels = Y[idx]
+    if noise > 0:
+        labels = labels + np.sqrt(noise) * rng.standard_normal(labels.shape)
+    atoms, inv, counts = np.unique(idx, return_inverse=True,
+                                   return_counts=True)
+    sums = np.zeros((atoms.size, labels.shape[1]))
+    np.add.at(sums, inv, labels)
+    w = np.sqrt(counts)
+    A = K[np.ix_(atoms, atoms)].T
+    A *= w[:, None]
+    A *= w
+    beta = w[:, None] * _solve_in_place(A, sums / w[:, None], lam)[0]
+    rows = max(1, min(atoms.size, _ROW_BLOCK // M))
+    preds = np.zeros((M, beta.shape[1]))
+    for lo in range(0, atoms.size, rows):
+        preds += K[atoms[lo:lo + rows]].T @ beta[lo:lo + rows]
+    return float(np.sum(test_measure.masses[:, None] * (preds - Y) ** 2))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.04])
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("masses", _DRAW_MASSES)
+def test_trial_has_the_bits_of_the_choice_trial(masses, lam, noise):
+    # the CDF draw, the bincount sums and the weighting of each gathered
+    # row block keep every bit of the error and the generator's state
+    rng = np.random.default_rng(12)
+    M = masses.size
+    X = rng.standard_normal((M, 3))
+    Y = np.column_stack([np.sin(X[:, 0]), X[:, 1] * X[:, 2]])
+    K = gram(KernelSpec("rbf", lengthscale=1.2), X)
+    p = DiscreteMeasure(masses)
+    pt = DiscreteMeasure(rng.dirichlet(np.ones(M)))
+    for seed in range(4):
+        for P in (1, 5, 60):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = _choice_trial_error(K, Y, p, pt, P, lam, noise, a)
+            assert discrete_trial_error(K, Y, p, pt, P, lam, noise, b) \
+                == want
+            assert np.array_equal(b.standard_normal(3),
+                                  a.standard_normal(3))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_grid_points_equal_one_p_runs(threads):
+    # trials go trial-major through the pool and are regrouped by P
+    X = np.random.default_rng(13).standard_normal((50, 3))
+    K = gram(KernelSpec("rbf", lengthscale=1.5), X)
+    Y = np.sin(X[:, :1])
+    p = DiscreteMeasure(np.random.default_rng(14).dirichlet(np.ones(50)))
+    pt = uniform_measure(50)
+    kwargs = dict(lam=1e-2, noise=0.01, trials=5, seed=3, threads=threads)
+    P_values = [40, 3, 12, 3]
+    grid = run_learning_curve(K, Y, p, pt, P_values, **kwargs)
+    assert grid == [run_learning_curve(K, Y, p, pt, [P], **kwargs)[0]
+                    for P in P_values]
+
+
+@pytest.mark.parametrize("P", [10**400, 2**40])
+def test_monte_carlo_p_beyond_the_draw_budget_raises_before_any_draw(
+        P, monkeypatch):
+    # 10**400 overflows a C long in the draw and 2**40 draws need 8 TB;
+    # both are refused, naming P, before any trial draws
+    def no_draw(*args):
+        raise AssertionError("a trial drew before the P check")
+
+    monkeypatch.setattr(empirical, "rng_from", no_draw)
+    ds, K = _toy_problem()
+    p = uniform_measure(12)
+    with pytest.raises(ValueError, match=f"P = {str(P)[:10]}"):
+        run_learning_curve(K, ds.Y, p, p, P_values=[3, P], lam=0.1,
+                           noise=0.0, trials=2, seed=0)
+    with pytest.raises(ValueError, match="P = "):
+        run_continuous_curve(KernelSpec("linear"),
+                             lambda rng, n: rng.standard_normal((n, 2)),
+                             lambda X: X[:, 0], lambda X, coef: 0.0,
+                             P_values=[P], lam=0.1, noise=0.0, trials=2,
+                             seed=0)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])

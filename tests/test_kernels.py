@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kernelshift import kernels
 from kernelshift.kernels import (_DIST_BLOCK, KernelSpec, arccos_kappa0,
                                  arccos_kappa1, gram, ntk_relu_eval)
 
@@ -116,6 +117,51 @@ def test_distance_kernels_match_cdist_bitwise(D):
             assert np.array_equal(K, _cdist_gram(spec, X1[:n]))
             assert np.all(np.diag(K) == 1.0)
         assert K[2, 5] == K[5, 2] == 1.0
+
+
+STRIP = 4  # strip height of the threaded square-Gram tests
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, STRIP - 1, STRIP, STRIP + 1,
+                               2 * STRIP + 3])
+def test_half_triangle_gram_has_the_cross_grams_bits(n, threads,
+                                                     monkeypatch):
+    # the square case computes strips of STRIP rows from the diagonal on,
+    # on `threads` workers, and mirrors them; the cross case (cdist's
+    # bits) computes every entry
+    monkeypatch.setattr(kernels, "_DIST_BLOCK", STRIP * n)
+    rng = np.random.default_rng(n)
+    X = 1.7 * rng.standard_normal((n, 5))
+    if n > STRIP:
+        X[STRIP] = X[STRIP - 1]  # a duplicate pair split by a strip edge
+    for spec in (KernelSpec("rbf", lengthscale=1.3),
+                 KernelSpec("laplace", lengthscale=0.8)):
+        K = gram(spec, X, threads=threads)
+        assert np.array_equal(K, gram(spec, X, X))
+        assert np.array_equal(K, K.T)
+
+
+def test_one_thread_gram_starts_no_pool(monkeypatch):
+    # pool start-up costs more than a small Gram, which the optimizer and
+    # the continuous trials build many times
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a thread pool")
+
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", no_pool)
+    X = np.random.default_rng(0).standard_normal((400, 3))
+    spec = KernelSpec("rbf", lengthscale=1.0)
+    assert 400 > _DIST_BLOCK // 400  # several strips
+    gram(spec, X)
+    gram(spec, X, threads=1)
+    with pytest.raises(AssertionError, match="thread pool"):
+        gram(spec, X, threads=2)
+
+
+@pytest.mark.parametrize("threads", [0, -1, 1.5, None])
+def test_gram_thread_count_must_be_a_positive_integer(threads):
+    with pytest.raises(ValueError, match="threads must be a positive"):
+        gram(KernelSpec("rbf"), np.zeros((3, 2)), threads=threads)
 
 
 def test_cross_gram_matches_square_case():

@@ -84,6 +84,9 @@ def test_synthetic_spec_validation():
         SyntheticSpec("sphere", radius=1.0)
     with pytest.raises(ValueError):
         SyntheticSpec("sphere", radius=-1.0, dim=3)
+    for dim in (0, 3.0, "3"):
+        with pytest.raises(ValueError, match="dim must be a positive"):
+            SyntheticSpec("sphere", radius=1.0, dim=dim)
     with pytest.raises(ValueError):
         SyntheticSpec("rectangular")
     with pytest.raises(ValueError):
