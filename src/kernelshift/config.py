@@ -13,6 +13,7 @@ import copy
 import functools
 import hashlib
 import json
+import math
 import operator
 from dataclasses import dataclass
 from importlib import resources
@@ -354,12 +355,21 @@ def _no_constant(name):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is beyond the float range")
+    return value
+
+
 def parse_config(path, seed=None):
     """Load, validate and materialize a strict JSON run configuration; a
-    seed that is not None replaces the config's before it is validated."""
+    seed that is not None replaces the config's before it is validated.
+    NaN, Infinity and a number that overflows a float are refused."""
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_constant=_no_constant)
+            doc = json.load(fh, parse_constant=_no_constant,
+                            parse_float=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", None)
     except ValueError as exc:   # json.JSONDecodeError is one
@@ -373,11 +383,13 @@ def parse_config(path, seed=None):
 
 
 def build_kernel(kernel_section):
-    """KernelSpec from the kernel config section."""
+    """KernelSpec from the kernel config section; an integer key may be
+    an integral float, as the schema's integers are."""
     kind = kernel_section["kind"]
     defaults = _KIND_KEYS["kernel"][1].get(kind, {})
-    return KernelSpec(kind, **{k: type(v)(kernel_section.get(k, v))
-                               for k, v in defaults.items()})
+    return KernelSpec(kind, **{
+        k: int(kernel_section.get(k, v)) if type(v) is int
+        else kernel_section.get(k, v) for k, v in defaults.items()})
 
 
 def _synthetic_spec(syn):

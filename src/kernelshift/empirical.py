@@ -20,7 +20,8 @@ import numpy as np
 from ._lapack import _dpotrf, _dpotrs
 from ._rng import rng_from
 from .kernels import gram
-from .measures import as_measure, nonnegative, positive_int, target_columns
+from .measures import (as_measure, kernel_matrix, nonnegative, points,
+                       positive_int, target_columns)
 
 __all__ = [
     "KRRSolution",
@@ -64,15 +65,16 @@ EMPIRICAL_COLUMNS = tuple(f.name for f in fields(EmpiricalPoint))
 def krr_solve(K_train, y_train, lam):
     """Fit kernel ridge regression.
 
-    Solves (K_train + lam I) coef = y_train. Positive lam uses a
-    Cholesky factorization; lam = 0 falls back to a pseudoinverse so
-    that duplicate sample points (kernel matrices of deficient rank)
-    yield the minimum-norm interpolant, with the rank reported.
+    Solves (K_train + lam I) coef = y_train. K_train goes through
+    measures.kernel_matrix: it must be square, finite and symmetric
+    within SYMMETRY_RTOL, and the fit and its residual both use its
+    symmetric part. Positive lam uses a Cholesky factorization; lam = 0
+    falls back to a pseudoinverse so that duplicate sample points (kernel
+    matrices of deficient rank) yield the minimum-norm interpolant, with
+    the rank reported.
     """
-    K_train = np.asarray(K_train, dtype=np.float64)
+    K_train = kernel_matrix(K_train)
     P = K_train.shape[0]
-    if K_train.shape != (P, P):
-        raise ValueError("training kernel matrix must be square")
     y2 = target_columns(y_train, P)
     _check_fit(P, lam)
     coef, rank = _solve_in_place(np.array(K_train, order="F"), y2, lam)
@@ -190,15 +192,20 @@ def _discrete_trials(K, Y, train_measure, test_measure, lam, noise):
     their nonzero eigenvalues, so the pseudoinverse cuts the same modes.
     Rows of K are read a few at a time into one buffer, for the K_uu
     block and again for the prediction, so a trial holds its n x n block
-    and never the n x M rows of its draws. K must be a symmetric float64
-    array, as `kernels.gram` makes it, because rows K[u] stand in for
-    columns K[:, u].
+    and never the n x M rows of its draws. Rows K[u] stand in for
+    columns K[:, u]: K goes through measures.kernel_matrix once, here,
+    which refuses a K that is not (M, M) for the training measure's M,
+    finite and symmetric within SYMMETRY_RTOL, and symmetrizes one that
+    is symmetric only within it.
     """
-    M = K.shape[0]
+    train_measure = as_measure(train_measure)
+    test_measure = as_measure(test_measure)
+    M = train_measure.M
+    K = kernel_matrix(K, M)
     Y = target_columns(Y, M)
     noise = nonnegative(noise, "noise")
     nonnegative(lam, "ridge")
-    if train_measure.M != M or test_measure.M != M:
+    if test_measure.M != M:
         raise ValueError(f"train and test measures need one mass per "
                          f"point of K ({M}), got {train_measure.M} and "
                          f"{test_measure.M}")
@@ -285,14 +292,13 @@ def run_learning_curve(K, Y, train_measure, test_measure, P_values, lam,
                        noise, trials, seed, threads=1):
     """Monte Carlo learning curve on a discrete problem.
 
-    K must be symmetric, as `kernels.gram` makes it (see
-    `_discrete_trials`). Every trial draws its own generator from
-    (seed, P, trial index), so results are identical whatever the thread
-    count or evaluation order.
+    K goes through measures.kernel_matrix once per curve (see
+    `_discrete_trials`): it must be (M, M) for the measures' M, finite
+    and symmetric within SYMMETRY_RTOL. Every trial draws its own
+    generator from (seed, P, trial index), so results are identical
+    whatever the thread count or evaluation order.
     """
-    K = np.asarray(K, dtype=np.float64)
-    error = _discrete_trials(K, Y, as_measure(train_measure),
-                             as_measure(test_measure), lam, noise)
+    error = _discrete_trials(K, Y, train_measure, test_measure, lam, noise)
 
     def task(P, t):
         return error(P, rng_from(seed, "trial", P, t))
@@ -304,18 +310,19 @@ def run_continuous_curve(kernel_spec, sample_train, target_fn, test_error,
                          P_values, lam, noise, trials, seed, threads=1):
     """Monte Carlo learning curve with fresh inputs every trial.
 
-    sample_train(rng, n) must return an (n, D) array of training inputs;
-    target_fn maps an input array to noiseless labels. test_error(X, coef)
-    must return the test-measure error of the fit with dual coefficients
-    coef (P, C) on X, integrated exactly, so that training draws are the
-    only noise in the trial statistics. The fit checks its labels, ridge
-    and Gram budget before it builds the Gram, then factors the Gram in
-    place: `kernels.gram` makes it exactly symmetric, so its transpose
-    is the same matrix in Fortran order.
+    sample_train(rng, n) must return an (n, D) array of training inputs,
+    which goes through measures.points; target_fn maps an input array to
+    noiseless labels. test_error(X, coef) must return the test-measure
+    error of the fit with dual coefficients coef (P, C) on X, integrated
+    exactly, so that training draws are the only noise in the trial
+    statistics. The fit checks its labels, ridge and Gram budget before
+    it builds the Gram, then factors the Gram in place: `kernels.gram`
+    makes it exactly symmetric, so its transpose is the same matrix in
+    Fortran order.
     """
     def task(P, t):
         rng = rng_from(seed, "trial", P, t)
-        X = sample_train(rng, P)
+        X = points(sample_train(rng, P), P)
         y = target_columns(target_fn(X), X.shape[0])
         if noise > 0:
             y = y + np.sqrt(noise) * rng.standard_normal(y.shape)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import positive_int
+from .measures import nonnegative, points, positive_int
 
 KERNEL_KINDS = ("linear", "rbf", "laplace", "fourier_bandlimited", "ntk_relu")
 
@@ -43,8 +43,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind in ("rbf", "laplace") and not self.lengthscale > 0:
+        lengthscale = nonnegative(self.lengthscale, "lengthscale")
+        if not lengthscale > 0:
             raise ValueError("lengthscale must be positive")
+        object.__setattr__(self, "lengthscale", lengthscale)
         if self.kind == "fourier_bandlimited":
             object.__setattr__(self, "n_modes",
                                positive_int(self.n_modes, "n_modes"))
@@ -150,6 +152,8 @@ def _radial_gram(spec, X1, X2, threads):
 
 def gram(spec, X1, X2=None, threads=1):
     """Gram matrix K[i, j] = K(X1[i], X2[j]); X2=None means X2 = X1.
+    Both point sets go through measures.points, and must have the same
+    number of features.
 
     The square case is bit-identically symmetric. The rbf, laplace and
     fourier_bandlimited kinds are computed entry by entry (K[i, j] depends
@@ -162,11 +166,12 @@ def gram(spec, X1, X2=None, threads=1):
     laplace distance strips; the result does not depend on it.
     """
     threads = positive_int(threads, "threads")
-    X1 = np.asarray(X1, dtype=np.float64)
+    X1 = points(X1)
     square = X2 is None
-    X2 = X1 if square else np.asarray(X2, dtype=np.float64)
-    if X1.ndim != 2 or X2.ndim != 2 or X1.shape[1] != X2.shape[1]:
-        raise ValueError("inputs must be 2-D with matching feature dimension")
+    X2 = X1 if square else points(X2)
+    if X1.shape[1] != X2.shape[1]:
+        raise ValueError(f"X1 has {X1.shape[1]} features and X2 has "
+                         f"{X2.shape[1]}")
 
     if spec.kind == "linear":
         K = X1 @ X2.T / X1.shape[1]

@@ -17,6 +17,10 @@ from ._rng import rng_from
 from .io import read_csv_columns, read_npz, write_csv_atomic, write_npz_atomic
 
 MASS_TOL = 1e-12
+# |K - K.T| tolerance, relative to the largest |K| entry
+SYMMETRY_RTOL = 1e-8
+# entries of the row blocks kernel_matrix checks K in
+_CHECK_BLOCK = 1 << 16
 
 _NPZ_MAGIC = b"PK\x03\x04"  # an .npz file is a zip archive
 _DATASET_FORMATS = ("an .npz archive with arrays X (M, D) and Y (M, C) or "
@@ -37,6 +41,46 @@ def target_columns(Y, M):
     if not np.all(np.isfinite(Y)):
         raise ValueError("Y contains non-finite entries")
     return Y
+
+
+def points(X, M=None):
+    """Points as a float64, C-contiguous (M, D) array, with M rows when M
+    is given; any other shape or a non-finite entry raises ValueError."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D (M, D), got shape {X.shape}")
+    if M is not None and X.shape[0] != M:
+        raise ValueError(f"X has {X.shape[0]} rows, not one per point ({M})")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X contains non-finite entries")
+    return X
+
+
+def kernel_matrix(K, M=None):
+    """A Gram matrix as a float64 (M, M) array, square when M is None,
+    that is finite and symmetric within SYMMETRY_RTOL of its largest
+    entry: K itself when exactly symmetric, where (K + K^T)/2 has the
+    same bits, and (K + K^T)/2 otherwise. Anything else raises
+    ValueError."""
+    K = np.asarray(K, dtype=np.float64)
+    if (K.ndim != 2 or K.shape[0] != K.shape[1]
+            or M not in (None, K.shape[0])):
+        raise ValueError(f"K must be {'square' if M is None else (M, M)}, "
+                         f"got shape {K.shape}")
+    # a block of rows at a time, so no temporary is K's size
+    rows = max(1, _CHECK_BLOCK // max(1, K.shape[0]))
+    exact = True
+    for lo in range(0, K.shape[0], rows):
+        block = K[lo:lo + rows]
+        if not np.all(np.isfinite(block)):
+            raise ValueError("K contains non-finite entries")
+        exact = exact and np.array_equal(block, K[:, lo:lo + rows].T)
+    if exact:
+        return K
+    scale = np.abs(K).max() or 1.0
+    if np.abs(K - K.T).max() > SYMMETRY_RTOL * scale:
+        raise ValueError("K is not symmetric")
+    return 0.5 * (K + K.T)
 
 
 def nonnegative(value, name):
@@ -68,11 +112,7 @@ class Dataset:
     Y: np.ndarray
 
     def __post_init__(self):
-        X = np.ascontiguousarray(np.asarray(self.X, dtype=np.float64))
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D (M, D), got shape {X.shape}")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("X contains non-finite entries")
+        X = points(self.X)
         Y = np.ascontiguousarray(target_columns(self.Y, X.shape[0]))
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
@@ -133,11 +173,16 @@ def uniform_measure(M):
 
 
 def from_logits(z):
-    """Softmax of a logit vector; invariant to a constant shift of z."""
+    """Softmax of a logit vector; invariant to a constant shift of z. A
+    logit of -inf is a zero mass; NaN and +inf raise ValueError."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError("logits must be a 1-D vector")
-    w = np.exp(z - z.max())
+    top = z.max() if z.size else np.nan
+    if not np.isfinite(top):   # a NaN or +inf logit, or none finite
+        raise ValueError(f"logits must be finite or -inf, one of them "
+                         f"finite, got {reprlib.repr(z)}")
+    w = np.exp(z - top)
     return DiscreteMeasure(w / w.sum())
 
 
@@ -169,8 +214,10 @@ class SyntheticSpec:
         elif self.kind == "sphere":
             if self.radius is None or self.dim is None:
                 raise ValueError("sphere needs radius and dim")
-            if self.radius <= 0:
+            radius = nonnegative(self.radius, "radius")
+            if not radius > 0:
                 raise ValueError("sphere needs radius > 0")
+            object.__setattr__(self, "radius", radius)
             object.__setattr__(self, "dim", positive_int(self.dim, "dim"))
         elif self.kind == "rectangular":
             if self.sigmas is None:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (DiscreteMeasure, as_measure, from_logits, nonnegative,
-                       positive_int)
+from .measures import (DiscreteMeasure, as_measure, from_logits,
+                       kernel_matrix, nonnegative, positive_int)
 from .spectral import DEFAULT_RANK_THRESHOLD
 from .theory import (DivergenceError, SupportError, pointwise_error_density,
                      predict_Eg_train_grad)
@@ -176,8 +176,9 @@ def _trace(zs, egs, converged, message):
 def optimize_train_measure(K, Y, test_measure, config,
                            rank_threshold=DEFAULT_RANK_THRESHOLD):
     """Optimize the training measure of a discrete problem with Gram K and
-    targets Y. The test measure stays fixed; logits start at zero (uniform
-    measure).
+    targets Y. K goes through measures.kernel_matrix, (M, M) for the test
+    measure's M. The test measure stays fixed; logits start at zero
+    (uniform measure).
 
     The gradient is analytic (theory.predict_Eg_train_grad) and costs one
     decomposition and O(M^3) matmuls per iterate, chained through the
@@ -189,8 +190,9 @@ def optimize_train_measure(K, Y, test_measure, config,
     softmax underflows a mass to 0, is rejected; a diverging start raises
     DivergenceError.
     """
-    M = np.shape(K)[0]
     test_measure = as_measure(test_measure)
+    M = test_measure.M
+    K = kernel_matrix(K, M)
 
     def objective(z):
         p = from_logits(z)

@@ -22,14 +22,14 @@ import numpy as np
 from . import _lapack
 from .io import read_npz, write_npz_atomic
 from .kernels import gram
-from .measures import DiscreteMeasure, as_measure, target_columns
+from .measures import (DiscreteMeasure, as_measure, kernel_matrix, points,
+                       target_columns)
 
 DEFAULT_RANK_THRESHOLD = 1e-12
 
 log = logging.getLogger(__name__)
 
-# |K - K.T| tolerance and negative-eigenvalue tolerance, relative to scale
-SYMMETRY_RTOL = 1e-8
+# negative-eigenvalue tolerance, relative to scale
 PSD_RTOL = 1e-8
 # entries of the blocks that V is reordered in and that Phi and the
 # gradient's adjoint are built in
@@ -65,21 +65,6 @@ class SpectralDecomposition:
         return self.n_modes - self.rank
 
 
-def _check_square_symmetric(K, M):
-    K = np.asarray(K, dtype=np.float64)
-    if K.shape != (M, M):
-        raise ValueError(f"kernel matrix must be ({M}, {M}), got {K.shape}")
-    if not np.all(np.isfinite(K)):
-        raise ValueError("kernel matrix contains non-finite entries")
-    # K itself when exactly symmetric, where (K + K^T)/2 has the same bits
-    if np.array_equal(K, K.T):
-        return K
-    scale = np.abs(K).max() or 1.0
-    if np.abs(K - K.T).max() > SYMMETRY_RTOL * scale:
-        raise ValueError("kernel matrix is not symmetric")
-    return 0.5 * (K + K.T)
-
-
 def mercer_decompose(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
     """Diagonalize the kernel with respect to the measure.
 
@@ -96,7 +81,7 @@ def _decompose_gram(K, measure, rank_threshold):
     """_decompose reading its blocks from the Gram matrix K; also returns
     the checked, symmetric K."""
     measure = as_measure(measure)
-    K = _check_square_symmetric(K, measure.M)
+    K = kernel_matrix(K, measure.M)
     sup = measure.support()
     dec, V = _decompose(lambda rows: K[np.ix_(rows, sup)], measure,
                         rank_threshold)
@@ -104,15 +89,12 @@ def _decompose_gram(K, measure, rank_threshold):
 
 
 def _decompose_spec(spec, X, measure, rank_threshold):
-    """_decompose building its blocks from the kernel spec and the points
-    X (M, D), each checked finite; the M x M Gram is never built.  Where
-    kernels.gram computes every entry on its own (rbf, laplace,
-    fourier_bandlimited) the decomposition has the bits of
+    """_decompose building its blocks from the kernel spec and the
+    checked points X (M, D), each block checked finite; the M x M Gram is
+    never built.  Where kernels.gram computes every entry on its own
+    (rbf, laplace, fourier_bandlimited) the decomposition has the bits of
     mercer_decompose(gram(spec, X), ...); the BLAS kinds agree with it to
     rounding."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != measure.M:
-        raise ValueError(f"X must be ({measure.M}, D), got {X.shape}")
     X_sup = X[measure.support()]
     return _decompose(lambda rows: _finite(gram(spec, X[rows], X_sup)),
                       measure, rank_threshold)[0]
@@ -262,8 +244,8 @@ def decomposition_cache_key(spec, X, measure,
                             rank_threshold=DEFAULT_RANK_THRESHOLD):
     """Content hash of (format version, kernel spec, points X with their
     shape, masses, threshold): everything the decomposition is computed
-    from, so a hit needs no Gram."""
-    X = np.ascontiguousarray(X, dtype="<f8")
+    from, so a hit needs no Gram. X goes through measures.points."""
+    X = np.ascontiguousarray(points(X, measure.M), dtype="<f8")
     h = hashlib.sha256(f"kernelshift-decomposition-v{CACHE_FORMAT_VERSION}"
                        .encode())
     h.update(repr((spec.kind, float(spec.lengthscale), spec.n_modes,
@@ -275,16 +257,18 @@ def decomposition_cache_key(spec, X, measure,
 
 
 def cached_decompose(spec, X, measure, rank_threshold, cache_dir):
-    """The decomposition of kernel `spec` on the points X (M, D) under the
-    measure, with the bits of mercer_decompose(gram(spec, X), measure,
-    rank_threshold) but without the M x M Gram: only the support block
-    and the off-support rows against the support are built.  It goes
-    through the entry <key>.npz in cache_dir when one is given, and a
-    hit builds no kernel block at all.
+    """The decomposition of kernel `spec` on the points X (M, D), checked
+    by measures.points, under the measure, with the bits of
+    mercer_decompose(gram(spec, X), measure, rank_threshold) but without
+    the M x M Gram: only the support block and the off-support rows
+    against the support are built.  It goes through the entry <key>.npz
+    in cache_dir when one is given, and a hit builds no kernel block at
+    all.
 
     An unreadable entry counts as a miss: it is recomputed and overwritten.
     """
     measure = as_measure(measure)
+    X = points(X, measure.M)
     if not cache_dir:
         return _decompose_spec(spec, X, measure, rank_threshold)
     key = decomposition_cache_key(spec, X, measure, rank_threshold)

@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import astuple, fields
 import os
+import re
 import subprocess
 import sys
 
@@ -552,6 +553,66 @@ def test_non_json_number_exits_2_before_any_data_is_built(
     assert code == 2
     assert "is not a JSON number" in capsys.readouterr().err
     assert not (out / f"{command.split('-')[0]}_curve.csv").exists()
+
+
+@pytest.mark.parametrize("command, pointer", [
+    ("compare", "compare/band"),
+    ("theory-curve", "kernel/lengthscale"),
+    ("theory-curve", "theory/lambda"),
+    ("theory-curve", "dataset/synthetic/variances"),
+])
+def test_json_number_beyond_float_range_exits_2_before_any_data_is_built(
+        tmp_path, capsys, monkeypatch, command, pointer):
+    # json.load reads 1e400 as inf unless parse_float refuses it
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built data for a config that is not JSON")
+
+    monkeypatch.setattr(cli, "build_dataset", unreachable)
+    if command == "compare":
+        doc = {"command": command, "compare": {
+            "theory_csv": "theory.csv", "empirical_csv": "empirical.csv"}}
+    else:
+        doc = dict(_base_doc(), command=command,
+                   theory={"P_grid": [2, 4], "lambda": 0.1})
+    *path, key = pointer.split("/")
+    section = functools.reduce(dict.__getitem__, path, doc)
+    section[key] = [0.123456789] if key == "variances" else 0.123456789
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc).replace("0.123456789", "1e400"))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert "1e400 is beyond the float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lengthscale_beyond_float_range_exits_2(tmp_path, capsys):
+    # a JSON integer of 401 digits parses, and no float holds it
+    doc = dict(_base_doc(), command="decompose")
+    doc["kernel"]["lengthscale"] = 10**400
+    code, out = _run(tmp_path, doc)
+    assert code == 2
+    assert "lengthscale must be nonnegative and finite" \
+        in capsys.readouterr().err
+    assert not (out / "eigenvalues.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "1-D"])
+def test_malformed_dataset_points_exit_2_naming_X(tmp_path, capsys, bad):
+    # a config carries points only through a dataset file, which goes
+    # through measures.points
+    if bad == "1-D":
+        path = tmp_path / "points.npz"
+        np.savez(path, X=np.arange(4.0), Y=np.arange(4.0))
+    else:
+        path = tmp_path / "points.csv"
+        path.write_text(f"f0,f1,y0\n0,1,2\n{bad},1,2\n1,0,1\n")
+    doc = dict(_base_doc(), command="decompose",
+               dataset={"path": str(path)})
+    code, out = _run(tmp_path, doc)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and re.search(r"\bX\b", err)
+    assert not (out / "eigenvalues.csv").exists()
 
 
 def test_theory_p_beyond_float_range_exits_2(tmp_path, capsys):

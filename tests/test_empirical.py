@@ -109,8 +109,11 @@ def test_discrete_trial_error_deterministic_and_respects_support():
     with pytest.raises(ValueError):
         discrete_trial_error(K, Y, p, dirac, -1, 0.1, 0.0,
                              np.random.default_rng(0))
-    for train, test in ((uniform_measure(4), dirac), (p, uniform_measure(2))):
-        with pytest.raises(ValueError, match="one mass per point of K"):
+    # the training measure fixes M, so a K of another size is named first
+    for train, test, message in (
+            (uniform_measure(4), dirac, r"^K must be \(4, 4\)"),
+            (p, uniform_measure(2), "one mass per point of K")):
+        with pytest.raises(ValueError, match=message):
             discrete_trial_error(K, Y, train, test, 5, 0.1, 0.0,
                                  np.random.default_rng(0))
     ds, K = _toy_problem()
@@ -173,7 +176,11 @@ def test_distinct_atom_trial_matches_p_space_fit(kind, lam, C, noise):
 def _atom_trial_error_via_krr_solve(K, Y, train_measure, test_measure, P,
                                     lam, noise, rng):
     """The distinct-atom trial with its fit made by public krr_solve on
-    the C-ordered weighted block, and one gemv for the prediction.
+    the C-ordered weighted block, its lower triangle mirrored, and one
+    gemv for the prediction. The block is symmetric only to rounding, and
+    krr_solve fits the symmetric part of what it is given, so it gets the
+    symmetric matrix whose lower triangle the trial's Cholesky factor
+    reads.
 
     Returns the error, the atoms, counts and label sums, and krr_solve's
     coefficients."""
@@ -188,6 +195,7 @@ def _atom_trial_error_via_krr_solve(K, Y, train_measure, test_measure, P,
     np.add.at(sums, inv, labels)
     w = np.sqrt(counts)
     A = K[np.ix_(atoms, atoms)] * w[:, None] * w[None, :]
+    A = np.tril(A) + np.tril(A, -1).T
     A_before = A.copy()
     coef = krr_solve(A, sums / w[:, None], lam).coef
     assert np.array_equal(A, A_before)
@@ -228,8 +236,19 @@ def test_in_place_trial_fit_equals_krr_solve_bit_for_bit(kind, lam,
                 assert block.flags.f_contiguous
                 assert np.array_equal(block, K[np.ix_(atoms, atoms)]
                                       * w[:, None] * w[None, :])
+            raw = K[np.ix_(atoms, atoms)] * w[:, None] * w[None, :]
             beta = _fit_atoms(block, w, sums, lam)
-            assert np.array_equal(beta, np.sqrt(counts)[:, None] * coef)
+            if lam > 0:
+                assert np.array_equal(beta, w[:, None] * coef)
+            else:
+                # the pseudoinverse reads the whole block: it is lstsq's
+                # on the trial's own block, and krr_solve's on the
+                # mirrored one to rounding
+                ref = np.linalg.lstsq(raw, sums / w[:, None],
+                                      rcond=empirical.RIDGELESS_RCOND)[0]
+                assert np.array_equal(beta, w[:, None] * ref)
+                assert np.allclose(beta, w[:, None] * coef, rtol=1e-9,
+                                   atol=1e-9 * np.abs(beta).max())
 
 
 # training masses with zero-mass atoms first, inside and last, and a

@@ -1,7 +1,8 @@
 """The input rules every public entry point shares: a target goes through
-measures.target_columns, a ridge, a noise and a spectrum through
-measures.nonnegative, and a count through measures.positive_int, so a bad
-one raises the same ValueError wherever it enters."""
+measures.target_columns, a Gram matrix through measures.kernel_matrix,
+a point set through measures.points, a ridge, a noise and a spectrum
+through measures.nonnegative, and a count through measures.positive_int,
+so a bad one raises the same ValueError wherever it enters."""
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from kernelshift.closedform import (gaussian_linear_Eg, general_linear_Eg,
 from kernelshift.empirical import (discrete_trial_error, krr_solve,
                                    run_continuous_curve, run_learning_curve)
 from kernelshift.kernels import KernelSpec, gram
-from kernelshift.measures import (Dataset, SyntheticSpec, nonnegative,
-                                  positive_int, target_columns,
+from kernelshift.measures import (SYMMETRY_RTOL, Dataset, SyntheticSpec,
+                                  nonnegative, positive_int, target_columns,
                                   uniform_measure)
 from kernelshift.optimizer import (OptimizerConfig, optimize_test_measure,
                                    optimize_train_measure)
-from kernelshift.spectral import mercer_decompose, project_target
+from kernelshift.spectral import (DEFAULT_RANK_THRESHOLD, cached_decompose,
+                                  decomposition_cache_key, mercer_decompose,
+                                  project_target)
 from kernelshift.theory import (pointwise_error_density, predict_Eg_curve,
                                 predict_Eg_dataset, predict_Eg_train_grad,
                                 solve_kappa)
@@ -202,3 +205,120 @@ def test_nonnegative_returns_floats_and_refuses_what_float_cannot_take():
     for bad in (0, 2.0, None, "3"):
         with pytest.raises(ValueError, match="^n must be a positive integer"):
             positive_int(bad, "n")
+
+
+def _bad_gram(kind):
+    if kind == "non-square":
+        return K[:, :-1]
+    if kind == "wrong size":
+        return gram(SPEC, np.vstack([X, X[:1] + 1.0]))
+    if kind == "asymmetric":
+        A = K.copy()
+        A[1, 2] += 100 * SYMMETRY_RTOL * np.abs(K).max()
+        return A
+    A = K.copy()
+    A[1, 2] = A[2, 1] = np.nan if kind == "nan" else np.inf
+    return A
+
+
+# every public function that takes a Gram matrix, as f(K)
+GRAM_ENTRY_POINTS = {
+    "mercer_decompose": lambda K: mercer_decompose(K, P_MEASURE),
+    "predict_Eg_dataset": lambda K: predict_Eg_dataset(
+        K, Y_GOOD, P_MEASURE, P_MEASURE, 4, 0.1, 0.0),
+    "predict_Eg_train_grad": lambda K: predict_Eg_train_grad(
+        K, Y_GOOD, P_MEASURE, P_MEASURE, 4, 0.1, 0.0),
+    "optimize_train_measure": lambda K: optimize_train_measure(
+        K, Y_GOOD, P_MEASURE, CONFIG),
+    "krr_solve": lambda K: krr_solve(K, Y_GOOD, 0.1),
+    "discrete_trial_error": lambda K: discrete_trial_error(
+        K, Y_GOOD, P_MEASURE, P_MEASURE, 4, 0.1, 0.0,
+        np.random.default_rng(0)),
+    "run_learning_curve": lambda K: run_learning_curve(
+        K, Y_GOOD, P_MEASURE, P_MEASURE, [4], 0.1, 0.0, 2, 0),
+}
+
+
+# a "wrong size" K is one that does not fit a measure; krr_solve has
+# none, and its labels are checked against K's own size
+@pytest.mark.parametrize("entry, kind", [
+    (entry, kind) for entry in sorted(GRAM_ENTRY_POINTS)
+    for kind in ("non-square", "wrong size", "nan", "inf", "asymmetric")
+    if (entry, kind) != ("krr_solve", "wrong size")])
+def test_bad_gram_raises_a_value_error_naming_K(entry, kind):
+    GRAM_ENTRY_POINTS[entry](K)   # the good Gram runs
+    with pytest.raises(ValueError, match=r"\bK\b"):
+        GRAM_ENTRY_POINTS[entry](_bad_gram(kind))
+
+
+def _draw(X_train):
+    """run_continuous_curve on M draws that sample_train returns as
+    X_train."""
+    return run_continuous_curve(
+        SPEC, lambda rng, n: X_train, lambda X_draw: np.ones(len(X_draw)),
+        lambda X_draw, coef: 0.0, [M], 0.1, 0.0, 2, 0)
+
+
+# every public function that takes a point set, and a sample_train draw,
+# as f(X); only the entries in SIZED have a row count to meet, which a
+# measure or the draw size sets
+POINTS_ENTRY_POINTS = {
+    "Dataset": lambda X_: Dataset(X_, np.ones(len(X_))),
+    "gram": lambda X_: gram(SPEC, X_),
+    "gram X2": lambda X_: gram(SPEC, X, X_),
+    "cached_decompose": lambda X_: cached_decompose(
+        SPEC, X_, P_MEASURE, DEFAULT_RANK_THRESHOLD, None),
+    "decomposition_cache_key": lambda X_: decomposition_cache_key(
+        SPEC, X_, P_MEASURE),
+    "run_continuous_curve": _draw,
+}
+SIZED = ("cached_decompose", "decomposition_cache_key",
+         "run_continuous_curve")
+
+
+def _bad_points(kind):
+    if kind == "1-D":
+        return X[:, 0]
+    if kind == "wrong row count":
+        return np.vstack([X, X[:1]])
+    X_ = X.copy()
+    X_[2, 1] = np.nan if kind == "nan" else np.inf
+    return X_
+
+
+@pytest.mark.parametrize("entry, kind", [
+    (entry, kind) for entry in sorted(POINTS_ENTRY_POINTS)
+    for kind in ("1-D", "nan", "inf", "wrong row count")
+    if kind != "wrong row count" or entry in SIZED])
+def test_bad_points_raise_a_value_error_naming_X(entry, kind):
+    POINTS_ENTRY_POINTS[entry](X)   # the good points run
+    with pytest.raises(ValueError, match=r"\bX\b"):
+        POINTS_ENTRY_POINTS[entry](_bad_points(kind))
+
+
+def test_a_gram_within_the_symmetry_tolerance_is_fitted_symmetrized():
+    # krr_solve's Cholesky factor reads one triangle: an asymmetric K
+    # within SYMMETRY_RTOL is fitted as its symmetric part, and the
+    # residual is of that part
+    A = K.copy()
+    A[1, 2] += 0.5 * SYMMETRY_RTOL * np.abs(K).max()
+    fit = krr_solve(A, Y_GOOD, 0.1)
+    want = krr_solve(0.5 * (A + A.T), Y_GOOD, 0.1)
+    assert np.array_equal(fit.coef, want.coef)
+    assert fit.residual == want.residual
+    assert run_learning_curve(A, Y_GOOD, P_MEASURE, P_MEASURE, [4], 0.1,
+                              0.0, 2, 0) \
+        == run_learning_curve(0.5 * (A + A.T), Y_GOOD, P_MEASURE, P_MEASURE,
+                              [4], 0.1, 0.0, 2, 0)
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(10**401, id="401 digits"), None, "a", np.nan, np.inf,
+    -1.0])
+@pytest.mark.parametrize("kind", ["rbf", "laplace", "linear"])
+def test_bad_lengthscale_raises_a_value_error_naming_it(kind, value):
+    with pytest.raises(ValueError, match="^lengthscale must be nonnegative"):
+        KernelSpec(kind, lengthscale=value)
+    with pytest.raises(ValueError, match="^lengthscale must be positive"):
+        KernelSpec(kind, lengthscale=0)
+    assert KernelSpec(kind, lengthscale=2).lengthscale == 2.0

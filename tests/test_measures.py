@@ -42,6 +42,17 @@ def test_from_logits_golden():
     assert np.allclose(m.masses, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
 
+def test_from_logits_refuses_nan_and_plus_inf_and_keeps_minus_inf():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # refused before any exp
+        for z in ([0.0, np.nan], [np.inf, 0.0], [-np.inf, -np.inf], []):
+            with pytest.raises(ValueError, match="^logits must be finite"):
+                from_logits(z)
+        # a -inf logit is a zero mass, as optimize_test_measure's trace
+        # writes the log of one
+        assert from_logits([-np.inf, 0.0]).masses.tolist() == [0.0, 1.0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     z=st.lists(st.floats(-30, 30), min_size=1, max_size=12),
@@ -84,6 +95,12 @@ def test_synthetic_spec_validation():
         SyntheticSpec("sphere", radius=1.0)
     with pytest.raises(ValueError):
         SyntheticSpec("sphere", radius=-1.0, dim=3)
+    for radius in (np.nan, np.inf, 10**401, "a"):
+        with pytest.raises(ValueError, match="^radius must be nonnegative"):
+            SyntheticSpec("sphere", radius=radius, dim=3)
+    with pytest.raises(ValueError, match="radius > 0"):
+        SyntheticSpec("sphere", radius=0.0, dim=3)
+    assert SyntheticSpec("sphere", radius=2, dim=3).radius == 2.0
     for dim in (0, 3.0, "3"):
         with pytest.raises(ValueError, match="dim must be a positive"):
             SyntheticSpec("sphere", radius=1.0, dim=dim)

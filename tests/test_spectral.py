@@ -9,10 +9,10 @@ import pytest
 
 from kernelshift import spectral
 from kernelshift.kernels import KernelSpec, gram
-from kernelshift.measures import DiscreteMeasure, from_logits, uniform_measure
-from kernelshift.spectral import (DEFAULT_RANK_THRESHOLD, SYMMETRY_RTOL,
-                                  SpectralDecomposition,
-                                  _check_square_symmetric, _overlap_matrix,
+from kernelshift.measures import (SYMMETRY_RTOL, DiscreteMeasure,
+                                  from_logits, kernel_matrix, uniform_measure)
+from kernelshift.spectral import (DEFAULT_RANK_THRESHOLD,
+                                  SpectralDecomposition, _overlap_matrix,
                                   cached_decompose, decomposition_cache_key,
                                   load_decomposition, mercer_decompose,
                                   project_target, save_decomposition)
@@ -96,10 +96,10 @@ def test_low_rank_linear_kernel():
 
 def test_symmetry_check_returns_symmetric_input_itself():
     K, _, _, _ = _instance(0)
-    assert _check_square_symmetric(K, 20) is K
+    assert kernel_matrix(K, 20) is K
     A = K.copy()
     A[3, 5] += 0.5 * SYMMETRY_RTOL
-    got = _check_square_symmetric(A, 20)
+    got = kernel_matrix(A, 20)
     assert got is not A and A[3, 5] != A[5, 3]
     assert np.array_equal(got, 0.5 * (A + A.T))
     assert np.array_equal(got, got.T)
@@ -361,9 +361,11 @@ def test_cache_key_and_roundtrip(tmp_path):
         # the same bytes in another shape
         decomposition_cache_key(spec, X.reshape(40, 2),
                                 from_logits(np.zeros(40))),
-        decomposition_cache_key(spec, X.reshape(40, 2), p),
         decomposition_cache_key(spec, X, p, rank_threshold=1e-10),
     ]
+    # points that do not fit the measure have no key
+    with pytest.raises(ValueError, match="X has 40 rows"):
+        decomposition_cache_key(spec, X.reshape(40, 2), p)
     # every field of the spec
     others += [decomposition_cache_key(other, X, p) for other in (
         KernelSpec("laplace", lengthscale=1.5),
