@@ -62,14 +62,10 @@ def _dataset_problem(rc):
     return ds, spec, measures
 
 
-def _rank_threshold(rc):
-    return float(rc.doc["theory"]["rank_threshold"])
-
-
 def cmd_decompose(rc, art, threads, cache_dir):
     ds, spec, measures = _dataset_problem(rc)
     dec = cached_decompose(spec, ds.X, measures["train"],
-                           _rank_threshold(rc), cache_dir)
+                           rc.doc["theory"]["rank_threshold"], cache_dir)
     # per-mode power inside the collapsed (numerically null) eigenspace
     # depends on the basis the eigensolver picks; only its sum is defined
     abar, R = _rows(dec, ds.Y)
@@ -98,7 +94,7 @@ def cmd_theory_curve(rc, art, threads, cache_dir):
     ds, spec, measures = _dataset_problem(rc)
     sec = rc.doc["theory"]
     dec = cached_decompose(spec, ds.X, measures["train"],
-                           _rank_threshold(rc), cache_dir)
+                           sec["rank_threshold"], cache_dir)
     preds = predict_Eg_curve(dec, ds.Y, measures["test"], sec["P_grid"],
                              sec["lambda"], sec["noise"])
     return _write_curve(art, "theory_curve.csv", preds)
@@ -119,20 +115,19 @@ def cmd_empirical_curve(rc, art, threads, cache_dir):
     K = gram(spec, ds.X, threads=threads)
     sec = rc.doc["empirical"]
     points = run_learning_curve(K, ds.Y, measures["train"], measures["test"],
-                                [int(P) for P in sec["P_grid"]], sec["lambda"],
-                                sec["noise"], int(sec["trials"]), rc.seed,
-                                threads=threads)
+                                sec["P_grid"], sec["lambda"], sec["noise"],
+                                sec["trials"], rc.seed, threads=threads)
     art.write_csv("empirical_curve.csv", EMPIRICAL_COLUMNS,
                   map(dataclasses.astuple, points))
     return EXIT_OK
 
 
-def _optimizer_config(sec, **steps):
-    """The optimizer section's problem settings; only optimize-train passes
+def _optimizer_config(sec, *steps):
+    """The optimizer section's problem settings; only optimize-train names
     the step settings."""
-    return OptimizerConfig(P_budget=int(sec["P_budget"]),
-                           lam=float(sec["lambda"]), noise=float(sec["noise"]),
-                           mode=sec["mode"], **steps)
+    return OptimizerConfig(P_budget=sec["P_budget"], lam=sec["lambda"],
+                           noise=sec["noise"], mode=sec["mode"],
+                           **{key: sec[key] for key in steps})
 
 
 def _write_trace(art, trace):
@@ -160,11 +155,10 @@ def cmd_optimize_train(rc, art, threads, cache_dir):
     ds, spec, measures = _dataset_problem(rc)
     K = gram(spec, ds.X)
     sec = rc.doc["optimizer"]
-    cfg = _optimizer_config(sec, learning_rate=float(sec["learning_rate"]),
-                            steps=int(sec["steps"]),
-                            convergence_tol=float(sec["convergence_tol"]))
-    trace = optimize_train_measure(K, ds.Y, measures["test"], cfg,
-                                   rank_threshold=_rank_threshold(rc))
+    cfg = _optimizer_config(sec, "learning_rate", "steps", "convergence_tol")
+    trace = optimize_train_measure(
+        K, ds.Y, measures["test"], cfg,
+        rank_threshold=rc.doc["theory"]["rank_threshold"])
     _write_trace(art, trace)
     return EXIT_OK
 
@@ -173,7 +167,7 @@ def cmd_optimize_test(rc, art, threads, cache_dir):
     ds, spec, measures = _dataset_problem(rc)
     cfg = _optimizer_config(rc.doc["optimizer"])
     dec = cached_decompose(spec, ds.X, measures["train"],
-                           _rank_threshold(rc), cache_dir)
+                           rc.doc["theory"]["rank_threshold"], cache_dir)
     trace = optimize_test_measure(dec, ds.Y, cfg)
     _write_trace(art, trace)
     return EXIT_OK
@@ -181,29 +175,24 @@ def cmd_optimize_test(rc, art, threads, cache_dir):
 
 def cmd_closed_form(rc, art, threads, cache_dir):
     sec = rc.doc["closed_form"]
-    P_grid = sec["P_grid"]
-    lam = float(sec["lambda"])
-    noise = float(sec["noise"])
+    P_grid, lam, noise = sec["P_grid"], sec["lambda"], sec["noise"]
     if sec["model"] == "gaussian_linear":
         preds = [gaussian_linear_Eg(sec["beta"], sec["covariance"],
                                     sec["covariance_tilde"], P, lam, noise)
                  for P in P_grid]
     elif sec["model"] == "general_linear":
-        preds = [general_linear_Eg(P, int(sec["M"]), int(sec["M_r"]),
-                                   int(sec["M_s"]), sec["beta"], sec["sigma2"],
+        preds = [general_linear_Eg(P, sec["M"], sec["M_r"], sec["M_s"],
+                                   sec["beta"], sec["sigma2"],
                                    sec["sigma2_tilde"], lam, noise)
                  for P in P_grid]
     else:   # ntk_sphere
-        depth = int(sec["depth"])
-        k_stage = sec.get("k_stage")
         eta, degen = dot_product_kernel_spectrum(
-            KernelSpec("ntk_relu", depth=depth), int(sec["D"]),
-            int(sec["k_max"]))
-        preds = [ntk_sphere_Eg(P, depth, eta, degen, sec["abar_sq"], lam,
-                               noise, radius_train=float(sec["radius_train"]),
-                               radius_test=float(sec["radius_test"]),
-                               k_stage=None if k_stage is None
-                               else int(k_stage))
+            KernelSpec("ntk_relu", depth=sec["depth"]), sec["D"],
+            sec["k_max"])
+        preds = [ntk_sphere_Eg(P, sec["depth"], eta, degen, sec["abar_sq"],
+                               lam, noise, radius_train=sec["radius_train"],
+                               radius_test=sec["radius_test"],
+                               k_stage=sec.get("k_stage"))
                  for P in P_grid]
     return _write_curve(art, "closed_form_curve.csv", preds)
 
@@ -211,9 +200,8 @@ def cmd_closed_form(rc, art, threads, cache_dir):
 def cmd_spectrum(rc, art, threads, cache_dir):
     spec = build_kernel(rc.doc["kernel"])
     sec = rc.doc["spectrum"]
-    eta, degen = dot_product_kernel_spectrum(spec, int(sec["D"]),
-                                             int(sec["k_max"]),
-                                             n_quad=int(sec["n_quad"]))
+    eta, degen = dot_product_kernel_spectrum(spec, sec["D"], sec["k_max"],
+                                             n_quad=sec["n_quad"])
     art.write_csv("spectrum.csv", ("k", "eta", "degeneracy"),
                   [(float(k), eta[k], degen[k])
                    for k in range(len(eta))])
@@ -221,7 +209,9 @@ def cmd_spectrum(rc, art, threads, cache_dir):
 
 
 def _compare_columns(sec, key, required):
-    """Read one compare input, or a ConfigError naming its path."""
+    """Read one compare input, or a ConfigError naming its path and the
+    column at fault: P must hold integers >= 1 and every other required
+    column finite values, but a theory Eg may be +inf (a diverged row)."""
     path, pointer = sec[key], f"/compare/{key}"
     try:
         cols = read_csv_columns(path)
@@ -230,6 +220,15 @@ def _compare_columns(sec, key, required):
     missing = [name for name in required if name not in cols]
     if missing:
         raise ConfigError(f"{path} lacks column(s) {missing}", pointer)
+    for name in required:
+        col = cols[name]
+        ok = np.isfinite(col) | ((col == np.inf) & (name == "Eg"))
+        if name == "P":
+            ok &= (col >= 1) & (col == np.round(col))
+        if not ok.all():
+            want = "integers >= 1" if name == "P" else "finite values"
+            raise ConfigError(f"{path} column {name} must hold {want}, got "
+                              f"{col[~ok][0]}", pointer)
     return cols
 
 
@@ -239,8 +238,7 @@ def cmd_compare(rc, art, threads, cache_dir):
     empirical = _compare_columns(sec, "empirical_csv", EMPIRICAL_COLUMNS)
     points = [EmpiricalPoint(*row)
               for row in zip(*(empirical[name] for name in EMPIRICAL_COLUMNS))]
-    report = compare_report(list(theory["Eg"]), points,
-                            band=float(sec["band"]),
+    report = compare_report(list(theory["Eg"]), points, band=sec["band"],
                             theory_P=list(theory["P"]))
     art.write_json("compare.json", report)
     return EXIT_OK
@@ -250,11 +248,9 @@ def cmd_gradcheck(rc, art, threads, cache_dir):
     ds, spec, measures = _dataset_problem(rc)
     K = gram(spec, ds.X)
     sec = rc.doc["optimizer"]
-    P = int(sec["P_budget"])
-    lam = float(sec["lambda"])
-    noise = float(sec["noise"])
-    h = float(sec["fd_step"])
-    thr = _rank_threshold(rc)
+    P, lam, noise, h = (sec["P_budget"], sec["lambda"], sec["noise"],
+                        sec["fd_step"])
+    thr = rc.doc["theory"]["rank_threshold"]
     pt = measures["test"]
 
     def train_loss(z):

@@ -116,6 +116,8 @@ def dot_product_kernel_spectrum(spec, D, k_max, n_quad=400):
 
     if D < 3:
         raise ValueError("quadrature form requires D >= 3")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max!r}")
     if isinstance(spec, KernelSpec):
         if spec.kind != "ntk_relu":
             raise ValueError("only ntk_relu KernelSpec has a generic "

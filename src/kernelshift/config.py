@@ -3,8 +3,10 @@
 Configs are JSON documents checked against the published schema in
 schemas/runconfig.schema.json and against _COMMANDS, the table of what
 each command reads, before any data is built; failures name the offending
-location as a JSON pointer. Only the keys a command reads get defaults,
-and the materialized document is echoed next to the outputs.
+location as a JSON pointer. The schema check also types the document,
+every integer key an int and every number key a float. Only the keys a
+command reads get defaults, and the typed, materialized document is
+echoed next to the outputs.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import hashlib
 import json
 import math
 import operator
+import reprlib
 from dataclasses import dataclass
 from importlib import resources
 
@@ -140,7 +143,8 @@ _schema = functools.cache(load_schema)   # read once per process
 
 # The Draft 2020-12 keywords the run-config schema uses, checked with the
 # messages jsonschema gives them.  A bool is not a number, an integral
-# float is an integer, and each keyword skips values of other types.
+# float is an integer, and each keyword skips values of other types.  A
+# check returns the value typed, or None to leave it as it is.
 def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -166,6 +170,12 @@ def _bound(fails, text):
 def _type(v, name, schema, path, errors):
     if not _TYPES[name](v):
         errors.append((len(path), f"{v!r} is not of type {name!r}", path))
+    elif name in ("integer", "number"):
+        try:
+            return int(v) if name == "integer" else float(v)
+        except OverflowError:   # an integer literal of 309 digits or more
+            errors.append((len(path), f"{reprlib.repr(v)} is beyond the "
+                           "float range", path))
 
 
 def _enum(v, options, schema, path, errors):
@@ -181,15 +191,14 @@ def _min_items(v, n, schema, path, errors):
 
 def _items(v, item_schema, schema, path, errors):
     if isinstance(v, list):
-        for i, item in enumerate(v):
-            _check(item, item_schema, path + (i,), errors)
+        return [_check(item, item_schema, path + (i,), errors)
+                for i, item in enumerate(v)]
 
 
 def _properties(v, props, schema, path, errors):
     if isinstance(v, dict):
-        for key, sub in props.items():
-            if key in v:
-                _check(v[key], sub, path + (key,), errors)
+        return {**v, **{key: _check(v[key], sub, path + (key,), errors)
+                        for key, sub in props.items() if key in v}}
 
 
 def _required(v, keys, schema, path, errors):
@@ -214,7 +223,7 @@ def _ref(v, ref, schema, path, errors):
     target = _schema()
     for part in ref.removeprefix("#/").split("/"):
         target = target[part]
-    _check(v, target, path, errors)
+    return _check(v, target, path, errors)
 
 
 _KEYWORDS = {
@@ -230,32 +239,38 @@ _KEYWORDS = {
 
 
 def _check(v, schema, path, errors):
-    """Append (depth, message, pointer path) for each violation at path."""
+    """v typed by schema; append (depth, message, pointer path) for each
+    violation at path."""
     for keyword, arg in schema.items():
         check = _KEYWORDS.get(keyword)
         if check is not None:
-            check(v, arg, schema, path, errors)
+            typed = check(v, arg, schema, path, errors)
+            v = v if typed is None else typed
+    return v
+
+
+def _typed(doc):
+    """(doc typed by the schema, ConfigError for its deepest violation or
+    None): ties go to the greatest message, and an unknown key is named
+    by its own pointer."""
+    errors = []
+    doc = _check(doc, _schema(), (), errors)
+    if not errors:
+        return doc, None
+    _, message, path = sorted(errors, key=lambda e: e[:2])[-1]
+    return doc, ConfigError(message, "/" + "/".join(map(str, path)))
 
 
 def _schema_error(doc):
-    """ConfigError for doc's schema violation, or None if there is none.
-
-    Of several violations the deepest is reported, ties going to the
-    greatest message; an unknown key is named by its own pointer.
-    """
-    errors = []
-    _check(doc, _schema(), (), errors)
-    if not errors:
-        return None
-    _, message, path = sorted(errors, key=lambda e: e[:2])[-1]
-    return ConfigError(message, "/" + "/".join(map(str, path)))
+    return _typed(doc)[1]
 
 
 def validate_document(doc):
-    """Raise ConfigError naming the JSON pointer of the first violation:
-    of the schema, or of what the command reads (a key without a default
-    left out, or a document check across keys)."""
-    error = _schema_error(doc)
+    """Return a copy of doc typed by the schema; raise ConfigError naming
+    the JSON pointer of the first violation: of the schema, or of what
+    the command reads (a key without a default left out, or a document
+    check across keys)."""
+    doc, error = _typed(doc)
     if error is not None:
         raise error
     command = doc["command"]
@@ -278,6 +293,7 @@ def validate_document(doc):
     if command == "spectrum" and doc["kernel"]["kind"] != "ntk_relu":
         raise ConfigError(f"command 'spectrum' needs kernel kind 'ntk_relu', "
                           f"got '{doc['kernel']['kind']}'", "/kernel/kind")
+    return doc
 
 
 def _missing(doc, reads):
@@ -298,11 +314,10 @@ def _check_ntk_sphere(sec):
     if sec["D"] < 3:
         raise ConfigError(f"model 'ntk_sphere' needs D >= 3, got "
                           f"{sec['D']}", "/closed_form/D")
-    k_max = int(sec["k_max"])
+    k_max, k_stage = sec["k_max"], sec.get("k_stage")
     if len(sec["abar_sq"]) > k_max + 1:
         raise ConfigError(f"{len(sec['abar_sq'])} degrees given for "
                           f"k_max {k_max}", "/closed_form/abar_sq")
-    k_stage = sec.get("k_stage")
     if k_stage is not None and k_stage > k_max:
         raise ConfigError(f"k_stage {k_stage} above k_max {k_max}",
                           "/closed_form/k_stage")
@@ -345,7 +360,7 @@ class RunConfig:
 
     @property
     def seed(self):
-        return int(self.doc["seed"])
+        return self.doc["seed"]
 
     def hash(self):
         return config_hash(self.doc)
@@ -378,27 +393,22 @@ def parse_config(path, seed=None):
         raise ConfigError("config root must be a JSON object", "/")
     if seed is not None:
         doc["seed"] = seed
-    validate_document(doc)
-    return RunConfig(materialize(doc))
+    return RunConfig(materialize(validate_document(doc)))
 
 
 def build_kernel(kernel_section):
-    """KernelSpec from the kernel config section; an integer key may be
-    an integral float, as the schema's integers are."""
+    """KernelSpec from the kernel config section."""
     kind = kernel_section["kind"]
     defaults = _KIND_KEYS["kernel"][1].get(kind, {})
-    return KernelSpec(kind, **{
-        k: int(kernel_section.get(k, v)) if type(v) is int
-        else kernel_section.get(k, v) for k, v in defaults.items()})
+    return KernelSpec(kind, **{k: kernel_section.get(k, v)
+                               for k, v in defaults.items()})
 
 
 def _synthetic_spec(syn):
     """SyntheticSpec of a dataset.synthetic entry, whose beta has one
     entry per feature."""
-    kwargs = {key: syn[key] for key in ("variances", "sigmas", "radius")
-              if key in syn}
-    if "dim" in syn:
-        kwargs["dim"] = int(syn["dim"])  # the schema's integer, 3.0 included
+    kwargs = {key: syn[key] for key in ("variances", "sigmas", "radius",
+                                        "dim") if key in syn}
     try:
         spec = SyntheticSpec(syn["kind"], **kwargs)
     except ValueError as exc:
@@ -416,8 +426,7 @@ def build_dataset(dataset_section, seed):
                             standardize=dataset_section.get("standardize",
                                                             False))
     syn = dataset_section["synthetic"]
-    X = synth_sample(_synthetic_spec(syn), int(syn["n"]), seed,
-                     label="dataset")
+    X = synth_sample(_synthetic_spec(syn), syn["n"], seed, label="dataset")
     return Dataset(X, X @ np.asarray(syn["beta"], dtype=float))
 
 

@@ -81,7 +81,7 @@ def ntk_relu_eval(depth, dot, n1, n2):
     t = np.clip(t, -1.0, 1.0)
     S = scale * t
     theta = S.copy()
-    for _ in range(int(depth) - 1):
+    for _ in range(positive_int(depth, "depth") - 1):
         k0 = arccos_kappa0(t)
         S = scale * arccos_kappa1(t)
         theta = S + theta * k0

@@ -4,6 +4,7 @@ bit-for-bit reproducibility of every run."""
 import functools
 import json
 import math
+import operator
 from dataclasses import astuple, fields
 import os
 import re
@@ -417,6 +418,45 @@ def test_compare_input_with_a_repeated_column_exits_2(tmp_path, capsys):
     assert "/compare/theory_csv" in err and "repeated column name" in err
 
 
+_COMPARE_INPUTS = {
+    "theory": ("P", "Eg"), "empirical": ("P", "Eg_mean", "Eg_std",
+                                         "Eg_stderr", "trials")}
+
+
+@pytest.mark.parametrize("name, column, value", [
+    ("theory", "P", "inf"), ("theory", "P", "nan"), ("theory", "P", "2.5"),
+    ("theory", "P", "0"), ("empirical", "P", "inf"),
+    ("empirical", "P", "nan"), ("empirical", "Eg_mean", "nan"),
+    ("empirical", "Eg_stderr", "inf"), ("empirical", "trials", "-inf"),
+    ("theory", "Eg", "nan"), ("theory", "Eg", "-inf"),
+])
+def test_compare_input_outside_its_column_rule_exits_2(tmp_path, capsys,
+                                                       name, column, value):
+    # P = inf ended in an OverflowError traceback, P = nan named neither
+    # file nor column, and a NaN Eg_mean gave "z": null with exit 0
+    rows = {"theory": [["2", "0.5"], ["4", "inf"]],   # a diverged row
+            "empirical": [["2", "0.5", "0.1", "0.01", "100"],
+                          ["4", "0.25", "0.1", "0.01", "100"]]}
+    paths = {}
+    for side, header in _COMPARE_INPUTS.items():
+        paths[side] = tmp_path / f"{side}.csv"
+        paths[side].write_text("\n".join(
+            ",".join(row) for row in [header, *rows[side]]) + "\n")
+    doc = {"command": "compare",
+           "compare": {f"{side}_csv": str(path)
+                       for side, path in paths.items()}}
+    code, out = _run(tmp_path, doc)
+    assert code == 0 and (out / "compare.json").exists()
+    rows[name][0][_COMPARE_INPUTS[name].index(column)] = value
+    paths[name].write_text("\n".join(
+        ",".join(row) for row in [_COMPARE_INPUTS[name], *rows[name]]))
+    code, out = _run(tmp_path, doc, out="bad")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"/compare/{name}_csv: {paths[name]} column {column} must " in err
+    assert not (out / "compare.json").exists()
+
+
 def test_gradcheck_report(tmp_path):
     doc = dict(_base_doc(), command="gradcheck",
                optimizer={"P_budget": 3, "lambda": 0.1, "noise": 0.01})
@@ -591,9 +631,41 @@ def test_lengthscale_beyond_float_range_exits_2(tmp_path, capsys):
     doc["kernel"]["lengthscale"] = 10**400
     code, out = _run(tmp_path, doc)
     assert code == 2
-    assert "lengthscale must be nonnegative and finite" \
-        in capsys.readouterr().err
+    assert re.search(r"/kernel/lengthscale: 1000+\.\.\.0+ is beyond the "
+                     "float range", capsys.readouterr().err)
     assert not (out / "eigenvalues.csv").exists()
+
+
+@pytest.mark.parametrize("command, pointer", [
+    ("closed-form", "closed_form/lambda"),
+    ("optimize-train", "optimizer/learning_rate"),
+    ("theory-curve", "dataset/synthetic/beta/0"),
+    ("theory-curve", "measures/train/values/0"),
+    ("compare", "compare/band"),
+])
+def test_json_integer_beyond_float_range_exits_2_before_any_data_is_built(
+        tmp_path, capsys, monkeypatch, command, pointer):
+    # parse_float never sees an integer literal; the schema walk refuses
+    # one that no float holds at its own pointer
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built data for a config beyond float range")
+
+    monkeypatch.setattr(cli, "build_dataset", unreachable)
+    doc = dict(_base_doc(), command=command,
+               measures={"train": {"kind": "masses", "values": [1.0] * 10}},
+               theory={"P_grid": [2, 4]},
+               optimizer={"P_budget": 4, "steps": 2},
+               closed_form=dict(_CLOSED_FORM_MODELS["general_linear"],
+                                model="general_linear", P_grid=[4]),
+               compare={"theory_csv": "t.csv", "empirical_csv": "e.csv"})
+    *path, key = [int(part) if part.isdigit() else part
+                  for part in pointer.split("/")]
+    functools.reduce(operator.getitem, path, doc)[key] = 10**400
+    code, out = _run(tmp_path, doc)
+    assert code == 2
+    assert re.search(rf"config error: /{pointer}: 1000+\.\.\.0+ is beyond "
+                     "the float range", capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "1-D"])

@@ -88,10 +88,90 @@ def test_every_table_default_is_valid_where_it_is_filled():
                                             config._OPTIONAL):
             continue
         errors = []
-        config._check(default, schema, (), errors)
+        typed = config._check(default, schema, (), errors)
         assert errors == [], default
+        # and already typed: an integer an int, a number a float
+        assert json.dumps(typed) == json.dumps(default), default
         checked += 1
     assert checked > 30
+
+
+def _schema_leaves(node, schema, path=()):
+    """(pointer path, schema entry) of every integer and number key of the
+    schema below node, $ref followed; an array's item is at index 0."""
+    if "$ref" in node:
+        for part in node["$ref"].removeprefix("#/").split("/"):
+            schema = schema[part]
+        node = schema
+    if node.get("type") in ("integer", "number"):
+        yield path, node
+    for key, sub in node.get("properties", {}).items():
+        yield from _schema_leaves(sub, schema, path + (key,))
+    if "items" in node:
+        yield from _schema_leaves(node["items"], schema, path + (0,))
+
+
+def _leaves(kind):
+    schema = load_schema()
+    return [pytest.param(path, leaf, id="/".join(map(str, path)))
+            for path, leaf in _schema_leaves(schema, schema)
+            if leaf["type"] == kind]
+
+
+def _doc_at(path, value):
+    """The document that holds only value, at path."""
+    for part in reversed(path):
+        value = [value] if isinstance(part, int) else {part: value}
+    return value
+
+
+def _walked(doc):
+    return json.dumps(config._check(doc, load_schema(), (), []))
+
+
+@pytest.mark.parametrize("path, leaf", _leaves("number"))
+def test_every_number_key_is_a_float_and_refuses_what_no_float_holds(
+        tmp_path, path, leaf):
+    # the deepest violation is reported, so the keys the document leaves
+    # out do not hide the one at path; of two there, a maximum ranks first
+    want = ("greater than the maximum of" if "maximum" in leaf
+            else "beyond the float range")
+    with pytest.raises(ConfigError, match=rf"^/\S+: 10+(\.\.\.0+)? is {want}") \
+            as err:
+        parse_config(_write(tmp_path, _doc_at(path, 10**400)))
+    assert err.value.pointer == "/" + "/".join(map(str, path))
+    assert _walked(_doc_at(path, 2)) == json.dumps(_doc_at(path, 2.0))
+
+
+@pytest.mark.parametrize("path, leaf", _leaves("integer"))
+def test_every_integer_key_reads_an_integral_float_as_the_integer(path,
+                                                                 leaf):
+    # 16 is at or above every integer key's minimum
+    assert _walked(_doc_at(path, 16.0)) == _walked(_doc_at(path, 16)) \
+        == json.dumps(_doc_at(path, 16))
+
+
+def test_schema_leaf_tables_cover_the_schema():
+    numbers = [param.values[0] for param in _leaves("number")]
+    assert len(numbers) >= 28 and len(_leaves("integer")) >= 21
+    assert ("measures", "test", "values", 0) in numbers
+
+
+def test_parse_config_returns_and_hashes_the_typed_document(
+        tmp_path):
+    doc = _minimal_curve_doc()
+    doc["seed"] = 1.0
+    doc["theory"].update(P_grid=[2.0, 4], noise=0)
+    doc["empirical"] = {"P_grid": [3.0], "lambda": 1}   # not read, typed
+    rc = parse_config(_write(tmp_path, doc))
+    typed = dict(doc, seed=1, theory=dict(doc["theory"], P_grid=[2, 4],
+                                          noise=0.0),
+                 empirical={"P_grid": [3], "lambda": 1.0})
+    want = parse_config(_write(tmp_path, typed, "typed.json"))
+    assert json.dumps(rc.doc, sort_keys=True) \
+        == json.dumps(want.doc, sort_keys=True)
+    assert json.dumps(rc.doc["empirical"]) == '{"P_grid": [3], "lambda": 1.0}'
+    assert rc.hash() == want.hash() and type(rc.seed) is int
 
 
 def test_materialize_is_idempotent():

@@ -2,16 +2,23 @@
 measures.target_columns, a Gram matrix through measures.kernel_matrix,
 a point set through measures.points, a ridge, a noise and a spectrum
 through measures.nonnegative, and a count through measures.positive_int,
-so a bad one raises the same ValueError wherever it enters."""
+so a bad one raises the same ValueError wherever it enters. A config
+value is typed once, by the schema walk in config, and read as it is."""
+
+import ast
+import inspect
+import re
 
 import numpy as np
 import pytest
 
-from kernelshift.closedform import (gaussian_linear_Eg, general_linear_Eg,
+from kernelshift import cli, config
+from kernelshift.closedform import (dot_product_kernel_spectrum,
+                                    gaussian_linear_Eg, general_linear_Eg,
                                     mode_spectrum_Eg, ntk_sphere_Eg)
 from kernelshift.empirical import (discrete_trial_error, krr_solve,
                                    run_continuous_curve, run_learning_curve)
-from kernelshift.kernels import KernelSpec, gram
+from kernelshift.kernels import KernelSpec, gram, ntk_relu_eval
 from kernelshift.measures import (SYMMETRY_RTOL, Dataset, SyntheticSpec,
                                   nonnegative, positive_int, target_columns,
                                   uniform_measure)
@@ -169,6 +176,24 @@ def test_count_that_is_not_an_integer_raises(name, make, value):
         make(value)
 
 
+@pytest.mark.parametrize("depth", [0, -3, 2.7, 2.0])
+def test_ntk_depth_must_be_a_positive_integer(depth):
+    # depth 0 and -3 ran as depth 1, and 2.7 as depth 2
+    with pytest.raises(ValueError, match="^depth must be a positive integer"):
+        ntk_relu_eval(depth, 0.3, 1.0, 1.0)
+    with pytest.raises(ValueError, match="^depth must be a positive integer"):
+        ntk_sphere_Eg(10, depth, ETA, DEGEN, [1.0, 0.5], 0.1)
+
+
+def test_negative_k_max_raises():
+    # k_max -1 returned two empty arrays
+    spec = KernelSpec("ntk_relu", depth=2)
+    with pytest.raises(ValueError, match="^k_max must be >= 0"):
+        dot_product_kernel_spectrum(spec, 10, -1)
+    eta, degeneracy = dot_product_kernel_spectrum(spec, 10, 0)
+    assert eta.shape == degeneracy.shape == (1,)
+
+
 def test_synthetic_spread_must_be_finite_and_nonnegative():
     for kind, key in (("gaussian_diag", "variances"),
                       ("rectangular", "sigmas")):
@@ -322,3 +347,36 @@ def test_bad_lengthscale_raises_a_value_error_naming_it(kind, value):
     with pytest.raises(ValueError, match="^lengthscale must be positive"):
         KernelSpec(kind, lengthscale=0)
     assert KernelSpec(kind, lengthscale=2).lengthscale == 2.0
+
+
+# the names a config value is read from in cli and config
+_CONFIG_READ = re.compile(r"(rc|self)\.doc|sec|syn|\w+_section")
+
+
+def _read_from(node, loops):
+    """The source of what node reads through subscripts and .get()
+    calls, a loop variable standing for what it iterates over."""
+    if isinstance(node, ast.Subscript):
+        return _read_from(node.value, loops)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"):
+        return _read_from(node.func.value, loops)
+    if isinstance(node, ast.Name) and node.id in loops:
+        return _read_from(loops[node.id],
+                          {k: v for k, v in loops.items() if k != node.id})
+    return ast.unparse(node)
+
+
+@pytest.mark.parametrize("module", [cli, config], ids=lambda m: m.__name__)
+def test_no_config_value_is_cast_again(module):
+    # the schema walk makes every integer key an int and every number key
+    # a float, so int() or float() of a config value is a second rule
+    tree = ast.parse(inspect.getsource(module))
+    loops = {node.target.id: node.iter for node in ast.walk(tree)
+             if isinstance(node, (ast.For, ast.comprehension))
+             and isinstance(node.target, ast.Name)}
+    casts = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("int", "float") and node.args
+             and _CONFIG_READ.fullmatch(_read_from(node.args[0], loops))]
+    assert casts == []
