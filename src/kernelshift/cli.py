@@ -24,7 +24,8 @@ from .closedform import (dot_product_kernel_spectrum, gaussian_linear_Eg,
                          general_linear_Eg, ntk_sphere_Eg)
 from .config import (_COMMANDS, ConfigError, build_dataset, build_kernel,
                      build_measure, parse_config)
-from .empirical import (EMPIRICAL_COLUMNS, EmpiricalPoint, compare_report,
+from .empirical import (EMPIRICAL_COLUMNS, EmpiricalPoint,
+                        _CompareInputError, compare_report,
                         run_learning_curve)
 from .figures import FIGURES
 from .io import ArtifactDir, read_csv_columns
@@ -209,9 +210,8 @@ def cmd_spectrum(rc, art, threads, cache_dir):
 
 
 def _compare_columns(sec, key, required):
-    """Read one compare input, or a ConfigError naming its path and the
-    column at fault: P must hold integers >= 1 and every other required
-    column finite values, but a theory Eg may be +inf (a diverged row)."""
+    """Read one compare input, or a ConfigError naming its path when it
+    cannot be read or lacks a required column."""
     path, pointer = sec[key], f"/compare/{key}"
     try:
         cols = read_csv_columns(path)
@@ -220,15 +220,6 @@ def _compare_columns(sec, key, required):
     missing = [name for name in required if name not in cols]
     if missing:
         raise ConfigError(f"{path} lacks column(s) {missing}", pointer)
-    for name in required:
-        col = cols[name]
-        ok = np.isfinite(col) | ((col == np.inf) & (name == "Eg"))
-        if name == "P":
-            ok &= (col >= 1) & (col == np.round(col))
-        if not ok.all():
-            want = "integers >= 1" if name == "P" else "finite values"
-            raise ConfigError(f"{path} column {name} must hold {want}, got "
-                              f"{col[~ok][0]}", pointer)
     return cols
 
 
@@ -238,8 +229,14 @@ def cmd_compare(rc, art, threads, cache_dir):
     empirical = _compare_columns(sec, "empirical_csv", EMPIRICAL_COLUMNS)
     points = [EmpiricalPoint(*row)
               for row in zip(*(empirical[name] for name in EMPIRICAL_COLUMNS))]
-    report = compare_report(list(theory["Eg"]), points, band=sec["band"],
-                            theory_P=list(theory["P"]))
+    try:
+        report = compare_report(list(theory["Eg"]), points, band=sec["band"],
+                                theory_P=list(theory["P"]))
+    except _CompareInputError as exc:
+        # compare_report holds the column rules; name the file at fault
+        key = f"{exc.source}_csv"
+        raise ConfigError(f"{sec[key]} column {exc.column} must hold "
+                          f"{exc.rule}, got {exc.value!r}", f"/compare/{key}")
     art.write_json("compare.json", report)
     return EXIT_OK
 

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .kernels import KernelSpec, ntk_relu_eval
-from .measures import nonnegative
+from .measures import nonnegative, positive_int
 from .spectral import DEFAULT_RANK_THRESHOLD
 from .theory import _spectrum_prediction
 
@@ -116,8 +116,7 @@ def dot_product_kernel_spectrum(spec, D, k_max, n_quad=400):
 
     if D < 3:
         raise ValueError("quadrature form requires D >= 3")
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max!r}")
+    k_max = positive_int(k_max, "k_max", low=0)
     if isinstance(spec, KernelSpec):
         if spec.kind != "ntk_relu":
             raise ValueError("only ntk_relu KernelSpec has a generic "

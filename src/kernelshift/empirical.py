@@ -11,6 +11,7 @@ curve point becomes one CSV row of EMPIRICAL_COLUMNS.
 from __future__ import annotations
 
 import ctypes
+import math
 import reprlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -333,18 +334,64 @@ def run_continuous_curve(kernel_spec, sample_train, target_fn, test_error,
     return _run_trials(task, P_values, trials, threads, noise)
 
 
+# the compare inputs' column rules: a test of one value each
+_COMPARE_RULES = {
+    "integers >= 1": lambda v: math.isfinite(v) and v >= 1 and v == int(v),
+    "finite values": math.isfinite,
+    "finite values or +inf": lambda v: math.isfinite(v) or v == math.inf,
+}
+
+
+class _CompareInputError(ValueError):
+    """A compare input value outside its column's rule. source is
+    "theory" or "empirical", column the column's name in that input."""
+
+    def __init__(self, name, source, column, rule, value):
+        super().__init__(f"{name} must hold {rule}, got {value!r}")
+        self.source, self.column, self.rule, self.value = \
+            source, column, rule, value
+
+
+def _compare_inputs(theory_Eg, empirical_points, theory_P):
+    """(source, column, argument name, values, rule) of each compare
+    input, theory first."""
+    columns = [("theory", "Eg", "theory_Eg", theory_Eg,
+                "finite values or +inf")]
+    if theory_P is not None:
+        columns.insert(0, ("theory", "P", "theory_P", theory_P,
+                           "integers >= 1"))
+    for f in fields(EmpiricalPoint):
+        columns.append((
+            "empirical", f.name, f"empirical_points {f.name}",
+            [getattr(pt, f.name) for pt in empirical_points],
+            "integers >= 1" if f.name in ("P", "trials")
+            else "finite values"))
+    return columns
+
+
 def compare_report(theory_Eg, empirical_points, band=3.0, theory_P=None):
     """Per-P z-scores of theory values against Monte Carlo means.
 
     z = (theory - mean) / stderr per grid point. Returns a dict with the
     rows, max |z|, the fraction of finite-theory points within the band,
-    and an overall verdict. Divergent predictions (non-finite theory)
-    are excluded from max |z| and the fraction, which are NaN when no
-    theory point is finite, but kept in the rows. A stderr of zero with a
+    and an overall verdict. Divergent predictions (theory +inf) are
+    excluded from max |z| and the fraction, which are NaN when no theory
+    point is finite, but kept in the rows. A stderr of zero with a
     mismatch is flagged as an infinite z.
+
+    theory_P and the points' P and trials must be integers >= 1 (2.0 is
+    one), the points' means, stds and stderrs finite, and each theory
+    value finite or +inf; a value outside its rule raises ValueError
+    naming it.
     """
     theory_Eg = list(theory_Eg)
     empirical_points = list(empirical_points)
+    theory_P = None if theory_P is None else list(theory_P)
+    for source, column, name, values, rule in _compare_inputs(
+            theory_Eg, empirical_points, theory_P):
+        for value in map(float, values):
+            if not _COMPARE_RULES[rule](value):
+                raise _CompareInputError(name, source, column, rule, value)
     if len(theory_Eg) != len(empirical_points):
         raise ValueError("theory and empirical grids have different sizes")
     if theory_P is not None:

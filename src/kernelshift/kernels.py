@@ -31,6 +31,8 @@ import numpy as np
 from .measures import nonnegative, points, positive_int
 
 KERNEL_KINDS = ("linear", "rbf", "laplace", "fourier_bandlimited", "ntk_relu")
+# the kinds whose Gram entries are computed each on its own, not by BLAS
+_ENTRYWISE_KINDS = ("rbf", "laplace", "fourier_bandlimited")
 
 
 @dataclass(frozen=True)
@@ -193,6 +195,6 @@ def gram(spec, X1, X2=None, threads=1):
     else:  # pragma: no cover - guarded by KernelSpec
         raise ValueError(f"unknown kernel kind {spec.kind!r}")
 
-    if square and spec.kind in ("linear", "ntk_relu"):
+    if square and spec.kind not in _ENTRYWISE_KINDS:
         K = 0.5 * (K + K.T)
     return K

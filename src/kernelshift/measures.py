@@ -19,8 +19,9 @@ from .io import read_csv_columns, read_npz, write_csv_atomic, write_npz_atomic
 MASS_TOL = 1e-12
 # |K - K.T| tolerance, relative to the largest |K| entry
 SYMMETRY_RTOL = 1e-8
-# entries of the row blocks kernel_matrix checks K in
-_CHECK_BLOCK = 1 << 16
+# side of the square tiles kernel_matrix checks K in: a tile and its
+# mirror, 512 KB each, stay in a core's L2 cache
+_CHECK_TILE = 256
 
 _NPZ_MAGIC = b"PK\x03\x04"  # an .npz file is a zip archive
 _DATASET_FORMATS = ("an .npz archive with arrays X (M, D) and Y (M, C) or "
@@ -67,20 +68,33 @@ def kernel_matrix(K, M=None):
             or M not in (None, K.shape[0])):
         raise ValueError(f"K must be {'square' if M is None else (M, M)}, "
                          f"got shape {K.shape}")
-    # a block of rows at a time, so no temporary is K's size
-    rows = max(1, _CHECK_BLOCK // max(1, K.shape[0]))
+    # a tile pair at a time, so no temporary is larger than a tile
     exact = True
-    for lo in range(0, K.shape[0], rows):
-        block = K[lo:lo + rows]
-        if not np.all(np.isfinite(block)):
+    for upper, lower in _mirror_tiles(K):
+        if not (np.all(np.isfinite(upper)) and np.all(np.isfinite(lower))):
             raise ValueError("K contains non-finite entries")
-        exact = exact and np.array_equal(block, K[:, lo:lo + rows].T)
+        exact = exact and np.array_equal(upper, lower.T)
     if exact:
         return K
-    scale = np.abs(K).max() or 1.0
-    if np.abs(K - K.T).max() > SYMMETRY_RTOL * scale:
+    scale = asymmetry = 0.0
+    for upper, lower in _mirror_tiles(K):
+        scale = max(scale, np.abs(upper).max(), np.abs(lower).max())
+        asymmetry = max(asymmetry, np.abs(upper - lower.T).max())
+    if asymmetry > SYMMETRY_RTOL * (scale or 1.0):
         raise ValueError("K is not symmetric")
-    return 0.5 * (K + K.T)
+    K = K + K.T
+    K *= 0.5
+    return K
+
+
+def _mirror_tiles(K):
+    """The square tiles of K on and above its diagonal, each with its
+    mirror image below it: (K[I, J], K[J, I]) for tile ranges I <= J."""
+    n = K.shape[0]
+    for i in range(0, n, _CHECK_TILE):
+        for j in range(i, n, _CHECK_TILE):
+            yield (K[i:i + _CHECK_TILE, j:j + _CHECK_TILE],
+                   K[j:j + _CHECK_TILE, i:i + _CHECK_TILE])
 
 
 def nonnegative(value, name):
@@ -97,10 +111,12 @@ def nonnegative(value, name):
     return float(x) if x.ndim == 0 else x
 
 
-def positive_int(value, name):
-    """value as an int if it is an integer >= 1 (a count); 2.0 is not."""
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def positive_int(value, name, low=1):
+    """value as an int if it is an integer >= low, 1 unless given (a
+    count); 2.0 is not."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        want = "a positive integer" if low == 1 else f"an integer >= {low}"
+        raise ValueError(f"{name} must be {want}, got {value!r}")
     return int(value)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _lapack
 from .io import read_npz, write_npz_atomic
-from .kernels import gram
+from .kernels import _ENTRYWISE_KINDS, gram
 from .measures import (DiscreteMeasure, as_measure, kernel_matrix, points,
                        target_columns)
 
@@ -83,7 +83,8 @@ def _decompose_gram(K, measure, rank_threshold):
     measure = as_measure(measure)
     K = kernel_matrix(K, measure.M)
     sup = measure.support()
-    dec, V = _decompose(lambda rows: K[np.ix_(rows, sup)], measure,
+    dec, V = _decompose(lambda: K[np.ix_(sup, sup)],
+                        lambda rows: K[np.ix_(rows, sup)], measure,
                         rank_threshold)
     return dec, V, K
 
@@ -92,28 +93,43 @@ def _decompose_spec(spec, X, measure, rank_threshold):
     """_decompose building its blocks from the kernel spec and the
     checked points X (M, D), each block checked finite; the M x M Gram is
     never built.  Where kernels.gram computes every entry on its own
-    (rbf, laplace, fourier_bandlimited) the decomposition has the bits of
-    mercer_decompose(gram(spec, X), ...); the BLAS kinds agree with it to
-    rounding."""
-    X_sup = X[measure.support()]
-    return _decompose(lambda rows: _finite(gram(spec, X[rows], X_sup)),
-                      measure, rank_threshold)[0]
+    (rbf, laplace, fourier_bandlimited) the support block is its square
+    Gram, which computes each entry once and mirrors it, and the
+    decomposition has the bits of mercer_decompose(gram(spec, X), ...).
+    The BLAS kinds' blocks are products of the support points against a
+    copy of them, which agree with that Gram's slices to rounding (a
+    square product of the support points rounds its diagonal dot
+    products otherwise, and ntk_relu's arccos magnifies that near t =
+    1)."""
+    sup = measure.support()
+    X_sup = X[sup]
+
+    def kernel_rows(rows):
+        return _finite(gram(spec, X[rows], X_sup))
+
+    def support_block():
+        if spec.kind in _ENTRYWISE_KINDS:
+            return _finite(gram(spec, X_sup))
+        return kernel_rows(sup)
+
+    return _decompose(support_block, kernel_rows, measure,
+                      rank_threshold)[0]
 
 
-def _decompose(kernel_rows, measure, rank_threshold):
+def _decompose(support_block, kernel_rows, measure, rank_threshold):
     """The decomposition, also returning the orthonormal eigenvectors V
     (s, s) of B, Fortran-ordered, columns in the decomposition's order and
     signs, on full support (None otherwise).
 
-    The kernel is read only through kernel_rows(rows), a new array
-    K[rows, sup] of the given rows against the support: once for the
-    support block, which becomes B, and then, after the eigensolve has
-    freed B, for the off-support rows, a block of at most _BLOCK entries
-    at a time.  So it holds at most two (s, s)-sized arrays at once, B
-    beside its eigenvectors during the eigensolve and then V beside Phi,
-    and otherwise only temporaries of up to _BLOCK entries: V is
-    reordered and signed in place, and Phi is built a block of rows at a
-    time.
+    The kernel is read only through support_block(), a new symmetric
+    array K[sup, sup] that becomes B, and then, after the eigensolve has
+    freed B, through kernel_rows(rows), a new array K[rows, sup] of the
+    given off-support rows against the support, a block of at most
+    _BLOCK entries at a time.  So it holds at most two (s, s)-sized
+    arrays at once, B beside its eigenvectors during the eigensolve and
+    then V beside Phi, and otherwise only temporaries of up to _BLOCK
+    entries: V is reordered and signed in place, and Phi is built a block
+    of rows at a time.
     """
     M = measure.M
     sup = measure.support()
@@ -122,15 +138,13 @@ def _decompose(kernel_rows, measure, rank_threshold):
         raise ValueError("measure has empty support")
     p_s = measure.masses[sup]
     sqrt_p = np.sqrt(p_s)
-    # B is built, symmetrized and diagonalized in its own buffer (numpy
-    # buffers B.T where it overlaps the output of B += B.T): B.T is the
-    # same symmetric matrix in Fortran order, which eigh overwrites
-    # instead of copying
-    B = kernel_rows(sup)
+    # B is built and diagonalized in its own buffer: B.T is the same
+    # symmetric matrix in Fortran order, which eigh overwrites instead of
+    # copying, and of which it reads one triangle, so the scaled halves
+    # need not agree to the last bit
+    B = support_block()
     B *= sqrt_p[:, None]
     B *= sqrt_p
-    B += B.T
-    B *= 0.5
     w, V = _lapack.eigh(B.T)
     del B
     w = w[::-1]
@@ -234,10 +248,10 @@ def _overlap_matrix(Phi, ptilde):
 # ---------------------------------------------------------------------------
 
 # Bump when the stored layout, the key's inputs, the sign/rank
-# conventions or the bits kernels.gram computes change, so old entries
-# stop matching instead of being silently reused: the key hashes the
-# spec and the points, not the kernel values.
-CACHE_FORMAT_VERSION = 5
+# conventions or the bits a decomposition is computed with (kernels.gram's
+# or B's) change, so old entries stop matching instead of being silently
+# reused: the key hashes the spec and the points, not the kernel values.
+CACHE_FORMAT_VERSION = 6
 
 
 def decomposition_cache_key(spec, X, measure,

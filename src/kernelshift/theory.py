@@ -36,6 +36,11 @@ a scalar shared by all outputs.  The result at each P is one flat
 `TheoryPrediction`, whose fields are the learning-curve CSV columns
 (CURVE_COLUMNS), so `dataclasses.astuple(pred)` is the row; past the
 interpolation threshold its error fields are inf.
+
+A grid of P is solved at once: one Newton iteration for kappa over every
+P, whose sums run along rows and never through BLAS, and one pass over
+Phi for the bias, with one product per P.  So each P's row has the same
+bits in any grid that holds it, and `solve_kappa` is the one-P case.
 """
 
 import math
@@ -50,6 +55,9 @@ from .spectral import (_BLOCK, DEFAULT_RANK_THRESHOLD, _decompose_gram,
 KAPPA_RTOL = 1e-12
 KAPPA_MAXITER = 200
 DIVERGENCE_TOL = 1e-10
+# entries of the blocks of Phi rows a learning curve reads at a time: 1 MB,
+# half a typical L2 cache
+_PHI_BLOCK = 1 << 17
 
 
 class DivergenceError(ValueError):
@@ -102,6 +110,73 @@ def _validated_spectrum(eigenvalues, weights):
     return eta, w
 
 
+def _row_sums(A):
+    """Sums over the last axis of the C-ordered array A: numpy's pairwise
+    sum of each row on its own, so a row's sum has the same bits however
+    many rows A has (a BLAS gemv or dot would not promise that)."""
+    return np.add.reduce(A, axis=-1)
+
+
+def _kappa_grid(eta, w, P, lam):
+    """kappa and its relative residual at each P of the 1-D array P, for
+    the positive modes eta with multiplicities w: solve_kappa's rule for
+    every P at once, each P's bits those of a one-P grid.
+
+    Rows of up to _BLOCK entries iterate together, and each row freezes
+    where the scalar rule stops; every row sum is _row_sums'.  A row that
+    ends above KAPPA_RTOL raises RuntimeError.
+    """
+    n_pos = float(_row_sums(w))
+    total = float(_row_sums(w * eta))
+    kappa = np.full(P.shape, lam + total)
+    residual = np.zeros(P.shape)
+    if total == 0.0:
+        kappa[:] = lam
+        return kappa, residual
+    ridgeless = (lam == 0.0) & (P >= n_pos)
+    kappa[ridgeless] = 0.0
+    newton = np.flatnonzero((P > 0.0) & ~ridgeless)
+    b = max(1, _BLOCK // eta.size)
+    for lo in range(0, newton.size, b):
+        live = newton[lo:lo + b]
+        P_l = P[live]
+        Peta = P_l[:, None] * eta
+        k = kappa[live]
+        # a row whose g' reaches 0 divides by it, and stops there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(KAPPA_MAXITER):
+                # the Newton step kappa - g/g' as (kappa g' - g)/g', since
+                # kappa g' - g = lam + kappa^2 sum w eta/(P eta + kappa)^2
+                # has no cancellation when the root is far below kappa
+                d = Peta + k[:, None]
+                np.divide(1.0, d, out=d)
+                e = eta * d
+                gp = 1.0 - P_l * _row_sums(w * (e * e))
+                nxt = (lam + k * k * _row_sums(w * (e * d))) / gp
+                step = nxt < k
+                step &= gp > 0.0
+                if step.all():
+                    k = nxt
+                    continue
+                kappa[live[~step]] = k[~step]
+                live, P_l, Peta = live[step], P_l[step], Peta[step]
+                k = nxt[step]
+                if not live.size:
+                    break
+        kappa[live] = k
+        rows = newton[lo:lo + b]
+        k = kappa[rows, None]
+        sum_term = _row_sums(w * (k * eta / (P[rows, None] * eta + k)))
+        residual[rows] = np.abs(kappa[rows] - lam - sum_term) \
+            / np.maximum(kappa[rows], 1e-300)
+    stalled = np.flatnonzero(residual > KAPPA_RTOL)
+    if stalled.size:
+        i = stalled[0]
+        raise RuntimeError(f"kappa solver stalled at relative residual "
+                           f"{residual[i]:.2e} (P = {P[i]:g})")
+    return kappa, residual
+
+
 def solve_kappa(eigenvalues, P, lam, weights=None):
     """Solve kappa = lam + sum_rho kappa eta_rho / (P eta_rho + kappa).
 
@@ -117,74 +192,62 @@ def solve_kappa(eigenvalues, P, lam, weights=None):
     positive root without overshooting it.  A spectrum too small to
     register against the ridge makes no step below the bound, which is
     then the root.  A solve that ends above relative residual KAPPA_RTOL,
-    after at most KAPPA_MAXITER steps, raises RuntimeError.
+    after at most KAPPA_MAXITER steps, raises RuntimeError.  This is the
+    one-P case of the grid solve a learning curve makes, with its bits.
     """
     eta, w = _validated_spectrum(eigenvalues, weights)
     P = nonnegative(P, "P")
     lam = nonnegative(lam, "ridge")
     pos = eta > 0
-    eta, w = eta[pos], w[pos]
-    n_pos = float(w.sum())
-    total = float(np.dot(w, eta))
-    if total == 0.0:
-        return KappaSolution(kappa=lam, residual=0.0)
-    if P == 0.0:
-        return KappaSolution(kappa=lam + total, residual=0.0)
-    if lam == 0.0 and P >= n_pos:
-        return KappaSolution(kappa=0.0, residual=0.0)
-    Peta = P * eta
-    kappa = lam + total
-    for _ in range(KAPPA_MAXITER):
-        # the Newton step kappa - g/g' as (kappa g' - g)/g', since
-        # kappa g' - g = lam + kappa^2 sum w eta/(P eta + kappa)^2 has no
-        # cancellation when the root is far below kappa
-        d = 1.0 / (Peta + kappa)
-        e = eta * d
-        gp = 1.0 - P * float(np.dot(w, e * e))
-        if gp <= 0.0:
-            break
-        nxt = (lam + kappa * kappa * float(np.dot(w, e * d))) / gp
-        if not nxt < kappa:
-            break
-        kappa = nxt
-
-    sum_term = float(np.dot(w, kappa * eta / (Peta + kappa)))
-    residual = abs(kappa - lam - sum_term) / max(kappa, 1e-300)
-    if residual > KAPPA_RTOL:
-        raise RuntimeError(f"kappa solver stalled at relative residual {residual:.2e}")
-    return KappaSolution(kappa=float(kappa), residual=float(residual))
+    kappa, residual = _kappa_grid(eta[pos], w[pos], np.array([P]), lam)
+    return KappaSolution(kappa=float(kappa[0]), residual=float(residual[0]))
 
 
-def _per_P(eta, P, lam, weights=None, O_diag=None):
-    """Solve kappa at P and weight the modes: (pred, d, q).
+def _order_params(eta, w, P, lam, O_diag=None):
+    """kappa, gamma and gamma' (each over the 1-D P grid) and the mode
+    weights d and q (P x modes), with each P's bits those of a one-P grid.
 
     eta = 0 marks a mode out of the RKHS or off the training support, so
     q = 1 and d = 0 there even in the ridgeless limit kappa -> 0;
-    elsewhere d = 1/(P eta + kappa) and q = kappa d.  pred holds kappa,
-    gamma = sum w P eta^2/(P eta + kappa)^2, gamma', the same sum
-    weighted by O_diag, the test-overlap diagonal (gamma' = gamma without
-    it), the divergence flag and inf errors, so it is already the
-    diverged prediction.  weights are mode multiplicities.
+    elsewhere d = 1/(P eta + kappa) and q = kappa d.  gamma = sum w P
+    eta^2/(P eta + kappa)^2 and gamma' is the same sum weighted by O_diag,
+    the test-overlap diagonal (gamma' = gamma without it); eta = 0 modes
+    never weigh in either, even where O_diag is not finite.  w are mode
+    multiplicities.
     """
-    eta, w = _validated_spectrum(eta, weights)
-    sol = solve_kappa(eta, P, lam, weights=w)
-    P = float(P)
+    lam = nonnegative(lam, "ridge")
     pos = eta > 0
-    denom = P * eta[pos] + sol.kappa
-    d = np.zeros_like(eta)
-    d[pos] = 1.0 / denom
-    q = np.ones_like(eta)
-    q[pos] = sol.kappa * d[pos]
-    frac = np.zeros_like(eta)
-    frac[pos] = P * eta[pos] ** 2 / denom ** 2
-    gamma = float(np.dot(w, frac))
-    # eta = 0 modes never weigh in gamma', even where O_diag is not finite
+    eta_p, w_p = eta[pos], w[pos]
+    kappa, _ = _kappa_grid(eta_p, w_p, P, lam)
+    P_c, k_c = P[:, None], kappa[:, None]
+    denom = P_c * eta_p + k_c
+    d = np.zeros((P.size, eta.size))
+    d[:, pos] = 1.0 / denom
+    q = np.ones_like(d)
+    q[:, pos] = k_c * d[:, pos]
+    frac = P_c * eta_p**2 / denom**2
+    gamma = _row_sums(w_p * frac)
     gamma_prime = gamma if O_diag is None else \
-        float(np.dot(w, np.where(pos, O_diag, 0.0) * frac))
-    pred = TheoryPrediction(P=P, kappa=float(sol.kappa), gamma=gamma,
-                            gamma_prime=gamma_prime,
-                            diverged=bool(1.0 - gamma < DIVERGENCE_TOL))
-    return pred, d, q
+        _row_sums(w_p * (O_diag[pos] * frac))
+    return kappa, gamma, gamma_prime, d, q
+
+
+def _bare_prediction(P, kappa, gamma, gamma_prime, i):
+    """Row i of a grid as its prediction with inf errors and the
+    divergence flag: already the diverged prediction."""
+    return TheoryPrediction(P=float(P[i]), kappa=float(kappa[i]),
+                            gamma=float(gamma[i]),
+                            gamma_prime=float(gamma_prime[i]),
+                            diverged=bool(1.0 - gamma[i] < DIVERGENCE_TOL))
+
+
+def _per_P(eta, P, lam, weights=None, O_diag=None):
+    """_order_params at the one P: (pred, d, q), pred holding kappa,
+    gamma, gamma', the divergence flag and inf errors."""
+    eta, w = _validated_spectrum(eta, weights)
+    P = np.array([nonnegative(P, "P")])
+    kappa, gamma, gamma_prime, d, q = _order_params(eta, w, P, lam, O_diag)
+    return _bare_prediction(P, kappa, gamma, gamma_prime, 0), d[0], q[0]
 
 
 def _masked_eta(dec):
@@ -209,21 +272,36 @@ def _rows(dec, Y):
     return abar, R
 
 
-def _prediction(pred, noise, wsq, bias_c, irr_c):
-    """_per_P's prediction with the errors filled in, bias given.
+def _with_errors(preds, noise, wsq, bias_c, irr_c):
+    """The bare predictions of a grid with the errors of those that have
+    not diverged filled in, in order, the bias given.
 
-    wsq is |W_c|^2 under the training measure, so noise + wsq is
-    eps_eff^2 + |W_in|^2 per output.
+    wsq and bias_c hold one row per such prediction and one column per
+    output: wsq is |W_c|^2 under the training measure, so noise + wsq is
+    eps_eff^2 + |W_in|^2 per output.  irr_c is the irreducible error per
+    output.
     """
-    one_minus = 1.0 - pred.gamma
+    live = [i for i, pred in enumerate(preds) if not pred.diverged]
+    if not live:
+        return preds
+    gamma = np.array([[preds[i].gamma] for i in live])
+    gamma_prime = np.array([[preds[i].gamma_prime] for i in live])
+    one_minus = 1.0 - gamma
     n_eff = noise + wsq
-    variance_c = pred.gamma_prime / one_minus * n_eff
-    Eg = float(np.sum(variance_c + bias_c))
+    variance_c = gamma_prime / one_minus * n_eff
+    Eg = _row_sums(variance_c + bias_c)
     # matched-measure baseline: O = identity
-    Eg_matched = float(np.sum(pred.gamma / one_minus * n_eff + wsq))
-    return replace(pred, Eg=Eg, bias=float(np.sum(bias_c)),
-                   variance=float(np.sum(variance_c)), Eg_matched=Eg_matched,
-                   delta=Eg - Eg_matched, irreducible=float(np.sum(irr_c)))
+    Eg_matched = _row_sums(gamma / one_minus * n_eff + wsq)
+    bias, variance = _row_sums(bias_c), _row_sums(variance_c)
+    irreducible = float(np.sum(irr_c))
+    preds = list(preds)
+    for j, i in enumerate(live):
+        preds[i] = replace(preds[i], Eg=float(Eg[j]), bias=float(bias[j]),
+                           variance=float(variance[j]),
+                           Eg_matched=float(Eg_matched[j]),
+                           delta=float(Eg[j] - Eg_matched[j]),
+                           irreducible=irreducible)
+    return preds
 
 
 def _spectrum_prediction(eta, P, lam, noise, b, Ct, power=None, weights=None):
@@ -255,10 +333,10 @@ def _spectrum_prediction(eta, P, lam, noise, b, Ct, power=None, weights=None):
     PW = W if power is None else power[:, None] * W
     out = eta == 0
     b_out = b[out]
-    return _prediction(pred, noise, np.einsum("rc,rc->c", W, PW),
-                       np.einsum("rc,rc->c", W, Ct @ W),
-                       np.einsum("oc,oc->c", b_out,
-                                 Ct[np.ix_(out, out)] @ b_out))
+    return _with_errors([pred], noise, np.einsum("rc,rc->c", W, PW)[None],
+                        np.einsum("rc,rc->c", W, Ct @ W)[None],
+                        np.einsum("oc,oc->c", b_out,
+                                  Ct[np.ix_(out, out)] @ b_out))[0]
 
 
 def pointwise_error_density(dec, Y, P, lam, noise):
@@ -292,22 +370,29 @@ def predict_Eg_curve(dec, Y, ptilde, P_grid, lam, noise):
     abar and R, the test-measure weights of Phi^2 (gamma' per mode) and of
     R^2 (the irreducible error) and the collapsed power p . R^2 depend
     only on the decomposition and the test measure, so they are built
-    once.  Each P then costs one kappa solve and one (M, rank) product:
-    the bias is ptilde . |Phi W + R|^2, the pointwise density's rows
-    contracted with the test measure.  No overlap matrix is built, so test
-    mass off the training support is covered whether or not collapsed
-    modes exist.
+    once.  The grid then costs one kappa solve over every P at once and
+    one pass over Phi, in row blocks that stay in cache, with one
+    (rows, rank) product per P and block: the bias is ptilde . |Phi W +
+    R|^2, the pointwise density's rows contracted with the test measure.
+    Each P's row has the same bits in any grid that holds it.  No overlap
+    matrix is built, so test mass off the training support is covered
+    whether or not collapsed modes exist.
     """
-    return [pred for pred, _, _ in _curve(dec, Y, ptilde, P_grid, lam,
-                                          noise)]
+    return [pred for preds, _, _ in _curve(dec, Y, ptilde, P_grid, lam,
+                                           noise) for pred in preds]
 
 
 def _curve(dec, Y, ptilde, P_grid, lam, noise):
-    """predict_Eg_curve's (prediction, d, q) per P, from one _per_P call."""
+    """predict_Eg_curve's predictions and their mode weights d and q (P x
+    modes), a block of P at a time: temporaries stay within _BLOCK
+    entries."""
     ptilde = as_measure(ptilde)
     if ptilde.M != dec.Phi.shape[0]:
         raise ValueError("test measure must cover the same dataset")
     noise = nonnegative(noise, "noise")
+    P = np.atleast_1d(nonnegative(P_grid, "P"))
+    if P.ndim != 1:
+        raise ValueError(f"P grid must be 1-D, got shape {P.shape}")
     abar, R = _rows(dec, Y)
     w = ptilde.masses
     eta = _masked_eta(dec)
@@ -315,15 +400,38 @@ def _curve(dec, Y, ptilde, P_grid, lam, noise):
     O_diag[:dec.rank] = np.einsum("m,mr,mr->r", w, dec.Phi, dec.Phi)
     irr_c = w @ R**2
     out_c = dec.measure.masses @ R**2
-    for P in P_grid:
-        pred, d, q = _per_P(eta, P, lam, O_diag=O_diag)
-        if pred.diverged:
-            yield pred, d, q
-            continue
-        W = q[:dec.rank, None] * abar
-        mean = dec.Phi @ W + R
-        yield _prediction(pred, noise, np.einsum("rc,rc->c", W, W) + out_c,
-                          w @ mean**2, irr_c), d, q
+    b = max(1, _BLOCK // max(eta.size, abar.size))
+    for lo in range(0, P.size, b):
+        P_b = P[lo:lo + b]
+        kappa, gamma, gamma_prime, d, q = _order_params(
+            eta, np.ones_like(eta), P_b, lam, O_diag)
+        preds = [_bare_prediction(P_b, kappa, gamma, gamma_prime, i)
+                 for i in range(P_b.size)]
+        live = [i for i, pred in enumerate(preds) if not pred.diverged]
+        # W^T for each live P, (C, rank), so per-output sums run along rows
+        Wt = q[live, None, :dec.rank] * np.ascontiguousarray(abar.T)
+        yield (_with_errors(preds, noise, _row_sums(Wt * Wt) + out_c,
+                            _bias_rows(dec.Phi, Wt, R, w), irr_c), d, q)
+
+
+def _bias_rows(Phi, Wt, R, w):
+    """w . (Phi W + R)^2 per output for each W = Wt[i]^T, one row per W.
+
+    One pass over Phi, in blocks of rows that stay in a core's L2 cache;
+    each W multiplies each block on its own, a product whose bits do not
+    depend on the other Ws (a batched GEMM's would), and each W's block
+    sums add up in row order.
+    """
+    bias = np.zeros(Wt.shape[:2])
+    rows = max(1, _PHI_BLOCK // max(1, Phi.shape[1]))
+    for lo in range(0, Phi.shape[0], rows):
+        Phi_b, R_b, w_b = Phi[lo:lo + rows], R[lo:lo + rows], w[lo:lo + rows]
+        for i in range(Wt.shape[0]):
+            mean = Phi_b @ Wt[i].T
+            mean += R_b
+            mean *= mean
+            bias[i] += w_b @ mean
+    return bias
 
 
 def predict_Eg_dataset(K, Y, p, ptilde, P, lam, noise,
@@ -420,7 +528,7 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise,
     # tiny masses overflow on the way; the check below turns a non-finite
     # result into SupportError
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        pred, d, q = next(_curve(dec, Y, ptilde, [P], lam, noise))
+        (pred,), (d,), (q,) = next(_curve(dec, Y, ptilde, [P], lam, noise))
         one_minus = 1.0 - pred.gamma
         if pred.diverged:
             raise DivergenceError(

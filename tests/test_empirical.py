@@ -659,3 +659,30 @@ def test_compare_report_validation():
         compare_report([1.0, 0.5], emp)
     with pytest.raises(ValueError, match="grids"):
         compare_report([1.0], emp, theory_P=[3])
+
+
+@pytest.mark.parametrize("bad, name", [
+    (dict(theory_P=[np.inf, 4]), "theory_P"),
+    (dict(theory_P=[np.nan, 4]), "theory_P"),
+    (dict(theory_P=[2.5, 4]), "theory_P"),
+    (dict(theory_P=[0, 4]), "theory_P"),
+    (dict(theory_Eg=[np.nan, 0.5]), "theory_Eg"),
+    (dict(theory_Eg=[-np.inf, 0.5]), "theory_Eg"),
+    (dict(Eg_mean=np.nan), "empirical_points Eg_mean"),
+    (dict(Eg_stderr=np.inf), "empirical_points Eg_stderr"),
+    (dict(P=np.inf), "empirical_points P"),
+])
+def test_compare_report_refuses_values_outside_the_column_rules(bad, name):
+    # theory P = inf ended in an OverflowError, and a NaN mean gave a NaN z
+    theory_Eg = bad.get("theory_Eg", [np.inf, 0.5])  # +inf: a diverged row
+    theory_P = bad.get("theory_P", [2.0, 4])         # 2.0 is an integer
+    first = {"P": 2, "Eg_mean": 1.1, "Eg_std": 0.2, "Eg_stderr": 0.05,
+             "trials": 16}
+    first.update((k, v) for k, v in bad.items() if k in first)
+    emp = [EmpiricalPoint(**first), EmpiricalPoint(4, 0.5, 0.1, 0.05, 16)]
+    with pytest.raises(ValueError, match=f"^{name} must hold "):
+        compare_report(theory_Eg, emp, theory_P=theory_P)
+    rep = compare_report([np.inf, 0.5],
+                         [EmpiricalPoint(2, 1.1, 0.2, 0.05, 16), emp[1]],
+                         theory_P=[2.0, 4])
+    assert [row["P"] for row in rep["rows"]] == [2, 4]

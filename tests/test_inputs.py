@@ -188,10 +188,18 @@ def test_ntk_depth_must_be_a_positive_integer(depth):
 def test_negative_k_max_raises():
     # k_max -1 returned two empty arrays
     spec = KernelSpec("ntk_relu", depth=2)
-    with pytest.raises(ValueError, match="^k_max must be >= 0"):
+    with pytest.raises(ValueError, match="^k_max must be an integer >= 0"):
         dot_product_kernel_spectrum(spec, 10, -1)
     eta, degeneracy = dot_product_kernel_spectrum(spec, 10, 0)
     assert eta.shape == degeneracy.shape == (1,)
+
+
+@pytest.mark.parametrize("k_max", [2.5, 2.0, None])
+def test_k_max_must_be_an_integer(k_max):
+    # these ended in a TypeError from np.empty or from a comparison
+    spec = KernelSpec("ntk_relu", depth=2)
+    with pytest.raises(ValueError, match="^k_max must be an integer >= 0"):
+        dot_product_kernel_spectrum(spec, 10, k_max)
 
 
 def test_synthetic_spread_must_be_finite_and_nonnegative():

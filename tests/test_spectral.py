@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from kernelshift import spectral
+from kernelshift import measures, spectral
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import (SYMMETRY_RTOL, DiscreteMeasure,
                                   from_logits, kernel_matrix, uniform_measure)
@@ -105,6 +105,31 @@ def test_symmetry_check_returns_symmetric_input_itself():
     assert np.array_equal(got, got.T)
 
 
+@pytest.mark.parametrize("where", [(0, 0), (1, 8), (8, 1), (9, 9), (4, 7)])
+def test_symmetry_check_reads_every_tile_pair(where, monkeypatch):
+    # 3 x 3 tiles on a 10 x 10 Gram: a fault in any tile, above or below
+    # the diagonal, is found, and a non-finite entry wins over an
+    # asymmetry found in an earlier tile pair
+    monkeypatch.setattr(measures, "_CHECK_TILE", 3)
+    rng = np.random.default_rng(22)
+    K = gram(KernelSpec("rbf", lengthscale=1.5), rng.standard_normal((10, 2)))
+    assert kernel_matrix(K) is K
+    i, j = where
+    A = K.copy()
+    A[i, j] += 1.0 if i != j else np.nan
+    with pytest.raises(ValueError,
+                       match="not symmetric" if i != j else "non-finite"):
+        kernel_matrix(A)
+    A = K.copy()
+    A[0, 1] += 1.0
+    A[i, j] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        kernel_matrix(A)
+    A = K.copy()
+    A[i, j] += 0.5 * SYMMETRY_RTOL
+    assert np.array_equal(kernel_matrix(A), 0.5 * (A + A.T))
+
+
 def test_decomposition_peak_memory_is_about_two_grams():
     # B and its eigenvectors V are each one Gram in size; nothing else of
     # that size may be alive at once. The laplace Gram keeps full rank
@@ -148,6 +173,38 @@ def test_partial_support_peak_memory_is_eigensolve_or_V_and_Phi():
             tracemalloc.stop()
         assert (dec.rank < s) == (threshold == 1e-8)
         assert peak - entry <= 1.1 * 8 * max(2 * s * s, s * s + M * dec.rank)
+
+
+def test_curve_peak_memory_stays_below_the_decomposition_peak():
+    # a learning curve over 50 P on a partial-support decomposition with
+    # collapsed modes holds blocks of P and of Phi rows, never an (s, s)
+    # or a P x Phi array, so it adds nothing to a theory-curve's peak
+    M = 1500
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((M, 5))
+    K = gram(KernelSpec("rbf", lengthscale=1.5), X)
+    masses = np.zeros(M)
+    masses[rng.permutation(M)[:int(0.7 * M)]] = 1.0
+    p = DiscreteMeasure(masses / masses.sum())
+    Y = np.tanh(X @ rng.standard_normal(5))
+    pt = from_logits(0.5 * rng.standard_normal(M))
+    grid = np.unique(np.round(np.geomspace(2, 2 * M, 55)))
+    mercer_decompose(np.eye(10), uniform_measure(10))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for step in ("decompose", "curve"):
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            if step == "decompose":
+                dec = mercer_decompose(K, p, 1e-8)
+            else:
+                preds = predict_Eg_curve(dec, Y, pt, grid, 1e-3, 0.01)
+            peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+    finally:
+        tracemalloc.stop()
+    assert 0 < dec.rank < dec.n_modes and len(preds) == grid.size
+    assert peaks[1] < peaks[0]
 
 
 def test_blocked_nystrom_rows_equal_one_shot_product(monkeypatch):

@@ -301,6 +301,20 @@ def _curve_case(name):
         + 0.1 * rng.standard_normal((M, 1))
     pt = from_logits(0.5 * rng.standard_normal(M))
     grid = [1, 2, 3, 5, 8, 20, 100]
+    if name in ("reversed_grid", "repeated_P", "P_zero"):
+        # the full_overlap problem on grids that reorder, repeat or start
+        # the curve at P = 0: no row may depend on the rest of its grid
+        grid = {"reversed_grid": grid[::-1], "repeated_P": [5, 1, 5, 20, 5],
+                "P_zero": [0, 1, 0, 8]}[name]
+        return (gram(KernelSpec("linear"), X), Y,
+                from_logits(0.3 * rng.standard_normal(M)), pt, grid, 0.05,
+                0.01)
+    if name == "ridgeless_straddle":
+        # the ridgeless rank-3 kernel at P on both sides of the rank:
+        # kappa > 0 below it, kappa = 0 above
+        return (gram(KernelSpec("linear"), X), Y,
+                from_logits(0.3 * rng.standard_normal(M)), pt,
+                [100, 1, 4, 2, 5], 0.0, 0.01)
     if name == "full_overlap":
         # collapsed modes, test mass on the training support
         return (gram(KernelSpec("linear"), X), Y,
@@ -322,7 +336,9 @@ def _curve_case(name):
 
 
 @pytest.mark.parametrize("name", ["full_overlap", "off_support",
-                                  "full_rank", "diverged_point"])
+                                  "full_rank", "diverged_point",
+                                  "reversed_grid", "repeated_P", "P_zero",
+                                  "ridgeless_straddle"])
 def test_curve_equals_rebuilt_per_P_loop(name):
     K, Y, p, pt, grid, lam, noise = _curve_case(name)
     dec = mercer_decompose(K, p)
@@ -340,6 +356,43 @@ def test_curve_equals_rebuilt_per_P_loop(name):
         assert dec.rank == 3 and diverged == [0, 0, 1, 0, 0, 0, 0]
     else:
         assert not any(diverged)
+
+
+def test_curve_rows_do_not_depend_on_the_P_block(monkeypatch):
+    # blocks of one P up to the whole grid, in the kappa solve and the
+    # curve alike, give every row the same bits
+    K, Y, p, pt, grid, lam, noise = _curve_case("off_support")
+    dec = mercer_decompose(K, p)
+    want = [astuple(pred)
+            for pred in predict_Eg_curve(dec, Y, pt, grid, lam, noise)]
+    for block in (1, 2 * dec.n_modes, 3 * dec.n_modes):
+        monkeypatch.setattr(theory, "_BLOCK", block)
+        assert [astuple(pred) for pred in predict_Eg_curve(
+            dec, Y, pt, grid, lam, noise)] == want
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_solve_kappa_is_the_grid_solvers_one_P_case(weighted, monkeypatch):
+    rng = np.random.default_rng([41, weighted])
+    eta = 10.0 ** rng.uniform(-12.0, 0.0, 40)
+    eta[rng.random(40) < 0.1] = 0.0
+    w = rng.integers(1, 5, 40).astype(float) if weighted else np.ones(40)
+    pos = eta > 0
+    n_pos = float(w[pos].sum())
+    grid = np.array([0.0, 0.5, 3.0, n_pos - 0.25, n_pos, n_pos + 1.0, 1e4,
+                     3.0])
+    for block in (theory._BLOCK, 1):
+        monkeypatch.setattr(theory, "_BLOCK", block)
+        for lam in (0.0, 1e-6, 0.3):
+            kappa, residual = theory._kappa_grid(eta[pos], w[pos], grid, lam)
+            for i, P in enumerate(grid):
+                sol = solve_kappa(eta, P, lam,
+                                  weights=w if weighted else None)
+                assert (sol.kappa, sol.residual) == (kappa[i], residual[i])
+    # a stall anywhere in the grid raises, with the cap read at call time
+    monkeypatch.setattr(theory, "KAPPA_MAXITER", 2)
+    with pytest.raises(RuntimeError, match="stalled"):
+        theory._kappa_grid(eta[pos], w[pos], grid, 1e-6)
 
 
 # ----------------------------------------------------------------------
