@@ -5,7 +5,8 @@ Covers a linear model trained on a rank-limited isotropic measure
 rank-limited student kernel that either resolves the teacher or hits an
 irreducible floor, both from ``general_linear_Eg``, and a depth-two relu
 network kernel tested on spheres of different radii, from
-``ntk_sphere_Eg`` on a spectrum computed once.
+``ntk_sphere_Eg`` on a spectrum computed once.  Each curve is one call
+on its whole P grid.
 """
 
 import numpy as np
@@ -24,13 +25,14 @@ def ridge_section():
           f"noise {noise}")
     print(f"optimal ridge lambda* = {lam_star:.6f}")
     print(f"{'P':>5} {'Eg, lambda=1e-4':>16} {'Eg, lambda*':>12}")
-    for P in [5, 10, 20, 30, 40, 50, 80, 160, 320]:
-        small = general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0, 1e-4,
-                                  noise=noise)
-        best = general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0, lam_star,
-                                 noise=noise)
+    P_grid = [5, 10, 20, 30, 40, 50, 80, 160, 320]
+    small = general_linear_Eg(P_grid, D, M_r, D, beta, 1.0, 1.0, 1e-4,
+                              noise=noise)
+    best = general_linear_Eg(P_grid, D, M_r, D, beta, 1.0, 1.0, lam_star,
+                             noise=noise)
+    for P, s, b in zip(P_grid, small, best):
         tag = "  <- spike at P = M_r" if P == M_r else ""
-        print(f"{P:>5} {small.Eg:>16.4f} {best.Eg:>12.4f}{tag}")
+        print(f"{P:>5} {s.Eg:>16.4f} {b.Eg:>12.4f}{tag}")
 
 
 def expressivity_section():
@@ -39,7 +41,7 @@ def expressivity_section():
     print(f"\nstudent kernel of rank M={M}, teacher uses M_r={M_r} "
           f"directions")
     for M_s in (15, 30):
-        r = general_linear_Eg(4000, M, M_r, M_s, beta, 1.0, 1.0, 1e-2)
+        (r,) = general_linear_Eg([4000], M, M_r, M_s, beta, 1.0, 1.0, 1e-2)
         print(f"  teacher support M_s={M_s}: Eg at P=4000 is "
               f"{r.Eg:.3e}, irreducible floor {r.irreducible:.3e}")
 
@@ -51,11 +53,12 @@ def ntk_section():
     print(f"\nrelu network kernel on the sphere, D={D}, depth={depth}, "
           f"linear target")
     print(f"{'P':>5} {'Eg, test R=1.0':>15} {'Eg, test R=0.5':>15}")
-    for P in [5, 10, 20, 40, 80, 160, 320]:
-        rows = [ntk_sphere_Eg(P, depth, eta, degen, [0.0, 1.0], 0.01,
-                              noise=0.05, radius_test=rt).Eg
-                for rt in (1.0, 0.5)]
-        print(f"{P:>5} {rows[0]:>15.4f} {rows[1]:>15.4f}")
+    P_grid = [5, 10, 20, 40, 80, 160, 320]
+    same, half = (ntk_sphere_Eg(P_grid, depth, eta, degen, [0.0, 1.0], 0.01,
+                                noise=0.05, radius_test=rt)
+                  for rt in (1.0, 0.5))
+    for P, a, b in zip(P_grid, same, half):
+        print(f"{P:>5} {a.Eg:>15.4f} {b.Eg:>15.4f}")
 
 
 if __name__ == "__main__":

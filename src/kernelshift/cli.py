@@ -178,23 +178,21 @@ def cmd_closed_form(rc, art, threads, cache_dir):
     sec = rc.doc["closed_form"]
     P_grid, lam, noise = sec["P_grid"], sec["lambda"], sec["noise"]
     if sec["model"] == "gaussian_linear":
-        preds = [gaussian_linear_Eg(sec["beta"], sec["covariance"],
-                                    sec["covariance_tilde"], P, lam, noise)
-                 for P in P_grid]
+        preds = gaussian_linear_Eg(sec["beta"], sec["covariance"],
+                                   sec["covariance_tilde"], P_grid, lam, noise)
     elif sec["model"] == "general_linear":
-        preds = [general_linear_Eg(P, sec["M"], sec["M_r"], sec["M_s"],
-                                   sec["beta"], sec["sigma2"],
-                                   sec["sigma2_tilde"], lam, noise)
-                 for P in P_grid]
+        preds = general_linear_Eg(P_grid, sec["M"], sec["M_r"], sec["M_s"],
+                                  sec["beta"], sec["sigma2"],
+                                  sec["sigma2_tilde"], lam, noise)
     else:   # ntk_sphere
         eta, degen = dot_product_kernel_spectrum(
             KernelSpec("ntk_relu", depth=sec["depth"]), sec["D"],
             sec["k_max"])
-        preds = [ntk_sphere_Eg(P, sec["depth"], eta, degen, sec["abar_sq"],
-                               lam, noise, radius_train=sec["radius_train"],
-                               radius_test=sec["radius_test"],
-                               k_stage=sec.get("k_stage"))
-                 for P in P_grid]
+        preds = ntk_sphere_Eg(P_grid, sec["depth"], eta, degen,
+                              sec["abar_sq"], lam, noise,
+                              radius_train=sec["radius_train"],
+                              radius_test=sec["radius_test"],
+                              k_stage=sec.get("k_stage"))
     return _write_curve(art, "closed_form_curve.csv", preds)
 
 

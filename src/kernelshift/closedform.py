@@ -7,7 +7,8 @@ kernel and measures, ``ntk_sphere_Eg`` for the relu NTK on concentric
 spheres, kernel trace and tail included. Each writes down its spectrum,
 target coefficients and test covariance in closed form, with no matrix
 diagonalization beyond the covariance's own, and the one spectrum core in
-``theory`` turns them into a ``TheoryPrediction``. They are therefore not
+``theory`` turns them into one ``TheoryPrediction`` per P of the
+``P_grid`` each takes, as ``predict_Eg_curve`` does. They are therefore not
 independent of the dataset theory; the flat two-block formula kept in
 ``tests/test_closedform.py`` is their oracle.
 """
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 
-def gaussian_linear_Eg(beta, C, C_tilde, P, lam, noise=0.0):
+def gaussian_linear_Eg(beta, C, C_tilde, P_grid, lam, noise=0.0):
     """Error of linear-kernel regression between two Gaussian measures.
 
     Training inputs x ~ N(0, C), test inputs x ~ N(0, C_tilde), target
@@ -52,11 +53,11 @@ def gaussian_linear_Eg(beta, C, C_tilde, P, lam, noise=0.0):
         raise ValueError("covariance shapes must match beta dimension")
     sig2, U = np.linalg.eigh(C)
     sig2[sig2 <= DEFAULT_RANK_THRESHOLD * max(sig2[-1], 0.0)] = 0.0
-    return _spectrum_prediction(sig2 / D, P, lam, noise, U.T @ beta,
-                                U.T @ Ct @ U, power=sig2)
+    return _spectrum_prediction(sig2 / D, P_grid, lam, noise, U.T @ beta,
+                                U.T @ Ct @ U, power=sig2)[0]
 
 
-def general_linear_Eg(P, M, M_r, M_s, beta, sigma2, sigma2_tilde, lam,
+def general_linear_Eg(P_grid, M, M_r, M_s, beta, sigma2, sigma2_tilde, lam,
                       noise=0.0):
     """Rank-limited kernel, train and test measures of arbitrary rank.
 
@@ -75,9 +76,9 @@ def general_linear_Eg(P, M, M_r, M_s, beta, sigma2, sigma2_tilde, lam,
     b[:beta.shape[0]] = beta
     eta = np.where(i < min(M, M_r), sigma2 / M, 0.0)
     power = np.where(i < M_r, float(sigma2), 0.0)
-    return _spectrum_prediction(eta, P, lam, noise, b,
+    return _spectrum_prediction(eta, P_grid, lam, noise, b,
                                 np.where(i < M_s, float(sigma2_tilde), 0.0),
-                                power)
+                                power)[0]
 
 
 def optimal_ridge(M_r, D, noise, target_power=1.0):
@@ -164,7 +165,7 @@ def _gegenbauer_sum(c, D, t):
     return out
 
 
-def mode_spectrum_Eg(eta, degeneracy, abar_sq, P, lam, noise=0.0,
+def mode_spectrum_Eg(eta, degeneracy, abar_sq, P_grid, lam, noise=0.0,
                      overlap_scale=1.0, tail_eta=0.0, tail_abar_sq=0.0):
     """General prediction for a degeneracy-weighted mode spectrum.
 
@@ -182,9 +183,9 @@ def mode_spectrum_Eg(eta, degeneracy, abar_sq, P, lam, noise=0.0,
     b = np.sqrt(nonnegative(np.append(abar_sq, tail_abar_sq), "abar_sq"))
     Ct = np.full(eta.shape, nonnegative(overlap_scale, "overlap_scale"))
     return _spectrum_prediction(
-        eta, P, nonnegative(lam, "ridge") + nonnegative(tail_eta, "tail_eta"),
-        noise, b, Ct,
-        weights=np.append(np.asarray(degeneracy, dtype=float), 1.0))
+        eta, P_grid,
+        nonnegative(lam, "ridge") + nonnegative(tail_eta, "tail_eta"), noise,
+        b, Ct, weights=np.append(np.asarray(degeneracy, dtype=float), 1.0))[0]
 
 
 def _ntk_tail(depth, eta, degeneracy):
@@ -195,7 +196,7 @@ def _ntk_tail(depth, eta, degeneracy):
     return trace, max(trace - float(np.sum(eta * degeneracy)), 0.0)
 
 
-def ntk_sphere_Eg(P, depth, eta, degeneracy, abar_sq, lam, noise=0.0,
+def ntk_sphere_Eg(P_grid, depth, eta, degeneracy, abar_sq, lam, noise=0.0,
                   radius_train=1.0, radius_test=1.0, k_stage=None):
     """Relu neural tangent kernel of depth `depth` on concentric spheres.
 
@@ -229,6 +230,6 @@ def ntk_sphere_Eg(P, depth, eta, degeneracy, abar_sq, lam, noise=0.0,
         raise ValueError("radius_train and radius_test must be nonzero")
     R2 = radius_train**2
     return mode_spectrum_Eg(
-        R2 * eta[block], degeneracy[block], b2[block], P, lam, noise,
+        R2 * eta[block], degeneracy[block], b2[block], P_grid, lam, noise,
         overlap_scale=(radius_test / radius_train)**2, tail_eta=tail * R2,
         tail_abar_sq=float(np.sum(b2[top + 1:])))

@@ -96,8 +96,7 @@ def reproduce_fig3a(art, seed, trials=30, threads=1):
 
     panels = {}
     for M_r in M_r_list:
-        results = [general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0, lam)
-                   for P in P_grid]
+        results = general_linear_Eg(P_grid, D, M_r, D, beta, 1.0, 1.0, lam)
         points = run_continuous_curve(
             KernelSpec("linear"), *_rank_limited_problem(beta, M_r, D),
             P_grid, lam, 0.0, trials, _child_seed(seed, f"fig3a-mc-{M_r}"),
@@ -145,8 +144,8 @@ def reproduce_fig3b(art, seed, trials=30, threads=1):
     curves = {}
     diverged_points = []
     for lam in lam_grid:
-        results = [general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0, lam,
-                                     noise) for P in P_theory]
+        results = general_linear_Eg(P_theory, D, M_r, D, beta, 1.0, 1.0,
+                                    lam, noise)
         curves[lam] = [r.Eg for r in results]
         diverged_points += [{"lam": lam, "P": P}
                             for P, r in zip(P_theory, results)
@@ -198,12 +197,12 @@ def _discretized_crosscheck(seed, label, M, M_r, M_s, beta, lam, noise,
     dec = cached_decompose(KernelSpec("linear"), Z[:, :M], masses_p,
                            DEFAULT_RANK_THRESHOLD, None)
     preds = predict_Eg_curve(dec, Y, masses_pt, P_values, lam, noise)
+    closed = general_linear_Eg(P_values, M, M_r, M_s, beta, 1.0, 1.0, lam,
+                               noise)
     rows = []
-    for P, pred in zip(P_values, preds):
-        closed = general_linear_Eg(P, M, M_r, M_s, beta, 1.0, 1.0, lam,
-                                   noise).Eg
-        rel = abs(pred.Eg - closed) / abs(closed) if closed else np.inf
-        rows.append((float(P), closed, pred.Eg, rel))
+    for P, pred, ref in zip(P_values, preds, closed):
+        rel = abs(pred.Eg - ref.Eg) / abs(ref.Eg) if ref.Eg else np.inf
+        rows.append((float(P), ref.Eg, pred.Eg, rel))
     return rows
 
 
@@ -236,8 +235,8 @@ def reproduce_figSI3(art, seed, threads=1):
     summary = {}
     for name, cfg in panels.items():
         M_s = cfg["M_s"]
-        results = [general_linear_Eg(P, M, M_r, M_s, beta, 1.0, 1.0, lam)
-                   for P in cfg["P"]]
+        results = general_linear_Eg(cfg["P"], M, M_r, M_s, beta, 1.0, 1.0,
+                                    lam)
         art.write_csv(f"theory_figSI3{name}.csv", CURVE_COLUMNS,
                       map(astuple, results))
         cross = _discretized_crosscheck(
@@ -302,8 +301,8 @@ def reproduce_figSI4(art, seed, trials=30, threads=1):
 
     panels = {}
     for radius in radii:
-        results = [ntk_sphere_Eg(P, depth, eta, degen, abar_sq, lam, noise,
-                                 radius_test=radius) for P in P_grid]
+        results = ntk_sphere_Eg(P_grid, depth, eta, degen, abar_sq, lam,
+                                noise, radius_test=radius)
         points = run_continuous_curve(
             spec, sample_train, lambda X: X @ beta,
             lambda X, coef: sphere_error(X, coef, radius**2), P_grid, lam,

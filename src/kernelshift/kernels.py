@@ -164,8 +164,10 @@ def gram(spec, X1, X2=None, threads=1):
     block's points, gram(spec, X)[np.ix_(r, c)] == gram(spec, X[r], X[c]).
     The linear and ntk_relu dot products come from BLAS, whose roundings
     depend on the shapes around an entry; their square case is
-    symmetrized as (K + K.T)/2. `threads` workers share the rbf and
-    laplace distance strips; the result does not depend on it.
+    symmetrized as (K + K.T)/2, and ntk_relu's takes its diagonal dot
+    products from the norms, so its diagonal is exactly depth |x|^2.
+    `threads` workers share the rbf and laplace distance strips; the
+    result does not depend on it.
     """
     threads = positive_int(threads, "threads")
     X1 = points(X1)
@@ -191,6 +193,8 @@ def gram(spec, X1, X2=None, threads=1):
         dots = X1 @ X2.T
         norms1 = np.linalg.norm(X1, axis=1)
         norms2 = np.linalg.norm(X2, axis=1)
+        if square:  # the cosine's own divisors, so t = 1 exactly there
+            np.fill_diagonal(dots, norms1 * norms2)
         K = ntk_relu_eval(spec.depth, dots, norms1[:, None], norms2[None, :])
     else:  # pragma: no cover - guarded by KernelSpec
         raise ValueError(f"unknown kernel kind {spec.kind!r}")

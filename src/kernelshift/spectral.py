@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _lapack
 from .io import read_npz, write_npz_atomic
-from .kernels import _ENTRYWISE_KINDS, gram
+from .kernels import gram
 from .measures import (DiscreteMeasure, as_measure, kernel_matrix, points,
                        target_columns)
 
@@ -74,62 +74,43 @@ def mercer_decompose(K, measure, rank_threshold=DEFAULT_RANK_THRESHOLD):
     positive, first index winning ties, which makes results reproducible up
     to genuinely degenerate eigenspaces.
     """
-    return _decompose_gram(K, measure, rank_threshold)[0]
-
-
-def _decompose_gram(K, measure, rank_threshold):
-    """_decompose reading its blocks from the Gram matrix K; also returns
-    the checked, symmetric K."""
     measure = as_measure(measure)
     K = kernel_matrix(K, measure.M)
     sup = measure.support()
-    dec, V = _decompose(lambda: K[np.ix_(sup, sup)],
-                        lambda rows: K[np.ix_(rows, sup)], measure,
-                        rank_threshold)
-    return dec, V, K
+    return _decompose(lambda: K[np.ix_(sup, sup)],
+                      lambda rows: K[np.ix_(rows, sup)], measure,
+                      rank_threshold)
 
 
 def _decompose_spec(spec, X, measure, rank_threshold):
     """_decompose building its blocks from the kernel spec and the
     checked points X (M, D), each block checked finite; the M x M Gram is
-    never built.  Where kernels.gram computes every entry on its own
-    (rbf, laplace, fourier_bandlimited) the support block is its square
-    Gram, which computes each entry once and mirrors it, and the
-    decomposition has the bits of mercer_decompose(gram(spec, X), ...).
-    The BLAS kinds' blocks are products of the support points against a
-    copy of them, which agree with that Gram's slices to rounding (a
-    square product of the support points rounds its diagonal dot
-    products otherwise, and ntk_relu's arccos magnifies that near t =
-    1)."""
+    never built.  The support block is the square Gram of the support
+    points, which computes each entry once and mirrors it.  Where
+    kernels.gram computes every entry on its own (rbf, laplace,
+    fourier_bandlimited) that is the Gram's block, and the decomposition
+    has the bits of mercer_decompose(gram(spec, X), ...).  The BLAS kinds'
+    blocks agree with that Gram's slices to rounding, as products of
+    other shapes."""
     sup = measure.support()
     X_sup = X[sup]
-
-    def kernel_rows(rows):
-        return _finite(gram(spec, X[rows], X_sup))
-
-    def support_block():
-        if spec.kind in _ENTRYWISE_KINDS:
-            return _finite(gram(spec, X_sup))
-        return kernel_rows(sup)
-
-    return _decompose(support_block, kernel_rows, measure,
-                      rank_threshold)[0]
+    return _decompose(lambda: _finite(gram(spec, X_sup)),
+                      lambda rows: _finite(gram(spec, X[rows], X_sup)),
+                      measure, rank_threshold)
 
 
 def _decompose(support_block, kernel_rows, measure, rank_threshold):
-    """The decomposition, also returning the orthonormal eigenvectors V
-    (s, s) of B, Fortran-ordered, columns in the decomposition's order and
-    signs, on full support (None otherwise).
+    """The decomposition, reading the kernel only through two callables.
 
-    The kernel is read only through support_block(), a new symmetric
-    array K[sup, sup] that becomes B, and then, after the eigensolve has
-    freed B, through kernel_rows(rows), a new array K[rows, sup] of the
-    given off-support rows against the support, a block of at most
-    _BLOCK entries at a time.  So it holds at most two (s, s)-sized
-    arrays at once, B beside its eigenvectors during the eigensolve and
-    then V beside Phi, and otherwise only temporaries of up to _BLOCK
-    entries: V is reordered and signed in place, and Phi is built a block
-    of rows at a time.
+    support_block() is a new symmetric array K[sup, sup], which
+    _eigensolve turns into B and frees; kernel_rows(rows) then is a new
+    array K[rows, sup] of the given off-support rows against the
+    support, read a block of at most _BLOCK entries at a time.  So it
+    holds at most two (s, s)-sized arrays at once, B beside its
+    eigenvectors V during the eigensolve and then V beside Phi, and
+    otherwise only temporaries of up to _BLOCK entries: V is reordered,
+    signed and scaled in place, and Phi's off-support rows are built a
+    block at a time.
     """
     M = measure.M
     sup = measure.support()
@@ -138,6 +119,42 @@ def _decompose(support_block, kernel_rows, measure, rank_threshold):
         raise ValueError("measure has empty support")
     p_s = measure.masses[sup]
     sqrt_p = np.sqrt(p_s)
+    eta, V, rank = _eigensolve(support_block, sqrt_p, rank_threshold)
+    # V's first rank columns become Phi_s = V / sqrt(p), then diag(p)
+    # Phi_s, the right factor of the Nystrom extension K[off, sup] diag(p)
+    # Phi_s / eta.  Extending the stored Phi_s keeps the off-support
+    # residual consistent with the projection abar, which also reads it
+    Phi = np.empty((M, rank))
+    Vr = V[:, :rank]
+    Vr /= sqrt_p[:, None]
+    Phi[sup] = Vr
+    off = np.flatnonzero(measure.masses == 0)
+    if off.size:
+        Vr *= p_s[:, None]
+        b = max(1, _BLOCK // M)
+        for lo in range(0, off.size, b):
+            rows = off[lo:lo + b]
+            Phi[rows] = kernel_rows(rows) @ Vr / eta[:rank]
+
+    return SpectralDecomposition(
+        eigenvalues=eta,
+        Phi=Phi,
+        measure=measure,
+        support=sup,
+        rank=rank,
+        rank_threshold=float(rank_threshold),
+    )
+
+
+def _eigensolve(support_block, sqrt_p, rank_threshold):
+    """(eta, V, rank) of B = diag(sqrt_p) K diag(sqrt_p), K being
+    support_block(), a new symmetric array that becomes B and is freed.
+
+    eta are B's eigenvalues, descending and clipped at zero (one below
+    -PSD_RTOL * scale raises ValueError); rank counts those above
+    rank_threshold times the largest.  V's orthonormal eigenvectors are
+    Fortran-ordered, in eta's order with _order_and_sign's signs.
+    """
     # B is built and diagonalized in its own buffer: B.T is the same
     # symmetric matrix in Fortran order, which eigh overwrites instead of
     # copying, and of which it reads one triangle, so the scaled halves
@@ -156,40 +173,9 @@ def _decompose(support_block, kernel_rows, measure, rank_threshold):
             f"(min eigenvalue {w[-1]:.3e} at scale {scale:.3e})"
         )
     eta = np.clip(w, 0.0, None)
-
-    _order_and_sign(V, sqrt_p)
-
     rank = int(np.count_nonzero(eta > rank_threshold * eta[0])) if eta[0] > 0 else 0
-    Phi = np.empty((M, rank))
-    Vr = V[:, :rank]
-    b = max(1, _BLOCK // M)
-    if s == M:
-        for lo in range(0, M, b):
-            np.divide(Vr[lo:lo + b], sqrt_p[lo:lo + b, None],
-                      out=Phi[lo:lo + b])
-    else:
-        # nothing reads V off full support, so its first rank columns
-        # become Phi_s = V / sqrt(p), then diag(p) Phi_s, the right factor
-        # of the Nystrom extension K[off, sup] diag(p) Phi_s / eta.
-        # Extending the stored Phi_s keeps the off-support residual
-        # consistent with the projection abar, which also reads it
-        Vr /= sqrt_p[:, None]
-        Phi[sup] = Vr
-        Vr *= p_s[:, None]
-        off = np.flatnonzero(measure.masses == 0)
-        for lo in range(0, off.size, b):
-            rows = off[lo:lo + b]
-            Phi[rows] = kernel_rows(rows) @ Vr / eta[:rank]
-        V = None
-
-    return SpectralDecomposition(
-        eigenvalues=eta,
-        Phi=Phi,
-        measure=measure,
-        support=sup,
-        rank=rank,
-        rank_threshold=float(rank_threshold),
-    ), V
+    _order_and_sign(V, sqrt_p)
+    return eta, V, rank
 
 
 def _finite(block):
@@ -251,7 +237,7 @@ def _overlap_matrix(Phi, ptilde):
 # conventions or the bits a decomposition is computed with (kernels.gram's
 # or B's) change, so old entries stop matching instead of being silently
 # reused: the key hashes the spec and the points, not the kernel values.
-CACHE_FORMAT_VERSION = 6
+CACHE_FORMAT_VERSION = 7
 
 
 def decomposition_cache_key(spec, X, measure,

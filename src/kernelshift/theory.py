@@ -26,10 +26,10 @@ R = Y - Phi abar, the target's part outside the RKHS, on every point: on
 the training support it is the collapsed modes' part of the target, and
 off it the label minus the extension of its projection.  The collapsed
 modes' power is sum_out abar^2 = p . R^2.  `predict_Eg_curve`, the one
-dataset prediction route, `pointwise_error_density` and the error of
-`predict_Eg_train_grad` use these rows and build no overlap matrix; the
-analytic models in `closedform` go through a spectrum core that takes the
-test covariance of their modes instead.
+dataset prediction route, and `pointwise_error_density` use these rows
+and build no overlap matrix; the analytic models in `closedform` and
+`predict_Eg_train_grad`, in its eigenbasis, go through a spectrum core
+that takes the test covariance of their modes instead.
 
 Everything is per output column and summed over columns; the noise level is
 a scalar shared by all outputs.  The result at each P is one flat
@@ -37,19 +37,21 @@ a scalar shared by all outputs.  The result at each P is one flat
 (CURVE_COLUMNS), so `dataclasses.astuple(pred)` is the row; past the
 interpolation threshold its error fields are inf.
 
-A grid of P is solved at once: one Newton iteration for kappa over every
-P, whose sums run along rows and never through BLAS, and one pass over
-Phi for the bias, with one product per P.  So each P's row has the same
-bits in any grid that holds it, and `solve_kappa` is the one-P case.
+Both cores take a grid of P and solve it at once: one Newton iteration
+for kappa over every P, whose sums run along rows and never through BLAS,
+and then the bias per P, on a dataset in one pass over Phi with one
+product per P.  One function turns a grid's arrays into its rows.  So each
+P's row has the same bits in any grid that holds it, and `solve_kappa` is
+the one-P case.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .measures import as_measure, nonnegative, target_columns
-from .spectral import (_BLOCK, DEFAULT_RANK_THRESHOLD, _decompose_gram,
+from .measures import as_measure, kernel_matrix, nonnegative, target_columns
+from .spectral import (_BLOCK, DEFAULT_RANK_THRESHOLD, _eigensolve,
                        _overlap_matrix, mercer_decompose, project_target)
 
 KAPPA_RTOL = 1e-12
@@ -232,22 +234,46 @@ def _order_params(eta, w, P, lam, O_diag=None):
     return kappa, gamma, gamma_prime, d, q
 
 
-def _bare_prediction(P, kappa, gamma, gamma_prime, i):
-    """Row i of a grid as its prediction with inf errors and the
-    divergence flag: already the diverged prediction."""
-    return TheoryPrediction(P=float(P[i]), kappa=float(kappa[i]),
-                            gamma=float(gamma[i]),
-                            gamma_prime=float(gamma_prime[i]),
-                            diverged=bool(1.0 - gamma[i] < DIVERGENCE_TOL))
+def _P_grid(P_grid):
+    """The sample sizes as a 1-D grid, each nonnegative and finite."""
+    P = np.atleast_1d(nonnegative(P_grid, "P"))
+    if P.ndim != 1:
+        raise ValueError(f"P grid must be 1-D, got shape {P.shape}")
+    return P
 
 
-def _per_P(eta, P, lam, weights=None, O_diag=None):
-    """_order_params at the one P: (pred, d, q), pred holding kappa,
-    gamma, gamma', the divergence flag and inf errors."""
-    eta, w = _validated_spectrum(eta, weights)
-    P = np.array([nonnegative(P, "P")])
-    kappa, gamma, gamma_prime, d, q = _order_params(eta, w, P, lam, O_diag)
-    return _bare_prediction(P, kappa, gamma, gamma_prime, 0), d[0], q[0]
+def _diverged(gamma):
+    """Where the prediction diverges: 1 - gamma below DIVERGENCE_TOL."""
+    return 1.0 - gamma < DIVERGENCE_TOL
+
+
+def _predictions(P, kappa, gamma, gamma_prime, noise, wsq, bias_c, irr_c):
+    """The TheoryPrediction rows of a grid, in order; every prediction is
+    built here.
+
+    P, kappa, gamma and gamma' hold one entry per P.  A diverged P keeps
+    inf errors; wsq and bias_c hold one row per other P, in order, and
+    one column per output: wsq is |W_c|^2 under the training measure, so
+    noise + wsq is eps_eff^2 + |W_in|^2 per output, and bias_c is the
+    bias.  irr_c is the irreducible error per output.  No sum runs across
+    rows, so each P's row has its bits of a one-P grid.
+    """
+    diverged = _diverged(gamma)
+    live = ~diverged
+    g, g_p = gamma[live, None], gamma_prime[live, None]
+    one_minus = 1.0 - g
+    n_eff = noise + wsq
+    variance_c = g_p / one_minus * n_eff
+    Eg = _row_sums(variance_c + bias_c)
+    # matched-measure baseline: O = identity
+    Eg_matched = _row_sums(g / one_minus * n_eff + wsq)
+    table = np.full((P.size, len(CURVE_COLUMNS) - 1), np.inf)
+    table[:, :4] = np.column_stack((P, kappa, gamma, gamma_prime))
+    table[live, 4:] = np.column_stack(
+        (Eg, _row_sums(bias_c), _row_sums(variance_c), Eg_matched,
+         Eg - Eg_matched, np.full(Eg.size, float(np.sum(irr_c)))))
+    return [TheoryPrediction(*row, diverged=flag)
+            for row, flag in zip(table.tolist(), diverged.tolist())]
 
 
 def _masked_eta(dec):
@@ -272,41 +298,11 @@ def _rows(dec, Y):
     return abar, R
 
 
-def _with_errors(preds, noise, wsq, bias_c, irr_c):
-    """The bare predictions of a grid with the errors of those that have
-    not diverged filled in, in order, the bias given.
-
-    wsq and bias_c hold one row per such prediction and one column per
-    output: wsq is |W_c|^2 under the training measure, so noise + wsq is
-    eps_eff^2 + |W_in|^2 per output.  irr_c is the irreducible error per
-    output.
-    """
-    live = [i for i, pred in enumerate(preds) if not pred.diverged]
-    if not live:
-        return preds
-    gamma = np.array([[preds[i].gamma] for i in live])
-    gamma_prime = np.array([[preds[i].gamma_prime] for i in live])
-    one_minus = 1.0 - gamma
-    n_eff = noise + wsq
-    variance_c = gamma_prime / one_minus * n_eff
-    Eg = _row_sums(variance_c + bias_c)
-    # matched-measure baseline: O = identity
-    Eg_matched = _row_sums(gamma / one_minus * n_eff + wsq)
-    bias, variance = _row_sums(bias_c), _row_sums(variance_c)
-    irreducible = float(np.sum(irr_c))
-    preds = list(preds)
-    for j, i in enumerate(live):
-        preds[i] = replace(preds[i], Eg=float(Eg[j]), bias=float(bias[j]),
-                           variance=float(variance[j]),
-                           Eg_matched=float(Eg_matched[j]),
-                           delta=float(Eg[j] - Eg_matched[j]),
-                           irreducible=irreducible)
-    return preds
-
-
-def _spectrum_prediction(eta, P, lam, noise, b, Ct, power=None, weights=None):
-    """Prediction at one P from a spectrum and the test covariance of its
-    modes, the one core under every closed form.
+def _spectrum_prediction(eta, P_grid, lam, noise, b, Ct, power=None,
+                         weights=None):
+    """Predictions over the P grid from a spectrum and the test covariance
+    of its modes, the one core under every closed form and the training
+    gradient: (preds, d, q), with the mode weights d and q (P x modes).
 
     Mode r has eigenvalue eta_r (0 out of the RKHS or off the training
     support), training power power_r, its mean square under the training
@@ -315,8 +311,11 @@ def _spectrum_prediction(eta, P, lam, noise, b, Ct, power=None, weights=None):
     diagonal; the test overlap of the normalized modes has diagonal
     Ct_rr/power_r, which weights gamma'.  weights are mode multiplicities.
     With W = q o b the bias is W^T Ct W and the irreducible error is the
-    same form on the eta = 0 block.
+    same form on the eta = 0 block.  Each P's row has the bits it has in
+    a one-P grid.
     """
+    eta, w = _validated_spectrum(eta, weights)
+    P = _P_grid(P_grid)
     noise = nonnegative(noise, "noise")
     b = target_columns(b, eta.shape[0])
     Ct = np.asarray(Ct, dtype=np.float64)
@@ -326,17 +325,25 @@ def _spectrum_prediction(eta, P, lam, noise, b, Ct, power=None, weights=None):
     if power is not None:
         O_diag = np.divide(O_diag, power, out=np.zeros_like(O_diag),
                            where=power > 0)
-    pred, _, q = _per_P(eta, P, lam, weights, O_diag)
-    if pred.diverged:
-        return pred
-    W = q[:, None] * b
-    PW = W if power is None else power[:, None] * W
-    out = eta == 0
+    kappa, gamma, gamma_prime, d, q = _order_params(eta, w, P, lam, O_diag)
+    q_live = q[~_diverged(gamma)]
+    wsq, bias_c = np.empty((2, q_live.shape[0], b.shape[1]))
+    for j, q_j in enumerate(q_live):
+        W = q_j[:, None] * b
+        wsq[j] = np.einsum("rc,rc->c", W,
+                           W if power is None else power[:, None] * W)
+        bias_c[j] = np.einsum("rc,rc->c", W, Ct @ W)
+    out = np.flatnonzero(eta == 0)
     b_out = b[out]
-    return _with_errors([pred], noise, np.einsum("rc,rc->c", W, PW)[None],
-                        np.einsum("rc,rc->c", W, Ct @ W)[None],
-                        np.einsum("oc,oc->c", b_out,
-                                  Ct[np.ix_(out, out)] @ b_out))[0]
+    # the eta = 0 modes of a decomposition or of a covariance's eigenbasis
+    # are one run, whose block of Ct is a view, not an (s, s)-sized copy
+    if out.size and out[-1] - out[0] == out.size - 1:
+        Ct_out = Ct[out[0]:out[-1] + 1, out[0]:out[-1] + 1]
+    else:
+        Ct_out = Ct[np.ix_(out, out)]
+    irr_c = np.einsum("oc,oc->c", b_out, Ct_out @ b_out)
+    return (_predictions(P, kappa, gamma, gamma_prime, noise, wsq, bias_c,
+                         irr_c), d, q)
 
 
 def pointwise_error_density(dec, Y, P, lam, noise):
@@ -348,18 +355,21 @@ def pointwise_error_density(dec, Y, P, lam, noise):
     """
     noise = nonnegative(noise, "noise")
     abar, R = _rows(dec, Y)
-    pred, d, q = _per_P(_masked_eta(dec), P, lam)
-    if pred.diverged:
+    P = nonnegative(P, "P")
+    eta = _masked_eta(dec)
+    _, (gamma,), _, (d,), (q,) = _order_params(eta, np.ones_like(eta),
+                                               np.array([P]), lam)
+    if _diverged(gamma):
         raise DivergenceError(
             "pointwise density undefined: predicted error diverges "
-            f"(1 - gamma = {1.0 - pred.gamma:.3e})"
+            f"(1 - gamma = {1.0 - gamma:.3e})"
         )
     W = q[:dec.rank, None] * abar
     e = dec.eigenvalues[:dec.rank] * d[:dec.rank]
-    gamma_mu = dec.Phi**2 @ (float(P) * e * e)  # per-point gamma'
+    gamma_mu = dec.Phi**2 @ (P * e * e)  # per-point gamma'
     mean = dec.Phi @ W + R  # estimator shortfall at each point
     wsq = np.einsum("rc,rc->c", W, W) + dec.measure.masses @ R**2
-    return gamma_mu / (1.0 - pred.gamma) * float(np.sum(noise + wsq)) \
+    return gamma_mu / (1.0 - gamma) * float(np.sum(noise + wsq)) \
         + np.einsum("mc,mc->m", mean, mean)
 
 
@@ -374,44 +384,36 @@ def predict_Eg_curve(dec, Y, ptilde, P_grid, lam, noise):
     one pass over Phi, in row blocks that stay in cache, with one
     (rows, rank) product per P and block: the bias is ptilde . |Phi W +
     R|^2, the pointwise density's rows contracted with the test measure.
+    P go a block at a time, so temporaries stay within _BLOCK entries.
     Each P's row has the same bits in any grid that holds it.  No overlap
     matrix is built, so test mass off the training support is covered
     whether or not collapsed modes exist.
     """
-    return [pred for preds, _, _ in _curve(dec, Y, ptilde, P_grid, lam,
-                                           noise) for pred in preds]
-
-
-def _curve(dec, Y, ptilde, P_grid, lam, noise):
-    """predict_Eg_curve's predictions and their mode weights d and q (P x
-    modes), a block of P at a time: temporaries stay within _BLOCK
-    entries."""
     ptilde = as_measure(ptilde)
     if ptilde.M != dec.Phi.shape[0]:
         raise ValueError("test measure must cover the same dataset")
     noise = nonnegative(noise, "noise")
-    P = np.atleast_1d(nonnegative(P_grid, "P"))
-    if P.ndim != 1:
-        raise ValueError(f"P grid must be 1-D, got shape {P.shape}")
+    P = _P_grid(P_grid)
     abar, R = _rows(dec, Y)
+    abar_t = np.ascontiguousarray(abar.T)
     w = ptilde.masses
     eta = _masked_eta(dec)
     O_diag = np.zeros_like(eta)
     O_diag[:dec.rank] = np.einsum("m,mr,mr->r", w, dec.Phi, dec.Phi)
     irr_c = w @ R**2
     out_c = dec.measure.masses @ R**2
+    preds = []
     b = max(1, _BLOCK // max(eta.size, abar.size))
     for lo in range(0, P.size, b):
         P_b = P[lo:lo + b]
-        kappa, gamma, gamma_prime, d, q = _order_params(
+        kappa, gamma, gamma_prime, _, q = _order_params(
             eta, np.ones_like(eta), P_b, lam, O_diag)
-        preds = [_bare_prediction(P_b, kappa, gamma, gamma_prime, i)
-                 for i in range(P_b.size)]
-        live = [i for i, pred in enumerate(preds) if not pred.diverged]
         # W^T for each live P, (C, rank), so per-output sums run along rows
-        Wt = q[live, None, :dec.rank] * np.ascontiguousarray(abar.T)
-        yield (_with_errors(preds, noise, _row_sums(Wt * Wt) + out_c,
-                            _bias_rows(dec.Phi, Wt, R, w), irr_c), d, q)
+        Wt = q[~_diverged(gamma), None, :dec.rank] * abar_t
+        preds += _predictions(P_b, kappa, gamma, gamma_prime, noise,
+                              _row_sums(Wt * Wt) + out_c,
+                              _bias_rows(dec.Phi, Wt, R, w), irr_c)
+    return preds
 
 
 def _bias_rows(Phi, Wt, R, w):
@@ -486,17 +488,19 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise,
                           rank_threshold=DEFAULT_RANK_THRESHOLD):
     """Predicted error on a discrete dataset and its gradient in the training masses.
 
-    Returns (Eg, dEg_dp): Eg is predict_Eg_curve's error on the same
-    decomposition, and dEg_dp[mu] the partial derivative in p_mu, all
-    masses varied independently.  One decomposition and O(M^3) matmuls, by
-    reverse mode through the resolvent.  With a = sqrt(p), B = (a a^T) o K
-    (eta zeroed on collapsed modes) and u_c = a o Y_c, in the eigenbasis V
-    of B
+    Returns (Eg, dEg_dp): Eg is the predicted error, and dEg_dp[mu] the
+    partial derivative in p_mu, all masses varied independently.  One
+    eigensolve and O(M^3) matmuls, by reverse mode through the resolvent.
+    With a = sqrt(p), B = (a a^T) o K (eta zeroed on collapsed modes) and
+    u_c = a o Y_c, in the eigenbasis V of B
 
         q = kappa/(P eta + kappa),  e = eta/(P eta + kappa)   (q = 1, e = 0 collapsed)
         W = q o abar,  abar = V^T u,  O = V^T diag(ptilde/p) V
         gamma = P sum e^2,  gamma' = P sum O_rr e^2
         Eg = sum_c W_c^T O W_c + gamma'/(1-gamma) (C eps^2 + |W|^2)
+
+    Eg is the closed forms' spectrum core on abar and O, which builds no
+    Phi and agrees with predict_Eg_curve's to rounding.
 
     Eg depends on B only through Q = V diag(q) V^T, so its adjoint needs
     only the divided differences of q(eta), which are products of bounded
@@ -508,10 +512,10 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise,
     prediction, which is not smooth where a mode crosses the rank
     threshold.
 
-    Of (s, s) arrays it holds V, one buffer that is in turn the test
-    overlap O, F o Qbar and Bbar (F o Qbar a block of rows at a time),
-    and at most one product temporary: about three Grams at its peak,
-    Phi being freed after the forward pass.
+    Beside K, of (s, s) arrays it holds B and V during the eigensolve,
+    then V, one buffer that is in turn the test overlap O, F o Qbar and
+    Bbar (F o Qbar a block of rows at a time), and at most one product
+    temporary: about three Grams at its peak.
 
     A training measure without full support, or with masses so small that
     the gradient overflows, raises SupportError.  A diverged prediction
@@ -521,25 +525,28 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise,
     ptilde = as_measure(ptilde)
     if p.support().size != p.M:
         raise SupportError("the training-mass gradient needs full support")
+    if ptilde.M != p.M:
+        raise ValueError("test measure must cover the same dataset")
     Y = target_columns(Y, p.M)
     P = nonnegative(P, "P")
-    dec, V, K = _decompose_gram(K, p, rank_threshold)
-    rank = dec.rank
+    K = kernel_matrix(K, p.M)
+    a = np.sqrt(p.masses)
+    eta, V, rank = _eigensolve(K.copy, a, rank_threshold)
     # tiny masses overflow on the way; the check below turns a non-finite
     # result into SupportError
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        (pred,), (d,), (q,) = next(_curve(dec, Y, ptilde, [P], lam, noise))
+        abar = V.T @ (a[:, None] * Y)
+        # X is the one (s, s) buffer: O, then F o Qbar, then Bbar
+        X = _overlap_matrix(V, ptilde.masses / p.masses)
+        # collapsed modes at eta = 0; below, d = 0 masks them in eta
+        (pred,), (d,), (q,) = _spectrum_prediction(
+            np.append(eta[:rank], np.zeros(eta.size - rank)), [P], lam,
+            noise, abar, X)
         one_minus = 1.0 - pred.gamma
         if pred.diverged:
             raise DivergenceError(
                 f"1 - gamma = {one_minus:.3e} < {DIVERGENCE_TOL}: predicted "
                 "error diverges, so it has no gradient")
-        eta = dec.eigenvalues  # d = 0 masks the collapsed ones
-        del dec  # Phi; the adjoint works in the eigenbasis
-        a = np.sqrt(p.masses)
-        abar = V.T @ (a[:, None] * Y)
-        # X is the one (s, s) buffer: O, then F o Qbar, then Bbar
-        X = _overlap_matrix(V, ptilde.masses / p.masses)
         gamma_p = pred.gamma_prime
         W = q[:, None] * abar
         e = eta * d

@@ -26,7 +26,7 @@ from kernelshift.measures import uniform_measure
 from kernelshift.spectral import mercer_decompose
 from kernelshift.theory import (CURVE_COLUMNS, SupportError, TheoryPrediction,
                                 pointwise_error_density, predict_Eg_curve,
-                                predict_Eg_dataset)
+                                predict_Eg_train_grad)
 
 from archive_forgery import claim_rows, flip_first_sign
 
@@ -481,9 +481,9 @@ def test_optimize_train_and_gradcheck_honour_rank_threshold(tmp_path):
     ds = build_dataset(doc["dataset"], 0)
     K = gram(KernelSpec("rbf", lengthscale=1.5), ds.X)
     assert mercer_decompose(K, uniform_measure(10), 0.02).rank == 8
-    assert eg_thr == predict_Eg_dataset(K, ds.Y, uniform_measure(10),
-                                        uniform_measure(10), 3, 0.1, 0.01,
-                                        rank_threshold=0.02).Eg
+    assert eg_thr == predict_Eg_train_grad(K, ds.Y, uniform_measure(10),
+                                           uniform_measure(10), 3, 0.1, 0.01,
+                                           rank_threshold=0.02)[0]
     assert eg_thr != eg
 
     code, out = _run(tmp_path, dict(thr_doc, command="gradcheck"),

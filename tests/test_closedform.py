@@ -2,6 +2,7 @@
 general engine, limits, and the sphere spectrum quadrature."""
 
 import itertools
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ def test_kappa_prime_flat_within_solver_tolerance():
 
 
 def test_ridgeless_above_threshold_is_exactly_zero():
-    r = general_linear_Eg(11, 10, 10, 10, np.ones(10), 1, 1, lam=0)
+    (r,) = general_linear_Eg([11], 10, 10, 10, np.ones(10), 1, 1, lam=0)
     assert r.kappa == 0.0
     assert r.Eg == 0.0
     assert not r.diverged
@@ -134,7 +135,7 @@ def test_general_linear_matches_flat_oracle():
     for M, M_r, M_s, lam, P, (s2, s2t) in itertools.product(
             (5, 10, 20), (5, 10, 30), (3, 10, 30), (0.0, 1e-6, 1e-2, 0.5),
             (1, 3, 5, 9, 10, 11, 20, 31, 100, 1e5), ((1.0, 1.0), (1.3, 0.6))):
-        r = general_linear_Eg(P, M, M_r, M_s, beta, s2, s2t, lam, 0.05)
+        (r,) = general_linear_Eg([P], M, M_r, M_s, beta, s2, s2t, lam, 0.05)
         want = _flat_oracle(P, M, M_r, M_s, beta, s2, s2t, lam, 0.05)
         case = (M, M_r, M_s, lam, P, s2, s2t)
         assert r.diverged == want["diverged"], case
@@ -157,10 +158,11 @@ def test_gaussian_reduces_to_diagonal():
     C = np.zeros((D, D))
     C[:M_r, :M_r] = sigma2 * np.eye(M_r)
     Ct = sigma2_tilde * np.eye(D)
-    for P in (3, 7, 15, 40):
-        a = gaussian_linear_Eg(beta, C, Ct, P, lam=0.05, noise=0.1)
-        b = general_linear_Eg(P, D, M_r, D, beta, sigma2, sigma2_tilde,
-                              lam=0.05, noise=0.1)
+    P_grid = (3, 7, 15, 40)
+    for a, b in zip(gaussian_linear_Eg(beta, C, Ct, P_grid, lam=0.05,
+                                       noise=0.1),
+                    general_linear_Eg(P_grid, D, M_r, D, beta, sigma2,
+                                      sigma2_tilde, lam=0.05, noise=0.1)):
         assert a.Eg == pytest.approx(b.Eg, abs=1e-12)
         assert a.Eg_matched == pytest.approx(b.Eg_matched, abs=1e-12)
         assert a.kappa == pytest.approx(b.kappa, abs=1e-12)
@@ -176,18 +178,19 @@ def test_gaussian_ridgeless_singular_matches_diagonal():
     beta = np.random.default_rng(6).standard_normal(D)
     for M_r in (2, 5):
         C = np.diag((np.arange(D) < M_r).astype(float))
-        for P in (M_r - 1, M_r, M_r + 1, 4 * M_r):
-            a = gaussian_linear_Eg(beta, C, np.eye(D), P, lam=0.0,
-                                   noise=0.05)
-            b = general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0, lam=0.0,
-                                  noise=0.05)
+        P_grid = (M_r - 1, M_r, M_r + 1, 4 * M_r)
+        for P, a, b in zip(P_grid,
+                           gaussian_linear_Eg(beta, C, np.eye(D), P_grid,
+                                              lam=0.0, noise=0.05),
+                           general_linear_Eg(P_grid, D, M_r, D, beta, 1.0,
+                                             1.0, lam=0.0, noise=0.05)):
             assert a.diverged == b.diverged == (P == M_r)
             for f in ("Eg", "Eg_matched", "bias", "variance",
                       "irreducible", "kappa", "gamma", "gamma_prime"):
                 assert getattr(a, f) == pytest.approx(getattr(b, f),
                                                       rel=1e-12, abs=1e-12)
-    r = gaussian_linear_Eg(np.ones(3), np.diag([1.0, 0.5, 0.0]), np.eye(3),
-                           5, lam=0.0, noise=0.05)
+    (r,) = gaussian_linear_Eg(np.ones(3), np.diag([1.0, 0.5, 0.0]),
+                              np.eye(3), [5], lam=0.0, noise=0.05)
     assert r.Eg == pytest.approx(1.05, rel=1e-12)
     assert r.irreducible == pytest.approx(1.0, rel=1e-12)
 
@@ -202,11 +205,13 @@ def test_gaussian_singular_rotation_invariant():
     Ct = np.diag(rng.uniform(0.5, 1.5, D))
     beta = rng.standard_normal(D)
     Q = np.linalg.qr(rng.standard_normal((D, D)))[0]
-    for P in (r - 1, r, r + 1, 3 * r):
-        for lam in (0.0, 1e-3):
-            a = gaussian_linear_Eg(beta, C, Ct, P, lam, noise=0.05)
-            b = gaussian_linear_Eg(Q @ beta, Q @ C @ Q.T, Q @ Ct @ Q.T, P,
-                                   lam, noise=0.05)
+    P_grid = (r - 1, r, r + 1, 3 * r)
+    for lam in (0.0, 1e-3):
+        for a, b in zip(gaussian_linear_Eg(beta, C, Ct, P_grid, lam,
+                                           noise=0.05),
+                        gaussian_linear_Eg(Q @ beta, Q @ C @ Q.T,
+                                           Q @ Ct @ Q.T, P_grid, lam,
+                                           noise=0.05)):
             assert a.diverged == b.diverged
             assert a.Eg == pytest.approx(b.Eg, rel=1e-9)
             assert a.irreducible == pytest.approx(b.irreducible, rel=1e-9)
@@ -218,7 +223,7 @@ def test_gaussian_matched_equals_baseline():
     beta = rng.standard_normal(D)
     A = rng.standard_normal((D, D))
     C = A @ A.T / D
-    r = gaussian_linear_Eg(beta, C, C, P=10, lam=0.1, noise=0.05)
+    (r,) = gaussian_linear_Eg(beta, C, C, P_grid=[10], lam=0.1, noise=0.05)
     assert r.Eg == pytest.approx(r.Eg_matched, abs=1e-12)
 
 
@@ -228,7 +233,8 @@ def test_gaussian_noncommuting_covariances_run():
     beta = rng.standard_normal(D)
     A = rng.standard_normal((D, D))
     B = rng.standard_normal((D, D))
-    r = gaussian_linear_Eg(beta, A @ A.T, B @ B.T, P=12, lam=0.3, noise=0.0)
+    (r,) = gaussian_linear_Eg(beta, A @ A.T, B @ B.T, P_grid=[12], lam=0.3,
+                              noise=0.0)
     assert np.isfinite(r.Eg) and r.Eg > 0
 
 
@@ -238,10 +244,10 @@ def test_double_descent_peak_under_expressive_kernel():
     # ridgeless curve still peaks at the interpolation threshold P = M
     beta = np.ones(30) / np.sqrt(30)
     lam, noise = 1e-4, 0.0
-    Egs = {P: general_linear_Eg(P, M=20, M_r=30, M_s=30, beta=beta,
-                                sigma2=1.0, sigma2_tilde=1.0, lam=lam,
-                                noise=noise).Eg
-           for P in (10, 20, 40)}
+    P_grid = (10, 20, 40)
+    Egs = {P: r.Eg for P, r in zip(P_grid, general_linear_Eg(
+        P_grid, M=20, M_r=30, M_s=30, beta=beta, sigma2=1.0,
+        sigma2_tilde=1.0, lam=lam, noise=noise))}
     assert Egs[20] > Egs[10]
     assert Egs[20] > Egs[40]
 
@@ -249,21 +255,23 @@ def test_double_descent_peak_under_expressive_kernel():
 def test_error_vanishes_when_test_support_is_learnable():
     # M_s <= min(M, M_r): everything the test measure weights is learned
     beta = np.ones(30) / np.sqrt(30)
-    r = general_linear_Eg(100000, M=20, M_r=30, M_s=15, beta=beta,
-                          sigma2=1.0, sigma2_tilde=1.0, lam=1e-2, noise=0.0)
+    (r,) = general_linear_Eg([100000], M=20, M_r=30, M_s=15, beta=beta,
+                             sigma2=1.0, sigma2_tilde=1.0, lam=1e-2,
+                             noise=0.0)
     assert r.irreducible == 0.0
     assert r.Eg < 1e-3
     # while M_s > M leaves a floor
-    r2 = general_linear_Eg(100000, M=20, M_r=30, M_s=30, beta=beta,
-                           sigma2=1.0, sigma2_tilde=1.0, lam=1e-2, noise=0.0)
+    (r2,) = general_linear_Eg([100000], M=20, M_r=30, M_s=30, beta=beta,
+                              sigma2=1.0, sigma2_tilde=1.0, lam=1e-2,
+                              noise=0.0)
     assert r2.irreducible == pytest.approx(np.sum(beta[20:30] ** 2), rel=1e-12)
     assert r2.Eg > r2.irreducible * 0.99
 
 
 def test_divergence_at_interpolation_threshold():
     beta = np.ones(10)
-    r = general_linear_Eg(10, M=10, M_r=10, M_s=10, beta=beta, sigma2=1.0,
-                          sigma2_tilde=1.0, lam=0.0, noise=0.1)
+    (r,) = general_linear_Eg([10], M=10, M_r=10, M_s=10, beta=beta,
+                             sigma2=1.0, sigma2_tilde=1.0, lam=0.0, noise=0.1)
     assert r.diverged
     assert np.isinf(r.Eg)
 
@@ -276,13 +284,14 @@ def test_optimal_ridge_value_and_stationarity():
     beta[M_r:] = 0.0
     beta /= np.linalg.norm(beta)  # unit in-support target power
     star = optimal_ridge(M_r, D, noise, target_power=1.0)
-    for P in (10, 40, 90):
-        at = general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0, star,
-                               noise).Eg
-        for delta in (-0.3 * star, 0.3 * star):
-            other = general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0,
-                                      star + delta, noise).Eg
-            assert at <= other + 1e-12
+    P_grid = (10, 40, 90)
+    at = [r.Eg for r in general_linear_Eg(P_grid, D, M_r, D, beta, 1.0, 1.0,
+                                          star, noise)]
+    for delta in (-0.3 * star, 0.3 * star):
+        other = [r.Eg for r in general_linear_Eg(P_grid, D, M_r, D, beta,
+                                                 1.0, 1.0, star + delta,
+                                                 noise)]
+        assert all(a <= o + 1e-12 for a, o in zip(at, other))
 
 
 def test_optimal_ridge_curve_is_monotone():
@@ -290,9 +299,8 @@ def test_optimal_ridge_curve_is_monotone():
     beta = np.zeros(D)
     beta[:M_r] = 1.0 / np.sqrt(M_r)
     star = optimal_ridge(M_r, D, noise)
-    curve = [general_linear_Eg(P, D, M_r, D, beta, 1.0, 1.0, star,
-                               noise).Eg
-             for P in range(2, 200, 4)]
+    curve = [r.Eg for r in general_linear_Eg(list(range(2, 200, 4)), D, M_r,
+                                             D, beta, 1.0, 1.0, star, noise)]
     assert np.all(np.diff(curve) < 0)
 
 
@@ -400,16 +408,17 @@ def test_mode_spectrum_matched_baseline_and_scaling():
     eta = np.array([0.5, 0.1, 0.01])
     degen = np.array([1.0, 10.0, 54.0])
     abar = np.array([0.2, 1.0, 0.3])
-    base = mode_spectrum_Eg(eta, degen, abar, P=30, lam=0.01, noise=0.05)
+    (base,) = mode_spectrum_Eg(eta, degen, abar, P_grid=[30], lam=0.01,
+                               noise=0.05)
     assert base.Eg == pytest.approx(base.Eg_matched, abs=1e-12)
     # a uniform overlap rescaling multiplies the shifted error exactly
     for s in (0.25, 4.0):
-        r = mode_spectrum_Eg(eta, degen, abar, P=30, lam=0.01, noise=0.05,
-                             overlap_scale=s)
+        (r,) = mode_spectrum_Eg(eta, degen, abar, P_grid=[30], lam=0.01,
+                                noise=0.05, overlap_scale=s)
         assert r.Eg == pytest.approx(s * base.Eg, rel=1e-12)
     # tail target power sets the irreducible floor
-    r = mode_spectrum_Eg(eta, degen, abar, P=30, lam=0.01, noise=0.05,
-                         overlap_scale=0.5, tail_abar_sq=0.3)
+    (r,) = mode_spectrum_Eg(eta, degen, abar, P_grid=[30], lam=0.01,
+                            noise=0.05, overlap_scale=0.5, tail_abar_sq=0.3)
     assert r.irreducible == pytest.approx(0.15, abs=1e-14)
 
 
@@ -417,7 +426,7 @@ def test_mode_spectrum_agrees_with_general_kappa():
     eta = np.array([0.4, 0.05])
     degen = np.array([3.0, 12.0])
     abar = np.array([1.0, 0.5])
-    r = mode_spectrum_Eg(eta, degen, abar, P=9, lam=0.02)
+    (r,) = mode_spectrum_Eg(eta, degen, abar, P_grid=[9], lam=0.02)
     kappa = solve_kappa(np.repeat(eta, degen.astype(int)), 9, 0.02).kappa
     assert r.kappa == pytest.approx(kappa, abs=1e-12)
 
@@ -429,17 +438,17 @@ def test_ntk_sphere_radius_scaling_and_limits():
                                              D, k_max=k_max)
     abar_sq = [0.0, 1.0]
     for k_stage in (1, None):
-        base = ntk_sphere_Eg(40, depth, eta, degen, abar_sq, lam=0.01,
-                             noise=0.05, k_stage=k_stage)
-        half = ntk_sphere_Eg(40, depth, eta, degen, abar_sq, lam=0.01,
-                             noise=0.05, radius_test=0.5, k_stage=k_stage)
+        (base,) = ntk_sphere_Eg([40], depth, eta, degen, abar_sq, lam=0.01,
+                                noise=0.05, k_stage=k_stage)
+        (half,) = ntk_sphere_Eg([40], depth, eta, degen, abar_sq, lam=0.01,
+                                noise=0.05, radius_test=0.5, k_stage=k_stage)
         assert half.Eg == pytest.approx(0.25 * base.Eg, rel=1e-12)
         assert half.Eg < base.Eg
         # far past the stage the degree is fully learned and only the
         # higher spectral mass (not carried by this target) limits the
         # error
-        big = ntk_sphere_Eg(10**7, depth, eta, degen, abar_sq, lam=1e-6,
-                            noise=0.0, k_stage=k_stage)
+        (big,) = ntk_sphere_Eg([10**7], depth, eta, degen, abar_sq, lam=1e-6,
+                               noise=0.0, k_stage=k_stage)
         assert big.Eg < 1e-4
     with pytest.raises(ValueError):
         ntk_sphere_Eg(10, depth, eta, degen, abar_sq, lam=0.01,
@@ -455,9 +464,8 @@ def test_ntk_stage_does_not_depend_on_k_max():
     curves = []
     for k_max in (1, 3, 30):
         eta, degen = dot_product_kernel_spectrum(spec, 10, k_max)
-        curves.append([ntk_sphere_Eg(P, 2, eta, degen, [0.0, 1.0], 0.01,
-                                     0.05, radius_test=0.5, k_stage=1)
-                       for P in (5, 40, 320)])
+        curves.append(ntk_sphere_Eg([5, 40, 320], 2, eta, degen, [0.0, 1.0],
+                                    0.01, 0.05, radius_test=0.5, k_stage=1))
     for curve in curves[1:]:
         for a, b in zip(curves[0], curve):
             assert (a.Eg, a.kappa) == (b.Eg, b.kappa)
@@ -471,8 +479,8 @@ def test_mode_spectrum_zero_eigenvalue_block_ridgeless():
     eta, degen = dot_product_kernel_spectrum(KernelSpec("ntk_relu", depth=2),
                                              5, 3)
     assert eta[3] == 0.0
-    for P in (5, 20, 80):
-        r = mode_spectrum_Eg(eta[3:], degen[3:], [0.2], P, lam=0.0)
+    for r in mode_spectrum_Eg(eta[3:], degen[3:], [0.2], [5, 20, 80],
+                              lam=0.0):
         assert r.kappa == 0.0
         assert not r.diverged
         assert r.Eg == pytest.approx(0.2, rel=1e-12)
@@ -503,16 +511,16 @@ def test_closed_form_edge_regimes_finite_or_flagged(model, seed, lam, noise):
         C, Ct = _spd(rng, D, r), _spd(rng, D, rt)
         ranks = (r, rt, D)
 
-        def predict(P):
-            return gaussian_linear_Eg(beta, C, Ct, P, lam, noise)
+        def predict(P_grid):
+            return gaussian_linear_Eg(beta, C, Ct, P_grid, lam, noise)
     elif model == "general_linear":
         M, M_r, M_s = (int(k) for k in rng.integers(1, 9, size=3))
         beta = rng.standard_normal(int(rng.integers(1, 12)))
         s2, s2t = rng.uniform(0.2, 2.0, size=2)
         ranks = (M, M_r, M_s)
 
-        def predict(P):
-            return general_linear_Eg(P, M, M_r, M_s, beta, s2, s2t, lam,
+        def predict(P_grid):
+            return general_linear_Eg(P_grid, M, M_r, M_s, beta, s2, s2t, lam,
                                      noise)
     else:
         # on the 5-sphere the depth-two relu NTK has eigenvalue 0 at
@@ -527,14 +535,13 @@ def test_closed_form_edge_regimes_finite_or_flagged(model, seed, lam, noise):
         pos = eta > 0
         ranks = (int(degen[pos].sum()), int(degen[pos][:2].sum()))
 
-        def predict(P):
-            return mode_spectrum_Eg(eta, degen, abar_sq, P, lam, noise,
+        def predict(P_grid):
+            return mode_spectrum_Eg(eta, degen, abar_sq, P_grid, lam, noise,
                                     overlap_scale=scale, tail_eta=tail_eta,
                                     tail_abar_sq=tail_abar_sq)
     grid = sorted({max(P, 1) for k in ranks for P in (k - 1, k, k + 1)}
                   | {3 * max(ranks) + 5})
-    for P in grid:
-        pred = predict(P)
+    for P, pred in zip(grid, predict(grid)):
         values = np.array([pred.Eg, pred.Eg_matched, pred.bias,
                            pred.variance, pred.delta, pred.irreducible,
                            pred.kappa, pred.gamma, pred.gamma_prime])
@@ -543,6 +550,44 @@ def test_closed_form_edge_regimes_finite_or_flagged(model, seed, lam, noise):
             assert np.isinf(pred.Eg)
         else:
             assert np.all(np.isfinite(values)), (P, values)
+
+
+def _grid_case(model):
+    """A ridgeless closed form as a function of its P grid, and the P at
+    which it diverges."""
+    if model == "gaussian_linear":
+        rng = np.random.default_rng(8)
+        beta = rng.standard_normal(5)
+        C, Ct = _spd(rng, 5, 3), _spd(rng, 5, 5)
+        return (lambda P_grid: gaussian_linear_Eg(beta, C, Ct, P_grid, 0.0,
+                                                  0.05)), 3
+    if model == "general_linear":
+        beta = np.random.default_rng(9).standard_normal(8)
+        return (lambda P_grid: general_linear_Eg(P_grid, 6, 8, 5, beta, 1.3,
+                                                 0.6, 0.0, 0.05)), 6
+    if model == "mode_spectrum":
+        eta, degen = [0.5, 0.1, 0.0, 0.02], [1.0, 3.0, 5.0, 4.0]
+        return (lambda P_grid: mode_spectrum_Eg(
+            eta, degen, [0.2, 1.0, 0.3, 0.1], P_grid, 0.0, 0.05,
+            overlap_scale=0.7, tail_abar_sq=0.1)), 8
+    # depth 1 has kernel trace 1, all of it in these degrees, so no tail
+    # enters the ridge
+    return (lambda P_grid: ntk_sphere_Eg(P_grid, 1, [0.5, 0.25], [1.0, 2.0],
+                                         [0.2, 1.0], 0.0, 0.05,
+                                         radius_test=0.5)), 3
+
+
+@pytest.mark.parametrize("model", ["gaussian_linear", "general_linear",
+                                   "mode_spectrum", "ntk_sphere"])
+def test_grid_rows_equal_one_point_rows(model):
+    # a descending grid with a repeated P and a diverged one: no row may
+    # depend on the rest of its grid
+    predict, rank = _grid_case(model)
+    grid = [4 * rank, 2 * rank, 2 * rank, rank + 1, rank, rank - 1, 1]
+    rows = [astuple(pred) for pred in predict(grid)]
+    assert rows == [astuple(predict([P])[0]) for P in grid]
+    assert rows == [astuple(pred) for pred in predict(grid[::-1])][::-1]
+    assert [row[-1] for row in rows] == [P == rank for P in grid]
 
 
 def test_closed_form_validation():
@@ -602,11 +647,10 @@ def test_sampled_cloud_pipeline_matches_diagonal_closed_form():
     pt = DiscreteMeasure(np.concatenate([np.zeros(Q), np.full(Q, 1.0 / Q)]))
     dec = cached_decompose(KernelSpec("linear"), Z, p, DEFAULT_RANK_THRESHOLD,
                            None)
-    for P, pipe in zip(P_grid, predict_Eg_curve(dec, Y, pt, P_grid, lam,
-                                                noise)):
-        closed = general_linear_Eg(P, D, M_r, D, beta, 1.0, s2t, lam,
-                                   noise).Eg
-        assert abs(pipe.Eg - closed) / closed < 0.03
+    for pipe, closed in zip(predict_Eg_curve(dec, Y, pt, P_grid, lam, noise),
+                            general_linear_Eg(P_grid, D, M_r, D, beta, 1.0,
+                                              s2t, lam, noise)):
+        assert abs(pipe.Eg - closed.Eg) / closed.Eg < 0.03
 
     # matched: full-rank cloud reused as its own test measure
     rng = np.random.default_rng(1)
@@ -618,8 +662,7 @@ def test_sampled_cloud_pipeline_matches_diagonal_closed_form():
     p = uniform_measure(Q)
     dec = cached_decompose(KernelSpec("linear"), Ztr, p,
                            DEFAULT_RANK_THRESHOLD, None)
-    for P, pipe in zip(P_grid, predict_Eg_curve(dec, Y, p, P_grid, lam,
-                                                noise)):
-        closed = general_linear_Eg(P, D, D, D, beta, 1.0, 1.0, lam,
-                                   noise).Eg
-        assert abs(pipe.Eg - closed) / closed < 0.03
+    for pipe, closed in zip(predict_Eg_curve(dec, Y, p, P_grid, lam, noise),
+                            general_linear_Eg(P_grid, D, D, D, beta, 1.0, 1.0,
+                                              lam, noise)):
+        assert abs(pipe.Eg - closed.Eg) / closed.Eg < 0.03

@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import pathlib
 import pkgutil
+import runpy
 
 import pytest
 
@@ -45,6 +46,33 @@ def test_demo_imports(path):
     # every demo guards main(), so importing it runs no experiment
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def test_closed_form_gallery_runs(capsys):
+    # the demo end to end, so a change to a closed form's call signature
+    # breaks it here, not silently at the command line
+    runpy.run_path(str(ROOT / "demos" / "closed_form_gallery.py"),
+                   run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    table = [line.split() for line in lines
+             if line.split() and line.split()[0].isdigit()]
+    ridge, ntk = table[:9], table[9:]
+    assert [row[0] for row in ridge] == \
+        ["5", "10", "20", "30", "40", "50", "80", "160", "320"]
+    small = [float(row[1]) for row in ridge]
+    best = [float(row[2]) for row in ridge]
+    # the ridgeless spike sits at P = M_r, and the optimal ridge removes it
+    assert max(small) == small[4] and ridge[4][3:] == ["<-", "spike", "at",
+                                                       "P", "=", "M_r"]
+    assert all(a > b for a, b in zip(best, best[1:]))
+    assert [row[0] for row in ntk] == ["5", "10", "20", "40", "80", "160",
+                                       "320"]
+    # a test sphere of half the radius scales the error by 1/4
+    for _, same, half in ntk:
+        assert abs(float(half) - 0.25 * float(same)) <= 1e-4
+    # a teacher the student resolves leaves no floor
+    (resolved,) = [line for line in lines if "M_s=15" in line]
+    assert resolved.endswith("irreducible floor 0.000e+00")
 
 
 def _readme_table(lines, header):

@@ -207,6 +207,20 @@ def test_ntk_golden_values():
     assert ntk_relu_eval(3, 0.0, 0.0, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_ntk_square_gram_diagonal_is_depth_times_squared_norm(depth):
+    # the square Gram's diagonal dot products are the norms' products, so
+    # the cosine is exactly 1 there, at any norm and at D below and above
+    # BLAS's blocking, and the zero row stays 0
+    rng = np.random.default_rng(depth)
+    for M, D in [(9, 2), (60, 7), (40, 300)]:
+        X = rng.standard_normal((M, D)) * rng.uniform(0.1, 30.0, (M, 1))
+        X[0] = 0.0
+        K = gram(KernelSpec("ntk_relu", depth=depth), X)
+        assert np.array_equal(np.diag(K),
+                              depth * np.linalg.norm(X, axis=1) ** 2)
+
+
 def test_arccos_maps_endpoints():
     assert arccos_kappa0(1.0) == pytest.approx(1.0)
     assert arccos_kappa0(-1.0) == pytest.approx(0.0)

@@ -2,6 +2,7 @@
 certification at small and asymptotic scales."""
 
 import itertools
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -18,7 +19,7 @@ from kernelshift.empirical import krr_solve, run_learning_curve
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import DiscreteMeasure, from_logits, uniform_measure
 from kernelshift.spectral import mercer_decompose, project_target
-from kernelshift.theory import (KAPPA_RTOL, DivergenceError, _per_P,
+from kernelshift.theory import (KAPPA_RTOL, DivergenceError,
                                 pointwise_error_density, predict_Eg_curve,
                                 predict_Eg_dataset, solve_kappa)
 from test_optimizer import _instance as _optimizer_instance
@@ -182,16 +183,49 @@ def test_kappa_validation():
 
 def test_state_gamma_formula_and_divergence():
     eta = np.array([0.6, 0.4])
-    pred, _, _ = _per_P(eta, P=3.0, lam=0.2)
+
+    def row(P, lam):
+        (pred,), _, _ = theory._spectrum_prediction(
+            eta, [P], lam, 0.0, np.ones(2), np.ones(2))
+        return pred
+
+    pred = row(3.0, 0.2)
     k = pred.kappa
     want = np.sum(3.0 * eta**2 / (3.0 * eta + k) ** 2)
     assert pred.gamma == pytest.approx(want, abs=1e-14)
     assert not pred.diverged
-    pred0, _, _ = _per_P(eta, P=2.0, lam=0.0)
+    pred0 = row(2.0, 0.0)
     assert pred0.diverged
     assert pred0.gamma == pytest.approx(1.0)
-    # before its errors are filled in, _per_P's record is the diverged one
-    assert pred.Eg == pred.bias == pred0.Eg == pred0.irreducible == np.inf
+    # a diverged row keeps inf errors, a live one gets finite ones
+    assert np.isfinite(pred.Eg) and np.isfinite(pred.bias)
+    assert pred0.Eg == pred0.bias == pred0.irreducible == np.inf
+
+
+@pytest.mark.parametrize("leading", [False, True])
+def test_irreducible_error_reads_the_collapsed_run_without_a_copy(leading):
+    # a run of eta = 0 modes, trailing as in a decomposition or leading as
+    # in a covariance eigenbasis, is read as a view of Ct, with the value
+    # of the gathered block
+    s = 600
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((s, s)) / np.sqrt(s)
+    Ct = A @ A.T
+    eta = np.zeros(s)
+    eta[slice(s - 5, s) if leading else slice(0, 5)] = rng.random(5) + 0.5
+    b = rng.standard_normal((s, 2))
+    out = eta == 0
+    want = np.sum(np.einsum("oc,oc->c", b[out],
+                            Ct[np.ix_(out, out)] @ b[out]))
+    tracemalloc.start()
+    try:
+        (pred,), _, _ = theory._spectrum_prediction(eta, [20.0], 1e-3, 0.0,
+                                                    b, Ct)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pred.irreducible == float(want)
+    assert peak < 0.2 * Ct.nbytes
 
 
 # ----------------------------------------------------------------------
@@ -238,8 +272,9 @@ def _explicit_overlap_prediction(K, Y, p, pt, rank, P, lam, noise):
     eta[rank:] = 0.0
     Phi = V / a[:, None]
     O = Phi.T @ (pt.masses[sup, None] * Phi)
-    return theory._spectrum_prediction(eta, P, lam, noise,
-                                       V.T @ (a[:, None] * Y[sup]), O)
+    (pred,), _, _ = theory._spectrum_prediction(
+        eta, [P], lam, noise, V.T @ (a[:, None] * Y[sup]), O)
+    return pred
 
 
 def test_residual_route_equals_matrix_route():
@@ -567,8 +602,10 @@ def test_prediction_matches_continuous_gaussian_linear():
     # the stderr, which exposes the O(1/D) mean-field bias of the
     # prediction (about 1% here); bound the relative error directly
     eye = np.eye(D)
-    for P in (10, 30, 60, 120):
-        th = gaussian_linear_Eg(beta, eye, eye, P, lam, noise).Eg
+    P_grid = (10, 30, 60, 120)
+    for P, pred in zip(P_grid, gaussian_linear_Eg(beta, eye, eye, P_grid,
+                                                  lam, noise)):
+        th = pred.Eg
         mean, se = mc(P, seed=41)
         assert abs(mean - th) / th < 0.02
         assert abs(mean - th) / se < 4.0
