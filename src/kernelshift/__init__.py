@@ -39,8 +39,6 @@ from .closedform import (
 from .empirical import (
     EmpiricalPoint,
     compare_report,
-    discrete_trial_error,
-    krr_solve,
     run_continuous_curve,
     run_learning_curve,
 )
@@ -87,8 +85,6 @@ __all__ = [
     "optimal_ridge",
     "EmpiricalPoint",
     "compare_report",
-    "discrete_trial_error",
-    "krr_solve",
     "run_continuous_curve",
     "run_learning_curve",
     "OptimizationTrace",

@@ -261,10 +261,6 @@ def _typed(doc):
     return doc, ConfigError(message, "/" + "/".join(map(str, path)))
 
 
-def _schema_error(doc):
-    return _typed(doc)[1]
-
-
 def validate_document(doc):
     """Return a copy of doc typed by the schema; raise ConfigError naming
     the JSON pointer of the first violation: of the schema, or of what

@@ -25,10 +25,7 @@ from .measures import (as_measure, kernel_matrix, nonnegative, points,
                        positive_int, target_columns)
 
 __all__ = [
-    "KRRSolution",
     "EmpiricalPoint",
-    "krr_solve",
-    "discrete_trial_error",
     "run_learning_curve",
     "run_continuous_curve",
     "compare_report",
@@ -39,15 +36,6 @@ RIDGELESS_RCOND = 1e-10
 MAX_GRAM_BYTES = 2**31
 # entries of the buffer a discrete trial reads rows of K through
 _ROW_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class KRRSolution:
-    """Dual coefficients of one fit plus conditioning diagnostics."""
-
-    coef: np.ndarray               # (P, C)
-    rank: int                      # effective rank used by the solver
-    residual: float                # max |(K + lam I) coef - y| over entries
 
 
 @dataclass(frozen=True)
@@ -63,33 +51,6 @@ class EmpiricalPoint:
 EMPIRICAL_COLUMNS = tuple(f.name for f in fields(EmpiricalPoint))
 
 
-def krr_solve(K_train, y_train, lam):
-    """Fit kernel ridge regression.
-
-    Solves (K_train + lam I) coef = y_train. K_train goes through
-    measures.kernel_matrix: it must be square, finite and symmetric
-    within SYMMETRY_RTOL, and the fit and its residual both use its
-    symmetric part. Positive lam uses a Cholesky factorization; lam = 0
-    falls back to a pseudoinverse so that duplicate sample points (kernel
-    matrices of deficient rank) yield the minimum-norm interpolant, with
-    the rank reported.
-    """
-    K_train = kernel_matrix(K_train)
-    P = K_train.shape[0]
-    y2 = target_columns(y_train, P)
-    _check_fit(P, lam)
-    coef, rank = _solve_in_place(np.array(K_train, order="F"), y2, lam)
-    resid = float(np.max(np.abs(K_train @ coef + lam * coef - y2))) \
-        if P else 0.0
-    return KRRSolution(coef=coef, rank=int(rank), residual=resid)
-
-
-def _check_fit(P, lam):
-    """krr_solve's checks of the ridge and the Gram size."""
-    nonnegative(lam, "ridge")
-    _check_gram_size(P)
-
-
 def _check_gram_size(P):
     nbytes = 8 * P * P
     if nbytes > MAX_GRAM_BYTES:
@@ -99,8 +60,8 @@ def _check_gram_size(P):
 
 
 def _solve_in_place(A, y, lam):
-    """krr_solve's (coef, rank) for the labels y (P, C) and the matrix A,
-    which it overwrites.
+    """Coefficients coef (P, C) solving (A + lam I) coef = y, for the
+    labels y (P, C) and the matrix A, which it overwrites.
 
     A must be a writeable, Fortran-ordered float64 square array. Positive
     lam adds the ridge to A's diagonal, factors A in place with LAPACK
@@ -109,7 +70,8 @@ def _solve_in_place(A, y, lam):
     factor and solve, so the coefficients keep their bits. Both are
     called through ctypes, which releases the GIL, so trial threads
     factor at the same time. lam = 0 takes numpy's lstsq (the
-    pseudoinverse), which holds the GIL. scipy's dgelsd, called the same
+    pseudoinverse, so that duplicate sample points give the minimum-norm
+    interpolant), which holds the GIL. scipy's dgelsd, called the same
     way, would release it, but it runs in scipy's OpenBLAS, not numpy's:
     with one BLAS thread it gives lstsq's bits, with two it did not at
     n = 300 and 600.
@@ -134,9 +96,8 @@ def _solve_in_place(A, y, lam):
                     "is not positive definite")
             _dpotrs(b"L", n, ctypes.c_int(coef.shape[1]), A.ctypes.data, n,
                     coef.ctypes.data, n, info)
-        return coef, P
-    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=RIDGELESS_RCOND)
-    return coef, rank
+        return coef
+    return np.linalg.lstsq(A, y, rcond=RIDGELESS_RCOND)[0]
 
 
 def _row_blocks(K, atoms, buf):
@@ -172,8 +133,7 @@ def _fit_atoms(A, w, sums, lam):
     A is the weighted block of `_atom_block`, which the fit overwrites:
     coef solves (w_i K_uu w_j + lam I) coef = s / w and beta = w coef.
     """
-    coef, _ = _solve_in_place(A, sums / w[:, None], lam)
-    return w[:, None] * coef
+    return w[:, None] * _solve_in_place(A, sums / w[:, None], lam)
 
 
 def _discrete_trials(K, Y, train_measure, test_measure, lam, noise):
@@ -237,17 +197,6 @@ def _discrete_trials(K, Y, train_measure, test_measure, lam, noise):
         return float(np.sum(test_masses * (preds - Y) ** 2))
 
     return error
-
-
-def discrete_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
-                         rng):
-    """One KRR draw on a discrete problem; returns the test-measure error.
-
-    The trial of `run_learning_curve`, on its own; see
-    `_discrete_trials` for the draw and the fit.
-    """
-    return _discrete_trials(K, Y, train_measure, test_measure, lam,
-                            noise)(P, rng)
 
 
 def _curve_from_errors(P, errs):
@@ -327,9 +276,10 @@ def run_continuous_curve(kernel_spec, sample_train, target_fn, test_error,
         y = target_columns(target_fn(X), X.shape[0])
         if noise > 0:
             y = y + np.sqrt(noise) * rng.standard_normal(y.shape)
-        _check_fit(X.shape[0], lam)
+        nonnegative(lam, "ridge")
+        _check_gram_size(X.shape[0])
         G = gram(kernel_spec, X)
-        return test_error(X, _solve_in_place(G.T, y, lam)[0])
+        return test_error(X, _solve_in_place(G.T, y, lam))
 
     return _run_trials(task, P_values, trials, threads, noise)
 

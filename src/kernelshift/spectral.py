@@ -211,12 +211,12 @@ def project_target(dec, Y):
     """In-RKHS coefficients abar = Phi^T diag(p) Y, shape (rank, C).
 
     With a complete basis (rank = M at full support) this satisfies the
-    Parseval identity sum_rho abar_rho^2 = <Y^2>_p per output.
+    Parseval identity sum_rho abar_rho^2 = <Y^2>_p per output. The sum
+    runs over all M rows, as off-support rows have mass 0, so Phi is read
+    in place.
     """
     Y = target_columns(Y, dec.Phi.shape[0])
-    sup = dec.support
-    p_s = dec.measure.masses[sup]
-    return dec.Phi[sup].T @ (p_s[:, None] * Y[sup])
+    return dec.Phi.T @ (dec.measure.masses[:, None] * Y)
 
 
 def _overlap_matrix(Phi, ptilde):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from kernelshift.closedform import (_gegenbauer_sum,
                                     dot_product_kernel_spectrum,
@@ -15,7 +16,6 @@ from kernelshift.closedform import (_gegenbauer_sum,
                                     hyperspherical_degeneracy,
                                     mode_spectrum_Eg, ntk_sphere_Eg,
                                     optimal_ridge)
-from kernelshift.empirical import krr_solve
 from kernelshift.kernels import KernelSpec, gram, ntk_relu_eval
 from kernelshift.theory import DIVERGENCE_TOL, KAPPA_RTOL, solve_kappa
 
@@ -193,6 +193,25 @@ def test_gaussian_ridgeless_singular_matches_diagonal():
                               np.eye(3), [5], lam=0.0, noise=0.05)
     assert r.Eg == pytest.approx(1.05, rel=1e-12)
     assert r.irreducible == pytest.approx(1.0, rel=1e-12)
+
+
+def test_ridgeless_gaussian_linear_is_the_wishart_error_with_p_minus_d():
+    # at lam = 0 and P > D + 1 least squares on x ~ N(0, C) has the exact
+    # error noise tr(Ct C^-1)/(P - D - 1) under any test covariance Ct
+    # (the inverse-Wishart mean); the theory puts P - D in place of
+    # P - D - 1, so its ratio to the exact value is (P - D - 1)/(P - D)
+    D, noise = 20, 0.1
+    rng = np.random.default_rng(19)
+    C = np.diag(np.linspace(2.0, 0.1, D))
+    Ct = np.diag(rng.uniform(0.2, 2.0, D))
+    beta = rng.standard_normal(D)
+    P_grid = [25, 30, 40, 80, 320]
+    trace = noise * np.trace(Ct @ np.linalg.inv(C))
+    preds = gaussian_linear_Eg(beta, C, Ct, P_grid, lam=0.0, noise=noise)
+    assert len(preds) == len(P_grid)
+    for P, pred in zip(P_grid, preds):
+        ratio = pred.Eg / (trace / (P - D - 1))
+        assert abs(ratio - (P - D - 1) / (P - D)) <= 1e-12
 
 
 def test_gaussian_singular_rotation_invariant():
@@ -393,7 +412,9 @@ def test_ntk_exact_sphere_error_matches_sampled_test_error():
     beta *= np.sqrt(D) / np.linalg.norm(beta)
     X = _unit_rows(rng, 40, D)
     y = X @ beta + np.sqrt(0.05) * rng.standard_normal(40)
-    c = krr_solve(gram(spec, X), y, lam).coef[:, 0]
+    G = gram(spec, X)
+    G.flat[::G.shape[0] + 1] += lam
+    c = linalg.cho_solve(linalg.cho_factor(G, lower=True), y)
     eta, degen = dot_product_kernel_spectrum(spec, D, k_max=30)
     A = _gegenbauer_sum(eta**2 * degen, D, X @ X.T)
     exact = r**2 * (c @ A @ c - 2.0 * eta[1] * (c @ (X @ beta))

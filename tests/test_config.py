@@ -468,7 +468,7 @@ def test_schema_checker_agrees_with_jsonschema():
     for base in _base_docs():
         for doc in _mutations(base):
             want = _oracle_pointer(validator, doc)
-            err = config._schema_error(doc)
+            err = config._typed(doc)[1]
             got = None if err is None else err.pointer
             assert got == want, json.dumps(doc)[:300]
             cases += 1

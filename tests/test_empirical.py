@@ -8,12 +8,12 @@ import pytest
 from scipy import linalg
 
 from kernelshift import empirical
-from kernelshift.empirical import (EMPIRICAL_COLUMNS, EmpiricalPoint,
-                                   _ROW_BLOCK, _atom_block,
-                                   _curve_from_errors, _fit_atoms,
-                                   _solve_in_place,
-                                   compare_report,
-                                   discrete_trial_error, krr_solve,
+from kernelshift._rng import rng_from
+from kernelshift.empirical import (EMPIRICAL_COLUMNS, RIDGELESS_RCOND,
+                                   EmpiricalPoint, _ROW_BLOCK, _atom_block,
+                                   _check_gram_size, _curve_from_errors,
+                                   _fit_atoms,
+                                   _solve_in_place, compare_report,
                                    run_continuous_curve, run_learning_curve)
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import Dataset, DiscreteMeasure, uniform_measure
@@ -28,11 +28,46 @@ def _toy_problem(M=12, D=3, seed=5):
     return ds, K
 
 
-def test_krr_solve_scalar_golden():
-    sol = krr_solve(np.array([[1.0]]), np.array([[1.0]]), lam=1.0)
-    assert sol.coef[0, 0] == pytest.approx(0.5, abs=1e-15)
-    assert sol.rank == 1
-    assert sol.residual < 1e-14
+def _trial(K, Y, train_measure, test_measure, P, lam, noise, seed):
+    """The error of the one trial of a one-trial learning curve at P,
+    which draws from rng_from(seed, "trial", P, 0): the Eg_mean of one
+    trial is that trial's error, exactly."""
+    (point,) = run_learning_curve(K, Y, train_measure, test_measure, [P],
+                                  lam, noise, trials=1, seed=seed)
+    assert point.trials == 1
+    return point.Eg_mean
+
+
+def _trial_rng(seed, P):
+    """The generator `_trial` draws from."""
+    return rng_from(seed, "trial", P, 0)
+
+
+def _reference_fit(A, y, lam):
+    """Coefficients solving (A + lam I) coef = y for a symmetric A,
+    solved in the test: scipy's cho_factor(lower=True) and cho_solve for
+    lam > 0, the routines, arguments and library `_solve_in_place` calls,
+    and numpy's lstsq with the package's cutoff for lam = 0."""
+    if lam > 0:
+        A = A + lam * np.eye(A.shape[0])
+        return linalg.cho_solve(linalg.cho_factor(A, lower=True,
+                                                  check_finite=False),
+                                y, check_finite=False)
+    return np.linalg.lstsq(A, y, rcond=RIDGELESS_RCOND)[0]
+
+
+def test_ridge_solve_scalar_golden():
+    coef = _solve_in_place(np.array([[1.0]], order="F"), np.array([[1.0]]),
+                           1.0)
+    assert coef[0, 0] == pytest.approx(0.5, abs=1e-15)
+
+
+def test_gram_size_guard():
+    # at the default budget a 20000-point Gram (3.2 GB) is refused by the
+    # size rule alone, before anything of that size is allocated
+    with pytest.raises(ValueError, match="Gram"):
+        _check_gram_size(20000)
+    _check_gram_size(1000)
 
 
 def test_ridgeless_interpolates():
@@ -40,9 +75,8 @@ def test_ridgeless_interpolates():
     X = rng.standard_normal((6, 6))
     K = gram(KernelSpec("rbf", lengthscale=1.0), X)
     y = rng.standard_normal((6, 1))
-    sol = krr_solve(K, y, lam=0.0)
-    np.testing.assert_allclose(K @ sol.coef, y, atol=1e-8)
-    assert sol.rank == 6
+    coef = _solve_in_place(np.array(K, order="F"), y, 0.0)
+    np.testing.assert_allclose(K @ coef, y, atol=1e-8)
 
 
 def test_ridgeless_duplicate_rows_minimum_norm():
@@ -55,47 +89,27 @@ def test_ridgeless_duplicate_rows_minimum_norm():
     ydup[5, 0] = ydup[2, 0]
     spec = KernelSpec("rbf", lengthscale=1.3)
     Kdup = gram(spec, Xdup)
-    sol = krr_solve(Kdup, ydup, lam=0.0)
-    assert sol.rank < 6
+    assert np.linalg.matrix_rank(Kdup) < 6
+    coef_dup = _solve_in_place(np.array(Kdup, order="F"), ydup, 0.0)
     Xq = rng.standard_normal((7, 2))
-    preds_dup = gram(spec, Xq, Xdup) @ sol.coef
+    preds_dup = gram(spec, Xq, Xdup) @ coef_dup
     K = gram(spec, X)
-    sol_single = krr_solve(K, ydup[:5], lam=0.0)
-    preds = gram(spec, Xq, X) @ sol_single.coef
+    coef = _solve_in_place(np.array(K, order="F"), ydup[:5], 0.0)
+    preds = gram(spec, Xq, X) @ coef
     np.testing.assert_allclose(preds_dup, preds, atol=1e-8)
-
-
-def test_krr_solve_validation():
-    with pytest.raises(ValueError):
-        krr_solve(np.ones((2, 3)), np.ones((2, 1)), 0.1)
-    with pytest.raises(ValueError):
-        krr_solve(np.eye(2), np.ones((3, 1)), 0.1)
-    with pytest.raises(ValueError):
-        krr_solve(np.eye(2), np.ones((2, 1)), -0.1)
-
-
-def test_gram_size_guard():
-    # a broadcast view reports the logical nbytes without owning the
-    # buffer, so the budget check is exercised without allocating
-    n = 20000
-    K = np.broadcast_to(np.float64(0.0), (n, n))
-    with pytest.raises(ValueError, match="Gram"):
-        krr_solve(K, np.zeros((n, 1)), 0.1)
 
 
 def test_discrete_trial_reproducible():
     ds, K = _toy_problem()
     p = uniform_measure(12)
     pt = uniform_measure(12)
-    e1 = discrete_trial_error(K, ds.Y, p, pt, P=5, lam=0.1, noise=0.04,
-                              rng=np.random.default_rng(33))
-    e2 = discrete_trial_error(K, ds.Y, p, pt, P=5, lam=0.1, noise=0.04,
-                              rng=np.random.default_rng(33))
+    e1 = _trial(K, ds.Y, p, pt, P=5, lam=0.1, noise=0.04, seed=33)
+    e2 = _trial(K, ds.Y, p, pt, P=5, lam=0.1, noise=0.04, seed=33)
     assert e1 == e2
     assert e1 >= 0.0
 
 
-def test_discrete_trial_error_deterministic_and_respects_support():
+def test_discrete_trial_deterministic_and_respects_support():
     # with K = I a trial predicts 0 on every atom it did not draw, so
     # the error of a Dirac test measure on the zero-mass atom is its
     # squared label exactly when that atom is never drawn
@@ -103,19 +117,15 @@ def test_discrete_trial_error_deterministic_and_respects_support():
     p = DiscreteMeasure(np.array([0.5, 0.0, 0.5]))
     dirac = DiscreteMeasure(np.array([0.0, 1.0, 0.0]))
     for seed in range(20):
-        err = discrete_trial_error(K, Y, p, dirac, 200, 0.1, 0.0,
-                                   np.random.default_rng(seed))
-        assert err == 4.0
+        assert _trial(K, Y, p, dirac, 200, 0.1, 0.0, seed) == 4.0
     with pytest.raises(ValueError):
-        discrete_trial_error(K, Y, p, dirac, -1, 0.1, 0.0,
-                             np.random.default_rng(0))
+        _trial(K, Y, p, dirac, -1, 0.1, 0.0, 0)
     # the training measure fixes M, so a K of another size is named first
     for train, test, message in (
             (uniform_measure(4), dirac, r"^K must be \(4, 4\)"),
             (p, uniform_measure(2), "one mass per point of K")):
         with pytest.raises(ValueError, match=message):
-            discrete_trial_error(K, Y, train, test, 5, 0.1, 0.0,
-                                 np.random.default_rng(0))
+            _trial(K, Y, train, test, 5, 0.1, 0.0, 0)
     ds, K = _toy_problem()
     p, pt = uniform_measure(12), uniform_measure(12)
 
@@ -135,7 +145,7 @@ def _p_space_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
     labels = Y[idx]
     if noise > 0:
         labels = labels + np.sqrt(noise) * rng.standard_normal(labels.shape)
-    coef = krr_solve(K[np.ix_(idx, idx)], labels, lam).coef
+    coef = _reference_fit(K[np.ix_(idx, idx)], labels, lam)
     preds = K[:, idx] @ coef
     return float(np.sum(test_measure.masses[:, None] * (preds - Y) ** 2))
 
@@ -166,24 +176,22 @@ def test_distinct_atom_trial_matches_p_space_fit(kind, lam, C, noise):
         # a squared error 1e-12 of the label scale, can compare them
         floor = 1e-24 * float(np.sum(pt.masses[:, None] * Y**2))
         for seed in range(6):
-            got = discrete_trial_error(K, Y, p, pt, P, lam, noise,
-                                       np.random.default_rng(seed))
+            got = _trial(K, Y, p, pt, P, lam, noise, seed)
             want = _p_space_trial_error(K, Y, p, pt, P, lam, noise,
-                                        np.random.default_rng(seed))
+                                        _trial_rng(seed, P))
             assert got == pytest.approx(want, rel=1e-9, abs=floor)
 
 
-def _atom_trial_error_via_krr_solve(K, Y, train_measure, test_measure, P,
-                                    lam, noise, rng):
-    """The distinct-atom trial with its fit made by public krr_solve on
+def _atom_trial_error_via_reference_fit(K, Y, train_measure, test_measure,
+                                        P, lam, noise, rng):
+    """The distinct-atom trial with its fit made by `_reference_fit` on
     the C-ordered weighted block, its lower triangle mirrored, and one
-    gemv for the prediction. The block is symmetric only to rounding, and
-    krr_solve fits the symmetric part of what it is given, so it gets the
-    symmetric matrix whose lower triangle the trial's Cholesky factor
-    reads.
+    gemv for the prediction. The block is symmetric only to rounding, so
+    the reference fit gets the symmetric matrix whose lower triangle the
+    trial's Cholesky factor reads.
 
-    Returns the error, the atoms, counts and label sums, and krr_solve's
-    coefficients."""
+    Returns the error, the atoms, counts and label sums, and the
+    reference coefficients."""
     idx = rng.choice(K.shape[0], size=P, replace=True,
                      p=train_measure.masses)
     labels = Y[idx]
@@ -196,9 +204,7 @@ def _atom_trial_error_via_krr_solve(K, Y, train_measure, test_measure, P,
     w = np.sqrt(counts)
     A = K[np.ix_(atoms, atoms)] * w[:, None] * w[None, :]
     A = np.tril(A) + np.tril(A, -1).T
-    A_before = A.copy()
-    coef = krr_solve(A, sums / w[:, None], lam).coef
-    assert np.array_equal(A, A_before)
+    coef = _reference_fit(A, sums / w[:, None], lam)
     preds = K[atoms].T @ (w[:, None] * coef)
     err = float(np.sum(test_measure.masses[:, None] * (preds - Y) ** 2))
     return err, atoms, counts, sums, coef
@@ -206,11 +212,12 @@ def _atom_trial_error_via_krr_solve(K, Y, train_measure, test_measure, P,
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])
 @pytest.mark.parametrize("kind", ["linear", "rbf"])
-def test_in_place_trial_fit_equals_krr_solve_bit_for_bit(kind, lam,
-                                                         monkeypatch):
+def test_in_place_trial_fit_equals_reference_fit_bit_for_bit(kind, lam,
+                                                             monkeypatch):
     # the trial gathers and weights K_uu through a buffer of a few rows of
-    # K, which must give the weighted block's exact bits, and its fit on
-    # that block is krr_solve's, bit for bit. The prediction sums row
+    # K, which must give the weighted block's exact bits, and its ridge
+    # fit on that block is scipy's Cholesky fit, bit for bit. The
+    # prediction sums row
     # blocks, so the error agrees to rounding only, for buffers of 1, 3
     # and all n rows
     spec = KernelSpec("linear") if kind == "linear" else \
@@ -224,12 +231,11 @@ def test_in_place_trial_fit_equals_krr_solve_bit_for_bit(kind, lam,
     for seed in range(5):
         for P in (7, 30, 90):
             want, atoms, counts, sums, coef = \
-                _atom_trial_error_via_krr_solve(
-                    K, Y, p, pt, P, lam, 0.04, np.random.default_rng(seed))
+                _atom_trial_error_via_reference_fit(
+                    K, Y, p, pt, P, lam, 0.04, _trial_rng(seed, P))
             for rows in (1, 3, atoms.size):
                 monkeypatch.setattr(empirical, "_ROW_BLOCK", 40 * rows)
-                got = discrete_trial_error(K, Y, p, pt, P, lam, 0.04,
-                                           np.random.default_rng(seed))
+                got = _trial(K, Y, p, pt, P, lam, 0.04, seed)
                 assert got == pytest.approx(want, rel=1e-12)
                 w = np.sqrt(counts)
                 block = _atom_block(K, atoms, w, np.empty((rows, 40)))
@@ -242,10 +248,10 @@ def test_in_place_trial_fit_equals_krr_solve_bit_for_bit(kind, lam,
                 assert np.array_equal(beta, w[:, None] * coef)
             else:
                 # the pseudoinverse reads the whole block: it is lstsq's
-                # on the trial's own block, and krr_solve's on the
-                # mirrored one to rounding
+                # on the trial's own block, and on the mirrored one to
+                # rounding
                 ref = np.linalg.lstsq(raw, sums / w[:, None],
-                                      rcond=empirical.RIDGELESS_RCOND)[0]
+                                      rcond=RIDGELESS_RCOND)[0]
                 assert np.array_equal(beta, w[:, None] * ref)
                 assert np.allclose(beta, w[:, None] * coef, rtol=1e-9,
                                    atol=1e-9 * np.abs(beta).max())
@@ -312,7 +318,7 @@ def _choice_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
     A = K[np.ix_(atoms, atoms)].T
     A *= w[:, None]
     A *= w
-    beta = w[:, None] * _solve_in_place(A, sums / w[:, None], lam)[0]
+    beta = w[:, None] * _solve_in_place(A, sums / w[:, None], lam)
     rows = max(1, min(atoms.size, _ROW_BLOCK // M))
     preds = np.zeros((M, beta.shape[1]))
     for lo in range(0, atoms.size, rows):
@@ -323,9 +329,17 @@ def _choice_trial_error(K, Y, train_measure, test_measure, P, lam, noise,
 @pytest.mark.parametrize("noise", [0.0, 0.04])
 @pytest.mark.parametrize("lam", [0.0, 0.1])
 @pytest.mark.parametrize("masses", _DRAW_MASSES)
-def test_trial_has_the_bits_of_the_choice_trial(masses, lam, noise):
+def test_trial_has_the_bits_of_the_choice_trial(masses, lam, noise,
+                                               monkeypatch):
     # the CDF draw, the bincount sums and the weighting of each gathered
     # row block keep every bit of the error and the generator's state
+    drawn = []
+
+    def recorded(*key):
+        drawn.append(rng_from(*key))
+        return drawn[-1]
+
+    monkeypatch.setattr(empirical, "rng_from", recorded)
     rng = np.random.default_rng(12)
     M = masses.size
     X = rng.standard_normal((M, 3))
@@ -335,11 +349,10 @@ def test_trial_has_the_bits_of_the_choice_trial(masses, lam, noise):
     pt = DiscreteMeasure(rng.dirichlet(np.ones(M)))
     for seed in range(4):
         for P in (1, 5, 60):
-            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            a = _trial_rng(seed, P)
             want = _choice_trial_error(K, Y, p, pt, P, lam, noise, a)
-            assert discrete_trial_error(K, Y, p, pt, P, lam, noise, b) \
-                == want
-            assert np.array_equal(b.standard_normal(3),
+            assert _trial(K, Y, p, pt, P, lam, noise, seed) == want
+            assert np.array_equal(drawn[-1].standard_normal(3),
                                   a.standard_normal(3))
 
 
@@ -381,16 +394,16 @@ def test_monte_carlo_p_beyond_the_draw_budget_raises_before_any_draw(
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])
-def test_continuous_trial_fit_equals_krr_solve_bit_for_bit(lam):
+def test_continuous_trial_fit_equals_reference_fit_bit_for_bit(lam):
     # the continuous trials factor the Gram's transpose in place, which
-    # is krr_solve's Fortran copy exactly when gram is exactly symmetric
+    # is the Gram itself when gram is exactly symmetric
     rng = np.random.default_rng(4)
     X = rng.standard_normal((25, 3))
     y = rng.standard_normal((25, 1))
     for spec in (KernelSpec("linear"), KernelSpec("rbf", lengthscale=1.0),
                  KernelSpec("laplace", lengthscale=1.0),
                  KernelSpec("ntk_relu", depth=2)):
-        want = krr_solve(gram(spec, X), y, lam).coef
+        want = _reference_fit(gram(spec, X), y, lam)
         fits = []
         run_continuous_curve(spec, lambda rng, n: X, lambda X: y,
                              lambda X, coef: fits.append(coef) or 0.0,
@@ -412,16 +425,16 @@ def test_ridge_solve_equals_scipy_cholesky_bit_for_bit(n, C):
     want = linalg.cho_solve(linalg.cho_factor(A, lower=True,
                                               check_finite=False),
                             y, check_finite=False)
-    got, rank = _solve_in_place(np.array(K, order="F"), y, 1e-3)
-    assert rank == n
+    got = _solve_in_place(np.array(K, order="F"), y, 1e-3)
     assert np.array_equal(got, want)
 
 
 def test_ridge_solve_edge_cases():
     with pytest.raises(np.linalg.LinAlgError):
-        krr_solve(np.diag([1.0, -1.0]), np.ones((2, 1)), 0.1)
-    assert krr_solve(np.zeros((0, 0)), np.zeros((0, 3)), 0.1).coef.shape \
-        == (0, 3)
+        _solve_in_place(np.asfortranarray(np.diag([1.0, -1.0])),
+                        np.ones((2, 1)), 0.1)
+    assert _solve_in_place(np.zeros((0, 0), order="F"), np.zeros((0, 3)),
+                           0.1).shape == (0, 3)
     # a layout LAPACK would misread is refused before the ridge is added
     K = gram(KernelSpec("rbf", lengthscale=1.0),
              np.random.default_rng(6).standard_normal((5, 2)))
@@ -432,14 +445,46 @@ def test_ridge_solve_edge_cases():
         assert np.array_equal(A, before)
 
 
+def _bad_ridge_system(kind):
+    """(A, y) that the ridge solve refuses, named by kind."""
+    K = gram(KernelSpec("rbf", lengthscale=1.0),
+             np.random.default_rng(7).standard_normal((4, 2)))
+    A, y = np.array(K, order="F"), np.ones((4, 1))
+    if kind == "non-square":
+        return np.asfortranarray(K[:, :3]), y
+    if kind == "1-D":
+        return np.asfortranarray(K[0]), y
+    if kind == "read-only":
+        A.flags.writeable = False
+        return A, y
+    if kind == "1-D labels":
+        return A, np.ones(4)
+    return A, np.ones((3, 1))   # wrong label rows
+
+
+@pytest.mark.parametrize("kind", ["non-square", "1-D", "read-only",
+                                  "1-D labels", "wrong label rows"])
+def test_ridge_solve_validation(kind):
+    # a system that is not square, not writeable, or whose labels are not
+    # one row per training point is refused before the ridge is added
+    A, y = _bad_ridge_system(kind)
+    before = A.copy()
+    with pytest.raises(ValueError,
+                       match="Fortran-ordered float64|one row per"):
+        _solve_in_place(A, y, 0.1)
+    assert np.array_equal(A, before)
+
+
 def test_trial_block_above_the_gram_budget_raises(monkeypatch):
-    # 30 draws from 30 atoms hit at least 2, a 32-byte block
+    # the curve's P check passes the 30 draws at 8 bytes a draw, but the
+    # block of their n distinct atoms needs 8 n^2 bytes
     ds, K = _toy_problem(M=30)
     p = uniform_measure(30)
-    monkeypatch.setattr(empirical, "MAX_GRAM_BYTES", 24)
+    n = np.unique(_trial_rng(0, 30).choice(30, size=30, p=p.masses)).size
+    assert 8 * n * n > 8 * 30
+    monkeypatch.setattr(empirical, "MAX_GRAM_BYTES", 8 * 30)
     with pytest.raises(ValueError, match="Gram"):
-        discrete_trial_error(K, ds.Y, p, p, 30, 0.1, 0.0,
-                             np.random.default_rng(0))
+        _trial(K, ds.Y, p, p, 30, 0.1, 0.0, 0)
 
 
 def test_trial_peak_memory_is_about_one_block():
@@ -449,17 +494,15 @@ def test_trial_peak_memory_is_about_one_block():
     K = gram(KernelSpec("rbf", lengthscale=1.5), X)
     Y = np.sin(X[:, :1])
     p = uniform_measure(3000)
-    discrete_trial_error(K, Y, p, p, 20, 1e-3, 0.01,
-                         np.random.default_rng(0))
-    rng = np.random.default_rng(1)
+    _trial(K, Y, p, p, 20, 1e-3, 0.01, 0)
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        discrete_trial_error(K, Y, p, p, 600, 1e-3, 0.01, rng)
+        _trial(K, Y, p, p, 600, 1e-3, 0.01, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n = np.unique(np.random.default_rng(1).choice(
+    n = np.unique(_trial_rng(1, 600).choice(
         3000, size=600, replace=True, p=p.masses)).size
     assert peak - entry <= 1.5 * 8 * n * n
 
@@ -556,6 +599,31 @@ def test_continuous_curve_deterministic():
     with pytest.raises(ValueError, match="ridge must be nonnegative"):
         run_continuous_curve(spec, sample_train, target, test_error,
                              **(kwargs | dict(lam=-0.1)))
+
+
+def test_ridgeless_continuous_curve_matches_the_exact_wishart_error():
+    # at lam = 0 and P > D the linear-kernel fit on x ~ N(0, C) is least
+    # squares through lstsq's pseudoinverse, and its error under a test
+    # covariance Ct, integrated exactly as (w - beta)^T Ct (w - beta), has
+    # the mean noise tr(Ct C^-1)/(P - D - 1) (the inverse-Wishart mean).
+    # Every P is above D + 3, where the error's variance is finite
+    D, noise = 10, 0.1
+    rng = np.random.default_rng(23)
+    c = np.linspace(2.0, 0.1, D)
+    ct = rng.uniform(0.2, 2.0, D)
+    beta = rng.standard_normal(D)
+
+    def test_error(X, coef):
+        d = X.T @ coef[:, 0] / D - beta
+        return float(d @ (ct * d))
+
+    curve = run_continuous_curve(
+        KernelSpec("linear"), lambda r, n: r.standard_normal((n, D)) *
+        np.sqrt(c), lambda X: X @ beta, test_error, P_values=[20, 40, 100],
+        lam=0.0, noise=noise, trials=400, seed=0)
+    for point in curve:
+        exact = noise * np.sum(ct / c) / (point.P - D - 1)
+        assert abs(point.Eg_mean - exact) < 3 * point.Eg_stderr
 
 
 def test_continuous_trial_checks_the_gram_budget_before_building_it(

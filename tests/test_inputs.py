@@ -16,8 +16,7 @@ from kernelshift import cli, config
 from kernelshift.closedform import (dot_product_kernel_spectrum,
                                     gaussian_linear_Eg, general_linear_Eg,
                                     mode_spectrum_Eg, ntk_sphere_Eg)
-from kernelshift.empirical import (discrete_trial_error, krr_solve,
-                                   run_continuous_curve, run_learning_curve)
+from kernelshift.empirical import run_continuous_curve, run_learning_curve
 from kernelshift.kernels import KernelSpec, gram, ntk_relu_eval
 from kernelshift.measures import (SYMMETRY_RTOL, Dataset, SyntheticSpec,
                                   nonnegative, positive_int, target_columns,
@@ -65,11 +64,12 @@ ENTRY_POINTS = {
         K, Y, P_MEASURE, CONFIG),
     "optimize_test_measure": lambda Y: optimize_test_measure(DEC, Y,
                                                              CONFIG),
-    "krr_solve": lambda Y: krr_solve(K, Y, 0.1),
-    "discrete_trial_error": lambda Y: discrete_trial_error(
-        K, Y, P_MEASURE, P_MEASURE, 4, 0.1, 0.0, np.random.default_rng(0)),
     "run_learning_curve": lambda Y: run_learning_curve(
         K, Y, P_MEASURE, P_MEASURE, [4], 0.1, 0.0, 2, 0),
+    # the one-trial curve is the trial entry point: its Eg_mean is that
+    # trial's error
+    "run_learning_curve one trial": lambda Y: run_learning_curve(
+        K, Y, P_MEASURE, P_MEASURE, [4], 0.1, 0.0, 1, 0),
 }
 
 
@@ -128,12 +128,10 @@ RIDGE_ENTRY_POINTS = {
         K, Y_GOOD, P_MEASURE, _optimizer(lam, noise)),
     "optimize_test_measure": lambda lam, noise: optimize_test_measure(
         DEC, Y_GOOD, _optimizer(lam, noise)),
-    "krr_solve": lambda lam, noise: krr_solve(K, Y_GOOD, lam),
-    "discrete_trial_error": lambda lam, noise: discrete_trial_error(
-        K, Y_GOOD, P_MEASURE, P_MEASURE, 4, lam, noise,
-        np.random.default_rng(0)),
     "run_learning_curve": lambda lam, noise: run_learning_curve(
         K, Y_GOOD, P_MEASURE, P_MEASURE, [4], lam, noise, 2, 0),
+    "run_learning_curve one trial": lambda lam, noise: run_learning_curve(
+        K, Y_GOOD, P_MEASURE, P_MEASURE, [4], lam, noise, 1, 0),
     "run_continuous_curve": _continuous,
     "solve_kappa": lambda lam, noise: solve_kappa(ETA, 4, lam, DEGEN),
     "gaussian_linear_Eg": lambda lam, noise: gaussian_linear_Eg(
@@ -142,8 +140,10 @@ RIDGE_ENTRY_POINTS = {
         4, 6, 6, 6, np.ones(6), 1.0, 1.0, lam, noise),
     "ntk_sphere_Eg": lambda lam, noise: ntk_sphere_Eg(
         4, 2, ETA, DEGEN, [0.5, 0.5], lam, noise),
+    "mode_spectrum_Eg": lambda lam, noise: mode_spectrum_Eg(
+        ETA, DEGEN, [0.5, 0.5], 4, lam, noise),
 }
-NOISELESS = ("krr_solve", "solve_kappa")
+NOISELESS = ("solve_kappa",)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
@@ -263,21 +263,17 @@ GRAM_ENTRY_POINTS = {
         K, Y_GOOD, P_MEASURE, P_MEASURE, 4, 0.1, 0.0),
     "optimize_train_measure": lambda K: optimize_train_measure(
         K, Y_GOOD, P_MEASURE, CONFIG),
-    "krr_solve": lambda K: krr_solve(K, Y_GOOD, 0.1),
-    "discrete_trial_error": lambda K: discrete_trial_error(
-        K, Y_GOOD, P_MEASURE, P_MEASURE, 4, 0.1, 0.0,
-        np.random.default_rng(0)),
     "run_learning_curve": lambda K: run_learning_curve(
         K, Y_GOOD, P_MEASURE, P_MEASURE, [4], 0.1, 0.0, 2, 0),
+    "run_learning_curve one trial": lambda K: run_learning_curve(
+        K, Y_GOOD, P_MEASURE, P_MEASURE, [4], 0.1, 0.0, 1, 0),
 }
 
 
-# a "wrong size" K is one that does not fit a measure; krr_solve has
-# none, and its labels are checked against K's own size
+# a "wrong size" K is one that does not fit a measure
 @pytest.mark.parametrize("entry, kind", [
     (entry, kind) for entry in sorted(GRAM_ENTRY_POINTS)
-    for kind in ("non-square", "wrong size", "nan", "inf", "asymmetric")
-    if (entry, kind) != ("krr_solve", "wrong size")])
+    for kind in ("non-square", "wrong size", "nan", "inf", "asymmetric")])
 def test_bad_gram_raises_a_value_error_naming_K(entry, kind):
     GRAM_ENTRY_POINTS[entry](K)   # the good Gram runs
     with pytest.raises(ValueError, match=r"\bK\b"):
@@ -330,15 +326,10 @@ def test_bad_points_raise_a_value_error_naming_X(entry, kind):
 
 
 def test_a_gram_within_the_symmetry_tolerance_is_fitted_symmetrized():
-    # krr_solve's Cholesky factor reads one triangle: an asymmetric K
-    # within SYMMETRY_RTOL is fitted as its symmetric part, and the
-    # residual is of that part
+    # a trial's Cholesky factor reads one triangle: an asymmetric K
+    # within SYMMETRY_RTOL is fitted as its symmetric part
     A = K.copy()
     A[1, 2] += 0.5 * SYMMETRY_RTOL * np.abs(K).max()
-    fit = krr_solve(A, Y_GOOD, 0.1)
-    want = krr_solve(0.5 * (A + A.T), Y_GOOD, 0.1)
-    assert np.array_equal(fit.coef, want.coef)
-    assert fit.residual == want.residual
     assert run_learning_curve(A, Y_GOOD, P_MEASURE, P_MEASURE, [4], 0.1,
                               0.0, 2, 0) \
         == run_learning_curve(0.5 * (A + A.T), Y_GOOD, P_MEASURE, P_MEASURE,

@@ -272,7 +272,7 @@ def test_measures_is_the_only_module_that_checks_numbers_by_type():
 def test_every_entry_point_that_takes_a_gram_or_points_is_tabled():
     # test_inputs runs every malformed Gram and point set through the
     # entry points in its two tables, so a public function or class with
-    # a K, K_train, X, X1 or X2 parameter must be in one of them
+    # a K, X, X1 or X2 parameter must be in one of them
     from test_inputs import GRAM_ENTRY_POINTS, POINTS_ENTRY_POINTS
     found = set()
     for info in pkgutil.iter_modules(kernelshift.__path__):
@@ -286,12 +286,13 @@ def test_every_entry_point_that_takes_a_gram_or_points_is_tabled():
                 params = inspect.signature(obj).parameters
             except (TypeError, ValueError):   # a builtin's signature
                 continue
-            if {"K", "K_train", "X", "X1", "X2"} & set(params):
+            if {"K", "X", "X1", "X2"} & set(params):
                 found.add(name)
     found -= {"kernel_matrix", "points"}   # the two rules themselves
     tabled = set(GRAM_ENTRY_POINTS) | set(POINTS_ENTRY_POINTS)
     assert sorted(found - tabled) == []
-    # the walk sees the tabled functions, so it is not vacuous; the two
-    # extra rows are gram's second argument and a run_continuous_curve
-    # draw
-    assert tabled - found == {"gram X2", "run_continuous_curve"}
+    # the walk sees the tabled functions, so it is not vacuous; the three
+    # extra rows are gram's second argument, a run_continuous_curve draw
+    # and the one-trial learning curve
+    assert tabled - found == {"gram X2", "run_continuous_curve",
+                              "run_learning_curve one trial"}

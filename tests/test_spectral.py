@@ -207,6 +207,34 @@ def test_curve_peak_memory_stays_below_the_decomposition_peak():
     assert peaks[1] < peaks[0]
 
 
+def test_project_target_copies_no_rows_of_phi():
+    # off-support rows carry mass 0, so the projection sums over all M
+    # rows of Phi in place and holds vectors of length M, never the
+    # s x rank support rows of Phi
+    M = 1500
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((M, 5))
+    masses = np.zeros(M)
+    masses[rng.permutation(M)[:int(0.7 * M)]] = 1.0
+    p = DiscreteMeasure(masses / masses.sum())
+    dec = mercer_decompose(gram(KernelSpec("rbf", lengthscale=1.5), X), p,
+                           1e-8)
+    Y = np.column_stack([np.tanh(X[:, 0]), X[:, 1] * X[:, 2]])
+    sup = dec.support
+    want = dec.Phi[sup].T @ (p.masses[sup, None] * Y[sup])
+    project_target(dec, Y)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        abar = project_target(dec, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < dec.rank < sup.size < M
+    assert np.max(np.abs(abar - want)) <= 1e-12 * np.max(np.abs(want))
+    assert peak - entry <= 4 * Y.nbytes
+
+
 def test_blocked_nystrom_rows_equal_one_shot_product(monkeypatch):
     # collapsed modes (a rank-6 linear kernel) and test points off the
     # training support, with blocks of a few rows and columns

@@ -13,9 +13,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from kernelshift import theory
-from kernelshift._rng import rng_from
 from kernelshift.closedform import gaussian_linear_Eg
-from kernelshift.empirical import krr_solve, run_learning_curve
+from kernelshift.empirical import run_continuous_curve, run_learning_curve
 from kernelshift.kernels import KernelSpec, gram
 from kernelshift.measures import DiscreteMeasure, from_logits, uniform_measure
 from kernelshift.spectral import mercer_decompose, project_target
@@ -587,26 +586,23 @@ def test_prediction_matches_continuous_gaussian_linear():
     lam, noise = 0.5, 0.25
     trials = 2000
 
-    def mc(P, seed):
-        errs = np.empty(trials)
-        for t in range(trials):
-            r = rng_from(seed, "trial", P, t)
-            X = r.standard_normal((P, D))
-            y = X @ beta + np.sqrt(noise) * r.standard_normal(P)
-            sol = krr_solve(gram(KernelSpec("linear"), X), y, lam)
-            w = X.T @ sol.coef[:, 0] / D
-            errs[t] = float(np.sum((w - beta) ** 2))
-        return errs.mean(), errs.std(ddof=1) / np.sqrt(trials)
+    def test_error(X, coef):
+        # the fit is x . w with w = X^T coef / D
+        return float(np.sum((X.T @ coef[:, 0] / D - beta) ** 2))
 
     # exact test integration leaves only the training-draw fluctuation in
     # the stderr, which exposes the O(1/D) mean-field bias of the
     # prediction (about 1% here); bound the relative error directly
     eye = np.eye(D)
     P_grid = (10, 30, 60, 120)
-    for P, pred in zip(P_grid, gaussian_linear_Eg(beta, eye, eye, P_grid,
-                                                  lam, noise)):
+    curve = run_continuous_curve(KernelSpec("linear"),
+                                 lambda r, n: r.standard_normal((n, D)),
+                                 lambda X: X @ beta, test_error, P_grid, lam,
+                                 noise, trials, seed=41)
+    for point, pred in zip(curve, gaussian_linear_Eg(beta, eye, eye, P_grid,
+                                                     lam, noise)):
         th = pred.Eg
-        mean, se = mc(P, seed=41)
+        mean, se = point.Eg_mean, point.Eg_stderr
         assert abs(mean - th) / th < 0.02
         assert abs(mean - th) / se < 4.0
 
