@@ -5,12 +5,15 @@ and all their arithmetic lives here: ``gaussian_linear_Eg`` for Gaussian
 measures and a linear kernel, ``general_linear_Eg`` for a rank-limited
 kernel and measures, ``ntk_sphere_Eg`` for the relu NTK on concentric
 spheres, kernel trace and tail included. Each writes down its spectrum,
-target coefficients and test covariance in closed form, with no matrix
-diagonalization beyond the covariance's own, and the one spectrum core in
-``theory`` turns them into one ``TheoryPrediction`` per P of the
-``P_grid`` each takes, as ``predict_Eg_curve`` does. They are therefore not
-independent of the dataset theory; the flat two-block formula kept in
-``tests/test_closedform.py`` is their oracle.
+target coefficients and test measure in closed form, with no matrix
+diagonalization beyond the covariances' own, and the one prediction core
+in ``theory`` turns them into one ``TheoryPrediction`` per P of the
+``P_grid`` each takes, as ``predict_Eg_curve`` does. The test measure is
+weighted rows of mode values: the test covariance's eigendirections,
+with its eigenvalues as masses, in ``gaussian_linear_Eg``, and one row
+per mode, with its test variance as mass, in the others. They are
+therefore not independent of the dataset theory; the flat two-block
+formula kept in ``tests/test_closedform.py`` is their oracle.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import math
 import numpy as np
 
 from .kernels import KernelSpec, ntk_relu_eval
-from .measures import nonnegative, positive_int
-from .spectral import DEFAULT_RANK_THRESHOLD
-from .theory import _spectrum_prediction
+from .measures import kernel_matrix, nonnegative, positive_int
+from .spectral import DEFAULT_RANK_THRESHOLD, _psd_clipped
+from .theory import _row_prediction
 
 __all__ = [
     "gaussian_linear_Eg",
@@ -35,26 +38,35 @@ __all__ = [
 ]
 
 
+def _covariance_eigh(C, D, name):
+    """Eigenvalues (ascending, clipped at 0) and eigenvectors of the
+    covariance `name`, a finite (D, D) matrix symmetric within
+    SYMMETRY_RTOL (measures.kernel_matrix) and positive semidefinite
+    within PSD_RTOL, as a kernel under a measure is."""
+    sig2, U = np.linalg.eigh(kernel_matrix(C, D, name))
+    return _psd_clipped(sig2, name), U
+
+
 def gaussian_linear_Eg(beta, C, C_tilde, P_grid, lam, noise=0.0):
     """Error of linear-kernel regression between two Gaussian measures.
 
     Training inputs x ~ N(0, C), test inputs x ~ N(0, C_tilde), target
     f(x) = beta . x, kernel x . x' / D. Covariances may be singular and
     need not commute. The modes are C's eigendirections u: eigenvalue
-    sigma^2/D, training power sigma^2, target coefficient u . beta and test
-    covariance U^T C_tilde U. Eigenvalues of C at or below
+    sigma^2/D, training power sigma^2 and target coefficient u . beta.
+    The test rows are C_tilde's eigendirections v, with its eigenvalues
+    as masses and mode values v . u. Eigenvalues of C at or below
     DEFAULT_RANK_THRESHOLD times the largest count as 0.
     """
     beta = np.asarray(beta, dtype=float)
-    C = np.asarray(C, dtype=float)
-    Ct = np.asarray(C_tilde, dtype=float)
+    if beta.ndim != 1 or beta.size == 0:
+        raise ValueError("beta must be a nonempty 1-D array")
     D = beta.shape[0]
-    if C.shape != (D, D) or Ct.shape != (D, D):
-        raise ValueError("covariance shapes must match beta dimension")
-    sig2, U = np.linalg.eigh(C)
-    sig2[sig2 <= DEFAULT_RANK_THRESHOLD * max(sig2[-1], 0.0)] = 0.0
-    return _spectrum_prediction(sig2 / D, P_grid, lam, noise, U.T @ beta,
-                                U.T @ Ct @ U, power=sig2)[0]
+    sig2, U = _covariance_eigh(C, D, "covariance")
+    sig2[sig2 <= DEFAULT_RANK_THRESHOLD * sig2[-1]] = 0.0
+    test_var, V = _covariance_eigh(C_tilde, D, "covariance_tilde")
+    return _row_prediction(sig2 / D, P_grid, lam, noise, U.T @ beta,
+                           V.T @ U, test_var, power=sig2)
 
 
 def general_linear_Eg(P_grid, M, M_r, M_s, beta, sigma2, sigma2_tilde, lam,
@@ -68,17 +80,24 @@ def general_linear_Eg(P_grid, M, M_r, M_s, beta, sigma2, sigma2_tilde, lam,
     contribute reducible test error. Target power on trained directions
     the kernel cannot express acts as extra label noise, and target
     power on tested-but-never-learned directions is an error floor.
+    The counts are positive integers and the variances positive.
     """
+    M = positive_int(M, "M")
+    M_r = positive_int(M_r, "M_r")
+    M_s = positive_int(M_s, "M_s")
+    sigma2 = nonnegative(sigma2, "sigma2")
+    sigma2_tilde = nonnegative(sigma2_tilde, "sigma2_tilde")
+    if not min(sigma2, sigma2_tilde) > 0:
+        raise ValueError("sigma2 and sigma2_tilde must be nonzero")
     n = max(M_r, M_s)
     i = np.arange(n)
     b = np.zeros(n)
     beta = np.asarray(beta, dtype=float)[:n]
     b[:beta.shape[0]] = beta
     eta = np.where(i < min(M, M_r), sigma2 / M, 0.0)
-    power = np.where(i < M_r, float(sigma2), 0.0)
-    return _spectrum_prediction(eta, P_grid, lam, noise, b,
-                                np.where(i < M_s, float(sigma2_tilde), 0.0),
-                                power)[0]
+    power = np.where(i < M_r, sigma2, 0.0)
+    return _row_prediction(eta, P_grid, lam, noise, b, np.eye(n),
+                           np.where(i < M_s, sigma2_tilde, 0.0), power=power)
 
 
 def optimal_ridge(M_r, D, noise, target_power=1.0):
@@ -181,11 +200,12 @@ def mode_spectrum_Eg(eta, degeneracy, abar_sq, P_grid, lam, noise=0.0,
     """
     eta = np.append(np.asarray(eta, dtype=float), 0.0)
     b = np.sqrt(nonnegative(np.append(abar_sq, tail_abar_sq), "abar_sq"))
-    Ct = np.full(eta.shape, nonnegative(overlap_scale, "overlap_scale"))
-    return _spectrum_prediction(
+    test_var = np.full(eta.shape, nonnegative(overlap_scale, "overlap_scale"))
+    return _row_prediction(
         eta, P_grid,
         nonnegative(lam, "ridge") + nonnegative(tail_eta, "tail_eta"), noise,
-        b, Ct, weights=np.append(np.asarray(degeneracy, dtype=float), 1.0))[0]
+        b, np.eye(eta.size), test_var,
+        weights=np.append(np.asarray(degeneracy, dtype=float), 1.0))
 
 
 def _ntk_tail(depth, eta, degeneracy):

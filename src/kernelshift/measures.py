@@ -57,22 +57,22 @@ def points(X, M=None):
     return X
 
 
-def kernel_matrix(K, M=None):
+def kernel_matrix(K, M=None, name="K"):
     """A Gram matrix as a float64 (M, M) array, square when M is None,
     that is finite and symmetric within SYMMETRY_RTOL of its largest
     entry: K itself when exactly symmetric, where (K + K^T)/2 has the
     same bits, and (K + K^T)/2 otherwise. Anything else raises
-    ValueError."""
+    ValueError, whose message calls the matrix `name`."""
     K = np.asarray(K, dtype=np.float64)
     if (K.ndim != 2 or K.shape[0] != K.shape[1]
             or M not in (None, K.shape[0])):
-        raise ValueError(f"K must be {'square' if M is None else (M, M)}, "
-                         f"got shape {K.shape}")
+        want = "square" if M is None else (M, M)
+        raise ValueError(f"{name} must be {want}, got shape {K.shape}")
     # a tile pair at a time, so no temporary is larger than a tile
     exact = True
     for upper, lower in _mirror_tiles(K):
         if not (np.all(np.isfinite(upper)) and np.all(np.isfinite(lower))):
-            raise ValueError("K contains non-finite entries")
+            raise ValueError(f"{name} contains non-finite entries")
         exact = exact and np.array_equal(upper, lower.T)
     if exact:
         return K
@@ -81,7 +81,7 @@ def kernel_matrix(K, M=None):
         scale = max(scale, np.abs(upper).max(), np.abs(lower).max())
         asymmetry = max(asymmetry, np.abs(upper - lower.T).max())
     if asymmetry > SYMMETRY_RTOL * (scale or 1.0):
-        raise ValueError("K is not symmetric")
+        raise ValueError(f"{name} is not symmetric")
     K = K + K.T
     K *= 0.5
     return K

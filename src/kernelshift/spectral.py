@@ -166,16 +166,21 @@ def _eigensolve(support_block, sqrt_p, rank_threshold):
     del B
     w = w[::-1]
 
-    scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    if w[-1] < -PSD_RTOL * scale:
-        raise ValueError(
-            f"kernel is not positive semidefinite under this measure "
-            f"(min eigenvalue {w[-1]:.3e} at scale {scale:.3e})"
-        )
-    eta = np.clip(w, 0.0, None)
+    eta = _psd_clipped(w, "kernel under this measure")
     rank = int(np.count_nonzero(eta > rank_threshold * eta[0])) if eta[0] > 0 else 0
     _order_and_sign(V, sqrt_p)
     return eta, V, rank
+
+
+def _psd_clipped(w, name):
+    """The eigenvalues w of a symmetric matrix clipped at zero; one below
+    -PSD_RTOL times the largest magnitude raises ValueError naming it."""
+    lo = w.min()
+    scale = max(abs(lo), abs(w.max()), 1e-300)
+    if lo < -PSD_RTOL * scale:
+        raise ValueError(f"{name} is not positive semidefinite (min "
+                         f"eigenvalue {lo:.3e} at scale {scale:.3e})")
+    return np.clip(w, 0.0, None)
 
 
 def _finite(block):

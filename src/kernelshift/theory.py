@@ -19,17 +19,17 @@ eps_eff^2 = eps^2 + sum_out abar^2 absorbs target weight on collapsed
 modes.  All of this is the eta -> 0 limit of the full-rank expressions, so
 a single code path covers both cases.
 
-The error is linear in the test measure: Eg = sum_mu ptilde_mu c_mu.  On a
-dataset every curve quantity is therefore a ptilde-weighted sum over points
-of rows built from the in-RKHS eigenfunction values Phi and the residual
-R = Y - Phi abar, the target's part outside the RKHS, on every point: on
-the training support it is the collapsed modes' part of the target, and
-off it the label minus the extension of its projection.  The collapsed
-modes' power is sum_out abar^2 = p . R^2.  `predict_Eg_curve`, the one
-dataset prediction route, and `pointwise_error_density` use these rows
-and build no overlap matrix; the analytic models in `closedform` and
-`predict_Eg_train_grad`, in its eigenbasis, go through a spectrum core
-that takes the test covariance of their modes instead.
+The error is linear in the test measure, so every prediction reads the
+spectrum on weighted test rows: row j has mass w_j, mode values G[j] and
+target part R[j] outside the modes, and O = G^T diag(w) G is never built.
+On a dataset the rows are the points, with the in-RKHS eigenfunction
+values Phi and the residual R = Y - Phi abar: on the training support the
+collapsed modes' part of the target, off it the label minus the
+extension of its projection, with power sum_out abar^2 = p . R^2.  The
+training gradient reads the rows of its eigenbasis V with masses
+ptilde/p, and each closed form its own rows (see `closedform`).
+`_row_prediction` is that one core; `pointwise_error_density` reads the
+dataset's rows point by point.
 
 Everything is per output column and summed over columns; the noise level is
 a scalar shared by all outputs.  The result at each P is one flat
@@ -37,10 +37,10 @@ a scalar shared by all outputs.  The result at each P is one flat
 (CURVE_COLUMNS), so `dataclasses.astuple(pred)` is the row; past the
 interpolation threshold its error fields are inf.
 
-Both cores take a grid of P and solve it at once: one Newton iteration
+The core takes a grid of P and solves it at once: one Newton iteration
 for kappa over every P, whose sums run along rows and never through BLAS,
-and then the bias per P, on a dataset in one pass over Phi with one
-product per P.  One function turns a grid's arrays into its rows.  So each
+and then the bias per P in one pass over the rows, with one product per
+P.  One function turns a grid's arrays into its rows.  So each
 P's row has the same bits in any grid that holds it, and `solve_kappa` is
 the one-P case.
 """
@@ -57,9 +57,9 @@ from .spectral import (_BLOCK, DEFAULT_RANK_THRESHOLD, _eigensolve,
 KAPPA_RTOL = 1e-12
 KAPPA_MAXITER = 200
 DIVERGENCE_TOL = 1e-10
-# entries of the blocks of Phi rows a learning curve reads at a time: 1 MB,
+# entries of the blocks of test rows a prediction reads at a time: 1 MB,
 # half a typical L2 cache
-_PHI_BLOCK = 1 << 17
+_ROW_BLOCK = 1 << 17
 
 
 class DivergenceError(ValueError):
@@ -103,8 +103,8 @@ CURVE_COLUMNS = tuple(f.name for f in fields(TheoryPrediction))
 
 def _validated_spectrum(eigenvalues, weights):
     eta = nonnegative(eigenvalues, "eigenvalues")
-    if np.ndim(eta) != 1 or eta.size == 0:
-        raise ValueError("eigenvalues must be a nonempty 1-D array")
+    if np.ndim(eta) != 1:
+        raise ValueError("eigenvalues must be a 1-D array")
     w = np.ones_like(eta) if weights is None else \
         nonnegative(weights, "weights")
     if np.shape(w) != eta.shape:
@@ -198,6 +198,8 @@ def solve_kappa(eigenvalues, P, lam, weights=None):
     one-P case of the grid solve a learning curve makes, with its bits.
     """
     eta, w = _validated_spectrum(eigenvalues, weights)
+    if eta.size == 0:
+        raise ValueError("eigenvalues must be nonempty")
     P = nonnegative(P, "P")
     lam = nonnegative(lam, "ridge")
     pos = eta > 0
@@ -207,39 +209,38 @@ def solve_kappa(eigenvalues, P, lam, weights=None):
 
 def _order_params(eta, w, P, lam, O_diag=None):
     """kappa, gamma and gamma' (each over the 1-D P grid) and the mode
-    weights d and q (P x modes), with each P's bits those of a one-P grid.
+    weights d and q of _mode_weights, with each P's bits those of a one-P
+    grid.
 
-    eta = 0 marks a mode out of the RKHS or off the training support, so
-    q = 1 and d = 0 there even in the ridgeless limit kappa -> 0;
-    elsewhere d = 1/(P eta + kappa) and q = kappa d.  gamma = sum w P
-    eta^2/(P eta + kappa)^2 and gamma' is the same sum weighted by O_diag,
-    the test-overlap diagonal (gamma' = gamma without it); eta = 0 modes
-    never weigh in either, even where O_diag is not finite.  w are mode
-    multiplicities.
+    gamma = sum w P eta^2/(P eta + kappa)^2 and gamma' is the same sum
+    weighted by O_diag, the test-overlap diagonal (gamma' = gamma without
+    it); eta = 0 modes never weigh in either, even where O_diag is not
+    finite.  w are mode multiplicities.
     """
     lam = nonnegative(lam, "ridge")
     pos = eta > 0
     eta_p, w_p = eta[pos], w[pos]
     kappa, _ = _kappa_grid(eta_p, w_p, P, lam)
-    P_c, k_c = P[:, None], kappa[:, None]
-    denom = P_c * eta_p + k_c
-    d = np.zeros((P.size, eta.size))
-    d[:, pos] = 1.0 / denom
-    q = np.ones_like(d)
-    q[:, pos] = k_c * d[:, pos]
-    frac = P_c * eta_p**2 / denom**2
+    P_c = P[:, None]
+    frac = P_c * eta_p**2 / (P_c * eta_p + kappa[:, None])**2
     gamma = _row_sums(w_p * frac)
     gamma_prime = gamma if O_diag is None else \
         _row_sums(w_p * (O_diag[pos] * frac))
-    return kappa, gamma, gamma_prime, d, q
+    return (kappa, gamma, gamma_prime) + _mode_weights(eta, P, kappa)
 
 
-def _P_grid(P_grid):
-    """The sample sizes as a 1-D grid, each nonnegative and finite."""
-    P = np.atleast_1d(nonnegative(P_grid, "P"))
-    if P.ndim != 1:
-        raise ValueError(f"P grid must be 1-D, got shape {P.shape}")
-    return P
+def _mode_weights(eta, P, kappa):
+    """The mode weights d and q (P x modes) at each P of the grid and its
+    kappa: d = 1/(P eta + kappa) and q = kappa d, but d = 0 and q = 1 on
+    the eta = 0 modes, out of the RKHS or off the training support, even
+    in the ridgeless limit kappa -> 0."""
+    pos = eta > 0
+    k_c = kappa[:, None]
+    d = np.zeros((P.size, eta.size))
+    d[:, pos] = 1.0 / (P[:, None] * eta[pos] + k_c)
+    q = np.ones_like(d)
+    q[:, pos] = k_c * d[:, pos]
+    return d, q
 
 
 def _diverged(gamma):
@@ -276,13 +277,6 @@ def _predictions(P, kappa, gamma, gamma_prime, noise, wsq, bias_c, irr_c):
             for row, flag in zip(table.tolist(), diverged.tolist())]
 
 
-def _masked_eta(dec):
-    """Eigenvalues with the collapsed modes set to exactly 0."""
-    eta = dec.eigenvalues.copy()
-    eta[dec.rank:] = 0.0
-    return eta
-
-
 def _rows(dec, Y):
     """The in-RKHS coefficients abar (rank, C) and the residual
     R = Y - Phi abar (M, C) on every point.
@@ -298,52 +292,58 @@ def _rows(dec, Y):
     return abar, R
 
 
-def _spectrum_prediction(eta, P_grid, lam, noise, b, Ct, power=None,
-                         weights=None):
-    """Predictions over the P grid from a spectrum and the test covariance
-    of its modes, the one core under every closed form and the training
-    gradient: (preds, d, q), with the mode weights d and q (P x modes).
+def _row_prediction(eta, P_grid, lam, noise, b, G, w, R=None,
+                    out_power=0.0, power=None, weights=None):
+    """Predictions over the P grid from a spectrum read on weighted test
+    rows: the one core under every prediction, on a dataset, in the
+    training gradient and in every closed form.
 
     Mode r has eigenvalue eta_r (0 out of the RKHS or off the training
-    support), training power power_r, its mean square under the training
-    measure (1 when omitted), and target coefficients b_r, one column per
-    output.  Ct is the test covariance of the modes, full or as its
-    diagonal; the test overlap of the normalized modes has diagonal
-    Ct_rr/power_r, which weights gamma'.  weights are mode multiplicities.
-    With W = q o b the bias is W^T Ct W and the irreducible error is the
-    same form on the eta = 0 block.  Each P's row has the bits it has in
-    a one-P grid.
+    support), multiplicity weights_r, training power power_r (its mean
+    square under the training measure, 1 when omitted) and target
+    coefficients b_r, one column per output.  Test row j has mass w_j,
+    mode values G[j] and target part R[j] outside the modes (0 when
+    omitted), whose training power per output is out_power.  With
+    W = q o b:
+
+        O_rr        = w . G_r^2 / power_r, weighting mode r in gamma'
+        |W|^2       = sum_r power_r W_r^2 + out_power
+        bias        = w . (G W + R)^2
+        irreducible = w . (G b_out + R)^2,  b_out = b on the eta = 0 modes
+
+    P go a block at a time, so temporaries stay within _BLOCK entries,
+    and each P's row has the bits it has in a one-P grid.
     """
-    eta, w = _validated_spectrum(eta, weights)
-    P = _P_grid(P_grid)
+    eta, mult = _validated_spectrum(eta, weights)
+    P = np.atleast_1d(nonnegative(P_grid, "P"))
+    if P.ndim != 1:
+        raise ValueError(f"P grid must be 1-D, got shape {P.shape}")
     noise = nonnegative(noise, "noise")
-    b = target_columns(b, eta.shape[0])
-    Ct = np.asarray(Ct, dtype=np.float64)
-    if Ct.ndim == 1:
-        Ct = np.diag(Ct)
-    O_diag = np.diag(Ct)
+    bt = np.ascontiguousarray(target_columns(b, eta.size).T)
+    O_diag = np.einsum("m,mr,mr->r", w, G, G)
     if power is not None:
         O_diag = np.divide(O_diag, power, out=np.zeros_like(O_diag),
                            where=power > 0)
-    kappa, gamma, gamma_prime, d, q = _order_params(eta, w, P, lam, O_diag)
-    q_live = q[~_diverged(gamma)]
-    wsq, bias_c = np.empty((2, q_live.shape[0], b.shape[1]))
-    for j, q_j in enumerate(q_live):
-        W = q_j[:, None] * b
-        wsq[j] = np.einsum("rc,rc->c", W,
-                           W if power is None else power[:, None] * W)
-        bias_c[j] = np.einsum("rc,rc->c", W, Ct @ W)
-    out = np.flatnonzero(eta == 0)
-    b_out = b[out]
-    # the eta = 0 modes of a decomposition or of a covariance's eigenbasis
-    # are one run, whose block of Ct is a view, not an (s, s)-sized copy
-    if out.size and out[-1] - out[0] == out.size - 1:
-        Ct_out = Ct[out[0]:out[-1] + 1, out[0]:out[-1] + 1]
+    out = eta == 0
+    if out.any():
+        irr_c = _bias_rows(G, np.where(out, bt, 0.0)[None], R, w)[0]
     else:
-        Ct_out = Ct[np.ix_(out, out)]
-    irr_c = np.einsum("oc,oc->c", b_out, Ct_out @ b_out)
-    return (_predictions(P, kappa, gamma, gamma_prime, noise, wsq, bias_c,
-                         irr_c), d, q)
+        irr_c = np.zeros(bt.shape[0]) if R is None else w @ R**2
+    preds = []
+    step = max(1, _BLOCK // max(bt.size, 1))
+    for lo in range(0, P.size, step):
+        P_b = P[lo:lo + step]
+        kappa, gamma, gamma_prime, _, q = _order_params(eta, mult, P_b, lam,
+                                                        O_diag)
+        # W^T for each live P, (C, modes), so per-output sums run along rows
+        Wt = q[~_diverged(gamma), None, :] * bt
+        Wsq = Wt * Wt
+        if power is not None:
+            Wsq *= power
+        preds += _predictions(P_b, kappa, gamma, gamma_prime, noise,
+                              _row_sums(Wsq) + out_power,
+                              _bias_rows(G, Wt, R, w), irr_c)
+    return preds
 
 
 def pointwise_error_density(dec, Y, P, lam, noise):
@@ -356,7 +356,7 @@ def pointwise_error_density(dec, Y, P, lam, noise):
     noise = nonnegative(noise, "noise")
     abar, R = _rows(dec, Y)
     P = nonnegative(P, "P")
-    eta = _masked_eta(dec)
+    eta = dec.eigenvalues[:dec.rank]
     _, (gamma,), _, (d,), (q,) = _order_params(eta, np.ones_like(eta),
                                                np.array([P]), lam)
     if _diverged(gamma):
@@ -364,8 +364,8 @@ def pointwise_error_density(dec, Y, P, lam, noise):
             "pointwise density undefined: predicted error diverges "
             f"(1 - gamma = {1.0 - gamma:.3e})"
         )
-    W = q[:dec.rank, None] * abar
-    e = dec.eigenvalues[:dec.rank] * d[:dec.rank]
+    W = q[:, None] * abar
+    e = eta * d
     gamma_mu = dec.Phi**2 @ (P * e * e)  # per-point gamma'
     mean = dec.Phi @ W + R  # estimator shortfall at each point
     wsq = np.einsum("rc,rc->c", W, W) + dec.measure.masses @ R**2
@@ -376,61 +376,43 @@ def pointwise_error_density(dec, Y, P, lam, noise):
 def predict_Eg_curve(dec, Y, ptilde, P_grid, lam, noise):
     """End-to-end learning curve on a discrete dataset, one prediction per P.
 
-    dec is the Mercer decomposition under the training measure.  The rows
-    abar and R, the test-measure weights of Phi^2 (gamma' per mode) and of
-    R^2 (the irreducible error) and the collapsed power p . R^2 depend
-    only on the decomposition and the test measure, so they are built
-    once.  The grid then costs one kappa solve over every P at once and
-    one pass over Phi, in row blocks that stay in cache, with one
-    (rows, rank) product per P and block: the bias is ptilde . |Phi W +
-    R|^2, the pointwise density's rows contracted with the test measure.
-    P go a block at a time, so temporaries stay within _BLOCK entries.
-    Each P's row has the same bits in any grid that holds it.  No overlap
-    matrix is built, so test mass off the training support is covered
-    whether or not collapsed modes exist.
+    dec is the Mercer decomposition under the training measure.  The test
+    rows are the points, with masses ptilde, the in-RKHS eigenfunction
+    values Phi and the residual R, and the collapsed power is p . R^2:
+    the bias is ptilde . |Phi W + R|^2, the pointwise density's rows
+    contracted with the test measure.  The grid costs one kappa solve over
+    every P at once and one pass over Phi, in row blocks that stay in
+    cache, with one (rows, rank) product per P and block.  Each P's row
+    has the same bits in any grid that holds it.  No overlap matrix is
+    built, so test mass off the training support is covered whether or
+    not collapsed modes exist.
     """
     ptilde = as_measure(ptilde)
     if ptilde.M != dec.Phi.shape[0]:
         raise ValueError("test measure must cover the same dataset")
-    noise = nonnegative(noise, "noise")
-    P = _P_grid(P_grid)
     abar, R = _rows(dec, Y)
-    abar_t = np.ascontiguousarray(abar.T)
-    w = ptilde.masses
-    eta = _masked_eta(dec)
-    O_diag = np.zeros_like(eta)
-    O_diag[:dec.rank] = np.einsum("m,mr,mr->r", w, dec.Phi, dec.Phi)
-    irr_c = w @ R**2
-    out_c = dec.measure.masses @ R**2
-    preds = []
-    b = max(1, _BLOCK // max(eta.size, abar.size))
-    for lo in range(0, P.size, b):
-        P_b = P[lo:lo + b]
-        kappa, gamma, gamma_prime, _, q = _order_params(
-            eta, np.ones_like(eta), P_b, lam, O_diag)
-        # W^T for each live P, (C, rank), so per-output sums run along rows
-        Wt = q[~_diverged(gamma), None, :dec.rank] * abar_t
-        preds += _predictions(P_b, kappa, gamma, gamma_prime, noise,
-                              _row_sums(Wt * Wt) + out_c,
-                              _bias_rows(dec.Phi, Wt, R, w), irr_c)
-    return preds
+    return _row_prediction(dec.eigenvalues[:dec.rank], P_grid, lam, noise,
+                           abar, dec.Phi, ptilde.masses, R,
+                           dec.measure.masses @ R**2)
 
 
-def _bias_rows(Phi, Wt, R, w):
-    """w . (Phi W + R)^2 per output for each W = Wt[i]^T, one row per W.
+def _bias_rows(G, Wt, R, w):
+    """w . (G W + R)^2 per output for each W = Wt[i]^T, one row per W,
+    with R = 0 when None.
 
-    One pass over Phi, in blocks of rows that stay in a core's L2 cache;
+    One pass over G, in blocks of rows that stay in a core's L2 cache;
     each W multiplies each block on its own, a product whose bits do not
     depend on the other Ws (a batched GEMM's would), and each W's block
     sums add up in row order.
     """
     bias = np.zeros(Wt.shape[:2])
-    rows = max(1, _PHI_BLOCK // max(1, Phi.shape[1]))
-    for lo in range(0, Phi.shape[0], rows):
-        Phi_b, R_b, w_b = Phi[lo:lo + rows], R[lo:lo + rows], w[lo:lo + rows]
+    rows = max(1, _ROW_BLOCK // max(1, G.shape[1]))
+    for lo in range(0, G.shape[0], rows):
+        G_b, w_b = G[lo:lo + rows], w[lo:lo + rows]
         for i in range(Wt.shape[0]):
-            mean = Phi_b @ Wt[i].T
-            mean += R_b
+            mean = G_b @ Wt[i].T
+            if R is not None:
+                mean += R[lo:lo + rows]
             mean *= mean
             bias[i] += w_b @ mean
     return bias
@@ -499,8 +481,9 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise,
         gamma = P sum e^2,  gamma' = P sum O_rr e^2
         Eg = sum_c W_c^T O W_c + gamma'/(1-gamma) (C eps^2 + |W|^2)
 
-    Eg is the closed forms' spectrum core on abar and O, which builds no
-    Phi and agrees with predict_Eg_curve's to rounding.
+    Eg comes from the one prediction core, on abar and the rows of V with
+    masses ptilde/p: it builds neither Phi nor O, and agrees with
+    predict_Eg_curve's to rounding.  O is built after it, for the adjoint.
 
     Eg depends on B only through Q = V diag(q) V^T, so its adjoint needs
     only the divided differences of q(eta), which are products of bounded
@@ -536,17 +519,19 @@ def predict_Eg_train_grad(K, Y, p, ptilde, P, lam, noise,
     # result into SupportError
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         abar = V.T @ (a[:, None] * Y)
-        # X is the one (s, s) buffer: O, then F o Qbar, then Bbar
-        X = _overlap_matrix(V, ptilde.masses / p.masses)
+        ratio = ptilde.masses / p.masses
         # collapsed modes at eta = 0; below, d = 0 masks them in eta
-        (pred,), (d,), (q,) = _spectrum_prediction(
-            np.append(eta[:rank], np.zeros(eta.size - rank)), [P], lam,
-            noise, abar, X)
+        eta_in = np.append(eta[:rank], np.zeros(eta.size - rank))
+        (pred,) = _row_prediction(eta_in, [P], lam, noise, abar, V, ratio)
         one_minus = 1.0 - pred.gamma
         if pred.diverged:
             raise DivergenceError(
                 f"1 - gamma = {one_minus:.3e} < {DIVERGENCE_TOL}: predicted "
                 "error diverges, so it has no gradient")
+        (d,), (q,) = _mode_weights(eta_in, np.array([P]),
+                                   np.array([pred.kappa]))
+        # X is the one (s, s) buffer: O, then F o Qbar, then Bbar
+        X = _overlap_matrix(V, ratio)
         gamma_p = pred.gamma_prime
         W = q[:, None] * abar
         e = eta * d

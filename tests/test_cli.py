@@ -859,6 +859,18 @@ def test_ntk_sphere_key_beyond_k_max_exits_2(tmp_path, capsys, key, value):
     assert f"/closed_form/{key}" in capsys.readouterr().err
 
 
+def test_gaussian_linear_with_a_negative_test_covariance_exits_2(tmp_path,
+                                                                 capsys):
+    # it wrote Eg = -0.0112 and exited 0
+    sec = dict(_CLOSED_FORM_MODELS["gaussian_linear"],
+               model="gaussian_linear", P_grid=[4],
+               covariance_tilde=[[-1.0, 0.0], [0.0, -1.0]])
+    code, _ = _run(tmp_path, {"command": "closed-form", "closed_form": sec})
+    assert code == 2
+    assert "covariance_tilde is not positive semidefinite" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("D", [1, 2])
 def test_ntk_sphere_below_three_dimensions_exits_2(tmp_path, capsys, D):
     sec = dict(_CLOSED_FORM_MODELS["ntk_sphere"], model="ntk_sphere", D=D,

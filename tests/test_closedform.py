@@ -47,7 +47,7 @@ def _flat_oracle(P, M, M_r, M_s, beta, sigma2, sigma2_tilde, lam, noise):
     Learning is paced by N_r = min(M, M_r) identical eigenvalues
     sigma2/M, so kappa comes from kappa_prime_flat and every sum is a
     block count; general_linear_Eg must agree with it through the
-    general spectrum core.
+    one prediction core.
     """
     beta = np.asarray(beta, dtype=float)
     N_r = min(M, M_r)
@@ -127,7 +127,7 @@ def test_ridgeless_above_threshold_is_exactly_zero():
 
 
 def test_general_linear_matches_flat_oracle():
-    # the spectrum core against the two-block closed form, across ranks,
+    # the prediction core against the two-block closed form, across ranks,
     # ridges from ridgeless up, and P below, at and above every rank
     beta = np.random.default_rng(5).standard_normal(30)
     fields = ("Eg", "Eg_matched", "kappa", "gamma", "gamma_prime",
@@ -635,6 +635,56 @@ def test_closed_form_validation():
         dot_product_kernel_spectrum(KernelSpec("ntk_relu", depth=2), 2, 5)
     with pytest.raises(ValueError):
         dot_product_kernel_spectrum(KernelSpec("rbf"), 5, 5)
+
+
+# an invalid covariance pair for gaussian_linear_Eg, and the one it names
+_BAD_COVARIANCES = {
+    # Eg was -0.0112
+    "negative test": ([[1.0, 0.0], [0.0, 0.5]], -np.eye(2),
+                      "covariance_tilde is not positive semidefinite"),
+    # eigh read one triangle, so this ran as the identity
+    "asymmetric": ([[1.0, 5.0], [0.0, 1.0]], np.eye(2),
+                   "covariance is not symmetric"),
+    # the negative eigenvalue was zeroed as a collapsed mode
+    "negative train": (np.diag([1.0, -0.5]), np.eye(2),
+                       "covariance is not positive semidefinite"),
+    # Eg was NaN
+    "nan": (np.eye(2), [[1.0, np.nan], [np.nan, 1.0]],
+            "covariance_tilde contains non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_COVARIANCES))
+def test_gaussian_linear_refuses_an_invalid_covariance(case):
+    C, Ct, message = _BAD_COVARIANCES[case]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        gaussian_linear_Eg([1.0, 0.5], C, Ct, [4], 0.1)
+
+
+def test_gaussian_linear_takes_a_covariance_symmetric_to_rounding():
+    # an asymmetry within SYMMETRY_RTOL is the symmetrized matrix's
+    C = np.array([[1.0, 0.3], [0.3, 0.5]])
+    C_off = C + np.array([[0.0, 1e-12], [0.0, 0.0]])
+    C_sym = (C_off + C_off.T) / 2
+    assert [astuple(r) for r in gaussian_linear_Eg([1.0, 0.5], C_off, C_off,
+                                                   [4], 0.1)] == \
+        [astuple(r) for r in gaussian_linear_Eg([1.0, 0.5], C_sym, C_sym,
+                                                [4], 0.1)]
+
+
+def test_ridgeless_overparameterized_gaussian_linear_is_hastie_with_d_minus_p():
+    # at lam = 0, C = Ct = I_D and P <= D - 2 the exact error of the
+    # minimum-norm interpolator is |beta|^2 (1 - P/D) + eps^2 P/(D - P - 1)
+    # (Hastie, Montanari, Rosset and Tibshirani, Ann. Statist. 2022); the
+    # theory puts D - P in place of D - P - 1 in the noise term
+    D, noise = 40, 0.3
+    beta = np.random.default_rng(31).standard_normal(D)
+    P_grid = [2, 5, 10, 20, 30, 38]
+    preds = gaussian_linear_Eg(beta, np.eye(D), np.eye(D), P_grid, lam=0.0,
+                               noise=noise)
+    for P, pred in zip(P_grid, preds):
+        signal = beta @ beta * (1 - P / D)
+        assert abs((pred.Eg - signal) / (noise * P / (D - P)) - 1.0) <= 1e-12
 
 
 def test_sampled_cloud_pipeline_matches_diagonal_closed_form():

@@ -626,6 +626,32 @@ def test_ridgeless_continuous_curve_matches_the_exact_wishart_error():
         assert abs(point.Eg_mean - exact) < 3 * point.Eg_stderr
 
 
+def test_ridgeless_overparameterized_curve_matches_the_exact_error():
+    # at lam = 0 and P < D the linear-kernel fit on x ~ N(0, I_D) is the
+    # minimum-norm interpolator through lstsq's pseudoinverse, whose exact
+    # error under the same measure is |beta|^2 (1 - P/D) + noise P/(D - P - 1)
+    # (Hastie, Montanari, Rosset and Tibshirani, Ann. Statist. 2022).
+    # Every P is well below D - 3, where the error's variance is finite.
+    # With |beta| = 1 the noise term counts: at P = 30 the theory's
+    # noise P/(D - P) lies about 4 standard errors below the mean
+    D, noise = 40, 0.1
+    beta = np.random.default_rng(29).standard_normal(D)
+    beta /= np.linalg.norm(beta)
+
+    def test_error(X, coef):
+        d = X.T @ coef[:, 0] / D - beta
+        return float(d @ d)
+
+    curve = run_continuous_curve(
+        KernelSpec("linear"), lambda r, n: r.standard_normal((n, D)),
+        lambda X: X @ beta, test_error, P_values=[10, 20, 30], lam=0.0,
+        noise=noise, trials=400, seed=0)
+    for point in curve:
+        P = point.P
+        exact = beta @ beta * (1 - P / D) + noise * P / (D - P - 1)
+        assert abs(point.Eg_mean - exact) < 3 * point.Eg_stderr
+
+
 def test_continuous_trial_checks_the_gram_budget_before_building_it(
         monkeypatch):
     def no_gram(*args):

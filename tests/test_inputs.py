@@ -220,6 +220,30 @@ def test_mode_spectrum_parameters_are_checked(key, value):
         mode_spectrum_Eg(ETA, DEGEN, [1.0, 0.5], 10, 0.1, **{key: value})
 
 
+@pytest.mark.parametrize("value", [0, -1, 10.5, 2.0, None])
+@pytest.mark.parametrize("key", ["M", "M_r", "M_s"])
+def test_general_linear_counts_are_positive_integers(key, value):
+    # M = 0 raised ZeroDivisionError and M = 10.5 ran
+    counts = {"M": 6, "M_r": 6, "M_s": 6, key: value}
+    with pytest.raises(ValueError, match=rf"^{key} must be a positive integer"):
+        general_linear_Eg(4, beta=np.ones(6), sigma2=1.0, sigma2_tilde=1.0,
+                          lam=0.1, **counts)
+
+
+def test_general_linear_with_no_trained_or_tested_direction_raises():
+    with pytest.raises(ValueError, match="^M_r must be a positive integer"):
+        general_linear_Eg(4, 6, 0, 0, np.ones(6), 1.0, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf, 0.0])
+@pytest.mark.parametrize("key", ["sigma2", "sigma2_tilde"])
+def test_general_linear_variances_are_positive_and_finite(key, value):
+    # sigma2_tilde = -1 gave Eg = -5.17, and NaN gave NaN
+    with pytest.raises(ValueError, match=rf"\b{key}\b"):
+        general_linear_Eg(4, 6, 6, 6, np.ones(6), lam=0.1,
+                          **{"sigma2": 1.0, "sigma2_tilde": 1.0, key: value})
+
+
 @pytest.mark.parametrize("key", ["radius_train", "radius_test"])
 @pytest.mark.parametrize("value", [np.nan, -1.0, 0.0])
 def test_ntk_sphere_radii_are_positive_and_finite(key, value):

@@ -22,6 +22,8 @@ from kernelshift.theory import (DivergenceError, SupportError,
                                 pointwise_error_density, predict_Eg_dataset,
                                 predict_Eg_train_grad)
 
+from explicit_overlap import explicit_overlap_prediction
+
 
 def _instance(M=8, D=3, seed=4, kind="rbf"):
     rng = np.random.default_rng(seed)
@@ -60,11 +62,12 @@ def test_uniform_test_loss_matches_explicit_overlap():
     rng = np.random.default_rng(0)
     z = 0.4 * rng.standard_normal(8)
     val = _uniform_test_loss(z, K, Y, lam=0.05, P=4, noise=0.02)
-    # the spectrum core fed the explicit overlap Phi^T diag(ptilde) Phi
+    # the replica formulas in numpy on the explicit overlap
+    # Phi^T diag(ptilde) Phi
     dec = mercer_decompose(K, from_logits(z))
     O = dec.Phi.T @ (uniform_measure(8).masses[:, None] * dec.Phi)
-    (pred,), _, _ = theory._spectrum_prediction(
-        theory._masked_eta(dec), [4], 0.05, 0.02, project_target(dec, Y), O)
+    pred = explicit_overlap_prediction(
+        dec.eigenvalues[:dec.rank], 4, 0.05, 0.02, project_target(dec, Y), O)
     assert val == pytest.approx(pred.Eg, rel=1e-12)
 
 
@@ -448,8 +451,8 @@ def test_train_gradient_peak_memory_is_a_few_grams():
 
 
 def test_train_gradient_peak_memory_on_a_low_rank_kernel():
-    # rank 5 of 1000: the irreducible error of the forward pass covers a
-    # 995 x 995 block of the overlap, which must not be copied
+    # rank 5 of 1000: the irreducible error of the forward pass reads the
+    # 995 collapsed modes on every row of V, and copies none of them
     assert _train_gradient_peak("linear") <= 4.5
 
 

@@ -1,7 +1,9 @@
 """The error predictor: fixed-point solver, reductions, and Monte Carlo
 certification at small and asymptotic scales."""
 
+import ast
 import itertools
+import os
 import tracemalloc
 from dataclasses import astuple
 
@@ -21,6 +23,8 @@ from kernelshift.spectral import mercer_decompose, project_target
 from kernelshift.theory import (KAPPA_RTOL, DivergenceError,
                                 pointwise_error_density, predict_Eg_curve,
                                 predict_Eg_dataset, solve_kappa)
+
+from explicit_overlap import explicit_overlap_prediction
 from test_optimizer import _instance as _optimizer_instance
 
 
@@ -184,8 +188,8 @@ def test_state_gamma_formula_and_divergence():
     eta = np.array([0.6, 0.4])
 
     def row(P, lam):
-        (pred,), _, _ = theory._spectrum_prediction(
-            eta, [P], lam, 0.0, np.ones(2), np.ones(2))
+        (pred,) = theory._row_prediction(eta, [P], lam, 0.0, np.ones(2),
+                                         np.eye(2), np.ones(2))
         return pred
 
     pred = row(3.0, 0.2)
@@ -193,6 +197,10 @@ def test_state_gamma_formula_and_divergence():
     want = np.sum(3.0 * eta**2 / (3.0 * eta + k) ** 2)
     assert pred.gamma == pytest.approx(want, abs=1e-14)
     assert not pred.diverged
+    np.testing.assert_allclose(
+        astuple(pred), astuple(explicit_overlap_prediction(
+            eta, 3.0, 0.2, 0.0, np.ones(2), np.eye(2))),
+        rtol=1e-12, atol=1e-15)
     pred0 = row(2.0, 0.0)
     assert pred0.diverged
     assert pred0.gamma == pytest.approx(1.0)
@@ -204,27 +212,29 @@ def test_state_gamma_formula_and_divergence():
 @pytest.mark.parametrize("leading", [False, True])
 def test_irreducible_error_reads_the_collapsed_run_without_a_copy(leading):
     # a run of eta = 0 modes, trailing as in a decomposition or leading as
-    # in a covariance eigenbasis, is read as a view of Ct, with the value
-    # of the gathered block
+    # in a covariance eigenbasis, is read in the one pass over the test
+    # rows, with no copy of their (s, s) block, and has the value of the
+    # explicit overlap's collapsed block
     s = 600
     rng = np.random.default_rng(5)
-    A = rng.standard_normal((s, s)) / np.sqrt(s)
-    Ct = A @ A.T
+    G = rng.standard_normal((s, s)) / np.sqrt(s)
+    w = rng.random(s)
     eta = np.zeros(s)
     eta[slice(s - 5, s) if leading else slice(0, 5)] = rng.random(5) + 0.5
     b = rng.standard_normal((s, 2))
     out = eta == 0
+    O = G.T @ (w[:, None] * G)
     want = np.sum(np.einsum("oc,oc->c", b[out],
-                            Ct[np.ix_(out, out)] @ b[out]))
+                            O[np.ix_(out, out)] @ b[out]))
+    del O
     tracemalloc.start()
     try:
-        (pred,), _, _ = theory._spectrum_prediction(eta, [20.0], 1e-3, 0.0,
-                                                    b, Ct)
+        (pred,) = theory._row_prediction(eta, [20.0], 1e-3, 0.0, b, G, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert pred.irreducible == float(want)
-    assert peak < 0.2 * Ct.nbytes
+    assert pred.irreducible == pytest.approx(float(want), rel=1e-12)
+    assert peak < 0.2 * G.nbytes
 
 
 # ----------------------------------------------------------------------
@@ -258,9 +268,9 @@ def test_bias_variance_splits_sum_to_Eg():
 
 
 def _explicit_overlap_prediction(K, Y, p, pt, rank, P, lam, noise):
-    """Oracle for the curve's per-point rows: the spectrum core fed the
+    """Oracle for the curve's per-point rows: the replica formulas on the
     explicit overlap O = Phi^T diag(pt) Phi of a complete basis on the
-    training support, solved here with numpy, modes past `rank` at
+    training support, all solved here with numpy, modes past `rank` at
     eta = 0.  Collapsed modes have no values off the support, so pt must
     lie on it."""
     sup = np.flatnonzero(p.masses > 0)
@@ -271,9 +281,8 @@ def _explicit_overlap_prediction(K, Y, p, pt, rank, P, lam, noise):
     eta[rank:] = 0.0
     Phi = V / a[:, None]
     O = Phi.T @ (pt.masses[sup, None] * Phi)
-    (pred,), _, _ = theory._spectrum_prediction(
-        eta, [P], lam, noise, V.T @ (a[:, None] * Y[sup]), O)
-    return pred
+    return explicit_overlap_prediction(eta, P, lam, noise,
+                                       V.T @ (a[:, None] * Y[sup]), O)
 
 
 def test_residual_route_equals_matrix_route():
@@ -315,6 +324,52 @@ def test_multi_output_sums_columns():
     a = predict_Eg_dataset(K, Y, p, pt, P=8, lam=0.1, noise=0.0)
     b = predict_Eg_dataset(K, Y2, p, pt, P=8, lam=0.1, noise=0.0)
     assert b.Eg == pytest.approx(5.0 * a.Eg, rel=1e-10)
+
+
+def _references(tree, names):
+    """(name, function) for each use of one of `names` in the module tree,
+    function being the innermost def it appears in ('<module>' outside
+    any); the defs of those names are not uses."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id in names:
+                found.append((child.id, where))
+            elif isinstance(child, ast.Attribute) and child.attr in names:
+                found.append((child.attr, where))
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_every_prediction_goes_through_the_one_row_core():
+    # _row_prediction is the one prediction core: only it turns a grid's
+    # arrays into rows (_predictions) and reads the test rows for the bias
+    # (_bias_rows), and it is all that closedform takes from theory
+    src = os.path.dirname(theory.__file__)
+    uses, closedform_imports = [], []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        uses += [(name, *use) for use in
+                 _references(tree, {"_predictions", "_bias_rows"})]
+        if name == "closedform.py":
+            closedform_imports = [
+                alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+                if "theory" in (getattr(node, "module", None) or alias.name)]
+    assert sorted(uses) == [("theory.py", "_bias_rows", "_row_prediction"),
+                            ("theory.py", "_bias_rows", "_row_prediction"),
+                            ("theory.py", "_predictions", "_row_prediction")]
+    assert closedform_imports == ["_row_prediction"]
 
 
 # ----------------------------------------------------------------------
